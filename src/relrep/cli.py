@@ -21,6 +21,7 @@ from .path_algebra import (
     AlgebraError,
     AlgebraPresentation,
     Arrow,
+    InternalError,
     Path,
     Quiver,
     Relation,
@@ -49,6 +50,7 @@ EXIT_FALSE = 1
 EXIT_PARSE = 2
 EXIT_EQUIVALENCE = 3
 EXIT_HYPOTHESIS = 4
+EXIT_INTERNAL = 5
 
 
 class FileFormatError(AlgebraError):
@@ -668,6 +670,10 @@ def main(argv=None) -> int:
     except (FileFormatError, ExpressionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
+    except InternalError as exc:
+        # the message already reads "internal error in <layer>: ..."
+        print(str(exc), file=sys.stderr)
+        return EXIT_INTERNAL
     except AlgebraError as exc:
         # remaining library rejections are violated preconditions
         print(f"hypothesis failure: {exc}", file=sys.stderr)

@@ -17,8 +17,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .exact_linalg import QQ, Matrix
-from .path_algebra import AlgebraError, AlgebraPresentation
+from .exact_linalg import QQ, Matrix, rational
+from .path_algebra import AlgebraError, AlgebraPresentation, InternalError
 from .rep import (
     Module,
     Morphism,
@@ -26,6 +26,7 @@ from .rep import (
     cokernel,
     direct_sum,
     enumerate_indecomposables_nakayama,
+    flatten_atoms,
     hom_basis,
     hom_dim,
     hom_space,
@@ -68,13 +69,18 @@ _ONE = QQ(1)
 class StructureConstantAlgebra:
     """A finite-dimensional associative unital algebra given by its tensor.
 
-    ``mult[i][j]`` is the coordinate vector of ``e_i * e_j``.  ``unit`` is the
-    coordinate vector of the identity.  ``idempotents`` (optional) is a list of
-    pairwise orthogonal idempotents summing to the unit; when each left ideal
-    ``A·e`` is spanned by a subset of the basis (always true for the algebras
-    produced by :func:`end_algebra`) the dimension engine uses them to build
-    projective covers.  ``piece_classes`` (optional) groups idempotents whose
-    left ideals are isomorphic, enabling reduction to a basic algebra.
+    ``mult[i][j]`` holds the nonzero structure constants of ``e_i * e_j`` as a
+    tuple of ``(m, c)`` pairs, ``m`` ascending and ``c`` a nonzero QQ, so that
+    ``e_i * e_j = sum of c * e_m``; a zero product is the empty tuple.  The
+    constructor takes the dense tensor (``mult[i][j][m]`` the coefficient of
+    ``e_m``) and coerces and sparsifies it once; :meth:`from_sparse` takes the
+    pairs as they are.  ``unit`` is the coordinate vector of the identity.
+    ``idempotents`` (optional) is a list of pairwise orthogonal idempotents
+    summing to the unit; when each left ideal ``A·e`` is spanned by a subset
+    of the basis (always true for the algebras produced by
+    :func:`end_algebra`) the dimension engine uses them to build projective
+    covers.  ``piece_classes`` (optional) groups idempotents whose left ideals
+    are isomorphic, enabling reduction to a basic algebra.
     """
 
     __slots__ = (
@@ -96,18 +102,41 @@ class StructureConstantAlgebra:
         piece_classes=None,
         name: str = "",
     ) -> None:
-        self.dim = len(mult)
-        self.mult = tuple(tuple(tuple(QQ(c) for c in row) for row in plane) for plane in mult)
-        for plane in self.mult:
-            if len(plane) != self.dim or any(len(row) != self.dim for row in plane):
+        dim = len(mult)
+        sparse = []
+        for plane in mult:
+            if len(plane) != dim or any(len(row) != dim for row in plane):
                 raise AlgebraError("multiplication tensor is not dim x dim x dim")
-        self.unit = tuple(QQ(c) for c in unit)
+            sparse.append(tuple(_sparse_row(row) for row in plane))
+        self._setup(dim, tuple(sparse), unit, idempotents, piece_classes, name)
+
+    @classmethod
+    def from_sparse(
+        cls,
+        dim: int,
+        mult,
+        unit,
+        idempotents=None,
+        piece_classes=None,
+        name: str = "",
+    ) -> "StructureConstantAlgebra":
+        """Build from rows already in the sparse ``(m, c)`` layout (not re-coerced)."""
+        if len(mult) != dim or any(len(plane) != dim for plane in mult):
+            raise AlgebraError("multiplication tensor is not dim x dim x dim")
+        g = cls.__new__(cls)
+        g._setup(dim, tuple(tuple(plane) for plane in mult), unit, idempotents, piece_classes, name)
+        return g
+
+    def _setup(self, dim, mult, unit, idempotents, piece_classes, name) -> None:
+        self.dim = dim
+        self.mult = mult
+        self.unit = tuple(rational(c) for c in unit)
         if len(self.unit) != self.dim:
             raise AlgebraError("unit vector has wrong length")
         self.name = name
         self._cache: dict = {}
         if idempotents is not None:
-            self.idempotents = tuple(tuple(QQ(c) for c in e) for e in idempotents)
+            self.idempotents = tuple(tuple(rational(c) for c in e) for e in idempotents)
             self.piece_members = self._detect_members()
         else:
             self.idempotents = None
@@ -125,45 +154,34 @@ class StructureConstantAlgebra:
 
     def multiply(self, x, y) -> list:
         out = [_ZERO] * self.dim
+        y_terms = _terms(y)
         for i, xi in enumerate(x):
             if xi == 0:
                 continue
             plane = self.mult[i]
-            for j, yj in enumerate(y):
-                if yj == 0:
-                    continue
+            for j, yj in y_terms:
                 c = xi * yj
-                row = plane[j]
-                for m, rm in enumerate(row):
-                    if rm != 0:
-                        out[m] += c * rm
+                for m, rm in plane[j]:
+                    out[m] += c * rm
         return out
 
     def left_mult_matrix(self, x) -> Matrix:
-        cols = []
-        for j in range(self.dim):
-            col = [_ZERO] * self.dim
-            for i, xi in enumerate(x):
-                if xi == 0:
-                    continue
-                row = self.mult[i][j]
-                for m, rm in enumerate(row):
-                    if rm != 0:
-                        col[m] += xi * rm
-            cols.append(col)
-        return Matrix.from_columns(cols)
+        rows = [[_ZERO] * self.dim for _ in range(self.dim)]
+        for i, xi in _terms(x):
+            for j, pairs in enumerate(self.mult[i]):
+                for m, rm in pairs:
+                    rows[m][j] += xi * rm
+        return Matrix(self.dim, self.dim, rows)
 
     def check_associativity(self) -> bool:
         """Exhaustive check of (e_i e_j) e_k == e_i (e_j e_k); desk scale only."""
-        basis = [
-            tuple(_ONE if t == s else _ZERO for t in range(self.dim)) for s in range(self.dim)
-        ]
-        for i in range(self.dim):
-            for j in range(self.dim):
+        n = self.dim
+        for i in range(n):
+            for j in range(n):
                 ij = self.mult[i][j]
-                for k in range(self.dim):
-                    left = self.multiply(ij, basis[k])
-                    right = self.multiply(basis[i], self.mult[j][k])
+                for k in range(n):
+                    left = _accumulate(((c, self.mult[m][k]) for m, c in ij), n)
+                    right = _accumulate(((c, self.mult[i][m]) for m, c in self.mult[j][k]), n)
                     if left != right:
                         return False
         return True
@@ -184,7 +202,8 @@ class StructureConstantAlgebra:
         mult_op = tuple(
             tuple(self.mult[j][i] for j in range(self.dim)) for i in range(self.dim)
         )
-        op = StructureConstantAlgebra(
+        op = StructureConstantAlgebra.from_sparse(
+            self.dim,
             mult_op,
             self.unit,
             idempotents=self.idempotents,
@@ -203,13 +222,14 @@ class StructureConstantAlgebra:
         members = []
         seen: set[int] = set()
         for e in self.idempotents:
+            e_terms = _terms(e)
             mine = []
             for m in range(self.dim):
-                basis_m = [_ONE if t == m else _ZERO for t in range(self.dim)]
-                prod = self.multiply(basis_m, list(e))
-                if all(c == 0 for c in prod):
+                # the nonzero coordinates of e_m * e
+                prod = _terms(_accumulate(((c, self.mult[m][j]) for j, c in e_terms), self.dim))
+                if not prod:
                     continue
-                if prod == basis_m:
+                if prod == [(m, _ONE)]:
                     mine.append(m)
                 else:
                     return None
@@ -226,6 +246,49 @@ class StructureConstantAlgebra:
         return f"StructureConstantAlgebra({label}, dim={self.dim})"
 
 
+def _sparse_row(row) -> tuple:
+    """The nonzero ``(m, c)`` pairs of a dense coordinate row, coerced to QQ."""
+    out = []
+    for m, c in enumerate(row):
+        c = rational(c)
+        if c != 0:
+            out.append((m, c))
+    return tuple(out)
+
+
+def _terms(vec) -> list:
+    """The nonzero ``(index, coefficient)`` pairs of a dense vector."""
+    return [(t, c) for t, c in enumerate(vec) if c != 0]
+
+
+def _accumulate(weighted_rows, dim: int) -> list:
+    """Dense vector of the sum of ``c * row`` over ``(c, sparse row)`` pairs."""
+    out = [_ZERO] * dim
+    for c, pairs in weighted_rows:
+        for m, rm in pairs:
+            out[m] += c * rm
+    return out
+
+
+def _columns(mat: Matrix) -> list[list]:
+    """The columns of a matrix as plain lists."""
+    return [[row[j] for row in mat._data] for j in range(mat.cols)]
+
+
+def _matvec(mat: Matrix, vec: list) -> list:
+    """``mat @ vec`` for a plain list, walking only the nonzeros of ``vec``."""
+    vec_terms = _terms(vec)
+    out = []
+    for row in mat._data:
+        acc = _ZERO
+        for t, v in vec_terms:
+            a = row[t]
+            if a != 0:
+                acc += a * v
+        out.append(acc)
+    return out
+
+
 def radical(g: StructureConstantAlgebra) -> Matrix:
     """Basis (columns) of the Jacobson radical via the trace bilinear form.
 
@@ -237,28 +300,33 @@ def radical(g: StructureConstantAlgebra) -> Matrix:
     if cached is not None:
         return cached
     n = g.dim
-    ltrace = [sum((g.mult[m][j][j] for j in range(n)), _ZERO) for m in range(n)]
+    # ltrace[m] = trace of left multiplication by e_m
+    ltrace = [_ZERO] * n
+    for m, plane in enumerate(g.mult):
+        for j, pairs in enumerate(plane):
+            for t, c in pairs:
+                if t == j:
+                    ltrace[m] += c
     form = Matrix(
         n,
         n,
         [
-            [sum((g.mult[i][j][m] * ltrace[m] for m in range(n)), _ZERO) for j in range(n)]
-            for i in range(n)
+            [sum((c * ltrace[m] for m, c in pairs), _ZERO) for pairs in plane]
+            for plane in g.mult
         ],
     )
     rad = form.kernel_basis()
-    vectors = [rad.column_vector(j).flatten() for j in range(rad.cols)]
+    vectors = _columns(rad)
     layer = vectors
     for _ in range(n + 1):
         if not layer:
             break
         products = [g.multiply(a, b) for a in layer for b in vectors]
-        span = Matrix.from_columns(products)
-        if span.rank() == 0:
+        products = [p for p in products if any(p)]
+        if not products:
             layer = []
             break
-        basis = span.column_space_basis()
-        layer = [basis.column_vector(j).flatten() for j in range(basis.cols)]
+        layer = _columns(Matrix.from_columns(products).column_space_basis())
     if layer:
         raise AlgebraError("trace-form kernel is not nilpotent; structure constants inconsistent")
     g._cache["radical"] = rad
@@ -286,24 +354,28 @@ class SCModule:
         self._cache: dict = {}
 
     def element_matrix(self, coeffs) -> Matrix:
-        out = Matrix.zeros(self.dim, self.dim)
-        for k, c in enumerate(coeffs):
-            if c != 0:
-                out = out + self.action[k].scale(c)
-        return out
+        return self._combine(_terms(coeffs))
+
+    def _combine(self, terms) -> Matrix:
+        """Matrix of the sum of ``c * action[k]`` over ``(k, c)`` pairs."""
+        out = [[_ZERO] * self.dim for _ in range(self.dim)]
+        for k, c in terms:
+            for orow, arow in zip(out, self.action[k]._data):
+                for t, a in enumerate(arow):
+                    if a != 0:
+                        orow[t] += c * a
+        return Matrix(self.dim, self.dim, out)
 
     def apply(self, coeffs, vec: list) -> list:
         out = [_ZERO] * self.dim
-        for k, c in enumerate(coeffs):
-            if c == 0:
-                continue
-            a = self.action[k]
-            for r in range(self.dim):
+        vec_terms = _terms(vec)
+        for k, c in _terms(coeffs):
+            for r, row in enumerate(self.action[k]._data):
                 acc = _ZERO
-                row = a.row(r)
-                for t, vt in enumerate(vec):
-                    if vt != 0 and row[t] != 0:
-                        acc += row[t] * vt
+                for t, vt in vec_terms:
+                    a = row[t]
+                    if a != 0:
+                        acc += a * vt
                 if acc != 0:
                     out[r] += c * acc
         return out
@@ -316,7 +388,7 @@ class SCModule:
             return False
         for i in range(g.dim):
             for j in range(g.dim):
-                if self.action[i] @ self.action[j] != self.element_matrix(g.mult[i][j]):
+                if self.action[i] @ self.action[j] != self._combine(g.mult[i][j]):
                     return False
         return True
 
@@ -327,8 +399,12 @@ class SCModule:
 def regular_sc_module(g: StructureConstantAlgebra) -> SCModule:
     """The algebra as a left module over itself."""
     action = []
-    for i in range(g.dim):
-        action.append(Matrix.from_columns([list(g.mult[i][j]) for j in range(g.dim)]))
+    for plane in g.mult:
+        rows = [[_ZERO] * g.dim for _ in range(g.dim)]
+        for j, pairs in enumerate(plane):
+            for m, c in pairs:
+                rows[m][j] = c
+        action.append(Matrix(g.dim, g.dim, rows))
     return SCModule(g, g.dim, action)
 
 
@@ -450,8 +526,7 @@ class _Chain:
     def __init__(self, g: StructureConstantAlgebra, base: SCModule) -> None:
         self.g = g
         self.base = base
-        rad = radical(g)
-        self.rad_vectors = [rad.column_vector(j).flatten() for j in range(rad.cols)]
+        self.rad_vectors = _columns(radical(g))
         if g.piece_members is not None:
             self.kinds = list(range(len(g.idempotents)))
             self.members = list(g.piece_members)
@@ -461,9 +536,8 @@ class _Chain:
             self.members = [tuple(range(g.dim))]
             self.idem_vectors = [list(g.unit)]
         self.member_index = [{m: t for t, m in enumerate(ms)} for ms in self.members]
-        self.basis_elements = [
-            [_ONE if t == s else _ZERO for t in range(g.dim)] for s in range(g.dim)
-        ]
+        self.rad_terms = [_terms(r) for r in self.rad_vectors]
+        self.idem_terms = [_terms(e) for e in self.idem_vectors]
         self.piece_rads = [self._piece_rad(k) for k in range(len(self.kinds))]
         self.covers: list[_Cover] = []
 
@@ -491,47 +565,32 @@ class _Chain:
                 out.append(comp)
         return out
 
-    def _act_in_piece(self, k: int, kind: int, comp: list) -> list:
-        """Action of basis element e_k on a piece vector (piece coordinates)."""
+    def _act_in_piece(self, terms: list, kind: int, comp: list) -> list:
+        """Action of the element given by ``(k, c)`` terms on a piece vector."""
         members = self.members[kind]
         index = self.member_index[kind]
+        mult = self.g.mult
         out = [_ZERO] * len(members)
         for t, c in enumerate(comp):
             if c == 0:
                 continue
-            row = self.g.mult[k][members[t]]
-            for m, rm in enumerate(row):
-                if rm != 0:
+            member = members[t]
+            for k, ck in terms:
+                cc = c * ck
+                for m, rm in mult[k][member]:
                     pos = index.get(m)
                     if pos is None:
                         raise AlgebraError("left ideal is not spanned by basis vectors")
-                    out[pos] += c * rm
+                    out[pos] += cc * rm
         return out
 
-    def _apply_basis_elt(self, level: int, k: int, vec: list) -> list:
-        """Action of e_k on a vector in P_{level} coordinates (level >= 0)."""
+    def _apply(self, level: int, terms: list, vec: list) -> list:
+        """Action of an element (``(k, c)`` terms) on a P_{level} vector (level >= 0)."""
         cover = self.covers[level]
         out = []
         for kind, off in zip(cover.kinds, cover.offsets):
             width = len(self.members[kind])
-            out.extend(self._act_in_piece(k, kind, vec[off : off + width]))
-        return out
-
-    def _apply_element(self, level: int, coeffs: list, vec: list) -> list:
-        out = None
-        for k, c in enumerate(coeffs):
-            if c == 0:
-                continue
-            part = self._apply_basis_elt(level, k, vec)
-            if out is None:
-                out = [c * t for t in part]
-            else:
-                for idx, t in enumerate(part):
-                    if t != 0:
-                        out[idx] += c * t
-        if out is None:
-            cover = self.covers[level]
-            return [_ZERO] * cover.dim
+            out.extend(self._act_in_piece(terms, kind, vec[off : off + width]))
         return out
 
     # -- cover construction ---------------------------------------------------
@@ -540,17 +599,13 @@ class _Chain:
         """Cover of the kernel at ``level`` (level -1 means the base module)."""
         if level < 0:
             ambient_dim = self.base.dim
-            idem_mats = [self.base.element_matrix(e) for e in self.idem_vectors]
             candidate_images = [
-                [idem_mats[kind].column_vector(s).flatten() for s in range(ambient_dim)]
-                for kind in range(len(self.kinds))
+                _columns(self.base._combine(terms)) for terms in self.idem_terms
             ]
             candidate_count = ambient_dim
-            apply_basis = lambda k, vec: (self.base.action[k] @ Matrix.column(vec)).flatten()
+            apply_basis = lambda k, vec: _matvec(self.base.action[k], vec)
             rad_images = [
-                self.base.element_matrix(r).column_vector(s).flatten()
-                for r in self.rad_vectors
-                for s in range(ambient_dim)
+                col for terms in self.rad_terms for col in _columns(self.base._combine(terms))
             ]
             originals = [
                 [_ONE if t == s else _ZERO for t in range(ambient_dim)]
@@ -561,12 +616,11 @@ class _Chain:
             originals = list(self.covers[level].kernel_cols)
             candidate_count = len(originals)
             candidate_images = [
-                [self._apply_element(level, self.idem_vectors[kind], v) for v in originals]
-                for kind in range(len(self.kinds))
+                [self._apply(level, terms, v) for v in originals] for terms in self.idem_terms
             ]
-            apply_basis = lambda k, vec: self._apply_basis_elt(level, k, vec)
+            apply_basis = lambda k, vec: self._apply(level, [(k, _ONE)], vec)
             rad_images = [
-                self._apply_element(level, r, v) for r in self.rad_vectors for v in originals
+                self._apply(level, terms, v) for terms in self.rad_terms for v in originals
             ]
 
         span = _Span(ambient_dim)
@@ -592,7 +646,7 @@ class _Chain:
                     span.add(img)
         for v in originals:
             if not span.contains(v):
-                raise AlgebraError("internal error: cover construction is not onto")
+                raise InternalError("endo", "projective cover construction is not onto")
         mat = (
             Matrix.from_columns(cols)
             if cols
@@ -605,7 +659,7 @@ class _Chain:
         cover = self._build_cover(level)
         self.covers.append(cover)
         kern = cover.mat.kernel_basis()
-        cover.kernel_cols = [kern.column_vector(j).flatten() for j in range(kern.cols)]
+        cover.kernel_cols = _columns(kern)
         rad_span = _Span(cover.dim)
         for kind, off in zip(cover.kinds, cover.offsets):
             for comp in self.piece_rads[kind]:
@@ -681,12 +735,13 @@ class _Chain:
                         space = tgt_spaces[s]
                         if not space:
                             if any(c != 0 for c in value):
-                                raise AlgebraError("internal error: hom value escapes piece space")
+                                raise InternalError(
+                                    "endo", "Hom complex value escapes its piece space"
+                                )
                             continue
                         if kind_s not in solvers:
                             solvers[kind_s] = Matrix.from_columns(space).left_inverse()
-                        coords = solvers[kind_s] @ Matrix.column(value)
-                        col.extend(coords.column_vector(0).flatten())
+                        col.extend(_matvec(solvers[kind_s], value))
                     cols.append(col)
             mat = (
                 Matrix.from_columns(cols)
@@ -722,23 +777,23 @@ def _reduce_to_basic(g: StructureConstantAlgebra):
         for m, c in enumerate(g.idempotents[kind]):
             eps[m] += c
     # basis of eps * A * eps, demanding that it selects basis vectors cleanly
+    eps_terms = _terms(eps)
     indices = []
     for m in range(g.dim):
-        basis_m = [_ONE if t == m else _ZERO for t in range(g.dim)]
-        squeezed = g.multiply(g.multiply(eps, basis_m), eps)
-        if squeezed == basis_m:
+        left = _accumulate(((c, g.mult[i][m]) for i, c in eps_terms), g.dim)
+        squeezed = _terms(g.multiply(left, eps))
+        if squeezed == [(m, _ONE)]:
             indices.append(m)
-        elif any(c != 0 for c in squeezed):
+        elif squeezed:
             return g, lambda x: x
     index_pos = {m: t for t, m in enumerate(indices)}
     for i in indices:
         for j in indices:
-            row = g.mult[i][j]
-            for m, c in enumerate(row):
-                if c != 0 and m not in index_pos:
-                    return g, lambda x: x
+            if any(m not in index_pos for m, _ in g.mult[i][j]):
+                return g, lambda x: x
     mult = [
-        [[g.mult[i][j][m] for m in indices] for j in indices] for i in indices
+        [tuple((index_pos[m], c) for m, c in g.mult[i][j]) for j in indices]
+        for i in indices
     ]
     unit = [_ZERO] * len(indices)
     idems = []
@@ -748,7 +803,8 @@ def _reduce_to_basic(g: StructureConstantAlgebra):
         idems.append(vec)
         for t, c in enumerate(vec):
             unit[t] += c
-    basic = StructureConstantAlgebra(
+    basic = StructureConstantAlgebra.from_sparse(
+        len(indices),
         mult,
         unit,
         idempotents=idems,
@@ -784,10 +840,8 @@ def _pd_le_on_chain(chain: _Chain, n: int) -> bool:
     solver = basis.left_inverse()
 
     def y_apply(coeffs, vec):
-        ambient = basis @ Matrix.column(vec)
-        acted = chain._apply_element(n, coeffs, ambient.column_vector(0).flatten())
-        coords = solver @ Matrix.column(acted)
-        return coords.column_vector(0).flatten()
+        acted = chain._apply(n, _terms(coeffs), _matvec(basis, vec))
+        return _matvec(solver, acted)
 
     dims, ranks = chain.hom_complex_dims_and_ranks(n + 2, y_apply, len(kern))
     # Ext^1(K_n, Y) from Hom(P_n, Y) -> Hom(P_{n+1}, Y) -> Hom(P_{n+2}, Y)
@@ -823,18 +877,16 @@ def _top_of_piece(g: StructureConstantAlgebra, kind: int) -> SCModule:
         cols = []
         for m in members:
             col = [_ZERO] * width
-            row = g.mult[k][m]
-            for mm, c in enumerate(row):
-                if c != 0:
-                    col[index[mm]] = c
+            for mm, c in g.mult[k][m]:
+                col[index[mm]] = c
             cols.append(col)
         action.append(Matrix.from_columns(cols))
     piece = SCModule(g, width, action)
     rad = radical(g)
     rad_cols = []
     e = list(g.idempotents[kind])
-    for j in range(rad.cols):
-        prod = g.multiply(rad.column_vector(j).flatten(), e)
+    for r in _columns(rad):
+        prod = g.multiply(r, e)
         col = [_ZERO] * width
         for m, c in enumerate(prod):
             if c != 0:
@@ -915,17 +967,8 @@ def sc_injective_dim_le(g: StructureConstantAlgebra, x: SCModule, n: int) -> boo
 # endomorphism algebras of representations
 
 
-def _flatten_atoms(m: Module) -> list[Module]:
-    if m.summands is None:
-        return [m]
-    out: list[Module] = []
-    for s in m.summands:
-        out.extend(_flatten_atoms(s))
-    return out
-
-
-def _atom_access(m: Module, atoms: list[Module]):
-    """Injection/projection morphisms for each atom of the flattened sum."""
+def _atom_access(m: Module):
+    """Injection/projection morphisms for each atom of ``flatten_atoms(m)``."""
     if m.summands is None:
         ident = Morphism.identity(m)
         return [ident], [ident]
@@ -939,11 +982,15 @@ def _atom_access(m: Module, atoms: list[Module]):
             injections.append(inj)
             projections.append(proj)
         else:
-            sub_inj, sub_proj = _atom_access(part, _flatten_atoms(part))
+            sub_inj, sub_proj = _atom_access(part)
             for i, p in zip(sub_inj, sub_proj):
                 injections.append(inj @ i)
                 projections.append(p @ proj)
     return injections, projections
+
+
+def _nonzero_atoms(m: Module) -> list[Module]:
+    return [a for a in flatten_atoms(m) if a.total_dim > 0]
 
 
 def end_algebra(m: Module) -> tuple[StructureConstantAlgebra, list[Morphism]]:
@@ -957,17 +1004,16 @@ def end_algebra(m: Module) -> tuple[StructureConstantAlgebra, list[Morphism]]:
     cached = m._cache.get("end_algebra")
     if cached is not None:
         return cached
-    atoms = _flatten_atoms(m)
-    atoms = [a for a in atoms if a.total_dim > 0]
+    flat = flatten_atoms(m)
+    keep = [i for i, a in enumerate(flat) if a.total_dim > 0]
+    atoms = [flat[i] for i in keep]
     if not atoms:
         g = StructureConstantAlgebra([], [], name="End(0)")
         m._cache["end_algebra"] = (g, [])
         return g, []
-    injections, projections = _atom_access(m, atoms)
-    if m.summands is not None:
-        keep = [i for i, a in enumerate(_flatten_atoms(m)) if a.total_dim > 0]
-        injections = [injections[i] for i in keep]
-        projections = [projections[i] for i in keep]
+    injections, projections = _atom_access(m)
+    injections = [injections[i] for i in keep]
+    projections = [projections[i] for i in keep]
     n_atoms = len(atoms)
     block_spaces = [[hom_space(atoms[s], atoms[t]) for t in range(n_atoms)] for s in range(n_atoms)]
     offsets = [[0] * n_atoms for _ in range(n_atoms)]
@@ -983,21 +1029,23 @@ def end_algebra(m: Module) -> tuple[StructureConstantAlgebra, list[Morphism]]:
     for s, t, i in order:
         phi = block_spaces[s][t].basis[i]
         basis.append(injections[t] @ phi @ projections[s])
-    zero_row = tuple(_ZERO for _ in range(total))
-    mult: list[list[tuple]] = [[zero_row] * total for _ in range(total)]
+    # e_a * e_b is nonzero only when b ends at the atom where a starts
+    ending_at: list[list[int]] = [[] for _ in range(n_atoms)]
+    for ib, (_, tb, _) in enumerate(order):
+        ending_at[tb].append(ib)
+    mult: list[list[tuple]] = [[()] * total for _ in range(total)]
     for ia, (sa, ta, i) in enumerate(order):
         phi_a = block_spaces[sa][ta].basis[i]
-        for ib, (sb, tb, j) in enumerate(order):
-            if tb != sa:
-                continue
-            phi_b = block_spaces[sb][tb].basis[j]
-            comp = phi_a @ phi_b
-            coords = block_spaces[sb][ta].coords(comp)
-            row = [_ZERO] * total
+        row = mult[ia]
+        for ib in ending_at[sa]:
+            sb, _, j = order[ib]
+            comp = phi_a @ block_spaces[sb][sa].basis[j]
             off = offsets[sb][ta]
-            for k, c in enumerate(coords):
-                row[off + k] = c
-            mult[ia][ib] = tuple(row)
+            row[ib] = tuple(
+                (off + k, c)
+                for k, c in enumerate(block_spaces[sb][ta].coords(comp))
+                if c != 0
+            )
     unit = [_ZERO] * total
     idempotents = []
     for s in range(n_atoms):
@@ -1019,7 +1067,8 @@ def end_algebra(m: Module) -> tuple[StructureConstantAlgebra, list[Morphism]]:
             if classes[t] < 0 and atoms[s].dims == atoms[t].dims and is_isomorphic(atoms[s], atoms[t]):
                 classes[t] = next_class
         next_class += 1
-    g = StructureConstantAlgebra(
+    g = StructureConstantAlgebra.from_sparse(
+        total,
         mult,
         unit,
         idempotents=idempotents,
@@ -1031,24 +1080,60 @@ def end_algebra(m: Module) -> tuple[StructureConstantAlgebra, list[Morphism]]:
     return g, basis
 
 
+def _put_block(rows: list[list], src, col0: int, dst, row0: int, compose) -> None:
+    """Write the coordinates in ``dst`` of ``compose(psi)``, for each basis map
+    ``psi`` of ``src``, as columns ``col0 + i`` of ``rows`` from row ``row0``."""
+    for i, psi in enumerate(src.basis):
+        for k, c in enumerate(dst.coords(compose(psi))):
+            if c != 0:
+                rows[row0 + k][col0 + i] = c
+
+
 def hom_sc_bimodule_sides(m2: Module, m1: Module) -> tuple[SCModule, SCModule]:
     """Hom(m2, m1) as a left End(m1)-module and a left End(m2)^op-module.
 
     The first action is post-composition, the second pre-composition.
+    Hom(m2, m1) is laid out in atom blocks (j, s) = Hom(B_j, A_s), with the
+    atom B_j of m2 outer and the atom A_s of m1 inner: the basis order of
+    ``hom_space(m2, m1)``.  The End(m1) basis element phi: A_s -> A_t sends
+    block (j, s) to block (j, t) by psi -> phi∘psi, and the End(m2) basis
+    element phi: B_j -> B_k sends block (k, s) to block (j, s) by
+    psi -> psi∘phi; only these atom-level composites are ever formed.
     """
-    g1, basis1 = end_algebra(m1)
-    g2, basis2 = end_algebra(m2)
-    space = hom_space(m2, m1)
-    tbasis = space.basis
-    tdim = space.dim
+    g1, _ = end_algebra(m1)
+    g2, _ = end_algebra(m2)
+    targets = _nonzero_atoms(m1)
+    sources = _nonzero_atoms(m2)
+    blocks = [[hom_space(b, a) for a in targets] for b in sources]
+    offsets = []
+    tdim = 0
+    for row in blocks:
+        offsets.append([])
+        for space in row:
+            offsets[-1].append(tdim)
+            tdim += space.dim
     post = []
-    for b in basis1:
-        cols = [space.coords(b @ t) for t in tbasis]
-        post.append(Matrix.from_columns(cols) if tdim else Matrix.zeros(0, 0))
+    for s, a_s in enumerate(targets):
+        for t, a_t in enumerate(targets):
+            for phi in hom_space(a_s, a_t).basis:
+                rows = [[_ZERO] * tdim for _ in range(tdim)]
+                for j in range(len(sources)):
+                    _put_block(
+                        rows, blocks[j][s], offsets[j][s], blocks[j][t], offsets[j][t],
+                        lambda psi: phi @ psi,
+                    )
+                post.append(Matrix(tdim, tdim, rows))
     pre = []
-    for b in basis2:
-        cols = [space.coords(t @ b) for t in tbasis]
-        pre.append(Matrix.from_columns(cols) if tdim else Matrix.zeros(0, 0))
+    for j, b_j in enumerate(sources):
+        for k, b_k in enumerate(sources):
+            for phi in hom_space(b_j, b_k).basis:
+                rows = [[_ZERO] * tdim for _ in range(tdim)]
+                for s in range(len(targets)):
+                    _put_block(
+                        rows, blocks[k][s], offsets[k][s], blocks[j][s], offsets[j][s],
+                        lambda psi: psi @ phi,
+                    )
+                pre.append(Matrix(tdim, tdim, rows))
     side1 = SCModule(g1, tdim, post)
     side2 = SCModule(g2.opposite(), tdim, pre)
     return side1, side2
@@ -1473,9 +1558,10 @@ def check_iyama_orthogonality(
             (i, ext_F_dim(i, m1, m1, f_cov), ext_F_dim(i, m2, m2, f_con))
         )
     if report.hypothesis_holds and not report.conclusions_hold:
-        raise AlgebraError(
+        raise InternalError(
+            "endo",
             "orthogonality implication violated: hypothesis holds but a relative "
-            f"self-extension survives ({report.conclusion_dims})"
+            f"self-extension survives ({report.conclusion_dims})",
         )
     return report
 

@@ -11,7 +11,6 @@ route kept alongside as an independent cross-check.
 from __future__ import annotations
 
 import random
-import threading
 from typing import Callable, Sequence
 
 from .exact_linalg import Matrix, QQ, hstack
@@ -27,6 +26,7 @@ from .rep import (
     direct_sum,
     dualize,
     dualize_morphism,
+    flatten_atoms,
     hom_basis,
     hom_dim,
     hom_space,
@@ -99,7 +99,6 @@ class Resolution:
         self._steps: list[Morphism] = []
         self._edges: list[tuple[Module, Morphism]] = []
         self._step = step
-        self._lock = threading.RLock()
         self._hom_cache: dict = {}
         self._cochain = "injective" in flavor
 
@@ -132,25 +131,23 @@ class Resolution:
 
     def ensure_terms(self, count: int) -> None:
         """Make terms[0..count-1] (and the syzygies between them) available."""
-        with self._lock:
-            self._ensure_first()
-            while len(self.terms) < count:
-                if len(self._edges) < len(self._steps):
-                    self._advance_edge()
-                self._advance_term()
+        self._ensure_first()
+        while len(self.terms) < count:
+            if len(self._edges) < len(self._steps):
+                self._advance_edge()
+            self._advance_term()
 
     def syzygy(self, i: int) -> Module:
         """The i-th (co)syzygy, without building its own cover term."""
         if i == 0:
             return self.target
-        with self._lock:
-            self._ensure_first()
-            while len(self._edges) < i:
-                if len(self._edges) == len(self._steps):
-                    self._advance_term()
-                else:
-                    self._advance_edge()
-            return self._edges[i - 1][0]
+        self._ensure_first()
+        while len(self._edges) < i:
+            if len(self._edges) == len(self._steps):
+                self._advance_term()
+            else:
+                self._advance_edge()
+        return self._edges[i - 1][0]
 
     def syzygy_edge(self, i: int) -> tuple[Module, Morphism]:
         """The i-th (co)syzygy and the morphism tying it to terms[i-1]."""
@@ -563,19 +560,10 @@ def trd(x: Module) -> Module:
 # -- add-membership and minimal approximations ---------------------------------
 
 
-def _atoms(m: Module) -> list[Module]:
-    if m.summands is None:
-        return [m]
-    out: list[Module] = []
-    for s in m.summands:
-        out.extend(_atoms(s))
-    return out
-
-
 def distinct_atoms(m: Module, seed: int = 0) -> list[Module]:
     """The registered summands of m, flattened and deduplicated up to isomorphism."""
     reps: list[Module] = []
-    for atom in _atoms(m):
+    for atom in flatten_atoms(m):
         if atom.is_zero():
             continue
         if not any(is_isomorphic(atom, r, seed=seed) for r in reps):

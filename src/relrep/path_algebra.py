@@ -21,6 +21,16 @@ class AlgebraError(ValueError):
     """Raised for inadmissible presentations or malformed algebra data."""
 
 
+class InternalError(AlgebraError):
+    """A fault of the program, not of its input: a computed object broke an
+    invariant that the mathematics guarantees.  ``layer`` names the module
+    (``endo``, ``relhom``, ...) whose check failed."""
+
+    def __init__(self, layer: str, message: str) -> None:
+        super().__init__(f"internal error in {layer}: {message}")
+        self.layer = layer
+
+
 class Arrow(NamedTuple):
     name: str
     source: int

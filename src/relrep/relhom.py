@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from .exact_linalg import Matrix, QQ
-from .path_algebra import AlgebraError
+from .path_algebra import AlgebraError, InternalError
 from .rep import (
     Module,
     Morphism,
@@ -316,9 +316,7 @@ def F_resolution(
             else:
                 g = _canonical_right_approximation(mod, pm)
             if not g.is_epi():
-                raise AlgebraError(
-                    "internal error: relative projective approximation is not onto"
-                )
+                raise InternalError("relhom", "relative projective approximation is not onto")
             return g
 
         entry = (Resolution(x, step, "relative projective"), x)
@@ -345,8 +343,8 @@ def F_coresolution(
             else:
                 g = _canonical_left_approximation(mod, im)
             if not g.is_mono():
-                raise AlgebraError(
-                    "internal error: relative injective approximation is not one-to-one"
+                raise InternalError(
+                    "relhom", "relative injective approximation is not one-to-one"
                 )
             return g
 

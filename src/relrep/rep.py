@@ -421,6 +421,20 @@ def direct_sum(algebra: AlgebraPresentation, parts: Sequence[Module]) -> Module:
     return mod
 
 
+def flatten_atoms(m: Module) -> list[Module]:
+    """The leaves of the summand tree of ``m``, left to right (``[m]`` if it is not a sum).
+
+    Zero leaves are kept; this is the order in which the hom-space sum routes
+    lay out their bases.
+    """
+    if m.summands is None:
+        return [m]
+    out: list[Module] = []
+    for s in m.summands:
+        out.extend(flatten_atoms(s))
+    return out
+
+
 def summand_injection(sum_module: Module, s: int) -> Morphism:
     parts = sum_module.summands
     offs = sum_module._offsets[s]

@@ -1,14 +1,20 @@
 """Tests for the command-line front end: file format, dispatch, exit codes."""
 
+import os
 import shutil
 import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import relrep
+from relrep import cli
 from relrep.cli import (
     EXIT_EQUIVALENCE,
     EXIT_FALSE,
     EXIT_HYPOTHESIS,
+    EXIT_INTERNAL,
     EXIT_OK,
     EXIT_PARSE,
     AlgebraFile,
@@ -17,6 +23,7 @@ from relrep.cli import (
     main,
     parse_algebra_file,
 )
+from relrep.path_algebra import InternalError
 
 M1 = "P(1)+P(2)+P(3)+S(1)+P(3)/rad^2"
 M2 = "P(1)+P(2)+P(3)+S(1)+P(1)/rad^2"
@@ -147,6 +154,17 @@ class TestExchange:
         )
         assert code == EXIT_OK
         assert "## trivial = true" in out
+
+    def test_internal_error_exits_five_and_names_its_layer(self, capsys, monkeypatch):
+        def broken(g, n):
+            raise InternalError("endo", "projective cover construction is not onto")
+
+        monkeypatch.setattr(cli, "gldim_le", broken)
+        code, out, err = run(capsys, ["gldim-endo", ALG, "S(1)", "--bound", "0"])
+        assert code == EXIT_INTERNAL == 5
+        assert err.strip() == "internal error in endo: projective cover construction is not onto"
+        assert "hypothesis failure" not in err
+        assert "## verdict" not in out
 
     def test_precondition_failure_exits_four(self, capsys):
         code, _, err = run(
@@ -315,4 +333,19 @@ def test_console_script_smoke():
         timeout=120,
     )
     assert proc.returncode == 0
+    assert "## dims = (1, 1, 0)" in proc.stdout
+
+
+def test_module_entry_point_runs_the_cli():
+    src = str(Path(relrep.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = src + os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else src
+    proc = subprocess.run(
+        [sys.executable, "-m", "relrep", "dtr", ALG, "P(3)/rad^2"],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
     assert "## dims = (1, 1, 0)" in proc.stdout

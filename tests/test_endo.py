@@ -17,12 +17,15 @@ from relrep.rep import (
     cogenerator_module,
     direct_sum,
     enumerate_indecomposables_nakayama,
+    hom_space,
     parse_module_expression,
     regular_module,
+    zero_module,
 )
 from relrep.homology import dtr, trd
 from relrep.endo import (
     StructureConstantAlgebra,
+    _reduce_to_basic,
     check_iyama_orthogonality,
     check_maximal_orthogonal,
     check_prop_gldim,
@@ -30,6 +33,7 @@ from relrep.endo import (
     dual_sc_module,
     end_algebra,
     gldim_le,
+    hom_sc_bimodule_sides,
     is_generator_cogenerator,
     radical,
     regular_sc_module,
@@ -41,6 +45,9 @@ from relrep.endo import (
     tilting_style_condition,
     verify_theorem,
 )
+
+
+MUTATED_EXPR = "P(1)+P(2)+P(3)+S(1)+P(3)/rad^2+P(1)/rad^4"
 
 
 def _upper_triangular_2x2() -> StructureConstantAlgebra:
@@ -136,20 +143,52 @@ class TestStructureConstantCore:
         else:
             pytest.fail("radical is not nilpotent")
 
-    def test_trace_form_kernel_is_exactly_the_radical(self, m1):
+    def test_trace_form_kernel_is_exactly_the_radical(self, cyc3_5, m1):
+        end_m1, _ = end_algebra(m1)
+        end_mutated, _ = end_algebra(parse_module_expression(cyc3_5, MUTATED_EXPR))
+        both = direct_sum(cyc3_5, [regular_module(cyc3_5), cogenerator_module(cyc3_5)])
+        end_both, _ = end_algebra(both)
+        basic, _ = _reduce_to_basic(end_both)
+        assert basic is not end_both and basic.dim < end_both.dim
+        for g in (end_m1, end_mutated, end_m1.opposite(), basic):
+            rad = radical(g)
+            rows = []
+            for i in range(g.dim):
+                ei = [QQ(1) if k == i else QQ(0) for k in range(g.dim)]
+                row = []
+                for j in range(g.dim):
+                    ej = [QQ(1) if k == j else QQ(0) for k in range(g.dim)]
+                    row.append(g.left_mult_matrix(g.multiply(ei, ej)).trace())
+                rows.append(row)
+            form = Matrix.from_rows(rows)
+            # the radical lies in the kernel of the trace form, and the
+            # quotient by it carries a nondegenerate one
+            assert (form @ rad).is_zero()
+            assert form.rank() == g.dim - rad.cols
+
+    def test_sparse_structure_constants_of_an_endomorphism_algebra(self, m1):
         g, _ = end_algebra(m1)
-        rad = radical(g)
-        rows = []
-        for i in range(g.dim):
-            ei = [QQ(1) if k == i else QQ(0) for k in range(g.dim)]
-            row = []
-            for j in range(g.dim):
-                ej = [QQ(1) if k == j else QQ(0) for k in range(g.dim)]
-                row.append(g.left_mult_matrix(g.multiply(ei, ej)).trace())
-            rows.append(row)
-        form = Matrix.from_rows(rows)
-        # the quotient by the radical carries a nondegenerate trace form
-        assert form.rank() == g.dim - rad.cols
+        assert g.check_unit()
+        assert g.check_associativity()
+        for plane in g.mult:
+            for pairs in plane:
+                positions = [m for m, _ in pairs]
+                assert positions == sorted(set(positions))
+                assert all(c != 0 for _, c in pairs)
+
+    def test_dense_and_sparse_constructors_agree(self):
+        g = _upper_triangular_2x2()
+        # E12 * E22 = E12 is the only product landing on E12 from the right
+        assert g.mult[2][1] == ((2, QQ(1)),)
+        assert g.mult[1][2] == ()
+        h = StructureConstantAlgebra.from_sparse(
+            g.dim, g.mult, g.unit, idempotents=g.idempotents, name="ut2 again"
+        )
+        assert h.piece_members == g.piece_members
+        assert radical(h) == radical(g)
+        x = [QQ(1), QQ(2), QQ(3)]
+        y = [QQ(-1), QQ(1, 2), QQ(5)]
+        assert h.multiply(x, y) == g.multiply(x, y)
 
 
 class TestEndomorphismAlgebras:
@@ -200,6 +239,63 @@ class TestEndomorphismAlgebras:
         assert [gldim_le(g, n) for n in (3, 4, 5, 6)] == [False] * 4
         basic, _ = g._cache["basic"]
         assert basic.dim == 15
+
+
+def _whole_module_actions(m2, m1):
+    """Both actions on Hom(m2, m1) by composing whole-module morphisms."""
+    space = hom_space(m2, m1)
+    _, basis1 = end_algebra(m1)
+    _, basis2 = end_algebra(m2)
+
+    def matrices(basis, compose):
+        if not space.dim:
+            return [Matrix.zeros(0, 0)] * len(basis)
+        return [
+            Matrix.from_columns([space.coords(compose(b, t)) for t in space.basis])
+            for b in basis
+        ]
+
+    return (
+        matrices(basis1, lambda b, t: b @ t),
+        matrices(basis2, lambda b, t: t @ b),
+    )
+
+
+class TestHomBimodule:
+    def _assert_matches_whole_module_route(self, m2, m1):
+        side1, side2 = hom_sc_bimodule_sides(m2, m1)
+        post, pre = _whole_module_actions(m2, m1)
+        assert side1.dim == side2.dim == hom_space(m2, m1).dim
+        assert list(side1.action) == post
+        assert list(side2.action) == pre
+        return side1, side2
+
+    def test_main_pair(self, m1, m2):
+        self._assert_matches_whole_module_route(m2, m1)
+
+    def test_mutated_pair(self, cyc3_5, m1):
+        mutated = parse_module_expression(cyc3_5, MUTATED_EXPR)
+        self._assert_matches_whole_module_route(mutated, m1)
+
+    def test_nested_sums_with_zero_summands(self, cyc3_5):
+        def expr(text):
+            return parse_module_expression(cyc3_5, text)
+
+        zero = zero_module(cyc3_5)
+        # source atoms outer, target atoms inner, zero atoms contribute nothing
+        m2 = direct_sum(
+            cyc3_5,
+            [expr("P(3)/rad^2"), direct_sum(cyc3_5, [expr("S(1)"), zero, expr("P(2)")])],
+        )
+        m1 = direct_sum(
+            cyc3_5, [direct_sum(cyc3_5, [zero, expr("P(1)/rad^2")]), expr("S(3)"), zero]
+        )
+        side1, side2 = self._assert_matches_whole_module_route(m2, m1)
+        assert side1.dim > 0
+        assert side1.algebra is end_algebra(m1)[0]
+        assert side2.algebra is end_algebra(m2)[0].opposite()
+        assert side1.check()
+        assert side2.check()
 
 
 class TestMaximalOrthogonality:
