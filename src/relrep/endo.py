@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .exact_linalg import QQ, Matrix, rational
+from .exact_linalg import Matrix, exact_div, rational
 from .path_algebra import AlgebraError, AlgebraPresentation, InternalError
 from .rep import (
     Module,
@@ -58,10 +58,6 @@ from .relhom import (
     resolution_step_sequence,
 )
 
-_ZERO = QQ(0)
-_ONE = QQ(1)
-
-
 # ---------------------------------------------------------------------------
 # structure-constant algebras
 
@@ -70,14 +66,15 @@ class StructureConstantAlgebra:
     """A finite-dimensional associative unital algebra given by its tensor.
 
     ``mult[i][j]`` holds the nonzero structure constants of ``e_i * e_j`` as a
-    tuple of ``(m, c)`` pairs, ``m`` ascending and ``c`` a nonzero QQ, so that
-    ``e_i * e_j = sum of c * e_m``; a zero product is the empty tuple.  The
-    constructor takes the dense tensor (``mult[i][j][m]`` the coefficient of
-    ``e_m``) and coerces and sparsifies it once; :meth:`from_sparse` takes the
-    pairs as they are.  ``unit`` is the coordinate vector of the identity.
-    ``idempotents`` (optional) is a list of pairwise orthogonal idempotents
-    summing to the unit; when each left ideal ``A·e`` is spanned by a subset
-    of the basis (always true for the algebras produced by
+    tuple of ``(m, c)`` pairs, ``m`` ascending and ``c`` a nonzero exact
+    scalar, so that ``e_i * e_j = sum of c * e_m``; a zero product is the
+    empty tuple.  The constructor takes the dense tensor (``mult[i][j][m]``
+    the coefficient of ``e_m``) and coerces and sparsifies it once;
+    :meth:`from_sparse` takes the pairs as they are.  ``unit`` is the
+    coordinate vector of the identity.  ``idempotents`` (optional) is a list
+    of pairwise orthogonal idempotents summing to the unit; when each left
+    ideal ``A·e`` is spanned by a subset of the basis (always true for the
+    algebras produced by
     :func:`end_algebra`) the dimension engine uses them to build projective
     covers.  ``piece_classes`` (optional) groups idempotents whose left ideals
     are isomorphic, enabling reduction to a basic algebra.
@@ -153,7 +150,7 @@ class StructureConstantAlgebra:
     # -- elements ----------------------------------------------------------
 
     def multiply(self, x, y) -> list:
-        out = [_ZERO] * self.dim
+        out = [0] * self.dim
         y_terms = _terms(y)
         for i, xi in enumerate(x):
             if xi == 0:
@@ -166,7 +163,7 @@ class StructureConstantAlgebra:
         return out
 
     def left_mult_matrix(self, x) -> Matrix:
-        rows = [[_ZERO] * self.dim for _ in range(self.dim)]
+        rows = [[0] * self.dim for _ in range(self.dim)]
         for i, xi in _terms(x):
             for j, pairs in enumerate(self.mult[i]):
                 for m, rm in pairs:
@@ -188,7 +185,7 @@ class StructureConstantAlgebra:
 
     def check_unit(self) -> bool:
         for j in range(self.dim):
-            e = [_ONE if t == j else _ZERO for t in range(self.dim)]
+            e = [1 if t == j else 0 for t in range(self.dim)]
             if self.multiply(list(self.unit), e) != e:
                 return False
             if self.multiply(e, list(self.unit)) != e:
@@ -229,7 +226,7 @@ class StructureConstantAlgebra:
                 prod = _terms(_accumulate(((c, self.mult[m][j]) for j, c in e_terms), self.dim))
                 if not prod:
                     continue
-                if prod == [(m, _ONE)]:
+                if prod == [(m, 1)]:
                     mine.append(m)
                 else:
                     return None
@@ -247,7 +244,8 @@ class StructureConstantAlgebra:
 
 
 def _sparse_row(row) -> tuple:
-    """The nonzero ``(m, c)`` pairs of a dense coordinate row, coerced to QQ."""
+    """The nonzero ``(m, c)`` pairs of a dense coordinate row, each ``c``
+    coerced to a canonical exact scalar: an ``int`` when integral, else QQ."""
     out = []
     for m, c in enumerate(row):
         c = rational(c)
@@ -263,7 +261,7 @@ def _terms(vec) -> list:
 
 def _accumulate(weighted_rows, dim: int) -> list:
     """Dense vector of the sum of ``c * row`` over ``(c, sparse row)`` pairs."""
-    out = [_ZERO] * dim
+    out = [0] * dim
     for c, pairs in weighted_rows:
         for m, rm in pairs:
             out[m] += c * rm
@@ -280,7 +278,7 @@ def _matvec(mat: Matrix, vec: list) -> list:
     vec_terms = _terms(vec)
     out = []
     for row in mat._data:
-        acc = _ZERO
+        acc = 0
         for t, v in vec_terms:
             a = row[t]
             if a != 0:
@@ -301,7 +299,7 @@ def radical(g: StructureConstantAlgebra) -> Matrix:
         return cached
     n = g.dim
     # ltrace[m] = trace of left multiplication by e_m
-    ltrace = [_ZERO] * n
+    ltrace = [0] * n
     for m, plane in enumerate(g.mult):
         for j, pairs in enumerate(plane):
             for t, c in pairs:
@@ -311,7 +309,7 @@ def radical(g: StructureConstantAlgebra) -> Matrix:
         n,
         n,
         [
-            [sum((c * ltrace[m] for m, c in pairs), _ZERO) for pairs in plane]
+            [sum((c * ltrace[m] for m, c in pairs), 0) for pairs in plane]
             for plane in g.mult
         ],
     )
@@ -358,7 +356,7 @@ class SCModule:
 
     def _combine(self, terms) -> Matrix:
         """Matrix of the sum of ``c * action[k]`` over ``(k, c)`` pairs."""
-        out = [[_ZERO] * self.dim for _ in range(self.dim)]
+        out = [[0] * self.dim for _ in range(self.dim)]
         for k, c in terms:
             for orow, arow in zip(out, self.action[k]._data):
                 for t, a in enumerate(arow):
@@ -367,11 +365,11 @@ class SCModule:
         return Matrix(self.dim, self.dim, out)
 
     def apply(self, coeffs, vec: list) -> list:
-        out = [_ZERO] * self.dim
+        out = [0] * self.dim
         vec_terms = _terms(vec)
         for k, c in _terms(coeffs):
             for r, row in enumerate(self.action[k]._data):
-                acc = _ZERO
+                acc = 0
                 for t, vt in vec_terms:
                     a = row[t]
                     if a != 0:
@@ -400,7 +398,7 @@ def regular_sc_module(g: StructureConstantAlgebra) -> SCModule:
     """The algebra as a left module over itself."""
     action = []
     for plane in g.mult:
-        rows = [[_ZERO] * g.dim for _ in range(g.dim)]
+        rows = [[0] * g.dim for _ in range(g.dim)]
         for j, pairs in enumerate(plane):
             for m, c in pairs:
                 rows[m][j] = c
@@ -419,8 +417,8 @@ def _quotient_data(sub: Matrix, dim: int) -> tuple[Matrix, Matrix]:
     # v  ->  v - sum_k v[pivot_k] * row_k   has zeros in pivot coordinates
     proj_rows = []
     for f in free:
-        row = [_ZERO] * dim
-        row[f] = _ONE
+        row = [0] * dim
+        row[f] = 1
         for k, p in enumerate(pivots):
             c = reduced._data[k][f]
             if c != 0:
@@ -429,8 +427,8 @@ def _quotient_data(sub: Matrix, dim: int) -> tuple[Matrix, Matrix]:
     proj = Matrix(len(free), dim, proj_rows)
     sect_cols = []
     for f in free:
-        col = [_ZERO] * dim
-        col[f] = _ONE
+        col = [0] * dim
+        col[f] = 1
         sect_cols.append(col)
     sect = Matrix.from_columns(sect_cols) if free else Matrix(dim, 0, [[] for _ in range(dim)])
     return proj, sect
@@ -481,8 +479,7 @@ class _Span:
         v = self._reduce(vec)
         for p, c in enumerate(v):
             if c != 0:
-                inv = _ONE / c
-                v = [t * inv for t in v]
+                v = [exact_div(t, c) for t in v]
                 for row in self.rows:
                     cc = row[p]
                     if cc != 0:
@@ -551,7 +548,7 @@ class _Chain:
         out = []
         for r in self.rad_vectors:
             prod = self.g.multiply(r, self.idem_vectors[kind])
-            comp = [_ZERO] * len(members)
+            comp = [0] * len(members)
             ok = True
             for m, c in enumerate(prod):
                 if c == 0:
@@ -570,7 +567,7 @@ class _Chain:
         members = self.members[kind]
         index = self.member_index[kind]
         mult = self.g.mult
-        out = [_ZERO] * len(members)
+        out = [0] * len(members)
         for t, c in enumerate(comp):
             if c == 0:
                 continue
@@ -608,7 +605,7 @@ class _Chain:
                 col for terms in self.rad_terms for col in _columns(self.base._combine(terms))
             ]
             originals = [
-                [_ONE if t == s else _ZERO for t in range(ambient_dim)]
+                [1 if t == s else 0 for t in range(ambient_dim)]
                 for s in range(ambient_dim)
             ]
         else:
@@ -618,7 +615,7 @@ class _Chain:
             candidate_images = [
                 [self._apply(level, terms, v) for v in originals] for terms in self.idem_terms
             ]
-            apply_basis = lambda k, vec: self._apply(level, [(k, _ONE)], vec)
+            apply_basis = lambda k, vec: self._apply(level, [(k, 1)], vec)
             rad_images = [
                 self._apply(level, terms, v) for terms in self.rad_terms for v in originals
             ]
@@ -663,7 +660,7 @@ class _Chain:
         rad_span = _Span(cover.dim)
         for kind, off in zip(cover.kinds, cover.offsets):
             for comp in self.piece_rads[kind]:
-                vec = [_ZERO] * cover.dim
+                vec = [0] * cover.dim
                 vec[off : off + len(comp)] = comp
                 rad_span.add(vec)
         cover.minimal = all(rad_span.contains(v) for v in cover.kernel_cols)
@@ -685,7 +682,7 @@ class _Chain:
         out = []
         e = self.idem_vectors[kind]
         for s in range(y_dim):
-            unit = [_ONE if t == s else _ZERO for t in range(y_dim)]
+            unit = [1 if t == s else 0 for t in range(y_dim)]
             w = y_apply(e, unit)
             if span.add(w):
                 out.append(w)
@@ -727,7 +724,7 @@ class _Chain:
                         gen = tgt_cover.gens[s]
                         width = len(self.members[kind_t])
                         comp = gen[off_t : off_t + width]
-                        elt = [_ZERO] * self.g.dim
+                        elt = [0] * self.g.dim
                         for pos, c in enumerate(comp):
                             if c != 0:
                                 elt[self.members[kind_t][pos]] = c
@@ -772,7 +769,7 @@ def _reduce_to_basic(g: StructureConstantAlgebra):
     cached = g._cache.get("basic")
     if cached is not None:
         return cached
-    eps = [_ZERO] * g.dim
+    eps = [0] * g.dim
     for kind in keep:
         for m, c in enumerate(g.idempotents[kind]):
             eps[m] += c
@@ -782,7 +779,7 @@ def _reduce_to_basic(g: StructureConstantAlgebra):
     for m in range(g.dim):
         left = _accumulate(((c, g.mult[i][m]) for i, c in eps_terms), g.dim)
         squeezed = _terms(g.multiply(left, eps))
-        if squeezed == [(m, _ONE)]:
+        if squeezed == [(m, 1)]:
             indices.append(m)
         elif squeezed:
             return g, lambda x: x
@@ -795,7 +792,7 @@ def _reduce_to_basic(g: StructureConstantAlgebra):
         [tuple((index_pos[m], c) for m, c in g.mult[i][j]) for j in indices]
         for i in indices
     ]
-    unit = [_ZERO] * len(indices)
+    unit = [0] * len(indices)
     idems = []
     for kind in keep:
         e = g.idempotents[kind]
@@ -876,7 +873,7 @@ def _top_of_piece(g: StructureConstantAlgebra, kind: int) -> SCModule:
     for k in range(g.dim):
         cols = []
         for m in members:
-            col = [_ZERO] * width
+            col = [0] * width
             for mm, c in g.mult[k][m]:
                 col[index[mm]] = c
             cols.append(col)
@@ -887,7 +884,7 @@ def _top_of_piece(g: StructureConstantAlgebra, kind: int) -> SCModule:
     e = list(g.idempotents[kind])
     for r in _columns(rad):
         prod = g.multiply(r, e)
-        col = [_ZERO] * width
+        col = [0] * width
         for m, c in enumerate(prod):
             if c != 0:
                 col[index[m]] = c
@@ -1046,12 +1043,12 @@ def end_algebra(m: Module) -> tuple[StructureConstantAlgebra, list[Morphism]]:
                 for k, c in enumerate(block_spaces[sb][ta].coords(comp))
                 if c != 0
             )
-    unit = [_ZERO] * total
+    unit = [0] * total
     idempotents = []
     for s in range(n_atoms):
         space = block_spaces[s][s]
         coords = space.coords(Morphism.identity(atoms[s]))
-        vec = [_ZERO] * total
+        vec = [0] * total
         off = offsets[s][s]
         for k, c in enumerate(coords):
             vec[off + k] = c
@@ -1116,7 +1113,7 @@ def hom_sc_bimodule_sides(m2: Module, m1: Module) -> tuple[SCModule, SCModule]:
     for s, a_s in enumerate(targets):
         for t, a_t in enumerate(targets):
             for phi in hom_space(a_s, a_t).basis:
-                rows = [[_ZERO] * tdim for _ in range(tdim)]
+                rows = [[0] * tdim for _ in range(tdim)]
                 for j in range(len(sources)):
                     _put_block(
                         rows, blocks[j][s], offsets[j][s], blocks[j][t], offsets[j][t],
@@ -1127,7 +1124,7 @@ def hom_sc_bimodule_sides(m2: Module, m1: Module) -> tuple[SCModule, SCModule]:
     for j, b_j in enumerate(sources):
         for k, b_k in enumerate(sources):
             for phi in hom_space(b_j, b_k).basis:
-                rows = [[_ZERO] * tdim for _ in range(tdim)]
+                rows = [[0] * tdim for _ in range(tdim)]
                 for s in range(len(targets)):
                     _put_block(
                         rows, blocks[k][s], offsets[k][s], blocks[j][s], offsets[j][s],

@@ -2,15 +2,26 @@
 
 Everything downstream (path algebras, representations, relative homology)
 reduces to exact rank / kernel / solve computations, so this module is the
-single arithmetic substrate.  Entries are exact rationals; no floats anywhere.
+single arithmetic substrate.  No floats anywhere.
 
-Elimination runs fraction-free (rows are scaled to integers, the forward pass
-is one-step Bareiss with exact divisions) and the result is normalized to the
-unique reduced row echelon form at the end.
+Scalar convention: an exact scalar is a Python ``int`` when it is integral and
+a ``QQ`` (gmpy2 ``mpq``, or ``fractions.Fraction`` without gmpy2) only when it
+is a true fraction, with denominator != 1.  ``rational`` returns this
+canonical form, the public ``Matrix`` constructor applies it to every entry,
+and every matrix this module builds itself keeps it, so ``Matrix[i, j]`` may
+return an ``int``.  Nearly all entries met in practice are integral, so
+arithmetic, zero tests and eliminations run on Python ints.
+
+Elimination is fraction-free: rows are scaled to integers once and reduced by
+Bareiss's integer elimination (Math. Comp. 22, 1968) with exact ``//``
+divisions; only the final unit-pivot normalization makes fractions.
 """
 
 from __future__ import annotations
 
+from itertools import chain
+from math import gcd
+from operator import add, sub
 from typing import Iterable, Sequence
 
 try:
@@ -18,24 +29,51 @@ try:
 except ImportError:  # pragma: no cover - gmpy2 is a declared dependency
     from fractions import Fraction as QQ
 
-_ZERO = QQ(0)
-_ONE = QQ(1)
-_QQ_TYPE = type(_ZERO)
+_QQ_TYPE = type(QQ(0))
 
 
-def rational(value) -> QQ:
-    """Coerce ints, strings like '2/3', Fractions or QQ values to QQ."""
-    if type(value) is _QQ_TYPE:
+def _canon(x):
+    """The canonical form of an exact scalar: ``int`` when integral, else QQ."""
+    if type(x) is int:
+        return x
+    if x.denominator == 1:
+        return int(x.numerator)
+    return x
+
+
+def _canon_row(row: list) -> list:
+    """``row`` with every entry in canonical form; a row of ints is returned
+    as it is (a QQ entry would make the row's sum a QQ, never an int)."""
+    if type(sum(row)) is int:
+        return row
+    return [x if type(x) is int else _canon(x) for x in row]
+
+
+def rational(value):
+    """Coerce ints, strings like '2/3', Fractions or QQ values to a canonical
+    exact scalar: an ``int`` when integral, a QQ otherwise."""
+    if type(value) is int:
         return value
     if isinstance(value, float):
         raise TypeError("floats are not exact; pass int, str or Fraction")
-    return QQ(value)
+    if type(value) is not _QQ_TYPE:
+        value = QQ(value)
+    return _canon(value)
+
+
+def exact_div(a, b):
+    """The exact quotient ``a / b`` of two exact scalars, in canonical form."""
+    if type(a) is int and type(b) is int:
+        q, r = divmod(a, b)
+        return q if r == 0 else QQ(a, b)
+    return _canon(QQ(a) / b)
 
 
 class Matrix:
     """A dense exact matrix, row-major, immutable by convention.
 
-    Mutating helpers are private and only used before the instance escapes.
+    Entries are canonical exact scalars (see the module docstring).  Mutating
+    helpers are private and only used before the instance escapes.
     """
 
     __slots__ = ("rows", "cols", "_data", "_rref")
@@ -49,23 +87,33 @@ class Matrix:
         for row in entries:
             if len(row) != cols:
                 raise ValueError(f"expected {cols} columns, got {len(row)}")
-            data.append([rational(x) for x in row])
+            data.append([x if type(x) is int else rational(x) for x in row])
         self.rows = rows
         self.cols = cols
         self._data = data
         self._rref = None
 
+    @classmethod
+    def _trusted(cls, rows: int, cols: int, data: list) -> "Matrix":
+        """Wrap row lists of canonical scalars built in this module, unchecked."""
+        m = object.__new__(cls)
+        m.rows = rows
+        m.cols = cols
+        m._data = data
+        m._rref = None
+        return m
+
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "Matrix":
-        return cls(rows, cols, [[_ZERO] * cols for _ in range(rows)])
+        return cls._trusted(rows, cols, [[0] * cols for _ in range(rows)])
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
         m = cls.zeros(n, n)
         for i in range(n):
-            m._data[i][i] = _ONE
+            m._data[i][i] = 1
         return m
 
     @classmethod
@@ -94,7 +142,7 @@ class Matrix:
         return list(self._data[i])
 
     def column_vector(self, j: int) -> "Matrix":
-        return Matrix(self.rows, 1, [[self._data[i][j]] for i in range(self.rows)])
+        return Matrix._trusted(self.rows, 1, [[row[j]] for row in self._data])
 
     def to_lists(self) -> list:
         return [list(r) for r in self._data]
@@ -117,63 +165,61 @@ class Matrix:
         return f"Matrix({self.rows}x{self.cols}: {body})"
 
     def is_zero(self) -> bool:
-        return all(x == 0 for row in self._data for x in row)
+        return not any(any(row) for row in self._data)
 
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other: "Matrix") -> "Matrix":
         self._check_same_shape(other)
-        return Matrix(
+        return Matrix._trusted(
             self.rows,
             self.cols,
-            [
-                [a + b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self._data, other._data)
-            ],
+            [_canon_row(list(map(add, ra, rb))) for ra, rb in zip(self._data, other._data)],
         )
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         self._check_same_shape(other)
-        return Matrix(
+        return Matrix._trusted(
             self.rows,
             self.cols,
-            [
-                [a - b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self._data, other._data)
-            ],
+            [_canon_row(list(map(sub, ra, rb))) for ra, rb in zip(self._data, other._data)],
         )
 
     def __neg__(self) -> "Matrix":
-        return Matrix(self.rows, self.cols, [[-a for a in row] for row in self._data])
+        return Matrix._trusted(self.rows, self.cols, [[-a for a in row] for row in self._data])
 
     def scale(self, c) -> "Matrix":
         c = rational(c)
-        return Matrix(self.rows, self.cols, [[c * a for a in row] for row in self._data])
+        return Matrix._trusted(
+            self.rows, self.cols, [_canon_row([c * a for a in row]) for row in self._data]
+        )
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
             raise ValueError(
                 f"shape mismatch for product: {self.rows}x{self.cols} @ {other.rows}x{other.cols}"
             )
-        out = [[_ZERO] * other.cols for _ in range(self.rows)]
+        ncols = other.cols
         bdata = other._data
-        for i, arow in enumerate(self._data):
-            orow = out[i]
+        # the nonzeros of each row of the right factor, listed when first used
+        bnz = [None] * other.rows
+        out = []
+        for arow in self._data:
+            orow = [0] * ncols
             for k, a in enumerate(arow):
-                if a == 0:
-                    continue
-                brow = bdata[k]
-                for j, b in enumerate(brow):
-                    if b != 0:
+                if a:
+                    nz = bnz[k]
+                    if nz is None:
+                        nz = bnz[k] = [(j, b) for j, b in enumerate(bdata[k]) if b]
+                    for j, b in nz:
                         orow[j] += a * b
-        return Matrix(self.rows, other.cols, out)
+            out.append(_canon_row(orow))
+        return Matrix._trusted(self.rows, ncols, out)
 
     def transpose(self) -> "Matrix":
-        return Matrix(
-            self.cols,
-            self.rows,
-            [[self._data[i][j] for i in range(self.rows)] for j in range(self.cols)],
-        )
+        if not self.rows:
+            return Matrix._trusted(self.cols, 0, [[] for _ in range(self.cols)])
+        return Matrix._trusted(self.cols, self.rows, [list(col) for col in zip(*self._data)])
 
     def _check_same_shape(self, other: "Matrix") -> None:
         if self.rows != other.rows or self.cols != other.cols:
@@ -181,84 +227,44 @@ class Matrix:
 
     # -- elimination -------------------------------------------------------
 
+    def _integer_rows(self) -> list:
+        """Copies of the rows, each scaled by a positive integer to int entries."""
+        w = []
+        for row in self._data:
+            if type(sum(row)) is int:  # no QQ entry (see _canon_row)
+                w.append(list(row))
+                continue
+            scale = 1
+            for x in row:
+                if type(x) is not int:
+                    d = int(x.denominator)
+                    scale = scale // gcd(scale, d) * d
+            w.append([int(x * scale) for x in row])
+        return w
+
     def rref(self) -> tuple["Matrix", tuple[int, ...]]:
         """Reduced row echelon form and the tuple of pivot column indices.
 
-        Forward pass is fraction-free Bareiss on integer-scaled rows; the
-        normalization pass divides pivot rows and clears above the pivots,
-        producing the unique RREF.
+        Integer Bareiss elimination clears below and above every pivot, which
+        leaves each pivot equal to the last one, ``det``; dividing the pivot
+        rows by ``det`` gives the unique RREF.
         """
         if self._rref is not None:
             return self._rref
-        w = [list(row) for row in self._data]
-        # scale each row to integer entries (a legal row operation)
-        for row in w:
-            scale = 1
-            for x in row:
-                d = x.denominator
-                if d != 1:
-                    g = _gcd(scale, d)
-                    scale = scale // g * d
-            if scale != 1:
-                s = QQ(scale)
-                for j in range(len(row)):
-                    row[j] = row[j] * s
-        m, n = self.rows, self.cols
-        pivots = []
-        prev = _ONE
-        r = 0
-        for c in range(n):
-            pivot_row = None
-            for i in range(r, m):
-                if w[i][c] != 0:
-                    pivot_row = i
-                    break
-            if pivot_row is None:
-                continue
-            if pivot_row != r:
-                w[r], w[pivot_row] = w[pivot_row], w[r]
-            piv = w[r][c]
-            for i in range(r + 1, m):
-                row_i = w[i]
-                factor = row_i[c]
-                if factor == 0:
-                    # Bareiss still rescales untouched rows to keep divisions exact
-                    for j in range(c + 1, n):
-                        if row_i[j] != 0:
-                            row_i[j] = row_i[j] * piv / prev
-                else:
-                    row_r = w[r]
-                    for j in range(c + 1, n):
-                        row_i[j] = (row_i[j] * piv - factor * row_r[j]) / prev
-                row_i[c] = _ZERO
-            pivots.append(c)
-            prev = piv
-            r += 1
-            if r == m:
-                break
-        # normalization: unit pivots, zeros above
-        for k in range(len(pivots) - 1, -1, -1):
-            c = pivots[k]
-            row_k = w[k]
-            piv = row_k[c]
-            if piv != 1:
-                inv = _ONE / piv
-                for j in range(c, n):
-                    if row_k[j] != 0:
-                        row_k[j] = row_k[j] * inv
-            for i in range(k):
-                factor = w[i][c]
-                if factor != 0:
-                    row_i = w[i]
-                    for j in range(c, n):
-                        if row_k[j] != 0:
-                            row_i[j] = row_i[j] - factor * row_k[j]
-        result = (Matrix(m, n, w), tuple(pivots))
+        w = self._integer_rows()
+        pivots, det = _bareiss(w, self.cols, True)
+        if det != 1:
+            for k in range(len(pivots)):
+                w[k] = [x // det if x % det == 0 else QQ(x, det) for x in w[k]]
+        result = (Matrix._trusted(self.rows, self.cols, w), tuple(pivots))
         self._rref = result
         return result
 
     def rank(self) -> int:
-        return len(self.rref()[1])
+        """The rank: the RREF's if cached, else the pivots of a forward pass."""
+        if self._rref is not None:
+            return len(self._rref[1])
+        return len(_bareiss(self._integer_rows(), self.cols, False)[0])
 
     def kernel_basis(self) -> "Matrix":
         """Matrix whose columns form a basis of the right kernel.
@@ -270,16 +276,14 @@ class Matrix:
         n = self.cols
         pivot_set = set(pivots)
         free = [j for j in range(n) if j not in pivot_set]
-        cols = []
-        for f in free:
-            v = [_ZERO] * n
-            v[f] = _ONE
+        out = [[0] * len(free) for _ in range(n)]
+        for t, f in enumerate(free):
+            out[f][t] = 1
             for k, p in enumerate(pivots):
                 coeff = red._data[k][f]
-                if coeff != 0:
-                    v[p] = -coeff
-            cols.append(v)
-        return Matrix.from_columns(cols) if cols else Matrix(n, 0, [[] for _ in range(n)])
+                if coeff:
+                    out[p][t] = -coeff
+        return Matrix._trusted(n, len(free), out)
 
     def solve_right(self, rhs: "Matrix") -> "Matrix | None":
         """One exact solution X of self @ X = rhs, or None if inconsistent.
@@ -291,15 +295,12 @@ class Matrix:
         aug = hstack([self, rhs])
         red, pivots = aug.rref()
         n = self.cols
-        for p in pivots:
-            if p >= n:
-                return None
-        out = [[_ZERO] * rhs.cols for _ in range(n)]
+        if pivots and pivots[-1] >= n:
+            return None
+        out = [[0] * rhs.cols for _ in range(n)]
         for k, p in enumerate(pivots):
-            row = red._data[k]
-            for j in range(rhs.cols):
-                out[p][j] = row[n + j]
-        return Matrix(n, rhs.cols, out)
+            out[p] = red._data[k][n:]
+        return Matrix._trusted(n, rhs.cols, out)
 
     def left_inverse(self) -> "Matrix":
         """An exact L with L @ self = identity; needs full column rank.
@@ -312,9 +313,7 @@ class Matrix:
         aug, pivots = hstack([self, Matrix.identity(self.rows)]).rref()
         if tuple(pivots[:n]) != tuple(range(n)):
             raise ValueError("matrix does not have full column rank")
-        return Matrix(
-            n, self.rows, [aug._data[i][self.cols :] for i in range(n)]
-        )
+        return Matrix._trusted(n, self.rows, [aug._data[i][n:] for i in range(n)])
 
     def column_space_basis(self) -> "Matrix":
         """Columns of self at the pivot positions of its RREF: an image basis."""
@@ -326,13 +325,11 @@ class Matrix:
 
     def take_columns(self, indices: Iterable[int]) -> "Matrix":
         idx = list(indices)
-        return Matrix(
-            self.rows, len(idx), [[row[j] for j in idx] for row in self._data]
-        )
+        return Matrix._trusted(self.rows, len(idx), [[row[j] for j in idx] for row in self._data])
 
     def take_rows(self, indices: Iterable[int]) -> "Matrix":
         idx = list(indices)
-        return Matrix(len(idx), self.cols, [list(self._data[i]) for i in idx])
+        return Matrix._trusted(len(idx), self.cols, [list(self._data[i]) for i in idx])
 
     def is_invertible(self) -> bool:
         return self.rows == self.cols and self.rank() == self.rows
@@ -345,24 +342,65 @@ class Matrix:
             raise ValueError("matrix is singular")
         return sol
 
-    def trace(self) -> QQ:
+    def trace(self):
         if self.rows != self.cols:
             raise ValueError("trace needs a square matrix")
-        t = _ZERO
-        for i in range(self.rows):
-            t += self._data[i][i]
-        return t
+        return _canon(sum(self._data[i][i] for i in range(self.rows)))
 
     def flatten(self) -> list:
         """Row-major flat list of entries."""
         return [x for row in self._data for x in row]
 
 
-def _gcd(a: int, b: int) -> int:
-    a, b = int(a), int(b)
-    while b:
-        a, b = b, a % b
-    return abs(a)
+def _bareiss(w: list, n: int, full: bool) -> tuple[list[int], int]:
+    """Fraction-free elimination of the int rows ``w`` (``n`` columns) in place.
+
+    Bareiss's one-step rule keeps every entry an integer minor of the input,
+    so each ``//`` is exact.  The forward pass clears below each pivot;
+    ``full`` also clears above it, after which every pivot row's pivot equals
+    the last pivot.  Returns the pivot columns and the last pivot (1 if none).
+    """
+    m = len(w)
+    pivots = []
+    prev = 1
+    r = 0
+    for c in range(n):
+        if r == m:
+            break
+        for p in range(r, m):
+            if w[p][c]:
+                break
+        else:
+            continue
+        row_r = w[p]
+        if p != r:
+            w[p] = w[r]
+            w[r] = row_r
+        piv = row_r[c]
+        nz = [(j, x) for j, x in enumerate(row_r) if x and j != c]
+        for i in range(0 if full else r + 1, m):
+            if i == r:
+                continue
+            row_i = w[i]
+            f = row_i[c]
+            if piv == prev:
+                # (y*piv - f*x) // prev is y - f*x // prev: touch only row_r's nonzeros
+                if f:
+                    if prev == 1:
+                        for j, x in nz:
+                            row_i[j] -= f * x
+                    else:
+                        for j, x in nz:
+                            row_i[j] -= f * x // prev
+                    row_i[c] = 0
+            elif f:
+                w[i] = [(y * piv - f * x) // prev for y, x in zip(row_i, row_r)]
+            elif any(row_i):
+                w[i] = [y * piv // prev for y in row_i]
+        pivots.append(c)
+        prev = piv
+        r += 1
+    return pivots, prev
 
 
 def hstack(mats: Sequence[Matrix]) -> Matrix:
@@ -372,11 +410,8 @@ def hstack(mats: Sequence[Matrix]) -> Matrix:
     rows = mats[0].rows
     if any(m.rows != rows for m in mats):
         raise ValueError("row count mismatch in hstack")
-    data = [[] for _ in range(rows)]
-    for m in mats:
-        for i in range(rows):
-            data[i].extend(m._data[i])
-    return Matrix(rows, sum(m.cols for m in mats), data)
+    data = [list(chain.from_iterable(parts)) for parts in zip(*[m._data for m in mats])]
+    return Matrix._trusted(rows, sum(m.cols for m in mats), data)
 
 
 def vstack(mats: Sequence[Matrix]) -> Matrix:
@@ -389,7 +424,7 @@ def vstack(mats: Sequence[Matrix]) -> Matrix:
     data = []
     for m in mats:
         data.extend(m.to_lists())
-    return Matrix(sum(m.rows for m in mats), cols, data)
+    return Matrix._trusted(sum(m.rows for m in mats), cols, data)
 
 
 def block_diag(mats: Sequence[Matrix]) -> Matrix:
@@ -400,7 +435,7 @@ def block_diag(mats: Sequence[Matrix]) -> Matrix:
     r = c = 0
     for m in mats:
         for i in range(m.rows):
-            out._data[r + i][c : c + m.cols] = m.row(i)
+            out._data[r + i][c : c + m.cols] = m._data[i]
         r += m.rows
         c += m.cols
     return out

@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 from typing import Callable, Sequence
 
-from .exact_linalg import Matrix, QQ, hstack
+from .exact_linalg import Matrix, hstack
 from .path_algebra import AlgebraError, AlgebraPresentation
 from .rep import (
     HomSpace,
@@ -377,7 +377,7 @@ class Ext1Space:
         """A cocycle K -> a with the given class coordinates."""
         if len(coords) != self.dim:
             raise AlgebraError("class coordinate length mismatch")
-        raw = [QQ(0)] * self.hom_ka.dim
+        raw = [0] * self.hom_ka.dim
         for c, idx in zip(coords, self._section_idx):
             raw[idx] = c
         return self.hom_ka.from_coords(raw)
@@ -588,9 +588,9 @@ def _end_radical_coords(end_space: HomSpace) -> Matrix:
             [end_space.coords(end_space.basis[i] @ end_space.basis[j]) for j in range(n)]
             for i in range(n)
         ]
-        traces = [sum((table[m][k][k] for k in range(n)), QQ(0)) for m in range(n)]
+        traces = [sum((table[m][k][k] for k in range(n)), 0) for m in range(n)]
         gram = [
-            [sum((table[i][j][m] * traces[m] for m in range(n)), QQ(0)) for j in range(n)]
+            [sum((table[i][j][m] * traces[m] for m in range(n)), 0) for j in range(n)]
             for i in range(n)
         ]
         rad = Matrix.from_rows(gram).kernel_basis()

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import Iterable, NamedTuple, Sequence
 
-from .exact_linalg import QQ, Matrix, rational
+from .exact_linalg import Matrix, rational
 
 
 class AlgebraError(ValueError):
@@ -241,7 +241,7 @@ class AlgebraPresentation:
                     if w.source == rel.target and w.length <= budget
                 ]
                 for w in ws:
-                    vec = [QQ(0)] * ncols
+                    vec = [0] * ncols
                     nonzero = False
                     for coeff, p in rel.terms:
                         total = u.length + p.length + w.length
@@ -290,11 +290,11 @@ class AlgebraPresentation:
                 continue
             j = col_of[p]
             if j not in pivot_set:
-                vec = [QQ(0)] * self.dim
-                vec[self.basis_index[p]] = QQ(1)
+                vec = [0] * self.dim
+                vec[self.basis_index[p]] = 1
             else:
                 row = red.row(pivot_row[j])
-                vec = [QQ(0)] * self.dim
+                vec = [0] * self.dim
                 for jj, x in enumerate(row):
                     if jj == j or x == 0:
                         continue
@@ -316,21 +316,21 @@ class AlgebraPresentation:
     def reduce_path(self, p: Path) -> list:
         """Coordinates of a path's residue in the algebra basis."""
         if p.length >= self.nilpotency_bound:
-            return [QQ(0)] * self.dim
+            return [0] * self.dim
         try:
             return list(self._reduce_table[p])
         except KeyError:
             raise AlgebraError(f"path {p!r} is not a path of this quiver") from None
 
     def unit(self) -> list:
-        vec = [QQ(0)] * self.dim
+        vec = [0] * self.dim
         for v in range(self.quiver.vertex_count):
-            vec[self.basis_index[self.quiver.trivial_path(v)]] = QQ(1)
+            vec[self.basis_index[self.quiver.trivial_path(v)]] = 1
         return vec
 
     def idempotent(self, v: int) -> list:
-        vec = [QQ(0)] * self.dim
-        vec[self.basis_index[self.quiver.trivial_path(v)]] = QQ(1)
+        vec = [0] * self.dim
+        vec[self.basis_index[self.quiver.trivial_path(v)]] = 1
         return vec
 
     def _basis_product(self, i: int, j: int) -> list:
@@ -339,7 +339,7 @@ class AlgebraPresentation:
         if cached is None:
             p, q = self.basis[i], self.basis[j]
             if p.target != q.source:
-                cached = [QQ(0)] * self.dim
+                cached = [0] * self.dim
             else:
                 cached = self.reduce_path(self.quiver.concat(p, q))
             self._prod_table[key] = cached
@@ -347,7 +347,7 @@ class AlgebraPresentation:
 
     def multiply(self, x: Sequence, y: Sequence) -> list:
         """Product of two algebra elements in basis coordinates (first x, then y)."""
-        out = [QQ(0)] * self.dim
+        out = [0] * self.dim
         for i, xi in enumerate(x):
             if xi == 0:
                 continue

@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .exact_linalg import Matrix, QQ
+from .exact_linalg import Matrix
 from .path_algebra import AlgebraError, InternalError
 from .rep import (
     Module,
@@ -193,12 +193,12 @@ def F_subgroup_dim(c: Module, a: Module, f: SubBifunctor) -> int:
     space = ext1_space(c, a)
     if space.dim == 0:
         return 0
-    unit = [QQ(0)] * space.dim
+    unit = [0] * space.dim
     reps = []
     for i in range(space.dim):
-        unit[i] = QQ(1)
+        unit[i] = 1
         reps.append(space.representative(unit))
-        unit[i] = QQ(0)
+        unit[i] = 0
     cols: list[list] = [[] for _ in range(space.dim)]
     m = f.module
     if f.variance == "covariant":

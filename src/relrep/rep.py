@@ -18,7 +18,6 @@ from typing import Callable, Iterable, Sequence
 
 from .exact_linalg import (
     Matrix,
-    QQ,
     block_diag,
     hstack,
     intersect_kernels,
@@ -348,7 +347,7 @@ def proj_module(algebra: AlgebraPresentation, vertex: int) -> Module:
     mod._proj_paths = tuple(tuple(ps) for ps in per_vertex)
     mod._proj_vertex = vertex
     gen = Matrix.zeros(dims[vertex], 1)
-    gen._data[pos[quiver.trivial_path(vertex)]][0] = QQ(1)
+    gen._data[pos[quiver.trivial_path(vertex)]][0] = 1
     mod.hint = CyclicHint(
         vertex,
         None,
@@ -443,7 +442,7 @@ def summand_injection(sum_module: Module, s: int) -> Morphism:
     for w in range(len(sum_module.dims)):
         m = Matrix.zeros(sum_module.dims[w], part.dims[w])
         for k in range(part.dims[w]):
-            m._data[offs[w] + k][k] = QQ(1)
+            m._data[offs[w] + k][k] = 1
         maps.append(m)
     return Morphism._make(part, sum_module, tuple(maps))
 
@@ -456,7 +455,7 @@ def summand_projection(sum_module: Module, s: int) -> Morphism:
     for w in range(len(sum_module.dims)):
         m = Matrix.zeros(part.dims[w], sum_module.dims[w])
         for k in range(part.dims[w]):
-            m._data[k][offs[w] + k] = QQ(1)
+            m._data[k][offs[w] + k] = 1
         maps.append(m)
     return Morphism._make(sum_module, part, tuple(maps))
 
@@ -705,7 +704,7 @@ def _hom_raw(x: Module, y: Module) -> HomSpace:
         # f_j @ X_a - Y_a @ f_i = 0, entry (r, c): r in Y_j, c in X_i
         for r in range(y.dims[j]):
             for c in range(x.dims[i]):
-                row = [QQ(0)] * total
+                row = [0] * total
                 for k in range(x.dims[j]):
                     coeff = xa[k, c]
                     if coeff != 0:
@@ -740,7 +739,7 @@ def _hom_raw(x: Module, y: Module) -> HomSpace:
         flat = f.flat()
         rows = solver[0]._data
         return [
-            sum((c * flat[j] for j, c in enumerate(row) if c != 0), QQ(0))
+            sum((c * flat[j] for j, c in enumerate(row) if c != 0), 0)
             for row in rows
         ]
 
@@ -849,16 +848,22 @@ def _hom_cyclic_source(x: Module, y: Module) -> HomSpace:
     for col in range(gens.cols):
         basis.append(morphism_from_generator(x, y, gens.column_vector(col)))
 
+    # gens has full column rank: a left inverse computed once gives the
+    # candidate coordinates, and gens @ sol == u checks membership
+    solver: list[Matrix] = []
+
     def coords(f: Morphism) -> list:
         u = f.maps[v0] @ hint.generator
         if gens.cols == 0:
             if not u.is_zero():
                 raise AlgebraError("morphism not in hom space")
             return []
-        sol = gens.solve_right(u)
-        if sol is None:
+        if not solver:
+            solver.append(gens.left_inverse())
+        sol = solver[0] @ u
+        if gens @ sol != u:
             raise AlgebraError("morphism not in hom space")
-        return [sol[i, 0] for i in range(sol.rows)]
+        return sol.flatten()
 
     return HomSpace(x, y, basis, coords)
 
@@ -962,7 +967,7 @@ def is_isomorphic(x: Module, y: Module, seed: int = 0) -> bool:
         return False
 
     def try_coeffs(cs) -> bool:
-        f = hom_xy.from_coords([QQ(c) for c in cs])
+        f = hom_xy.from_coords(cs)
         return f.is_iso()
 
     rng = random.Random(seed)

@@ -7,6 +7,7 @@ from relrep.exact_linalg import (
     Matrix,
     QQ,
     block_diag,
+    exact_div,
     from_blocks,
     hstack,
     rational,
@@ -179,3 +180,177 @@ def test_product_transpose(a, b):
     if a.cols != b.rows:
         return
     assert (a @ b).transpose() == b.transpose() @ a.transpose()
+
+
+# -- the integer kernel against a plain Gauss-Jordan reference over Fraction --
+
+
+def _reference_rref(rows, ncols):
+    """Textbook Gauss-Jordan over Fraction: unit pivots, zeros above and below."""
+    w = [[Fraction(x) for x in row] for row in rows]
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        p = next((i for i in range(r, len(w)) if w[i][c] != 0), None)
+        if p is None:
+            continue
+        w[r], w[p] = w[p], w[r]
+        inv = 1 / w[r][c]
+        w[r] = [x * inv for x in w[r]]
+        for i in range(len(w)):
+            if i != r and w[i][c] != 0:
+                f = w[i][c]
+                w[i] = [a - f * b for a, b in zip(w[i], w[r])]
+        pivots.append(c)
+        r += 1
+    return w, tuple(pivots)
+
+
+def _reference_kernel(rows, ncols):
+    red, pivots = _reference_rref(rows, ncols)
+    free = [j for j in range(ncols) if j not in pivots]
+    basis = []
+    for f in free:
+        v = [Fraction(0)] * ncols
+        v[f] = Fraction(1)
+        for k, p in enumerate(pivots):
+            v[p] = -red[k][f]
+        basis.append(v)
+    return basis
+
+
+def _reference_solve(rows, ncols, rhs):
+    """The solution with free variables zero, or None; rhs is a list of columns."""
+    aug = [list(row) + [col[i] for col in rhs] for i, row in enumerate(rows)]
+    red, pivots = _reference_rref(aug, ncols + len(rhs))
+    if pivots and pivots[-1] >= ncols:
+        return None
+    out = [[Fraction(0)] * len(rhs) for _ in range(ncols)]
+    for k, p in enumerate(pivots):
+        out[p] = red[k][ncols:]
+    return out
+
+
+def _is_canonical(x):
+    return type(x) is int or (type(x) is QQ and x.denominator != 1)
+
+
+scalars = st.one_of(
+    st.just(0),
+    st.integers(min_value=-4, max_value=4),
+    st.fractions(min_value=-6, max_value=6, max_denominator=7),
+)
+
+
+@st.composite
+def exact_matrices(draw, max_rows=12, max_cols=15):
+    """Matrices with fractional entries, zero or empty shapes, and products of
+    thin factors (rank-deficient by construction)."""
+    rows = draw(st.integers(min_value=0, max_value=max_rows))
+    cols = draw(st.integers(min_value=0, max_value=max_cols))
+    kind = draw(st.sampled_from(["dense", "zero", "low_rank"]))
+    if kind == "zero":
+        return [[0] * cols for _ in range(rows)]
+    if kind == "low_rank":
+        k = draw(st.integers(min_value=0, max_value=min(rows, cols, 4)))
+        a = draw(st.lists(st.lists(scalars, min_size=k, max_size=k), min_size=rows, max_size=rows))
+        b = draw(st.lists(st.lists(scalars, min_size=cols, max_size=cols), min_size=k, max_size=k))
+        return [
+            [sum((Fraction(a[i][t]) * b[t][j] for t in range(k)), Fraction(0)) for j in range(cols)]
+            for i in range(rows)
+        ]
+    return draw(st.lists(st.lists(scalars, min_size=cols, max_size=cols), min_size=rows, max_size=rows))
+
+
+@settings(max_examples=200, deadline=None)
+@given(exact_matrices(), st.lists(st.lists(scalars, min_size=12, max_size=12), min_size=0, max_size=3))
+def test_integer_kernel_matches_fraction_reference(rows, rhs_cols):
+    ncols = len(rows[0]) if rows else 0
+    m = Matrix(len(rows), ncols, rows)
+    ref_red, ref_pivots = _reference_rref(rows, ncols)
+    red, pivots = m.rref()
+    assert pivots == ref_pivots
+    assert red.to_lists() == ref_red
+    assert Matrix(len(rows), ncols, rows).rank() == len(ref_pivots)
+
+    kern = m.kernel_basis()
+    assert kern.rows == ncols
+    assert [[kern[i, j] for i in range(ncols)] for j in range(kern.cols)] == _reference_kernel(rows, ncols)
+
+    rhs = [col[: len(rows)] for col in rhs_cols]
+    b = Matrix(len(rows), len(rhs), [[col[i] for col in rhs] for i in range(len(rows))])
+    sol = m.solve_right(b)
+    expected = _reference_solve(rows, ncols, rhs)
+    if expected is None:
+        assert sol is None
+    else:
+        assert sol is not None and sol.to_lists() == expected and m @ sol == b
+
+    if len(ref_pivots) == ncols:
+        left = m.left_inverse()
+        assert left @ m == Matrix.identity(ncols)
+        ident = [[int(i == j) for j in range(len(rows))] for i in range(len(rows))]
+        aug_red, _ = _reference_rref([r + e for r, e in zip(rows, ident)], ncols + len(rows))
+        assert left.to_lists() == [aug_red[i][ncols:] for i in range(ncols)]
+
+
+def _all_canonical(m):
+    return all(_is_canonical(x) for row in m.to_lists() for x in row)
+
+
+@settings(max_examples=80, deadline=None)
+@given(exact_matrices(max_rows=6, max_cols=6), exact_matrices(max_rows=6, max_cols=6), scalars)
+def test_every_built_entry_is_canonical(a_rows, b_rows, c):
+    a = Matrix(len(a_rows), len(a_rows[0]) if a_rows else 0, a_rows)
+    b = Matrix(len(b_rows), len(b_rows[0]) if b_rows else 0, b_rows)
+    built = [a, -a, a + a, a - a, a.scale(c), a.scale(Fraction(1, 2)), a.transpose()]
+    built += [a.rref()[0], a.kernel_basis(), a.column_space_basis()]
+    built += [Matrix.zeros(3, 2), Matrix.identity(3), hstack([a, a]), vstack([a, a])]
+    built += [block_diag([a, b]), a.take_rows(range(a.rows)), a.take_columns(range(a.cols))]
+    if a.cols == b.rows:
+        built.append(a @ b)
+    if a.cols == a.rows:
+        built.append(a @ a)
+    if a.rows:
+        built.append(a.solve_right(Matrix.zeros(a.rows, 1)))
+        if a.rank() == a.cols:
+            built.append(a.left_inverse())
+    for m in built:
+        assert _all_canonical(m)
+    assert _is_canonical(rational(c)) and rational(c) == c
+
+
+def test_rational_is_canonical():
+    assert type(rational(Fraction(4, 2))) is int and rational(Fraction(4, 2)) == 2
+    assert type(rational("6/3")) is int
+    assert type(rational(True)) is int
+    assert type(rational(QQ(-3))) is int
+    half = rational(Fraction(2, 4))
+    assert type(half) is QQ and half == Fraction(1, 2)
+    for bad in (0.5, 2.0):
+        try:
+            rational(bad)
+        except TypeError:
+            pass
+        else:
+            raise AssertionError("float should be rejected")
+    assert type(Matrix.from_rows([[Fraction(2, 1), "3/3"]])[0, 1]) is int
+
+
+def test_inverse_of_an_integer_matrix_is_exact():
+    inv = Matrix.from_rows([[2]]).inverse()
+    assert inv[0, 0] == Fraction(1, 2)
+    assert not isinstance(inv[0, 0], float)
+    assert type(inv[0, 0]) is QQ
+
+
+def test_exact_div_never_makes_floats():
+    assert exact_div(6, 3) == 2 and type(exact_div(6, 3)) is int
+    assert exact_div(1, 3) == Fraction(1, 3) and type(exact_div(1, 3)) is QQ
+    assert type(exact_div(Fraction(1, 2), Fraction(1, 4))) is int
+    try:
+        exact_div(1, 0)
+    except ZeroDivisionError:
+        pass
+    else:
+        raise AssertionError("division by zero should raise")

@@ -1,6 +1,6 @@
 import pytest
 
-from relrep.exact_linalg import Matrix
+from relrep.exact_linalg import Matrix, hstack, subspace_contains
 from relrep.path_algebra import AlgebraError, AlgebraPresentation, cyclic_quiver
 from relrep.rep import (
     ExpressionError,
@@ -29,6 +29,7 @@ from relrep.rep import (
     summand_projection,
     top,
     zero_module,
+    _hom_cyclic_source,
     _hom_raw,
 )
 
@@ -297,3 +298,30 @@ def test_parse_expression_errors(cyc3_5):
     for bad in ["", "P(4)", "Q(1)", "P(1)/soc", "P(1)/rad^0", "P(x)", "P(1)+"]:
         with pytest.raises(ExpressionError):
             parse_module_expression(cyc3_5, bad)
+
+
+def test_cyclic_source_coords_reject_maps_outside_the_span(cyc3_5):
+    # Hom(P(1)/rad^2, P(1)) is cut out by relations on the generator's image;
+    # a vertex map sending the generator outside that span is no morphism
+    p1 = proj_module(cyc3_5, 0)
+    x = radical_quotient(p1, 2)[0]
+    space = _hom_cyclic_source(x, p1)
+    v0, gen = x.hint.vertex, x.hint.generator
+    images = [b.maps[v0] @ gen for b in space.basis]
+    span = hstack(images) if images else Matrix.zeros(p1.dims[v0], 0)
+    rejected = 0
+    for k in range(p1.dims[v0]):
+        u = [1 if i == k else 0 for i in range(p1.dims[v0])]
+        maps = [
+            Matrix.from_columns([u]) if v == v0 else Matrix.zeros(p1.dims[v], x.dims[v])
+            for v in range(len(x.dims))
+        ]
+        f = Morphism(x, p1, maps, validate=False)
+        if subspace_contains(span, Matrix.column(u)):
+            cs = space.coords(f)
+            assert space.from_coords(cs).maps[v0] @ gen == Matrix.column(u)
+        else:
+            rejected += 1
+            with pytest.raises(AlgebraError, match="not in hom space"):
+                space.coords(f)
+    assert rejected >= 1
