@@ -17,8 +17,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .exact_linalg import Matrix, exact_div, rational
-from .path_algebra import AlgebraError, AlgebraPresentation, InternalError
+from .exact_linalg import Matrix, complement_projection, exact_div, rational, subspace_contains
+from .path_algebra import AlgebraError, InternalError
 from .rep import (
     Module,
     Morphism,
@@ -28,7 +28,6 @@ from .rep import (
     enumerate_indecomposables_nakayama,
     flatten_atoms,
     hom_basis,
-    hom_dim,
     hom_space,
     inj_module,
     is_isomorphic,
@@ -42,9 +41,9 @@ from .homology import (
     in_add,
     is_left_minimal,
     is_right_minimal,
+    trace_form_radical,
 )
 from .relhom import (
-    SubBifunctor,
     F_coresolution,
     F_resolution,
     contravariant_functor,
@@ -298,22 +297,7 @@ def radical(g: StructureConstantAlgebra) -> Matrix:
     if cached is not None:
         return cached
     n = g.dim
-    # ltrace[m] = trace of left multiplication by e_m
-    ltrace = [0] * n
-    for m, plane in enumerate(g.mult):
-        for j, pairs in enumerate(plane):
-            for t, c in pairs:
-                if t == j:
-                    ltrace[m] += c
-    form = Matrix(
-        n,
-        n,
-        [
-            [sum((c * ltrace[m] for m, c in pairs), 0) for pairs in plane]
-            for plane in g.mult
-        ],
-    )
-    rad = form.kernel_basis()
+    rad = trace_form_radical(g.mult)
     vectors = _columns(rad)
     layer = vectors
     for _ in range(n + 1):
@@ -406,41 +390,15 @@ def regular_sc_module(g: StructureConstantAlgebra) -> SCModule:
     return SCModule(g, g.dim, action)
 
 
-def _quotient_data(sub: Matrix, dim: int) -> tuple[Matrix, Matrix]:
-    """Projection and section matrices for the quotient of QQ^dim by col(sub)."""
-    if sub.cols == 0:
-        ident = Matrix.identity(dim)
-        return ident, ident
-    reduced, pivots = sub.transpose().rref()
-    pivot_set = set(pivots)
-    free = [j for j in range(dim) if j not in pivot_set]
-    # v  ->  v - sum_k v[pivot_k] * row_k   has zeros in pivot coordinates
-    proj_rows = []
-    for f in free:
-        row = [0] * dim
-        row[f] = 1
-        for k, p in enumerate(pivots):
-            c = reduced._data[k][f]
-            if c != 0:
-                row[p] = -c
-        proj_rows.append(row)
-    proj = Matrix(len(free), dim, proj_rows)
-    sect_cols = []
-    for f in free:
-        col = [0] * dim
-        col[f] = 1
-        sect_cols.append(col)
-    sect = Matrix.from_columns(sect_cols) if free else Matrix(dim, 0, [[] for _ in range(dim)])
-    return proj, sect
+def _sc_quotient(x: SCModule, span: Matrix) -> SCModule:
+    """The quotient of ``x`` by the submodule spanned by the columns of ``span``."""
+    proj, free = complement_projection(span)
+    return SCModule(x.algebra, proj.rows, [proj @ a.take_columns(free) for a in x.action])
 
 
 def semisimple_quotient_module(g: StructureConstantAlgebra) -> SCModule:
     """The algebra modulo its radical, as a left module (cyclic, generated by 1)."""
-    reg = regular_sc_module(g)
-    rad = radical(g)
-    proj, sect = _quotient_data(rad, g.dim)
-    action = [proj @ a @ sect for a in reg.action]
-    return SCModule(g, proj.rows, action)
+    return _sc_quotient(regular_sc_module(g), radical(g))
 
 
 def dual_sc_module(x: SCModule) -> SCModule:
@@ -509,6 +467,22 @@ class _Cover:
         self.minimal: bool | None = None
 
 
+def _piece_radical(g: StructureConstantAlgebra, members, idem) -> list[list]:
+    """A basis of (rad A)e in the coordinates of ``members``, the basis vectors
+    spanning the left ideal A e of the idempotent ``idem`` (the radical is a
+    right ideal, so (rad A)e lies in A e)."""
+    index = {m: t for t, m in enumerate(members)}
+    span = _Span(len(members))
+    out = []
+    for r in _columns(radical(g)):
+        comp = [0] * len(members)
+        for m, c in _terms(g.multiply(r, idem)):
+            comp[index[m]] = c
+        if span.add(comp):
+            out.append(comp)
+    return out
+
+
 class _Chain:
     """A chain of projective covers ... -> P_1 -> P_0 -> x -> 0.
 
@@ -523,7 +497,6 @@ class _Chain:
     def __init__(self, g: StructureConstantAlgebra, base: SCModule) -> None:
         self.g = g
         self.base = base
-        self.rad_vectors = _columns(radical(g))
         if g.piece_members is not None:
             self.kinds = list(range(len(g.idempotents)))
             self.members = list(g.piece_members)
@@ -533,34 +506,14 @@ class _Chain:
             self.members = [tuple(range(g.dim))]
             self.idem_vectors = [list(g.unit)]
         self.member_index = [{m: t for t, m in enumerate(ms)} for ms in self.members]
-        self.rad_terms = [_terms(r) for r in self.rad_vectors]
+        self.rad_terms = [_terms(r) for r in _columns(radical(g))]
         self.idem_terms = [_terms(e) for e in self.idem_vectors]
-        self.piece_rads = [self._piece_rad(k) for k in range(len(self.kinds))]
+        self.piece_rads = [
+            _piece_radical(g, ms, e) for ms, e in zip(self.members, self.idem_vectors)
+        ]
         self.covers: list[_Cover] = []
 
     # -- per-piece helpers ---------------------------------------------------
-
-    def _piece_rad(self, kind: int) -> list[list]:
-        """(rad A)e in piece coordinates (radical is a right-stable subspace)."""
-        members = self.members[kind]
-        index = self.member_index[kind]
-        span = _Span(len(members))
-        out = []
-        for r in self.rad_vectors:
-            prod = self.g.multiply(r, self.idem_vectors[kind])
-            comp = [0] * len(members)
-            ok = True
-            for m, c in enumerate(prod):
-                if c == 0:
-                    continue
-                t = index.get(m)
-                if t is None:
-                    ok = False
-                    break
-                comp[t] = c
-            if ok and span.add(comp):
-                out.append(comp)
-        return out
 
     def _act_in_piece(self, terms: list, kind: int, comp: list) -> list:
         """Action of the element given by ``(k, c)`` terms on a piece vector."""
@@ -644,11 +597,7 @@ class _Chain:
         for v in originals:
             if not span.contains(v):
                 raise InternalError("endo", "projective cover construction is not onto")
-        mat = (
-            Matrix.from_columns(cols)
-            if cols
-            else Matrix(ambient_dim, 0, [[] for _ in range(ambient_dim)])
-        )
+        mat = Matrix.from_columns(cols) if cols else Matrix.zeros(ambient_dim, 0)
         return _Cover(kinds, gens, offsets, len(cols), mat)
 
     def extend(self) -> None:
@@ -740,11 +689,7 @@ class _Chain:
                             solvers[kind_s] = Matrix.from_columns(space).left_inverse()
                         col.extend(_matvec(solvers[kind_s], value))
                     cols.append(col)
-            mat = (
-                Matrix.from_columns(cols)
-                if cols
-                else Matrix(rows_total, 0, [[] for _ in range(rows_total)])
-            )
+            mat = Matrix.from_columns(cols) if cols else Matrix.zeros(rows_total, 0)
             ranks.append(mat.rank())
         return hom_dims, ranks
 
@@ -878,24 +823,10 @@ def _top_of_piece(g: StructureConstantAlgebra, kind: int) -> SCModule:
                 col[index[mm]] = c
             cols.append(col)
         action.append(Matrix.from_columns(cols))
-    piece = SCModule(g, width, action)
-    rad = radical(g)
-    rad_cols = []
-    e = list(g.idempotents[kind])
-    for r in _columns(rad):
-        prod = g.multiply(r, e)
-        col = [0] * width
-        for m, c in enumerate(prod):
-            if c != 0:
-                col[index[m]] = c
-        rad_cols.append(col)
-    sub = (
-        Matrix.from_columns(rad_cols).column_space_basis()
-        if rad_cols
-        else Matrix(width, 0, [[] for _ in range(width)])
+    rad = _piece_radical(g, members, g.idempotents[kind])
+    return _sc_quotient(
+        SCModule(g, width, action), Matrix.from_columns(rad) if rad else Matrix.zeros(width, 0)
     )
-    proj, sect = _quotient_data(sub, width)
-    return SCModule(g, proj.rows, [proj @ a @ sect for a in piece.action])
 
 
 def gldim_le(g: StructureConstantAlgebra, n: int) -> bool:
@@ -1365,6 +1296,40 @@ def _condition_a(m1: Module, m2: Module, l: int) -> tuple[bool, list]:
     return not fails, fails
 
 
+def _relative_tilting_check(
+    l: int,
+    module: Module,
+    f_self,
+    dim_le,
+    dim_key: str,
+    res,
+    add_target: Module,
+    add_key: str,
+    f_steps,
+) -> tuple[bool, dict]:
+    """The shared body of the relative (co)tilting condition sets.
+
+    Relative selforthogonality of ``module`` for ``f_self`` up to ``l``, the
+    dimension bound ``dim_le(module, f_self, l)`` (under ``dim_key``), the
+    ``l``-th (co)syzygy of ``res`` in add(``add_target``) (under ``add_key``),
+    and exactness of the first ``l`` steps of ``res`` for ``f_steps``.
+    """
+    fails = [(i, ext_F_dim(i, module, module, f_self)) for i in range(1, l + 1)]
+    detail: dict = {"selforthogonality_failures": [(i, d) for i, d in fails if d]}
+    detail[dim_key] = dim_le(module, f_self, l)
+    detail[add_key] = in_add(res.syzygy(l), add_target)
+    detail["steps_cross_exact"] = [
+        is_F_exact(resolution_step_sequence(res, i), f_steps) for i in range(1, l + 1)
+    ]
+    ok = (
+        not detail["selforthogonality_failures"]
+        and detail[dim_key]
+        and detail[add_key]
+        and all(detail["steps_cross_exact"])
+    )
+    return ok, detail
+
+
 def cotilting_style_condition(m1: Module, m2: Module, l: int) -> tuple[bool, dict]:
     """Condition (b): the second module is relative-cotilting for Hom(-, m1).
 
@@ -1373,28 +1338,11 @@ def cotilting_style_condition(m1: Module, m2: Module, l: int) -> tuple[bool, dic
     Hom(m2, -)-relative projective resolution of ``m1`` has its ``l``-th
     syzygy in add(m2) and all its steps exact for Hom(-, m1).
     """
-    f_cov = covariant_functor(m2)
     f_con = contravariant_functor(m1)
-    detail: dict = {}
-    fails = [
-        (i, ext_F_dim(i, m2, m2, f_con)) for i in range(1, l + 1)
-    ]
-    fails = [(i, d) for i, d in fails if d]
-    detail["selforthogonality_failures"] = fails
-    detail["injective_dimension_ok"] = id_F_le(m2, f_con, l)
-    res = F_resolution(m1, f_cov)
-    detail["syzygy_in_add"] = in_add(res.syzygy(l), m2)
-    steps_exact = [
-        is_F_exact(resolution_step_sequence(res, i), f_con) for i in range(1, l + 1)
-    ]
-    detail["steps_cross_exact"] = steps_exact
-    ok = (
-        not fails
-        and detail["injective_dimension_ok"]
-        and detail["syzygy_in_add"]
-        and all(steps_exact)
+    return _relative_tilting_check(
+        l, m2, f_con, id_F_le, "injective_dimension_ok",
+        F_resolution(m1, covariant_functor(m2)), m2, "syzygy_in_add", f_con,
     )
-    return ok, detail
 
 
 def dual_cotilting_style_condition(m1: Module, m2: Module, l: int) -> tuple[bool, dict]:
@@ -1410,25 +1358,10 @@ def dual_cotilting_style_condition(m1: Module, m2: Module, l: int) -> tuple[bool
     parity check exercising that equivalence).
     """
     f_cov = covariant_functor(m2)
-    f_con = contravariant_functor(m1)
-    detail: dict = {}
-    fails = [(i, ext_F_dim(i, m1, m1, f_cov)) for i in range(1, l + 1)]
-    fails = [(i, d) for i, d in fails if d]
-    detail["selforthogonality_failures"] = fails
-    detail["projective_dimension_ok"] = pd_F_le(m1, f_cov, l)
-    cores = F_coresolution(m2, f_con)
-    detail["cosyzygy_in_add"] = in_add(cores.syzygy(l), m1)
-    steps_exact = [
-        is_F_exact(resolution_step_sequence(cores, i), f_cov) for i in range(1, l + 1)
-    ]
-    detail["steps_cross_exact"] = steps_exact
-    ok = (
-        not fails
-        and detail["projective_dimension_ok"]
-        and detail["cosyzygy_in_add"]
-        and all(steps_exact)
+    return _relative_tilting_check(
+        l, m1, f_cov, pd_F_le, "projective_dimension_ok",
+        F_coresolution(m2, contravariant_functor(m1)), m1, "cosyzygy_in_add", f_cov,
     )
-    return ok, detail
 
 
 def tilting_style_condition(m1: Module, m2: Module, l: int) -> tuple[bool, dict]:
@@ -1441,26 +1374,11 @@ def tilting_style_condition(m1: Module, m2: Module, l: int) -> tuple[bool, dict]
     its ``l``-th cosyzygy in add(m2) and steps exact for Hom(-, m1).
     """
     f_con1 = contravariant_functor(m1)
-    f_con2 = contravariant_functor(m2)
-    detail: dict = {}
-    fails = [(i, ext_F_dim(i, m2, m2, f_con1)) for i in range(1, l + 1)]
-    fails = [(i, d) for i, d in fails if d]
-    detail["selforthogonality_failures"] = fails
-    detail["projective_dimension_ok"] = pd_F_le(m2, f_con1, l)
-    gen = f_con1.projectives_module()
-    cores = F_coresolution(gen, f_con2)
-    detail["cosyzygy_in_add"] = in_add(cores.syzygy(l), m2)
-    steps_exact = [
-        is_F_exact(resolution_step_sequence(cores, i), f_con1) for i in range(1, l + 1)
-    ]
-    detail["steps_cross_exact"] = steps_exact
-    ok = (
-        not fails
-        and detail["projective_dimension_ok"]
-        and detail["cosyzygy_in_add"]
-        and all(steps_exact)
+    return _relative_tilting_check(
+        l, m2, f_con1, pd_F_le, "projective_dimension_ok",
+        F_coresolution(f_con1.projectives_module(), contravariant_functor(m2)),
+        m2, "cosyzygy_in_add", f_con1,
     )
-    return ok, detail
 
 
 def _condition_d(m1: Module, m2: Module, l: int) -> tuple[bool, dict]:
@@ -1574,16 +1492,10 @@ def _left_approximation_property(lam: Morphism, n: Module) -> bool:
     space = hom_space(source, n)
     if space.dim == 0:
         return True
-    through = hom_basis(target, n)
-    cols = [space.coords(h @ lam) for h in through]
-    mat = (
-        Matrix.from_columns(cols)
-        if cols
-        else Matrix(space.dim, 0, [[] for _ in range(space.dim)])
-    )
-    return all(
-        mat.in_column_span(Matrix.column(space.coords(gmap))) for gmap in space.basis
-    )
+    cols = [space.coords(h @ lam) for h in hom_basis(target, n)]
+    mat = Matrix.from_columns(cols) if cols else Matrix.zeros(space.dim, 0)
+    # the coordinates of the basis maps of Hom(source, n) are the unit vectors
+    return subspace_contains(mat, Matrix.identity(space.dim))
 
 
 def _right_approximation_property(pi: Morphism, n: Module) -> bool:

@@ -15,6 +15,11 @@ arithmetic, zero tests and eliminations run on Python ints.
 Elimination is fraction-free: rows are scaled to integers once and reduced by
 Bareiss's integer elimination (Math. Comp. 22, 1968) with exact ``//``
 divisions; only the final unit-pivot normalization makes fractions.
+
+Subspaces are matrices whose columns span them.  Every quotient in the
+library (module quotients and cokernels, the reduction of Ext^1 cocycles, the
+quotients of structure-constant modules) goes through ``complement_projection``,
+which reads the projection onto a coordinate complement straight off one RREF.
 """
 
 from __future__ import annotations
@@ -454,18 +459,47 @@ def subspace_basis(vectors: Sequence[Matrix]) -> Matrix:
     return joined.column_space_basis()
 
 
-def subspace_contains(basis: Matrix, v: Matrix) -> bool:
-    if basis.cols == 0:
-        return v.is_zero()
-    return basis.in_column_span(v)
+def subspace_contains(span: Matrix, vectors: Matrix) -> bool:
+    """Whether every column of ``vectors`` lies in the column span of ``span``."""
+    if span.cols == 0:
+        return vectors.is_zero()
+    return span.in_column_span(vectors)
 
 
 def subspace_sum(ambient_dim: int, parts: Sequence[Matrix]) -> Matrix:
     """Basis of the sum of column-span subspaces of a common ambient space."""
     cols = [m for m in parts if m.cols]
     if not cols:
-        return Matrix(ambient_dim, 0, [[] for _ in range(ambient_dim)])
+        return Matrix.zeros(ambient_dim, 0)
     return hstack(cols).column_space_basis()
+
+
+def complement_projection(span: Matrix) -> tuple[Matrix, list[int]]:
+    """The quotient of QQ^n (n = ``span.rows``) by the column span of ``span``.
+
+    The columns of ``span`` need only span the subspace.  Returns ``(proj,
+    free)``: ``free`` lists the coordinates that are not pivots of the RREF of
+    ``span``'s transpose, so the unit vectors at ``free`` span a complement,
+    and ``proj`` (``len(free) x n``) is the projection along the subspace onto
+    that complement, read in those coordinates.  With ``section`` the identity
+    columns at ``free``: ``proj @ span == 0`` and ``proj @ section == I``.
+    """
+    n = span.rows
+    reduced, pivots = span.transpose().rref()
+    pivot_set = set(pivots)
+    free = [j for j in range(n) if j not in pivot_set]
+    # v -> v - sum_k v[pivot_k] * row_k vanishes on the span (row k has a 1 at
+    # pivot_k and 0 at the other pivots) and fixes the unit vectors at free
+    rows = []
+    for f in free:
+        row = [0] * n
+        row[f] = 1
+        for k, p in enumerate(pivots):
+            c = reduced._data[k][f]
+            if c:
+                row[p] = -c
+        rows.append(row)
+    return Matrix._trusted(len(free), n, rows), free
 
 
 def intersect_kernels(mats: Sequence[Matrix]) -> Matrix:

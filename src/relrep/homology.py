@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 from typing import Callable, Sequence
 
-from .exact_linalg import Matrix, hstack
+from .exact_linalg import Matrix, complement_projection, hstack, subspace_contains
 from .path_algebra import AlgebraError, AlgebraPresentation
 from .rep import (
     HomSpace,
@@ -23,6 +23,7 @@ from .rep import (
     assemble_from_components,
     assemble_into_components,
     cogenerator_module,
+    cokernel,
     direct_sum,
     dualize,
     dualize_morphism,
@@ -99,7 +100,6 @@ class Resolution:
         self._steps: list[Morphism] = []
         self._edges: list[tuple[Module, Morphism]] = []
         self._step = step
-        self._hom_cache: dict = {}
         self._cochain = "injective" in flavor
 
     def _ensure_first(self) -> None:
@@ -114,7 +114,7 @@ class Resolution:
         """Take the next kernel (or cokernel) off the last computed step."""
         prev = self._steps[-1]
         if self._cochain:
-            self._edges.append(_cokernel_with_projection(prev))
+            self._edges.append(cokernel(prev))
         else:
             self._edges.append(kernel(prev))
 
@@ -162,24 +162,11 @@ class Resolution:
         return self._steps[i]
 
     def hom_to(self, k: int, y: Module) -> HomSpace:
-        """Cached Hom(terms[k], y) (chain) or Hom(y, terms[k]) (cochain)."""
-        key = (k, id(y))
-        entry = self._hom_cache.get(key)
-        if entry is None:
-            self.ensure_terms(k + 1)
-            if self._cochain:
-                space = hom_space(y, self.terms[k])
-            else:
-                space = hom_space(self.terms[k], y)
-            self._hom_cache[key] = (space, y)
-            return space
-        return entry[0]
-
-
-def _cokernel_with_projection(f: Morphism) -> tuple[Module, Morphism]:
-    images = [m.column_space_basis() for m in f.maps]
-    quot, proj, _ = quotient_by_subspaces(f.target, images)
-    return quot, proj
+        """Hom(terms[k], y) (chain) or Hom(y, terms[k]) (cochain), cached by hom_space."""
+        self.ensure_terms(k + 1)
+        if self._cochain:
+            return hom_space(y, self.terms[k])
+        return hom_space(self.terms[k], y)
 
 
 def projective_resolution(x: Module) -> Resolution:
@@ -282,35 +269,23 @@ def factor_through(g: Morphism, q: Morphism) -> Morphism | None:
     if sp_uw.dim == 0:
         return Morphism.zero(q.source, g.source)
     sp_uv = hom_space(q.source, g.source)
-    if sp_uv.dim == 0:
-        if all(c == 0 for c in rhs):
-            return Morphism.zero(q.source, g.source)
-        return None
     cols = [sp_uw.coords(g @ b) for b in sp_uv.basis]
-    sol = Matrix.from_columns(cols).solve_right(Matrix.column(rhs))
+    mat = Matrix.from_columns(cols) if cols else Matrix.zeros(sp_uw.dim, 0)
+    sol = mat.solve_right(Matrix.column(rhs))
     if sol is None:
         return None
     return sp_uv.from_coords([sol[i, 0] for i in range(sol.rows)])
 
 
 def factor_through_mono(f: Morphism, q: Morphism) -> Morphism | None:
-    """A morphism u with u o f = q, or None if q does not extend along f."""
+    """A morphism u with u o f = q, or None if q does not extend along f.
+
+    Computed by duality: D(u o f) = Df o Du, so Du factors Dq through Df.
+    """
     if f.source.dims != q.source.dims:
         raise AlgebraError("factorization sources do not match")
-    sp_ac = hom_space(f.source, q.target)
-    rhs = sp_ac.coords(q)
-    if sp_ac.dim == 0:
-        return Morphism.zero(f.target, q.target)
-    sp_bc = hom_space(f.target, q.target)
-    if sp_bc.dim == 0:
-        if all(c == 0 for c in rhs):
-            return Morphism.zero(f.target, q.target)
-        return None
-    cols = [sp_ac.coords(b @ f) for b in sp_bc.basis]
-    sol = Matrix.from_columns(cols).solve_right(Matrix.column(rhs))
-    if sol is None:
-        return None
-    return sp_bc.from_coords([sol[i, 0] for i in range(sol.rows)])
+    u = factor_through(dualize_morphism(f), dualize_morphism(q))
+    return None if u is None else dualize_morphism(u)
 
 
 def is_split_epi(g: Morphism) -> bool:
@@ -344,24 +319,9 @@ class Ext1Space:
         n = self.hom_ka.dim
         hom_pa = res.hom_to(0, a)
         bcols = [self.hom_ka.coords(h @ self.incl) for h in hom_pa.basis]
-        if n == 0 or not bcols:
-            bmat = Matrix.zeros(n, 0)
-        else:
-            bmat = Matrix.from_columns(bcols)
-        span = bmat.column_space_basis()
-        if n == 0:
-            self._reducer = Matrix.zeros(0, 0)
-            self._section_idx: list[int] = []
-        elif span.cols == 0:
-            self._reducer = Matrix.identity(n)
-            self._section_idx = list(range(n))
-        else:
-            _, pivots = span.transpose().rref()
-            pivot_set = set(pivots)
-            complement = [j for j in range(n) if j not in pivot_set]
-            t = hstack([span, Matrix.identity(n).take_columns(complement)])
-            self._reducer = t.inverse().take_rows(range(span.cols, n))
-            self._section_idx = complement
+        # coboundaries: the restrictions of Hom(P, a) to K
+        coboundaries = Matrix.from_columns(bcols) if bcols else Matrix.zeros(n, 0)
+        self._reducer, self._section_idx = complement_projection(coboundaries)
         self.dim = len(self._section_idx)
         self._sum_pa: Module | None = None
 
@@ -390,8 +350,7 @@ class Ext1Space:
             self._sum_pa = direct_sum(algebra, [self.cover.source, self.a])
         sum_pa = self._sum_pa
         phi = assemble_into_components(self.k, sum_pa, [self.incl, psi.scale(-1)])
-        images = [m.column_space_basis() for m in phi.maps]
-        middle, proj, sections = quotient_by_subspaces(sum_pa, images)
+        middle, proj, sections = quotient_by_subspaces(sum_pa, phi.maps)
         f = proj @ summand_injection(sum_pa, 1)
         h = self.cover @ summand_projection(sum_pa, 0)
         g = Morphism(
@@ -534,7 +493,7 @@ def transpose(x: Module) -> Module:
             assemble_into_components(src.summands[c], tgt, into_targets)
         )
     d_op = assemble_from_components(src, tgt, comps_per_source)
-    tr, _ = _cokernel_with_projection(d_op)
+    tr, _ = cokernel(d_op)
     x._cache["transpose"] = tr
     return tr
 
@@ -571,6 +530,25 @@ def distinct_atoms(m: Module, seed: int = 0) -> list[Module]:
     return reps
 
 
+def trace_form_radical(mult) -> Matrix:
+    """Kernel (as columns) of the trace form of an algebra with basis e_0..e_{n-1}.
+
+    ``mult[i][j]`` lists the nonzero ``(m, c)`` pairs of ``e_i e_j = sum c e_m``.
+    The form is T(e_i, e_j) = sum_m c_ij^m tr(L_{e_m}), L_x being left
+    multiplication by x; over the rationals its kernel is the Jacobson radical.
+    """
+    n = len(mult)
+    # ltrace[m] = trace of left multiplication by e_m
+    ltrace = [0] * n
+    for m, plane in enumerate(mult):
+        for j, pairs in enumerate(plane):
+            for t, c in pairs:
+                if t == j:
+                    ltrace[m] += c
+    form = [[sum((c * ltrace[m] for m, c in pairs), 0) for pairs in plane] for plane in mult]
+    return Matrix(n, n, form).kernel_basis()
+
+
 def _end_radical_coords(end_space: HomSpace) -> Matrix:
     """Coordinate basis of rad End off the trace form of the regular action.
 
@@ -580,30 +558,18 @@ def _end_radical_coords(end_space: HomSpace) -> Matrix:
     cached = end_space.source._cache.get("end_radical")
     if cached is not None:
         return cached
-    n = end_space.dim
-    if n == 0:
-        rad = Matrix.zeros(0, 0)
-    else:
-        table = [
-            [end_space.coords(end_space.basis[i] @ end_space.basis[j]) for j in range(n)]
-            for i in range(n)
+    basis = end_space.basis
+    rad = trace_form_radical(
+        [
+            [
+                [(m, c) for m, c in enumerate(end_space.coords(bi @ bj)) if c]
+                for bj in basis
+            ]
+            for bi in basis
         ]
-        traces = [sum((table[m][k][k] for k in range(n)), 0) for m in range(n)]
-        gram = [
-            [sum((table[i][j][m] * traces[m] for m in range(n)), 0) for j in range(n)]
-            for i in range(n)
-        ]
-        rad = Matrix.from_rows(gram).kernel_basis()
+    )
     end_space.source._cache["end_radical"] = rad
     return rad
-
-
-def _subspace_contained(inner: Matrix, outer: Matrix) -> bool:
-    if inner.cols == 0:
-        return True
-    if outer.cols == 0:
-        return False
-    return hstack([outer, inner]).rank() == outer.rank()
 
 
 def _right_minimality_data(g: Morphism):
@@ -624,7 +590,7 @@ def _right_minimality_data(g: Morphism):
 def is_right_minimal(g: Morphism) -> bool:
     """Certificate: every endomorphism killed by g lies in rad End(source)."""
     w, rad, _ = _right_minimality_data(g)
-    return _subspace_contained(w, rad)
+    return subspace_contains(rad, w)
 
 
 def is_left_minimal(f: Morphism) -> bool:
@@ -649,7 +615,7 @@ def _trim_right(g: Morphism, seed: int = 0) -> Morphism:
     rng = random.Random(seed)
     for _ in range(g.source.total_dim + 1):
         w, rad, end_space = _right_minimality_data(g)
-        if _subspace_contained(w, rad):
+        if subspace_contains(rad, w):
             return g
         w_morphisms = [
             end_space.from_coords([w[i, j] for i in range(w.rows)])

@@ -12,7 +12,7 @@ product is defined when ``target(p) == source(q)``.
 
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from .exact_linalg import Matrix, rational
 

@@ -14,11 +14,12 @@ from __future__ import annotations
 
 import itertools
 import random
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 from .exact_linalg import (
     Matrix,
     block_diag,
+    complement_projection,
     hstack,
     intersect_kernels,
     rational,
@@ -448,16 +449,8 @@ def summand_injection(sum_module: Module, s: int) -> Morphism:
 
 
 def summand_projection(sum_module: Module, s: int) -> Morphism:
-    parts = sum_module.summands
-    offs = sum_module._offsets[s]
-    part = parts[s]
-    maps = []
-    for w in range(len(sum_module.dims)):
-        m = Matrix.zeros(part.dims[w], sum_module.dims[w])
-        for k in range(part.dims[w]):
-            m._data[k][offs[w] + k] = 1
-        maps.append(m)
-    return Morphism._make(sum_module, part, tuple(maps))
+    inj = summand_injection(sum_module, s)
+    return Morphism._make(sum_module, inj.source, tuple(m.transpose() for m in inj.maps))
 
 
 def assemble_from_components(sum_source: Module, target: Module, comps: Sequence[Morphism]) -> Morphism:
@@ -492,21 +485,26 @@ def assemble_into_components(source: Module, sum_target: Module, comps: Sequence
 # -- kernels, images, quotients ---------------------------------------------
 
 
+def _submodule(module: Module, bases: Sequence[Matrix], what: str) -> tuple[Module, Morphism]:
+    """The submodule with the given arrow-stable per-vertex bases, and its inclusion."""
+    maps = []
+    for idx, a in enumerate(module.algebra.quiver.arrows):
+        sol = bases[a.target].solve_right(module.arrow_maps[idx] @ bases[a.source])
+        if sol is None:
+            raise AlgebraError(f"{what} is not closed under the arrow action")
+        maps.append(sol)
+    sub = Module(module.algebra, [b.cols for b in bases], maps, validate=False)
+    return sub, Morphism._make(sub, module, tuple(bases))
+
+
 def kernel(f: Morphism) -> tuple[Module, Morphism]:
     """Kernel submodule with its inclusion."""
-    algebra = f.source.algebra
-    bases = [m.kernel_basis() for m in f.maps]
-    dims = [b.cols for b in bases]
-    maps = []
-    for idx, a in enumerate(algebra.quiver.arrows):
-        img = f.source.arrow_maps[idx] @ bases[a.source]
-        sol = bases[a.target].solve_right(img)
-        if sol is None:
-            raise AlgebraError("kernel is not closed under the arrow action")
-        maps.append(sol)
-    ker = Module(algebra, dims, maps, validate=False)
-    incl = Morphism._make(ker, f.source, tuple(bases))
-    return ker, incl
+    return _submodule(f.source, [m.kernel_basis() for m in f.maps], "kernel")
+
+
+def image(f: Morphism) -> tuple[Module, Morphism]:
+    """Image submodule of the target with its inclusion."""
+    return _submodule(f.target, [m.column_space_basis() for m in f.maps], "image")
 
 
 def quotient_by_subspaces(
@@ -514,60 +512,33 @@ def quotient_by_subspaces(
 ) -> tuple[Module, Morphism, tuple[Matrix, ...]]:
     """Quotient by an arrow-stable family of subspaces.
 
-    Returns the quotient, the projection, and per-vertex sections s_v with
-    proj_v @ s_v = id (used to transport morphisms along the quotient).
+    ``sub_bases[v]`` has columns spanning the subspace at vertex v (they need
+    not be independent).  Returns the quotient, the projection, and per-vertex
+    sections s_v with proj_v @ s_v = id (used to transport morphisms along the
+    quotient).
     """
-    algebra = module.algebra
-    v_count = len(module.dims)
     projs = []
-    sections = []
-    for w in range(v_count):
-        s = sub_bases[w]
-        n = module.dims[w]
-        if s.cols == 0:
-            projs.append(Matrix.identity(n))
-            sections.append(Matrix.identity(n))
-            continue
-        _, pivots = s.transpose().rref()
-        pivot_set = set(pivots)
-        complement = [j for j in range(n) if j not in pivot_set]
-        ident = Matrix.identity(n)
-        t = hstack([s, ident.take_columns(complement)])
-        if t.rows != t.cols or not t.is_invertible():
-            raise AlgebraError("subspace basis is not independent")
-        t_inv = t.inverse()
-        projs.append(t_inv.take_rows(range(s.cols, n)))
-        sections.append(ident.take_columns(complement))
-    dims = [p.rows for p in projs]
-    maps = []
-    for idx, a in enumerate(algebra.quiver.arrows):
-        maps.append(projs[a.target] @ module.arrow_maps[idx] @ sections[a.source])
-    quot = Module(algebra, dims, maps, validate=False)
+    frees = []
+    for s in sub_bases:
+        proj, free = complement_projection(s)
+        projs.append(proj)
+        frees.append(free)
+    maps = [
+        projs[a.target] @ module.arrow_maps[idx].take_columns(frees[a.source])
+        for idx, a in enumerate(module.algebra.quiver.arrows)
+    ]
+    quot = Module(module.algebra, [p.rows for p in projs], maps, validate=False)
     proj = Morphism._make(module, quot, tuple(projs))
-    return quot, proj, tuple(sections)
+    sections = tuple(
+        Matrix.identity(n).take_columns(free) for n, free in zip(module.dims, frees)
+    )
+    return quot, proj, sections
 
 
 def cokernel(f: Morphism) -> tuple[Module, Morphism]:
-    images = [m.column_space_basis() for m in f.maps]
-    quot, proj, _ = quotient_by_subspaces(f.target, images)
+    """Cokernel of f with its projection."""
+    quot, proj, _ = quotient_by_subspaces(f.target, f.maps)
     return quot, proj
-
-
-def image(f: Morphism) -> tuple[Module, Morphism]:
-    """Image submodule of the target with its inclusion."""
-    algebra = f.source.algebra
-    bases = [m.column_space_basis() for m in f.maps]
-    dims = [b.cols for b in bases]
-    maps = []
-    for idx, a in enumerate(algebra.quiver.arrows):
-        img = f.target.arrow_maps[idx] @ bases[a.source]
-        sol = bases[a.target].solve_right(img)
-        if sol is None:
-            raise AlgebraError("image is not closed under the arrow action")
-        maps.append(sol)
-    im = Module(algebra, dims, maps, validate=False)
-    incl = Morphism._make(im, f.target, tuple(bases))
-    return im, incl
 
 
 def radical_subspaces(module: Module, power: int = 1) -> list[Matrix]:
@@ -746,25 +717,31 @@ def _hom_raw(x: Module, y: Module) -> HomSpace:
     return HomSpace(x, y, basis, coords)
 
 
+def _embed(b: Morphism, x: Module, y: Module, offs: Sequence[int], into_rows: bool) -> Morphism:
+    """``b`` placed as a block of a map x -> y: at rows ``offs[v]`` of each
+    vertex map when ``into_rows`` (a summand of y), else at columns ``offs[v]``
+    (a summand of x)."""
+    maps = []
+    for w in range(len(x.dims)):
+        m = Matrix.zeros(y.dims[w], x.dims[w])
+        off = offs[w]
+        for r, row in enumerate(b.maps[w]._data):
+            if into_rows:
+                m._data[off + r] = list(row)
+            else:
+                m._data[r][off : off + len(row)] = row
+        maps.append(m)
+    return Morphism._make(x, y, tuple(maps))
+
+
 def _hom_sum_source(x: Module, y: Module) -> HomSpace:
     children = [hom_space(s, y) for s in x.summands]
     injections = [summand_injection(x, s) for s in range(len(x.summands))]
-    basis = []
-    for s, child in enumerate(children):
-        offs = x._offsets[s]
-        part = x.summands[s]
-        for b in child.basis:
-            maps = []
-            for w in range(len(x.dims)):
-                m = Matrix.zeros(y.dims[w], x.dims[w])
-                bm = b.maps[w]
-                for r in range(bm.rows):
-                    for c in range(bm.cols):
-                        val = bm[r, c]
-                        if val != 0:
-                            m._data[r][offs[w] + c] = val
-                maps.append(m)
-            basis.append(Morphism._make(x, y, tuple(maps)))
+    basis = [
+        _embed(b, x, y, x._offsets[s], False)
+        for s, child in enumerate(children)
+        for b in child.basis
+    ]
 
     def coords(f: Morphism) -> list:
         out = []
@@ -778,21 +755,11 @@ def _hom_sum_source(x: Module, y: Module) -> HomSpace:
 def _hom_sum_target(x: Module, y: Module) -> HomSpace:
     children = [hom_space(x, t) for t in y.summands]
     projections = [summand_projection(y, t) for t in range(len(y.summands))]
-    basis = []
-    for t, child in enumerate(children):
-        offs = y._offsets[t]
-        for b in child.basis:
-            maps = []
-            for w in range(len(x.dims)):
-                m = Matrix.zeros(y.dims[w], x.dims[w])
-                bm = b.maps[w]
-                for r in range(bm.rows):
-                    for c in range(bm.cols):
-                        val = bm[r, c]
-                        if val != 0:
-                            m._data[offs[w] + r][c] = val
-                maps.append(m)
-            basis.append(Morphism._make(x, y, tuple(maps)))
+    basis = [
+        _embed(b, x, y, y._offsets[t], True)
+        for t, child in enumerate(children)
+        for b in child.basis
+    ]
 
     def coords(f: Morphism) -> list:
         out = []

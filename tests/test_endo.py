@@ -30,6 +30,7 @@ from relrep.endo import (
     check_maximal_orthogonal,
     check_prop_gldim,
     cotilting_style_condition,
+    dual_cotilting_style_condition,
     dual_sc_module,
     end_algebra,
     gldim_le,
@@ -508,6 +509,22 @@ class TestGlobalDimensionComparison:
             "steps_cross_exact": [True, True],
         }
         assert til == {
+            "selforthogonality_failures": [],
+            "projective_dimension_ok": True,
+            "cosyzygy_in_add": True,
+            "steps_cross_exact": [True, True],
+        }
+
+    def test_condition_c_detail_on_main_pair(self, m1, m2):
+        ok, detail = dual_cotilting_style_condition(m1, m2, 2)
+        assert ok
+        assert list(detail) == [
+            "selforthogonality_failures",
+            "projective_dimension_ok",
+            "cosyzygy_in_add",
+            "steps_cross_exact",
+        ]
+        assert detail == {
             "selforthogonality_failures": [],
             "projective_dimension_ok": True,
             "cosyzygy_in_add": True,

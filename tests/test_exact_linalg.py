@@ -7,6 +7,7 @@ from relrep.exact_linalg import (
     Matrix,
     QQ,
     block_diag,
+    complement_projection,
     exact_div,
     from_blocks,
     hstack,
@@ -354,3 +355,66 @@ def test_exact_div_never_makes_floats():
         pass
     else:
         raise AssertionError("division by zero should raise")
+
+
+def _reference_complement_projection(basis):
+    """The inverse-based construction: invert [basis | unit columns at the
+    non-pivots of basis^T] and keep the rows that read off the complement."""
+    n = basis.rows
+    _, pivots = basis.transpose().rref()
+    free = [j for j in range(n) if j not in set(pivots)]
+    t = hstack([basis, Matrix.identity(n).take_columns(free)])
+    return t.inverse().take_rows(range(basis.cols, n)), free
+
+
+@st.composite
+def spanning_sets(draw, max_dim=9):
+    """(n, columns) spanning a random subspace of QQ^n, n <= 9: empty, zero,
+    full and fractional spans, with dependent columns among them."""
+    n = draw(st.integers(min_value=0, max_value=max_dim))
+    kind = draw(st.sampled_from(["random", "none", "zero", "full"]))
+    if kind == "none":
+        return n, []
+    if kind == "zero":
+        return n, [[0] * n for _ in range(draw(st.integers(1, 3)))]
+    if kind == "full":
+        return n, [[int(i == j) + (j < i) for i in range(n)] for j in range(n)]
+    k = draw(st.integers(min_value=0, max_value=max_dim + 2))
+    return n, draw(st.lists(st.lists(scalars, min_size=n, max_size=n), min_size=k, max_size=k))
+
+
+@settings(max_examples=300, deadline=None)
+@given(spanning_sets())
+def test_complement_projection_matches_the_inverse_route(case):
+    n, columns = case
+    span = Matrix(n, len(columns), [[col[i] for col in columns] for i in range(n)])
+    basis = span.column_space_basis()
+    proj, free = complement_projection(basis)
+    ref_proj, ref_free = _reference_complement_projection(basis)
+    assert free == ref_free
+    assert proj == ref_proj
+    assert _all_canonical(proj)
+    section = Matrix.identity(n).take_columns(free)
+    assert (proj @ basis).is_zero()
+    assert proj @ section == Matrix.identity(len(free))
+    assert len(free) == n - basis.cols
+    # any spanning set of the same subspace gives the same projection
+    assert complement_projection(span) == (proj, free)
+
+
+def test_complement_projection_edge_shapes():
+    assert complement_projection(Matrix.zeros(0, 0)) == (Matrix.zeros(0, 0), [])
+    assert complement_projection(Matrix.zeros(3, 0)) == (Matrix.identity(3), [0, 1, 2])
+    assert complement_projection(Matrix.identity(3)) == (Matrix.zeros(0, 3), [])
+    proj, free = complement_projection(Matrix.from_rows([[1], [2], [3]]))
+    assert free == [1, 2]
+    assert proj == Matrix.from_rows([[-2, 1, 0], [-3, 0, 1]])
+
+
+def test_subspace_contains_takes_several_columns():
+    basis = Matrix.from_rows([[1, 0], [2, 0], [0, 1]])
+    assert subspace_contains(basis, Matrix.from_rows([[1, 0, 2], [2, 0, 4], [5, 0, 1]]))
+    assert not subspace_contains(basis, Matrix.from_rows([[1, 0], [2, 1], [0, 0]]))
+    assert subspace_contains(basis, Matrix.zeros(3, 0))
+    assert subspace_contains(Matrix.zeros(3, 0), Matrix.zeros(3, 2))
+    assert not subspace_contains(Matrix.zeros(3, 0), Matrix.identity(3))
