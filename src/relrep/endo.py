@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .cache import Cached, cached, memoized
 from .exact_linalg import Matrix, complement_projection, exact_div, rational, subspace_contains
 from .path_algebra import AlgebraError, InternalError
 from .rep import (
@@ -61,7 +62,7 @@ from .relhom import (
 # structure-constant algebras
 
 
-class StructureConstantAlgebra:
+class StructureConstantAlgebra(Cached):
     """A finite-dimensional associative unital algebra given by its tensor.
 
     ``mult[i][j]`` holds the nonzero structure constants of ``e_i * e_j`` as a
@@ -87,7 +88,6 @@ class StructureConstantAlgebra:
         "piece_members",
         "piece_classes",
         "name",
-        "_cache",
     )
 
     def __init__(
@@ -130,7 +130,7 @@ class StructureConstantAlgebra:
         if len(self.unit) != self.dim:
             raise AlgebraError("unit vector has wrong length")
         self.name = name
-        self._cache: dict = {}
+        super().__init__()
         if idempotents is not None:
             self.idempotents = tuple(tuple(rational(c) for c in e) for e in idempotents)
             self.piece_members = self._detect_members()
@@ -191,10 +191,8 @@ class StructureConstantAlgebra:
                 return False
         return True
 
+    @memoized("opposite")
     def opposite(self) -> "StructureConstantAlgebra":
-        cached = self._cache.get("opposite")
-        if cached is not None:
-            return cached
         mult_op = tuple(
             tuple(self.mult[j][i] for j in range(self.dim)) for i in range(self.dim)
         )
@@ -206,8 +204,7 @@ class StructureConstantAlgebra:
             piece_classes=self.piece_classes,
             name=self.name + "^op" if self.name else "",
         )
-        self._cache["opposite"] = op
-        op._cache["opposite"] = self
+        cached(op, "opposite", lambda: self)  # (A^op)^op is A itself
         return op
 
     # -- idempotent pieces ---------------------------------------------------
@@ -286,6 +283,7 @@ def _matvec(mat: Matrix, vec: list) -> list:
     return out
 
 
+@memoized("radical")
 def radical(g: StructureConstantAlgebra) -> Matrix:
     """Basis (columns) of the Jacobson radical via the trace bilinear form.
 
@@ -293,9 +291,6 @@ def radical(g: StructureConstantAlgebra) -> Matrix:
     left-multiplication by x*y``.  The kernel is verified nilpotent; a
     non-nilpotent kernel signals inconsistent structure constants.
     """
-    cached = g._cache.get("radical")
-    if cached is not None:
-        return cached
     n = g.dim
     rad = trace_form_radical(g.mult)
     vectors = _columns(rad)
@@ -311,7 +306,6 @@ def radical(g: StructureConstantAlgebra) -> Matrix:
         layer = _columns(Matrix.from_columns(products).column_space_basis())
     if layer:
         raise AlgebraError("trace-form kernel is not nilpotent; structure constants inconsistent")
-    g._cache["radical"] = rad
     return rad
 
 
@@ -322,7 +316,7 @@ def radical(g: StructureConstantAlgebra) -> Matrix:
 class SCModule:
     """A left module: one action matrix per algebra basis element."""
 
-    __slots__ = ("algebra", "dim", "action", "_cache")
+    __slots__ = ("algebra", "dim", "action")
 
     def __init__(self, algebra: StructureConstantAlgebra, dim: int, action) -> None:
         self.algebra = algebra
@@ -333,7 +327,6 @@ class SCModule:
         for a in self.action:
             if a.rows != self.dim or a.cols != self.dim:
                 raise AlgebraError("action matrix shape mismatch")
-        self._cache: dict = {}
 
     def element_matrix(self, coeffs) -> Matrix:
         return self._combine(_terms(coeffs))
@@ -694,6 +687,7 @@ class _Chain:
         return hom_dims, ranks
 
 
+@memoized("basic")
 def _reduce_to_basic(g: StructureConstantAlgebra):
     """Cut down to one idempotent per isomorphism class (a Morita reduction).
 
@@ -711,9 +705,6 @@ def _reduce_to_basic(g: StructureConstantAlgebra):
             keep.append(kind)
     if len(keep) == len(g.piece_classes):
         return g, lambda x: x
-    cached = g._cache.get("basic")
-    if cached is not None:
-        return cached
     eps = [0] * g.dim
     for kind in keep:
         for m, c in enumerate(g.idempotents[kind]):
@@ -763,7 +754,6 @@ def _reduce_to_basic(g: StructureConstantAlgebra):
         action = [solver @ (x.action[i] @ basis) for i in indices]
         return SCModule(basic, basis.cols, action)
 
-    g._cache["basic"] = (basic, transport)
     return basic, transport
 
 
@@ -845,24 +835,26 @@ def gldim_le(g: StructureConstantAlgebra, n: int) -> bool:
             if cls in seen:
                 continue
             seen.add(cls)
-            chain = basic._cache.get(("top chain", kind))
-            if chain is None:
-                top = _top_of_piece(basic, kind)
-                if top.dim == 0:
-                    continue
-                chain = _Chain(basic, top)
-                basic._cache[("top chain", kind)] = chain
-            if not _pd_le_on_chain(chain, n):
+            chain = _top_chain(basic, kind)
+            if chain is not None and not _pd_le_on_chain(chain, n):
                 return False
         return True
-    chain = basic._cache.get("semisimple chain")
-    if chain is None:
-        quot = semisimple_quotient_module(basic)
-        if quot.dim == 0:
-            return True
-        chain = _Chain(basic, quot)
-        basic._cache["semisimple chain"] = chain
-    return _pd_le_on_chain(chain, n)
+    chain = _semisimple_chain(basic)
+    return chain is None or _pd_le_on_chain(chain, n)
+
+
+@memoized("top chain")
+def _top_chain(g: StructureConstantAlgebra, kind: int) -> "_Chain | None":
+    """The resolution chain of the simple top of piece ``kind`` (None if zero)."""
+    top = _top_of_piece(g, kind)
+    return _Chain(g, top) if top.dim else None
+
+
+@memoized("semisimple chain")
+def _semisimple_chain(g: StructureConstantAlgebra) -> "_Chain | None":
+    """The resolution chain of g / rad g (None if zero)."""
+    quot = semisimple_quotient_module(g)
+    return _Chain(g, quot) if quot.dim else None
 
 
 def sc_ext_dims(g: StructureConstantAlgebra, x: SCModule, y: SCModule, up_to: int) -> list[int]:
@@ -921,6 +913,7 @@ def _nonzero_atoms(m: Module) -> list[Module]:
     return [a for a in flatten_atoms(m) if a.total_dim > 0]
 
 
+@memoized("end_algebra")
 def end_algebra(m: Module) -> tuple[StructureConstantAlgebra, list[Morphism]]:
     """The endomorphism algebra of ``m`` with its morphism basis.
 
@@ -929,16 +922,11 @@ def end_algebra(m: Module) -> tuple[StructureConstantAlgebra, list[Morphism]]:
     applied first).  Each atom contributes a structural idempotent, and atoms
     are grouped into isomorphism classes for the dimension engine.
     """
-    cached = m._cache.get("end_algebra")
-    if cached is not None:
-        return cached
     flat = flatten_atoms(m)
     keep = [i for i, a in enumerate(flat) if a.total_dim > 0]
     atoms = [flat[i] for i in keep]
     if not atoms:
-        g = StructureConstantAlgebra([], [], name="End(0)")
-        m._cache["end_algebra"] = (g, [])
-        return g, []
+        return StructureConstantAlgebra([], [], name="End(0)"), []
     injections, projections = _atom_access(m)
     injections = [injections[i] for i in keep]
     projections = [projections[i] for i in keep]
@@ -1003,8 +991,6 @@ def end_algebra(m: Module) -> tuple[StructureConstantAlgebra, list[Morphism]]:
         piece_classes=classes,
         name=f"End(dim {m.total_dim})",
     )
-    g._cache["atoms"] = atoms
-    m._cache["end_algebra"] = (g, basis)
     return g, basis
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import random
 from typing import Callable, Sequence
 
+from .cache import cached_pair, memoized
 from .exact_linalg import Matrix, complement_projection, hstack, subspace_contains
 from .path_algebra import AlgebraError, AlgebraPresentation
 from .rep import (
@@ -169,20 +170,14 @@ class Resolution:
         return hom_space(self.terms[k], y)
 
 
+@memoized("projres")
 def projective_resolution(x: Module) -> Resolution:
-    res = x._cache.get("projres")
-    if res is None:
-        res = Resolution(x, projective_cover, "projective")
-        x._cache["projres"] = res
-    return res
+    return Resolution(x, projective_cover, "projective")
 
 
+@memoized("injres")
 def injective_resolution(x: Module) -> Resolution:
-    res = x._cache.get("injres")
-    if res is None:
-        res = Resolution(x, injective_hull, "injective")
-        x._cache["injres"] = res
-    return res
+    return Resolution(x, injective_hull, "injective")
 
 
 # -- Ext dimensions -----------------------------------------------------------
@@ -379,12 +374,7 @@ class Ext1Space:
 
 
 def ext1_space(c: Module, a: Module) -> Ext1Space:
-    cache = c._cache.setdefault("ext1", {})
-    entry = cache.get(id(a))
-    if entry is None:
-        entry = (Ext1Space(c, a), a)
-        cache[id(a)] = entry
-    return entry[0]
+    return cached_pair(c, a, "ext1", Ext1Space, c, a)
 
 
 def syzygy_lift(f: Morphism) -> Morphism:
@@ -445,6 +435,7 @@ def _path_class_vector(proj: Module, path) -> Matrix:
     return Matrix(len(rows), 1, rows)
 
 
+@memoized("transpose")
 def transpose(x: Module) -> Module:
     """Cokernel of the reversed minimal presentation, over the opposite algebra.
 
@@ -452,15 +443,10 @@ def transpose(x: Module) -> Module:
     the summand tree of x is preserved; downstream consumers such as
     add-approximations rely on summand lists staying as fine as possible.
     """
-    cached = x._cache.get("transpose")
-    if cached is not None:
-        return cached
     algebra = x.algebra
     op = algebra.opposite()
     if x.summands is not None:
-        tr = direct_sum(op, [transpose(s) for s in x.summands])
-        x._cache["transpose"] = tr
-        return tr
+        return direct_sum(op, [transpose(s) for s in x.summands])
     d1, _ = minimal_presentation(x)
     p1, p0 = d1.source, d1.target
     vs1 = [s._proj_vertex for s in p1.summands]
@@ -493,27 +479,19 @@ def transpose(x: Module) -> Module:
             assemble_into_components(src.summands[c], tgt, into_targets)
         )
     d_op = assemble_from_components(src, tgt, comps_per_source)
-    tr, _ = cokernel(d_op)
-    x._cache["transpose"] = tr
-    return tr
+    return cokernel(d_op)[0]
 
 
+@memoized("dtr")
 def dtr(x: Module) -> Module:
     """Dual of the transpose (back over the original algebra)."""
-    cached = x._cache.get("dtr")
-    if cached is None:
-        cached = dualize(transpose(x))
-        x._cache["dtr"] = cached
-    return cached
+    return dualize(transpose(x))
 
 
+@memoized("trd")
 def trd(x: Module) -> Module:
     """Transpose of the dual (back over the original algebra)."""
-    cached = x._cache.get("trd")
-    if cached is None:
-        cached = transpose(dualize(x))
-        x._cache["trd"] = cached
-    return cached
+    return transpose(dualize(x))
 
 
 # -- add-membership and minimal approximations ---------------------------------
@@ -549,17 +527,17 @@ def trace_form_radical(mult) -> Matrix:
     return Matrix(n, n, form).kernel_basis()
 
 
-def _end_radical_coords(end_space: HomSpace) -> Matrix:
-    """Coordinate basis of rad End off the trace form of the regular action.
+@memoized("end_radical")
+def _end_radical_coords(x: Module) -> Matrix:
+    """Coordinate basis of rad End(x), in the basis of ``hom_space(x, x)``,
+    off the trace form of the regular action.
 
     Cached on the module, like hom spaces are: the n^2 composition table is
     the expensive part and never has to be rebuilt.
     """
-    cached = end_space.source._cache.get("end_radical")
-    if cached is not None:
-        return cached
+    end_space = hom_space(x, x)
     basis = end_space.basis
-    rad = trace_form_radical(
+    return trace_form_radical(
         [
             [
                 [(m, c) for m, c in enumerate(end_space.coords(bi @ bj)) if c]
@@ -568,8 +546,6 @@ def _end_radical_coords(end_space: HomSpace) -> Matrix:
             for bi in basis
         ]
     )
-    end_space.source._cache["end_radical"] = rad
-    return rad
 
 
 def _right_minimality_data(g: Morphism):
@@ -583,7 +559,7 @@ def _right_minimality_data(g: Morphism):
     else:
         cols = [hom_sx.coords(g @ b) for b in end_space.basis]
         w = Matrix.from_columns(cols).kernel_basis()
-    rad = _end_radical_coords(end_space)
+    rad = _end_radical_coords(g.source)
     return w, rad, end_space
 
 
@@ -676,7 +652,7 @@ def minimal_right_approximation(x: Module, m: Module, seed: int = 0) -> Morphism
         for s, u_s in enumerate(atoms):
             if s == t:
                 end_u = hom_space(u, u)
-                rad_u = _end_radical_coords(end_u)
+                rad_u = _end_radical_coords(u)
                 if end_u.dim - rad_u.cols != 1:
                     all_atoms_local = False
                 for j in range(rad_u.cols):
@@ -767,14 +743,11 @@ def gldim_le(algebra: AlgebraPresentation, n: int) -> bool:
     )
 
 
+@memoized("selfinjective")
 def is_selfinjective(algebra: AlgebraPresentation) -> bool:
     """Whether every indecomposable projective is injective."""
-    cached = algebra._cache.get("selfinjective")
-    if cached is None:
-        cog = cogenerator_module(algebra)
-        cached = all(
-            in_add(proj_module(algebra, v), cog)
-            for v in range(algebra.quiver.vertex_count)
-        )
-        algebra._cache["selfinjective"] = cached
-    return cached
+    cog = cogenerator_module(algebra)
+    return all(
+        in_add(proj_module(algebra, v), cog)
+        for v in range(algebra.quiver.vertex_count)
+    )

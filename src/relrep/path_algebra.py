@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from typing import NamedTuple, Sequence
 
+from .cache import Cached, cached, memoized
 from .exact_linalg import Matrix, rational
 
 
@@ -191,7 +192,7 @@ def linear_quiver(vertex_count: int) -> Quiver:
     return Quiver(vertex_count, arrows)
 
 
-class AlgebraPresentation:
+class AlgebraPresentation(Cached):
     """A bound quiver algebra KQ/I with I + R^N taken as the defining ideal.
 
     The constructor checks that every path of length N lies in the span of the
@@ -212,9 +213,7 @@ class AlgebraPresentation:
         self.relations = tuple(relations)
         self.nilpotency_bound = nilpotency_bound
         self.name = name
-        self._opposite: AlgebraPresentation | None = None
-        self._prod_table: dict[tuple[int, int], list] = {}
-        self._cache: dict = {}
+        super().__init__()
         self._compute_basis()
 
     # -- basis -------------------------------------------------------------
@@ -333,17 +332,14 @@ class AlgebraPresentation:
         vec[self.basis_index[self.quiver.trivial_path(v)]] = 1
         return vec
 
-    def _basis_product(self, i: int, j: int) -> list:
-        key = (i, j)
-        cached = self._prod_table.get(key)
-        if cached is None:
-            p, q = self.basis[i], self.basis[j]
-            if p.target != q.source:
-                cached = [0] * self.dim
-            else:
-                cached = self.reduce_path(self.quiver.concat(p, q))
-            self._prod_table[key] = cached
-        return cached
+    @memoized("products")
+    def _basis_products(self, i: int) -> list[list]:
+        """Coordinates of ``basis[i] * basis[j]`` for every j."""
+        p = self.basis[i]
+        return [
+            self.reduce_path(self.quiver.concat(p, q)) if p.target == q.source else [0] * self.dim
+            for q in self.basis
+        ]
 
     def multiply(self, x: Sequence, y: Sequence) -> list:
         """Product of two algebra elements in basis coordinates (first x, then y)."""
@@ -351,42 +347,28 @@ class AlgebraPresentation:
         for i, xi in enumerate(x):
             if xi == 0:
                 continue
+            products = self._basis_products(i)
             for j, yj in enumerate(y):
                 if yj == 0:
                     continue
-                prod = self._basis_product(i, j)
-                for k, c in enumerate(prod):
+                for k, c in enumerate(products[j]):
                     if c != 0:
                         out[k] += xi * yj * c
         return out
 
     # -- derived presentations ----------------------------------------------
 
+    @memoized("opposite")
     def opposite(self) -> "AlgebraPresentation":
         """The opposite algebra: same vertices, reversed arrows and relations."""
-        if self._opposite is None:
-            opp_quiver = self.quiver.opposite()
-            opp_relations = []
-            for rel in self.relations:
-                opp_relations.append(
-                    Relation(
-                        [
-                            (c, Path(p.target, p.source, tuple(reversed(p.arrows))))
-                            for c, p in rel.terms
-                        ]
-                    )
-                )
-            opp = AlgebraPresentation.__new__(AlgebraPresentation)
-            opp.quiver = opp_quiver
-            opp.relations = tuple(opp_relations)
-            opp.nilpotency_bound = self.nilpotency_bound
-            opp.name = f"{self.name}^op" if self.name else "op"
-            opp._opposite = self
-            opp._prod_table = {}
-            opp._cache = {}
-            opp._compute_basis()
-            self._opposite = opp
-        return self._opposite
+        opp = AlgebraPresentation(
+            self.quiver.opposite(),
+            [Relation([(c, self.reverse_path(p)) for c, p in rel.terms]) for rel in self.relations],
+            self.nilpotency_bound,
+            name=f"{self.name}^op" if self.name else "op",
+        )
+        cached(opp, "opposite", lambda: self)  # (A^op)^op is A itself
+        return opp
 
     def reverse_path(self, p: Path) -> Path:
         """The same walk read backwards, as a path of the opposite quiver."""

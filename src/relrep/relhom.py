@@ -23,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Sequence
 
+from .cache import Cached, cached_pair, memoized
 from .exact_linalg import Matrix
 from .path_algebra import AlgebraError, InternalError
 from .rep import (
@@ -58,7 +59,7 @@ from .homology import (
 VARIANCES = ("covariant", "contravariant")
 
 
-class SubBifunctor:
+class SubBifunctor(Cached):
     """A sub-bifunctor of the first extension bifunctor, cut out by a module.
 
     variance "covariant" keeps the sequences that stay exact under maps from
@@ -69,14 +70,14 @@ class SubBifunctor:
     approximation covers and hulls always exist.
     """
 
-    __slots__ = ("variance", "module", "_cache")
+    __slots__ = ("variance", "module")
 
     def __init__(self, variance: str, module: Module):
         if variance not in VARIANCES:
             raise AlgebraError(f"unknown functor variance {variance!r}")
         self.variance = variance
         self.module = module
-        self._cache: dict = {}
+        super().__init__()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<{self.variance} extension sub-bifunctor, test module dims {self.module.dims}>"
@@ -85,29 +86,23 @@ class SubBifunctor:
     def algebra(self):
         return self.module.algebra
 
+    @memoized("projectives")
     def projectives_module(self) -> Module:
         """A module whose summand closure is exactly the relative projectives."""
-        mod = self._cache.get("projectives")
-        if mod is None:
-            if self.variance == "covariant":
-                extra = self.module
-            else:
-                extra = trd(self.module)
-            mod = direct_sum(self.algebra, [regular_module(self.algebra), extra])
-            self._cache["projectives"] = mod
-        return mod
+        if self.variance == "covariant":
+            extra = self.module
+        else:
+            extra = trd(self.module)
+        return direct_sum(self.algebra, [regular_module(self.algebra), extra])
 
+    @memoized("injectives")
     def injectives_module(self) -> Module:
         """A module whose summand closure is exactly the relative injectives."""
-        mod = self._cache.get("injectives")
-        if mod is None:
-            if self.variance == "covariant":
-                extra = dtr(self.module)
-            else:
-                extra = self.module
-            mod = direct_sum(self.algebra, [cogenerator_module(self.algebra), extra])
-            self._cache["injectives"] = mod
-        return mod
+        if self.variance == "covariant":
+            extra = dtr(self.module)
+        else:
+            extra = self.module
+        return direct_sum(self.algebra, [cogenerator_module(self.algebra), extra])
 
 
 def covariant_functor(module: Module) -> SubBifunctor:
@@ -305,23 +300,19 @@ def F_resolution(
     uses the canonical evaluation-map steps, whose terms grow by a factor of
     roughly the generator's size per step -- practical only at shallow depth.
     """
-    key = ("resolution", id(x), bool(minimize))
-    entry = f._cache.get(key)
-    if entry is None:
-        pm = f.projectives_module()
+    pm = f.projectives_module()
 
-        def step(mod: Module) -> Morphism:
-            if minimize:
-                g = minimal_right_approximation(mod, pm, seed=seed)
-            else:
-                g = _canonical_right_approximation(mod, pm)
-            if not g.is_epi():
-                raise InternalError("relhom", "relative projective approximation is not onto")
-            return g
+    def step(mod: Module) -> Morphism:
+        if minimize:
+            g = minimal_right_approximation(mod, pm, seed=seed)
+        else:
+            g = _canonical_right_approximation(mod, pm)
+        if not g.is_epi():
+            raise InternalError("relhom", "relative projective approximation is not onto")
+        return g
 
-        entry = (Resolution(x, step, "relative projective"), x)
-        f._cache[key] = entry
-    res = entry[0]
+    key = ("resolution", bool(minimize), seed)
+    res = cached_pair(x, f, key, Resolution, x, step, "relative projective")
     if depth > 0:
         res.ensure_terms(depth)
     return res
@@ -332,25 +323,21 @@ def F_coresolution(
 ) -> Resolution:
     """Coresolution of x by relative injectives, built from left
     approximations; the dual of F_resolution."""
-    key = ("coresolution", id(x), bool(minimize))
-    entry = f._cache.get(key)
-    if entry is None:
-        im = f.injectives_module()
+    im = f.injectives_module()
 
-        def step(mod: Module) -> Morphism:
-            if minimize:
-                g = minimal_left_approximation(mod, im, seed=seed)
-            else:
-                g = _canonical_left_approximation(mod, im)
-            if not g.is_mono():
-                raise InternalError(
-                    "relhom", "relative injective approximation is not one-to-one"
-                )
-            return g
+    def step(mod: Module) -> Morphism:
+        if minimize:
+            g = minimal_left_approximation(mod, im, seed=seed)
+        else:
+            g = _canonical_left_approximation(mod, im)
+        if not g.is_mono():
+            raise InternalError(
+                "relhom", "relative injective approximation is not one-to-one"
+            )
+        return g
 
-        entry = (Resolution(x, step, "relative injective"), x)
-        f._cache[key] = entry
-    res = entry[0]
+    key = ("coresolution", bool(minimize), seed)
+    res = cached_pair(x, f, key, Resolution, x, step, "relative injective")
     if depth > 0:
         res.ensure_terms(depth)
     return res

@@ -16,6 +16,7 @@ import itertools
 import random
 from typing import Callable, Sequence
 
+from .cache import Cached, cached_pair, memoized
 from .exact_linalg import (
     Matrix,
     block_diag,
@@ -51,12 +52,13 @@ class CyclicHint:
         self.generator = generator
 
 
-class Module:
+class Module(Cached):
     """A representation: vertex dimensions plus an exact matrix per arrow.
 
     The matrix for an arrow a: i -> j has shape dims[j] x dims[i] and acts on
     column vectors.  Instances are immutable by convention; identity is object
-    identity (no structural __eq__), which keeps them usable as cache keys.
+    identity (no structural __eq__), so results about a module are cached on
+    it (see ``relrep.cache``).
     """
 
     __slots__ = (
@@ -69,7 +71,6 @@ class Module:
         "_dual_of",
         "_proj_paths",
         "_proj_vertex",
-        "_cache",
     )
 
     def __init__(
@@ -102,7 +103,7 @@ class Module:
         self._dual_of: Module | None = None
         self._proj_paths = None
         self._proj_vertex = None
-        self._cache: dict = {}
+        super().__init__()
         if validate:
             self._validate_relations()
 
@@ -123,15 +124,12 @@ class Module:
                     f"arrow maps violate nilpotency: length-{bound} path acts nonzero"
                 )
 
+    @memoized("action")
     def action(self, path: Path) -> Matrix:
         """The matrix of a path acting on this module (first arrow first)."""
-        cache = self._cache.setdefault("action", {})
-        m = cache.get(path)
-        if m is None:
-            m = Matrix.identity(self.dims[path.source])
-            for idx in path.arrows:
-                m = self.arrow_maps[idx] @ m
-            cache[path] = m
+        m = Matrix.identity(self.dims[path.source])
+        for idx in path.arrows:
+            m = self.arrow_maps[idx] @ m
         return m
 
     @property
@@ -321,11 +319,9 @@ def zero_module(algebra: AlgebraPresentation) -> Module:
     return Module(algebra, (0,) * v, maps, validate=False)
 
 
+@memoized("proj")
 def proj_module(algebra: AlgebraPresentation, vertex: int) -> Module:
     """The indecomposable projective at a vertex, on its path basis."""
-    cache = algebra._cache.setdefault("proj", {})
-    if vertex in cache:
-        return cache[vertex]
     quiver = algebra.quiver
     per_vertex: list[list[Path]] = [[] for _ in range(quiver.vertex_count)]
     for idx in algebra.basis_by_source[vertex]:
@@ -355,49 +351,35 @@ def proj_module(algebra: AlgebraPresentation, vertex: int) -> Module:
         tuple(Matrix.identity(d) for d in dims),
         gen,
     )
-    cache[vertex] = mod
     return mod
 
 
+@memoized("inj")
 def inj_module(algebra: AlgebraPresentation, vertex: int) -> Module:
     """The indecomposable injective at a vertex: dual of the opposite projective."""
-    cache = algebra._cache.setdefault("inj", {})
-    if vertex in cache:
-        return cache[vertex]
-    mod = dualize(proj_module(algebra.opposite(), vertex))
-    cache[vertex] = mod
-    return mod
+    return dualize(proj_module(algebra.opposite(), vertex))
 
 
+@memoized("simple")
 def simple_module(algebra: AlgebraPresentation, vertex: int) -> Module:
-    cache = algebra._cache.setdefault("simple", {})
-    if vertex in cache:
-        return cache[vertex]
     mod, _ = radical_quotient(proj_module(algebra, vertex), 1)
-    cache[vertex] = mod
     return mod
 
 
+@memoized("regular")
 def regular_module(algebra: AlgebraPresentation) -> Module:
     """The algebra as a module: direct sum of all indecomposable projectives."""
-    cached = algebra._cache.get("regular")
-    if cached is None:
-        cached = direct_sum(
-            algebra, [proj_module(algebra, v) for v in range(algebra.quiver.vertex_count)]
-        )
-        algebra._cache["regular"] = cached
-    return cached
+    return direct_sum(
+        algebra, [proj_module(algebra, v) for v in range(algebra.quiver.vertex_count)]
+    )
 
 
+@memoized("cogenerator")
 def cogenerator_module(algebra: AlgebraPresentation) -> Module:
     """Direct sum of all indecomposable injectives."""
-    cached = algebra._cache.get("cogenerator")
-    if cached is None:
-        cached = direct_sum(
-            algebra, [inj_module(algebra, v) for v in range(algebra.quiver.vertex_count)]
-        )
-        algebra._cache["cogenerator"] = cached
-    return cached
+    return direct_sum(
+        algebra, [inj_module(algebra, v) for v in range(algebra.quiver.vertex_count)]
+    )
 
 
 def direct_sum(algebra: AlgebraPresentation, parts: Sequence[Module]) -> Module:
@@ -659,6 +641,10 @@ class HomSpace:
         return f
 
 
+def _dot(row: Sequence, vec: Sequence):
+    return sum((c * vec[j] for j, c in enumerate(row) if c != 0), 0)
+
+
 def _hom_raw(x: Module, y: Module) -> HomSpace:
     algebra = x.algebra
     v_count = len(x.dims)
@@ -697,7 +683,8 @@ def _hom_raw(x: Module, y: Module) -> HomSpace:
     ]
 
     # coords solves kern @ c = flat(f); the basis has full column rank, so a
-    # left inverse computed once turns every later call into one mat-vec.
+    # left inverse computed once gives the candidate coordinates, and
+    # kern @ c == flat(f) checks membership
     solver: list[Matrix] = []
 
     def coords(f: Morphism) -> list:
@@ -708,11 +695,10 @@ def _hom_raw(x: Module, y: Module) -> HomSpace:
         if not solver:
             solver.append(kern.left_inverse())
         flat = f.flat()
-        rows = solver[0]._data
-        return [
-            sum((c * flat[j] for j, c in enumerate(row) if c != 0), 0)
-            for row in rows
-        ]
+        sol = [_dot(row, flat) for row in solver[0]._data]
+        if any(_dot(row, sol) != u for row, u in zip(kern._data, flat)):
+            raise AlgebraError("morphism not in hom space")
+        return sol
 
     return HomSpace(x, y, basis, coords)
 
@@ -854,27 +840,25 @@ def _has_structure(m: Module) -> bool:
 def hom_space(x: Module, y: Module) -> HomSpace:
     """Basis of Hom(x, y), choosing the cheapest correct decomposition.
 
-    Results are cached on the source module (modules are immutable), so the
-    per-space solvers built lazily inside amortize across the whole run.
+    Results are cached on the younger of x and y (modules are immutable; see
+    ``relrep.cache``), so the per-space solvers built lazily inside amortize
+    across the whole run.
     """
     if x.algebra is not y.algebra:
         raise AlgebraError("hom between modules over different algebras")
-    cache = x._cache.setdefault("homspaces", {})
-    entry = cache.get(id(y))
-    if entry is not None:
-        return entry[0]
+    return cached_pair(x, y, "homspaces", _hom_space, x, y)
+
+
+def _hom_space(x: Module, y: Module) -> HomSpace:
     if x.summands is not None:
-        space = _hom_sum_source(x, y)
-    elif y.summands is not None:
-        space = _hom_sum_target(x, y)
-    elif x.hint is not None:
-        space = _hom_cyclic_source(x, y)
-    elif y._dual_of is not None and _has_structure(y._dual_of):
-        space = _hom_dual_target(x, y)
-    else:
-        space = _hom_raw(x, y)
-    cache[id(y)] = (space, y)
-    return space
+        return _hom_sum_source(x, y)
+    if y.summands is not None:
+        return _hom_sum_target(x, y)
+    if x.hint is not None:
+        return _hom_cyclic_source(x, y)
+    if y._dual_of is not None and _has_structure(y._dual_of):
+        return _hom_dual_target(x, y)
+    return _hom_raw(x, y)
 
 
 def hom_basis(x: Module, y: Module) -> list[Morphism]:

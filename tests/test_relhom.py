@@ -335,3 +335,12 @@ def test_agreement_for_projective_injective_bimodule(ctx):
     assert report.mismatches == []
     assert report.ok
     assert report.comparisons == 2 * 2 * len(inds)
+
+
+def test_relative_resolutions_are_cached_per_seed(ctx):
+    # the seed steers the approximations, so it is part of the cache key
+    for build in (F_resolution, F_coresolution):
+        first = build(ctx["u13"], ctx["f2"], seed=3)
+        assert build(ctx["u13"], ctx["f2"], seed=3) is first
+        assert build(ctx["u13"], ctx["f2"], seed=4) is not first
+        assert build(ctx["u13"], ctx["f2"], seed=3, minimize=False) is not first

@@ -325,3 +325,21 @@ def test_cyclic_source_coords_reject_maps_outside_the_span(cyc3_5):
             with pytest.raises(AlgebraError, match="not in hom space"):
                 space.coords(f)
     assert rejected >= 1
+
+
+def test_raw_coords_reject_maps_outside_the_hom_space(cyc3_5):
+    # K = rad^2 P(1) is a plain kernel module, so Hom(K, K) takes the raw
+    # route; End(K) is one-dimensional, and the identity at one vertex alone
+    # does not commute with the arrows
+    p1 = proj_module(cyc3_5, 0)
+    k, _ = kernel(radical_quotient(p1, 2)[1])
+    assert k.dims == (1, 1, 1) and k.summands is None and k.hint is None
+    space = hom_space(k, k)
+    assert space.dim == 1
+    maps = [Matrix.identity(1) if v == 0 else Matrix.zeros(1, 1) for v in range(3)]
+    with pytest.raises(AlgebraError, match="do not commute"):
+        Morphism(k, k, maps)
+    with pytest.raises(AlgebraError, match="not in hom space"):
+        space.coords(Morphism._make(k, k, tuple(maps)))
+    assert space.coords(Morphism.identity(k)) == _hom_raw(k, k).coords(Morphism.identity(k))
+    assert space.from_coords(space.coords(Morphism.identity(k))).maps == Morphism.identity(k).maps

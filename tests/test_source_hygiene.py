@@ -1,8 +1,9 @@
-"""Source hygiene of ``src/relrep``: no orphaned private helpers, no unused imports.
+"""Source hygiene of ``src/relrep``: no orphaned private helpers, no unused
+imports, and one cache policy.
 
-Both checks read the syntax trees only (stdlib ``ast``, nothing is
-imported), and catch helpers and imports left behind when the code using them
-is deleted.
+The checks read the syntax trees only (stdlib ``ast``, nothing is imported).
+The first two catch helpers and imports left behind when the code using them
+is deleted; the last keeps every memoized result behind ``relrep.cache``.
 """
 
 from __future__ import annotations
@@ -73,3 +74,63 @@ def test_every_from_import_is_used():
             if used[alias_name] - imported[alias_name] <= 0:
                 unused.append(f"{name}:{line}: {alias_name}")
     assert unused == []
+
+
+CACHE_HELPER = "cache.py"
+_MAPPING_METHODS = {"get", "setdefault", "pop"}
+
+
+def _id_calls(node: ast.AST) -> bool:
+    return any(
+        isinstance(sub, ast.Call) and isinstance(sub.func, ast.Name) and sub.func.id == "id"
+        for sub in ast.walk(node)
+    )
+
+
+def _cache_policy_breaches(name: str, tree: ast.Module) -> list[str]:
+    """Lines outside the helper that touch ``_cache`` or key a mapping by ``id()``."""
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr == "_cache":
+            out.append(f"{name}:{node.lineno}: _cache")
+        keys: list[ast.AST] = []
+        if isinstance(node, ast.Subscript):
+            keys.append(node.slice)
+        elif isinstance(node, ast.Dict):
+            keys.extend(k for k in node.keys if k is not None)
+        elif isinstance(node, ast.Compare) and any(isinstance(op, (ast.In, ast.NotIn)) for op in node.ops):
+            keys.append(node.left)
+        elif (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr in _MAPPING_METHODS
+            and node.args
+        ):
+            keys.append(node.args[0])
+        if any(_id_calls(k) for k in keys):
+            out.append(f"{name}:{node.lineno}: id() key")
+    return out
+
+
+def test_only_the_cache_helper_touches_caches():
+    breaches = []
+    for name, tree in _trees().items():
+        if name != CACHE_HELPER:
+            breaches.extend(_cache_policy_breaches(name, tree))
+    assert breaches == []
+
+
+def test_cache_policy_check_sees_both_breaches():
+    bad = ast.parse(
+        "def f(x, y):\n"
+        "    x._cache[id(y)] = 1\n"
+        "    seen = {id(y): y}\n"
+        "    return id(x) in seen or seen.get(id(y))\n"
+    )
+    assert sorted(_cache_policy_breaches("bad.py", bad)) == [
+        "bad.py:2: _cache",
+        "bad.py:2: id() key",
+        "bad.py:3: id() key",
+        "bad.py:4: id() key",
+        "bad.py:4: id() key",
+    ]
