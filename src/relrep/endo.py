@@ -460,10 +460,21 @@ class _Cover:
         self.minimal: bool | None = None
 
 
-def _piece_radical(g: StructureConstantAlgebra, members, idem) -> list[list]:
-    """A basis of (rad A)e in the coordinates of ``members``, the basis vectors
-    spanning the left ideal A e of the idempotent ``idem`` (the radical is a
-    right ideal, so (rad A)e lies in A e)."""
+def _piece(g: StructureConstantAlgebra, kind: int) -> tuple[tuple, tuple]:
+    """(members, idempotent) of piece ``kind``; without structural idempotents
+    the one piece is the whole algebra with the unit."""
+    if g.piece_members is None:
+        return tuple(range(g.dim)), g.unit
+    return g.piece_members[kind], g.idempotents[kind]
+
+
+@memoized("piece radical")
+def _piece_radical(g: StructureConstantAlgebra, kind: int) -> list[list]:
+    """A basis of (rad A)e for the idempotent e of piece ``kind`` (the unit
+    when g has no structural idempotents), in the coordinates of the basis
+    vectors spanning the left ideal A e (the radical is a right ideal, so
+    (rad A)e lies in A e).  Callers must not mutate the result."""
+    members, idem = _piece(g, kind)
     index = {m: t for t, m in enumerate(members)}
     span = _Span(len(members))
     out = []
@@ -490,20 +501,14 @@ class _Chain:
     def __init__(self, g: StructureConstantAlgebra, base: SCModule) -> None:
         self.g = g
         self.base = base
-        if g.piece_members is not None:
-            self.kinds = list(range(len(g.idempotents)))
-            self.members = list(g.piece_members)
-            self.idem_vectors = [list(e) for e in g.idempotents]
-        else:
-            self.kinds = [0]
-            self.members = [tuple(range(g.dim))]
-            self.idem_vectors = [list(g.unit)]
+        self.kinds = list(range(len(g.idempotents))) if g.piece_members is not None else [0]
+        pieces = [_piece(g, kind) for kind in self.kinds]
+        self.members = [ms for ms, _ in pieces]
+        self.idem_vectors = [list(e) for _, e in pieces]
         self.member_index = [{m: t for t, m in enumerate(ms)} for ms in self.members]
         self.rad_terms = [_terms(r) for r in _columns(radical(g))]
         self.idem_terms = [_terms(e) for e in self.idem_vectors]
-        self.piece_rads = [
-            _piece_radical(g, ms, e) for ms, e in zip(self.members, self.idem_vectors)
-        ]
+        self.piece_rads = [_piece_radical(g, kind) for kind in self.kinds]
         self.covers: list[_Cover] = []
 
     # -- per-piece helpers ---------------------------------------------------
@@ -813,7 +818,7 @@ def _top_of_piece(g: StructureConstantAlgebra, kind: int) -> SCModule:
                 col[index[mm]] = c
             cols.append(col)
         action.append(Matrix.from_columns(cols))
-    rad = _piece_radical(g, members, g.idempotents[kind])
+    rad = _piece_radical(g, kind)
     return _sc_quotient(
         SCModule(g, width, action), Matrix.from_columns(rad) if rad else Matrix.zeros(width, 0)
     )

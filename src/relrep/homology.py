@@ -2,10 +2,11 @@
 
 Everything here is absolute homological algebra for a fixed bound quiver
 algebra: minimal projective covers and injective hulls, stepwise resolutions
-with cached syzygies, Ext dimensions off the hom complex, a concrete Ext^1
-presentation with pushout realization and pullback pairing, the transpose of a
-minimal presentation, and minimal add-approximations with the split-solve
-route kept alongside as an independent cross-check.
+with cached syzygies, Ext dimensions off the hom complex (in Yoneda
+coordinates on the projective route), a concrete Ext^1 presentation with
+pushout realization and pullback pairing, the transpose of a minimal
+presentation, and minimal add-approximations with the split-solve route kept
+alongside as an independent cross-check.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import random
 from typing import Callable, Sequence
 
 from .cache import cached_pair, memoized
-from .exact_linalg import Matrix, complement_projection, hstack, subspace_contains
+from .exact_linalg import Matrix, complement_projection, subspace_contains
 from .path_algebra import AlgebraError, AlgebraPresentation
 from .rep import (
     HomSpace,
@@ -196,6 +197,75 @@ def _boundary_rank(
     return Matrix.from_columns(cols).rank()
 
 
+def _path_entries(d: Morphism) -> list[list[list[tuple]]]:
+    """The components of d between direct sums of indecomposable projectives.
+
+    ``entries[c][b]`` lists the nonzero ``(u_k, p_k)`` with d(generator of
+    source summand c) = sum_k u_k p_k inside target summand b, the p_k
+    running over that summand's path basis at the vertex of summand c.
+    """
+    src_offs, tgt_offs = d.source.offsets(), d.target.offsets()
+    trivial = d.source.algebra.quiver.trivial_path
+    entries = []
+    for c, pc in enumerate(d.source.summands):
+        w = pc._proj_vertex
+        j = src_offs[c][w] + pc._proj_paths[w].index(trivial(w))
+        column = [row[j] for row in d.maps[w]._data]
+        per_target = []
+        for b, pb in enumerate(d.target.summands):
+            coeffs = column[tgt_offs[b][w] :]
+            per_target.append([(u, p) for u, p in zip(coeffs, pb._proj_paths[w]) if u != 0])
+        entries.append(per_target)
+    return entries
+
+
+def _yoneda_rank(d: Morphism, y: Module) -> int:
+    """Rank of Hom(d, y) for d between direct sums of indecomposable projectives.
+
+    Hom(P(v), y) = e_v y by evaluation at the generator (Yoneda), so Hom(d, y)
+    is the block matrix whose (c, b) block is sum_k u_k y.action(p_k), read
+    off the path entries of d, with no hom space and no morphism built.
+    """
+    row_sizes = [y.dims[s._proj_vertex] for s in d.source.summands]
+    col_sizes = [y.dims[s._proj_vertex] for s in d.target.summands]
+    n_cols = sum(col_sizes)
+    rows: list[list] = []
+    for size, entries in zip(row_sizes, _path_entries(d)):
+        block = [[0] * n_cols for _ in range(size)]
+        col0 = 0
+        for width, terms in zip(col_sizes, entries):
+            for u, p in terms:
+                for brow, arow in zip(block, y.action(p)._data):
+                    for k, a in enumerate(arow):
+                        if a:
+                            brow[col0 + k] += u * a
+            col0 += width
+        rows.extend(block)
+    return Matrix(len(rows), n_cols, rows).rank()
+
+
+def _hom_complex(res: Resolution, other: Module):
+    """``(dim, rank)``: ``dim(k)`` is the dimension of the degree-k term of the
+    hom complex of res against other, ``rank(k)`` the rank of the boundary
+    built from ``res.differentials[k]``.
+
+    The absolute projective route works in Yoneda coordinates.  Every other
+    resolution (injective, relative) composes hom-space bases with its
+    differentials, which keeps the injective route an independent check.
+    """
+    if res.flavor == "projective":
+        return (
+            lambda k: sum(other.dims[s._proj_vertex] for s in res.terms[k].summands),
+            lambda k: _yoneda_rank(res.differentials[k], other),
+        )
+    return (
+        lambda k: res.hom_to(k, other).dim,
+        lambda k: _boundary_rank(
+            res.hom_to(k, other), res.hom_to(k + 1, other), res.differentials[k], res._cochain
+        ),
+    )
+
+
 def resolution_cohomology_dim(res: Resolution, i: int, other: Module) -> int:
     """Degree-i cohomology dimension of the hom complex built from res.
 
@@ -206,23 +276,20 @@ def resolution_cohomology_dim(res: Resolution, i: int, other: Module) -> int:
     if i < 0:
         raise AlgebraError("ext degree must be >= 0")
     res.ensure_terms(i + 2)
-    cochain = res._cochain
-    sp_mid = res.hom_to(i, other)
-    sp_next = res.hom_to(i + 1, other)
-    r_mid = _boundary_rank(sp_mid, sp_next, res.differentials[i], cochain=cochain)
-    if i == 0:
-        return sp_mid.dim - r_mid
-    sp_prev = res.hom_to(i - 1, other)
-    r_prev = _boundary_rank(sp_prev, sp_mid, res.differentials[i - 1], cochain=cochain)
-    return sp_mid.dim - r_prev - r_mid
+    dim, rank = _hom_complex(res, other)
+    out = dim(i) - rank(i)
+    return out - rank(i - 1) if i else out
 
 
 def ext_dim(i: int, x: Module, y: Module, via: str = "projective") -> int:
     """dim Ext^i(x, y).
 
-    via="projective" works off a minimal projective resolution of x;
-    via="injective" off a minimal injective coresolution of y.  The two agree
-    and the second is kept as an independent cross-check.
+    via="projective" works off a minimal projective resolution of x, in
+    Yoneda coordinates: Hom(P(v), y) = e_v y, so each boundary of the hom
+    complex is one block matrix read off the differential.  via="injective"
+    works off a minimal injective coresolution of y by composing hom-space
+    bases with the differentials; the two agree and the second is kept as an
+    independent, morphism-level cross-check.
     """
     if i < 0:
         raise AlgebraError("ext degree must be >= 0")
@@ -241,15 +308,9 @@ def ext_dims_up_to(max_i: int, x: Module, y: Module) -> list[int]:
         raise AlgebraError("ext degree must be >= 0")
     res = projective_resolution(x)
     res.ensure_terms(max_i + 2)
-    spaces = [res.hom_to(k, y) for k in range(max_i + 2)]
-    ranks = [
-        _boundary_rank(spaces[k], spaces[k + 1], res.differentials[k])
-        for k in range(max_i + 1)
-    ]
-    out = [spaces[0].dim - ranks[0]]
-    for i in range(1, max_i + 1):
-        out.append(spaces[i].dim - ranks[i - 1] - ranks[i])
-    return out
+    dim, rank = _hom_complex(res, y)
+    ranks = [rank(k) for k in range(max_i + 1)]
+    return [dim(i) - ranks[i] - (ranks[i - 1] if i else 0) for i in range(max_i + 1)]
 
 
 # -- morphism factorization ---------------------------------------------------
@@ -448,36 +509,20 @@ def transpose(x: Module) -> Module:
     if x.summands is not None:
         return direct_sum(op, [transpose(s) for s in x.summands])
     d1, _ = minimal_presentation(x)
-    p1, p0 = d1.source, d1.target
-    vs1 = [s._proj_vertex for s in p1.summands]
-    vs0 = [s._proj_vertex for s in p0.summands]
-    src = direct_sum(op, [proj_module(op, j) for j in vs0])
-    tgt = direct_sum(op, [proj_module(op, i) for i in vs1])
-    offsets = p0.offsets() if vs0 else []
-    gen_images = []
-    for b, i in enumerate(vs1):
-        pb = p1.summands[b]
-        gen_images.append((d1 @ summand_injection(p1, b)).maps[i] @ pb.hint.generator)
+    src = direct_sum(op, [proj_module(op, s._proj_vertex) for s in d1.target.summands])
+    tgt = direct_sum(op, [proj_module(op, s._proj_vertex) for s in d1.source.summands])
+    # the component P0[c] <- P1[b] is right multiplication by sum_k u_k p_k;
+    # transposed, P0[c]^op -> P1[b]^op sends the generator to sum_k u_k rev(p_k)
+    entries = _path_entries(d1)
     comps_per_source: list[Morphism] = []
-    for c, j in enumerate(vs0):
-        pc = p0.summands[c]
+    for c, src_c in enumerate(src.summands):
         into_targets = []
-        for b, i in enumerate(vs1):
-            u = gen_images[b]
-            phi = Morphism.zero(src.summands[c], tgt.summands[b])
-            for k, path in enumerate(pc._proj_paths[i]):
-                coeff = u[offsets[c][i] + k, 0]
-                if coeff == 0:
-                    continue
-                rev = algebra.reverse_path(path)
-                vec = _path_class_vector(tgt.summands[b], rev)
-                phi = phi + morphism_from_generator(
-                    src.summands[c], tgt.summands[b], vec
-                ).scale(coeff)
-            into_targets.append(phi)
-        comps_per_source.append(
-            assemble_into_components(src.summands[c], tgt, into_targets)
-        )
+        for b, tgt_b in enumerate(tgt.summands):
+            u = Matrix.zeros(tgt_b.dims[src_c._proj_vertex], 1)
+            for coeff, path in entries[b][c]:
+                u = u + _path_class_vector(tgt_b, algebra.reverse_path(path)).scale(coeff)
+            into_targets.append(morphism_from_generator(src_c, tgt_b, u))
+        comps_per_source.append(assemble_into_components(src_c, tgt, into_targets))
     d_op = assemble_from_components(src, tgt, comps_per_source)
     return cokernel(d_op)[0]
 
@@ -663,13 +708,9 @@ def minimal_right_approximation(x: Module, m: Module, seed: int = 0) -> Morphism
                 for phi in hom_basis(u, u_s):
                     for psi in spaces[s].basis:
                         rad_cols.append(space_t.coords(psi @ phi))
-        if rad_cols:
-            rmat = Matrix.from_columns(rad_cols)
-        else:
-            rmat = Matrix.zeros(h_t, 0)
-        aug = hstack([rmat, Matrix.identity(h_t)])
-        _, pivots = aug.rref()
-        chosen = [p - rmat.cols for p in pivots if p >= rmat.cols]
+        rmat = Matrix.from_columns(rad_cols) if rad_cols else Matrix.zeros(h_t, 0)
+        # basis maps spanning a complement of the radical compositions
+        _, chosen = complement_projection(rmat)
         for idx in chosen:
             parts.append(u)
             comps.append(space_t.basis[idx])

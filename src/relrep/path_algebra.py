@@ -41,12 +41,14 @@ class Arrow(NamedTuple):
 class Path:
     """A directed path: a start vertex and a tuple of composable arrow indices."""
 
-    __slots__ = ("source", "target", "arrows")
+    __slots__ = ("source", "target", "arrows", "_hash")
 
     def __init__(self, source: int, target: int, arrows: tuple[int, ...]) -> None:
         self.source = source
         self.target = target
         self.arrows = arrows
+        # paths key the module action tables: hash once, not on every lookup
+        self._hash = hash((source, arrows))
 
     @property
     def length(self) -> int:
@@ -58,7 +60,7 @@ class Path:
         return self.source == other.source and self.arrows == other.arrows
 
     def __hash__(self) -> int:
-        return hash((self.source, self.arrows))
+        return self._hash
 
     def sort_key(self) -> tuple:
         return (len(self.arrows), self.source, self.arrows)

@@ -418,21 +418,13 @@ def flatten_atoms(m: Module) -> list[Module]:
 
 
 def summand_injection(sum_module: Module, s: int) -> Morphism:
-    parts = sum_module.summands
-    offs = sum_module._offsets[s]
-    part = parts[s]
-    maps = []
-    for w in range(len(sum_module.dims)):
-        m = Matrix.zeros(sum_module.dims[w], part.dims[w])
-        for k in range(part.dims[w]):
-            m._data[offs[w] + k][k] = 1
-        maps.append(m)
-    return Morphism._make(part, sum_module, tuple(maps))
+    part = sum_module.summands[s]
+    return _embed(Morphism.identity(part), part, sum_module, sum_module._offsets[s], True)
 
 
 def summand_projection(sum_module: Module, s: int) -> Morphism:
-    inj = summand_injection(sum_module, s)
-    return Morphism._make(sum_module, inj.source, tuple(m.transpose() for m in inj.maps))
+    part = sum_module.summands[s]
+    return _block(Morphism.identity(sum_module), part, sum_module._offsets[s], True)
 
 
 def assemble_from_components(sum_source: Module, target: Module, comps: Sequence[Morphism]) -> Morphism:
@@ -720,11 +712,26 @@ def _embed(b: Morphism, x: Module, y: Module, offs: Sequence[int], into_rows: bo
     return Morphism._make(x, y, tuple(maps))
 
 
-def _hom_sum_source(x: Module, y: Module) -> HomSpace:
-    children = [hom_space(s, y) for s in x.summands]
-    injections = [summand_injection(x, s) for s in range(len(x.summands))]
+def _block(f: Morphism, part: Module, offs: Sequence[int], from_rows: bool) -> Morphism:
+    """The inverse of ``_embed``: the block of ``f`` at a summand ``part`` laid
+    out at ``offs``, read from the rows of each vertex map when ``from_rows``
+    (part of f's target), else from the columns (part of f's source)."""
+    maps = []
+    for w, m in enumerate(f.maps):
+        span = range(offs[w], offs[w] + part.dims[w])
+        maps.append(m.take_rows(span) if from_rows else m.take_columns(span))
+    if from_rows:
+        return Morphism._make(f.source, part, tuple(maps))
+    return Morphism._make(part, f.target, tuple(maps))
+
+
+def _hom_sum(x: Module, y: Module, into_sum: bool) -> HomSpace:
+    """Hom(x, y) summand by summand, for y a direct sum when ``into_sum``,
+    else for x one; coordinates read each summand's block off the vertex maps."""
+    total = y if into_sum else x
+    children = [hom_space(x, s) if into_sum else hom_space(s, y) for s in total.summands]
     basis = [
-        _embed(b, x, y, x._offsets[s], False)
+        _embed(b, x, y, total._offsets[s], into_sum)
         for s, child in enumerate(children)
         for b in child.basis
     ]
@@ -732,25 +739,7 @@ def _hom_sum_source(x: Module, y: Module) -> HomSpace:
     def coords(f: Morphism) -> list:
         out = []
         for s, child in enumerate(children):
-            out.extend(child.coords(f @ injections[s]))
-        return out
-
-    return HomSpace(x, y, basis, coords)
-
-
-def _hom_sum_target(x: Module, y: Module) -> HomSpace:
-    children = [hom_space(x, t) for t in y.summands]
-    projections = [summand_projection(y, t) for t in range(len(y.summands))]
-    basis = [
-        _embed(b, x, y, y._offsets[t], True)
-        for t, child in enumerate(children)
-        for b in child.basis
-    ]
-
-    def coords(f: Morphism) -> list:
-        out = []
-        for t, child in enumerate(children):
-            out.extend(child.coords(projections[t] @ f))
+            out.extend(child.coords(_block(f, total.summands[s], total._offsets[s], into_sum)))
         return out
 
     return HomSpace(x, y, basis, coords)
@@ -851,9 +840,9 @@ def hom_space(x: Module, y: Module) -> HomSpace:
 
 def _hom_space(x: Module, y: Module) -> HomSpace:
     if x.summands is not None:
-        return _hom_sum_source(x, y)
+        return _hom_sum(x, y, False)
     if y.summands is not None:
-        return _hom_sum_target(x, y)
+        return _hom_sum(x, y, True)
     if x.hint is not None:
         return _hom_cyclic_source(x, y)
     if y._dual_of is not None and _has_structure(y._dual_of):
@@ -872,6 +861,7 @@ def hom_dim(x: Module, y: Module) -> int:
 # -- isomorphism testing -------------------------------------------------------
 
 
+@memoized("fingerprint")
 def _radical_fingerprint(m: Module) -> tuple:
     out = [m.dims]
     k = 1

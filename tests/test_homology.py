@@ -8,9 +8,11 @@ covers peel off radical layers one at a time.
 
 import pytest
 
-from relrep.exact_linalg import QQ
+from relrep.exact_linalg import QQ, Matrix
 from relrep.homology import (
     Ext1Space,
+    _boundary_rank,
+    _hom_complex,
     dtr,
     ext1_space,
     ext_dim,
@@ -37,12 +39,20 @@ from relrep.homology import (
     trd,
     yoneda_ext1_pairing,
 )
-from relrep.path_algebra import AlgebraPresentation, linear_quiver
+from relrep.path_algebra import (
+    AlgebraPresentation,
+    Arrow,
+    Quiver,
+    Relation,
+    linear_quiver,
+)
 from relrep.rep import (
+    Module,
     Morphism,
     direct_sum,
     dualize,
     enumerate_indecomposables_nakayama,
+    inj_module,
     is_isomorphic,
     parse_module_expression,
     proj_module,
@@ -353,3 +363,110 @@ def test_pd_id_over_hereditary(a3):
 def test_is_selfinjective(cyc3_5, a3):
     assert is_selfinjective(cyc3_5)
     assert not is_selfinjective(a3)
+
+
+# -- Yoneda coordinates against the morphism-level routes ----------------------
+
+
+def _commuting_square():
+    # v0 -> v1 -> v3 and v0 -> v2 -> v3, upper route = lower route
+    quiver = Quiver(
+        4, [Arrow("a", 0, 1), Arrow("b", 0, 2), Arrow("c", 1, 3), Arrow("d", 2, 3)]
+    )
+    upper = quiver.path_from_arrows([0, 2])
+    lower = quiver.path_from_arrows([1, 3])
+    return AlgebraPresentation(
+        quiver, [Relation([(1, upper), (-1, lower)])], 3, name="square"
+    )
+
+
+def _a3_zero_relation():
+    quiver = linear_quiver(3)
+    return AlgebraPresentation(
+        quiver, [Relation([(1, quiver.path_from_arrows([0, 1]))])], 2, name="A3/ab"
+    )
+
+
+def _kronecker():
+    quiver = Quiver(2, [Arrow("a", 0, 1), Arrow("b", 0, 1)])
+    return AlgebraPresentation(quiver, [], 2, name="kronecker")
+
+
+def _a4_rad2():
+    return AlgebraPresentation.truncated(linear_quiver(4), 2, name="A4/rad^2")
+
+
+def _test_modules(alg):
+    """Simples, projectives, injectives, the nonzero dtr images of simples and
+    injectives, and one direct sum."""
+    n = alg.quiver.vertex_count
+    simples = [simple_module(alg, v) for v in range(n)]
+    projs = [proj_module(alg, v) for v in range(n)]
+    injs = [inj_module(alg, v) for v in range(n)]
+    shifted = [dtr(x) for x in simples + injs]
+    mixed = direct_sum(alg, [simples[0], projs[-1], injs[0]])
+    return simples + projs + injs + [x for x in shifted if not x.is_zero()] + [mixed]
+
+
+@pytest.mark.parametrize(
+    "make", [_commuting_square, _a3_zero_relation, _kronecker, _a4_rad2]
+)
+def test_yoneda_ext_matches_injective_route_off_the_cyclic_algebras(make):
+    alg = make()
+    mods = _test_modules(alg)
+    nonzero = 0
+    for x in mods:
+        for y in mods:
+            dims = ext_dims_up_to(3, x, y)
+            for i in range(1, 4):
+                proj = ext_dim(i, x, y)
+                assert proj == ext_dim(i, x, y, via="injective"), (alg.name, i, x, y)
+                assert dims[i] == proj
+            assert dims[0] == ext_dim(0, x, y)
+            nonzero += any(dims[1:])
+    # the comparison is not vacuous: some pairs have extensions
+    assert nonzero
+
+
+def _assert_yoneda_ranks(mods):
+    """The Yoneda hom complex of every projective resolution matches the one
+    built from hom-space bases and composed morphisms, term by term."""
+    nonzero = 0
+    for x in mods:
+        res = projective_resolution(x)
+        res.ensure_terms(4)
+        for y in mods:
+            dim, rank = _hom_complex(res, y)
+            for k, d in enumerate(res.differentials):
+                src, tgt = res.hom_to(k, y), res.hom_to(k + 1, y)
+                expected = _boundary_rank(src, tgt, d)
+                assert (dim(k), rank(k)) == (src.dim, expected), (k, x, y)
+                nonzero += expected > 0
+    assert nonzero
+
+
+def test_yoneda_ext_separates_kronecker_regular_modules():
+    # R(l): K -> K with arrows 1 and l; Ext^1(R(l), R(m)) = Hom = 1 iff l = m,
+    # so the differential's path coefficients (l, -1) must be honoured
+    alg = _kronecker()
+    params = [0, 1, 2, -1, QQ(1, 2)]
+    regs = [
+        Module(alg, (1, 1), [Matrix.from_rows([[1]]), Matrix.from_rows([[lam]])])
+        for lam in params
+    ]
+    for s, x in enumerate(regs):
+        for t, y in enumerate(regs):
+            expected = [int(s == t), int(s == t), 0, 0]
+            assert ext_dims_up_to(3, x, y) == expected
+            for i in range(1, 4):
+                assert ext_dim(i, x, y) == expected[i]
+                assert ext_dim(i, x, y, via="injective") == expected[i]
+    _assert_yoneda_ranks(regs + _test_modules(alg))
+
+
+def test_yoneda_rank_equals_boundary_rank_on_cyclic3(cyc3_5, m1, m2):
+    _assert_yoneda_ranks(_test_modules(cyc3_5) + [m1, m2])
+
+
+def test_yoneda_rank_equals_boundary_rank_on_the_square():
+    _assert_yoneda_ranks(_test_modules(_commuting_square()))
