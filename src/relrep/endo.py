@@ -25,6 +25,7 @@ from .rep import (
     Morphism,
     ShortExactSequence,
     cokernel,
+    composition_table,
     direct_sum,
     enumerate_indecomposables_nakayama,
     flatten_atoms,
@@ -264,11 +265,6 @@ def _accumulate(weighted_rows, dim: int) -> list:
     return out
 
 
-def _columns(mat: Matrix) -> list[list]:
-    """The columns of a matrix as plain lists."""
-    return [[row[j] for row in mat._data] for j in range(mat.cols)]
-
-
 def _matvec(mat: Matrix, vec: list) -> list:
     """``mat @ vec`` for a plain list, walking only the nonzeros of ``vec``."""
     vec_terms = _terms(vec)
@@ -291,20 +287,30 @@ def radical(g: StructureConstantAlgebra) -> Matrix:
     left-multiplication by x*y``.  The kernel is verified nilpotent; a
     non-nilpotent kernel signals inconsistent structure constants.
     """
-    n = g.dim
     rad = trace_form_radical(g.mult)
-    vectors = _columns(rad)
-    layer = vectors
+    n, r = g.dim, rad.cols
+    # row i lists e_i·b for every radical basis vector b, side by side, read
+    # once off the sparse rows of g.mult
+    right = [[0] * (n * r) for _ in range(n)]
+    for b, vec in enumerate(rad.columns()):
+        for j, x in _terms(vec):
+            for i, plane in enumerate(g.mult):
+                for m, c in plane[j]:
+                    right[i][b * n + m] += x * c
+    right = Matrix(n, n * r, right)
+    # the rows of layer span rad^k; rad^(k+1) is spanned by their products
+    # with the radical basis, the rows of layer @ right cut into n-blocks
+    layer = rad.transpose()
     for _ in range(n + 1):
-        if not layer:
-            break
-        products = [g.multiply(a, b) for a in layer for b in vectors]
+        products = [
+            row[b * n : (b + 1) * n] for row in (layer @ right)._data for b in range(r)
+        ]
         products = [p for p in products if any(p)]
         if not products:
-            layer = []
             break
-        layer = _columns(Matrix.from_columns(products).column_space_basis())
-    if layer:
+        red, pivots = Matrix(len(products), n, products).rref()
+        layer = red.take_rows(range(len(pivots)))
+    else:
         raise AlgebraError("trace-form kernel is not nilpotent; structure constants inconsistent")
     return rad
 
@@ -478,7 +484,7 @@ def _piece_radical(g: StructureConstantAlgebra, kind: int) -> list[list]:
     index = {m: t for t, m in enumerate(members)}
     span = _Span(len(members))
     out = []
-    for r in _columns(radical(g)):
+    for r in radical(g).columns():
         comp = [0] * len(members)
         for m, c in _terms(g.multiply(r, idem)):
             comp[index[m]] = c
@@ -506,7 +512,7 @@ class _Chain:
         self.members = [ms for ms, _ in pieces]
         self.idem_vectors = [list(e) for _, e in pieces]
         self.member_index = [{m: t for t, m in enumerate(ms)} for ms in self.members]
-        self.rad_terms = [_terms(r) for r in _columns(radical(g))]
+        self.rad_terms = [_terms(r) for r in radical(g).columns()]
         self.idem_terms = [_terms(e) for e in self.idem_vectors]
         self.piece_rads = [_piece_radical(g, kind) for kind in self.kinds]
         self.covers: list[_Cover] = []
@@ -548,12 +554,12 @@ class _Chain:
         if level < 0:
             ambient_dim = self.base.dim
             candidate_images = [
-                _columns(self.base._combine(terms)) for terms in self.idem_terms
+                self.base._combine(terms).columns() for terms in self.idem_terms
             ]
             candidate_count = ambient_dim
             apply_basis = lambda k, vec: _matvec(self.base.action[k], vec)
             rad_images = [
-                col for terms in self.rad_terms for col in _columns(self.base._combine(terms))
+                col for terms in self.rad_terms for col in self.base._combine(terms).columns()
             ]
             originals = [
                 [1 if t == s else 0 for t in range(ambient_dim)]
@@ -603,7 +609,7 @@ class _Chain:
         cover = self._build_cover(level)
         self.covers.append(cover)
         kern = cover.mat.kernel_basis()
-        cover.kernel_cols = _columns(kern)
+        cover.kernel_cols = kern.columns()
         rad_span = _Span(cover.dim)
         for kind, off in zip(cover.kinds, cover.offsets):
             for comp in self.piece_rads[kind]:
@@ -950,23 +956,24 @@ def end_algebra(m: Module) -> tuple[StructureConstantAlgebra, list[Morphism]]:
     for s, t, i in order:
         phi = block_spaces[s][t].basis[i]
         basis.append(injections[t] @ phi @ projections[s])
-    # e_a * e_b is nonzero only when b ends at the atom where a starts
-    ending_at: list[list[int]] = [[] for _ in range(n_atoms)]
-    for ib, (_, tb, _) in enumerate(order):
-        ending_at[tb].append(ib)
+    # e_a * e_b is nonzero only when b ends at the atom where a starts:
+    # a: A_sa -> A_ta after b: A_sb -> A_sa, read off one composition table
     mult: list[list[tuple]] = [[()] * total for _ in range(total)]
-    for ia, (sa, ta, i) in enumerate(order):
-        phi_a = block_spaces[sa][ta].basis[i]
-        row = mult[ia]
-        for ib in ending_at[sa]:
-            sb, _, j = order[ib]
-            comp = phi_a @ block_spaces[sb][sa].basis[j]
-            off = offsets[sb][ta]
-            row[ib] = tuple(
-                (off + k, c)
-                for k, c in enumerate(block_spaces[sb][ta].coords(comp))
-                if c != 0
-            )
+    for sa in range(n_atoms):
+        for ta in range(n_atoms):
+            outer = block_spaces[sa][ta]
+            for sb in range(n_atoms):
+                inner = block_spaces[sb][sa]
+                if not outer.dim or not inner.dim:
+                    continue
+                table = composition_table(outer, inner)
+                off = offsets[sb][ta]
+                for i in range(outer.dim):
+                    row = mult[offsets[sa][ta] + i]
+                    for j, coords in enumerate(table):
+                        row[offsets[sb][sa] + j] = tuple(
+                            (off + k, r[i]) for k, r in enumerate(coords._data) if r[i] != 0
+                        )
     unit = [0] * total
     idempotents = []
     for s in range(n_atoms):
@@ -999,15 +1006,6 @@ def end_algebra(m: Module) -> tuple[StructureConstantAlgebra, list[Morphism]]:
     return g, basis
 
 
-def _put_block(rows: list[list], src, col0: int, dst, row0: int, compose) -> None:
-    """Write the coordinates in ``dst`` of ``compose(psi)``, for each basis map
-    ``psi`` of ``src``, as columns ``col0 + i`` of ``rows`` from row ``row0``."""
-    for i, psi in enumerate(src.basis):
-        for k, c in enumerate(dst.coords(compose(psi))):
-            if c != 0:
-                rows[row0 + k][col0 + i] = c
-
-
 def hom_sc_bimodule_sides(m2: Module, m1: Module) -> tuple[SCModule, SCModule]:
     """Hom(m2, m1) as a left End(m1)-module and a left End(m2)^op-module.
 
@@ -1017,7 +1015,7 @@ def hom_sc_bimodule_sides(m2: Module, m1: Module) -> tuple[SCModule, SCModule]:
     ``hom_space(m2, m1)``.  The End(m1) basis element phi: A_s -> A_t sends
     block (j, s) to block (j, t) by psi -> phi∘psi, and the End(m2) basis
     element phi: B_j -> B_k sends block (k, s) to block (j, s) by
-    psi -> psi∘phi; only these atom-level composites are ever formed.
+    psi -> psi∘phi; both are read off atom-level composition tables.
     """
     g1, _ = end_algebra(m1)
     g2, _ = end_algebra(m2)
@@ -1034,24 +1032,32 @@ def hom_sc_bimodule_sides(m2: Module, m1: Module) -> tuple[SCModule, SCModule]:
     post = []
     for s, a_s in enumerate(targets):
         for t, a_t in enumerate(targets):
-            for phi in hom_space(a_s, a_t).basis:
+            outer = hom_space(a_s, a_t)
+            tables = [composition_table(outer, blocks[j][s]) for j in range(len(sources))]
+            for p in range(outer.dim):
                 rows = [[0] * tdim for _ in range(tdim)]
-                for j in range(len(sources)):
-                    _put_block(
-                        rows, blocks[j][s], offsets[j][s], blocks[j][t], offsets[j][t],
-                        lambda psi: phi @ psi,
-                    )
+                # phi_p∘psi_i has coordinates column p of table[i]
+                for j, table in enumerate(tables):
+                    for i, coords in enumerate(table):
+                        col = offsets[j][s] + i
+                        for k, r in enumerate(coords._data):
+                            if r[p] != 0:
+                                rows[offsets[j][t] + k][col] = r[p]
                 post.append(Matrix(tdim, tdim, rows))
     pre = []
     for j, b_j in enumerate(sources):
         for k, b_k in enumerate(sources):
-            for phi in hom_space(b_j, b_k).basis:
+            inner = hom_space(b_j, b_k)
+            tables = [composition_table(blocks[k][s], inner) for s in range(len(targets))]
+            for p in range(inner.dim):
                 rows = [[0] * tdim for _ in range(tdim)]
-                for s in range(len(targets)):
-                    _put_block(
-                        rows, blocks[k][s], offsets[k][s], blocks[j][s], offsets[j][s],
-                        lambda psi: psi @ phi,
-                    )
+                # psi_i∘phi_p has coordinates column i of table[p]
+                for s, table in enumerate(tables):
+                    for m, r in enumerate(table[p]._data):
+                        row = rows[offsets[j][s] + m]
+                        for i, c in enumerate(r):
+                            if c != 0:
+                                row[offsets[k][s] + i] = c
                 pre.append(Matrix(tdim, tdim, rows))
     side1 = SCModule(g1, tdim, post)
     side2 = SCModule(g2.opposite(), tdim, pre)

@@ -146,6 +146,10 @@ class Matrix:
     def row(self, i: int) -> list:
         return list(self._data[i])
 
+    def columns(self) -> list[list]:
+        """The columns as plain lists."""
+        return [[row[j] for row in self._data] for j in range(self.cols)]
+
     def column_vector(self, j: int) -> "Matrix":
         return Matrix._trusted(self.rows, 1, [[row[j]] for row in self._data])
 

@@ -2,8 +2,9 @@
 
 Everything here is absolute homological algebra for a fixed bound quiver
 algebra: minimal projective covers and injective hulls, stepwise resolutions
-with cached syzygies, Ext dimensions off the hom complex (in Yoneda
-coordinates on the projective route), a concrete Ext^1 presentation with
+with cached syzygies, Ext dimensions off the hom complex (in generator
+coordinates on chain resolutions by sums of cyclic modules, Yoneda on the
+projective route), a concrete Ext^1 presentation with
 pushout realization and pullback pairing, the transpose of a minimal
 presentation, and minimal add-approximations with the split-solve route kept
 alongside as an independent cross-check.
@@ -15,7 +16,7 @@ import random
 from typing import Callable, Sequence
 
 from .cache import cached_pair, memoized
-from .exact_linalg import Matrix, complement_projection, subspace_contains
+from .exact_linalg import Matrix, complement_projection, hstack, subspace_contains
 from .path_algebra import AlgebraError, AlgebraPresentation
 from .rep import (
     HomSpace,
@@ -26,6 +27,7 @@ from .rep import (
     assemble_into_components,
     cogenerator_module,
     cokernel,
+    composition_table,
     direct_sum,
     dualize,
     dualize_morphism,
@@ -36,6 +38,8 @@ from .rep import (
     is_isomorphic,
     kernel,
     morphism_from_generator,
+    path_combination,
+    path_operator,
     proj_module,
     quotient_by_subspaces,
     regular_module,
@@ -197,50 +201,53 @@ def _boundary_rank(
     return Matrix.from_columns(cols).rank()
 
 
+def _cyclic_sum(m: Module) -> bool:
+    """Whether m is laid out as a direct sum of cyclic modules."""
+    return m.summands is not None and all(s.hint is not None for s in m.summands)
+
+
 def _path_entries(d: Morphism) -> list[list[list[tuple]]]:
-    """The components of d between direct sums of indecomposable projectives.
+    """The components of d between direct sums of cyclic modules.
 
     ``entries[c][b]`` lists the nonzero ``(u_k, p_k)`` with d(generator of
-    source summand c) = sum_k u_k p_k inside target summand b, the p_k
-    running over that summand's path basis at the vertex of summand c.
+    source summand c) = sum_k u_k p_k·(generator of target summand b) inside
+    summand b, the p_k running over the paths at the vertex of summand c.
     """
     src_offs, tgt_offs = d.source.offsets(), d.target.offsets()
-    trivial = d.source.algebra.quiver.trivial_path
     entries = []
-    for c, pc in enumerate(d.source.summands):
-        w = pc._proj_vertex
-        j = src_offs[c][w] + pc._proj_paths[w].index(trivial(w))
-        column = [row[j] for row in d.maps[w]._data]
-        per_target = []
-        for b, pb in enumerate(d.target.summands):
-            coeffs = column[tgt_offs[b][w] :]
-            per_target.append([(u, p) for u, p in zip(coeffs, pb._proj_paths[w]) if u != 0])
-        entries.append(per_target)
+    for c, uc in enumerate(d.source.summands):
+        v = uc.hint.vertex
+        off = src_offs[c][v]
+        gen = [(k, row[0]) for k, row in enumerate(uc.hint.generator._data) if row[0]]
+        column = [sum(row[off + k] * g for k, g in gen) for row in d.maps[v]._data]
+        entries.append(
+            [
+                path_combination(ub, v, column[tgt_offs[b][v] : tgt_offs[b][v] + ub.dims[v]])
+                for b, ub in enumerate(d.target.summands)
+            ]
+        )
     return entries
 
 
-def _yoneda_rank(d: Morphism, y: Module) -> int:
-    """Rank of Hom(d, y) for d between direct sums of indecomposable projectives.
+def _generator_rank(d: Morphism, y: Module) -> int:
+    """Rank of Hom(d, y) for d between direct sums of cyclic modules.
 
-    Hom(P(v), y) = e_v y by evaluation at the generator (Yoneda), so Hom(d, y)
-    is the block matrix whose (c, b) block is sum_k u_k y.action(p_k), read
-    off the path entries of d, with no hom space and no morphism built.
+    Evaluation at the generator embeds Hom(u, y) in e_v y (Yoneda when u is
+    projective), so Hom(d, y) is the block matrix whose (c, b) block is
+    A @ ``hom_space(u_b, y).gens``, with A = sum_k u_k y.action(p_k) read off
+    the path entries of d: no basis map and no composite is built.
     """
-    row_sizes = [y.dims[s._proj_vertex] for s in d.source.summands]
-    col_sizes = [y.dims[s._proj_vertex] for s in d.target.summands]
-    n_cols = sum(col_sizes)
+    spaces = [hom_space(ub, y) for ub in d.target.summands]
+    n_cols = sum(sp.dim for sp in spaces)
     rows: list[list] = []
-    for size, entries in zip(row_sizes, _path_entries(d)):
-        block = [[0] * n_cols for _ in range(size)]
-        col0 = 0
-        for width, terms in zip(col_sizes, entries):
-            for u, p in terms:
-                for brow, arow in zip(block, y.action(p)._data):
-                    for k, a in enumerate(arow):
-                        if a:
-                            brow[col0 + k] += u * a
-            col0 += width
-        rows.extend(block)
+    if n_cols:
+        for uc, entries in zip(d.source.summands, _path_entries(d)):
+            block: list[list] = [[] for _ in range(y.dims[uc.hint.vertex])]
+            for sp, terms in zip(spaces, entries):
+                op = path_operator(y, terms, len(block), sp.gens)
+                for brow, orow in zip(block, op._data):
+                    brow.extend(orow)
+            rows.extend(block)
     return Matrix(len(rows), n_cols, rows).rank()
 
 
@@ -249,21 +256,22 @@ def _hom_complex(res: Resolution, other: Module):
     hom complex of res against other, ``rank(k)`` the rank of the boundary
     built from ``res.differentials[k]``.
 
-    The absolute projective route works in Yoneda coordinates.  Every other
-    resolution (injective, relative) composes hom-space bases with its
-    differentials, which keeps the injective route an independent check.
+    A chain resolution by direct sums of cyclic modules (the absolute
+    projective one, and relative projective ones over cyclic summands) works
+    in generator coordinates.  Every other resolution composes hom-space bases
+    with its differentials, which keeps the injective routes independent
+    checks.
     """
-    if res.flavor == "projective":
-        return (
-            lambda k: sum(other.dims[s._proj_vertex] for s in res.terms[k].summands),
-            lambda k: _yoneda_rank(res.differentials[k], other),
+
+    def rank(k: int) -> int:
+        d = res.differentials[k]
+        if not res._cochain and _cyclic_sum(d.source) and _cyclic_sum(d.target):
+            return _generator_rank(d, other)
+        return _boundary_rank(
+            res.hom_to(k, other), res.hom_to(k + 1, other), d, res._cochain
         )
-    return (
-        lambda k: res.hom_to(k, other).dim,
-        lambda k: _boundary_rank(
-            res.hom_to(k, other), res.hom_to(k + 1, other), res.differentials[k], res._cochain
-        ),
-    )
+
+    return lambda k: res.hom_to(k, other).dim, rank
 
 
 def resolution_cohomology_dim(res: Resolution, i: int, other: Module) -> int:
@@ -286,7 +294,8 @@ def ext_dim(i: int, x: Module, y: Module, via: str = "projective") -> int:
 
     via="projective" works off a minimal projective resolution of x, in
     Yoneda coordinates: Hom(P(v), y) = e_v y, so each boundary of the hom
-    complex is one block matrix read off the differential.  via="injective"
+    complex is one block matrix read off the differential (see
+    ``_generator_rank``).  via="injective"
     works off a minimal injective coresolution of y by composing hom-space
     bases with the differentials; the two agree and the second is kept as an
     independent, morphism-level cross-check.
@@ -577,18 +586,17 @@ def _end_radical_coords(x: Module) -> Matrix:
     """Coordinate basis of rad End(x), in the basis of ``hom_space(x, x)``,
     off the trace form of the regular action.
 
-    Cached on the module, like hom spaces are: the n^2 composition table is
-    the expensive part and never has to be rebuilt.
+    Cached on the module, like hom spaces are; the n^2 products come from the
+    composition table of End(x) with itself.
     """
     end_space = hom_space(x, x)
-    basis = end_space.basis
+    table = composition_table(end_space, end_space)
+    n = end_space.dim
+    # e_i e_j = b_i∘b_j is column i of table[j]
     return trace_form_radical(
         [
-            [
-                [(m, c) for m, c in enumerate(end_space.coords(bi @ bj)) if c]
-                for bj in basis
-            ]
-            for bi in basis
+            [[(m, row[i]) for m, row in enumerate(table[j]._data) if row[i]] for j in range(n)]
+            for i in range(n)
         ]
     )
 
@@ -693,27 +701,31 @@ def minimal_right_approximation(x: Module, m: Module, seed: int = 0) -> Morphism
         h_t = space_t.dim
         if h_t == 0:
             continue
-        rad_cols: list[list] = []
+        # coordinates of the compositions psi∘phi through radical maps phi
+        # inside add m: columns (phi, psi), phi outer
+        blocks: list[Matrix] = []
         for s, u_s in enumerate(atoms):
             if s == t:
                 end_u = hom_space(u, u)
                 rad_u = _end_radical_coords(u)
                 if end_u.dim - rad_u.cols != 1:
                     all_atoms_local = False
+                table = composition_table(space_t, end_u)
+                # psi∘rho for rho = sum_k r_k e_k, radical
                 for j in range(rad_u.cols):
-                    rho = end_u.from_coords([rad_u[i, j] for i in range(rad_u.rows)])
-                    for psi in space_t.basis:
-                        rad_cols.append(space_t.coords(psi @ rho))
+                    block = Matrix.zeros(h_t, h_t)
+                    for k in range(rad_u.rows):
+                        if rad_u[k, j] != 0:
+                            block = block + table[k].scale(rad_u[k, j])
+                    blocks.append(block)
             else:
-                for phi in hom_basis(u, u_s):
-                    for psi in spaces[s].basis:
-                        rad_cols.append(space_t.coords(psi @ phi))
-        rmat = Matrix.from_columns(rad_cols) if rad_cols else Matrix.zeros(h_t, 0)
+                blocks.extend(composition_table(spaces[s], hom_space(u, u_s)))
+        rmat = hstack(blocks) if blocks else Matrix.zeros(h_t, 0)
         # basis maps spanning a complement of the radical compositions
         _, chosen = complement_projection(rmat)
         for idx in chosen:
             parts.append(u)
-            comps.append(space_t.basis[idx])
+            comps.append(space_t.basis_map(idx))
     source = direct_sum(algebra, parts)
     g = assemble_from_components(source, x, comps)
     if all_atoms_local:

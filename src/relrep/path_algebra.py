@@ -69,7 +69,7 @@ class Path:
         return f"Path(v{self.source}->v{self.target}, arrows={self.arrows})"
 
 
-class Quiver:
+class Quiver(Cached):
     """A finite quiver on vertices 0..vertex_count-1."""
 
     def __init__(self, vertex_count: int, arrows: Sequence[Arrow]) -> None:
@@ -90,6 +90,7 @@ class Quiver:
             self.arrows_from[a.source].append(idx)
             self.arrows_to[a.target].append(idx)
         self.arrow_index = {a.name: i for i, a in enumerate(self.arrows)}
+        super().__init__()
 
     def trivial_path(self, v: int) -> Path:
         return Path(v, v, ())
@@ -122,7 +123,8 @@ class Quiver:
             raise AlgebraError("paths do not compose")
         return Path(p.source, q.target, p.arrows + q.arrows)
 
-    def paths_up_to(self, max_length: int) -> list[Path]:
+    @memoized("paths")
+    def paths_up_to(self, max_length: int) -> tuple[Path, ...]:
         """All paths of length <= max_length, sorted by (length, source, arrows)."""
         out = [self.trivial_path(v) for v in range(self.vertex_count)]
         frontier = list(out)
@@ -137,10 +139,11 @@ class Quiver:
             if not frontier:
                 break
         out.sort(key=Path.sort_key)
-        return out
+        return tuple(out)
 
-    def paths_of_length(self, length: int) -> list[Path]:
-        return [p for p in self.paths_up_to(length) if p.length == length]
+    @memoized("paths of length")
+    def paths_of_length(self, length: int) -> tuple[Path, ...]:
+        return tuple(p for p in self.paths_up_to(length) if p.length == length)
 
     def is_nakayama(self) -> bool:
         return all(

@@ -7,14 +7,18 @@ linear algebra over QQ.
 Hom spaces are computed by solving the commutation system.  Three structural
 fast paths avoid assembling large systems when the source or target is built
 from standard pieces (direct sums, cyclic quotients of projectives, duals of
-such): they produce the same bases, just block by block.
+such): they produce the same bases, just block by block.  Every route builds
+its basis maps only when asked.  Out of a cyclic module the space works in
+generator coordinates: evaluation at the generator embeds Hom(u, Y) in e_v Y,
+so coordinates, and the composition tables that replace compose-then-read
+loops, come off generator images and path operators.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .cache import Cached, cached_pair, memoized
 from .exact_linalg import (
@@ -127,8 +131,11 @@ class Module(Cached):
     @memoized("action")
     def action(self, path: Path) -> Matrix:
         """The matrix of a path acting on this module (first arrow first)."""
-        m = Matrix.identity(self.dims[path.source])
-        for idx in path.arrows:
+        arrows = path.arrows
+        if not arrows:
+            return Matrix.identity(self.dims[path.source])
+        m = self.arrow_maps[arrows[0]]
+        for idx in arrows[1:]:
             m = self.arrow_maps[idx] @ m
         return m
 
@@ -607,25 +614,84 @@ def dualize_morphism(f: Morphism) -> Morphism:
 # -- hom spaces ---------------------------------------------------------------
 
 
-class HomSpace:
-    """A basis of Hom(X, Y) plus exact coordinate extraction."""
+class HomSpace(Cached):
+    """Hom(X, Y): its dimension, a basis built on first use, and exact coordinates.
 
-    __slots__ = ("source", "target", "basis", "_coords")
+    When X is cyclic with generator g at vertex v, evaluation at g embeds
+    Hom(X, Y) in e_v Y.  Such a space keeps ``gens``, the generator images of
+    its basis maps as the columns of a matrix over e_v Y (the identity when
+    it is square, that is when Hom(X, Y) is all of e_v Y), and reads
+    coordinates off f(g); every other space has ``gens`` None and a coordinate
+    reader from its route.  Composition tables between two spaces live on the
+    younger one (see ``composition_table``).
+    """
 
-    def __init__(self, source, target, basis, coords: Callable[[Morphism], list]):
+    __slots__ = (
+        "source",
+        "target",
+        "dim",
+        "gens",
+        "_basis",
+        "_build",
+        "_coords",
+        "_solver",
+        "__weakref__",
+    )
+
+    def __init__(self, source, target, dim: int, build=None, coords=None, gens=None):
         self.source = source
         self.target = target
-        self.basis = basis
+        self.dim = dim
+        self.gens = gens
+        self._basis = None
+        self._build = build
         self._coords = coords
+        self._solver = None
+        super().__init__()
 
     @property
-    def dim(self) -> int:
-        return len(self.basis)
+    def basis(self) -> list[Morphism]:
+        if self._basis is None:
+            if self._build is None:
+                self._basis = [self.basis_map(j) for j in range(self.dim)]
+            else:
+                self._basis = self._build()
+        return self._basis
+
+    def basis_map(self, j: int) -> Morphism:
+        """The j-th basis map, built alone off its generator image when the
+        space has one and the basis is not built yet."""
+        if self._basis is None and self.gens is not None:
+            return morphism_from_generator(self.source, self.target, self.gens.column_vector(j))
+        return self.basis[j]
+
+    def generator_coords(self, images: Matrix) -> Matrix:
+        """Coordinates, as columns, of the maps whose generator images are the
+        columns of ``images``; raises if one is not in the space."""
+        if self.dim == 0:
+            if not images.is_zero():
+                raise AlgebraError("morphism not in hom space")
+            return Matrix.zeros(0, images.cols)
+        # gens has full column rank: a left inverse computed once gives the
+        # candidate coordinates, and gens @ sol == images checks membership
+        if self._solver is None:
+            self._solver = self.gens.left_inverse()
+        sol = self._solver @ images
+        if self.gens @ sol != images:
+            raise AlgebraError("morphism not in hom space")
+        return sol
 
     def coords(self, f: Morphism) -> list:
-        return self._coords(f)
+        if self.gens is None:
+            return self._coords(f)
+        hint = self.source.hint
+        return self.generator_coords(f.maps[hint.vertex] @ hint.generator).flatten()
 
     def from_coords(self, cs: Sequence) -> Morphism:
+        if self.gens is not None:
+            return morphism_from_generator(
+                self.source, self.target, self.gens @ Matrix.column(list(cs))
+            )
         f = Morphism.zero(self.source, self.target)
         for c, b in zip(cs, self.basis):
             if c != 0:
@@ -669,10 +735,12 @@ def _hom_raw(x: Module, y: Module) -> HomSpace:
         kern = system.kernel_basis()
     else:
         kern = Matrix.identity(total)
-    basis = [
-        Morphism.from_flat(x, y, [kern[i, j] for i in range(total)])
-        for j in range(kern.cols)
-    ]
+
+    def build() -> list[Morphism]:
+        return [
+            Morphism.from_flat(x, y, [kern[i, j] for i in range(total)])
+            for j in range(kern.cols)
+        ]
 
     # coords solves kern @ c = flat(f); the basis has full column rank, so a
     # left inverse computed once gives the candidate coordinates, and
@@ -692,7 +760,7 @@ def _hom_raw(x: Module, y: Module) -> HomSpace:
             raise AlgebraError("morphism not in hom space")
         return sol
 
-    return HomSpace(x, y, basis, coords)
+    return HomSpace(x, y, kern.cols, build, coords)
 
 
 def _embed(b: Morphism, x: Module, y: Module, offs: Sequence[int], into_rows: bool) -> Morphism:
@@ -727,14 +795,22 @@ def _block(f: Morphism, part: Module, offs: Sequence[int], from_rows: bool) -> M
 
 def _hom_sum(x: Module, y: Module, into_sum: bool) -> HomSpace:
     """Hom(x, y) summand by summand, for y a direct sum when ``into_sum``,
-    else for x one; coordinates read each summand's block off the vertex maps."""
+    else for x one.  Coordinates read each summand's block off the vertex
+    maps; into a sum from a cyclic x the children's generator images stack
+    block-diagonally instead."""
     total = y if into_sum else x
     children = [hom_space(x, s) if into_sum else hom_space(s, y) for s in total.summands]
-    basis = [
-        _embed(b, x, y, total._offsets[s], into_sum)
-        for s, child in enumerate(children)
-        for b in child.basis
-    ]
+
+    def build() -> list[Morphism]:
+        return [
+            _embed(b, x, y, total._offsets[s], into_sum)
+            for s, child in enumerate(children)
+            for b in child.basis
+        ]
+
+    dim = sum(child.dim for child in children)
+    if into_sum and x.hint is not None:
+        return HomSpace(x, y, dim, build, gens=block_diag([c.gens for c in children]))
 
     def coords(f: Morphism) -> list:
         out = []
@@ -742,7 +818,7 @@ def _hom_sum(x: Module, y: Module, into_sum: bool) -> HomSpace:
             out.extend(child.coords(_block(f, total.summands[s], total._offsets[s], into_sum)))
         return out
 
-    return HomSpace(x, y, basis, coords)
+    return HomSpace(x, y, dim, build, coords)
 
 
 def _cyclic_constraints(algebra: AlgebraPresentation, y: Module, vertex: int, power: int | None):
@@ -778,48 +854,27 @@ def morphism_from_generator(source: Module, target: Module, u: Matrix) -> Morphi
 
 
 def _hom_cyclic_source(x: Module, y: Module) -> HomSpace:
-    algebra = x.algebra
     hint = x.hint
-    v0 = hint.vertex
-    constraints = _cyclic_constraints(algebra, y, v0, hint.power)
+    constraints = _cyclic_constraints(x.algebra, y, hint.vertex, hint.power)
     if constraints is None:
-        gens = Matrix.identity(y.dims[v0])
+        gens = Matrix.identity(y.dims[hint.vertex])
     else:
         gens = constraints.kernel_basis()
-    basis = []
-    for col in range(gens.cols):
-        basis.append(morphism_from_generator(x, y, gens.column_vector(col)))
-
-    # gens has full column rank: a left inverse computed once gives the
-    # candidate coordinates, and gens @ sol == u checks membership
-    solver: list[Matrix] = []
-
-    def coords(f: Morphism) -> list:
-        u = f.maps[v0] @ hint.generator
-        if gens.cols == 0:
-            if not u.is_zero():
-                raise AlgebraError("morphism not in hom space")
-            return []
-        if not solver:
-            solver.append(gens.left_inverse())
-        sol = solver[0] @ u
-        if gens @ sol != u:
-            raise AlgebraError("morphism not in hom space")
-        return sol.flatten()
-
-    return HomSpace(x, y, basis, coords)
+    return HomSpace(x, y, gens.cols, gens=gens)
 
 
 def _hom_dual_target(x: Module, y: Module) -> HomSpace:
     # Hom(X, D Z) is the dual of Hom(Z, D X), computed on the opposite side
     z = y._dual_of
     op_space = hom_space(z, dualize(x))
-    basis = [dualize_morphism(g) for g in op_space.basis]
+
+    def build() -> list[Morphism]:
+        return [dualize_morphism(g) for g in op_space.basis]
 
     def coords(f: Morphism) -> list:
         return op_space.coords(dualize_morphism(f))
 
-    return HomSpace(x, y, basis, coords)
+    return HomSpace(x, y, op_space.dim, build, coords)
 
 
 def _has_structure(m: Module) -> bool:
@@ -855,7 +910,76 @@ def hom_basis(x: Module, y: Module) -> list[Morphism]:
 
 
 def hom_dim(x: Module, y: Module) -> int:
-    return len(hom_space(x, y).basis)
+    return hom_space(x, y).dim
+
+
+# -- composition in coordinates -------------------------------------------------
+
+
+def path_combination(x: Module, v: int, w: Sequence) -> list[tuple]:
+    """The nonzero ``(c_k, p_k)`` with w = sum_k c_k p_k·g, for w a vector of
+    e_v x and x cyclic with generator g, read through the section into the
+    path coordinates of the projective covering x."""
+    hint = x.hint
+    paths = proj_module(x.algebra, hint.vertex)._proj_paths[v]
+    # a projective (power None) is its own cover: its sections are identities
+    if hint.power is not None:
+        w = [_dot(row, w) for row in hint.sections[v]._data]
+    return [(c, p) for c, p in zip(w, paths) if c != 0]
+
+
+def path_operator(y: Module, terms: Sequence[tuple], rows: int, gens: Matrix) -> Matrix:
+    """A @ gens for A = sum_k c_k y.action(p_k) over the ``(c_k, p_k)`` of
+    ``terms``, with ``rows`` rows.
+
+    For ``terms = path_combination(x, v, w)`` and ``gens`` the generator
+    images of a basis of Hom(x, y), column i is a_i(w) = sum_k c_k p_k·a_i(g).
+    """
+    out = [[0] * gens.rows for _ in range(rows)]
+    for c, p in terms:
+        for orow, arow in zip(out, y.action(p)._data):
+            for k, a in enumerate(arow):
+                if a:
+                    orow[k] += c * a
+    op = Matrix(rows, gens.rows, out)
+    # square gens are the identity: Hom(x, y) is all of e_v y
+    return op if gens.cols == gens.rows else op @ gens
+
+
+def composition_table(outer: HomSpace, inner: HomSpace) -> tuple[Matrix, ...]:
+    """Coordinates of the composites of two hom-space bases.
+
+    For outer = Hom(X, Y) with basis a_i and inner = Hom(U, X) with basis b_j,
+    column i of ``table[j]`` is the coordinate vector of a_i∘b_j in
+    ``hom_space(U, Y)``.  Cached on the younger of the two spaces.
+    """
+    return cached_pair(outer, inner, "composition", _composition_table, outer, inner)
+
+
+def _composition_table(outer: HomSpace, inner: HomSpace) -> tuple[Matrix, ...]:
+    result = hom_space(inner.source, outer.target)
+    if inner.gens is None or outer.gens is None:
+        return tuple(
+            Matrix.from_columns([result.coords(a @ b) for a in outer.basis])
+            if outer.dim
+            else Matrix.zeros(result.dim, 0)
+            for b in inner.basis
+        )
+    if inner.dim == 0:
+        return ()
+    # U and X are cyclic: a_i∘b_j is fixed by a_i(w) = A_w a_i(g) for the
+    # generator image w = b_j(g) in e_v X, one path operator A_w per w
+    v = inner.source.hint.vertex
+    x, y = outer.source, outer.target
+    images = hstack(
+        [
+            path_operator(y, path_combination(x, v, w), y.dims[v], outer.gens)
+            for w in inner.gens.columns()
+        ]
+    )
+    coords = result.generator_coords(images)
+    n = outer.dim
+    return tuple(coords.take_columns(range(j * n, (j + 1) * n)) for j in range(inner.dim))
 
 
 # -- isomorphism testing -------------------------------------------------------

@@ -13,11 +13,13 @@ from relrep.path_algebra import AlgebraPresentation, cyclic_quiver
 from relrep.relhom import contravariant_functor, covariant_functor, ext_F_dim
 from relrep.rep import (
     Module,
+    composition_table,
     direct_sum,
     enumerate_indecomposables_nakayama,
     hom_space,
     parse_module_expression,
     proj_module,
+    radical_quotient,
     regular_module,
 )
 
@@ -70,6 +72,23 @@ def test_cached_pair_entry_keeps_the_older_object_alive_and_dies_with_the_younge
     del young
     gc.collect()
     assert young_ref() is None and old_ref() is None
+
+
+def test_composition_table_dies_with_its_younger_hom_space():
+    algebra = AlgebraPresentation.truncated(cyclic_quiver(3), 5, name="cyclic3")
+    p = proj_module(algebra, 0)
+    outer = hom_space(p, p)
+    fresh = radical_quotient(p, 2)[0]
+    inner = hom_space(fresh, p)
+    table = composition_table(outer, inner)
+    assert len(table) == inner.dim == 1
+    # the table sits on the younger space, next to a reference to the older
+    assert not any(key[0] == "composition" for key in outer._cache)
+    assert [key[0] for key in inner._cache] == ["composition"]
+    old_ref, young_ref = weakref.ref(outer), weakref.ref(inner)
+    del inner, table, fresh
+    gc.collect()
+    assert young_ref() is None and old_ref() is outer
 
 
 # -- memory stays flat across long runs of fresh-module queries ---------------------

@@ -1,0 +1,209 @@
+"""Hom spaces in generator coordinates and composition in coordinates.
+
+Every hom-space route is checked against the morphism level: the cached
+composition table against composing basis maps and reading coordinates,
+generator images against evaluating basis maps at the generator, and the
+generator-route ranks of relative projective resolutions against composing
+hom-space bases with the differentials.  The algebras reach past the cyclic
+Nakayama examples: the commuting square, A3 with one zero relation and the
+Kronecker quiver.
+"""
+
+import pytest
+
+from relrep.exact_linalg import QQ, Matrix
+from relrep.homology import _boundary_rank, _cyclic_sum, _hom_complex
+from relrep.path_algebra import AlgebraPresentation, cyclic_quiver
+from relrep.relhom import F_resolution, contravariant_functor, covariant_functor, ext_F_dim
+from relrep.rep import (
+    Module,
+    Morphism,
+    composition_table,
+    direct_sum,
+    hom_dim,
+    hom_space,
+    inj_module,
+    proj_module,
+    radical_quotient,
+    simple_module,
+    zero_module,
+)
+from test_homology import _a3_zero_relation, _commuting_square, _kronecker, _test_modules
+
+ROUTES = {"cyclic", "sum into a cyclic source", "sum source", "sum target", "raw", "dual target"}
+
+
+def _cyc3_trunc5():
+    return AlgebraPresentation.truncated(cyclic_quiver(3), 5, name="cyc3-trunc5")
+
+
+ALGEBRAS = [_cyc3_trunc5, _commuting_square, _a3_zero_relation, _kronecker]
+
+
+def _route(x: Module, y: Module) -> str:
+    """The route ``hom_space(x, y)`` takes (mirrors ``rep._hom_space``)."""
+    if x.summands is not None:
+        return "sum source"
+    if y.summands is not None:
+        return "sum target" if x.hint is None else "sum into a cyclic source"
+    if x.hint is not None:
+        return "cyclic"
+    dual_of = y._dual_of
+    if dual_of is not None and (dual_of.summands is not None or dual_of.hint is not None):
+        return "dual target"
+    return "raw"
+
+
+def _pool(alg):
+    """Modules that between them reach every hom-space route: cyclic ones,
+    an injective (a dual), a plain copy with no layout or hint, the zero
+    module, and direct sums with a zero summand."""
+    n = alg.quiver.vertex_count
+    p0, s_last = proj_module(alg, 0), simple_module(alg, n - 1)
+    top2 = radical_quotient(p0, 2)[0]
+    inj = inj_module(alg, 0)
+    plain = Module(alg, top2.dims, top2.arrow_maps)
+    zero = zero_module(alg)
+    return [
+        p0,
+        top2,
+        s_last,
+        inj,
+        plain,
+        zero,
+        direct_sum(alg, [s_last, zero, p0]),
+        direct_sum(alg, [top2, inj]),
+    ]
+
+
+@pytest.mark.parametrize("make", ALGEBRAS)
+def test_composition_table_matches_compose_then_coords(make):
+    pool = _pool(make())
+    inner_routes, outer_routes = set(), set()
+    zero_sides = nonzero = 0
+    for u in pool:
+        for x in pool:
+            inner = hom_space(u, x)
+            for y in pool:
+                outer = hom_space(x, y)
+                result = hom_space(u, y)
+                table = composition_table(outer, inner)
+                assert composition_table(outer, inner) is table
+                assert len(table) == inner.dim
+                for b, coords in zip(inner.basis, table):
+                    assert (coords.rows, coords.cols) == (result.dim, outer.dim)
+                    for i, a in enumerate(outer.basis):
+                        assert coords.column_vector(i).flatten() == result.coords(a @ b)
+                        nonzero += not (a @ b).is_zero()
+                inner_routes.add(_route(u, x))
+                outer_routes.add(_route(x, y))
+                zero_sides += (inner.dim == 0) != (outer.dim == 0)
+    assert inner_routes == ROUTES and outer_routes == ROUTES
+    assert zero_sides and nonzero
+
+
+@pytest.mark.parametrize("make", ALGEBRAS)
+def test_hom_spaces_build_basis_maps_only_when_asked(make):
+    pool = _pool(make())
+    for x in pool:
+        for y in pool:
+            space = hom_space(x, y)
+            assert hom_dim(x, y) == space.dim
+            assert space._basis is None, _route(x, y)
+    for x in pool:
+        for y in pool:
+            assert len(hom_space(x, y).basis) == hom_dim(x, y)
+
+
+@pytest.mark.parametrize("make", ALGEBRAS)
+def test_generator_images_are_the_basis_at_the_generator(make):
+    pool = _pool(make())
+    with_gens = 0
+    for x in pool:
+        for y in pool:
+            space = hom_space(x, y)
+            if x.hint is None:
+                assert space.gens is None
+                continue
+            with_gens += 1
+            v, g = x.hint.vertex, x.hint.generator
+            # built alone, before the basis exists, a basis map is the same map
+            alone = [space.basis_map(j) for j in range(space.dim)]
+            assert space._basis is None
+            for j, b in enumerate(space.basis):
+                assert alone[j].maps == b.maps
+                assert space.gens.column_vector(j) == b.maps[v] @ g
+            if space.gens.rows == space.gens.cols:
+                assert space.gens == Matrix.identity(space.dim)
+            cs = [QQ(k + 1, 2) * (-1) ** k for k in range(space.dim)]
+            summed = Morphism.zero(x, y)
+            for c, b in zip(cs, space.basis):
+                summed = summed + b.scale(c)
+            assert space.from_coords(cs).maps == summed.maps
+            assert space.coords(summed) == cs
+    assert with_gens
+
+
+def _covariant_module(alg):
+    n = alg.quiver.vertex_count
+    return direct_sum(alg, [simple_module(alg, n - 1), radical_quotient(proj_module(alg, 0), 2)[0]])
+
+
+@pytest.mark.parametrize("make", [_cyc3_trunc5, _commuting_square])
+def test_generator_ranks_match_boundary_ranks_on_relative_resolutions(make):
+    """Covariant resolutions have cyclic terms and take the generator route;
+    contravariant ones mix in the non-cyclic trd(M) and fall back where a
+    term has such a summand.  Either way the hom complex must match the one
+    built by composing hom-space bases with the differentials."""
+    alg = make()
+    mods = _test_modules(alg)
+    m = _covariant_module(alg)
+    generator = fallback = nonzero = 0
+    for functor in (covariant_functor(m), contravariant_functor(m)):
+        for x in mods:
+            res = F_resolution(x, functor)
+            res.ensure_terms(4)
+            for y in mods:
+                dim, rank = _hom_complex(res, y)
+                for k, d in enumerate(res.differentials):
+                    src, tgt = res.hom_to(k, y), res.hom_to(k + 1, y)
+                    expected = _boundary_rank(src, tgt, d)
+                    assert (dim(k), rank(k)) == (src.dim, expected), (k, x, y)
+                    if _cyclic_sum(d.source) and _cyclic_sum(d.target):
+                        generator += 1
+                        nonzero += expected > 0
+                    else:
+                        fallback += 1
+    assert generator and fallback and nonzero
+
+
+@pytest.mark.parametrize("make", [_commuting_square, _a3_zero_relation])
+def test_relative_ext_routes_agree_off_the_cyclic_algebras(make):
+    alg = make()
+    mods = _test_modules(alg)
+    m = _covariant_module(alg)
+    nonzero = 0
+    for functor in (covariant_functor(m), contravariant_functor(m)):
+        for x in mods:
+            for y in mods:
+                dims = [ext_F_dim(i, x, y, functor) for i in (1, 2, 3)]
+                assert dims == [ext_F_dim(i, x, y, functor, via="injective") for i in (1, 2, 3)]
+                nonzero += any(dims)
+    assert nonzero
+
+
+def test_injective_routes_never_take_the_generator_route(monkeypatch):
+    import relrep.homology as homology
+
+    def refuse(*args):
+        raise AssertionError("a cochain resolution took the generator route")
+
+    monkeypatch.setattr(homology, "_generator_rank", refuse)
+    alg = _commuting_square()
+    mods = _test_modules(alg)
+    functor = covariant_functor(_covariant_module(alg))
+    for x in mods:
+        for y in mods:
+            for i in (1, 2, 3):
+                homology.ext_dim(i, x, y, via="injective")
+                ext_F_dim(i, x, y, functor, via="injective")

@@ -70,6 +70,15 @@ def _upper_triangular_2x2() -> StructureConstantAlgebra:
 
 
 class TestStructureConstantCore:
+    def test_radical_guard_rejects_a_non_nilpotent_trace_form_kernel(self):
+        # e, f with f·f = f, f·e = -e and e·x = 0: left multiplication by f
+        # has trace -1 + 1 = 0, so the trace form vanishes and its kernel is
+        # the whole space, which holds the idempotent f
+        mult = [[[0, 0], [0, 0]], [[-1, 0], [0, 1]]]
+        g = StructureConstantAlgebra(mult, [0, 1], name="inconsistent")
+        with pytest.raises(AlgebraError, match="not nilpotent"):
+            radical(g)
+
     def test_upper_triangular_algebra_basics(self):
         g = _upper_triangular_2x2()
         assert g.dim == 3

@@ -1,6 +1,6 @@
 import pytest
 
-from relrep.exact_linalg import QQ
+from relrep.exact_linalg import QQ, Matrix
 from relrep.path_algebra import (
     AlgebraError,
     AlgebraPresentation,
@@ -11,6 +11,7 @@ from relrep.path_algebra import (
     cyclic_quiver,
     linear_quiver,
 )
+from relrep.rep import proj_module
 
 
 @pytest.fixture(scope="module")
@@ -176,6 +177,31 @@ def test_path_identity_and_hash():
     assert p1 == p2 and hash(p1) == hash(p2)
     assert p1 != q.path_from_arrows([0])
     assert q.trivial_path(0) != q.trivial_path(1)
+
+
+def test_paths_are_listed_once_per_quiver_and_length():
+    q = cyclic_quiver(3)
+    paths = q.paths_up_to(4)
+    assert isinstance(paths, tuple) and q.paths_up_to(4) is paths
+    assert [p.sort_key() for p in paths] == sorted(p.sort_key() for p in paths)
+    assert len(paths) == 3 * 5
+    of_length = q.paths_of_length(2)
+    assert isinstance(of_length, tuple) and q.paths_of_length(2) is of_length
+    assert of_length == tuple(p for p in paths if p.length == 2)
+    # an opposite quiver is a new quiver with its own lists
+    assert q.opposite().paths_up_to(4) is not paths
+
+
+def test_module_action_multiplies_arrow_matrices_first_arrow_first():
+    algebra = AlgebraPresentation.truncated(cyclic_quiver(3), 5, name="cyc3")
+    p = proj_module(algebra, 0)
+    q = algebra.quiver
+    assert p.action(q.trivial_path(1)) == Matrix.identity(p.dims[1])
+    for path in q.paths_up_to(4):
+        expected = Matrix.identity(p.dims[path.source])
+        for idx in path.arrows:
+            expected = p.arrow_maps[idx] @ expected
+        assert p.action(path) == expected
 
 
 def test_is_nakayama():
