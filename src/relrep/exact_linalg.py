@@ -436,6 +436,14 @@ def vstack(mats: Sequence[Matrix]) -> Matrix:
     return Matrix._trusted(sum(m.rows for m in mats), cols, data)
 
 
+def gather_columns(rows: int, picks: Sequence[tuple[Matrix, int]]) -> Matrix:
+    """The ``rows``-row matrix whose t-th column is column j of m, for the
+    t-th pair ``(m, j)`` of ``picks`` (each m has ``rows`` rows)."""
+    return Matrix._trusted(
+        rows, len(picks), [[m._data[i][j] for m, j in picks] for i in range(rows)]
+    )
+
+
 def block_diag(mats: Sequence[Matrix]) -> Matrix:
     mats = list(mats)
     rows = sum(m.rows for m in mats)
@@ -453,14 +461,6 @@ def block_diag(mats: Sequence[Matrix]) -> Matrix:
 def from_blocks(blocks: Sequence[Sequence[Matrix]]) -> Matrix:
     """Assemble a matrix from a 2d grid of consistent blocks."""
     return vstack([hstack(list(row)) for row in blocks])
-
-
-def subspace_basis(vectors: Sequence[Matrix]) -> Matrix:
-    """Column basis of the span of the given column vectors (deterministic)."""
-    if not vectors:
-        raise ValueError("need the ambient dimension; pass at least one vector")
-    joined = hstack(list(vectors))
-    return joined.column_space_basis()
 
 
 def subspace_contains(span: Matrix, vectors: Matrix) -> bool:

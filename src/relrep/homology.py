@@ -16,7 +16,7 @@ import random
 from typing import Callable, Sequence
 
 from .cache import cached_pair, memoized
-from .exact_linalg import Matrix, complement_projection, hstack, subspace_contains
+from .exact_linalg import Matrix, complement_projection, gather_columns, hstack, subspace_contains
 from .path_algebra import AlgebraError, AlgebraPresentation
 from .rep import (
     HomSpace,
@@ -42,11 +42,11 @@ from .rep import (
     path_operator,
     proj_module,
     quotient_by_subspaces,
+    radical_spans,
     regular_module,
     simple_module,
     summand_injection,
     summand_projection,
-    top,
 )
 
 # -- covers and hulls ---------------------------------------------------------
@@ -55,27 +55,27 @@ from .rep import (
 def projective_cover(x: Module) -> Morphism:
     """The minimal epi onto x from a direct sum of indecomposable projectives.
 
-    The source carries its summand layout; each summand records the vertex of
-    the projective it is a copy of.
+    At each vertex v the generators are the unit vectors e_k at the
+    coordinates k that ``complement_projection`` leaves free in the span of
+    the arrow images into v, which is (rad x)_v; they span a complement, so
+    they map to a basis of top(x)_v.  The copy of P(v) for e_k sends a path p
+    to column k of x.action(p).  The source carries its summand layout; each
+    summand records the vertex of the projective it is a copy of.
     """
     algebra = x.algebra
-    t, proj_t = top(x)
-    parts: list[Module] = []
-    gens: list[tuple[Module, Matrix]] = []
-    for v in range(len(x.dims)):
-        m_v = t.dims[v]
-        if m_v == 0:
-            continue
-        lifts = proj_t.maps[v].solve_right(Matrix.identity(m_v))
-        if lifts is None:
-            raise AlgebraError("top projection is not surjective")
-        pv = proj_module(algebra, v)
-        for c in range(m_v):
-            parts.append(pv)
-            gens.append((pv, lifts.column_vector(c)))
-    source = direct_sum(algebra, parts)
-    component_maps = [morphism_from_generator(pv, x, u) for pv, u in gens]
-    return assemble_from_components(source, x, component_maps)
+    gens = [
+        (proj_module(algebra, v), k)
+        for v, span in enumerate(radical_spans(x, 1))
+        for k in complement_projection(span)[1]
+    ]
+    source = direct_sum(algebra, [pv for pv, _ in gens])
+    maps = tuple(
+        gather_columns(
+            d, [(x.action(p), k) for pv, k in gens for p in pv._proj_paths[w]]
+        )
+        for w, d in enumerate(x.dims)
+    )
+    return Morphism._make(source, x, maps)
 
 
 def injective_hull(x: Module) -> Morphism:

@@ -28,7 +28,6 @@ from .exact_linalg import (
     hstack,
     intersect_kernels,
     rational,
-    subspace_sum,
     vstack,
 )
 from .path_algebra import AlgebraError, AlgebraPresentation, Path
@@ -466,26 +465,43 @@ def assemble_into_components(source: Module, sum_target: Module, comps: Sequence
 # -- kernels, images, quotients ---------------------------------------------
 
 
-def _submodule(module: Module, bases: Sequence[Matrix], what: str) -> tuple[Module, Morphism]:
-    """The submodule with the given arrow-stable per-vertex bases, and its inclusion."""
+def kernel(f: Morphism) -> tuple[Module, Morphism]:
+    """Kernel submodule with its inclusion.
+
+    The kernel basis B_v of f_v is the identity at the free (non-pivot)
+    columns of f_v's RREF, so an arrow a: u -> v restricts to the rows of
+    a @ B_u at the free columns of f_v; one product checks closure.
+    """
+    module = f.source
+    bases = []
+    frees = []
+    for m in f.maps:
+        bases.append(m.kernel_basis())
+        pivots = set(m.rref()[1])
+        frees.append([j for j in range(m.cols) if j not in pivots])
     maps = []
     for idx, a in enumerate(module.algebra.quiver.arrows):
-        sol = bases[a.target].solve_right(module.arrow_maps[idx] @ bases[a.source])
-        if sol is None:
-            raise AlgebraError(f"{what} is not closed under the arrow action")
-        maps.append(sol)
+        moved = module.arrow_maps[idx] @ bases[a.source]
+        restricted = moved.take_rows(frees[a.target])
+        if not (bases[a.target] @ restricted == moved):
+            raise AlgebraError("kernel is not closed under the arrow action")
+        maps.append(restricted)
     sub = Module(module.algebra, [b.cols for b in bases], maps, validate=False)
     return sub, Morphism._make(sub, module, tuple(bases))
 
 
-def kernel(f: Morphism) -> tuple[Module, Morphism]:
-    """Kernel submodule with its inclusion."""
-    return _submodule(f.source, [m.kernel_basis() for m in f.maps], "kernel")
-
-
 def image(f: Morphism) -> tuple[Module, Morphism]:
     """Image submodule of the target with its inclusion."""
-    return _submodule(f.target, [m.column_space_basis() for m in f.maps], "image")
+    module = f.target
+    bases = [m.column_space_basis() for m in f.maps]
+    maps = []
+    for idx, a in enumerate(module.algebra.quiver.arrows):
+        sol = bases[a.target].solve_right(module.arrow_maps[idx] @ bases[a.source])
+        if sol is None:
+            raise AlgebraError("image is not closed under the arrow action")
+        maps.append(sol)
+    sub = Module(module.algebra, [b.cols for b in bases], maps, validate=False)
+    return sub, Morphism._make(sub, module, tuple(bases))
 
 
 def quotient_by_subspaces(
@@ -522,19 +538,20 @@ def cokernel(f: Morphism) -> tuple[Module, Morphism]:
     return quot, proj
 
 
-def radical_subspaces(module: Module, power: int = 1) -> list[Matrix]:
-    """Per-vertex bases of rad^power(M) = span of images of length-power paths."""
-    algebra = module.algebra
-    v_count = len(module.dims)
-    paths = algebra.quiver.paths_of_length(power)
-    per_vertex: list[list[Matrix]] = [[] for _ in range(v_count)]
-    for p in paths:
+def radical_spans(module: Module, power: int = 1) -> list[Matrix]:
+    """Per vertex w, the images of the length-``power`` paths ending at w side
+    by side: columns spanning (rad^power M)_w, not reduced to a basis."""
+    per_vertex: list[list[Matrix]] = [[] for _ in module.dims]
+    for p in module.algebra.quiver.paths_of_length(power):
         m = module.action(p)
         if m.cols and not m.is_zero():
             per_vertex[p.target].append(m)
-    return [
-        subspace_sum(module.dims[w], per_vertex[w]) for w in range(v_count)
-    ]
+    return [hstack(ms) if ms else Matrix.zeros(d, 0) for d, ms in zip(module.dims, per_vertex)]
+
+
+def radical_subspaces(module: Module, power: int = 1) -> list[Matrix]:
+    """Per-vertex bases of rad^power(M) = span of images of length-power paths."""
+    return [s.column_space_basis() for s in radical_spans(module, power)]
 
 
 def socle_subspaces(module: Module) -> list[Matrix]:
@@ -554,8 +571,7 @@ def radical_quotient(module: Module, power: int) -> tuple[Module, Morphism]:
     """M / rad^power M with its projection."""
     if power < 1:
         raise AlgebraError("radical power must be >= 1")
-    subs = radical_subspaces(module, power)
-    quot, proj, sections = quotient_by_subspaces(module, subs)
+    quot, proj, sections = quotient_by_subspaces(module, radical_spans(module, power))
     parent = module.hint
     if parent is not None:
         eff_power = power if parent.power is None else min(power, parent.power)
@@ -580,8 +596,7 @@ def loewy_length(module: Module) -> int:
     current = module.dims
     while any(d > 0 for d in current):
         k += 1
-        subs = radical_subspaces(module, k)
-        current = tuple(s.cols for s in subs)
+        current = tuple(s.rank() for s in radical_spans(module, k))
         if k > module.total_dim + 1:
             raise AlgebraError("radical series does not terminate")
     return k
@@ -990,8 +1005,7 @@ def _radical_fingerprint(m: Module) -> tuple:
     out = [m.dims]
     k = 1
     while True:
-        subs = radical_subspaces(m, k)
-        dims = tuple(s.cols for s in subs)
+        dims = tuple(s.rank() for s in radical_spans(m, k))
         out.append(dims)
         if all(d == 0 for d in dims):
             break

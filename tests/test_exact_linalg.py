@@ -10,6 +10,7 @@ from relrep.exact_linalg import (
     complement_projection,
     exact_div,
     from_blocks,
+    gather_columns,
     hstack,
     rational,
     subspace_contains,
@@ -114,6 +115,15 @@ def test_subspace_sum():
     e2 = Matrix.column([0, 1, 0])
     s = subspace_sum(3, [e1, e2, e1 + e2])
     assert s.cols == 2
+
+
+def test_gather_columns():
+    a = Matrix.from_rows([[1, 2], [3, QQ(1, 2)]])
+    b = Matrix.from_rows([[5], [6]])
+    g = gather_columns(2, [(b, 0), (a, 1), (a, 0), (a, 1)])
+    assert g == Matrix.from_rows([[5, 2, 1, 2], [6, QQ(1, 2), 3, QQ(1, 2)]])
+    assert gather_columns(2, []) == Matrix.zeros(2, 0)
+    assert gather_columns(0, [(Matrix.zeros(0, 3), 2)]) == Matrix.zeros(0, 1)
 
 
 def test_trace_and_invertible():
