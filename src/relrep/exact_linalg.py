@@ -470,14 +470,6 @@ def subspace_contains(span: Matrix, vectors: Matrix) -> bool:
     return span.in_column_span(vectors)
 
 
-def subspace_sum(ambient_dim: int, parts: Sequence[Matrix]) -> Matrix:
-    """Basis of the sum of column-span subspaces of a common ambient space."""
-    cols = [m for m in parts if m.cols]
-    if not cols:
-        return Matrix.zeros(ambient_dim, 0)
-    return hstack(cols).column_space_basis()
-
-
 def complement_projection(span: Matrix) -> tuple[Matrix, list[int]]:
     """The quotient of QQ^n (n = ``span.rows``) by the column span of ``span``.
 

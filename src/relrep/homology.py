@@ -25,6 +25,7 @@ from .rep import (
     ShortExactSequence,
     assemble_from_components,
     assemble_into_components,
+    _cyclic_sum,
     cogenerator_module,
     cokernel,
     composition_table,
@@ -32,6 +33,7 @@ from .rep import (
     dualize,
     dualize_morphism,
     flatten_atoms,
+    generator_images,
     hom_basis,
     hom_dim,
     hom_space,
@@ -201,11 +203,6 @@ def _boundary_rank(
     return Matrix.from_columns(cols).rank()
 
 
-def _cyclic_sum(m: Module) -> bool:
-    """Whether m is laid out as a direct sum of cyclic modules."""
-    return m.summands is not None and all(s.hint is not None for s in m.summands)
-
-
 def _path_entries(d: Morphism) -> list[list[list[tuple]]]:
     """The components of d between direct sums of cyclic modules.
 
@@ -213,20 +210,14 @@ def _path_entries(d: Morphism) -> list[list[list[tuple]]]:
     source summand c) = sum_k u_k p_k·(generator of target summand b) inside
     summand b, the p_k running over the paths at the vertex of summand c.
     """
-    src_offs, tgt_offs = d.source.offsets(), d.target.offsets()
-    entries = []
-    for c, uc in enumerate(d.source.summands):
-        v = uc.hint.vertex
-        off = src_offs[c][v]
-        gen = [(k, row[0]) for k, row in enumerate(uc.hint.generator._data) if row[0]]
-        column = [sum(row[off + k] * g for k, g in gen) for row in d.maps[v]._data]
-        entries.append(
-            [
-                path_combination(ub, v, column[tgt_offs[b][v] : tgt_offs[b][v] + ub.dims[v]])
-                for b, ub in enumerate(d.target.summands)
-            ]
-        )
-    return entries
+    tgt_offs = d.target.offsets()
+    return [
+        [
+            path_combination(ub, v, column[tgt_offs[b][v] : tgt_offs[b][v] + ub.dims[v]])
+            for b, ub in enumerate(d.target.summands)
+        ]
+        for v, column in generator_images(d)
+    ]
 
 
 def _generator_rank(d: Morphism, y: Module) -> int:
@@ -512,6 +503,12 @@ def transpose(x: Module) -> Module:
     Transposing commutes with direct sums (minimal presentations add up), so
     the summand tree of x is preserved; downstream consumers such as
     add-approximations rely on summand lists staying as fine as possible.
+    When P1 is indecomposable (always so on Nakayama algebras) the cokernel
+    is taken into that one projective, so Tr x is cyclic and keeps a hint
+    whose relations are the rows of the minimal presentation (see
+    ``cokernel``): its hom spaces, and those of trd x and of maps into dtr x,
+    then work in generator coordinates.  A decomposable P1 gives an unhinted
+    cokernel into the sum; the matrices are the same either way.
     """
     algebra = x.algebra
     op = algebra.opposite()
@@ -519,19 +516,23 @@ def transpose(x: Module) -> Module:
         return direct_sum(op, [transpose(s) for s in x.summands])
     d1, _ = minimal_presentation(x)
     src = direct_sum(op, [proj_module(op, s._proj_vertex) for s in d1.target.summands])
-    tgt = direct_sum(op, [proj_module(op, s._proj_vertex) for s in d1.source.summands])
+    p1 = [proj_module(op, s._proj_vertex) for s in d1.source.summands]
+    tgt = p1[0] if len(p1) == 1 else direct_sum(op, p1)
     # the component P0[c] <- P1[b] is right multiplication by sum_k u_k p_k;
     # transposed, P0[c]^op -> P1[b]^op sends the generator to sum_k u_k rev(p_k)
     entries = _path_entries(d1)
     comps_per_source: list[Morphism] = []
     for c, src_c in enumerate(src.summands):
         into_targets = []
-        for b, tgt_b in enumerate(tgt.summands):
+        for b, tgt_b in enumerate(p1):
             u = Matrix.zeros(tgt_b.dims[src_c._proj_vertex], 1)
             for coeff, path in entries[b][c]:
                 u = u + _path_class_vector(tgt_b, algebra.reverse_path(path)).scale(coeff)
             into_targets.append(morphism_from_generator(src_c, tgt_b, u))
-        comps_per_source.append(assemble_into_components(src_c, tgt, into_targets))
+        if tgt.summands is None:
+            comps_per_source.append(into_targets[0])
+        else:
+            comps_per_source.append(assemble_into_components(src_c, tgt, into_targets))
     d_op = assemble_from_components(src, tgt, comps_per_source)
     return cokernel(d_op)[0]
 
@@ -681,52 +682,96 @@ def _trim_right(g: Morphism, seed: int = 0) -> Morphism:
     raise AlgebraError("minimal approximation refinement did not terminate")
 
 
+@memoized("approximation")
+def _approximation_atoms(m: Module, seed: int) -> tuple:
+    """``(atoms, cyclic)``, cached on m: the distinct atoms of m, and whether
+    every one of them is cyclic."""
+    atoms = distinct_atoms(m, seed=seed)
+    return atoms, all(u.hint is not None for u in atoms)
+
+
+def _radical_terms(u: Module, w: Module) -> list:
+    """For cyclic u and w, the path combinations at u's generator of the
+    generator images of a basis of the radical maps u -> w: all of Hom(u, w)
+    when w is not u, rad End(u) when it is."""
+    gens = hom_space(u, w).gens
+    if w is u:
+        gens = gens @ _end_radical_coords(u)
+    return [path_combination(w, u.hint.vertex, col) for col in gens.columns()]
+
+
+def _radical_compositions(x: Module, atoms, spaces, t: int, cyclic: bool) -> Matrix:
+    """Coordinates in ``spaces[t]`` = Hom(u_t, x), as columns, of a spanning
+    set of the composites psi∘phi with phi: u_t -> u_s radical inside add m
+    and psi in ``spaces[s]`` = Hom(u_s, x).
+
+    Over cyclic atoms psi∘phi is fixed by its value psi(phi(g)) at u_t's
+    generator g, a path operator of x applied to the generator images of
+    ``spaces[s]``: one block matrix for all pairs (s, phi), one
+    ``generator_coords``, no composite built.  The path combinations of the
+    radical maps are cached on the younger atom of each pair.  Otherwise the
+    composites come off composition tables.
+    """
+    space_t = spaces[t]
+    u = atoms[t]
+    if cyclic:
+        rows = x.dims[u.hint.vertex]
+        blocks = [
+            path_operator(x, terms, rows, spaces[s].gens)
+            for s, u_s in enumerate(atoms)
+            if spaces[s].dim
+            for terms in cached_pair(u, u_s, "radical terms", _radical_terms, u, u_s)
+        ]
+        return space_t.generator_coords(hstack(blocks) if blocks else Matrix.zeros(rows, 0))
+    h_t = space_t.dim
+    # columns (phi, psi), phi outer
+    blocks = []
+    for s, u_s in enumerate(atoms):
+        if s == t:
+            rad_u = _end_radical_coords(u)
+            table = composition_table(space_t, hom_space(u, u))
+            # psi∘rho for rho = sum_k r_k e_k, radical
+            for j in range(rad_u.cols):
+                block = Matrix.zeros(h_t, h_t)
+                for k in range(rad_u.rows):
+                    if rad_u[k, j] != 0:
+                        block = block + table[k].scale(rad_u[k, j])
+                blocks.append(block)
+        else:
+            blocks.extend(composition_table(spaces[s], hom_space(u, u_s)))
+    return hstack(blocks) if blocks else Matrix.zeros(h_t, 0)
+
+
 def minimal_right_approximation(x: Module, m: Module, seed: int = 0) -> Morphism:
     """The right minimal add(m)-approximation of x.
 
-    Source multiplicities come from the tops of the restricted hom functor
-    (hom spaces modulo compositions through radical maps inside add m).  When
-    every contributing summand of m has a local endomorphism ring -- checked
-    from the ring's own radical -- that construction is minimal outright; for
-    decomposable summands the result is certified and repaired if needed.
+    Source multiplicities come from the tops of the restricted hom functor:
+    for each atom u of m, basis maps u -> x spanning a complement of the
+    composites through radical maps inside add m.  Those composites are
+    read in generator coordinates when every atom of m is cyclic (parsed
+    atoms, and the transposes of modules with an indecomposable P1), off
+    composition tables otherwise; the atoms are cached on m.  When every
+    contributing atom has a local endomorphism ring -- checked from the
+    ring's own radical -- that construction is minimal outright; otherwise
+    the result is certified and repaired if needed.
     """
-    algebra = x.algebra
-    atoms = distinct_atoms(m, seed=seed)
+    atoms, cyclic = _approximation_atoms(m, seed)
     spaces = [hom_space(u, x) for u in atoms]
     parts: list[Module] = []
     comps: list[Morphism] = []
     all_atoms_local = True
     for t, u in enumerate(atoms):
         space_t = spaces[t]
-        h_t = space_t.dim
-        if h_t == 0:
+        if space_t.dim == 0:
             continue
-        # coordinates of the compositions psi∘phi through radical maps phi
-        # inside add m: columns (phi, psi), phi outer
-        blocks: list[Matrix] = []
-        for s, u_s in enumerate(atoms):
-            if s == t:
-                end_u = hom_space(u, u)
-                rad_u = _end_radical_coords(u)
-                if end_u.dim - rad_u.cols != 1:
-                    all_atoms_local = False
-                table = composition_table(space_t, end_u)
-                # psi∘rho for rho = sum_k r_k e_k, radical
-                for j in range(rad_u.cols):
-                    block = Matrix.zeros(h_t, h_t)
-                    for k in range(rad_u.rows):
-                        if rad_u[k, j] != 0:
-                            block = block + table[k].scale(rad_u[k, j])
-                    blocks.append(block)
-            else:
-                blocks.extend(composition_table(spaces[s], hom_space(u, u_s)))
-        rmat = hstack(blocks) if blocks else Matrix.zeros(h_t, 0)
+        if hom_dim(u, u) - _end_radical_coords(u).cols != 1:
+            all_atoms_local = False
         # basis maps spanning a complement of the radical compositions
-        _, chosen = complement_projection(rmat)
+        _, chosen = complement_projection(_radical_compositions(x, atoms, spaces, t, cyclic))
         for idx in chosen:
             parts.append(u)
             comps.append(space_t.basis_map(idx))
-    source = direct_sum(algebra, parts)
+    source = direct_sum(x.algebra, parts)
     g = assemble_from_components(source, x, comps)
     if all_atoms_local:
         return g

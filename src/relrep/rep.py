@@ -6,10 +6,15 @@ linear algebra over QQ.
 
 Hom spaces are computed by solving the commutation system.  Three structural
 fast paths avoid assembling large systems when the source or target is built
-from standard pieces (direct sums, cyclic quotients of projectives, duals of
-such): they produce the same bases, just block by block.  Every route builds
-its basis maps only when asked.  Out of a cyclic module the space works in
-generator coordinates: evaluation at the generator embeds Hom(u, Y) in e_v Y,
+from standard pieces (direct sums, cyclic modules, duals of such): they
+produce the same bases, just block by block.  Every route builds its basis
+maps only when asked.  A cyclic module carries a ``CyclicHint``: its vertex,
+generator and relations, the path combinations that generate the kernel of
+the projective cover P(v) -> u.  Radical quotients of hinted modules keep a
+hint, and so do cokernels of maps from cyclic modules into a hinted one,
+which makes the transpose of a module with an indecomposable P1 cyclic.  Out
+of a cyclic module the space works in generator coordinates: evaluation at
+the generator embeds Hom(u, Y) in e_v Y as the vectors every relation kills,
 so coordinates, and the composition tables that replace compose-then-read
 loops, come off generator images and path operators.
 """
@@ -40,17 +45,21 @@ class ExpressionError(ValueError):
 class CyclicHint:
     """Marks a module as generated by one vector over a single vertex.
 
-    The module is a quotient of the projective at ``vertex`` by the paths of
-    length >= ``power`` (power None means no constraint, i.e. the projective
-    itself).  ``sections`` embed each vertex space back into the projective's
+    The module is the quotient of the projective P at ``vertex`` by the
+    submodule generated by ``relations``; None means no relation, i.e. the
+    projective itself.  A relation is a tuple of ``(c, p)`` pairs, p a path
+    from ``vertex`` and all of them ending at one vertex, standing for the
+    element sum c p of P.  For P/rad^k the relations are the length-k paths
+    from the vertex; a hinted cokernel adds the image of each source generator
+    (see ``cokernel``).  ``sections`` embed each vertex space back into P's
     path coordinates; ``generator`` is the class of the trivial path.
     """
 
-    __slots__ = ("vertex", "power", "sections", "generator")
+    __slots__ = ("vertex", "relations", "sections", "generator")
 
-    def __init__(self, vertex: int, power: int | None, sections, generator: Matrix):
+    def __init__(self, vertex: int, relations: tuple | None, sections, generator: Matrix):
         self.vertex = vertex
-        self.power = power
+        self.relations = relations
         self.sections = sections
         self.generator = generator
 
@@ -532,9 +541,54 @@ def quotient_by_subspaces(
     return quot, proj, sections
 
 
+def _cyclic_sum(m: Module) -> bool:
+    """Whether m is laid out as a direct sum of cyclic modules."""
+    return m.summands is not None and all(s.hint is not None for s in m.summands)
+
+
+def generator_images(f: Morphism) -> list[tuple[int, list]]:
+    """``(v, f(g))`` for each generator g of f's source, in summand order: v
+    is the vertex of g and f(g) a vector of e_v of the target.  The source is
+    cyclic or a direct sum of cyclic modules."""
+    src = f.source
+    if src.summands is None:
+        parts, offs = (src,), ((0,) * len(src.dims),)
+    else:
+        parts, offs = src.summands, src._offsets
+    out = []
+    for u, off in zip(parts, offs):
+        v = u.hint.vertex
+        gen = [(k, row[0]) for k, row in enumerate(u.hint.generator._data) if row[0]]
+        out.append((v, [sum(row[off[v] + k] * g for k, g in gen) for row in f.maps[v]._data]))
+    return out
+
+
+def _quotient_hint(parent: CyclicHint, proj: Morphism, sections, relations) -> CyclicHint:
+    """The hint of a quotient of a hinted module, given the quotient's
+    projection and sections: the parent's generator and sections carried
+    over."""
+    return CyclicHint(
+        parent.vertex,
+        relations,
+        tuple(ps @ qs for ps, qs in zip(parent.sections, sections)),
+        proj.maps[parent.vertex] @ parent.generator,
+    )
+
+
 def cokernel(f: Morphism) -> tuple[Module, Morphism]:
-    """Cokernel of f with its projection."""
-    quot, proj, _ = quotient_by_subspaces(f.target, f.maps)
+    """Cokernel of f with its projection.
+
+    When f maps a cyclic module, or a direct sum of them, into a hinted
+    module, the cokernel is cyclic on the image of the target's generator:
+    its relations are the target's plus the path combination of each source
+    generator's image.
+    """
+    quot, proj, sections = quotient_by_subspaces(f.target, f.maps)
+    parent = f.target.hint
+    if parent is not None and (f.source.hint is not None or _cyclic_sum(f.source)):
+        lifts = [tuple(path_combination(f.target, v, w)) for v, w in generator_images(f)]
+        relations = (parent.relations or ()) + tuple(r for r in lifts if r)
+        quot.hint = _quotient_hint(parent, proj, sections, relations)
     return quot, proj
 
 
@@ -547,11 +601,6 @@ def radical_spans(module: Module, power: int = 1) -> list[Matrix]:
         if m.cols and not m.is_zero():
             per_vertex[p.target].append(m)
     return [hstack(ms) if ms else Matrix.zeros(d, 0) for d, ms in zip(module.dims, per_vertex)]
-
-
-def radical_subspaces(module: Module, power: int = 1) -> list[Matrix]:
-    """Per-vertex bases of rad^power(M) = span of images of length-power paths."""
-    return [s.column_space_basis() for s in radical_spans(module, power)]
 
 
 def socle_subspaces(module: Module) -> list[Matrix]:
@@ -568,27 +617,31 @@ def socle_subspaces(module: Module) -> list[Matrix]:
 
 
 def radical_quotient(module: Module, power: int) -> tuple[Module, Morphism]:
-    """M / rad^power M with its projection."""
+    """M / rad^power M with its projection (hinted when M is)."""
     if power < 1:
         raise AlgebraError("radical power must be >= 1")
     quot, proj, sections = quotient_by_subspaces(module, radical_spans(module, power))
-    parent = module.hint
-    if parent is not None:
-        eff_power = power if parent.power is None else min(power, parent.power)
-        new_sections = tuple(
-            ps @ qs for ps, qs in zip(parent.sections, sections)
-        )
-        quot.hint = CyclicHint(
-            parent.vertex,
-            eff_power,
-            new_sections,
-            proj.maps[parent.vertex] @ parent.generator,
+    if module.hint is not None:
+        quot.hint = _quotient_hint(
+            module.hint, proj, sections, _radical_relations(module, power)
         )
     return quot, proj
 
 
-def top(module: Module) -> tuple[Module, Morphism]:
-    return radical_quotient(module, 1)
+def _radical_relations(module: Module, power: int) -> tuple:
+    """Relations of M / rad^power M for a hinted M = P/K: the relations of M
+    with a path shorter than ``power``, and the length-``power`` paths from
+    the vertex -- all of them when a relation of M was dropped, else those
+    that do not already vanish on M's generator.  On P/rad^k that leaves the
+    length-min(k, power) paths."""
+    hint = module.hint
+    paths = [p for p in module.algebra.quiver.paths_of_length(power) if p.source == hint.vertex]
+    kept: tuple = ()
+    if hint.relations is not None:
+        kept = tuple(r for r in hint.relations if any(p.length < power for _, p in r))
+        if len(kept) == len(hint.relations):
+            paths = [p for p in paths if not (module.action(p) @ hint.generator).is_zero()]
+    return kept + tuple(((1, p),) for p in paths)
 
 
 def loewy_length(module: Module) -> int:
@@ -836,15 +889,18 @@ def _hom_sum(x: Module, y: Module, into_sum: bool) -> HomSpace:
     return HomSpace(x, y, dim, build, coords)
 
 
-def _cyclic_constraints(algebra: AlgebraPresentation, y: Module, vertex: int, power: int | None):
-    if power is None:
+def _cyclic_constraints(y: Module, relations):
+    """One row block per relation: its action on y, from e_v y to the space
+    at the relation's end vertex.  A vector of e_v y is the generator image
+    of a map out of the hinted module exactly when every block kills it."""
+    if relations is None:
         return None
-    paths = [p for p in algebra.quiver.paths_of_length(power) if p.source == vertex]
-    mats = [y.action(p) for p in paths]
-    mats = [m for m in mats if m.rows]
-    if not mats:
-        return None
-    return vstack(mats)
+    mats = []
+    for rel in relations:
+        rows = y.dims[rel[0][1].target]
+        if rows:
+            mats.append(path_operator(y, rel, rows))
+    return vstack(mats) if mats else None
 
 
 def morphism_from_generator(source: Module, target: Module, u: Matrix) -> Morphism:
@@ -870,7 +926,7 @@ def morphism_from_generator(source: Module, target: Module, u: Matrix) -> Morphi
 
 def _hom_cyclic_source(x: Module, y: Module) -> HomSpace:
     hint = x.hint
-    constraints = _cyclic_constraints(x.algebra, y, hint.vertex, hint.power)
+    constraints = _cyclic_constraints(y, hint.relations)
     if constraints is None:
         gens = Matrix.identity(y.dims[hint.vertex])
     else:
@@ -937,28 +993,29 @@ def path_combination(x: Module, v: int, w: Sequence) -> list[tuple]:
     path coordinates of the projective covering x."""
     hint = x.hint
     paths = proj_module(x.algebra, hint.vertex)._proj_paths[v]
-    # a projective (power None) is its own cover: its sections are identities
-    if hint.power is not None:
+    # a projective (no relations) is its own cover: its sections are identities
+    if hint.relations is not None:
         w = [_dot(row, w) for row in hint.sections[v]._data]
     return [(c, p) for c, p in zip(w, paths) if c != 0]
 
 
-def path_operator(y: Module, terms: Sequence[tuple], rows: int, gens: Matrix) -> Matrix:
+def path_operator(y: Module, terms: Sequence[tuple], rows: int, gens: Matrix | None = None) -> Matrix:
     """A @ gens for A = sum_k c_k y.action(p_k) over the ``(c_k, p_k)`` of
-    ``terms``, with ``rows`` rows.
+    ``terms``, with ``rows`` rows; A itself when ``gens`` is None.
 
     For ``terms = path_combination(x, v, w)`` and ``gens`` the generator
     images of a basis of Hom(x, y), column i is a_i(w) = sum_k c_k p_k·a_i(g).
     """
-    out = [[0] * gens.rows for _ in range(rows)]
+    cols = y.dims[terms[0][1].source] if gens is None else gens.rows
+    out = [[0] * cols for _ in range(rows)]
     for c, p in terms:
         for orow, arow in zip(out, y.action(p)._data):
             for k, a in enumerate(arow):
                 if a:
                     orow[k] += c * a
-    op = Matrix(rows, gens.rows, out)
+    op = Matrix(rows, cols, out)
     # square gens are the identity: Hom(x, y) is all of e_v y
-    return op if gens.cols == gens.rows else op @ gens
+    return op if gens is None or gens.cols == gens.rows else op @ gens
 
 
 def composition_table(outer: HomSpace, inner: HomSpace) -> tuple[Matrix, ...]:

@@ -152,14 +152,19 @@ def _covariant_module(alg):
 @pytest.mark.parametrize("make", [_cyc3_trunc5, _commuting_square])
 def test_generator_ranks_match_boundary_ranks_on_relative_resolutions(make):
     """Covariant resolutions have cyclic terms and take the generator route;
-    contravariant ones mix in the non-cyclic trd(M) and fall back where a
-    term has such a summand.  Either way the hom complex must match the one
-    built by composing hom-space bases with the differentials."""
+    so do contravariant ones when the transposes in trd(M) are cyclic (P1
+    indecomposable, always so on cyc3).  A term with a non-cyclic summand
+    falls back: trd(M) with a decomposable P1 on the square, and on both
+    algebras a test module whose atom is a plain copy with no layout or hint.
+    Either way the hom complex must match the one built by composing
+    hom-space bases with the differentials."""
     alg = make()
     mods = _test_modules(alg)
     m = _covariant_module(alg)
+    s_last, top2 = m.summands
+    plain = direct_sum(alg, [s_last, Module(alg, top2.dims, top2.arrow_maps)])
     generator = fallback = nonzero = 0
-    for functor in (covariant_functor(m), contravariant_functor(m)):
+    for functor in (covariant_functor(m), contravariant_functor(m), covariant_functor(plain)):
         for x in mods:
             res = F_resolution(x, functor)
             res.ensure_terms(4)

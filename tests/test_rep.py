@@ -21,17 +21,28 @@ from relrep.rep import (
     parse_module_expression,
     proj_module,
     radical_quotient,
-    radical_subspaces,
+    radical_spans,
     regular_module,
     simple_module,
     socle_subspaces,
     summand_injection,
     summand_projection,
-    top,
     zero_module,
     _hom_cyclic_source,
     _hom_raw,
 )
+
+
+# -- references ----------------------------------------------------------------
+
+
+def radical_subspaces(module, power: int = 1) -> list[Matrix]:
+    """Per-vertex bases of rad^power(M) = span of images of length-power paths."""
+    return [s.column_space_basis() for s in radical_spans(module, power)]
+
+
+def top(module):
+    return radical_quotient(module, 1)
 
 
 # -- projectives, injectives, simples ---------------------------------------

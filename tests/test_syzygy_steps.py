@@ -15,7 +15,7 @@ from collections import Counter
 
 import pytest
 
-from relrep.exact_linalg import QQ, Matrix, subspace_contains, subspace_sum
+from relrep.exact_linalg import QQ, Matrix, subspace_contains
 from relrep.homology import (
     dtr,
     ext1_space,
@@ -44,12 +44,12 @@ from relrep.rep import (
     proj_module,
     quotient_by_subspaces,
     radical_quotient,
-    radical_subspaces,
     simple_module,
     socle_subspaces,
-    top,
 )
+from test_exact_linalg import subspace_sum
 from test_homology import _a3_zero_relation, _a4_rad2, _commuting_square, _kronecker
+from test_rep import radical_subspaces, top
 
 # -- the replaced constructions ---------------------------------------------------
 
@@ -92,8 +92,25 @@ def _reference_kernel(f: Morphism) -> tuple[Module, Morphism]:
     return sub, Morphism._make(sub, module, tuple(bases))
 
 
+def _length_paths(alg, vertex: int, k: int) -> tuple:
+    return tuple(((1, p),) for p in alg.quiver.paths_of_length(k) if p.source == vertex)
+
+
+def _radical_power(alg, hint: CyclicHint) -> int | None:
+    """k when the relations of ``hint`` are the length-k paths from its
+    vertex, as for P/rad^k; None otherwise."""
+    rels = hint.relations
+    if not rels or not all(len(rel) == 1 for rel in rels):
+        return None
+    k = rels[0][0][1].length
+    return k if rels == _length_paths(alg, hint.vertex, k) else None
+
+
 def _reference_radical_quotient(module: Module, power: int) -> tuple[Module, Morphism]:
-    """The quotient by reduced bases of rad^power, with the hint carried over."""
+    """The quotient by reduced bases of rad^power, with the hint carried over:
+    the length-``power`` paths as relations under a projective, the
+    length-min(k, power) paths under P/rad^k, and None (no reference) under
+    any other relations."""
     paths = module.algebra.quiver.paths_of_length(power)
     bases = [
         subspace_sum(d, [module.action(p) for p in paths if p.target == w])
@@ -102,13 +119,58 @@ def _reference_radical_quotient(module: Module, power: int) -> tuple[Module, Mor
     quot, proj, sections = quotient_by_subspaces(module, bases)
     parent = module.hint
     if parent is not None:
+        if parent.relations is None:
+            relations = _length_paths(module.algebra, parent.vertex, power)
+        else:
+            k = _radical_power(module.algebra, parent)
+            relations = None if k is None else _length_paths(module.algebra, parent.vertex, min(k, power))
         quot.hint = CyclicHint(
             parent.vertex,
-            power if parent.power is None else min(power, parent.power),
+            relations,
             tuple(ps @ qs for ps, qs in zip(parent.sections, sections)),
             proj.maps[parent.vertex] @ parent.generator,
         )
     return quot, proj
+
+
+def _relation_vector(proj: Module, rel) -> Matrix:
+    """The element sum c p of the projective ``proj`` for a relation, as a
+    vector of its vertex space at the relation's end."""
+    alg = proj.algebra
+    paths = proj._proj_paths[rel[0][1].target]
+    vec = [0] * len(paths)
+    for c, p in rel:
+        coords = alg.reduce_path(p)
+        for i, q in enumerate(paths):
+            vec[i] += c * coords[alg.basis_index[q]]
+    return Matrix.column(vec)
+
+
+def assert_relations_present(module: Module) -> None:
+    """The hint of ``module`` presents it: every relation kills the generator,
+    and P(v) modulo the submodule the relations generate has the module's
+    dimension."""
+    hint = module.hint
+    alg = module.algebra
+    proj = proj_module(alg, hint.vertex)
+    if hint.relations is None:
+        assert module.dims == proj.dims
+        return
+    spans: list[list[Matrix]] = [[] for _ in module.dims]
+    for rel in hint.relations:
+        assert all(p.source == hint.vertex for _, p in rel)
+        end = rel[0][1].target
+        assert all(p.target == end for _, p in rel)
+        killed = Matrix.zeros(module.dims[end], 1)
+        for c, p in rel:
+            killed = killed + (module.action(p) @ hint.generator).scale(c)
+        assert killed.is_zero()
+        vec = _relation_vector(proj, rel)
+        for q in alg.quiver.paths_up_to(alg.nilpotency_bound):
+            if q.source == end:
+                spans[q.target].append(proj.action(q) @ vec)
+    sub = sum(subspace_sum(d, ms).cols for d, ms in zip(proj.dims, spans))
+    assert proj.total_dim - sub == module.total_dim
 
 
 # -- the corpus --------------------------------------------------------------------
@@ -269,7 +331,11 @@ def test_radical_quotients_match_the_reduced_basis_route(corpus):
                 assert quot.hint is None
                 continue
             hint, ref_hint = quot.hint, ref.hint
-            assert (hint.vertex, hint.power) == (ref_hint.vertex, ref_hint.power)
+            assert hint.vertex == ref_hint.vertex
+            if ref_hint.relations is None:
+                assert_relations_present(quot)
+            else:
+                assert hint.relations == ref_hint.relations
             assert hint.sections == ref_hint.sections
             assert hint.generator == ref_hint.generator
 
