@@ -336,7 +336,7 @@ def cmd_check_maxortho(args) -> int:
     report.put("module", args.module)
     report.put("bound", args.l)
     report.put("mode", args.mode)
-    result = check_maximal_orthogonal(module, args.l, mode=args.mode, seed=args.seed)
+    result = check_maximal_orthogonal(module, args.l, mode=args.mode)
     verdict = result.verdict
     report.say(
         f"maximal {args.l}-orthogonal [{args.mode}]: {'yes' if verdict else 'no'}"
@@ -407,7 +407,7 @@ def cmd_verify_theorem(args) -> int:
     report.put("m1", args.m1)
     report.put("m2", args.m2)
     report.put("bound", args.l)
-    result = verify_theorem(m1, m2, args.l, seed=args.seed)
+    result = verify_theorem(m1, m2, args.l)
     for clause in result.hypotheses:
         report.put(f"hypothesis.{clause.name.replace(' ', '-')}", "pass" if clause.passed else "fail")
     if not result.hypotheses_ok:
@@ -449,7 +449,7 @@ def cmd_exchange(args) -> int:
     report.put("x1", args.x1)
     report.put("x2", args.x2)
     report.put("max-len", args.max_len)
-    result = search_exchange_sequence(base, x1, x2, args.max_len, seed=args.seed)
+    result = search_exchange_sequence(base, x1, x2, args.max_len)
     report.put("found", result.found)
     report.put("trivial", result.trivial)
     if not result.found:
@@ -553,7 +553,7 @@ def cmd_prop_gldim(args) -> int:
     report.put("algebra", algebra.name or args.algebra)
     report.put("module", args.module)
     report.put("bound", args.l)
-    result = check_prop_gldim(module, args.l, witnesses=witnesses, seed=args.seed)
+    result = check_prop_gldim(module, args.l, witnesses=witnesses)
     report.put("generator-cogenerator", result.generator_cogenerator)
     if not result.generator_cogenerator:
         report.say("hypothesis failure: the module is not a generator-cogenerator")
@@ -609,7 +609,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("module", help="module expression, e.g. 'P(1)+S(2)/rad^2'")
     p.add_argument("--l", type=int, required=True, help="orthogonality bound")
     p.add_argument("--mode", choices=("corollary", "enumeration"), default="corollary")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0, help="ignored: nothing is randomized")
 
     p = add("ext", cmd_ext, "extension group dimensions, absolute or relative")
     p.add_argument("x", help="first module expression")
@@ -624,14 +624,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("m1", help="first module expression")
     p.add_argument("m2", help="second module expression")
     p.add_argument("--l", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0, help="ignored: nothing is randomized")
 
     p = add("exchange", cmd_exchange, "search for an exchange sequence between two complements")
     p.add_argument("base", help="common summand module expression")
     p.add_argument("x1", help="target complement expression")
     p.add_argument("x2", help="starting complement expression")
     p.add_argument("--max-len", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0, help="ignored: nothing is randomized")
 
     p = add("dtr", cmd_dtr, "translate of a module (dual of the transpose)")
     p.add_argument("module", help="module expression")
@@ -655,7 +655,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("module", help="module expression")
     p.add_argument("--l", type=int, required=True)
     p.add_argument("--witness", action="append", help="restrict relative bounds to these test modules (repeatable)")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0, help="ignored: nothing is randomized")
 
     add("show-algebra", cmd_show_algebra, "parse an algebra file and re-emit it canonically")
 

@@ -36,15 +36,9 @@ from .rep import (
     proj_module,
     summand_injection,
     summand_projection,
-)
-from .homology import (
-    ext_dim,
-    factor_through,
-    in_add,
-    is_left_minimal,
-    is_right_minimal,
     trace_form_radical,
 )
+from .homology import ext_dim, factor_through, in_add, is_left_minimal, is_right_minimal
 from .relhom import (
     F_coresolution,
     F_resolution,
@@ -1169,14 +1163,14 @@ class PropGldimReport:
 # generator-cogenerator and orthogonality checks
 
 
-def _generator_cogenerator_clauses(m: Module, seed: int = 0) -> list[ClauseReport]:
+def _generator_cogenerator_clauses(m: Module) -> list[ClauseReport]:
     alg = m.algebra
     missing_p = []
     missing_i = []
     for v in range(alg.quiver.vertex_count):
-        if not in_add(proj_module(alg, v), m, seed=seed):
+        if not in_add(proj_module(alg, v), m):
             missing_p.append(v + 1)
-        if not in_add(inj_module(alg, v), m, seed=seed):
+        if not in_add(inj_module(alg, v), m):
             missing_i.append(v + 1)
     clauses = [
         ClauseReport(
@@ -1193,8 +1187,8 @@ def _generator_cogenerator_clauses(m: Module, seed: int = 0) -> list[ClauseRepor
     return clauses
 
 
-def is_generator_cogenerator(m: Module, seed: int = 0) -> bool:
-    return all(c.passed for c in _generator_cogenerator_clauses(m, seed=seed))
+def is_generator_cogenerator(m: Module) -> bool:
+    return all(c.passed for c in _generator_cogenerator_clauses(m))
 
 
 def selforthogonality_failures(m: Module, l: int) -> list[tuple[int, int]]:
@@ -1212,7 +1206,6 @@ def check_maximal_orthogonal(
     l: int,
     mode: str = "corollary",
     witnesses: list[Module] | None = None,
-    seed: int = 0,
 ) -> MaxOrthogonalReport:
     """Maximal orthogonality of ``m`` at level ``l``.
 
@@ -1224,7 +1217,7 @@ def check_maximal_orthogonal(
     if l < 1:
         raise AlgebraError("orthogonality level must be >= 1")
     if mode == "corollary":
-        clauses = _generator_cogenerator_clauses(m, seed=seed)
+        clauses = _generator_cogenerator_clauses(m)
         fails = selforthogonality_failures(m, l)
         clauses.append(
             ClauseReport(
@@ -1250,7 +1243,7 @@ def check_maximal_orthogonal(
         bad_right = []
         bad_left = []
         for w in witnesses:
-            member = in_add(w, m, seed=seed)
+            member = in_add(w, m)
             right_orth = all(ext_dim(i, m, w) == 0 for i in range(1, l + 1))
             left_orth = all(ext_dim(i, w, m) == 0 for i in range(1, l + 1))
             if right_orth != member:
@@ -1398,7 +1391,7 @@ def _condition_d(m1: Module, m2: Module, l: int) -> tuple[bool, dict]:
     return ok, detail
 
 
-def verify_theorem(m1: Module, m2: Module, l: int, seed: int = 0) -> TheoremReport:
+def verify_theorem(m1: Module, m2: Module, l: int) -> TheoremReport:
     """Run the four equivalent conditions on a generator-cogenerator pair.
 
     Hypotheses (generator-cogenerator on both sides, endomorphism global
@@ -1409,7 +1402,7 @@ def verify_theorem(m1: Module, m2: Module, l: int, seed: int = 0) -> TheoremRepo
         raise AlgebraError("the bound must be a positive integer")
     report = TheoremReport(bound=l)
     for label, mod in (("m1", m1), ("m2", m2)):
-        for clause in _generator_cogenerator_clauses(mod, seed=seed):
+        for clause in _generator_cogenerator_clauses(mod):
             report.hypotheses.append(
                 ClauseReport(f"{label} {clause.name}", clause.passed, clause.detail)
             )
@@ -1444,9 +1437,7 @@ def verify_theorem(m1: Module, m2: Module, l: int, seed: int = 0) -> TheoremRepo
 # orthogonality implication and its converse probe
 
 
-def check_iyama_orthogonality(
-    m1: Module, m2: Module, k: int, l: int, seed: int = 0
-) -> OrthogonalityReport:
+def check_iyama_orthogonality(m1: Module, m2: Module, k: int, l: int) -> OrthogonalityReport:
     """Test the k-fold orthogonality hypothesis and the relative conclusions.
 
     Both modules must be maximal l-orthogonal (verified).  The conclusions
@@ -1457,7 +1448,7 @@ def check_iyama_orthogonality(
     if not (1 <= k <= l <= 2 * k + 1):
         raise AlgebraError("need 1 <= k <= l <= 2k+1")
     for label, mod in (("m1", m1), ("m2", m2)):
-        rep = check_maximal_orthogonal(mod, l, mode="corollary", seed=seed)
+        rep = check_maximal_orthogonal(mod, l, mode="corollary")
         if not rep.verdict:
             failing = [c.name for c in rep.clauses if not c.passed]
             raise AlgebraError(f"{label} is not maximal {l}-orthogonal (failing: {failing})")
@@ -1503,9 +1494,7 @@ def _right_approximation_property(pi: Morphism, n: Module) -> bool:
     return True
 
 
-def search_exchange_sequence(
-    n: Module, x1: Module, x2: Module, max_len: int, seed: int = 0
-) -> ExchangeResult:
+def search_exchange_sequence(n: Module, x1: Module, x2: Module, max_len: int) -> ExchangeResult:
     """Greedy chain of minimal left add(n)-approximations from x2 towards x1.
 
     Starting from ``x2``, repeatedly take the minimal left approximation into
@@ -1518,12 +1507,12 @@ def search_exchange_sequence(
     """
     if max_len < 0:
         raise AlgebraError("maximum length must be >= 0")
-    if not is_generator_cogenerator(n, seed=seed):
+    if not is_generator_cogenerator(n):
         raise AlgebraError("the exchange base must be a generator-cogenerator")
     for label, x in (("x1", x1), ("x2", x2)):
-        if in_add(x, n, seed=seed):
+        if in_add(x, n):
             raise AlgebraError(f"{label} must lie outside add of the base")
-    if is_isomorphic(x1, x2, seed=seed):
+    if is_isomorphic(x1, x2):
         return ExchangeResult(found=True, trivial=True, terms=[x2, x1])
     alg = n.algebra
     m1 = direct_sum(alg, [n, x1])
@@ -1534,7 +1523,7 @@ def search_exchange_sequence(
     middles: list[Module] = []
     reached = False
     for _ in range(max_len + 1):
-        approx = left_approximation(current, n, seed=seed)
+        approx = left_approximation(current, n)
         lam = approx.morphism
         if not lam.is_mono():
             return ExchangeResult(
@@ -1547,7 +1536,7 @@ def search_exchange_sequence(
         projections.append(coker_proj)
         middles.append(lam.target)
         current = coker_mod
-        if is_isomorphic(current, x1, seed=seed):
+        if is_isomorphic(current, x1):
             reached = True
             break
         if current.total_dim == 0:
@@ -1604,7 +1593,6 @@ def check_prop_gldim(
     l: int,
     witnesses: list[Module] | None = None,
     minimize: bool = True,
-    seed: int = 0,
 ) -> PropGldimReport:
     """Compare gldim End(m) <= l+2 with both relative global-dimension bounds.
 
@@ -1616,16 +1604,16 @@ def check_prop_gldim(
     """
     if l < 1:
         raise AlgebraError("the bound must be a positive integer")
-    gen_cogen = is_generator_cogenerator(m, seed=seed)
+    gen_cogen = is_generator_cogenerator(m)
     report = PropGldimReport(bound=l, generator_cogenerator=gen_cogen)
     if not gen_cogen:
         return report
     g, _ = end_algebra(m)
     report.endo_bound = gldim_le(g, l + 2)
     report.covariant_bound = gldim_F_le(
-        covariant_functor(m), l, witnesses=witnesses, minimize=minimize, seed=seed
+        covariant_functor(m), l, witnesses=witnesses, minimize=minimize
     )
     report.contravariant_bound = gldim_F_le(
-        contravariant_functor(m), l, witnesses=witnesses, minimize=minimize, seed=seed
+        contravariant_functor(m), l, witnesses=witnesses, minimize=minimize
     )
     return report

@@ -12,12 +12,11 @@ alongside as an independent cross-check.
 
 from __future__ import annotations
 
-import random
 from typing import Callable, Sequence
 
 from .cache import cached_pair, memoized
 from .exact_linalg import Matrix, complement_projection, gather_columns, hstack, subspace_contains
-from .path_algebra import AlgebraError, AlgebraPresentation
+from .path_algebra import AlgebraError, AlgebraPresentation, InternalError
 from .rep import (
     HomSpace,
     Module,
@@ -26,6 +25,8 @@ from .rep import (
     assemble_from_components,
     assemble_into_components,
     _cyclic_sum,
+    _end_radical_coords,
+    _split_local,
     cogenerator_module,
     cokernel,
     composition_table,
@@ -552,54 +553,15 @@ def trd(x: Module) -> Module:
 # -- add-membership and minimal approximations ---------------------------------
 
 
-def distinct_atoms(m: Module, seed: int = 0) -> list[Module]:
+def distinct_atoms(m: Module) -> list[Module]:
     """The registered summands of m, flattened and deduplicated up to isomorphism."""
     reps: list[Module] = []
     for atom in flatten_atoms(m):
         if atom.is_zero():
             continue
-        if not any(is_isomorphic(atom, r, seed=seed) for r in reps):
+        if not any(is_isomorphic(atom, r) for r in reps):
             reps.append(atom)
     return reps
-
-
-def trace_form_radical(mult) -> Matrix:
-    """Kernel (as columns) of the trace form of an algebra with basis e_0..e_{n-1}.
-
-    ``mult[i][j]`` lists the nonzero ``(m, c)`` pairs of ``e_i e_j = sum c e_m``.
-    The form is T(e_i, e_j) = sum_m c_ij^m tr(L_{e_m}), L_x being left
-    multiplication by x; over the rationals its kernel is the Jacobson radical.
-    """
-    n = len(mult)
-    # ltrace[m] = trace of left multiplication by e_m
-    ltrace = [0] * n
-    for m, plane in enumerate(mult):
-        for j, pairs in enumerate(plane):
-            for t, c in pairs:
-                if t == j:
-                    ltrace[m] += c
-    form = [[sum((c * ltrace[m] for m, c in pairs), 0) for pairs in plane] for plane in mult]
-    return Matrix(n, n, form).kernel_basis()
-
-
-@memoized("end_radical")
-def _end_radical_coords(x: Module) -> Matrix:
-    """Coordinate basis of rad End(x), in the basis of ``hom_space(x, x)``,
-    off the trace form of the regular action.
-
-    Cached on the module, like hom spaces are; the n^2 products come from the
-    composition table of End(x) with itself.
-    """
-    end_space = hom_space(x, x)
-    table = composition_table(end_space, end_space)
-    n = end_space.dim
-    # e_i e_j = b_i∘b_j is column i of table[j]
-    return trace_form_radical(
-        [
-            [[(m, row[i]) for m, row in enumerate(table[j]._data) if row[i]] for j in range(n)]
-            for i in range(n)
-        ]
-    )
 
 
 def _right_minimality_data(g: Morphism):
@@ -635,14 +597,16 @@ def _stable_power(v: Morphism) -> Morphism:
     return power
 
 
-def _trim_right(g: Morphism, seed: int = 0) -> Morphism:
+def _trim_right(g: Morphism) -> Morphism:
     """Split off Fitting summands killed by g until it is right minimal.
 
     Any non-nilpotent v with g o v = 0 decomposes the source as
     ker(v^inf) + im(v^inf) with g vanishing on the image part, so restricting
-    to the kernel part keeps the approximation property.
+    to the kernel part keeps the approximation property.  The candidates
+    always hold such a v: while g is not right minimal, W (the endomorphisms
+    killed by g) is not inside rad End, the kernel of the trace form, so
+    some w_i∘e_j has nonzero trace and is not nilpotent.
     """
-    rng = random.Random(seed)
     for _ in range(g.source.total_dim + 1):
         w, rad, end_space = _right_minimality_data(g)
         if subspace_contains(rad, w):
@@ -658,15 +622,7 @@ def _trim_right(g: Morphism, seed: int = 0) -> Morphism:
             for v in w_morphisms:
                 for e in end_space.basis:
                     yield v @ e
-            for _ in range(64):
-                acc = Morphism.zero(g.source, g.source)
-                for v in w_morphisms:
-                    c = rng.randint(-4, 4)
-                    if c:
-                        acc = acc + v.scale(c)
-                yield acc
 
-        dropped = False
         for v in candidates():
             power = _stable_power(v)
             if power.is_zero():
@@ -675,18 +631,19 @@ def _trim_right(g: Morphism, seed: int = 0) -> Morphism:
             if ker_mod.total_dim == g.source.total_dim:
                 continue
             g = g @ ker_incl
-            dropped = True
             break
-        if not dropped:
-            raise AlgebraError("could not repair a non-minimal approximation")
-    raise AlgebraError("minimal approximation refinement did not terminate")
+        else:
+            raise InternalError(
+                "homology", "every endomorphism killed by a non-minimal approximation is nilpotent"
+            )
+    raise InternalError("homology", "minimal approximation refinement did not terminate")
 
 
 @memoized("approximation")
-def _approximation_atoms(m: Module, seed: int) -> tuple:
+def _approximation_atoms(m: Module) -> tuple:
     """``(atoms, cyclic)``, cached on m: the distinct atoms of m, and whether
     every one of them is cyclic."""
-    atoms = distinct_atoms(m, seed=seed)
+    atoms = distinct_atoms(m)
     return atoms, all(u.hint is not None for u in atoms)
 
 
@@ -742,7 +699,7 @@ def _radical_compositions(x: Module, atoms, spaces, t: int, cyclic: bool) -> Mat
     return hstack(blocks) if blocks else Matrix.zeros(h_t, 0)
 
 
-def minimal_right_approximation(x: Module, m: Module, seed: int = 0) -> Morphism:
+def minimal_right_approximation(x: Module, m: Module) -> Morphism:
     """The right minimal add(m)-approximation of x.
 
     Source multiplicities come from the tops of the restricted hom functor:
@@ -755,7 +712,7 @@ def minimal_right_approximation(x: Module, m: Module, seed: int = 0) -> Morphism
     ring's own radical -- that construction is minimal outright; otherwise
     the result is certified and repaired if needed.
     """
-    atoms, cyclic = _approximation_atoms(m, seed)
+    atoms, cyclic = _approximation_atoms(m)
     spaces = [hom_space(u, x) for u in atoms]
     parts: list[Module] = []
     comps: list[Morphism] = []
@@ -764,7 +721,7 @@ def minimal_right_approximation(x: Module, m: Module, seed: int = 0) -> Morphism
         space_t = spaces[t]
         if space_t.dim == 0:
             continue
-        if hom_dim(u, u) - _end_radical_coords(u).cols != 1:
+        if not _split_local(u):
             all_atoms_local = False
         # basis maps spanning a complement of the radical compositions
         _, chosen = complement_projection(_radical_compositions(x, atoms, spaces, t, cyclic))
@@ -777,22 +734,22 @@ def minimal_right_approximation(x: Module, m: Module, seed: int = 0) -> Morphism
         return g
     if is_right_minimal(g):
         return g
-    return _trim_right(g, seed=seed)
+    return _trim_right(g)
 
 
-def minimal_left_approximation(x: Module, m: Module, seed: int = 0) -> Morphism:
+def minimal_left_approximation(x: Module, m: Module) -> Morphism:
     """The left minimal add(m)-approximation of x (computed by duality)."""
-    g = minimal_right_approximation(dualize(x), dualize(m), seed=seed)
+    g = minimal_right_approximation(dualize(x), dualize(m))
     return dualize_morphism(g)
 
 
-def in_add(x: Module, m: Module, seed: int = 0) -> bool:
+def in_add(x: Module, m: Module) -> bool:
     """Whether x is a direct summand of a finite direct sum of copies of m."""
     if x.is_zero():
         return True
     if m.is_zero():
         return False
-    return minimal_right_approximation(x, m, seed=seed).is_iso()
+    return minimal_right_approximation(x, m).is_iso()
 
 
 def in_add_via_split(x: Module, m: Module) -> bool:

@@ -217,12 +217,12 @@ def F_subgroup_dim(c: Module, a: Module, f: SubBifunctor) -> int:
 # -- relative projectives, injectives and approximations ------------------------
 
 
-def in_F_projectives(x: Module, f: SubBifunctor, seed: int = 0) -> bool:
-    return in_add(x, f.projectives_module(), seed=seed)
+def in_F_projectives(x: Module, f: SubBifunctor) -> bool:
+    return in_add(x, f.projectives_module())
 
 
-def in_F_injectives(x: Module, f: SubBifunctor, seed: int = 0) -> bool:
-    return in_add(x, f.injectives_module(), seed=seed)
+def in_F_injectives(x: Module, f: SubBifunctor) -> bool:
+    return in_add(x, f.injectives_module())
 
 
 @dataclass(frozen=True)
@@ -258,27 +258,23 @@ def _canonical_left_approximation(x: Module, m: Module) -> Morphism:
     return assemble_into_components(x, tgt, basis)
 
 
-def right_approximation(
-    x: Module, m: Module, minimize: bool = True, seed: int = 0
-) -> ApproximationResult:
+def right_approximation(x: Module, m: Module, minimize: bool = True) -> ApproximationResult:
     """A right add(m)-approximation of x: every map from a summand-of-m
     factors through it.  minimize=True certifies minimality; otherwise the
     canonical evaluation map is returned with no minimality claim."""
     if minimize:
-        g = minimal_right_approximation(x, m, seed=seed)
+        g = minimal_right_approximation(x, m)
     else:
         g = _canonical_right_approximation(x, m)
     ker, _ = kernel(g)
     return ApproximationResult(g, bool(minimize), ker)
 
 
-def left_approximation(
-    x: Module, m: Module, minimize: bool = True, seed: int = 0
-) -> ApproximationResult:
+def left_approximation(x: Module, m: Module, minimize: bool = True) -> ApproximationResult:
     """A left add(m)-approximation of x: every map into a summand-of-m
     factors through it."""
     if minimize:
-        g = minimal_left_approximation(x, m, seed=seed)
+        g = minimal_left_approximation(x, m)
     else:
         g = _canonical_left_approximation(x, m)
     coker, _ = cokernel(g)
@@ -288,9 +284,7 @@ def left_approximation(
 # -- relative resolutions and derived extension groups --------------------------
 
 
-def F_resolution(
-    x: Module, f: SubBifunctor, depth: int = 0, minimize: bool = True, seed: int = 0
-) -> Resolution:
+def F_resolution(x: Module, f: SubBifunctor, depth: int = 0, minimize: bool = True) -> Resolution:
     """Resolution of x by relative projectives, built from right
     approximations (lazy; at least `depth` terms are materialized up front).
 
@@ -304,30 +298,28 @@ def F_resolution(
 
     def step(mod: Module) -> Morphism:
         if minimize:
-            g = minimal_right_approximation(mod, pm, seed=seed)
+            g = minimal_right_approximation(mod, pm)
         else:
             g = _canonical_right_approximation(mod, pm)
         if not g.is_epi():
             raise InternalError("relhom", "relative projective approximation is not onto")
         return g
 
-    key = ("resolution", bool(minimize), seed)
+    key = ("resolution", bool(minimize))
     res = cached_pair(x, f, key, Resolution, x, step, "relative projective")
     if depth > 0:
         res.ensure_terms(depth)
     return res
 
 
-def F_coresolution(
-    x: Module, f: SubBifunctor, depth: int = 0, minimize: bool = True, seed: int = 0
-) -> Resolution:
+def F_coresolution(x: Module, f: SubBifunctor, depth: int = 0, minimize: bool = True) -> Resolution:
     """Coresolution of x by relative injectives, built from left
     approximations; the dual of F_resolution."""
     im = f.injectives_module()
 
     def step(mod: Module) -> Morphism:
         if minimize:
-            g = minimal_left_approximation(mod, im, seed=seed)
+            g = minimal_left_approximation(mod, im)
         else:
             g = _canonical_left_approximation(mod, im)
         if not g.is_mono():
@@ -336,7 +328,7 @@ def F_coresolution(
             )
         return g
 
-    key = ("coresolution", bool(minimize), seed)
+    key = ("coresolution", bool(minimize))
     res = cached_pair(x, f, key, Resolution, x, step, "relative injective")
     if depth > 0:
         res.ensure_terms(depth)
@@ -384,28 +376,24 @@ def ext_F_dim(
     raise AlgebraError(f"unknown ext route {via!r}")
 
 
-def pd_F_le(
-    x: Module, f: SubBifunctor, n: int, minimize: bool = True, seed: int = 0
-) -> bool:
+def pd_F_le(x: Module, f: SubBifunctor, n: int, minimize: bool = True) -> bool:
     """Whether the relative projective dimension of x is at most n."""
     if x.total_dim == 0:
         return True
     if n < 0:
         return False
-    res = F_resolution(x, f, minimize=minimize, seed=seed)
-    return in_F_projectives(res.syzygy(n), f, seed=seed)
+    res = F_resolution(x, f, minimize=minimize)
+    return in_F_projectives(res.syzygy(n), f)
 
 
-def id_F_le(
-    x: Module, f: SubBifunctor, n: int, minimize: bool = True, seed: int = 0
-) -> bool:
+def id_F_le(x: Module, f: SubBifunctor, n: int, minimize: bool = True) -> bool:
     """Whether the relative injective dimension of x is at most n."""
     if x.total_dim == 0:
         return True
     if n < 0:
         return False
-    res = F_coresolution(x, f, minimize=minimize, seed=seed)
-    return in_F_injectives(res.syzygy(n), f, seed=seed)
+    res = F_coresolution(x, f, minimize=minimize)
+    return in_F_injectives(res.syzygy(n), f)
 
 
 def gldim_F_le(
@@ -413,7 +401,6 @@ def gldim_F_le(
     n: int,
     witnesses: Sequence[Module] | None = None,
     minimize: bool = True,
-    seed: int = 0,
 ) -> bool:
     """Whether every witness has relative projective dimension at most n.
 
@@ -426,7 +413,7 @@ def gldim_F_le(
         witnesses = enumerate_indecomposables_nakayama(f.algebra)
     if not witnesses:
         raise AlgebraError("witness list must be nonempty")
-    return all(pd_F_le(x, f, n, minimize=minimize, seed=seed) for x in witnesses)
+    return all(pd_F_le(x, f, n, minimize=minimize) for x in witnesses)
 
 
 # -- agreement of relative and absolute extension groups ------------------------
@@ -464,7 +451,6 @@ def check_absolute_relative_agreement(
     k: int,
     sample: Sequence[Module],
     minimize: bool = True,
-    seed: int = 0,
 ) -> AgreementReport:
     """Check that extension-vanishing makes relative and absolute agree.
 
@@ -477,14 +463,8 @@ def check_absolute_relative_agreement(
     the report, not raised; conclusions are skipped when a hypothesis fails.
     """
     algebra = m2.algebra
-    generator_ok = all(
-        in_add(p, m2, seed=seed)
-        for p in regular_module(algebra).summands
-    )
-    cogenerator_ok = all(
-        in_add(i, m1, seed=seed)
-        for i in cogenerator_module(algebra).summands
-    )
+    generator_ok = all(in_add(p, m2) for p in regular_module(algebra).summands)
+    cogenerator_ok = all(in_add(i, m1) for i in cogenerator_module(algebra).summands)
     report = AgreementReport(generator_ok, cogenerator_ok)
     for i in range(1, k + 1):
         d = ext_dim(i, m2, m1)

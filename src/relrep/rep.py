@@ -21,8 +21,6 @@ loops, come off generator images and path operators.
 
 from __future__ import annotations
 
-import itertools
-import random
 from typing import Sequence
 
 from .cache import Cached, cached_pair, memoized
@@ -1054,6 +1052,54 @@ def _composition_table(outer: HomSpace, inner: HomSpace) -> tuple[Matrix, ...]:
     return tuple(coords.take_columns(range(j * n, (j + 1) * n)) for j in range(inner.dim))
 
 
+# -- radicals of endomorphism rings ---------------------------------------------
+
+
+def trace_form_radical(mult) -> Matrix:
+    """Kernel (as columns) of the trace form of an algebra with basis e_0..e_{n-1}.
+
+    ``mult[i][j]`` lists the nonzero ``(m, c)`` pairs of ``e_i e_j = sum c e_m``.
+    The form is T(e_i, e_j) = sum_m c_ij^m tr(L_{e_m}), L_x being left
+    multiplication by x; over the rationals its kernel is the Jacobson radical.
+    """
+    n = len(mult)
+    # ltrace[m] = trace of left multiplication by e_m
+    ltrace = [0] * n
+    for m, plane in enumerate(mult):
+        for j, pairs in enumerate(plane):
+            for t, c in pairs:
+                if t == j:
+                    ltrace[m] += c
+    form = [[sum((c * ltrace[m] for m, c in pairs), 0) for pairs in plane] for plane in mult]
+    return Matrix(n, n, form).kernel_basis()
+
+
+@memoized("end_radical")
+def _end_radical_coords(x: Module) -> Matrix:
+    """Coordinate basis of rad End(x), in the basis of ``hom_space(x, x)``,
+    off the trace form of the regular action.
+
+    Cached on the module, like hom spaces are; the n^2 products come from the
+    composition table of End(x) with itself.
+    """
+    end_space = hom_space(x, x)
+    table = composition_table(end_space, end_space)
+    n = end_space.dim
+    # e_i e_j = b_i∘b_j is column i of table[j]
+    return trace_form_radical(
+        [
+            [[(m, row[i]) for m, row in enumerate(table[j]._data) if row[i]] for j in range(n)]
+            for i in range(n)
+        ]
+    )
+
+
+def _split_local(z: Module) -> bool:
+    """Whether End(z)/rad is QQ: z is indecomposable with a split local
+    endomorphism ring."""
+    return hom_dim(z, z) - _end_radical_coords(z).cols == 1
+
+
 # -- isomorphism testing -------------------------------------------------------
 
 
@@ -1073,13 +1119,28 @@ def _radical_fingerprint(m: Module) -> tuple:
     return tuple(out)
 
 
-def is_isomorphic(x: Module, y: Module, seed: int = 0) -> bool:
-    """Exact isomorphism test.
+def _multiplicity(z: Module, a: Module) -> int:
+    """How often the split local module z is a summand of a: the rank of the
+    pairing Hom(z, a) x Hom(a, z) -> End(z)/rad = QQ, (f, g) -> g∘f."""
+    into, out = hom_space(z, a), hom_space(a, z)
+    if into.dim == 0 or out.dim == 0:
+        return 0
+    proj, _ = complement_projection(_end_radical_coords(z))
+    return vstack([proj @ t for t in composition_table(out, into)]).rank()
 
-    Sound negatives come from structural fingerprints; positives come from a
-    seeded random search for an invertible combination of a hom basis, with a
-    deterministic exhaustive fallback over a small coefficient grid (capped;
-    beyond the cap a deeper randomized round decides).
+
+def is_isomorphic(x: Module, y: Module) -> bool:
+    """Exact isomorphism test; every answer carries a certificate.
+
+    "False" comes from an invariant: the dimension vectors, the radical
+    layers and socle, the dimensions of the four hom spaces, or a
+    Krull-Schmidt multiplicity.  "True" comes from an invertible basis map
+    of Hom(x, y), or from equal multiplicities of every atom of a side whose
+    atoms are all split local.  A basis map is enough for a split local x:
+    the maps x -> y that are not invertible form the hyperplane
+    phi∘rad End(x).  Raises AlgebraError when neither certificate applies,
+    that is when no basis map is invertible and neither side is a sum of
+    split local atoms.
     """
     if x is y:
         return True
@@ -1101,24 +1162,18 @@ def is_isomorphic(x: Module, y: Module, seed: int = 0) -> bool:
     if de_x != hom_dim(y, y) or de_x != k:
         # an isomorphism identifies all four spaces
         return False
-
-    def try_coeffs(cs) -> bool:
-        f = hom_xy.from_coords(cs)
-        return f.is_iso()
-
-    rng = random.Random(seed)
-    for _ in range(32):
-        if try_coeffs([rng.randint(-8, 8) for _ in range(k)]):
-            return True
-    if 5**k <= 200_000:
-        for cs in itertools.product(range(-2, 3), repeat=k):
-            if try_coeffs(cs):
-                return True
-        return False
-    for _ in range(512):
-        if try_coeffs([rng.randint(-32, 32) for _ in range(k)]):
-            return True
-    return False
+    if any(hom_xy.basis_map(i).is_iso() for i in range(k)):
+        return True
+    for a, b in ((x, y), (y, x)):
+        atoms = [z for z in flatten_atoms(b) if not z.is_zero()]
+        if all(_split_local(z) for z in atoms):
+            # equal multiplicities make b a summand of a, and equal
+            # dimensions make it all of a
+            return all(_multiplicity(z, a) == _multiplicity(z, b) for z in atoms)
+    raise AlgebraError(
+        "isomorphism undecided: no hom basis map is invertible and neither "
+        "module is a sum of split local atoms"
+    )
 
 
 # -- Nakayama enumeration -------------------------------------------------------

@@ -7,9 +7,10 @@ the table of End(u), is kept below as the reference.  On parse-built m the
 two choose the same basis maps, byte for byte; over the relative projectives
 of contravariant functors (whose atoms include the transposes trd(M)) they
 agree on multiplicities, and the result is checked to approximate and to be
-right minimal.  The last test reaches the non-local branch, a module whose
-endomorphism ring is not local, and compares add-membership with the
-split-solve route.
+right minimal.  The last tests reach the non-local branch, a module whose
+endomorphism ring is not local: add-membership against the split-solve
+route, and the Fitting repair ``_trim_right``, whose deterministic
+candidates always hold a non-nilpotent endomorphism.
 """
 
 from collections import Counter
@@ -17,9 +18,9 @@ from collections import Counter
 import pytest
 
 import relrep.homology as homology
+from relrep import cli
 from relrep.exact_linalg import Matrix, complement_projection, hstack
 from relrep.homology import (
-    _end_radical_coords,
     distinct_atoms,
     factor_through,
     in_add,
@@ -28,9 +29,12 @@ from relrep.homology import (
     minimal_right_approximation,
     projective_resolution,
 )
-from relrep.relhom import contravariant_functor
+from relrep.path_algebra import InternalError
+from relrep.relhom import _canonical_right_approximation, contravariant_functor
 from relrep.rep import (
     Module,
+    Morphism,
+    _end_radical_coords,
     assemble_from_components,
     composition_table,
     direct_sum,
@@ -189,3 +193,33 @@ def test_non_local_branch_agrees_with_the_split_route(monkeypatch):
         assert is_right_minimal(g)
     assert answers == [True, True, False, False, False, True, True, True]
     assert calls["is_right_minimal"] and calls["_trim_right"]
+
+
+def test_trim_right_repairs_canonical_approximations_by_a_summand_free_module():
+    alg = _cyc3_trunc5()
+    layered = parse_module_expression(alg, "P(1)+S(1)")
+    m = Module(alg, layered.dims, layered.arrow_maps)
+    for expr in ("S(1)", "P(1)", "P(1)/rad^2"):
+        x = parse_module_expression(alg, expr)
+        g = _canonical_right_approximation(x, m)
+        assert not is_right_minimal(g)
+        trimmed = homology._trim_right(g)
+        assert is_right_minimal(trimmed)
+        _assert_approximates(trimmed, x, m)
+        assert trimmed.source.dims == minimal_right_approximation(x, m).source.dims
+
+
+def test_trim_right_running_out_of_candidates_is_an_internal_error(monkeypatch, capsys):
+    alg = _cyc3_trunc5()
+    layered = parse_module_expression(alg, "P(1)+S(1)")
+    m = Module(alg, layered.dims, layered.arrow_maps)
+    g = _canonical_right_approximation(simple_module(alg, 0), m)
+    # every candidate now looks nilpotent
+    monkeypatch.setattr(homology, "_stable_power", lambda v: Morphism.zero(v.source, v.source))
+    with pytest.raises(InternalError) as raised:
+        homology._trim_right(g)
+    assert raised.value.layer == "homology"
+    monkeypatch.setattr(cli, "gldim_le", lambda algebra, n: homology._trim_right(g))
+    code = cli.main(["gldim-endo", "builtin:cyclic3", "S(1)", "--bound", "0"])
+    assert code == cli.EXIT_INTERNAL == 5
+    assert capsys.readouterr().err.startswith("internal error in homology: ")

@@ -238,6 +238,20 @@ class TestSmallCommands:
         assert "## generator-cogenerator = false" in out
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check-maxortho", ALG, M1, "--l", "2"],
+        ["verify-theorem", ALG, M1, M2, "--l", "2"],
+        ["exchange", ALG, "P(1)+P(2)+P(3)+S(1)", "P(3)/rad^2", "P(1)/rad^2", "--max-len", "1"],
+        ["prop-gldim", ALG, "S(1)", "--l", "1"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_seed_flag_is_accepted_and_changes_nothing(capsys, argv):
+    assert run(capsys, argv + ["--seed", "7"]) == run(capsys, argv)
+
+
 class TestAlgebraFiles:
     def test_builtin_round_trip(self, capsys, tmp_path):
         code, text, _ = run(capsys, ["show-algebra", ALG])

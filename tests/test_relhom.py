@@ -337,10 +337,13 @@ def test_agreement_for_projective_injective_bimodule(ctx):
     assert report.comparisons == 2 * 2 * len(inds)
 
 
-def test_relative_resolutions_are_cached_per_seed(ctx):
-    # the seed steers the approximations, so it is part of the cache key
+def test_relative_resolutions_are_cached_per_minimize_flag(ctx):
+    # nothing steers the approximations but ``minimize``: one cached
+    # resolution per flag, shared by every later call with that flag
     for build in (F_resolution, F_coresolution):
-        first = build(ctx["u13"], ctx["f2"], seed=3)
-        assert build(ctx["u13"], ctx["f2"], seed=3) is first
-        assert build(ctx["u13"], ctx["f2"], seed=4) is not first
-        assert build(ctx["u13"], ctx["f2"], seed=3, minimize=False) is not first
+        first = build(ctx["u13"], ctx["f2"])
+        assert build(ctx["u13"], ctx["f2"], depth=2) is first
+        assert build(ctx["u13"], ctx["f2"], minimize=1) is first
+        canonical = build(ctx["u13"], ctx["f2"], minimize=False)
+        assert canonical is not first
+        assert build(ctx["u13"], ctx["f2"], minimize=False) is canonical

@@ -1,9 +1,11 @@
 """Source hygiene of ``src/relrep``: no orphaned private helpers, no unused
-imports, and one cache policy.
+imports, one cache policy and no randomness.
 
 The checks read the syntax trees only (stdlib ``ast``, nothing is imported).
 The first two catch helpers and imports left behind when the code using them
-is deleted; the last keeps every memoized result behind ``relrep.cache``.
+is deleted; the third keeps every memoized result behind ``relrep.cache``;
+the last keeps every verdict deterministic: no module imports ``random`` and
+no function takes a ``seed``.
 """
 
 from __future__ import annotations
@@ -133,4 +135,55 @@ def test_cache_policy_check_sees_both_breaches():
         "bad.py:3: id() key",
         "bad.py:4: id() key",
         "bad.py:4: id() key",
+    ]
+
+
+def _randomness_breaches(name: str, tree: ast.Module) -> list[str]:
+    """Imports of ``random`` and parameters named ``seed``."""
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            out.extend(
+                f"{name}:{node.lineno}: import random"
+                for alias in node.names
+                if alias.name.split(".")[0] == "random"
+            )
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module:
+            if node.module.split(".")[0] == "random":
+                out.append(f"{name}:{node.lineno}: import random")
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            args = node.args
+            params = [*args.posonlyargs, *args.args, *args.kwonlyargs, args.vararg, args.kwarg]
+            if any(a is not None and a.arg == "seed" for a in params):
+                out.append(f"{name}:{node.lineno}: seed parameter")
+    return out
+
+
+def test_nothing_is_randomized():
+    breaches = []
+    for name, tree in _trees().items():
+        breaches.extend(_randomness_breaches(name, tree))
+    assert breaches == []
+
+
+def test_randomness_check_sees_each_breach():
+    bad = ast.parse(
+        "import random\n"
+        "import random as rnd, os\n"
+        "from random import Random\n"
+        "def f(x, seed=0):\n"
+        "    return lambda *, seed: seed\n"
+        "async def g(seed, /):\n"
+        "    pass\n"
+        "def h(*seed):\n"
+        "    pass\n"
+    )
+    assert sorted(_randomness_breaches("bad.py", bad)) == [
+        "bad.py:1: import random",
+        "bad.py:2: import random",
+        "bad.py:3: import random",
+        "bad.py:4: seed parameter",
+        "bad.py:5: seed parameter",
+        "bad.py:6: seed parameter",
+        "bad.py:8: seed parameter",
     ]
