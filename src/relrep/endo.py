@@ -25,6 +25,7 @@ from .rep import (
     Morphism,
     ShortExactSequence,
     cokernel,
+    composite_coords,
     composition_table,
     direct_sum,
     enumerate_indecomposables_nakayama,
@@ -1480,8 +1481,7 @@ def _left_approximation_property(lam: Morphism, n: Module) -> bool:
     space = hom_space(source, n)
     if space.dim == 0:
         return True
-    cols = [space.coords(h @ lam) for h in hom_basis(target, n)]
-    mat = Matrix.from_columns(cols) if cols else Matrix.zeros(space.dim, 0)
+    mat = composite_coords(hom_space(target, n), lam)
     # the coordinates of the basis maps of Hom(source, n) are the unit vectors
     return subspace_contains(mat, Matrix.identity(space.dim))
 

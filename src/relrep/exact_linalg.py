@@ -258,7 +258,7 @@ class Matrix:
         leaves each pivot equal to the last one, ``det``; dividing the pivot
         rows by ``det`` gives the unique RREF.
         """
-        if self._rref is not None:
+        if self._rref is not None or self._disjoint_rref():
             return self._rref
         w = self._integer_rows()
         pivots, det = _bareiss(w, self.cols, True)
@@ -269,9 +269,27 @@ class Matrix:
         self._rref = result
         return result
 
+    def _disjoint_rref(self) -> bool:
+        """Whether the rows have disjoint supports (path actions on a monomial
+        path basis); if so, caches the RREF read off directly."""
+        leads, seen = [], set()
+        for row in self._data:
+            cols = [j for j, x in enumerate(row) if x]
+            if not seen.isdisjoint(cols):
+                return False
+            seen.update(cols)
+            if cols:
+                leads.append((cols[0], row))
+        leads.sort(key=lambda lead: lead[0])
+        red = [list(row) if row[c] == 1 else [exact_div(x, row[c]) for x in row] for c, row in leads]
+        red += [[0] * self.cols for _ in range(self.rows - len(red))]
+        self._rref = (Matrix._trusted(self.rows, self.cols, red), tuple(c for c, _ in leads))
+        return True
+
     def rank(self) -> int:
-        """The rank: the RREF's if cached, else the pivots of a forward pass."""
-        if self._rref is not None:
+        """The rank: the RREF's if cached or read off directly, else the pivots
+        of a forward pass."""
+        if self._rref is not None or self._disjoint_rref():
             return len(self._rref[1])
         return len(_bareiss(self._integer_rows(), self.cols, False)[0])
 
@@ -446,16 +464,13 @@ def gather_columns(rows: int, picks: Sequence[tuple[Matrix, int]]) -> Matrix:
 
 def block_diag(mats: Sequence[Matrix]) -> Matrix:
     mats = list(mats)
-    rows = sum(m.rows for m in mats)
     cols = sum(m.cols for m in mats)
-    out = Matrix.zeros(rows, cols)
-    r = c = 0
+    data, c = [], 0
     for m in mats:
-        for i in range(m.rows):
-            out._data[r + i][c : c + m.cols] = m._data[i]
-        r += m.rows
+        left, right = [0] * c, [0] * (cols - c - m.cols)
+        data.extend(left + row + right for row in m._data)
         c += m.cols
-    return out
+    return Matrix._trusted(len(data), cols, data)
 
 
 def from_blocks(blocks: Sequence[Sequence[Matrix]]) -> Matrix:
@@ -481,6 +496,20 @@ def complement_projection(span: Matrix) -> tuple[Matrix, list[int]]:
     columns at ``free``: ``proj @ span == 0`` and ``proj @ section == I``.
     """
     n = span.rows
+    # with at most one nonzero per column the span is the coordinate subspace
+    # of the rows touched (path actions on a monomial path basis)
+    touched, seen = [], set()
+    for i, row in enumerate(span._data):
+        cols = [j for j, x in enumerate(row) if x]
+        if not seen.isdisjoint(cols):
+            break
+        seen.update(cols)
+        if cols:
+            touched.append(i)
+    else:
+        touched = set(touched)
+        free = [j for j in range(n) if j not in touched]
+        return Matrix._trusted(len(free), n, [[int(j == f) for j in range(n)] for f in free]), free
     reduced, pivots = span.transpose().rref()
     pivot_set = set(pivots)
     free = [j for j in range(n) if j not in pivot_set]

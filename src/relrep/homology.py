@@ -15,7 +15,7 @@ from __future__ import annotations
 from typing import Callable, Sequence
 
 from .cache import cached_pair, memoized
-from .exact_linalg import Matrix, complement_projection, gather_columns, hstack, subspace_contains
+from .exact_linalg import Matrix, complement_projection, hstack, subspace_contains
 from .path_algebra import AlgebraError, AlgebraPresentation, InternalError
 from .rep import (
     HomSpace,
@@ -24,17 +24,19 @@ from .rep import (
     ShortExactSequence,
     assemble_from_components,
     assemble_into_components,
-    _cyclic_sum,
+    _combinations,
     _end_radical_coords,
+    _evaluate,
+    _precomposed_images,
     _split_local,
     cogenerator_module,
     cokernel,
+    composite_coords,
     composition_table,
     direct_sum,
     dualize,
     dualize_morphism,
     flatten_atoms,
-    generator_images,
     hom_basis,
     hom_dim,
     hom_space,
@@ -42,10 +44,10 @@ from .rep import (
     kernel,
     morphism_from_generator,
     path_combination,
-    path_operator,
+    presentation,
     proj_module,
+    projective_cover,
     quotient_by_subspaces,
-    radical_spans,
     regular_module,
     simple_module,
     summand_injection,
@@ -53,32 +55,6 @@ from .rep import (
 )
 
 # -- covers and hulls ---------------------------------------------------------
-
-
-def projective_cover(x: Module) -> Morphism:
-    """The minimal epi onto x from a direct sum of indecomposable projectives.
-
-    At each vertex v the generators are the unit vectors e_k at the
-    coordinates k that ``complement_projection`` leaves free in the span of
-    the arrow images into v, which is (rad x)_v; they span a complement, so
-    they map to a basis of top(x)_v.  The copy of P(v) for e_k sends a path p
-    to column k of x.action(p).  The source carries its summand layout; each
-    summand records the vertex of the projective it is a copy of.
-    """
-    algebra = x.algebra
-    gens = [
-        (proj_module(algebra, v), k)
-        for v, span in enumerate(radical_spans(x, 1))
-        for k in complement_projection(span)[1]
-    ]
-    source = direct_sum(algebra, [pv for pv, _ in gens])
-    maps = tuple(
-        gather_columns(
-            d, [(x.action(p), k) for pv, k in gens for p in pv._proj_paths[w]]
-        )
-        for w, d in enumerate(x.dims)
-    )
-    return Morphism._make(source, x, maps)
 
 
 def injective_hull(x: Module) -> Morphism:
@@ -204,43 +180,24 @@ def _boundary_rank(
     return Matrix.from_columns(cols).rank()
 
 
-def _path_entries(d: Morphism) -> list[list[list[tuple]]]:
-    """The components of d between direct sums of cyclic modules.
-
-    ``entries[c][b]`` lists the nonzero ``(u_k, p_k)`` with d(generator of
-    source summand c) = sum_k u_k p_k·(generator of target summand b) inside
-    summand b, the p_k running over the paths at the vertex of summand c.
-    """
-    tgt_offs = d.target.offsets()
-    return [
-        [
-            path_combination(ub, v, column[tgt_offs[b][v] : tgt_offs[b][v] + ub.dims[v]])
-            for b, ub in enumerate(d.target.summands)
-        ]
-        for v, column in generator_images(d)
-    ]
+def _path_entries(d: Morphism) -> list[list[tuple]]:
+    """For each generator g of d's source, the nonzero ``(b, u_k, p_k)`` with
+    d(g) = sum_k u_k p_k·g_b over the generators g_b of d's target."""
+    pres = presentation(d.source)
+    return [path_combination(d.target, v, column) for v, column in zip(pres.vertices, pres.values(d.maps))]
 
 
 def _generator_rank(d: Morphism, y: Module) -> int:
-    """Rank of Hom(d, y) for d between direct sums of cyclic modules.
-
-    Evaluation at the generator embeds Hom(u, y) in e_v y (Yoneda when u is
-    projective), so Hom(d, y) is the block matrix whose (c, b) block is
-    A @ ``hom_space(u_b, y).gens``, with A = sum_k u_k y.action(p_k) read off
-    the path entries of d: no basis map and no composite is built.
-    """
-    spaces = [hom_space(ub, y) for ub in d.target.summands]
-    n_cols = sum(sp.dim for sp in spaces)
-    rows: list[list] = []
-    if n_cols:
-        for uc, entries in zip(d.source.summands, _path_entries(d)):
-            block: list[list] = [[] for _ in range(y.dims[uc.hint.vertex])]
-            for sp, terms in zip(spaces, entries):
-                op = path_operator(y, terms, len(block), sp.gens)
-                for brow, orow in zip(block, op._data):
-                    brow.extend(orow)
-            rows.extend(block)
-    return Matrix(len(rows), n_cols, rows).rank()
+    """Rank of Hom(d, y): b -> b∘d over the basis of Hom(target, y), read in
+    the generator images of Hom(source, y) (Yoneda when the source is
+    projective: Hom(P(v), y) = e_v y).  One block matrix of path operators
+    applied to the generator images of the basis: no basis map and no
+    composite is built."""
+    space = hom_space(d.target, y)
+    if space.dim == 0:
+        return 0
+    values = presentation(d.source).values(d.maps)
+    return _precomposed_images(space, d.source, [[c for vals in values for c in vals]]).rank()
 
 
 def _hom_complex(res: Resolution, other: Module):
@@ -248,20 +205,16 @@ def _hom_complex(res: Resolution, other: Module):
     hom complex of res against other, ``rank(k)`` the rank of the boundary
     built from ``res.differentials[k]``.
 
-    A chain resolution by direct sums of cyclic modules (the absolute
-    projective one, and relative projective ones over cyclic summands) works
-    in generator coordinates.  Every other resolution composes hom-space bases
-    with its differentials, which keeps the injective routes independent
-    checks.
+    A chain resolution works in generator coordinates.  A cochain one composes
+    hom-space bases with its differentials, which keeps the injective routes
+    independent checks.
     """
 
     def rank(k: int) -> int:
         d = res.differentials[k]
-        if not res._cochain and _cyclic_sum(d.source) and _cyclic_sum(d.target):
+        if not res._cochain:
             return _generator_rank(d, other)
-        return _boundary_rank(
-            res.hom_to(k, other), res.hom_to(k + 1, other), d, res._cochain
-        )
+        return _boundary_rank(res.hom_to(k, other), res.hom_to(k + 1, other), d, True)
 
     return lambda k: res.hom_to(k, other).dim, rank
 
@@ -326,9 +279,7 @@ def factor_through(g: Morphism, q: Morphism) -> Morphism | None:
     if sp_uw.dim == 0:
         return Morphism.zero(q.source, g.source)
     sp_uv = hom_space(q.source, g.source)
-    cols = [sp_uw.coords(g @ b) for b in sp_uv.basis]
-    mat = Matrix.from_columns(cols) if cols else Matrix.zeros(sp_uw.dim, 0)
-    sol = mat.solve_right(Matrix.column(rhs))
+    sol = composite_coords(g, sp_uv).solve_right(Matrix.column(rhs))
     if sol is None:
         return None
     return sp_uv.from_coords([sol[i, 0] for i in range(sol.rows)])
@@ -356,13 +307,49 @@ def is_split_mono(f: Morphism) -> bool:
 # -- Ext^1 as a concrete space ------------------------------------------------
 
 
+def _cocycles(k: Module, a: Module) -> tuple[Matrix, list[int]]:
+    """Hom(k, a) in entry coordinates: ``(basis, free)``.
+
+    The entries of a map's vertex maps, vertex by vertex and row by row, span
+    Hom(k, a) as the kernel of the commutation system f_j k_a = a_a f_i.  Its
+    free unknowns ``free`` (the last nonzero entry of each kernel vector) are
+    ordered atom of a by atom, and the kernel basis has 1 at its own free
+    unknown and 0 at the others: a map's coordinates are its entries there.
+    """
+    offsets, total = [], 0
+    for v in range(len(k.dims)):
+        offsets.append(total)
+        total += k.dims[v] * a.dims[v]
+    rows = []
+    for idx, arrow in enumerate(k.algebra.quiver.arrows):
+        i, j = arrow.source, arrow.target
+        ka, aa = k.arrow_maps[idx]._data, a.arrow_maps[idx]._data
+        # entry (r, c) of f_j k_a - a_a f_i: r in a_j, c in k_i
+        for r in range(a.dims[j]):
+            for c in range(k.dims[i]):
+                row = [0] * total
+                for t in range(k.dims[j]):
+                    row[offsets[j] + r * k.dims[j] + t] += ka[t][c]
+                for t in range(a.dims[i]):
+                    row[offsets[i] + t * k.dims[i] + c] -= aa[r][t]
+                if any(row):
+                    rows.append(row)
+    basis = Matrix.from_rows(rows).kernel_basis() if rows else Matrix.identity(total)
+    free = [max(e for e, row in enumerate(basis._data) if row[t]) for t in range(basis.cols)]
+    atoms = flatten_atoms(a)
+    atom_of = [s for v in range(len(k.dims)) for s, part in enumerate(atoms) for _ in range(part.dims[v] * k.dims[v])]
+    order = sorted(range(len(free)), key=lambda t: (atom_of[free[t]], free[t]))
+    return basis.take_columns(order), [free[t] for t in order]
+
+
 class Ext1Space:
     """Ext^1(c, a) presented on the minimal cover sequence 0 -> K -> P -> c -> 0.
 
     Classes are coordinates on Hom(K, a) reduced modulo the restrictions of
-    Hom(P, a); realize() turns a class into an honest short exact sequence by
-    pushout, and class_of() recovers the class of any such sequence by lifting
-    the cover through its epi.
+    Hom(P, a).  Hom(K, a) is read in entry coordinates (see ``_cocycles``),
+    which fix the meaning of class coordinates; realize() turns a class into
+    an honest short exact sequence by pushout, and class_of() recovers the
+    class of any such sequence by lifting the cover through its epi.
     """
 
     def __init__(self, c: Module, a: Module):
@@ -372,32 +359,34 @@ class Ext1Space:
         res.ensure_terms(1)
         self.cover = res.augmentation
         self.k, self.incl = res.syzygy_edge(1)
-        self.hom_ka = hom_space(self.k, a)
-        n = self.hom_ka.dim
-        hom_pa = res.hom_to(0, a)
-        bcols = [self.hom_ka.coords(h @ self.incl) for h in hom_pa.basis]
-        # coboundaries: the restrictions of Hom(P, a) to K
-        coboundaries = Matrix.from_columns(bcols) if bcols else Matrix.zeros(n, 0)
+        self._cocycles, self._free = _cocycles(self.k, a)
+        # coboundaries: the restrictions of Hom(P, a) to K, summand by summand
+        restricted = []
+        for i, p in enumerate(self.cover.source.summands):
+            incl_p = summand_projection(self.cover.source, i) @ self.incl
+            restricted.extend((h @ incl_p).flat() for h in hom_space(p, a).basis)
+        coboundaries = Matrix(len(self._free), len(restricted), [[f[e] for f in restricted] for e in self._free])
         self._reducer, self._section_idx = complement_projection(coboundaries)
         self.dim = len(self._section_idx)
         self._sum_pa: Module | None = None
 
     def reduce(self, psi: Morphism) -> tuple:
         """Class coordinates of a cocycle K -> a."""
-        raw = self.hom_ka.coords(psi)
-        if not raw:
-            return ()
-        v = self._reducer @ Matrix.column(raw)
+        flat = psi.flat()
+        raw = Matrix.column([flat[e] for e in self._free])
+        if self._cocycles @ raw != Matrix.column(flat):
+            raise AlgebraError("morphism not in hom space")
+        v = self._reducer @ raw
         return tuple(v[i, 0] for i in range(v.rows))
 
     def representative(self, coords: Sequence) -> Morphism:
         """A cocycle K -> a with the given class coordinates."""
         if len(coords) != self.dim:
             raise AlgebraError("class coordinate length mismatch")
-        raw = [0] * self.hom_ka.dim
+        raw = [0] * len(self._free)
         for c, idx in zip(coords, self._section_idx):
             raw[idx] = c
-        return self.hom_ka.from_coords(raw)
+        return Morphism.from_flat(self.k, self.a, (self._cocycles @ Matrix.column(raw)).flatten())
 
     def realize(self, data) -> ShortExactSequence:
         """The extension of c by a with the given class (coordinates or cocycle)."""
@@ -524,12 +513,12 @@ def transpose(x: Module) -> Module:
     entries = _path_entries(d1)
     comps_per_source: list[Morphism] = []
     for c, src_c in enumerate(src.summands):
-        into_targets = []
-        for b, tgt_b in enumerate(p1):
-            u = Matrix.zeros(tgt_b.dims[src_c._proj_vertex], 1)
-            for coeff, path in entries[b][c]:
-                u = u + _path_class_vector(tgt_b, algebra.reverse_path(path)).scale(coeff)
-            into_targets.append(morphism_from_generator(src_c, tgt_b, u))
+        us = [Matrix.zeros(tgt_b.dims[src_c._proj_vertex], 1) for tgt_b in p1]
+        for b, entry in enumerate(entries):
+            for c_k, coeff, path in entry:
+                if c_k == c:
+                    us[b] = us[b] + _path_class_vector(p1[b], algebra.reverse_path(path)).scale(coeff)
+        into_targets = [morphism_from_generator(src_c, tgt_b, u) for tgt_b, u in zip(p1, us)]
         if tgt.summands is None:
             comps_per_source.append(into_targets[0])
         else:
@@ -569,12 +558,7 @@ def _right_minimality_data(g: Morphism):
     end_space = hom_space(g.source, g.source)
     if end_space.dim == 0:
         return Matrix.zeros(0, 0), Matrix.zeros(0, 0), end_space
-    hom_sx = hom_space(g.source, g.target)
-    if hom_sx.dim == 0:
-        w = Matrix.identity(end_space.dim)
-    else:
-        cols = [hom_sx.coords(g @ b) for b in end_space.basis]
-        w = Matrix.from_columns(cols).kernel_basis()
+    w = composite_coords(g, end_space).kernel_basis()
     rad = _end_radical_coords(g.source)
     return w, rad, end_space
 
@@ -611,20 +595,18 @@ def _trim_right(g: Morphism) -> Morphism:
         w, rad, end_space = _right_minimality_data(g)
         if subspace_contains(rad, w):
             return g
-        w_morphisms = [
-            end_space.from_coords([w[i, j] for i in range(w.rows)])
-            for j in range(w.cols)
-        ]
+        table = composition_table(end_space, end_space)
 
         def candidates():
-            yield from w_morphisms
-            # W is a right ideal: v composed with anything stays inside it
-            for v in w_morphisms:
-                for e in end_space.basis:
-                    yield v @ e
+            yield from w.columns()
+            # W is a right ideal: v composed with anything stays inside it;
+            # v∘e_j has coordinates table[j] @ v
+            for j in range(w.cols):
+                for t in table:
+                    yield (t @ w.column_vector(j)).flatten()
 
-        for v in candidates():
-            power = _stable_power(v)
+        for coords in candidates():
+            power = _stable_power(end_space.from_coords(coords))
             if power.is_zero():
                 continue
             ker_mod, ker_incl = kernel(power)
@@ -640,63 +622,38 @@ def _trim_right(g: Morphism) -> Morphism:
 
 
 @memoized("approximation")
-def _approximation_atoms(m: Module) -> tuple:
-    """``(atoms, cyclic)``, cached on m: the distinct atoms of m, and whether
-    every one of them is cyclic."""
-    atoms = distinct_atoms(m)
-    return atoms, all(u.hint is not None for u in atoms)
+def _approximation_atoms(m: Module) -> list[Module]:
+    """The distinct atoms of m, cached on m."""
+    return distinct_atoms(m)
 
 
 def _radical_terms(u: Module, w: Module) -> list:
-    """For cyclic u and w, the path combinations at u's generator of the
-    generator images of a basis of the radical maps u -> w: all of Hom(u, w)
-    when w is not u, rad End(u) when it is."""
-    gens = hom_space(u, w).gens
+    """For each map phi in a basis of the radical maps u -> w (all of
+    Hom(u, w) when w is not u, rad End(u) when it is), the path combinations
+    of its values at u's generators (see ``_combinations``)."""
+    phis = hom_space(u, w).gens
     if w is u:
-        gens = gens @ _end_radical_coords(u)
-    return [path_combination(w, u.hint.vertex, col) for col in gens.columns()]
+        phis = phis @ _end_radical_coords(u)
+    vertices = presentation(u).vertices
+    return [_combinations(w, vertices, col) for col in phis.columns()]
 
 
-def _radical_compositions(x: Module, atoms, spaces, t: int, cyclic: bool) -> Matrix:
+def _radical_compositions(atoms: Sequence[Module], spaces: Sequence[HomSpace], t: int) -> Matrix:
     """Coordinates in ``spaces[t]`` = Hom(u_t, x), as columns, of a spanning
     set of the composites psi∘phi with phi: u_t -> u_s radical inside add m
-    and psi in ``spaces[s]`` = Hom(u_s, x).
-
-    Over cyclic atoms psi∘phi is fixed by its value psi(phi(g)) at u_t's
-    generator g, a path operator of x applied to the generator images of
-    ``spaces[s]``: one block matrix for all pairs (s, phi), one
-    ``generator_coords``, no composite built.  The path combinations of the
-    radical maps are cached on the younger atom of each pair.  Otherwise the
-    composites come off composition tables.
-    """
-    space_t = spaces[t]
+    and psi in ``spaces[s]`` = Hom(u_s, x).  psi∘phi is fixed by the values
+    of psi at phi's generator images: one block of path operators per atom
+    pair, whose path combinations are cached on the younger atom, and one
+    ``generator_coords`` for them all."""
     u = atoms[t]
-    if cyclic:
-        rows = x.dims[u.hint.vertex]
-        blocks = [
-            path_operator(x, terms, rows, spaces[s].gens)
-            for s, u_s in enumerate(atoms)
-            if spaces[s].dim
-            for terms in cached_pair(u, u_s, "radical terms", _radical_terms, u, u_s)
-        ]
-        return space_t.generator_coords(hstack(blocks) if blocks else Matrix.zeros(rows, 0))
-    h_t = space_t.dim
-    # columns (phi, psi), phi outer
-    blocks = []
-    for s, u_s in enumerate(atoms):
-        if s == t:
-            rad_u = _end_radical_coords(u)
-            table = composition_table(space_t, hom_space(u, u))
-            # psi∘rho for rho = sum_k r_k e_k, radical
-            for j in range(rad_u.cols):
-                block = Matrix.zeros(h_t, h_t)
-                for k in range(rad_u.rows):
-                    if rad_u[k, j] != 0:
-                        block = block + table[k].scale(rad_u[k, j])
-                blocks.append(block)
-        else:
-            blocks.extend(composition_table(spaces[s], hom_space(u, u_s)))
-    return hstack(blocks) if blocks else Matrix.zeros(h_t, 0)
+    vertices = presentation(u).vertices
+    blocks = [
+        _evaluate(space_s, vertices, cached_pair(u, u_s, "radical terms", _radical_terms, u, u_s))
+        for u_s, space_s in zip(atoms, spaces)
+        if space_s.dim
+    ]
+    space_t = spaces[t]
+    return space_t.generator_coords(hstack(blocks) if blocks else Matrix.zeros(space_t.gens.rows, 0))
 
 
 def minimal_right_approximation(x: Module, m: Module) -> Morphism:
@@ -704,15 +661,13 @@ def minimal_right_approximation(x: Module, m: Module) -> Morphism:
 
     Source multiplicities come from the tops of the restricted hom functor:
     for each atom u of m, basis maps u -> x spanning a complement of the
-    composites through radical maps inside add m.  Those composites are
-    read in generator coordinates when every atom of m is cyclic (parsed
-    atoms, and the transposes of modules with an indecomposable P1), off
-    composition tables otherwise; the atoms are cached on m.  When every
-    contributing atom has a local endomorphism ring -- checked from the
-    ring's own radical -- that construction is minimal outright; otherwise
-    the result is certified and repaired if needed.
+    composites through radical maps inside add m, read in generator
+    coordinates; the atoms are cached on m.  When every contributing atom
+    has a local endomorphism ring -- checked from the ring's own radical --
+    that construction is minimal outright; otherwise the result is certified
+    and repaired if needed.
     """
-    atoms, cyclic = _approximation_atoms(m)
+    atoms = _approximation_atoms(m)
     spaces = [hom_space(u, x) for u in atoms]
     parts: list[Module] = []
     comps: list[Morphism] = []
@@ -724,7 +679,7 @@ def minimal_right_approximation(x: Module, m: Module) -> Morphism:
         if not _split_local(u):
             all_atoms_local = False
         # basis maps spanning a complement of the radical compositions
-        _, chosen = complement_projection(_radical_compositions(x, atoms, spaces, t, cyclic))
+        _, chosen = complement_projection(_radical_compositions(atoms, spaces, t))
         for idx in chosen:
             parts.append(u)
             comps.append(space_t.basis_map(idx))

@@ -34,6 +34,7 @@ from .rep import (
     assemble_into_components,
     cogenerator_module,
     cokernel,
+    composite_coords,
     direct_sum,
     enumerate_indecomposables_nakayama,
     hom_basis,
@@ -128,17 +129,13 @@ def is_F_exact(eta: ShortExactSequence, f: SubBifunctor) -> bool:
         sp_out = hom_space(m, eta.quotient)
         if sp_out.dim == 0:
             return True
-        sp_mid = hom_space(m, eta.middle)
-        cols = [sp_out.coords(eta.g @ b) for b in sp_mid.basis]
+        coords = composite_coords(eta.g, hom_space(m, eta.middle))
     else:
         sp_out = hom_space(eta.sub, m)
         if sp_out.dim == 0:
             return True
-        sp_mid = hom_space(eta.middle, m)
-        cols = [sp_out.coords(b @ eta.f) for b in sp_mid.basis]
-    if not cols:
-        return False
-    return Matrix.from_columns(cols).rank() == sp_out.dim
+        coords = composite_coords(hom_space(eta.middle, m), eta.f)
+    return coords.rank() == sp_out.dim
 
 
 def is_F_exact_by_dims(eta: ShortExactSequence, f: SubBifunctor) -> bool:

@@ -4,19 +4,18 @@ A module is a dimension vector plus one exact matrix per arrow; a morphism is
 one matrix per vertex commuting with the arrow action.  Everything is plain
 linear algebra over QQ.
 
-Hom spaces are computed by solving the commutation system.  Three structural
-fast paths avoid assembling large systems when the source or target is built
-from standard pieces (direct sums, cyclic modules, duals of such): they
-produce the same bases, just block by block.  Every route builds its basis
-maps only when asked.  A cyclic module carries a ``CyclicHint``: its vertex,
-generator and relations, the path combinations that generate the kernel of
-the projective cover P(v) -> u.  Radical quotients of hinted modules keep a
-hint, and so do cokernels of maps from cyclic modules into a hinted one,
-which makes the transpose of a module with an indecomposable P1 cyclic.  Out
-of a cyclic module the space works in generator coordinates: evaluation at
-the generator embeds Hom(u, Y) in e_v Y as the vectors every relation kills,
-so coordinates, and the composition tables that replace compose-then-read
-loops, come off generator images and path operators.
+Every module has a ``Presentation``: generators at vertices v_1..v_r and
+relations, the path combinations that generate the kernel of the cover
+P(v_1) + ... + P(v_r) -> M.  Projectives, their radical quotients, and
+cokernels of maps from cyclic modules into a cyclic one carry theirs from
+construction (``Module.hint``, one generator); a direct sum concatenates the
+presentations of its summands; any other module computes one on first use,
+from its projective cover and the generators of the cover's kernel.  Hom
+spaces have one route: evaluation at the generators embeds Hom(M, Y) in
+e_{v_1} Y + ... + e_{v_r} Y as the vectors that every relation kills, kept
+as ``gens``, so coordinates come off generator images, and composites over a
+whole basis off one product (after a fixed map) or off path operators
+(before one), with no basis map built.
 """
 
 from __future__ import annotations
@@ -28,6 +27,7 @@ from .exact_linalg import (
     Matrix,
     block_diag,
     complement_projection,
+    gather_columns,
     hstack,
     intersect_kernels,
     rational,
@@ -40,26 +40,53 @@ class ExpressionError(ValueError):
     """Raised for malformed module expressions."""
 
 
-class CyclicHint:
-    """Marks a module as generated by one vector over a single vertex.
+class Presentation:
+    """Generators and relations of a module M.
 
-    The module is the quotient of the projective P at ``vertex`` by the
-    submodule generated by ``relations``; None means no relation, i.e. the
-    projective itself.  A relation is a tuple of ``(c, p)`` pairs, p a path
-    from ``vertex`` and all of them ending at one vertex, standing for the
-    element sum c p of P.  For P/rad^k the relations are the length-k paths
-    from the vertex; a hinted cokernel adds the image of each source generator
-    (see ``cokernel``).  ``sections`` embed each vertex space back into P's
-    path coordinates; ``generator`` is the class of the trivial path.
+    M is the quotient of P = P(v_1) + ... + P(v_r), the v_i being
+    ``vertices``, by the submodule generated by ``relations``.  A relation is
+    a tuple of ``(i, c, p)`` triples, p a path from v_i and all of them ending
+    at one vertex, standing for the element sum c p·e_i of P, e_i the trivial
+    path of the i-th summand.  None means no relation and identity sections:
+    M is P itself on its path basis.  ``sections[w]`` embeds M_w into the path
+    coordinates of P_w, generator by generator (the paths of
+    ``proj_module(v_i)._proj_paths[w]``); a direct sum has None, its
+    summands' sections applying block by block.  ``generators[i]``, a column
+    over M at v_i, is the class of e_i.
     """
 
-    __slots__ = ("vertex", "relations", "sections", "generator")
+    __slots__ = ("vertices", "relations", "sections", "generators", "_labels", "_units")
 
-    def __init__(self, vertex: int, relations: tuple | None, sections, generator: Matrix):
-        self.vertex = vertex
+    def __init__(self, vertices: tuple, relations: tuple | None, sections, generators: tuple):
+        self.vertices = vertices
         self.relations = relations
         self.sections = sections
-        self.generator = generator
+        self.generators = generators
+        self._labels = None
+        self._units = None
+
+    def labels(self, algebra: AlgebraPresentation) -> list[list[tuple]]:
+        """Per vertex w, the ``(i, p)`` naming each path coordinate of P_w."""
+        if self._labels is None:
+            self._labels = [
+                [(i, p) for i, v in enumerate(self.vertices) for p in proj_module(algebra, v)._proj_paths[w]]
+                for w in range(algebra.quiver.vertex_count)
+            ]
+        return self._labels
+
+    def values(self, maps: Sequence[Matrix]) -> list[list]:
+        """The value at each generator of the vertex maps ``maps``: one list
+        per generator, over the target's space at its vertex."""
+        if self._units is None:
+            # k for a generator that is the unit vector e_k, else None
+            self._units = []
+            for g in self.generators:
+                nonzero = [(k, row[0]) for k, row in enumerate(g._data) if row[0]]
+                self._units.append(nonzero[0][0] if len(nonzero) == 1 and nonzero[0][1] == 1 else None)
+        return [
+            (maps[v] @ g).flatten() if k is None else [row[k] for row in maps[v]._data]
+            for v, g, k in zip(self.vertices, self.generators, self._units)
+        ]
 
 
 class Module(Cached):
@@ -109,7 +136,7 @@ class Module(Cached):
         self.arrow_maps = arrow_maps
         self.summands: tuple[Module, ...] | None = None
         self._offsets = None
-        self.hint: CyclicHint | None = None
+        self.hint: Presentation | None = None
         self._dual_of: Module | None = None
         self._proj_paths = None
         self._proj_vertex = None
@@ -358,12 +385,7 @@ def proj_module(algebra: AlgebraPresentation, vertex: int) -> Module:
     mod._proj_vertex = vertex
     gen = Matrix.zeros(dims[vertex], 1)
     gen._data[pos[quiver.trivial_path(vertex)]][0] = 1
-    mod.hint = CyclicHint(
-        vertex,
-        None,
-        tuple(Matrix.identity(d) for d in dims),
-        gen,
-    )
+    mod.hint = Presentation((vertex,), None, tuple(Matrix.identity(d) for d in dims), (gen,))
     return mod
 
 
@@ -419,8 +441,8 @@ def direct_sum(algebra: AlgebraPresentation, parts: Sequence[Module]) -> Module:
 def flatten_atoms(m: Module) -> list[Module]:
     """The leaves of the summand tree of ``m``, left to right (``[m]`` if it is not a sum).
 
-    Zero leaves are kept; this is the order in which the hom-space sum routes
-    lay out their bases.
+    Zero leaves are kept; this is the order in which hom spaces out of and
+    into sums lay out their bases.
     """
     if m.summands is None:
         return [m]
@@ -431,13 +453,14 @@ def flatten_atoms(m: Module) -> list[Module]:
 
 
 def summand_injection(sum_module: Module, s: int) -> Morphism:
-    part = sum_module.summands[s]
-    return _embed(Morphism.identity(part), part, sum_module, sum_module._offsets[s], True)
+    maps = tuple(m.transpose() for m in summand_projection(sum_module, s).maps)
+    return Morphism._make(sum_module.summands[s], sum_module, maps)
 
 
 def summand_projection(sum_module: Module, s: int) -> Morphism:
-    part = sum_module.summands[s]
-    return _block(Morphism.identity(sum_module), part, sum_module._offsets[s], True)
+    part, offs = sum_module.summands[s], sum_module._offsets[s]
+    maps = tuple(Matrix.identity(d).take_rows(range(o, o + p)) for d, o, p in zip(sum_module.dims, offs, part.dims))
+    return Morphism._make(sum_module, part, maps)
 
 
 def assemble_from_components(sum_source: Module, target: Module, comps: Sequence[Morphism]) -> Morphism:
@@ -534,7 +557,8 @@ def quotient_by_subspaces(
     quot = Module(module.algebra, [p.rows for p in projs], maps, validate=False)
     proj = Morphism._make(module, quot, tuple(projs))
     sections = tuple(
-        Matrix.identity(n).take_columns(free) for n, free in zip(module.dims, frees)
+        Matrix._trusted(n, len(free), [[int(j == f) for f in free] for j in range(n)])
+        for n, free in zip(module.dims, frees)
     )
     return quot, proj, sections
 
@@ -544,32 +568,17 @@ def _cyclic_sum(m: Module) -> bool:
     return m.summands is not None and all(s.hint is not None for s in m.summands)
 
 
-def generator_images(f: Morphism) -> list[tuple[int, list]]:
-    """``(v, f(g))`` for each generator g of f's source, in summand order: v
-    is the vertex of g and f(g) a vector of e_v of the target.  The source is
-    cyclic or a direct sum of cyclic modules."""
-    src = f.source
-    if src.summands is None:
-        parts, offs = (src,), ((0,) * len(src.dims),)
-    else:
-        parts, offs = src.summands, src._offsets
-    out = []
-    for u, off in zip(parts, offs):
-        v = u.hint.vertex
-        gen = [(k, row[0]) for k, row in enumerate(u.hint.generator._data) if row[0]]
-        out.append((v, [sum(row[off[v] + k] * g for k, g in gen) for row in f.maps[v]._data]))
-    return out
-
-
-def _quotient_hint(parent: CyclicHint, proj: Morphism, sections, relations) -> CyclicHint:
+def _quotient_hint(parent: Presentation, proj: Morphism, sections, relations) -> Presentation:
     """The hint of a quotient of a hinted module, given the quotient's
-    projection and sections: the parent's generator and sections carried
-    over."""
-    return CyclicHint(
-        parent.vertex,
+    projection and sections: the parent's generators and sections carried
+    over (a projective's sections are identities)."""
+    if parent.relations is not None:
+        sections = tuple(ps @ qs for ps, qs in zip(parent.sections, sections))
+    return Presentation(
+        parent.vertices,
         relations,
-        tuple(ps @ qs for ps, qs in zip(parent.sections, sections)),
-        proj.maps[parent.vertex] @ parent.generator,
+        sections,
+        tuple(proj.maps[v] @ g for v, g in zip(parent.vertices, parent.generators)),
     )
 
 
@@ -577,14 +586,14 @@ def cokernel(f: Morphism) -> tuple[Module, Morphism]:
     """Cokernel of f with its projection.
 
     When f maps a cyclic module, or a direct sum of them, into a hinted
-    module, the cokernel is cyclic on the image of the target's generator:
-    its relations are the target's plus the path combination of each source
-    generator's image.
+    module, the cokernel keeps the target's generator: its relations are the
+    target's plus the path combination of each source generator's image.
     """
     quot, proj, sections = quotient_by_subspaces(f.target, f.maps)
     parent = f.target.hint
     if parent is not None and (f.source.hint is not None or _cyclic_sum(f.source)):
-        lifts = [tuple(path_combination(f.target, v, w)) for v, w in generator_images(f)]
+        pres = presentation(f.source)
+        lifts = [tuple(path_combination(f.target, v, w)) for v, w in zip(pres.vertices, pres.values(f.maps))]
         relations = (parent.relations or ()) + tuple(r for r in lifts if r)
         quot.hint = _quotient_hint(parent, proj, sections, relations)
     return quot, proj
@@ -633,13 +642,14 @@ def _radical_relations(module: Module, power: int) -> tuple:
     that do not already vanish on M's generator.  On P/rad^k that leaves the
     length-min(k, power) paths."""
     hint = module.hint
-    paths = [p for p in module.algebra.quiver.paths_of_length(power) if p.source == hint.vertex]
+    (vertex,), (generator,) = hint.vertices, hint.generators
+    paths = [p for p in module.algebra.quiver.paths_of_length(power) if p.source == vertex]
     kept: tuple = ()
     if hint.relations is not None:
-        kept = tuple(r for r in hint.relations if any(p.length < power for _, p in r))
+        kept = tuple(r for r in hint.relations if any(p.length < power for _, _, p in r))
         if len(kept) == len(hint.relations):
-            paths = [p for p in paths if not (module.action(p) @ hint.generator).is_zero()]
-    return kept + tuple(((1, p),) for p in paths)
+            paths = [p for p in paths if not (module.action(p) @ generator).is_zero()]
+    return kept + tuple(((0, 1, p),) for p in paths)
 
 
 def loewy_length(module: Module) -> int:
@@ -651,6 +661,92 @@ def loewy_length(module: Module) -> int:
         if k > module.total_dim + 1:
             raise AlgebraError("radical series does not terminate")
     return k
+
+
+# -- presentations --------------------------------------------------------------
+
+
+def top_generators(x: Module) -> list[tuple[int, int]]:
+    """``(v, k)`` for each generator of a minimal projective cover of x: the
+    coordinates k that ``complement_projection`` leaves free in the span of
+    the arrow images into v, (rad x)_v, so the unit vectors e_k map to a basis
+    of top(x)_v."""
+    return [
+        (v, k) for v, span in enumerate(radical_spans(x, 1)) for k in complement_projection(span)[1]
+    ]
+
+
+def _cover_maps(x: Module, gens: Sequence[tuple[Module, int]]) -> tuple[Matrix, ...]:
+    """The vertex maps of the cover of x by one P(v) per ``(P(v), k)`` of
+    ``gens``, sending a path p of that P(v) to column k of x.action(p)."""
+    return tuple(
+        gather_columns(d, [(x.action(p), k) for pv, k in gens for p in pv._proj_paths[w]])
+        for w, d in enumerate(x.dims)
+    )
+
+
+def projective_cover(x: Module) -> Morphism:
+    """The minimal epi onto x from a direct sum of indecomposable projectives,
+    one per generator of ``top_generators`` (see ``_cover_maps``).  The
+    source carries its summand layout; each summand records the vertex of the
+    projective it is a copy of."""
+    algebra = x.algebra
+    gens = [(proj_module(algebra, v), k) for v, k in top_generators(x)]
+    source = direct_sum(algebra, [pv for pv, _ in gens])
+    return Morphism._make(source, x, _cover_maps(x, gens))
+
+
+def presentation(m: Module) -> Presentation:
+    """The presentation of m: its hint when it has one, else computed once and
+    cached on m (see ``_computed_presentation``)."""
+    return m.hint if m.hint is not None else _computed_presentation(m)
+
+
+@memoized("presentation")
+def _computed_presentation(m: Module) -> Presentation:
+    """A direct sum concatenates its summands' generators and relations.  Any
+    other module is presented by its projective cover: its generators are
+    those of ``top_generators``, its relations the top generators of the
+    cover's kernel, and its sections right inverses of the cover's vertex
+    maps."""
+    if m.summands is not None:
+        parts = [presentation(s) for s in m.summands]
+        relations, generators, shift = [], [], 0
+        for p, off in zip(parts, m._offsets):
+            relations.extend(tuple((i + shift, c, q) for i, c, q in rel) for rel in p.relations or ())
+            shift += len(p.vertices)
+            for v, g in zip(p.vertices, p.generators):
+                col = Matrix.zeros(m.dims[v], 1)
+                col._data[off[v] : off[v] + g.rows] = g.to_lists()
+                generators.append(col)
+        return Presentation(tuple(v for p in parts for v in p.vertices), tuple(relations), None, tuple(generators))
+    algebra = m.algebra
+    gens = [(proj_module(algebra, v), k) for v, k in top_generators(m)]
+    labels = [[(i, p) for i, (pv, _) in enumerate(gens) for p in pv._proj_paths[w]] for w in range(len(m.dims))]
+    # the cover is onto: each vertex map has a right inverse, and its kernel
+    # K_w is the identity at the free columns, so an arrow restricts to K by
+    # the rows there; the top generators of K are the relations
+    sections, kernels, frees = [], [], []
+    for pi, d in zip(_cover_maps(m, gens), m.dims):
+        sections.append(pi.solve_right(Matrix.identity(d)))
+        kernels.append(pi.kernel_basis())
+        # kernel vector t has its 1 at free column f_t and nonzeros only above
+        frees.append([max(j for j, row in enumerate(kernels[-1]._data) if row[t]) for t in range(kernels[-1].cols)])
+    rad: list[list[Matrix]] = [[] for _ in m.dims]
+    for idx, a in enumerate(algebra.quiver.arrows):
+        moved = block_diag([pv.arrow_maps[idx] for pv, _ in gens]) @ kernels[a.source]
+        rad[a.target].append(moved.take_rows(frees[a.target]))
+    relations = tuple(
+        tuple((i, row[k], p) for row, (i, p) in zip(kernels[w]._data, labels[w]) if row[k])
+        for w, ker in enumerate(kernels)
+        for k in complement_projection(hstack(rad[w]) if rad[w] else Matrix.zeros(ker.cols, 0))[1]
+    )
+    return Presentation(
+        tuple(pv._proj_vertex for pv, _ in gens),
+        relations,
+        tuple(sections),
+        tuple(Matrix.identity(m.dims[pv._proj_vertex]).column_vector(k) for pv, k in gens),
+    )
 
 
 # -- duality -----------------------------------------------------------------
@@ -680,60 +776,57 @@ def dualize_morphism(f: Morphism) -> Morphism:
 # -- hom spaces ---------------------------------------------------------------
 
 
-class HomSpace(Cached):
-    """Hom(X, Y): its dimension, a basis built on first use, and exact coordinates.
+def _value_offsets(x: Module, y: Module) -> tuple[list[int], int]:
+    """Where the value at each generator of x's presentation starts in the
+    stacked vector over e_{v_1} y + ... + e_{v_r} y, and its length."""
+    offsets, pos = [], 0
+    for v in presentation(x).vertices:
+        offsets.append(pos)
+        pos += y.dims[v]
+    return offsets, pos
 
-    When X is cyclic with generator g at vertex v, evaluation at g embeds
-    Hom(X, Y) in e_v Y.  Such a space keeps ``gens``, the generator images of
-    its basis maps as the columns of a matrix over e_v Y (the identity when
-    it is square, that is when Hom(X, Y) is all of e_v Y), and reads
-    coordinates off f(g); every other space has ``gens`` None and a coordinate
-    reader from its route.  Composition tables between two spaces live on the
-    younger one (see ``composition_table``).
+
+class HomSpace(Cached):
+    """Hom(X, Y): its dimension, generator coordinates, and a basis built on first use.
+
+    Evaluation at the generators g_1..g_r of X's presentation embeds Hom(X, Y)
+    in e_{v_1} Y + ... + e_{v_r} Y.  ``gens`` holds the generator images of
+    the basis maps as its columns, the value at g_i in the rows from
+    ``offsets[i]``; it is the identity when Hom(X, Y) is all of that space.
+    Coordinates are read off generator images.
     """
 
-    __slots__ = (
-        "source",
-        "target",
-        "dim",
-        "gens",
-        "_basis",
-        "_build",
-        "_coords",
-        "_solver",
-        "__weakref__",
-    )
+    __slots__ = ("source", "target", "dim", "gens", "offsets", "_free", "_basis", "_solver", "__weakref__")
 
-    def __init__(self, source, target, dim: int, build=None, coords=None, gens=None):
+    def __init__(self, source: Module, target: Module, gens: Matrix, offsets: list[int], free: bool):
         self.source = source
         self.target = target
-        self.dim = dim
+        self.dim = gens.cols
         self.gens = gens
+        self.offsets = offsets
+        self._free = free
         self._basis = None
-        self._build = build
-        self._coords = coords
         self._solver = None
         super().__init__()
 
     @property
     def basis(self) -> list[Morphism]:
         if self._basis is None:
-            if self._build is None:
-                self._basis = [self.basis_map(j) for j in range(self.dim)]
-            else:
-                self._basis = self._build()
+            self._basis = [self.basis_map(j) for j in range(self.dim)]
         return self._basis
 
     def basis_map(self, j: int) -> Morphism:
-        """The j-th basis map, built alone off its generator image when the
-        space has one and the basis is not built yet."""
-        if self._basis is None and self.gens is not None:
-            return morphism_from_generator(self.source, self.target, self.gens.column_vector(j))
-        return self.basis[j]
+        """The j-th basis map, built alone off its generator images while the
+        whole basis is not built."""
+        if self._basis is not None:
+            return self._basis[j]
+        return morphism_from_generator(self.source, self.target, self.gens.column_vector(j))
 
     def generator_coords(self, images: Matrix) -> Matrix:
-        """Coordinates, as columns, of the maps whose generator images are the
-        columns of ``images``; raises if one is not in the space."""
+        """Coordinates, as columns, of the maps whose stacked generator images
+        are the columns of ``images``; raises if one is not in the space."""
+        if self._free:
+            return images
         if self.dim == 0:
             if not images.is_zero():
                 raise AlgebraError("morphism not in hom space")
@@ -748,210 +841,77 @@ class HomSpace(Cached):
         return sol
 
     def coords(self, f: Morphism) -> list:
-        if self.gens is None:
-            return self._coords(f)
-        hint = self.source.hint
-        return self.generator_coords(f.maps[hint.vertex] @ hint.generator).flatten()
+        """The coordinates of f; raises unless f is a morphism of the space."""
+        try:
+            f._validate_commutes()
+        except AlgebraError:
+            raise AlgebraError("morphism not in hom space") from None
+        values = presentation(self.source).values(f.maps)
+        images = Matrix._trusted(self.gens.rows, 1, [[c] for vals in values for c in vals])
+        return self.generator_coords(images).flatten()
 
     def from_coords(self, cs: Sequence) -> Morphism:
-        if self.gens is not None:
-            return morphism_from_generator(
-                self.source, self.target, self.gens @ Matrix.column(list(cs))
-            )
-        f = Morphism.zero(self.source, self.target)
-        for c, b in zip(cs, self.basis):
-            if c != 0:
-                f = f + b.scale(c)
-        return f
+        if len(cs) != self.dim:
+            raise AlgebraError("coordinate length mismatch")
+        return morphism_from_generator(self.source, self.target, self.gens @ Matrix.column(list(cs)))
 
 
-def _dot(row: Sequence, vec: Sequence):
-    return sum((c * vec[j] for j, c in enumerate(row) if c != 0), 0)
-
-
-def _hom_raw(x: Module, y: Module) -> HomSpace:
-    algebra = x.algebra
-    v_count = len(x.dims)
-    var_offsets = []
-    total = 0
-    for v in range(v_count):
-        var_offsets.append(total)
-        total += x.dims[v] * y.dims[v]
-    rows = []
-    for idx, a in enumerate(algebra.quiver.arrows):
-        i, j = a.source, a.target
-        xa = x.arrow_maps[idx]
-        ya = y.arrow_maps[idx]
-        # f_j @ X_a - Y_a @ f_i = 0, entry (r, c): r in Y_j, c in X_i
-        for r in range(y.dims[j]):
-            for c in range(x.dims[i]):
-                row = [0] * total
-                for k in range(x.dims[j]):
-                    coeff = xa[k, c]
-                    if coeff != 0:
-                        row[var_offsets[j] + r * x.dims[j] + k] += coeff
-                for k in range(y.dims[i]):
-                    coeff = ya[r, k]
-                    if coeff != 0:
-                        row[var_offsets[i] + k * x.dims[i] + c] -= coeff
-                if any(e != 0 for e in row):
-                    rows.append(row)
-    if rows:
-        system = Matrix.from_rows(rows)
-        kern = system.kernel_basis()
-    else:
-        kern = Matrix.identity(total)
-
-    def build() -> list[Morphism]:
-        return [
-            Morphism.from_flat(x, y, [kern[i, j] for i in range(total)])
-            for j in range(kern.cols)
-        ]
-
-    # coords solves kern @ c = flat(f); the basis has full column rank, so a
-    # left inverse computed once gives the candidate coordinates, and
-    # kern @ c == flat(f) checks membership
-    solver: list[Matrix] = []
-
-    def coords(f: Morphism) -> list:
-        if kern.cols == 0:
-            if not f.is_zero():
-                raise AlgebraError("morphism not in hom space")
-            return []
-        if not solver:
-            solver.append(kern.left_inverse())
-        flat = f.flat()
-        sol = [_dot(row, flat) for row in solver[0]._data]
-        if any(_dot(row, sol) != u for row, u in zip(kern._data, flat)):
-            raise AlgebraError("morphism not in hom space")
-        return sol
-
-    return HomSpace(x, y, kern.cols, build, coords)
-
-
-def _embed(b: Morphism, x: Module, y: Module, offs: Sequence[int], into_rows: bool) -> Morphism:
-    """``b`` placed as a block of a map x -> y: at rows ``offs[v]`` of each
-    vertex map when ``into_rows`` (a summand of y), else at columns ``offs[v]``
-    (a summand of x)."""
-    maps = []
-    for w in range(len(x.dims)):
-        m = Matrix.zeros(y.dims[w], x.dims[w])
-        off = offs[w]
-        for r, row in enumerate(b.maps[w]._data):
-            if into_rows:
-                m._data[off + r] = list(row)
-            else:
-                m._data[r][off : off + len(row)] = row
-        maps.append(m)
-    return Morphism._make(x, y, tuple(maps))
-
-
-def _block(f: Morphism, part: Module, offs: Sequence[int], from_rows: bool) -> Morphism:
-    """The inverse of ``_embed``: the block of ``f`` at a summand ``part`` laid
-    out at ``offs``, read from the rows of each vertex map when ``from_rows``
-    (part of f's target), else from the columns (part of f's source)."""
-    maps = []
-    for w, m in enumerate(f.maps):
-        span = range(offs[w], offs[w] + part.dims[w])
-        maps.append(m.take_rows(span) if from_rows else m.take_columns(span))
-    if from_rows:
-        return Morphism._make(f.source, part, tuple(maps))
-    return Morphism._make(part, f.target, tuple(maps))
-
-
-def _hom_sum(x: Module, y: Module, into_sum: bool) -> HomSpace:
-    """Hom(x, y) summand by summand, for y a direct sum when ``into_sum``,
-    else for x one.  Coordinates read each summand's block off the vertex
-    maps; into a sum from a cyclic x the children's generator images stack
-    block-diagonally instead."""
-    total = y if into_sum else x
-    children = [hom_space(x, s) if into_sum else hom_space(s, y) for s in total.summands]
-
-    def build() -> list[Morphism]:
-        return [
-            _embed(b, x, y, total._offsets[s], into_sum)
-            for s, child in enumerate(children)
-            for b in child.basis
-        ]
-
-    dim = sum(child.dim for child in children)
-    if into_sum and x.hint is not None:
-        return HomSpace(x, y, dim, build, gens=block_diag([c.gens for c in children]))
-
-    def coords(f: Morphism) -> list:
-        out = []
-        for s, child in enumerate(children):
-            out.extend(child.coords(_block(f, total.summands[s], total._offsets[s], into_sum)))
-        return out
-
-    return HomSpace(x, y, dim, build, coords)
-
-
-def _cyclic_constraints(y: Module, relations):
-    """One row block per relation: its action on y, from e_v y to the space
-    at the relation's end vertex.  A vector of e_v y is the generator image
-    of a map out of the hinted module exactly when every block kills it."""
-    if relations is None:
-        return None
-    mats = []
-    for rel in relations:
-        rows = y.dims[rel[0][1].target]
-        if rows:
-            mats.append(path_operator(y, rel, rows))
-    return vstack(mats) if mats else None
+def path_operator(y: Module, terms: Sequence[tuple], rows: int, offsets: Sequence[int], cols: int) -> Matrix:
+    """The ``rows x cols`` matrix with sum c y.action(p) at the columns from
+    ``offsets[i]``, over the ``(i, c, p)`` of ``terms``.  For ``terms`` the
+    path combination sum c p·g_i of an element of X, and u the stacked values
+    u_i at the generators of a map X -> y, the product with u is the map's
+    value sum c p·u_i at that element."""
+    if len(terms) == 1 and terms[0][1] == 1:
+        # one path at the only generator: its action
+        action = y.action(terms[0][2])
+        if action.cols == cols:
+            return action
+    out = [[0] * cols for _ in range(rows)]
+    for i, c, p in terms:
+        off = offsets[i]
+        for orow, arow in zip(out, y.action(p)._data):
+            for k, a in enumerate(arow):
+                if a:
+                    orow[off + k] += c * a
+    return Matrix(rows, cols, out)
 
 
 def morphism_from_generator(source: Module, target: Module, u: Matrix) -> Morphism:
-    """The morphism out of a cyclic module sending its generator to u.
+    """The morphism out of ``source`` with the stacked generator values u
+    (one block per generator of its presentation, over the target at the
+    generator's vertex).
 
-    The caller guarantees u satisfies the source's defining constraints
-    (automatic when the source is a projective).
+    The caller guarantees u satisfies the source's relations (automatic when
+    the source is projective).
     """
-    hint = source.hint
-    if hint is None:
-        raise AlgebraError("source module is not cyclic-hinted")
-    proj = proj_module(source.algebra, hint.vertex)
+    if source.summands is not None:
+        comps, pos = [], 0
+        for s in source.summands:
+            n = _value_offsets(s, target)[1]
+            comps.append(morphism_from_generator(s, target, u.take_rows(range(pos, pos + n))))
+            pos += n
+        return assemble_from_components(source, target, comps)
+    pres = presentation(source)
+    supports, pos = [], 0
+    for v in pres.vertices:
+        supports.append([(k, row[0]) for k, row in enumerate(u._data[pos : pos + target.dims[v]]) if row[0]])
+        pos += target.dims[v]
     maps = []
-    for w in range(len(source.dims)):
-        cols = [target.action(p) @ u for p in proj._proj_paths[w]]
-        if cols:
-            phi_p = hstack(cols)
-        else:
-            phi_p = Matrix.zeros(target.dims[w], 0)
-        maps.append(phi_p @ hint.sections[w])
+    for w, labels in enumerate(pres.labels(source.algebra)):
+        # column (i, p) is the value p·u_i at the path p of generator i
+        phi = [[0] * len(labels) for _ in range(target.dims[w])]
+        for col, (i, p) in enumerate(labels):
+            if supports[i]:
+                for orow, arow in zip(phi, target.action(p)._data):
+                    orow[col] = sum(arow[k] * c for k, c in supports[i])
+        phi = Matrix(target.dims[w], len(labels), phi)
+        maps.append(phi if pres.relations is None else phi @ pres.sections[w])
     return Morphism._make(source, target, tuple(maps))
 
 
-def _hom_cyclic_source(x: Module, y: Module) -> HomSpace:
-    hint = x.hint
-    constraints = _cyclic_constraints(y, hint.relations)
-    if constraints is None:
-        gens = Matrix.identity(y.dims[hint.vertex])
-    else:
-        gens = constraints.kernel_basis()
-    return HomSpace(x, y, gens.cols, gens=gens)
-
-
-def _hom_dual_target(x: Module, y: Module) -> HomSpace:
-    # Hom(X, D Z) is the dual of Hom(Z, D X), computed on the opposite side
-    z = y._dual_of
-    op_space = hom_space(z, dualize(x))
-
-    def build() -> list[Morphism]:
-        return [dualize_morphism(g) for g in op_space.basis]
-
-    def coords(f: Morphism) -> list:
-        return op_space.coords(dualize_morphism(f))
-
-    return HomSpace(x, y, op_space.dim, build, coords)
-
-
-def _has_structure(m: Module) -> bool:
-    return m.summands is not None or m.hint is not None
-
-
 def hom_space(x: Module, y: Module) -> HomSpace:
-    """Basis of Hom(x, y), choosing the cheapest correct decomposition.
+    """Hom(x, y) in generator coordinates.
 
     Results are cached on the younger of x and y (modules are immutable; see
     ``relrep.cache``), so the per-space solvers built lazily inside amortize
@@ -963,15 +923,31 @@ def hom_space(x: Module, y: Module) -> HomSpace:
 
 
 def _hom_space(x: Module, y: Module) -> HomSpace:
+    """Out of a sum, or from a cyclic module into a sum, gens is block
+    diagonal in the summands' cached spaces, and the basis runs summand by
+    summand.  Otherwise gens is the kernel of the stacked relation
+    operators."""
     if x.summands is not None:
-        return _hom_sum(x, y, False)
-    if y.summands is not None:
-        return _hom_sum(x, y, True)
-    if x.hint is not None:
-        return _hom_cyclic_source(x, y)
-    if y._dual_of is not None and _has_structure(y._dual_of):
-        return _hom_dual_target(x, y)
-    return _hom_raw(x, y)
+        children = [hom_space(s, y) for s in x.summands]
+        offsets, pos = [], 0
+        for c in children:
+            offsets.extend(pos + off for off in c.offsets)
+            pos += c.gens.rows
+        gens = block_diag([c.gens for c in children])
+        return HomSpace(x, y, gens, offsets, all(c._free for c in children))
+    offsets, n = _value_offsets(x, y)
+    if y.summands is not None and len(offsets) == 1:
+        children = [hom_space(x, s) for s in y.summands]
+        gens = block_diag([c.gens for c in children])
+        return HomSpace(x, y, gens, offsets, all(c._free for c in children))
+    blocks = [
+        path_operator(y, rel, y.dims[rel[0][2].target], offsets, n)
+        for rel in presentation(x).relations or ()
+        if y.dims[rel[0][2].target]
+    ]
+    if not blocks:
+        return HomSpace(x, y, Matrix.identity(n), offsets, True)
+    return HomSpace(x, y, vstack(blocks).kernel_basis(), offsets, False)
 
 
 def hom_basis(x: Module, y: Module) -> list[Morphism]:
@@ -986,34 +962,85 @@ def hom_dim(x: Module, y: Module) -> int:
 
 
 def path_combination(x: Module, v: int, w: Sequence) -> list[tuple]:
-    """The nonzero ``(c_k, p_k)`` with w = sum_k c_k p_k·g, for w a vector of
-    e_v x and x cyclic with generator g, read through the section into the
-    path coordinates of the projective covering x."""
-    hint = x.hint
-    paths = proj_module(x.algebra, hint.vertex)._proj_paths[v]
-    # a projective (no relations) is its own cover: its sections are identities
-    if hint.relations is not None:
-        w = [_dot(row, w) for row in hint.sections[v]._data]
-    return [(c, p) for c, p in zip(w, paths) if c != 0]
+    """The nonzero ``(i, c, p)`` with w = sum c p·g_i, for w a vector of e_v x
+    and g_i the generators of x's presentation, read through the section into
+    the path coordinates of the cover."""
+    if x.summands is not None:
+        out, shift = [], 0
+        for s, off in zip(x.summands, x._offsets):
+            piece = w[off[v] : off[v] + s.dims[v]]
+            if any(piece):
+                out.extend((i + shift, c, p) for i, c, p in path_combination(s, v, piece))
+            shift += len(presentation(s).vertices)
+        return out
+    pres = presentation(x)
+    # with no relation the module is its own cover: its sections are identities
+    if pres.relations is not None:
+        w = [sum(c * w[j] for j, c in enumerate(row) if c) for row in pres.sections[v]._data]
+    return [(i, c, p) for c, (i, p) in zip(w, pres.labels(x.algebra)[v]) if c != 0]
 
 
-def path_operator(y: Module, terms: Sequence[tuple], rows: int, gens: Matrix | None = None) -> Matrix:
-    """A @ gens for A = sum_k c_k y.action(p_k) over the ``(c_k, p_k)`` of
-    ``terms``, with ``rows`` rows; A itself when ``gens`` is None.
+def _combinations(x: Module, vertices: Sequence[int], column: Sequence) -> list[list[tuple]]:
+    """For a map h: u -> x given by its stacked values ``column`` at the
+    generators of u (at ``vertices``), the path combination of each value
+    over the generators of x."""
+    out, pos = [], 0
+    for v in vertices:
+        out.append(path_combination(x, v, column[pos : pos + x.dims[v]]))
+        pos += x.dims[v]
+    return out
 
-    For ``terms = path_combination(x, v, w)`` and ``gens`` the generator
-    images of a basis of Hom(x, y), column i is a_i(w) = sum_k c_k p_k·a_i(g).
+
+def _evaluate(space: HomSpace, vertices: Sequence[int], combos: Sequence[list]) -> Matrix:
+    """Stacked generator images, over the generators of u (at ``vertices``),
+    of b∘h for every h: u -> X given by its ``_combinations`` (one entry of
+    ``combos``, outer in the column order) and every basis map b of ``space``
+    = Hom(X, Y): the values of b at h's generator images."""
+    y = space.target
+    columns = []
+    for per_generator in combos:
+        blocks = []
+        for v, terms in zip(vertices, per_generator):
+            if not (terms and space.dim):
+                blocks.append(Matrix.zeros(y.dims[v], space.dim))
+                continue
+            # the values of the basis maps at sum c p·g_i
+            op = path_operator(y, terms, y.dims[v], space.offsets, space.gens.rows)
+            blocks.append(op if space._free else op @ space.gens)
+        columns.append(blocks[0] if len(blocks) == 1 else vstack(blocks or [Matrix.zeros(0, space.dim)]))
+    return hstack(columns) if columns else Matrix.zeros(sum(y.dims[v] for v in vertices), 0)
+
+
+def _precomposed_images(space: HomSpace, u: Module, columns: Sequence[Sequence]) -> Matrix:
+    """``_evaluate`` for maps u -> X given by their stacked generator values,
+    one entry of ``columns`` each."""
+    vertices = presentation(u).vertices
+    return _evaluate(space, vertices, [_combinations(space.source, vertices, c) for c in columns])
+
+
+def composite_coords(outer, inner) -> Matrix:
+    """Coordinates, as columns, of the composites of one morphism h with every
+    basis map b_j of a hom space: of h∘b_j when ``outer`` is h and ``inner``
+    the space, of b_j∘h when ``outer`` is the space and ``inner`` is h.
+
+    After h the generator images of h∘b_j are h's vertex maps times the row
+    blocks of ``gens``, one product per generator; before h they come off
+    path operators (see ``_evaluate``).  One ``generator_coords`` reads them.
     """
-    cols = y.dims[terms[0][1].source] if gens is None else gens.rows
-    out = [[0] * cols for _ in range(rows)]
-    for c, p in terms:
-        for orow, arow in zip(out, y.action(p)._data):
-            for k, a in enumerate(arow):
-                if a:
-                    orow[k] += c * a
-    op = Matrix(rows, cols, out)
-    # square gens are the identity: Hom(x, y) is all of e_v y
-    return op if gens is None or gens.cols == gens.rows else op @ gens
+    if isinstance(outer, Morphism):
+        h, space = outer, inner
+        result = hom_space(space.source, h.target)
+        blocks = [
+            h.maps[v] @ space.gens.take_rows(range(off, off + h.source.dims[v]))
+            for v, off in zip(presentation(space.source).vertices, space.offsets)
+        ]
+        images = vstack(blocks) if blocks else Matrix.zeros(0, space.dim)
+    else:
+        space, h = outer, inner
+        result = hom_space(h.source, space.target)
+        values = presentation(h.source).values(h.maps)
+        images = _precomposed_images(space, h.source, [[c for vals in values for c in vals]])
+    return result.generator_coords(images)
 
 
 def composition_table(outer: HomSpace, inner: HomSpace) -> tuple[Matrix, ...]:
@@ -1027,26 +1054,9 @@ def composition_table(outer: HomSpace, inner: HomSpace) -> tuple[Matrix, ...]:
 
 
 def _composition_table(outer: HomSpace, inner: HomSpace) -> tuple[Matrix, ...]:
+    # the generator images of b_j are the columns of inner.gens
     result = hom_space(inner.source, outer.target)
-    if inner.gens is None or outer.gens is None:
-        return tuple(
-            Matrix.from_columns([result.coords(a @ b) for a in outer.basis])
-            if outer.dim
-            else Matrix.zeros(result.dim, 0)
-            for b in inner.basis
-        )
-    if inner.dim == 0:
-        return ()
-    # U and X are cyclic: a_i∘b_j is fixed by a_i(w) = A_w a_i(g) for the
-    # generator image w = b_j(g) in e_v X, one path operator A_w per w
-    v = inner.source.hint.vertex
-    x, y = outer.source, outer.target
-    images = hstack(
-        [
-            path_operator(y, path_combination(x, v, w), y.dims[v], outer.gens)
-            for w in inner.gens.columns()
-        ]
-    )
+    images = _precomposed_images(outer, inner.source, inner.gens.columns())
     coords = result.generator_coords(images)
     n = outer.dim
     return tuple(coords.take_columns(range(j * n, (j + 1) * n)) for j in range(inner.dim))

@@ -1,6 +1,6 @@
 """Hom spaces in generator coordinates and composition in coordinates.
 
-Every hom-space route is checked against the morphism level: the cached
+Every way a hom space is built is checked against the morphism level: the cached
 composition table against composing basis maps and reading coordinates,
 generator images against evaluating basis maps at the generator, and the
 generator-route ranks of relative projective resolutions against composing
@@ -12,17 +12,19 @@ Kronecker quiver.
 import pytest
 
 from relrep.exact_linalg import QQ, Matrix
-from relrep.homology import _boundary_rank, _cyclic_sum, _hom_complex
+from relrep.homology import _boundary_rank, _hom_complex
 from relrep.path_algebra import AlgebraPresentation, cyclic_quiver
 from relrep.relhom import F_resolution, contravariant_functor, covariant_functor, ext_F_dim
 from relrep.rep import (
     Module,
     Morphism,
+    _cyclic_sum,
     composition_table,
     direct_sum,
     hom_dim,
     hom_space,
     inj_module,
+    presentation,
     proj_module,
     radical_quotient,
     simple_module,
@@ -30,7 +32,7 @@ from relrep.rep import (
 )
 from test_homology import _a3_zero_relation, _commuting_square, _kronecker, _test_modules
 
-ROUTES = {"cyclic", "sum into a cyclic source", "sum source", "sum target", "raw", "dual target"}
+ROUTES = {"sum source", "sum target", "hinted", "computed"}
 
 
 def _cyc3_trunc5():
@@ -41,23 +43,20 @@ ALGEBRAS = [_cyc3_trunc5, _commuting_square, _a3_zero_relation, _kronecker]
 
 
 def _route(x: Module, y: Module) -> str:
-    """The route ``hom_space(x, y)`` takes (mirrors ``rep._hom_space``)."""
+    """How ``hom_space(x, y)`` is built (mirrors ``rep._hom_space``): from the
+    summands' spaces, or off x's presentation, carried from construction
+    (hinted) or computed on first use."""
     if x.summands is not None:
         return "sum source"
     if y.summands is not None:
-        return "sum target" if x.hint is None else "sum into a cyclic source"
-    if x.hint is not None:
-        return "cyclic"
-    dual_of = y._dual_of
-    if dual_of is not None and (dual_of.summands is not None or dual_of.hint is not None):
-        return "dual target"
-    return "raw"
+        return "sum target"
+    return "hinted" if x.hint is not None else "computed"
 
 
 def _pool(alg):
-    """Modules that between them reach every hom-space route: cyclic ones,
-    an injective (a dual), a plain copy with no layout or hint, the zero
-    module, and direct sums with a zero summand."""
+    """Modules that between them reach every way a hom space is built: cyclic
+    ones, an injective (a dual), a plain copy with no layout or hint, the
+    zero module, and direct sums with a zero summand."""
     n = alg.quiver.vertex_count
     p0, s_last = proj_module(alg, 0), simple_module(alg, n - 1)
     top2 = radical_quotient(p0, 2)[0]
@@ -118,22 +117,20 @@ def test_hom_spaces_build_basis_maps_only_when_asked(make):
 @pytest.mark.parametrize("make", ALGEBRAS)
 def test_generator_images_are_the_basis_at_the_generator(make):
     pool = _pool(make())
-    with_gens = 0
+    computed = 0
     for x in pool:
+        pres = presentation(x)
         for y in pool:
             space = hom_space(x, y)
-            if x.hint is None:
-                assert space.gens is None
-                continue
-            with_gens += 1
-            v, g = x.hint.vertex, x.hint.generator
+            computed += x.hint is None and x.summands is None and space.dim > 0
             # built alone, before the basis exists, a basis map is the same map
             alone = [space.basis_map(j) for j in range(space.dim)]
             assert space._basis is None
             for j, b in enumerate(space.basis):
                 assert alone[j].maps == b.maps
-                assert space.gens.column_vector(j) == b.maps[v] @ g
-            if space.gens.rows == space.gens.cols:
+                values = [c for vals in pres.values(b.maps) for c in vals]
+                assert space.gens.column_vector(j).flatten() == values
+            if len(pres.vertices) == 1 and space.gens.rows == space.gens.cols:
                 assert space.gens == Matrix.identity(space.dim)
             cs = [QQ(k + 1, 2) * (-1) ** k for k in range(space.dim)]
             summed = Morphism.zero(x, y)
@@ -141,7 +138,7 @@ def test_generator_images_are_the_basis_at_the_generator(make):
                 summed = summed + b.scale(c)
             assert space.from_coords(cs).maps == summed.maps
             assert space.coords(summed) == cs
-    assert with_gens
+    assert computed
 
 
 def _covariant_module(alg):
@@ -151,19 +148,20 @@ def _covariant_module(alg):
 
 @pytest.mark.parametrize("make", [_cyc3_trunc5, _commuting_square])
 def test_generator_ranks_match_boundary_ranks_on_relative_resolutions(make):
-    """Covariant resolutions have cyclic terms and take the generator route;
-    so do contravariant ones when the transposes in trd(M) are cyclic (P1
-    indecomposable, always so on cyc3).  A term with a non-cyclic summand
-    falls back: trd(M) with a decomposable P1 on the square, and on both
-    algebras a test module whose atom is a plain copy with no layout or hint.
-    Either way the hom complex must match the one built by composing
-    hom-space bases with the differentials."""
+    """Every chain resolution ranks its boundaries in generator coordinates.
+    Covariant resolutions have cyclic terms, and so do contravariant ones
+    when the transposes in trd(M) are cyclic (P1 indecomposable, always so
+    on cyc3).  Other terms have a summand whose presentation is computed:
+    trd(M) with a decomposable P1 on the square, and on both algebras a test
+    module whose atom is a plain copy with no layout or hint.  Either way the
+    hom complex must match the one built by composing hom-space bases with
+    the differentials."""
     alg = make()
     mods = _test_modules(alg)
     m = _covariant_module(alg)
     s_last, top2 = m.summands
     plain = direct_sum(alg, [s_last, Module(alg, top2.dims, top2.arrow_maps)])
-    generator = fallback = nonzero = 0
+    cyclic = computed = nonzero = 0
     for functor in (covariant_functor(m), contravariant_functor(m), covariant_functor(plain)):
         for x in mods:
             res = F_resolution(x, functor)
@@ -175,11 +173,11 @@ def test_generator_ranks_match_boundary_ranks_on_relative_resolutions(make):
                     expected = _boundary_rank(src, tgt, d)
                     assert (dim(k), rank(k)) == (src.dim, expected), (k, x, y)
                     if _cyclic_sum(d.source) and _cyclic_sum(d.target):
-                        generator += 1
+                        cyclic += 1
                         nonzero += expected > 0
                     else:
-                        fallback += 1
-    assert generator and fallback and nonzero
+                        computed += 1
+    assert cyclic and computed and nonzero
 
 
 @pytest.mark.parametrize("make", [_commuting_square, _a3_zero_relation])

@@ -267,9 +267,15 @@ def exact_matrices(draw, max_rows=12, max_cols=15):
     thin factors (rank-deficient by construction)."""
     rows = draw(st.integers(min_value=0, max_value=max_rows))
     cols = draw(st.integers(min_value=0, max_value=max_cols))
-    kind = draw(st.sampled_from(["dense", "zero", "low_rank"]))
+    kind = draw(st.sampled_from(["dense", "zero", "low_rank", "monomial"]))
     if kind == "zero":
         return [[0] * cols for _ in range(rows)]
+    if kind == "monomial" and rows:
+        # at most one nonzero per column, the shape whose RREF is read off directly
+        out = [[0] * cols for _ in range(rows)]
+        for j in range(cols):
+            out[draw(st.integers(0, rows - 1))][j] = draw(scalars)
+        return out
     if kind == "low_rank":
         k = draw(st.integers(min_value=0, max_value=min(rows, cols, 4)))
         a = draw(st.lists(st.lists(scalars, min_size=k, max_size=k), min_size=rows, max_size=rows))
@@ -390,9 +396,13 @@ def spanning_sets(draw, max_dim=9):
     """(n, columns) spanning a random subspace of QQ^n, n <= 9: empty, zero,
     full and fractional spans, with dependent columns among them."""
     n = draw(st.integers(min_value=0, max_value=max_dim))
-    kind = draw(st.sampled_from(["random", "none", "zero", "full"]))
+    kind = draw(st.sampled_from(["random", "none", "zero", "full", "units"]))
     if kind == "none":
         return n, []
+    if kind == "units" and n:
+        # multiples of unit vectors, repeats among them: a coordinate subspace
+        units = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=max_dim))
+        return n, [[draw(scalars) if i == t else 0 for i in range(n)] for t in units]
     if kind == "zero":
         return n, [[0] * n for _ in range(draw(st.integers(1, 3)))]
     if kind == "full":

@@ -22,7 +22,6 @@ from relrep.homology import (
 )
 from relrep.rep import (
     Module,
-    _hom_raw,
     assemble_from_components,
     assemble_into_components,
     direct_sum,
@@ -35,6 +34,7 @@ from relrep.rep import (
     quotient_by_subspaces,
     simple_module,
 )
+from hom_reference import _hom_raw
 from test_syzygy_steps import ALGEBRAS, _built, _parsed, assert_relations_present
 
 # -- the replaced construction -----------------------------------------------------
@@ -54,8 +54,9 @@ def _reference_presentation(x: Module):
         into = []
         for b, tgt_b in enumerate(tgt.summands):
             u = Matrix.zeros(tgt_b.dims[src_c._proj_vertex], 1)
-            for coeff, path in entries[b][c]:
-                u = u + _path_class_vector(tgt_b, algebra.reverse_path(path)).scale(coeff)
+            for c_k, coeff, path in entries[b]:
+                if c_k == c:
+                    u = u + _path_class_vector(tgt_b, algebra.reverse_path(path)).scale(coeff)
             into.append(morphism_from_generator(src_c, tgt_b, u))
         comps.append(assemble_into_components(src_c, tgt, into))
     return assemble_from_components(src, tgt, comps)
@@ -68,16 +69,16 @@ def _reference_transpose(x: Module) -> Module:
 
 def _expected_relations(x: Module) -> tuple:
     """The rows of d_op read in P1's path basis: for each summand of P0^op,
-    the nonzero ``(c, p)`` with d_op(generator) = sum c p."""
+    the nonzero ``(0, c, p)`` with d_op(generator) = sum c p."""
     d_op = _reference_presentation(x)
     (p1,) = d_op.target.summands
     out = []
     for c, src_c in enumerate(d_op.source.summands):
         w = src_c._proj_vertex
         off = d_op.source.offsets()[c][w]
-        image = d_op.maps[w].take_columns(range(off, off + src_c.dims[w])) @ src_c.hint.generator
+        image = d_op.maps[w].take_columns(range(off, off + src_c.dims[w])) @ src_c.hint.generators[0]
         rel = tuple(
-            (image[i, 0], p) for i, p in enumerate(p1._proj_paths[w]) if image[i, 0] != 0
+            (0, image[i, 0], p) for i, p in enumerate(p1._proj_paths[w]) if image[i, 0] != 0
         )
         if rel:
             out.append(rel)
@@ -148,7 +149,7 @@ def test_transposes_keep_their_matrices_and_are_hinted_exactly_for_one_p1(corpus
                 unhinted += 1
                 continue
             hinted += 1
-            assert t.hint.vertex == minimal_presentation(z)[0].source.summands[0]._proj_vertex
+            assert t.hint.vertices == (minimal_presentation(z)[0].source.summands[0]._proj_vertex,)
             assert t.hint.relations == _expected_relations(z)
             assert_relations_present(t)
         _assert_same_matrices(trd(x), _reference_transpose(dualize(x)))
@@ -175,7 +176,7 @@ def test_hom_spaces_of_hinted_transposes_match_the_raw_route(corpus):
             hinted += 1
             for y in ys + [t]:
                 _assert_hom_routes_agree(t, y)
-        # maps into dtr x go through the dual-target route over Tr x
+        # dtr x is the dual of Tr x: maps into it are read off its own presentation
         for a in targets[base]:
             _assert_hom_routes_agree(a, dtr(x))
     assert hinted

@@ -29,7 +29,7 @@ from relrep.homology import (
 )
 from relrep.path_algebra import AlgebraError, AlgebraPresentation, cyclic_quiver, linear_quiver
 from relrep.rep import (
-    CyclicHint,
+    Presentation,
     Module,
     Morphism,
     assemble_from_components,
@@ -93,17 +93,17 @@ def _reference_kernel(f: Morphism) -> tuple[Module, Morphism]:
 
 
 def _length_paths(alg, vertex: int, k: int) -> tuple:
-    return tuple(((1, p),) for p in alg.quiver.paths_of_length(k) if p.source == vertex)
+    return tuple(((0, 1, p),) for p in alg.quiver.paths_of_length(k) if p.source == vertex)
 
 
-def _radical_power(alg, hint: CyclicHint) -> int | None:
+def _radical_power(alg, hint: Presentation) -> int | None:
     """k when the relations of ``hint`` are the length-k paths from its
     vertex, as for P/rad^k; None otherwise."""
     rels = hint.relations
     if not rels or not all(len(rel) == 1 for rel in rels):
         return None
-    k = rels[0][0][1].length
-    return k if rels == _length_paths(alg, hint.vertex, k) else None
+    k = rels[0][0][2].length
+    return k if rels == _length_paths(alg, hint.vertices[0], k) else None
 
 
 def _reference_radical_quotient(module: Module, power: int) -> tuple[Module, Morphism]:
@@ -119,16 +119,17 @@ def _reference_radical_quotient(module: Module, power: int) -> tuple[Module, Mor
     quot, proj, sections = quotient_by_subspaces(module, bases)
     parent = module.hint
     if parent is not None:
+        (vertex,), (generator,) = parent.vertices, parent.generators
         if parent.relations is None:
-            relations = _length_paths(module.algebra, parent.vertex, power)
+            relations = _length_paths(module.algebra, vertex, power)
         else:
             k = _radical_power(module.algebra, parent)
-            relations = None if k is None else _length_paths(module.algebra, parent.vertex, min(k, power))
-        quot.hint = CyclicHint(
-            parent.vertex,
+            relations = None if k is None else _length_paths(module.algebra, vertex, min(k, power))
+        quot.hint = Presentation(
+            (vertex,),
             relations,
             tuple(ps @ qs for ps, qs in zip(parent.sections, sections)),
-            proj.maps[parent.vertex] @ parent.generator,
+            (proj.maps[vertex] @ generator,),
         )
     return quot, proj
 
@@ -137,9 +138,9 @@ def _relation_vector(proj: Module, rel) -> Matrix:
     """The element sum c p of the projective ``proj`` for a relation, as a
     vector of its vertex space at the relation's end."""
     alg = proj.algebra
-    paths = proj._proj_paths[rel[0][1].target]
+    paths = proj._proj_paths[rel[0][2].target]
     vec = [0] * len(paths)
-    for c, p in rel:
+    for _, c, p in rel:
         coords = alg.reduce_path(p)
         for i, q in enumerate(paths):
             vec[i] += c * coords[alg.basis_index[q]]
@@ -151,19 +152,20 @@ def assert_relations_present(module: Module) -> None:
     and P(v) modulo the submodule the relations generate has the module's
     dimension."""
     hint = module.hint
+    (vertex,), (generator,) = hint.vertices, hint.generators
     alg = module.algebra
-    proj = proj_module(alg, hint.vertex)
+    proj = proj_module(alg, vertex)
     if hint.relations is None:
         assert module.dims == proj.dims
         return
     spans: list[list[Matrix]] = [[] for _ in module.dims]
     for rel in hint.relations:
-        assert all(p.source == hint.vertex for _, p in rel)
-        end = rel[0][1].target
-        assert all(p.target == end for _, p in rel)
+        assert all(i == 0 and p.source == vertex for i, _, p in rel)
+        end = rel[0][2].target
+        assert all(p.target == end for _, _, p in rel)
         killed = Matrix.zeros(module.dims[end], 1)
-        for c, p in rel:
-            killed = killed + (module.action(p) @ hint.generator).scale(c)
+        for _, c, p in rel:
+            killed = killed + (module.action(p) @ generator).scale(c)
         assert killed.is_zero()
         vec = _relation_vector(proj, rel)
         for q in alg.quiver.paths_up_to(alg.nilpotency_bound):
@@ -331,13 +333,13 @@ def test_radical_quotients_match_the_reduced_basis_route(corpus):
                 assert quot.hint is None
                 continue
             hint, ref_hint = quot.hint, ref.hint
-            assert hint.vertex == ref_hint.vertex
+            assert hint.vertices == ref_hint.vertices
             if ref_hint.relations is None:
                 assert_relations_present(quot)
             else:
                 assert hint.relations == ref_hint.relations
             assert hint.sections == ref_hint.sections
-            assert hint.generator == ref_hint.generator
+            assert hint.generators == ref_hint.generators
 
 
 def test_kernel_guard_rejects_a_non_commuting_map():
