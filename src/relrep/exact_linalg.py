@@ -24,7 +24,7 @@ which reads the projection onto a coordinate complement straight off one RREF.
 
 from __future__ import annotations
 
-from itertools import chain
+from itertools import chain, compress
 from math import gcd
 from operator import add, sub
 from typing import Iterable, Sequence
@@ -258,7 +258,7 @@ class Matrix:
         leaves each pivot equal to the last one, ``det``; dividing the pivot
         rows by ``det`` gives the unique RREF.
         """
-        if self._rref is not None or self._disjoint_rref():
+        if self._rref is not None:
             return self._rref
         w = self._integer_rows()
         pivots, det = _bareiss(w, self.cols, True)
@@ -269,27 +269,9 @@ class Matrix:
         self._rref = result
         return result
 
-    def _disjoint_rref(self) -> bool:
-        """Whether the rows have disjoint supports (path actions on a monomial
-        path basis); if so, caches the RREF read off directly."""
-        leads, seen = [], set()
-        for row in self._data:
-            cols = [j for j, x in enumerate(row) if x]
-            if not seen.isdisjoint(cols):
-                return False
-            seen.update(cols)
-            if cols:
-                leads.append((cols[0], row))
-        leads.sort(key=lambda lead: lead[0])
-        red = [list(row) if row[c] == 1 else [exact_div(x, row[c]) for x in row] for c, row in leads]
-        red += [[0] * self.cols for _ in range(self.rows - len(red))]
-        self._rref = (Matrix._trusted(self.rows, self.cols, red), tuple(c for c, _ in leads))
-        return True
-
     def rank(self) -> int:
-        """The rank: the RREF's if cached or read off directly, else the pivots
-        of a forward pass."""
-        if self._rref is not None or self._disjoint_rref():
+        """The rank: the RREF's if cached, else the pivots of a forward pass."""
+        if self._rref is not None:
             return len(self._rref[1])
         return len(_bareiss(self._integer_rows(), self.cols, False)[0])
 
@@ -498,16 +480,15 @@ def complement_projection(span: Matrix) -> tuple[Matrix, list[int]]:
     n = span.rows
     # with at most one nonzero per column the span is the coordinate subspace
     # of the rows touched (path actions on a monomial path basis)
-    touched, seen = [], set()
+    touched, seen = set(), set()
     for i, row in enumerate(span._data):
-        cols = [j for j, x in enumerate(row) if x]
+        cols = list(compress(range(len(row)), row))
         if not seen.isdisjoint(cols):
             break
         seen.update(cols)
         if cols:
-            touched.append(i)
+            touched.add(i)
     else:
-        touched = set(touched)
         free = [j for j in range(n) if j not in touched]
         return Matrix._trusted(len(free), n, [[int(j == f) for j in range(n)] for f in free]), free
     reduced, pivots = span.transpose().rref()

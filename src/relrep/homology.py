@@ -307,49 +307,41 @@ def is_split_mono(f: Morphism) -> bool:
 # -- Ext^1 as a concrete space ------------------------------------------------
 
 
-def _cocycles(k: Module, a: Module) -> tuple[Matrix, list[int]]:
-    """Hom(k, a) in entry coordinates: ``(basis, free)``.
+def _entry_coordinates(space: HomSpace) -> tuple[Matrix, list[int], Matrix]:
+    """Hom(k, a) in entry coordinates: ``(cocycles, free, change)``.
 
-    The entries of a map's vertex maps, vertex by vertex and row by row, span
-    Hom(k, a) as the kernel of the commutation system f_j k_a = a_a f_i.  Its
-    free unknowns ``free`` (the last nonzero entry of each kernel vector) are
-    ordered atom of a by atom, and the kernel basis has 1 at its own free
-    unknown and 0 at the others: a map's coordinates are its entries there.
+    The entry coordinates of a map are its entries at ``free`` (entries of the
+    vertex maps counted vertex by vertex, row by row), ordered atom of a by
+    atom: the free unknowns of the commutation system f_j k_a = a_a f_i,
+    which are the pivots of the flattened basis maps' echelon form reduced
+    from the right.  Column t of ``cocycles`` is the map with 1 at
+    ``free[t]`` and 0 at the other free unknowns; ``change`` turns generator
+    coordinates into entry coordinates.
     """
-    offsets, total = [], 0
-    for v in range(len(k.dims)):
-        offsets.append(total)
-        total += k.dims[v] * a.dims[v]
-    rows = []
-    for idx, arrow in enumerate(k.algebra.quiver.arrows):
-        i, j = arrow.source, arrow.target
-        ka, aa = k.arrow_maps[idx]._data, a.arrow_maps[idx]._data
-        # entry (r, c) of f_j k_a - a_a f_i: r in a_j, c in k_i
-        for r in range(a.dims[j]):
-            for c in range(k.dims[i]):
-                row = [0] * total
-                for t in range(k.dims[j]):
-                    row[offsets[j] + r * k.dims[j] + t] += ka[t][c]
-                for t in range(a.dims[i]):
-                    row[offsets[i] + t * k.dims[i] + c] -= aa[r][t]
-                if any(row):
-                    rows.append(row)
-    basis = Matrix.from_rows(rows).kernel_basis() if rows else Matrix.identity(total)
-    free = [max(e for e, row in enumerate(basis._data) if row[t]) for t in range(basis.cols)]
+    k, a = space.source, space.target
+    total = sum(dk * da for dk, da in zip(k.dims, a.dims))
+    flats = [b.flat() for b in space.basis]
+    if not flats:
+        return Matrix.zeros(total, 0), [], Matrix.zeros(0, 0)
+    red, pivots = Matrix.from_rows([f[::-1] for f in flats]).rref()
+    free = [total - 1 - p for p in pivots]
     atoms = flatten_atoms(a)
     atom_of = [s for v in range(len(k.dims)) for s, part in enumerate(atoms) for _ in range(part.dims[v] * k.dims[v])]
     order = sorted(range(len(free)), key=lambda t: (atom_of[free[t]], free[t]))
-    return basis.take_columns(order), [free[t] for t in order]
+    cocycles = Matrix(total, len(order), [[red._data[t][total - 1 - e] for t in order] for e in range(total)])
+    free = [free[t] for t in order]
+    return cocycles, free, Matrix(len(free), len(flats), [[f[e] for f in flats] for e in free])
 
 
 class Ext1Space:
     """Ext^1(c, a) presented on the minimal cover sequence 0 -> K -> P -> c -> 0.
 
     Classes are coordinates on Hom(K, a) reduced modulo the restrictions of
-    Hom(P, a).  Hom(K, a) is read in entry coordinates (see ``_cocycles``),
-    which fix the meaning of class coordinates; realize() turns a class into
-    an honest short exact sequence by pushout, and class_of() recovers the
-    class of any such sequence by lifting the cover through its epi.
+    Hom(P, a).  Hom(K, a) is read in entry coordinates (see
+    ``_entry_coordinates``), which fix the meaning of class coordinates;
+    realize() turns a class into an honest short exact sequence by pushout,
+    and class_of() recovers the class of any such sequence by lifting the
+    cover through its epi.
     """
 
     def __init__(self, c: Module, a: Module):
@@ -359,13 +351,9 @@ class Ext1Space:
         res.ensure_terms(1)
         self.cover = res.augmentation
         self.k, self.incl = res.syzygy_edge(1)
-        self._cocycles, self._free = _cocycles(self.k, a)
-        # coboundaries: the restrictions of Hom(P, a) to K, summand by summand
-        restricted = []
-        for i, p in enumerate(self.cover.source.summands):
-            incl_p = summand_projection(self.cover.source, i) @ self.incl
-            restricted.extend((h @ incl_p).flat() for h in hom_space(p, a).basis)
-        coboundaries = Matrix(len(self._free), len(restricted), [[f[e] for f in restricted] for e in self._free])
+        self._cocycles, self._free, change = _entry_coordinates(hom_space(self.k, a))
+        # coboundaries: the restrictions of Hom(P, a) to K
+        coboundaries = change @ composite_coords(hom_space(self.cover.source, a), self.incl)
         self._reducer, self._section_idx = complement_projection(coboundaries)
         self.dim = len(self._section_idx)
         self._sum_pa: Module | None = None

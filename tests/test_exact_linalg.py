@@ -267,15 +267,9 @@ def exact_matrices(draw, max_rows=12, max_cols=15):
     thin factors (rank-deficient by construction)."""
     rows = draw(st.integers(min_value=0, max_value=max_rows))
     cols = draw(st.integers(min_value=0, max_value=max_cols))
-    kind = draw(st.sampled_from(["dense", "zero", "low_rank", "monomial"]))
+    kind = draw(st.sampled_from(["dense", "zero", "low_rank"]))
     if kind == "zero":
         return [[0] * cols for _ in range(rows)]
-    if kind == "monomial" and rows:
-        # at most one nonzero per column, the shape whose RREF is read off directly
-        out = [[0] * cols for _ in range(rows)]
-        for j in range(cols):
-            out[draw(st.integers(0, rows - 1))][j] = draw(scalars)
-        return out
     if kind == "low_rank":
         k = draw(st.integers(min_value=0, max_value=min(rows, cols, 4)))
         a = draw(st.lists(st.lists(scalars, min_size=k, max_size=k), min_size=rows, max_size=rows))
