@@ -1,18 +1,32 @@
-"""The one cache policy: a memoized result lives on the objects it describes.
+"""The one cache policy: a memoized result lives on the objects it describes,
+and never points back at them.
 
 A result about one object is stored in that object's ``_cache`` dict.  A
 result about two objects is stored on the younger one (larger creation
-serial), keyed by the other's ``id`` and holding the other alive, so the
-``id`` cannot be reused while the entry lives.  A pair lookup needs both
-objects in hand, so the entry is reachable exactly while both live, and it
-dies with the younger one: long sweeps over fresh modules stay flat.  No
-other module reads or writes ``_cache``.
+serial), keyed by the other's serial.  Serials come from one counter and are
+never reused, unlike ``id``, so the entry needs no reference to the other
+object; and the objects older than an owner are fixed when it is created, so
+the entries on it stay bounded.  A pair lookup needs both objects in hand, so
+an entry is reachable only while both live, and it dies with the younger
+one.
+
+No memoized value holds a strong reference to its owner or to its pair
+partner.  Results that must hand back the objects they describe (hom spaces,
+resolutions, ``Ext¹`` spaces) are cached as module-free cores and wrapped in
+a fresh view on each lookup.  An involution (the dual of a module, the
+opposite of an algebra) is held strongly by the object it was made from and
+holds that object weakly (``involution``).  So a fresh module is never part
+of a reference cycle: reference counting frees it, with everything cached on
+it, as soon as the last caller drops it.  The one cycle left is per algebra:
+an algebra presentation and its memoized projectives and opposite point at
+each other.  No other module reads or writes ``_cache``.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import weakref
 
 _MISSING = object()
 _SERIALS = itertools.count()
@@ -66,14 +80,33 @@ def memoized(name: str):
 
 def cached_pair(a: Cached, b: Cached, key, compute, *args):
     """The result ``compute(*args)`` about the ordered pair (a, b), computed once
-    and stored on the younger of the two next to a reference to the other."""
+    and stored on the younger of the two under the serial of the other."""
     if a._serial >= b._serial:
-        owner, other, side = a, b, 0
+        owner, slot = a, (key, 0, b._serial)
     else:
-        owner, other, side = b, a, 1
-    slot = (key, side, id(other))
+        owner, slot = b, (key, 1, a._serial)
     cache = owner._cache
-    entry = cache.get(slot)
-    if entry is None:
-        entry = cache[slot] = (compute(*args), other)
-    return entry[0]
+    value = cache.get(slot, _MISSING)
+    if value is _MISSING:
+        value = cache[slot] = compute(*args)
+    return value
+
+
+def involution(owner: Cached, key, compute):
+    """``compute(owner)`` for an involution: the image's own ``key`` result is
+    ``owner`` again.
+
+    The owner holds its image strongly and the image holds the owner weakly,
+    so the pair forms no reference cycle.  When the owner of an image has
+    died, asking the image yields a new object, held strongly from then on.
+    """
+    link = owner._cache.get(key)
+    if link is not None:
+        if type(link) is not weakref.ref:
+            return link
+        origin = link()
+        if origin is not None:
+            return origin
+    image = owner._cache[key] = compute(owner)
+    image._cache[key] = weakref.ref(owner)
+    return image

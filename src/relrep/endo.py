@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .cache import Cached, cached, memoized
+from .cache import Cached, involution, memoized
 from .exact_linalg import Matrix, complement_projection, exact_div, rational, subspace_contains
 from .path_algebra import AlgebraError, InternalError
 from .rep import (
@@ -84,6 +84,7 @@ class StructureConstantAlgebra(Cached):
         "piece_members",
         "piece_classes",
         "name",
+        "__weakref__",
     )
 
     def __init__(
@@ -187,21 +188,10 @@ class StructureConstantAlgebra(Cached):
                 return False
         return True
 
-    @memoized("opposite")
     def opposite(self) -> "StructureConstantAlgebra":
-        mult_op = tuple(
-            tuple(self.mult[j][i] for j in range(self.dim)) for i in range(self.dim)
-        )
-        op = StructureConstantAlgebra.from_sparse(
-            self.dim,
-            mult_op,
-            self.unit,
-            idempotents=self.idempotents,
-            piece_classes=self.piece_classes,
-            name=self.name + "^op" if self.name else "",
-        )
-        cached(op, "opposite", lambda: self)  # (A^op)^op is A itself
-        return op
+        """The opposite algebra; (A^op)^op is A itself while A lives (A holds
+        its opposite, which holds A weakly)."""
+        return involution(self, "opposite", _opposite)
 
     # -- idempotent pieces ---------------------------------------------------
 
@@ -233,6 +223,18 @@ class StructureConstantAlgebra(Cached):
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         label = self.name or "algebra"
         return f"StructureConstantAlgebra({label}, dim={self.dim})"
+
+
+def _opposite(g: StructureConstantAlgebra) -> StructureConstantAlgebra:
+    mult_op = tuple(tuple(g.mult[j][i] for j in range(g.dim)) for i in range(g.dim))
+    return StructureConstantAlgebra.from_sparse(
+        g.dim,
+        mult_op,
+        g.unit,
+        idempotents=g.idempotents,
+        piece_classes=g.piece_classes,
+        name=g.name + "^op" if g.name else "",
+    )
 
 
 def _sparse_row(row) -> tuple:
@@ -330,17 +332,7 @@ class SCModule:
                 raise AlgebraError("action matrix shape mismatch")
 
     def element_matrix(self, coeffs) -> Matrix:
-        return self._combine(_terms(coeffs))
-
-    def _combine(self, terms) -> Matrix:
-        """Matrix of the sum of ``c * action[k]`` over ``(k, c)`` pairs."""
-        out = [[0] * self.dim for _ in range(self.dim)]
-        for k, c in terms:
-            for orow, arow in zip(out, self.action[k]._data):
-                for t, a in enumerate(arow):
-                    if a != 0:
-                        orow[t] += c * a
-        return Matrix(self.dim, self.dim, out)
+        return _combine(self.action, self.dim, _terms(coeffs))
 
     def apply(self, coeffs, vec: list) -> list:
         out = [0] * self.dim
@@ -364,12 +356,24 @@ class SCModule:
             return False
         for i in range(g.dim):
             for j in range(g.dim):
-                if self.action[i] @ self.action[j] != self._combine(g.mult[i][j]):
+                if self.action[i] @ self.action[j] != _combine(self.action, self.dim, g.mult[i][j]):
                     return False
         return True
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"SCModule(dim={self.dim} over dim-{self.algebra.dim} algebra)"
+
+
+def _combine(action, dim: int, terms) -> Matrix:
+    """Matrix of the sum of ``c * action[k]`` over ``(k, c)`` pairs, for the
+    ``dim x dim`` action matrices of a module."""
+    out = [[0] * dim for _ in range(dim)]
+    for k, c in terms:
+        for orow, arow in zip(out, action[k]._data):
+            for t, a in enumerate(arow):
+                if a != 0:
+                    orow[t] += c * a
+    return Matrix(dim, dim, out)
 
 
 def regular_sc_module(g: StructureConstantAlgebra) -> SCModule:
@@ -496,12 +500,15 @@ class _Chain:
     Covers are built from generators paired with structural idempotents when
     available, otherwise from free rank-one summands; each cover records
     whether its kernel lies inside the radical of the cover (the minimality
-    certificate).
+    certificate).  A chain keeps g's structure constants and the action of
+    x, not g itself: chains memoized on g hold no reference back to it.
     """
 
     def __init__(self, g: StructureConstantAlgebra, base: SCModule) -> None:
-        self.g = g
-        self.base = base
+        self.mult = g.mult
+        self.algebra_dim = g.dim
+        self.base_dim = base.dim
+        self.base_action = base.action
         self.kinds = list(range(len(g.idempotents))) if g.piece_members is not None else [0]
         pieces = [_piece(g, kind) for kind in self.kinds]
         self.members = [ms for ms, _ in pieces]
@@ -518,7 +525,7 @@ class _Chain:
         """Action of the element given by ``(k, c)`` terms on a piece vector."""
         members = self.members[kind]
         index = self.member_index[kind]
-        mult = self.g.mult
+        mult = self.mult
         out = [0] * len(members)
         for t, c in enumerate(comp):
             if c == 0:
@@ -547,14 +554,16 @@ class _Chain:
     def _build_cover(self, level: int) -> _Cover:
         """Cover of the kernel at ``level`` (level -1 means the base module)."""
         if level < 0:
-            ambient_dim = self.base.dim
+            ambient_dim = self.base_dim
             candidate_images = [
-                self.base._combine(terms).columns() for terms in self.idem_terms
+                _combine(self.base_action, ambient_dim, terms).columns() for terms in self.idem_terms
             ]
             candidate_count = ambient_dim
-            apply_basis = lambda k, vec: _matvec(self.base.action[k], vec)
+            apply_basis = lambda k, vec: _matvec(self.base_action[k], vec)
             rad_images = [
-                col for terms in self.rad_terms for col in self.base._combine(terms).columns()
+                col
+                for terms in self.rad_terms
+                for col in _combine(self.base_action, ambient_dim, terms).columns()
             ]
             originals = [
                 [1 if t == s else 0 for t in range(ambient_dim)]
@@ -672,7 +681,7 @@ class _Chain:
                         gen = tgt_cover.gens[s]
                         width = len(self.members[kind_t])
                         comp = gen[off_t : off_t + width]
-                        elt = [0] * self.g.dim
+                        elt = [0] * self.algebra_dim
                         for pos, c in enumerate(comp):
                             if c != 0:
                                 elt[self.members[kind_t][pos]] = c
@@ -693,16 +702,22 @@ class _Chain:
         return hom_dims, ranks
 
 
-@memoized("basic")
 def _reduce_to_basic(g: StructureConstantAlgebra):
     """Cut down to one idempotent per isomorphism class (a Morita reduction).
 
     Returns ``(basic, transport)`` where ``transport`` maps an SCModule over
     ``g`` to the corresponding module over ``basic``.  When no reduction is
-    possible the identity pair is returned.
+    possible ``(g, None)`` is returned.
     """
+    return _basic_reduction(g) or (g, None)
+
+
+@memoized("basic")
+def _basic_reduction(g: StructureConstantAlgebra):
+    """``(basic, transport)`` of ``_reduce_to_basic``, or None when g admits
+    no reduction: the memo on g holds no reference to g."""
     if g.piece_members is None or g.piece_classes is None:
-        return g, lambda x: x
+        return None
     keep = []
     seen = set()
     for kind, cls in enumerate(g.piece_classes):
@@ -710,7 +725,7 @@ def _reduce_to_basic(g: StructureConstantAlgebra):
             seen.add(cls)
             keep.append(kind)
     if len(keep) == len(g.piece_classes):
-        return g, lambda x: x
+        return None
     eps = [0] * g.dim
     for kind in keep:
         for m, c in enumerate(g.idempotents[kind]):
@@ -724,12 +739,12 @@ def _reduce_to_basic(g: StructureConstantAlgebra):
         if squeezed == [(m, 1)]:
             indices.append(m)
         elif squeezed:
-            return g, lambda x: x
+            return None
     index_pos = {m: t for t, m in enumerate(indices)}
     for i in indices:
         for j in indices:
             if any(m not in index_pos for m, _ in g.mult[i][j]):
-                return g, lambda x: x
+                return None
     mult = [
         [tuple((index_pos[m], c) for m, c in g.mult[i][j]) for j in indices]
         for i in indices
@@ -919,20 +934,27 @@ def _nonzero_atoms(m: Module) -> list[Module]:
     return [a for a in flatten_atoms(m) if a.total_dim > 0]
 
 
-@memoized("end_algebra")
 def end_algebra(m: Module) -> tuple[StructureConstantAlgebra, list[Morphism]]:
     """The endomorphism algebra of ``m`` with its morphism basis.
 
     The basis is blocked by (source atom, target atom) pairs of the summand
     tree; the product of basis elements is their composite (second argument
     applied first).  Each atom contributes a structural idempotent, and atoms
-    are grouped into isomorphism classes for the dimension engine.
+    are grouped into isomorphism classes for the dimension engine.  The
+    algebra and the vertex maps of the basis are cached on ``m``; the basis
+    morphisms are built on each call.
     """
+    g, basis = _end_algebra_data(m)
+    return g, [Morphism._make(m, m, maps) for maps in basis]
+
+
+@memoized("end_algebra")
+def _end_algebra_data(m: Module) -> tuple[StructureConstantAlgebra, tuple]:
     flat = flatten_atoms(m)
     keep = [i for i, a in enumerate(flat) if a.total_dim > 0]
     atoms = [flat[i] for i in keep]
     if not atoms:
-        return StructureConstantAlgebra([], [], name="End(0)"), []
+        return StructureConstantAlgebra([], [], name="End(0)"), ()
     injections, projections = _atom_access(m)
     injections = [injections[i] for i in keep]
     projections = [projections[i] for i in keep]
@@ -998,7 +1020,7 @@ def end_algebra(m: Module) -> tuple[StructureConstantAlgebra, list[Morphism]]:
         piece_classes=classes,
         name=f"End(dim {m.total_dim})",
     )
-    return g, basis
+    return g, tuple(b.maps for b in basis)
 
 
 def hom_sc_bimodule_sides(m2: Module, m1: Module) -> tuple[SCModule, SCModule]:

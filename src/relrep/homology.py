@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import Callable, Sequence
 
-from .cache import cached_pair, memoized
+from .cache import cached, cached_pair, memoized
 from .exact_linalg import Matrix, complement_projection, hstack, subspace_contains
 from .path_algebra import AlgebraError, AlgebraPresentation, InternalError
 from .rep import (
@@ -65,6 +65,21 @@ def injective_hull(x: Module) -> Morphism:
 # -- stepwise resolutions -----------------------------------------------------
 
 
+class _ResolutionCore:
+    """The module-free part of a resolution, cached on what it resolves: the
+    terms, the differentials, the syzygies with their edges, the vertex maps
+    of the augmentation (None until built) and the steps after it."""
+
+    __slots__ = ("terms", "differentials", "first", "steps", "edges")
+
+    def __init__(self):
+        self.terms: list[Module] = []
+        self.differentials: list[Morphism] = []
+        self.first: tuple[Matrix, ...] | None = None
+        self.steps: list[Morphism] = []
+        self.edges: list[tuple[Module, Morphism]] = []
+
+
 class Resolution:
     """A lazily extended resolution built from a cover (or hull) step.
 
@@ -74,51 +89,64 @@ class Resolution:
     terms[i+1] -> terms[i].  syzygy(0) is the target itself; syzygy(i) for
     i >= 1 is the i-th kernel (resp. cokernel), and syzygy_edge(i) also hands
     back its inclusion into (projection from) terms[i-1].
+
+    A Resolution is a view, built on each lookup: it holds the target and the
+    step, and shares ``terms`` and ``differentials`` with the cached core,
+    which holds neither; extending through any view extends them all.
     """
 
-    def __init__(self, target: Module, step: Callable[[Module], Morphism], flavor: str):
+    __slots__ = ("target", "flavor", "terms", "differentials", "augmentation", "_core", "_step", "_cochain")
+
+    def __init__(self, target: Module, step: Callable[[Module], Morphism], flavor: str, core: _ResolutionCore):
         self.target = target
         self.flavor = flavor
-        self.terms: list[Module] = []
-        self.differentials: list[Morphism] = []
-        self.augmentation: Morphism | None = None
-        self._steps: list[Morphism] = []
-        self._edges: list[tuple[Module, Morphism]] = []
+        self.terms = core.terms
+        self.differentials = core.differentials
+        self._core = core
         self._step = step
         self._cochain = "injective" in flavor
+        self.augmentation: Morphism | None = None
+        if core.first is not None:
+            self._ensure_first()
 
     def _ensure_first(self) -> None:
-        if self._steps:
+        if self.augmentation is not None:
             return
-        step = self._step(self.target)
-        self.augmentation = step
-        self._steps.append(step)
-        self.terms.append(step.target if self._cochain else step.source)
+        core = self._core
+        if core.first is None:
+            step = self._step(self.target)
+            core.first = step.maps
+            core.terms.append(step.target if self._cochain else step.source)
+            self.augmentation = step
+        elif self._cochain:
+            self.augmentation = Morphism._make(self.target, core.terms[0], core.first)
+        else:
+            self.augmentation = Morphism._make(core.terms[0], self.target, core.first)
 
     def _advance_edge(self) -> None:
         """Take the next kernel (or cokernel) off the last computed step."""
-        prev = self._steps[-1]
-        if self._cochain:
-            self._edges.append(cokernel(prev))
-        else:
-            self._edges.append(kernel(prev))
+        core = self._core
+        prev = core.steps[-1] if core.steps else self.augmentation
+        core.edges.append(cokernel(prev) if self._cochain else kernel(prev))
 
     def _advance_term(self) -> None:
         """Cover (or hull) the last syzygy, producing the next term."""
-        syz, edge = self._edges[-1]
+        core = self._core
+        syz, edge = core.edges[-1]
         step = self._step(syz)
         if self._cochain:
-            self.differentials.append(step @ edge)
+            core.differentials.append(step @ edge)
         else:
-            self.differentials.append(edge @ step)
-        self._steps.append(step)
-        self.terms.append(step.target if self._cochain else step.source)
+            core.differentials.append(edge @ step)
+        core.steps.append(step)
+        core.terms.append(step.target if self._cochain else step.source)
 
     def ensure_terms(self, count: int) -> None:
         """Make terms[0..count-1] (and the syzygies between them) available."""
         self._ensure_first()
-        while len(self.terms) < count:
-            if len(self._edges) < len(self._steps):
+        core = self._core
+        while len(core.terms) < count:
+            if len(core.edges) < len(core.terms):
                 self._advance_edge()
             self._advance_term()
 
@@ -127,24 +155,25 @@ class Resolution:
         if i == 0:
             return self.target
         self._ensure_first()
-        while len(self._edges) < i:
-            if len(self._edges) == len(self._steps):
+        core = self._core
+        while len(core.edges) < i:
+            if len(core.edges) == len(core.terms):
                 self._advance_term()
             else:
                 self._advance_edge()
-        return self._edges[i - 1][0]
+        return core.edges[i - 1][0]
 
     def syzygy_edge(self, i: int) -> tuple[Module, Morphism]:
         """The i-th (co)syzygy and the morphism tying it to terms[i-1]."""
         if i < 1:
             raise AlgebraError("syzygy edges start at index 1")
         self.syzygy(i)
-        return self._edges[i - 1]
+        return self._core.edges[i - 1]
 
     def step_onto(self, i: int) -> Morphism:
         """The cover of syzygy(i) by terms[i] (or hull of it into terms[i])."""
         self.ensure_terms(i + 1)
-        return self._steps[i]
+        return self.augmentation if i == 0 else self._core.steps[i - 1]
 
     def hom_to(self, k: int, y: Module) -> HomSpace:
         """Hom(terms[k], y) (chain) or Hom(y, terms[k]) (cochain), cached by hom_space."""
@@ -154,14 +183,12 @@ class Resolution:
         return hom_space(self.terms[k], y)
 
 
-@memoized("projres")
 def projective_resolution(x: Module) -> Resolution:
-    return Resolution(x, projective_cover, "projective")
+    return Resolution(x, projective_cover, "projective", cached(x, "projres", _ResolutionCore))
 
 
-@memoized("injres")
 def injective_resolution(x: Module) -> Resolution:
-    return Resolution(x, injective_hull, "injective")
+    return Resolution(x, injective_hull, "injective", cached(x, "injres", _ResolutionCore))
 
 
 # -- Ext dimensions -----------------------------------------------------------
@@ -333,6 +360,22 @@ def _entry_coordinates(space: HomSpace) -> tuple[Matrix, list[int], Matrix]:
     return cocycles, free, Matrix(len(free), len(flats), [[f[e] for f in flats] for e in free])
 
 
+class _Ext1Core:
+    """The module-free part of Ext^1(c, a), cached on the younger of c and
+    a: the cocycle basis, the free unknowns, the reducer to class
+    coordinates and the section indices."""
+
+    __slots__ = ("cocycles", "free", "reducer", "section_idx")
+
+    def __init__(self, c: Module, a: Module):
+        res = projective_resolution(c)
+        k, incl = res.syzygy_edge(1)
+        self.cocycles, self.free, change = _entry_coordinates(hom_space(k, a))
+        # coboundaries: the restrictions of Hom(P, a) to K
+        coboundaries = change @ composite_coords(hom_space(res.terms[0], a), incl)
+        self.reducer, self.section_idx = complement_projection(coboundaries)
+
+
 class Ext1Space:
     """Ext^1(c, a) presented on the minimal cover sequence 0 -> K -> P -> c -> 0.
 
@@ -342,20 +385,28 @@ class Ext1Space:
     realize() turns a class into an honest short exact sequence by pushout,
     and class_of() recovers the class of any such sequence by lifting the
     cover through its epi.
+
+    An Ext1Space is a view, built on each ``ext1_space`` lookup: it holds c,
+    a and the cover sequence of c's cached resolution, and copies the fields
+    of the core cached on the younger of c and a, which holds no module.
+    Built directly, without a core, it computes one and caches nothing.
     """
 
-    def __init__(self, c: Module, a: Module):
+    __slots__ = ("c", "a", "cover", "k", "incl", "dim", "_cocycles", "_free", "_reducer", "_section_idx", "_sum_pa")
+
+    def __init__(self, c: Module, a: Module, core: _Ext1Core | None = None):
+        if core is None:
+            core = _Ext1Core(c, a)
         self.c = c
         self.a = a
         res = projective_resolution(c)
-        res.ensure_terms(1)
-        self.cover = res.augmentation
         self.k, self.incl = res.syzygy_edge(1)
-        self._cocycles, self._free, change = _entry_coordinates(hom_space(self.k, a))
-        # coboundaries: the restrictions of Hom(P, a) to K
-        coboundaries = change @ composite_coords(hom_space(self.cover.source, a), self.incl)
-        self._reducer, self._section_idx = complement_projection(coboundaries)
-        self.dim = len(self._section_idx)
+        self.cover = res.augmentation
+        self._cocycles = core.cocycles
+        self._free = core.free
+        self._reducer = core.reducer
+        self._section_idx = core.section_idx
+        self.dim = len(core.section_idx)
         self._sum_pa: Module | None = None
 
     def reduce(self, psi: Morphism) -> tuple:
@@ -413,7 +464,7 @@ class Ext1Space:
 
 
 def ext1_space(c: Module, a: Module) -> Ext1Space:
-    return cached_pair(c, a, "ext1", Ext1Space, c, a)
+    return Ext1Space(c, a, cached_pair(c, a, "ext1", _Ext1Core, c, a))
 
 
 def syzygy_lift(f: Morphism) -> Morphism:
@@ -609,9 +660,16 @@ def _trim_right(g: Morphism) -> Morphism:
     raise InternalError("homology", "minimal approximation refinement did not terminate")
 
 
-@memoized("approximation")
 def _approximation_atoms(m: Module) -> list[Module]:
-    """The distinct atoms of m, cached on m."""
+    """The distinct atoms of m: m itself unless it is zero or a sum, else
+    cached on m (the atoms of a sum are its summands, which m holds anyway)."""
+    if m.summands is None:
+        return [] if m.is_zero() else [m]
+    return _distinct_summand_atoms(m)
+
+
+@memoized("approximation")
+def _distinct_summand_atoms(m: Module) -> list[Module]:
     return distinct_atoms(m)
 
 

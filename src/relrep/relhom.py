@@ -46,6 +46,7 @@ from .rep import (
 )
 from .homology import (
     Resolution,
+    _ResolutionCore,
     dtr,
     ext1_space,
     ext_dim,
@@ -302,8 +303,8 @@ def F_resolution(x: Module, f: SubBifunctor, depth: int = 0, minimize: bool = Tr
             raise InternalError("relhom", "relative projective approximation is not onto")
         return g
 
-    key = ("resolution", bool(minimize))
-    res = cached_pair(x, f, key, Resolution, x, step, "relative projective")
+    core = cached_pair(x, f, ("resolution", bool(minimize)), _ResolutionCore)
+    res = Resolution(x, step, "relative projective", core)
     if depth > 0:
         res.ensure_terms(depth)
     return res
@@ -325,8 +326,8 @@ def F_coresolution(x: Module, f: SubBifunctor, depth: int = 0, minimize: bool = 
             )
         return g
 
-    key = ("coresolution", bool(minimize))
-    res = cached_pair(x, f, key, Resolution, x, step, "relative injective")
+    core = cached_pair(x, f, ("coresolution", bool(minimize)), _ResolutionCore)
+    res = Resolution(x, step, "relative injective", core)
     if depth > 0:
         res.ensure_terms(depth)
     return res

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .cache import Cached, cached_pair, memoized
+from .cache import Cached, cached_pair, involution, memoized
 from .exact_linalg import (
     Matrix,
     block_diag,
@@ -105,9 +105,9 @@ class Module(Cached):
         "summands",
         "_offsets",
         "hint",
-        "_dual_of",
         "_proj_paths",
         "_proj_vertex",
+        "__weakref__",
     )
 
     def __init__(
@@ -137,7 +137,6 @@ class Module(Cached):
         self.summands: tuple[Module, ...] | None = None
         self._offsets = None
         self.hint: Presentation | None = None
-        self._dual_of: Module | None = None
         self._proj_paths = None
         self._proj_vertex = None
         super().__init__()
@@ -753,18 +752,19 @@ def _computed_presentation(m: Module) -> Presentation:
 
 
 def dualize(module: Module) -> Module:
-    """The QQ-dual as a module over the opposite algebra; an exact duality."""
-    if module._dual_of is not None:
-        return module._dual_of
+    """The QQ-dual as a module over the opposite algebra; an exact duality.
+
+    The dual is held by the module and holds it weakly (see
+    ``relrep.cache.involution``): dualizing the dual gives the module back
+    while the module lives."""
+    return involution(module, "dual", _dual)
+
+
+def _dual(module: Module) -> Module:
     op = module.algebra.opposite()
     if module.summands is not None:
-        dual = direct_sum(op, [dualize(s) for s in module.summands])
-    else:
-        maps = [m.transpose() for m in module.arrow_maps]
-        dual = Module(op, module.dims, maps, validate=False)
-    dual._dual_of = module
-    module._dual_of = dual
-    return dual
+        return direct_sum(op, [dualize(s) for s in module.summands])
+    return Module(op, module.dims, [m.transpose() for m in module.arrow_maps], validate=False)
 
 
 def dualize_morphism(f: Morphism) -> Morphism:
@@ -786,7 +786,24 @@ def _value_offsets(x: Module, y: Module) -> tuple[list[int], int]:
     return offsets, pos
 
 
-class HomSpace(Cached):
+class _HomCore(Cached):
+    """The module-free part of Hom(X, Y), cached on the younger of X and Y:
+    ``gens``, ``offsets``, whether the space is all of its ambient space, the
+    left inverse of ``gens`` and the vertex maps of the basis (both built on
+    first use), and the composition tables of this space with others."""
+
+    __slots__ = ("gens", "offsets", "free", "solver", "basis")
+
+    def __init__(self, gens: Matrix, offsets: list[int], free: bool):
+        self.gens = gens
+        self.offsets = offsets
+        self.free = free
+        self.solver = None
+        self.basis = None
+        super().__init__()
+
+
+class HomSpace:
     """Hom(X, Y): its dimension, generator coordinates, and a basis built on first use.
 
     Evaluation at the generators g_1..g_r of X's presentation embeds Hom(X, Y)
@@ -794,32 +811,40 @@ class HomSpace(Cached):
     the basis maps as its columns, the value at g_i in the rows from
     ``offsets[i]``; it is the identity when Hom(X, Y) is all of that space.
     Coordinates are read off generator images.
+
+    A HomSpace is a view, built on each ``hom_space`` lookup: it holds X and
+    Y and a copy of the fields of the cached core, which holds no module.
     """
 
-    __slots__ = ("source", "target", "dim", "gens", "offsets", "_free", "_basis", "_solver", "__weakref__")
+    __slots__ = ("source", "target", "dim", "gens", "offsets", "_free", "_core", "_basis", "_morphisms")
 
-    def __init__(self, source: Module, target: Module, gens: Matrix, offsets: list[int], free: bool):
+    def __init__(self, source: Module, target: Module, core: _HomCore):
         self.source = source
         self.target = target
-        self.dim = gens.cols
-        self.gens = gens
-        self.offsets = offsets
-        self._free = free
-        self._basis = None
-        self._solver = None
-        super().__init__()
+        self.dim = core.gens.cols
+        self.gens = core.gens
+        self.offsets = core.offsets
+        self._free = core.free
+        self._core = core
+        self._basis = core.basis
+        self._morphisms = None
 
     @property
     def basis(self) -> list[Morphism]:
-        if self._basis is None:
-            self._basis = [self.basis_map(j) for j in range(self.dim)]
-        return self._basis
+        if self._morphisms is None:
+            if self._basis is None:
+                core = self._core
+                if core.basis is None:
+                    core.basis = [self.basis_map(j).maps for j in range(self.dim)]
+                self._basis = core.basis
+            self._morphisms = [Morphism._make(self.source, self.target, maps) for maps in self._basis]
+        return self._morphisms
 
     def basis_map(self, j: int) -> Morphism:
         """The j-th basis map, built alone off its generator images while the
-        whole basis is not built."""
+        basis vertex maps are not built."""
         if self._basis is not None:
-            return self._basis[j]
+            return Morphism._make(self.source, self.target, self._basis[j])
         return morphism_from_generator(self.source, self.target, self.gens.column_vector(j))
 
     def generator_coords(self, images: Matrix) -> Matrix:
@@ -833,9 +858,10 @@ class HomSpace(Cached):
             return Matrix.zeros(0, images.cols)
         # gens has full column rank: a left inverse computed once gives the
         # candidate coordinates, and gens @ sol == images checks membership
-        if self._solver is None:
-            self._solver = self.gens.left_inverse()
-        sol = self._solver @ images
+        core = self._core
+        if core.solver is None:
+            core.solver = self.gens.left_inverse()
+        sol = core.solver @ images
         if self.gens @ sol != images:
             raise AlgebraError("morphism not in hom space")
         return sol
@@ -913,41 +939,45 @@ def morphism_from_generator(source: Module, target: Module, u: Matrix) -> Morphi
 def hom_space(x: Module, y: Module) -> HomSpace:
     """Hom(x, y) in generator coordinates.
 
-    Results are cached on the younger of x and y (modules are immutable; see
-    ``relrep.cache``), so the per-space solvers built lazily inside amortize
-    across the whole run.
+    The core is cached on the younger of x and y (modules are immutable; see
+    ``relrep.cache``), so the solvers built lazily inside amortize across the
+    whole run; each call returns a fresh view over it.
     """
     if x.algebra is not y.algebra:
         raise AlgebraError("hom between modules over different algebras")
-    return cached_pair(x, y, "homspaces", _hom_space, x, y)
+    return HomSpace(x, y, _hom_core(x, y))
 
 
-def _hom_space(x: Module, y: Module) -> HomSpace:
+def _hom_core(x: Module, y: Module) -> _HomCore:
+    return cached_pair(x, y, "homspaces", _compute_hom_core, x, y)
+
+
+def _compute_hom_core(x: Module, y: Module) -> _HomCore:
     """Out of a sum, or from a cyclic module into a sum, gens is block
     diagonal in the summands' cached spaces, and the basis runs summand by
     summand.  Otherwise gens is the kernel of the stacked relation
     operators."""
     if x.summands is not None:
-        children = [hom_space(s, y) for s in x.summands]
+        children = [_hom_core(s, y) for s in x.summands]
         offsets, pos = [], 0
         for c in children:
             offsets.extend(pos + off for off in c.offsets)
             pos += c.gens.rows
         gens = block_diag([c.gens for c in children])
-        return HomSpace(x, y, gens, offsets, all(c._free for c in children))
+        return _HomCore(gens, offsets, all(c.free for c in children))
     offsets, n = _value_offsets(x, y)
     if y.summands is not None and len(offsets) == 1:
-        children = [hom_space(x, s) for s in y.summands]
+        children = [_hom_core(x, s) for s in y.summands]
         gens = block_diag([c.gens for c in children])
-        return HomSpace(x, y, gens, offsets, all(c._free for c in children))
+        return _HomCore(gens, offsets, all(c.free for c in children))
     blocks = [
         path_operator(y, rel, y.dims[rel[0][2].target], offsets, n)
         for rel in presentation(x).relations or ()
         if y.dims[rel[0][2].target]
     ]
     if not blocks:
-        return HomSpace(x, y, Matrix.identity(n), offsets, True)
-    return HomSpace(x, y, vstack(blocks).kernel_basis(), offsets, False)
+        return _HomCore(Matrix.identity(n), offsets, True)
+    return _HomCore(vstack(blocks).kernel_basis(), offsets, False)
 
 
 def hom_basis(x: Module, y: Module) -> list[Morphism]:
@@ -1048,9 +1078,9 @@ def composition_table(outer: HomSpace, inner: HomSpace) -> tuple[Matrix, ...]:
 
     For outer = Hom(X, Y) with basis a_i and inner = Hom(U, X) with basis b_j,
     column i of ``table[j]`` is the coordinate vector of a_i∘b_j in
-    ``hom_space(U, Y)``.  Cached on the younger of the two spaces.
+    ``hom_space(U, Y)``.  Cached on the younger of the two spaces' cores.
     """
-    return cached_pair(outer, inner, "composition", _composition_table, outer, inner)
+    return cached_pair(outer._core, inner._core, "composition", _composition_table, outer, inner)
 
 
 def _composition_table(outer: HomSpace, inner: HomSpace) -> tuple[Matrix, ...]:

@@ -2,13 +2,17 @@
 
 from __future__ import annotations
 
+import contextlib
 import gc
 import itertools
+import sys
 import weakref
 
+import pytest
+
 from relrep.cache import Cached, cached, cached_pair
-from relrep.endo import check_maximal_orthogonal
-from relrep.homology import dtr, ext1_space, ext_dim
+from relrep.endo import check_maximal_orthogonal, end_algebra
+from relrep.homology import dtr, ext1_space, ext_dim, trd
 from relrep.path_algebra import AlgebraPresentation, cyclic_quiver
 from relrep.relhom import contravariant_functor, covariant_functor, ext_F_dim
 from relrep.rep import (
@@ -17,6 +21,7 @@ from relrep.rep import (
     direct_sum,
     enumerate_indecomposables_nakayama,
     hom_space,
+    is_isomorphic,
     parse_module_expression,
     proj_module,
     radical_quotient,
@@ -26,6 +31,18 @@ from relrep.rep import (
 
 class _Thing(Cached):
     __slots__ = ("__weakref__",)
+
+
+@contextlib.contextmanager
+def _collector_off():
+    """Reference counting alone frees objects inside the block."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_cached_computes_once_and_keeps_false_and_none():
@@ -61,17 +78,36 @@ def test_cached_pair_lives_on_the_younger_object():
     assert len(old._cache) == 1
 
 
-def test_cached_pair_entry_keeps_the_older_object_alive_and_dies_with_the_younger():
+def test_cached_pair_entry_keeps_neither_object_alive_and_dies_with_the_younger():
+    old, young, value = _Thing(), _Thing(), _Thing()
+    cached_pair(old, young, "k", lambda: value)
+    old_ref, young_ref, value_ref = weakref.ref(old), weakref.ref(young), weakref.ref(value)
+    with _collector_off():
+        del value
+        # the entry on the younger object is keyed by the older one's serial
+        # and holds no reference to it: the older object goes at once
+        del old
+        assert old_ref() is None and value_ref() is not None
+        del young
+        assert young_ref() is None and value_ref() is None
+
+
+def test_a_reused_id_finds_no_entry_of_the_dead_object():
     old, young = _Thing(), _Thing()
-    cached_pair(old, young, "k", lambda: 1)
-    old_ref, young_ref = weakref.ref(old), weakref.ref(young)
+    assert cached_pair(old, young, "k", lambda: "old") == "old"
+    old_id = id(old)
     del old
-    gc.collect()
-    # the entry on the younger object holds the older one, so its id stays unique
-    assert old_ref() is not None
-    del young
-    gc.collect()
-    assert young_ref() is None and old_ref() is None
+    kept = []
+    for _ in range(10_000):
+        new = _Thing()
+        if id(new) == old_id:
+            break
+        kept.append(new)
+    else:
+        pytest.skip("no new object took the freed id")
+    # the entry is keyed by serial, never reused, so it is not the new object's
+    assert cached_pair(new, young, "k", lambda: "new") == "new"
+    assert cached_pair(young, new, "k", lambda: "reversed") == "reversed"
 
 
 def test_composition_table_dies_with_its_younger_hom_space():
@@ -82,13 +118,17 @@ def test_composition_table_dies_with_its_younger_hom_space():
     inner = hom_space(fresh, p)
     table = composition_table(outer, inner)
     assert len(table) == inner.dim == 1
-    # the table sits on the younger space, next to a reference to the older
-    assert not any(key[0] == "composition" for key in outer._cache)
-    assert [key[0] for key in inner._cache] == ["composition"]
-    old_ref, young_ref = weakref.ref(outer), weakref.ref(inner)
-    del inner, table, fresh
-    gc.collect()
-    assert young_ref() is None and old_ref() is outer
+    # cached: new views of the same two spaces find the same table
+    assert composition_table(hom_space(p, p), hom_space(fresh, p)) is table
+    fresh_ref = weakref.ref(fresh)
+    held = sys.getrefcount(table)
+    with _collector_off():
+        del inner, fresh
+        # the table sat on the core of the younger space, and nowhere else:
+        # it went with the fresh module, while the older space stays cached
+        assert fresh_ref() is None
+        assert sys.getrefcount(table) == held - 1
+    assert hom_space(p, p).gens is outer.gens
 
 
 # -- memory stays flat across long runs of fresh-module queries ---------------------
@@ -112,11 +152,16 @@ def _query_round(algebra) -> None:
         x = parse_module_expression(algebra, x_expr)
         y = parse_module_expression(algebra, y_expr)
         ext_dim(1, x, y)
+        ext_dim(1, x, y, via="injective")
         space = ext1_space(x, y)
         space.realize([1] * space.dim)
         ext_F_dim(1, x, y, covariant_functor(parse_module_expression(algebra, y_expr)))
         ext_F_dim(1, y, x, contravariant_functor(parse_module_expression(algebra, x_expr)))
         dtr(x)
+        trd(y)
+        assert is_isomorphic(x, parse_module_expression(algebra, x_expr))
+        composition_table(hom_space(y, x), hom_space(x, y))
+        end_algebra(direct_sum(algebra, [x, y]))
         for p in projectives:
             for z in (x, y):
                 hom_space(p, z)
@@ -144,3 +189,29 @@ def test_live_modules_stay_flat_across_rounds():
     both_rounds()
     both_rounds()
     assert _live_modules() == after_first
+
+
+def test_fresh_module_rounds_leave_no_cyclic_garbage():
+    cyclic3 = AlgebraPresentation.truncated(cyclic_quiver(3), 5, name="cyclic3")
+    cyc2 = AlgebraPresentation.truncated(cyclic_quiver(2), 3, name="cyc2-trunc3")
+    lam = regular_module(cyc2)
+    nonprojective = [x for x in enumerate_indecomposables_nakayama(cyc2) if x.total_dim < 3]
+    _query_round(cyclic3)
+    _sweep_round(cyc2, lam, nonprojective)
+    gc.collect()
+    flags = gc.get_debug()
+    seen = len(gc.garbage)
+    try:
+        with _collector_off():
+            # every fresh module and what is cached on it is freed by
+            # reference counting when the round returns
+            _query_round(cyclic3)
+            _sweep_round(cyc2, lam, nonprojective)
+            gc.set_debug(flags | gc.DEBUG_SAVEALL)
+            gc.collect()
+            found = gc.garbage[seen:]
+            leaked = sorted({type(o).__qualname__ for o in found if type(o).__module__.startswith("relrep")})
+            del gc.garbage[seen:], found
+    finally:
+        gc.set_debug(flags)
+    assert leaked == []

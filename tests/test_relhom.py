@@ -338,12 +338,12 @@ def test_agreement_for_projective_injective_bimodule(ctx):
 
 
 def test_relative_resolutions_are_cached_per_minimize_flag(ctx):
-    # nothing steers the approximations but ``minimize``: one cached
-    # resolution per flag, shared by every later call with that flag
+    # nothing steers the approximations but ``minimize``: one cached chain
+    # of terms per flag, shared by every later call with that flag
     for build in (F_resolution, F_coresolution):
-        first = build(ctx["u13"], ctx["f2"])
-        assert build(ctx["u13"], ctx["f2"], depth=2) is first
-        assert build(ctx["u13"], ctx["f2"], minimize=1) is first
-        canonical = build(ctx["u13"], ctx["f2"], minimize=False)
+        first = build(ctx["u13"], ctx["f2"]).terms
+        assert build(ctx["u13"], ctx["f2"], depth=2).terms is first
+        assert build(ctx["u13"], ctx["f2"], minimize=1).terms is first
+        canonical = build(ctx["u13"], ctx["f2"], minimize=False).terms
         assert canonical is not first
-        assert build(ctx["u13"], ctx["f2"], minimize=False) is canonical
+        assert build(ctx["u13"], ctx["f2"], minimize=False).terms is canonical

@@ -224,7 +224,7 @@ def test_dualize_roundtrip(cyc3_5, m1):
 
 def test_injective_is_dual_of_opposite_projective(cyc3_5):
     i0 = inj_module(cyc3_5, 0)
-    assert i0._dual_of is proj_module(cyc3_5.opposite(), 0)
+    assert dualize(i0) is proj_module(cyc3_5.opposite(), 0)
     # over the 3-cycle with bound 5, hom into an injective matches path counts
     assert hom_dim(proj_module(cyc3_5, 0), i0) == 2
 

@@ -1,11 +1,12 @@
 """Source hygiene of ``src/relrep``: no orphaned private helpers, no unused
-imports, one cache policy and no randomness.
+imports, one cache policy, no randomness and no hand on the cycle collector.
 
 The checks read the syntax trees only (stdlib ``ast``, nothing is imported).
 The first two catch helpers and imports left behind when the code using them
 is deleted; the third keeps every memoized result behind ``relrep.cache``;
-the last keeps every verdict deterministic: no module imports ``random`` and
-no function takes a ``seed``.
+the fourth keeps every verdict deterministic: no module imports ``random``
+and no function takes a ``seed``; the last keeps the cycle collector out of
+the library: no module imports ``gc``.
 """
 
 from __future__ import annotations
@@ -138,20 +139,39 @@ def test_cache_policy_check_sees_both_breaches():
     ]
 
 
-def _randomness_breaches(name: str, tree: ast.Module) -> list[str]:
-    """Imports of ``random`` and parameters named ``seed``."""
+def _import_breaches(name: str, tree: ast.Module, module: str) -> list[str]:
+    """Imports of the top-level ``module``: statements, and ``__import__`` or
+    ``importlib.import_module`` called with its name."""
     out = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             out.extend(
-                f"{name}:{node.lineno}: import random"
+                f"{name}:{node.lineno}: import {module}"
                 for alias in node.names
-                if alias.name.split(".")[0] == "random"
+                if alias.name.split(".")[0] == module
             )
         elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module:
-            if node.module.split(".")[0] == "random":
-                out.append(f"{name}:{node.lineno}: import random")
-        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            if node.module.split(".")[0] == module:
+                out.append(f"{name}:{node.lineno}: import {module}")
+        elif isinstance(node, ast.Call) and node.args:
+            func = node.func
+            called = func.id if isinstance(func, ast.Name) else func.attr if isinstance(func, ast.Attribute) else None
+            arg = node.args[0]
+            if (
+                called in ("__import__", "import_module")
+                and isinstance(arg, ast.Constant)
+                and isinstance(arg.value, str)
+                and arg.value.split(".")[0] == module
+            ):
+                out.append(f"{name}:{node.lineno}: import {module}")
+    return out
+
+
+def _randomness_breaches(name: str, tree: ast.Module) -> list[str]:
+    """Imports of ``random`` and parameters named ``seed``."""
+    out = _import_breaches(name, tree, "random")
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
             args = node.args
             params = [*args.posonlyargs, *args.args, *args.kwonlyargs, args.vararg, args.kwarg]
             if any(a is not None and a.arg == "seed" for a in params):
@@ -186,4 +206,31 @@ def test_randomness_check_sees_each_breach():
         "bad.py:5: seed parameter",
         "bad.py:6: seed parameter",
         "bad.py:8: seed parameter",
+    ]
+
+
+def test_no_module_touches_the_cycle_collector():
+    # memory is kept flat by the object graph (no cached value points back at
+    # its owner), never by switching off or retuning the collector
+    breaches = []
+    for name, tree in _trees().items():
+        breaches.extend(_import_breaches(name, tree, "gc"))
+    assert breaches == []
+
+
+def test_collector_check_sees_each_breach():
+    bad = ast.parse(
+        "import gc\n"
+        "import os, gc as collector\n"
+        "from gc import disable\n"
+        "def f():\n"
+        "    return __import__('gc'), importlib.import_module('gc')\n"
+        "import gcd\n"
+    )
+    assert sorted(_import_breaches("bad.py", bad, "gc")) == [
+        "bad.py:1: import gc",
+        "bad.py:2: import gc",
+        "bad.py:3: import gc",
+        "bad.py:5: import gc",
+        "bad.py:5: import gc",
     ]

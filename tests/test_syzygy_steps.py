@@ -274,8 +274,8 @@ def _assert_hull(x: Module) -> None:
     soc = socle_subspaces(hull.target)
     assert all(subspace_contains(m, s) for m, s in zip(hull.maps, soc))
     old = _reference_hull(x)
-    vertices = [s._dual_of._proj_vertex for s in hull.target.summands]
-    assert [s._dual_of._proj_vertex for s in old.target.summands] == vertices
+    vertices = [dualize(s)._proj_vertex for s in hull.target.summands]
+    assert [dualize(s)._proj_vertex for s in old.target.summands] == vertices
     assert Counter(vertices) == Counter(
         v for v, s in enumerate(socle_subspaces(x)) for _ in range(s.cols)
     )
