@@ -43,7 +43,6 @@ from .rep import (
     is_isomorphic,
     kernel,
     morphism_from_generator,
-    path_combination,
     presentation,
     proj_module,
     projective_cover,
@@ -205,13 +204,6 @@ def _boundary_rank(
     else:
         cols = [tgt_space.coords(b @ d) for b in src_space.basis]
     return Matrix.from_columns(cols).rank()
-
-
-def _path_entries(d: Morphism) -> list[list[tuple]]:
-    """For each generator g of d's source, the nonzero ``(b, u_k, p_k)`` with
-    d(g) = sum_k u_k p_k·g_b over the generators g_b of d's target."""
-    pres = presentation(d.source)
-    return [path_combination(d.target, v, column) for v, column in zip(pres.vertices, pres.values(d.maps))]
 
 
 def _generator_rank(d: Morphism, y: Module) -> int:
@@ -532,36 +524,32 @@ def transpose(x: Module) -> Module:
     Transposing commutes with direct sums (minimal presentations add up), so
     the summand tree of x is preserved; downstream consumers such as
     add-approximations rely on summand lists staying as fine as possible.
-    When P1 is indecomposable (always so on Nakayama algebras) the cokernel
-    is taken into that one projective, so Tr x is cyclic and keeps a hint
-    whose relations are the rows of the minimal presentation (see
-    ``cokernel``): its hom spaces, and those of trd x and of maps into dtr x,
-    then work in generator coordinates.  A decomposable P1 gives an unhinted
-    cokernel into the sum; the matrices are the same either way.
+    An atom is read off its own presentation (see ``presentation``): P0 has
+    one summand per generator, P1 one per relation, at the vertex where the
+    relation ends, and the relation's ``(i, c, p)`` triples are the entries
+    of P1 -> P0.  The presentation is minimal, so the cokernel is Tr x
+    itself, with no projective summand added.
     """
     algebra = x.algebra
     op = algebra.opposite()
     if x.summands is not None:
         return direct_sum(op, [transpose(s) for s in x.summands])
-    d1, _ = minimal_presentation(x)
-    src = direct_sum(op, [proj_module(op, s._proj_vertex) for s in d1.target.summands])
-    p1 = [proj_module(op, s._proj_vertex) for s in d1.source.summands]
-    tgt = p1[0] if len(p1) == 1 else direct_sum(op, p1)
+    pres = presentation(x)
+    relations = pres.relations or ()
+    src = direct_sum(op, [proj_module(op, v) for v in pres.vertices])
+    p1 = [proj_module(op, rel[0][2].target) for rel in relations]
+    tgt = direct_sum(op, p1)
     # the component P0[c] <- P1[b] is right multiplication by sum_k u_k p_k;
     # transposed, P0[c]^op -> P1[b]^op sends the generator to sum_k u_k rev(p_k)
-    entries = _path_entries(d1)
     comps_per_source: list[Morphism] = []
     for c, src_c in enumerate(src.summands):
         us = [Matrix.zeros(tgt_b.dims[src_c._proj_vertex], 1) for tgt_b in p1]
-        for b, entry in enumerate(entries):
-            for c_k, coeff, path in entry:
+        for b, rel in enumerate(relations):
+            for c_k, coeff, path in rel:
                 if c_k == c:
                     us[b] = us[b] + _path_class_vector(p1[b], algebra.reverse_path(path)).scale(coeff)
         into_targets = [morphism_from_generator(src_c, tgt_b, u) for tgt_b, u in zip(p1, us)]
-        if tgt.summands is None:
-            comps_per_source.append(into_targets[0])
-        else:
-            comps_per_source.append(assemble_into_components(src_c, tgt, into_targets))
+        comps_per_source.append(assemble_into_components(src_c, tgt, into_targets))
     d_op = assemble_from_components(src, tgt, comps_per_source)
     return cokernel(d_op)[0]
 

@@ -4,13 +4,13 @@ A module is a dimension vector plus one exact matrix per arrow; a morphism is
 one matrix per vertex commuting with the arrow action.  Everything is plain
 linear algebra over QQ.
 
-Every module has a ``Presentation``: generators at vertices v_1..v_r and
-relations, the path combinations that generate the kernel of the cover
-P(v_1) + ... + P(v_r) -> M.  Projectives, their radical quotients, and
-cokernels of maps from cyclic modules into a cyclic one carry theirs from
-construction (``Module.hint``, one generator); a direct sum concatenates the
-presentations of its summands; any other module computes one on first use,
-from its projective cover and the generators of the cover's kernel.  Hom
+Every module has one ``Presentation``, computed on first use by
+``presentation`` and minimal: generators at vertices v_1..v_r, one per
+summand of the projective cover P(v_1) + ... + P(v_r) -> M, and relations,
+one per top generator of the cover's kernel.  A projective of
+``proj_module`` presents itself; a direct sum concatenates the presentations
+of its summands; any other module, quotients and cokernels included, takes
+its presentation from its projective cover.  Hom
 spaces have one route: evaluation at the generators embeds Hom(M, Y) in
 e_{v_1} Y + ... + e_{v_r} Y as the vectors that every relation kills, kept
 as ``gens``, so coordinates come off generator images, and composites over a
@@ -41,15 +41,18 @@ class ExpressionError(ValueError):
 
 
 class Presentation:
-    """Generators and relations of a module M.
+    """A minimal projective presentation P1 -> P0 -> M -> 0 of a module M.
 
-    M is the quotient of P = P(v_1) + ... + P(v_r), the v_i being
+    M is the quotient of P0 = P(v_1) + ... + P(v_r), the v_i being
     ``vertices``, by the submodule generated by ``relations``.  A relation is
     a tuple of ``(i, c, p)`` triples, p a path from v_i and all of them ending
-    at one vertex, standing for the element sum c p·e_i of P, e_i the trivial
-    path of the i-th summand.  None means no relation and identity sections:
-    M is P itself on its path basis.  ``sections[w]`` embeds M_w into the path
-    coordinates of P_w, generator by generator (the paths of
+    at one vertex w, standing for the element sum c p·e_i of P0, e_i the
+    trivial path of the i-th summand: the image of the generator of the
+    summand P(w) of P1.  Both are minimal: r is dim top M, and the relations
+    are as many as the summands of P1.  None means no relation and identity
+    sections: M is the projective P0 itself on its path basis.
+    ``sections[w]`` embeds M_w into the path coordinates of (P0)_w,
+    generator by generator (the paths of
     ``proj_module(v_i)._proj_paths[w]``); a direct sum has None, its
     summands' sections applying block by block.  ``generators[i]``, a column
     over M at v_i, is the class of e_i.
@@ -104,7 +107,6 @@ class Module(Cached):
         "arrow_maps",
         "summands",
         "_offsets",
-        "hint",
         "_proj_paths",
         "_proj_vertex",
         "__weakref__",
@@ -136,7 +138,6 @@ class Module(Cached):
         self.arrow_maps = arrow_maps
         self.summands: tuple[Module, ...] | None = None
         self._offsets = None
-        self.hint: Presentation | None = None
         self._proj_paths = None
         self._proj_vertex = None
         super().__init__()
@@ -382,9 +383,6 @@ def proj_module(algebra: AlgebraPresentation, vertex: int) -> Module:
     mod = Module(algebra, dims, maps, validate=False)
     mod._proj_paths = tuple(tuple(ps) for ps in per_vertex)
     mod._proj_vertex = vertex
-    gen = Matrix.zeros(dims[vertex], 1)
-    gen._data[pos[quiver.trivial_path(vertex)]][0] = 1
-    mod.hint = Presentation((vertex,), None, tuple(Matrix.identity(d) for d in dims), (gen,))
     return mod
 
 
@@ -562,45 +560,20 @@ def quotient_by_subspaces(
     return quot, proj, sections
 
 
-def _cyclic_sum(m: Module) -> bool:
-    """Whether m is laid out as a direct sum of cyclic modules."""
-    return m.summands is not None and all(s.hint is not None for s in m.summands)
-
-
-def _quotient_hint(parent: Presentation, proj: Morphism, sections, relations) -> Presentation:
-    """The hint of a quotient of a hinted module, given the quotient's
-    projection and sections: the parent's generators and sections carried
-    over (a projective's sections are identities)."""
-    if parent.relations is not None:
-        sections = tuple(ps @ qs for ps, qs in zip(parent.sections, sections))
-    return Presentation(
-        parent.vertices,
-        relations,
-        sections,
-        tuple(proj.maps[v] @ g for v, g in zip(parent.vertices, parent.generators)),
-    )
-
-
 def cokernel(f: Morphism) -> tuple[Module, Morphism]:
-    """Cokernel of f with its projection.
-
-    When f maps a cyclic module, or a direct sum of them, into a hinted
-    module, the cokernel keeps the target's generator: its relations are the
-    target's plus the path combination of each source generator's image.
-    """
-    quot, proj, sections = quotient_by_subspaces(f.target, f.maps)
-    parent = f.target.hint
-    if parent is not None and (f.source.hint is not None or _cyclic_sum(f.source)):
-        pres = presentation(f.source)
-        lifts = [tuple(path_combination(f.target, v, w)) for v, w in zip(pres.vertices, pres.values(f.maps))]
-        relations = (parent.relations or ()) + tuple(r for r in lifts if r)
-        quot.hint = _quotient_hint(parent, proj, sections, relations)
+    """Cokernel of f with its projection: a plain quotient of the target,
+    presented from its own cover on first use (see ``presentation``)."""
+    quot, proj, _ = quotient_by_subspaces(f.target, f.maps)
     return quot, proj
 
 
 def radical_spans(module: Module, power: int = 1) -> list[Matrix]:
     """Per vertex w, the images of the length-``power`` paths ending at w side
-    by side: columns spanning (rad^power M)_w, not reduced to a basis."""
+    by side: columns spanning (rad^power M)_w, not reduced to a basis.  Past
+    the nilpotency bound N the spans are empty: the defining ideal contains
+    every path of length N, so no path needs enumerating."""
+    if power >= module.algebra.nilpotency_bound:
+        return [Matrix.zeros(d, 0) for d in module.dims]
     per_vertex: list[list[Matrix]] = [[] for _ in module.dims]
     for p in module.algebra.quiver.paths_of_length(power):
         m = module.action(p)
@@ -623,32 +596,12 @@ def socle_subspaces(module: Module) -> list[Matrix]:
 
 
 def radical_quotient(module: Module, power: int) -> tuple[Module, Morphism]:
-    """M / rad^power M with its projection (hinted when M is)."""
+    """M / rad^power M with its projection: a plain quotient of M, presented
+    from its own cover on first use (see ``presentation``)."""
     if power < 1:
         raise AlgebraError("radical power must be >= 1")
-    quot, proj, sections = quotient_by_subspaces(module, radical_spans(module, power))
-    if module.hint is not None:
-        quot.hint = _quotient_hint(
-            module.hint, proj, sections, _radical_relations(module, power)
-        )
+    quot, proj, _ = quotient_by_subspaces(module, radical_spans(module, power))
     return quot, proj
-
-
-def _radical_relations(module: Module, power: int) -> tuple:
-    """Relations of M / rad^power M for a hinted M = P/K: the relations of M
-    with a path shorter than ``power``, and the length-``power`` paths from
-    the vertex -- all of them when a relation of M was dropped, else those
-    that do not already vanish on M's generator.  On P/rad^k that leaves the
-    length-min(k, power) paths."""
-    hint = module.hint
-    (vertex,), (generator,) = hint.vertices, hint.generators
-    paths = [p for p in module.algebra.quiver.paths_of_length(power) if p.source == vertex]
-    kept: tuple = ()
-    if hint.relations is not None:
-        kept = tuple(r for r in hint.relations if any(p.length < power for _, _, p in r))
-        if len(kept) == len(hint.relations):
-            paths = [p for p in paths if not (module.action(p) @ generator).is_zero()]
-    return kept + tuple(((0, 1, p),) for p in paths)
 
 
 def loewy_length(module: Module) -> int:
@@ -695,19 +648,21 @@ def projective_cover(x: Module) -> Morphism:
     return Morphism._make(source, x, _cover_maps(x, gens))
 
 
-def presentation(m: Module) -> Presentation:
-    """The presentation of m: its hint when it has one, else computed once and
-    cached on m (see ``_computed_presentation``)."""
-    return m.hint if m.hint is not None else _computed_presentation(m)
-
-
 @memoized("presentation")
-def _computed_presentation(m: Module) -> Presentation:
-    """A direct sum concatenates its summands' generators and relations.  Any
-    other module is presented by its projective cover: its generators are
-    those of ``top_generators``, its relations the top generators of the
-    cover's kernel, and its sections right inverses of the cover's vertex
-    maps."""
+def presentation(m: Module) -> Presentation:
+    """The minimal presentation of m, computed once and cached on m.
+
+    A projective of ``proj_module`` presents itself: no relation, identity
+    sections.  A direct sum concatenates its summands' generators and
+    relations.  Any other module is presented by its projective cover: its
+    generators are those of ``top_generators``, its relations the top
+    generators of the cover's kernel, and its sections right inverses of the
+    cover's vertex maps."""
+    if m._proj_vertex is not None:
+        v = m._proj_vertex
+        gen = Matrix.zeros(m.dims[v], 1)
+        gen._data[m._proj_paths[v].index(m.algebra.quiver.trivial_path(v))][0] = 1
+        return Presentation((v,), None, tuple(Matrix.identity(d) for d in m.dims), (gen,))
     if m.summands is not None:
         parts = [presentation(s) for s in m.summands]
         relations, generators, shift = [], [], 0

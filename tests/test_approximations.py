@@ -40,6 +40,7 @@ from relrep.rep import (
     direct_sum,
     hom_space,
     parse_module_expression,
+    presentation,
     proj_module,
     radical_quotient,
     simple_module,
@@ -110,7 +111,7 @@ def _parsed_ms(alg) -> list[Module]:
 @pytest.mark.parametrize("make", ALGEBRAS)
 def test_parse_built_approximations_are_the_table_construction_byte_for_byte(make):
     alg = make()
-    generator = 0
+    cyclic = 0
     for m in _parsed_ms(alg):
         atoms = distinct_atoms(m)
         for x in _xs(alg):
@@ -121,9 +122,9 @@ def test_parse_built_approximations_are_the_table_construction_byte_for_byte(mak
             assert len(g.source.summands) == len(ref.source.summands)
             assert all(a is b for a, b in zip(g.source.summands, ref.source.summands))
             assert g.maps == ref.maps
-            generator += all(u.hint is not None for u in atoms) and bool(ref.source.summands)
-    # parsed atoms other than I(i) are cyclic: the generator route ran
-    assert generator
+            cyclic += all(len(presentation(u).vertices) == 1 for u in atoms) and bool(ref.source.summands)
+    # parsed atoms other than I(i) are cyclic
+    assert cyclic
 
 
 def _assert_approximates(g, x: Module, m: Module) -> None:
@@ -145,11 +146,11 @@ def test_contravariant_approximations_match_the_table_construction(make):
         direct_sum(alg, [simple_module(alg, n - 1), radical_quotient(proj_module(alg, 0), 2)[0]]),
         parse_module_expression(alg, f"S(1)+I({n})"),
     ]
-    hinted = minimal = 0
+    cyclic = minimal = 0
     for test_module in tests:
         m = contravariant_functor(test_module).projectives_module()
         atoms = distinct_atoms(m)
-        hinted += all(u.hint is not None for u in atoms)
+        cyclic += all(len(presentation(u).vertices) == 1 for u in atoms)
         for x in _xs(alg):
             g = minimal_right_approximation(x, m)
             ref, _ = _reference_approximation(x, m)
@@ -159,8 +160,8 @@ def test_contravariant_approximations_match_the_table_construction(make):
             minimal += 1
     assert minimal
     if alg.name == "cyc3-trunc5":
-        # every transpose over the Nakayama algebra is cyclic
-        assert hinted == len(tests)
+        # every transpose over the Nakayama algebra has exactly one generator
+        assert cyclic == len(tests)
 
 
 def test_non_local_branch_agrees_with_the_split_route(monkeypatch):

@@ -6,7 +6,7 @@ c), ordered atom of a by atom.  ``data/ext1_classes.json`` records, for every
 basis class e_k, the cocycle ``representative(e_k)`` entry by entry and the
 middle term of ``realize(e_k)`` matrix by matrix, as computed when Hom(K, a)
 was still the kernel of that commutation system.  The pairs reach past the
-hinted cyclic targets: a runs over injectives, simples and mixed sums on the
+cyclic targets: a runs over injectives, simples and mixed sums on the
 commuting square, A3 with one zero relation, the Kronecker quiver and A4/rad^2.
 
 Regenerate (only when class coordinates or middle terms are meant to change) with

@@ -58,7 +58,7 @@ def sample(request):
 def _route(x: Module) -> str:
     if x.summands is not None:
         return "sum"
-    return "hinted" if x.hint is not None else "computed"
+    return "projective" if presentation(x).relations is None else "computed"
 
 
 # -- tests ---------------------------------------------------------------------------
@@ -78,7 +78,7 @@ def test_hom_spaces_match_the_commutation_system(sample):
             for f in raw.basis:
                 assert space.from_coords(space.coords(f)).maps == f.maps
             routes.add((_route(x), _route(y)))
-    assert {r for r, _ in routes} == {"sum", "hinted", "computed"}
+    assert {r for r, _ in routes} == {"sum", "projective", "computed"}
 
 
 def test_coords_reject_exactly_the_vertex_families_that_do_not_commute(sample):

@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from relrep.exact_linalg import Matrix, hstack, subspace_contains
@@ -19,6 +21,7 @@ from relrep.rep import (
     kernel,
     loewy_length,
     parse_module_expression,
+    presentation,
     proj_module,
     radical_quotient,
     radical_spans,
@@ -304,6 +307,19 @@ def test_parse_expressions(cyc3_5):
     assert parse_module_expression(cyc3_5, " P(1) + S(2) ").dims == (2, 3, 1)
 
 
+def test_huge_radical_powers_enumerate_no_paths(cyc3_5):
+    # rad^k P(1) is zero once k reaches the nilpotency bound, on a cyclic
+    # quiver too, where there are paths of every length
+    start = time.perf_counter()
+    x = parse_module_expression(cyc3_5, "P(1)/rad^100000")
+    assert time.perf_counter() - start < 1.0
+    p1 = proj_module(cyc3_5, 0)
+    assert x.dims == p1.dims and x.arrow_maps == p1.arrow_maps
+    bound = cyc3_5.nilpotency_bound
+    assert [s.cols for s in radical_spans(p1, bound)] == [0, 0, 0]
+    assert [s.rank() for s in radical_spans(p1, bound - 1)] != [0, 0, 0]
+
+
 def test_parse_expression_errors(cyc3_5):
     for bad in ["", "P(4)", "Q(1)", "P(1)/soc", "P(1)/rad^0", "P(x)", "P(1)+"]:
         with pytest.raises(ExpressionError):
@@ -316,7 +332,8 @@ def test_cyclic_source_coords_reject_maps_outside_the_span(cyc3_5):
     p1 = proj_module(cyc3_5, 0)
     x = radical_quotient(p1, 2)[0]
     space = hom_space(x, p1)
-    (v0,), (gen,) = x.hint.vertices, x.hint.generators
+    pres = presentation(x)
+    (v0,), (gen,) = pres.vertices, pres.generators
     images = [b.maps[v0] @ gen for b in space.basis]
     span = hstack(images) if images else Matrix.zeros(p1.dims[v0], 0)
     rejected = 0
@@ -349,12 +366,12 @@ def test_cyclic_source_coords_reject_maps_outside_the_span(cyc3_5):
 
 
 def test_raw_coords_reject_maps_outside_the_hom_space(cyc3_5):
-    # K = rad^2 P(1) is a plain kernel module, so Hom(K, K) takes the raw
-    # route; End(K) is one-dimensional, and the identity at one vertex alone
-    # does not commute with the arrows
+    # K = rad^2 P(1) is a plain kernel module, so its presentation is
+    # computed from its cover; End(K) is one-dimensional, and the identity
+    # at one vertex alone does not commute with the arrows
     p1 = proj_module(cyc3_5, 0)
     k, _ = kernel(radical_quotient(p1, 2)[1])
-    assert k.dims == (1, 1, 1) and k.summands is None and k.hint is None
+    assert k.dims == (1, 1, 1) and k.summands is None and presentation(k).relations is not None
     space = hom_space(k, k)
     assert space.dim == 1
     maps = [Matrix.identity(1) if v == 0 else Matrix.zeros(1, 1) for v in range(3)]

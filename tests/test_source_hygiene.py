@@ -1,12 +1,15 @@
 """Source hygiene of ``src/relrep``: no orphaned private helpers, no unused
-imports, one cache policy, no randomness and no hand on the cycle collector.
+imports, one cache policy, no randomness, no hand on the cycle collector and
+no presentation carried by hand.
 
 The checks read the syntax trees only (stdlib ``ast``, nothing is imported).
 The first two catch helpers and imports left behind when the code using them
 is deleted; the third keeps every memoized result behind ``relrep.cache``;
 the fourth keeps every verdict deterministic: no module imports ``random``
-and no function takes a ``seed``; the last keeps the cycle collector out of
-the library: no module imports ``gc``.
+and no function takes a ``seed``; the fifth keeps the cycle collector out of
+the library: no module imports ``gc``; the last keeps one source of
+generators and relations, ``rep.presentation``: no module reads or writes an
+attribute named ``hint``, directly or through ``getattr`` and its kin.
 """
 
 from __future__ import annotations
@@ -233,4 +236,53 @@ def test_collector_check_sees_each_breach():
         "bad.py:3: import gc",
         "bad.py:5: import gc",
         "bad.py:5: import gc",
+    ]
+
+
+_ATTR_BUILTINS = {"getattr", "setattr", "hasattr", "delattr"}
+
+
+def _attribute_breaches(name: str, tree: ast.Module, attr: str) -> list[str]:
+    """Reads and writes of the attribute ``attr``: ``x.attr`` in any context,
+    and ``getattr``, ``setattr``, ``hasattr`` or ``delattr`` called with its
+    name."""
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr == attr:
+            out.append(f"{name}:{node.lineno}: .{attr}")
+        elif (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id in _ATTR_BUILTINS
+            and len(node.args) >= 2
+            and isinstance(node.args[1], ast.Constant)
+            and node.args[1].value == attr
+        ):
+            out.append(f"{name}:{node.lineno}: .{attr}")
+    return out
+
+
+def test_no_module_carries_a_presentation_by_hand():
+    breaches = []
+    for name, tree in _trees().items():
+        breaches.extend(_attribute_breaches(name, tree, "hint"))
+    assert breaches == []
+
+
+def test_hint_check_sees_each_breach():
+    bad = ast.parse(
+        "def f(m, p):\n"
+        "    m.hint = p\n"
+        "    q = m.hint.vertices\n"
+        "    x = getattr(m, 'hint', None) or hasattr(m, 'hint')\n"
+        "    setattr(m, 'hint', p); del m.hint\n"
+        "    m.hints = hint = 'hint'\n"
+    )
+    assert sorted(_attribute_breaches("bad.py", bad, "hint")) == [
+        "bad.py:2: .hint",
+        "bad.py:3: .hint",
+        "bad.py:4: .hint",
+        "bad.py:4: .hint",
+        "bad.py:5: .hint",
+        "bad.py:5: .hint",
     ]

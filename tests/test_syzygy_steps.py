@@ -22,6 +22,7 @@ from relrep.homology import (
     factor_through,
     factor_through_mono,
     injective_hull,
+    injective_resolution,
     projective_cover,
     projective_resolution,
     transpose,
@@ -36,11 +37,13 @@ from relrep.rep import (
     direct_sum,
     dualize,
     dualize_morphism,
+    flatten_atoms,
     hom_space,
     inj_module,
     kernel,
     morphism_from_generator,
     parse_module_expression,
+    presentation,
     proj_module,
     quotient_by_subspaces,
     radical_quotient,
@@ -92,87 +95,96 @@ def _reference_kernel(f: Morphism) -> tuple[Module, Morphism]:
     return sub, Morphism._make(sub, module, tuple(bases))
 
 
-def _length_paths(alg, vertex: int, k: int) -> tuple:
-    return tuple(((0, 1, p),) for p in alg.quiver.paths_of_length(k) if p.source == vertex)
+def _length_relations(alg, vertex: int, k: int) -> tuple:
+    """The basis paths of length k from ``vertex``, one relation each, in
+    the order of P(vertex)'s path coordinates."""
+    proj = proj_module(alg, vertex)
+    return tuple(((0, 1, p),) for paths in proj._proj_paths for p in paths if p.length == k)
 
 
-def _radical_power(alg, hint: Presentation) -> int | None:
-    """k when the relations of ``hint`` are the length-k paths from its
-    vertex, as for P/rad^k; None otherwise."""
-    rels = hint.relations
-    if not rels or not all(len(rel) == 1 for rel in rels):
+def _radical_power(alg, pres: Presentation) -> int | None:
+    """k when the relations of ``pres`` are the basis paths of length k from
+    its one vertex, as for P/rad^k; None otherwise."""
+    rels = pres.relations
+    if len(pres.vertices) != 1 or not rels or not all(len(rel) == 1 for rel in rels):
         return None
     k = rels[0][0][2].length
-    return k if rels == _length_paths(alg, hint.vertices[0], k) else None
+    return k if rels == _length_relations(alg, pres.vertices[0], k) else None
 
 
-def _reference_radical_quotient(module: Module, power: int) -> tuple[Module, Morphism]:
-    """The quotient by reduced bases of rad^power, with the hint carried over:
-    the length-``power`` paths as relations under a projective, the
-    length-min(k, power) paths under P/rad^k, and None (no reference) under
-    any other relations."""
+def _reference_radical_quotient(module: Module, power: int):
+    """The quotient by reduced bases of rad^power, its projection, and the
+    presentation carried over from the module's: the basis paths of length
+    ``power`` as relations under a projective, those of length min(k, power)
+    under P/rad^k, and None (no reference) under any other presentation."""
     paths = module.algebra.quiver.paths_of_length(power)
     bases = [
         subspace_sum(d, [module.action(p) for p in paths if p.target == w])
         for w, d in enumerate(module.dims)
     ]
     quot, proj, sections = quotient_by_subspaces(module, bases)
-    parent = module.hint
-    if parent is not None:
-        (vertex,), (generator,) = parent.vertices, parent.generators
-        if parent.relations is None:
-            relations = _length_paths(module.algebra, vertex, power)
-        else:
-            k = _radical_power(module.algebra, parent)
-            relations = None if k is None else _length_paths(module.algebra, vertex, min(k, power))
-        quot.hint = Presentation(
-            (vertex,),
-            relations,
-            tuple(ps @ qs for ps, qs in zip(parent.sections, sections)),
-            (proj.maps[vertex] @ generator,),
-        )
-    return quot, proj
+    parent = presentation(module)
+    if len(parent.vertices) != 1:
+        return quot, proj, None
+    (vertex,), (generator,) = parent.vertices, parent.generators
+    if parent.relations is None:
+        k = power
+    else:
+        k = _radical_power(module.algebra, parent)
+        if k is None:
+            return quot, proj, None
+    ref = Presentation(
+        (vertex,),
+        _length_relations(module.algebra, vertex, min(k, power)),
+        tuple(ps @ qs for ps, qs in zip(parent.sections, sections)),
+        (proj.maps[vertex] @ generator,),
+    )
+    return quot, proj, ref
 
 
-def _relation_vector(proj: Module, rel) -> Matrix:
-    """The element sum c p of the projective ``proj`` for a relation, as a
-    vector of its vertex space at the relation's end."""
-    alg = proj.algebra
-    paths = proj._proj_paths[rel[0][2].target]
-    vec = [0] * len(paths)
-    for _, c, p in rel:
-        coords = alg.reduce_path(p)
-        for i, q in enumerate(paths):
-            vec[i] += c * coords[alg.basis_index[q]]
+def _relation_vector(p0: Module, projs, rel) -> Matrix:
+    """The element sum c p·e_i of P0 = ``p0``, the sum of ``projs``, for a
+    relation, as a vector of its vertex space at the relation's end."""
+    alg = p0.algebra
+    end = rel[0][2].target
+    vec = []
+    for i, proj in enumerate(projs):
+        paths = proj._proj_paths[end]
+        part = [0] * len(paths)
+        for j, c, p in rel:
+            if j == i:
+                coords = alg.reduce_path(p)
+                for t, q in enumerate(paths):
+                    part[t] += c * coords[alg.basis_index[q]]
+        vec.extend(part)
     return Matrix.column(vec)
 
 
 def assert_relations_present(module: Module) -> None:
-    """The hint of ``module`` presents it: every relation kills the generator,
-    and P(v) modulo the submodule the relations generate has the module's
-    dimension."""
-    hint = module.hint
-    (vertex,), (generator,) = hint.vertices, hint.generators
+    """The presentation of ``module`` presents it: every relation kills the
+    generators, and P0 modulo the submodule the relations generate has the
+    module's dimension."""
+    pres = presentation(module)
     alg = module.algebra
-    proj = proj_module(alg, vertex)
-    if hint.relations is None:
-        assert module.dims == proj.dims
+    projs = [proj_module(alg, v) for v in pres.vertices]
+    p0 = direct_sum(alg, projs)
+    if pres.relations is None:
+        assert module.dims == p0.dims
         return
     spans: list[list[Matrix]] = [[] for _ in module.dims]
-    for rel in hint.relations:
-        assert all(i == 0 and p.source == vertex for i, _, p in rel)
+    for rel in pres.relations:
         end = rel[0][2].target
-        assert all(p.target == end for _, _, p in rel)
+        assert all(p.source == pres.vertices[i] and p.target == end for i, _, p in rel)
         killed = Matrix.zeros(module.dims[end], 1)
-        for _, c, p in rel:
-            killed = killed + (module.action(p) @ generator).scale(c)
+        for i, c, p in rel:
+            killed = killed + (module.action(p) @ pres.generators[i]).scale(c)
         assert killed.is_zero()
-        vec = _relation_vector(proj, rel)
+        vec = _relation_vector(p0, projs, rel)
         for q in alg.quiver.paths_up_to(alg.nilpotency_bound):
             if q.source == end:
-                spans[q.target].append(proj.action(q) @ vec)
-    sub = sum(subspace_sum(d, ms).cols for d, ms in zip(proj.dims, spans))
-    assert proj.total_dim - sub == module.total_dim
+                spans[q.target].append(p0.action(q) @ vec)
+    sub = sum(subspace_sum(d, ms).cols for d, ms in zip(p0.dims, spans))
+    assert p0.total_dim - sub == module.total_dim
 
 
 # -- the corpus --------------------------------------------------------------------
@@ -322,24 +334,67 @@ def test_kernels_match_the_solve_route(corpus):
 
 def test_radical_quotients_match_the_reduced_basis_route(corpus):
     parsed, built = corpus
+    carried = 0
     for x in parsed + built:
         for power in (1, 2, 3):
             quot, proj = radical_quotient(x, power)
-            ref, ref_proj = _reference_radical_quotient(x, power)
+            ref, ref_proj, ref_pres = _reference_radical_quotient(x, power)
             assert quot.dims == ref.dims
             assert quot.arrow_maps == ref.arrow_maps
             assert proj.maps == ref_proj.maps
-            if ref.hint is None:
-                assert quot.hint is None
+            assert_relations_present(quot)
+            if ref_pres is None:
                 continue
-            hint, ref_hint = quot.hint, ref.hint
-            assert hint.vertices == ref_hint.vertices
-            if ref_hint.relations is None:
-                assert_relations_present(quot)
-            else:
-                assert hint.relations == ref_hint.relations
-            assert hint.sections == ref_hint.sections
-            assert hint.generators == ref_hint.generators
+            carried += 1
+            pres = presentation(quot)
+            assert pres.vertices == ref_pres.vertices
+            assert pres.relations == ref_pres.relations
+            assert pres.sections == ref_pres.sections
+            assert pres.generators == ref_pres.generators
+    assert carried
+
+
+# -- presentations --------------------------------------------------------------------
+
+
+def _presented(parsed, built) -> list[Module]:
+    """The atoms of the corpus with their radical quotients and first two
+    cosyzygies (cokernels), each once."""
+    seen, out = set(), []
+    for m in parsed + built:
+        for x in flatten_atoms(m):
+            res = injective_resolution(x)
+            for y in [x, *(radical_quotient(x, k)[0] for k in (1, 2, 3)), res.syzygy(1), res.syzygy(2)]:
+                if id(y) not in seen:
+                    seen.add(id(y))
+                    out.append(y)
+    return out
+
+
+def test_presentations_are_minimal(corpus):
+    """One generator per dimension of the top, one relation per summand of
+    the second term of the minimal projective resolution."""
+    parsed, built = corpus
+    for x in _presented(parsed, built):
+        pres = presentation(x)
+        assert len(pres.vertices) == len(pres.generators) == sum(top(x)[0].dims), x
+        res = projective_resolution(x)
+        res.ensure_terms(2)
+        assert len(pres.relations or ()) == len(res.terms[1].summands), x
+        assert_relations_present(x)
+
+
+def test_transposes_over_the_nakayama_algebra_have_one_generator():
+    """P1 is indecomposable for every indecomposable non-projective over a
+    Nakayama algebra, so Tr of it is cyclic."""
+    alg = _cyc3_trunc5()
+    n = alg.quiver.vertex_count
+    mods = [simple_module(alg, v) for v in range(n)]
+    mods += [radical_quotient(proj_module(alg, v), k)[0] for v in range(n) for k in (2, 3, 4)]
+    for x in mods:
+        for t in (transpose(x), trd(x)):
+            assert len(presentation(t).vertices) == 1
+            assert_relations_present(t)
 
 
 def test_kernel_guard_rejects_a_non_commuting_map():

@@ -1,12 +1,13 @@
-"""Hinted cokernels: transposes with an indecomposable P1 are cyclic.
+"""Transposes read off the module's own minimal presentation.
 
-The transpose takes its cokernel into the single projective P1 when P1 is
-indecomposable, and the cokernel keeps a hint whose relations are the
-target's plus the generator images of the map.  Checked against the
-construction it replaced (kept below as the reference: the cokernel into a
-one-summand sum, which carries no hint) on Tr, trd and dtr of the syzygy-step
-corpus over cyclic3, the commuting square, A3 with one zero relation, the
-Kronecker quiver and A4/rad^2.
+``transpose`` builds P0^op -> P1^op from the presentation of x: one summand
+of P0 per generator, one of P1 per relation, and the relations' path
+combinations as the entries.  Checked against the construction it replaced
+(kept below as the reference: the differential P1 -> P0 of the minimal
+projective resolution, its entries read as path combinations, and the
+cokernel of its reversal) on Tr, trd and dtr of the syzygy-step corpus over
+cyclic3, the commuting square, A3 with one zero relation, the Kronecker
+quiver and A4/rad^2.
 """
 
 import pytest
@@ -14,7 +15,6 @@ import pytest
 from relrep.exact_linalg import Matrix
 from relrep.homology import (
     _path_class_vector,
-    _path_entries,
     dtr,
     minimal_presentation,
     transpose,
@@ -22,6 +22,7 @@ from relrep.homology import (
 )
 from relrep.rep import (
     Module,
+    Morphism,
     assemble_from_components,
     assemble_into_components,
     direct_sum,
@@ -30,6 +31,8 @@ from relrep.rep import (
     hom_space,
     inj_module,
     morphism_from_generator,
+    path_combination,
+    presentation,
     proj_module,
     quotient_by_subspaces,
     simple_module,
@@ -38,6 +41,13 @@ from hom_reference import _hom_raw
 from test_syzygy_steps import ALGEBRAS, _built, _parsed, assert_relations_present
 
 # -- the replaced construction -----------------------------------------------------
+
+
+def _path_entries(d: Morphism) -> list[list[tuple]]:
+    """For each generator g of d's source, the nonzero ``(b, u_k, p_k)`` with
+    d(g) = sum_k u_k p_k·g_b over the generators g_b of d's target."""
+    pres = presentation(d.source)
+    return [path_combination(d.target, v, column) for v, column in zip(pres.vertices, pres.values(d.maps))]
 
 
 def _reference_presentation(x: Module):
@@ -67,24 +77,6 @@ def _reference_transpose(x: Module) -> Module:
     return quotient_by_subspaces(d_op.target, d_op.maps)[0]
 
 
-def _expected_relations(x: Module) -> tuple:
-    """The rows of d_op read in P1's path basis: for each summand of P0^op,
-    the nonzero ``(0, c, p)`` with d_op(generator) = sum c p."""
-    d_op = _reference_presentation(x)
-    (p1,) = d_op.target.summands
-    out = []
-    for c, src_c in enumerate(d_op.source.summands):
-        w = src_c._proj_vertex
-        off = d_op.source.offsets()[c][w]
-        image = d_op.maps[w].take_columns(range(off, off + src_c.dims[w])) @ src_c.hint.generators[0]
-        rel = tuple(
-            (0, image[i, 0], p) for i, p in enumerate(p1._proj_paths[w]) if image[i, 0] != 0
-        )
-        if rel:
-            out.append(rel)
-    return tuple(out)
-
-
 # -- the corpus --------------------------------------------------------------------
 
 
@@ -110,13 +102,12 @@ def _targets(alg) -> list[Module]:
 
 
 @pytest.fixture(scope="module", params=ALGEBRAS, ids=lambda make: make.__name__.strip("_"))
-def corpus(request):
-    alg = request.param()
-    return alg, _atoms(alg)
+def atoms(request):
+    return _atoms(request.param())
 
 
-def _single_p1(x: Module) -> bool:
-    return len(minimal_presentation(x)[0].source.summands) == 1
+def _p1_vertices(x: Module) -> list[int]:
+    return [s._proj_vertex for s in minimal_presentation(x)[0].source.summands]
 
 
 def _assert_same_matrices(new: Module, ref: Module) -> None:
@@ -137,33 +128,25 @@ def _assert_hom_routes_agree(x: Module, y: Module) -> None:
 # -- tests ---------------------------------------------------------------------------
 
 
-def test_transposes_keep_their_matrices_and_are_hinted_exactly_for_one_p1(corpus):
-    alg, atoms = corpus
-    hinted = unhinted = 0
+def test_transposes_match_the_reference_construction(atoms):
+    """Same matrices as the reference, and one generator of Tr z per summand
+    of P1, at its vertex."""
+    other = 0
     for x in atoms:
         for z in (x, dualize(x)):
             t, ref = transpose(z), _reference_transpose(z)
             _assert_same_matrices(t, ref)
-            assert (t.hint is not None) == _single_p1(z)
-            if t.hint is None:
-                unhinted += 1
-                continue
-            hinted += 1
-            assert t.hint.vertices == (minimal_presentation(z)[0].source.summands[0]._proj_vertex,)
-            assert t.hint.relations == _expected_relations(z)
+            assert sorted(presentation(t).vertices) == sorted(_p1_vertices(z))
             assert_relations_present(t)
+            other += len(_p1_vertices(z)) != 1
         _assert_same_matrices(trd(x), _reference_transpose(dualize(x)))
         assert dtr(x).arrow_maps == tuple(m.transpose() for m in _reference_transpose(x).arrow_maps)
-    assert hinted
-    if alg.name != "cyc3-trunc5":
-        # off the Nakayama algebra some P1 is decomposable
-        assert unhinted
+    # besides single projectives, P1 is zero (z projective) or decomposable
+    assert other
 
 
-def test_hom_spaces_of_hinted_transposes_match_the_raw_route(corpus):
-    _, atoms = corpus
+def test_hom_spaces_of_transposes_match_the_raw_route(atoms):
     targets = {}
-    hinted = 0
     for x in atoms:
         # the corpus holds duals, so x lives over the algebra or its opposite
         base, op = x.algebra, x.algebra.opposite()
@@ -171,12 +154,8 @@ def test_hom_spaces_of_hinted_transposes_match_the_raw_route(corpus):
             if alg not in targets:
                 targets[alg] = _targets(alg)
         for t, ys in ((transpose(x), targets[op]), (trd(x), targets[base])):
-            if t.hint is None:
-                continue
-            hinted += 1
             for y in ys + [t]:
                 _assert_hom_routes_agree(t, y)
         # dtr x is the dual of Tr x: maps into it are read off its own presentation
         for a in targets[base]:
             _assert_hom_routes_agree(a, dtr(x))
-    assert hinted
