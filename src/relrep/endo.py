@@ -276,14 +276,31 @@ def _matvec(mat: Matrix, vec: list) -> list:
     return out
 
 
-@memoized("radical")
 def radical(g: StructureConstantAlgebra) -> Matrix:
     """Basis (columns) of the Jacobson radical via the trace bilinear form.
 
     Over the rationals the radical is the kernel of ``T(x, y) = trace of
     left-multiplication by x*y``.  The kernel is verified nilpotent; a
-    non-nilpotent kernel signals inconsistent structure constants.
+    non-nilpotent kernel signals inconsistent structure constants.  The
+    first pass of that check spans rad², which also yields the radical
+    generators (:func:`radical_generators`), memoized with the basis.
     """
+    return _radical_data(g)[0]
+
+
+def radical_generators(g: StructureConstantAlgebra) -> tuple:
+    """Radical basis columns that lift a basis of rad/rad², as coordinate tuples.
+
+    They generate the radical as a right ideal (rad = L·A, since rad is
+    nilpotent), so rad X = L·X for every module X: L·X spans the radical of
+    X from far fewer products than the whole radical basis does.
+    """
+    return _radical_data(g)[1]
+
+
+@memoized("radical")
+def _radical_data(g: StructureConstantAlgebra) -> tuple[Matrix, tuple]:
+    """``(radical basis, radical generators)``, from one nilpotency check."""
     rad = trace_form_radical(g.mult)
     n, r = g.dim, rad.cols
     # row i lists e_i·b for every radical basis vector b, side by side, read
@@ -298,18 +315,27 @@ def radical(g: StructureConstantAlgebra) -> Matrix:
     # the rows of layer span rad^k; rad^(k+1) is spanned by their products
     # with the radical basis, the rows of layer @ right cut into n-blocks
     layer = rad.transpose()
+    generators = None
     for _ in range(n + 1):
         products = [
             row[b * n : (b + 1) * n] for row in (layer @ right)._data for b in range(r)
         ]
         products = [p for p in products if any(p)]
+        if products:
+            red, pivots = Matrix(len(products), n, products).rref()
+            layer = red.take_rows(range(len(pivots)))
+        if generators is None:
+            # first pass: the rows of layer span rad^2, and the radical
+            # columns that are pivots of [rad^2 | rad] lift a basis of rad/rad^2
+            square = layer._data if products else []
+            cols = rad.columns()
+            _, pivots = Matrix.from_columns([*square, *cols]).rref()
+            generators = tuple(tuple(cols[p - len(square)]) for p in pivots if p >= len(square))
         if not products:
             break
-        red, pivots = Matrix(len(products), n, products).rref()
-        layer = red.take_rows(range(len(pivots)))
     else:
         raise AlgebraError("trace-form kernel is not nilpotent; structure constants inconsistent")
-    return rad
+    return rad, generators
 
 
 # ---------------------------------------------------------------------------
@@ -453,6 +479,11 @@ class _Span:
 
 
 class _Cover:
+    """One projective cover ``P -> K`` in a chain: ``P`` is the sum of the
+    pieces ``A e_kind`` at ``offsets``, and ``gens`` are the images of the
+    idempotents.  A cover seeded by :meth:`_Chain._at_top` stores neither
+    ``gens`` nor ``mat`` (both None): nothing reads the map onto the base."""
+
     __slots__ = ("kinds", "gens", "offsets", "dim", "mat", "kernel_cols", "minimal")
 
     def __init__(self, kinds, gens, offsets, dim, mat) -> None:
@@ -477,16 +508,15 @@ def _piece(g: StructureConstantAlgebra, kind: int) -> tuple[tuple, tuple]:
 def _piece_radical(g: StructureConstantAlgebra, kind: int) -> list[list]:
     """A basis of (rad A)e for the idempotent e of piece ``kind`` (the unit
     when g has no structural idempotents), in the coordinates of the basis
-    vectors spanning the left ideal A e (the radical is a right ideal, so
-    (rad A)e lies in A e).  Callers must not mutate the result."""
-    members, idem = _piece(g, kind)
-    index = {m: t for t, m in enumerate(members)}
+    vectors spanning the left ideal A e.  The radical is a two-sided ideal,
+    so (rad A)e lies in A e; and since e_m·e is e_m for the piece's members
+    and 0 for every other basis vector, r·e is r restricted to the members.
+    Callers must not mutate the result."""
+    members, _ = _piece(g, kind)
     span = _Span(len(members))
     out = []
     for r in radical(g).columns():
-        comp = [0] * len(members)
-        for m, c in _terms(g.multiply(r, idem)):
-            comp[index[m]] = c
+        comp = [r[m] for m in members]
         if span.add(comp):
             out.append(comp)
     return out
@@ -500,23 +530,42 @@ class _Chain:
     Covers are built from generators paired with structural idempotents when
     available, otherwise from free rank-one summands; each cover records
     whether its kernel lies inside the radical of the cover (the minimality
-    certificate).  A chain keeps g's structure constants and the action of
-    x, not g itself: chains memoized on g hold no reference back to it.
+    certificate).  The radical of each kernel K is spanned by L·K for the
+    radical generators L (:func:`radical_generators`), not by the products
+    with the whole radical basis.  A chain keeps g's structure constants and
+    the action of x, not g itself: chains memoized on g hold no reference
+    back to it.
     """
 
     def __init__(self, g: StructureConstantAlgebra, base: SCModule) -> None:
-        self.mult = g.mult
-        self.algebra_dim = g.dim
+        self._read_algebra(g)
         self.base_dim = base.dim
         self.base_action = base.action
+
+    @classmethod
+    def _at_top(cls, g: StructureConstantAlgebra, kind: int) -> "_Chain":
+        """The chain of top(A e) for piece ``kind``, started at its projective
+        cover: covers[0] is A e itself with kernel (rad A)e, minimal by
+        definition, so no base module is built and no kernel is solved for."""
+        chain = cls.__new__(cls)
+        chain._read_algebra(g)
+        cover = _Cover([kind], None, [0], len(chain.members[kind]), None)
+        cover.kernel_cols = list(chain.piece_rads[kind])
+        cover.minimal = True
+        chain.covers.append(cover)
+        return chain
+
+    def _read_algebra(self, g: StructureConstantAlgebra) -> None:
+        self.mult = g.mult
+        self.algebra_dim = g.dim
         self.kinds = list(range(len(g.idempotents))) if g.piece_members is not None else [0]
         pieces = [_piece(g, kind) for kind in self.kinds]
         self.members = [ms for ms, _ in pieces]
         self.idem_vectors = [list(e) for _, e in pieces]
         self.member_index = [{m: t for t, m in enumerate(ms)} for ms in self.members]
-        self.rad_terms = [_terms(r) for r in radical(g).columns()]
-        self.idem_terms = [_terms(e) for e in self.idem_vectors]
         self.piece_rads = [_piece_radical(g, kind) for kind in self.kinds]
+        self.rad_terms = [_terms(r) for r in radical_generators(g)]
+        self.idem_terms = [_terms(e) for e in self.idem_vectors]
         self.covers: list[_Cover] = []
 
     # -- per-piece helpers ---------------------------------------------------
@@ -820,26 +869,6 @@ def sc_pd_le(g: StructureConstantAlgebra, x: SCModule, n: int) -> bool:
     return _pd_le_on_chain(_Chain(g, x), n)
 
 
-def _top_of_piece(g: StructureConstantAlgebra, kind: int) -> SCModule:
-    """The simple quotient of the projective A e_kind as an SCModule."""
-    members = g.piece_members[kind]
-    index = {m: t for t, m in enumerate(members)}
-    width = len(members)
-    action = []
-    for k in range(g.dim):
-        cols = []
-        for m in members:
-            col = [0] * width
-            for mm, c in g.mult[k][m]:
-                col[index[mm]] = c
-            cols.append(col)
-        action.append(Matrix.from_columns(cols))
-    rad = _piece_radical(g, kind)
-    return _sc_quotient(
-        SCModule(g, width, action), Matrix.from_columns(rad) if rad else Matrix.zeros(width, 0)
-    )
-
-
 def gldim_le(g: StructureConstantAlgebra, n: int) -> bool:
     """Whether the global dimension is at most n, via pd of the semisimple quotient.
 
@@ -866,9 +895,11 @@ def gldim_le(g: StructureConstantAlgebra, n: int) -> bool:
 
 @memoized("top chain")
 def _top_chain(g: StructureConstantAlgebra, kind: int) -> "_Chain | None":
-    """The resolution chain of the simple top of piece ``kind`` (None if zero)."""
-    top = _top_of_piece(g, kind)
-    return _Chain(g, top) if top.dim else None
+    """The resolution chain of the simple top A e / (rad A)e of piece
+    ``kind`` (None if zero), seeded at its known first syzygy (rad A)e."""
+    if len(_piece_radical(g, kind)) == len(g.piece_members[kind]):
+        return None
+    return _Chain._at_top(g, kind)
 
 
 @memoized("semisimple chain")

@@ -1,0 +1,105 @@
+"""The reference resolution route of the structure-constant engine: every
+cover takes the radical of its kernel from the whole radical basis, and the
+chain of a simple top starts at the top module itself.
+
+``relrep.endo`` spans the radical of a kernel K by L·K for the radical
+generators L (a lift of a basis of rad/rad²), and starts the chain of the
+top of A e at its projective cover A e with kernel (rad A)e; the tests
+compare the two routes.
+"""
+
+from relrep.endo import (
+    SCModule,
+    StructureConstantAlgebra,
+    _Chain,
+    _pd_le_on_chain,
+    _piece_radical,
+    _reduce_to_basic,
+    _sc_quotient,
+    _terms,
+    dual_sc_module,
+    radical,
+    semisimple_quotient_module,
+)
+from relrep.exact_linalg import Matrix
+from relrep.path_algebra import AlgebraError
+
+
+class FullRadicalChain(_Chain):
+    """A chain whose covers apply every radical basis vector to the kernel."""
+
+    def __init__(self, g: StructureConstantAlgebra, base: SCModule) -> None:
+        super().__init__(g, base)
+        self.rad_terms = [_terms(r) for r in radical(g).columns()]
+
+
+def _top_of_piece(g: StructureConstantAlgebra, kind: int) -> SCModule:
+    """The simple quotient of the projective A e_kind as an SCModule."""
+    members = g.piece_members[kind]
+    index = {m: t for t, m in enumerate(members)}
+    width = len(members)
+    action = []
+    for k in range(g.dim):
+        cols = []
+        for m in members:
+            col = [0] * width
+            for mm, c in g.mult[k][m]:
+                col[index[mm]] = c
+            cols.append(col)
+        action.append(Matrix.from_columns(cols))
+    rad = _piece_radical(g, kind)
+    return _sc_quotient(
+        SCModule(g, width, action), Matrix.from_columns(rad) if rad else Matrix.zeros(width, 0)
+    )
+
+
+def top_chain(g: StructureConstantAlgebra, kind: int) -> "FullRadicalChain | None":
+    """The chain of the top of piece ``kind``, resolved from the top module."""
+    top = _top_of_piece(g, kind)
+    return FullRadicalChain(g, top) if top.dim else None
+
+
+def semisimple_chain(g: StructureConstantAlgebra) -> "FullRadicalChain | None":
+    quot = semisimple_quotient_module(g)
+    return FullRadicalChain(g, quot) if quot.dim else None
+
+
+def gldim_le(g: StructureConstantAlgebra, n: int) -> bool:
+    if n < 0:
+        raise AlgebraError("global dimension bound must be >= 0")
+    basic, _ = _reduce_to_basic(g)
+    if basic.piece_members is not None:
+        chains = [
+            top_chain(basic, kind)
+            for kind, cls in enumerate(basic.piece_classes)
+            if cls not in basic.piece_classes[:kind]
+        ]
+    else:
+        chains = [semisimple_chain(basic)]
+    return all(chain is None or _pd_le_on_chain(chain, n) for chain in chains)
+
+
+def sc_pd_le(g: StructureConstantAlgebra, x: SCModule, n: int) -> bool:
+    if x.dim == 0:
+        return True
+    if n < 0:
+        return False
+    return _pd_le_on_chain(FullRadicalChain(g, x), n)
+
+
+def sc_injective_dim_le(g: StructureConstantAlgebra, x: SCModule, n: int) -> bool:
+    return sc_pd_le(g.opposite(), dual_sc_module(x), n)
+
+
+def sc_ext_dims(g: StructureConstantAlgebra, x: SCModule, y: SCModule, up_to: int) -> list[int]:
+    if up_to < 1:
+        return []
+    basic, transport = _reduce_to_basic(g)
+    if basic is not g:
+        x = transport(x)
+        y = transport(y)
+    if x.dim == 0 or y.dim == 0:
+        return [0] * up_to
+    chain = FullRadicalChain(basic, x)
+    dims, ranks = chain.hom_complex_dims_and_ranks(up_to + 1, y.apply, y.dim)
+    return [dims[i] - ranks[i] - ranks[i - 1] for i in range(1, up_to + 1)]
