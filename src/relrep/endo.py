@@ -17,8 +17,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .cache import Cached, involution, memoized
-from .exact_linalg import Matrix, complement_projection, exact_div, rational, subspace_contains
+from .cache import Cached, cached_across_involution, involution, memoized
+from .exact_linalg import Matrix, _canon_row, complement_projection, exact_div, rational, subspace_contains
 from .path_algebra import AlgebraError, InternalError
 from .rep import (
     Module,
@@ -284,6 +284,12 @@ def radical(g: StructureConstantAlgebra) -> Matrix:
     non-nilpotent kernel signals inconsistent structure constants.  The
     first pass of that check spans rad², which also yields the radical
     generators (:func:`radical_generators`), memoized with the basis.
+
+    rad(A^op) is rad(A) as a set, and so is rad², so A and A^op share both
+    results, computed once on the algebra whose ``opposite()`` made the pair.
+    The trace form of A^op differs, but a kernel basis and the rows of an
+    RREF depend only on the subspace they span, so computing them afresh on
+    A^op gives the same basis and generators.
     """
     return _radical_data(g)[0]
 
@@ -298,22 +304,28 @@ def radical_generators(g: StructureConstantAlgebra) -> tuple:
     return _radical_data(g)[1]
 
 
-@memoized("radical")
 def _radical_data(g: StructureConstantAlgebra) -> tuple[Matrix, tuple]:
+    """``(radical basis, radical generators)``, shared with ``g.opposite()``."""
+    return cached_across_involution(g, "radical", "opposite", _radical_from_trace_form)
+
+
+def _radical_from_trace_form(g: StructureConstantAlgebra) -> tuple[Matrix, tuple]:
     """``(radical basis, radical generators)``, from one nilpotency check."""
     rad = trace_form_radical(g.mult)
     n, r = g.dim, rad.cols
+    cols = rad.columns()
     # row i lists e_i·b for every radical basis vector b, side by side, read
     # once off the sparse rows of g.mult
     right = [[0] * (n * r) for _ in range(n)]
-    for b, vec in enumerate(rad.columns()):
+    for b, vec in enumerate(cols):
         for j, x in _terms(vec):
             for i, plane in enumerate(g.mult):
                 for m, c in plane[j]:
                     right[i][b * n + m] += x * c
-    right = Matrix(n, n * r, right)
+    right = Matrix._trusted(n, n * r, [_canon_row(row) for row in right])
     # the rows of layer span rad^k; rad^(k+1) is spanned by their products
     # with the radical basis, the rows of layer @ right cut into n-blocks
+    # (slices of canonical product rows, so they are wrapped unchecked)
     layer = rad.transpose()
     generators = None
     for _ in range(n + 1):
@@ -322,14 +334,14 @@ def _radical_data(g: StructureConstantAlgebra) -> tuple[Matrix, tuple]:
         ]
         products = [p for p in products if any(p)]
         if products:
-            red, pivots = Matrix(len(products), n, products).rref()
+            red, pivots = Matrix._trusted(len(products), n, products).rref()
             layer = red.take_rows(range(len(pivots)))
         if generators is None:
             # first pass: the rows of layer span rad^2, and the radical
             # columns that are pivots of [rad^2 | rad] lift a basis of rad/rad^2
             square = layer._data if products else []
-            cols = rad.columns()
-            _, pivots = Matrix.from_columns([*square, *cols]).rref()
+            both = Matrix._trusted(len(square) + r, n, [*square, *cols]).transpose()
+            _, pivots = both.rref()
             generators = tuple(tuple(cols[p - len(square)]) for p in pivots if p >= len(square))
         if not products:
             break
@@ -435,7 +447,13 @@ def dual_sc_module(x: SCModule) -> SCModule:
 
 
 class _Span:
-    """Incremental exact Gaussian span of row vectors of a fixed length."""
+    """Incremental exact Gaussian span of row vectors of a fixed length.
+
+    ``rows`` are the rows of the RREF of the span, each with its pivot in
+    ``pivots``, in the order they were found: the RREF is unique, so a span
+    seeded from many vectors at once (:meth:`spanned_by`) holds the same rows
+    and pivots as one they were added to one by one.
+    """
 
     __slots__ = ("length", "rows", "pivots")
 
@@ -443,6 +461,16 @@ class _Span:
         self.length = length
         self.rows: list[list] = []
         self.pivots: list[int] = []
+
+    @classmethod
+    def spanned_by(cls, length: int, vectors: list) -> "_Span":
+        """The span of ``vectors``, read off one fraction-free RREF."""
+        span = cls(length)
+        if vectors:
+            red, pivots = Matrix._trusted(len(vectors), length, vectors).rref()
+            span.rows = red._data[: len(pivots)]
+            span.pivots = list(pivots)
+        return span
 
     def _reduce(self, vec: list) -> list:
         v = list(vec)
@@ -630,9 +658,7 @@ class _Chain:
                 self._apply(level, terms, v) for terms in self.rad_terms for v in originals
             ]
 
-        span = _Span(ambient_dim)
-        for img in rad_images:
-            span.add(img)
+        span = _Span.spanned_by(ambient_dim, rad_images)
         kinds: list[int] = []
         gens: list[list] = []
         offsets: list[int] = []
@@ -663,12 +689,13 @@ class _Chain:
         self.covers.append(cover)
         kern = cover.mat.kernel_basis()
         cover.kernel_cols = kern.columns()
-        rad_span = _Span(cover.dim)
+        rad_vectors = []
         for kind, off in zip(cover.kinds, cover.offsets):
             for comp in self.piece_rads[kind]:
                 vec = [0] * cover.dim
                 vec[off : off + len(comp)] = comp
-                rad_span.add(vec)
+                rad_vectors.append(vec)
+        rad_span = _Span.spanned_by(cover.dim, rad_vectors)
         cover.minimal = all(rad_span.contains(v) for v in cover.kernel_cols)
 
     def ensure(self, count: int) -> None:
@@ -1472,6 +1499,9 @@ def verify_theorem(m1: Module, m2: Module, l: int) -> TheoremReport:
         )
     if not report.hypotheses_ok:
         return report
+    # conditions (a)-(c) ask these two functors the same relative questions;
+    # held here, each functor and the resolutions cached on it are shared
+    functors = covariant_functor(m2), contravariant_functor(m1)
     ok_a, detail_a = _condition_a(m1, m2, l)
     report.condition_a = ok_a
     report.details["a"] = detail_a

@@ -282,17 +282,7 @@ class Matrix:
         are read off the RREF, so the result is deterministic.
         """
         red, pivots = self.rref()
-        n = self.cols
-        pivot_set = set(pivots)
-        free = [j for j in range(n) if j not in pivot_set]
-        out = [[0] * len(free) for _ in range(n)]
-        for t, f in enumerate(free):
-            out[f][t] = 1
-            for k, p in enumerate(pivots):
-                coeff = red._data[k][f]
-                if coeff:
-                    out[p][t] = -coeff
-        return Matrix._trusted(n, len(free), out)
+        return _kernel_from_rref(red._data, pivots, self.cols)
 
     def solve_right(self, rhs: "Matrix") -> "Matrix | None":
         """One exact solution X of self @ X = rhs, or None if inconsistent.
@@ -310,6 +300,19 @@ class Matrix:
         for k, p in enumerate(pivots):
             out[p] = red._data[k][n:]
         return Matrix._trusted(n, rhs.cols, out)
+
+    def section_and_kernel(self) -> tuple["Matrix", "Matrix"]:
+        """``(solve_right(identity), kernel_basis())`` of a matrix of full row
+        rank, read off one RREF of [self | I]: all its pivots lie in the left
+        block, which is therefore the RREF of self."""
+        n = self.cols
+        red, pivots = hstack([self, Matrix.identity(self.rows)]).rref()
+        if pivots and pivots[-1] >= n:
+            raise ValueError("matrix does not have full row rank")
+        section = [[0] * self.rows for _ in range(n)]
+        for k, p in enumerate(pivots):
+            section[p] = red._data[k][n:]
+        return Matrix._trusted(n, self.rows, section), _kernel_from_rref(red._data, pivots, n)
 
     def left_inverse(self) -> "Matrix":
         """An exact L with L @ self = identity; needs full column rank.
@@ -359,6 +362,23 @@ class Matrix:
     def flatten(self) -> list:
         """Row-major flat list of entries."""
         return [x for row in self._data for x in row]
+
+
+def _kernel_from_rref(red: list, pivots: Sequence[int], n: int) -> Matrix:
+    """The kernel basis of the first ``n`` columns of the RREF rows ``red``
+    with pivot columns ``pivots`` (all < n): one vector per free column, in
+    ascending order, with its 1 there and minus that column's RREF entries at
+    the pivots."""
+    pivot_set = set(pivots)
+    free = [j for j in range(n) if j not in pivot_set]
+    out = [[0] * len(free) for _ in range(n)]
+    for t, f in enumerate(free):
+        out[f][t] = 1
+        for k, p in enumerate(pivots):
+            coeff = red[k][f]
+            if coeff:
+                out[p][t] = -coeff
+    return Matrix._trusted(n, len(free), out)
 
 
 def _bareiss(w: list, n: int, full: bool) -> tuple[list[int], int]:

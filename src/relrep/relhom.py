@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .cache import Cached, cached_pair, memoized
+from .cache import Cached, cached_pair, memoized, weakly_cached
 from .exact_linalg import Matrix
 from .path_algebra import AlgebraError, InternalError
 from .rep import (
@@ -69,10 +69,11 @@ class SubBifunctor(Cached):
     into it.  The relative projectives are the summands of
     projectives_module() and the relative injectives the summands of
     injectives_module(); both collections contain the absolute ones, so
-    approximation covers and hulls always exist.
+    approximation covers and hulls always exist.  Obtain one through
+    covariant_functor or contravariant_functor, which share it.
     """
 
-    __slots__ = ("variance", "module")
+    __slots__ = ("variance", "module", "__weakref__")
 
     def __init__(self, variance: str, module: Module):
         if variance not in VARIANCES:
@@ -107,12 +108,24 @@ class SubBifunctor(Cached):
         return direct_sum(self.algebra, [cogenerator_module(self.algebra), extra])
 
 
+def _functor(variance: str, module: Module) -> SubBifunctor:
+    """The functor of (variance, module), held by the module weakly: the same
+    object, with its cached relative resolutions, while anyone holds it."""
+    return weakly_cached(module, ("functor", variance), SubBifunctor, variance, module)
+
+
 def covariant_functor(module: Module) -> SubBifunctor:
-    return SubBifunctor("covariant", module)
+    """The sub-bifunctor of the sequences that stay exact under Hom(module, -).
+
+    Repeated calls return the same functor while a caller holds it, so the
+    relative resolutions cached on it are computed once per holder."""
+    return _functor("covariant", module)
 
 
 def contravariant_functor(module: Module) -> SubBifunctor:
-    return SubBifunctor("contravariant", module)
+    """The sub-bifunctor of the sequences that stay exact under Hom(-, module);
+    shared like covariant_functor."""
+    return _functor("contravariant", module)
 
 
 # -- membership tests for a single short exact sequence ------------------------

@@ -681,11 +681,12 @@ def presentation(m: Module) -> Presentation:
     # K_w is the identity at the free columns, so an arrow restricts to K by
     # the rows there; the top generators of K are the relations
     sections, kernels, frees = [], [], []
-    for pi, d in zip(_cover_maps(m, gens), m.dims):
-        sections.append(pi.solve_right(Matrix.identity(d)))
-        kernels.append(pi.kernel_basis())
+    for pi in _cover_maps(m, gens):
+        section, kern = pi.section_and_kernel()
+        sections.append(section)
+        kernels.append(kern)
         # kernel vector t has its 1 at free column f_t and nonzeros only above
-        frees.append([max(j for j, row in enumerate(kernels[-1]._data) if row[t]) for t in range(kernels[-1].cols)])
+        frees.append([max(j for j, row in enumerate(kern._data) if row[t]) for t in range(kern.cols)])
     rad: list[list[Matrix]] = [[] for _ in m.dims]
     for idx, a in enumerate(algebra.quiver.arrows):
         moved = block_diag([pv.arrow_maps[idx] for pv, _ in gens]) @ kernels[a.source]

@@ -1,11 +1,12 @@
-"""The reference resolution route of the structure-constant engine: every
-cover takes the radical of its kernel from the whole radical basis, and the
-chain of a simple top starts at the top module itself.
+"""The reference routes of the structure-constant engine: the radical
+computed from scratch on every algebra, every cover taking the radical of its
+kernel from the whole radical basis, and the chain of a simple top starting
+at the top module itself.
 
-``relrep.endo`` spans the radical of a kernel K by L·K for the radical
-generators L (a lift of a basis of rad/rad²), and starts the chain of the
-top of A e at its projective cover A e with kernel (rad A)e; the tests
-compare the two routes.
+``relrep.endo`` shares the radical of an algebra with its opposite, spans the
+radical of a kernel K by L·K for the radical generators L (a lift of a basis
+of rad/rad²), and starts the chain of the top of A e at its projective cover
+A e with kernel (rad A)e; the tests compare the routes.
 """
 
 from relrep.endo import (
@@ -23,6 +24,41 @@ from relrep.endo import (
 )
 from relrep.exact_linalg import Matrix
 from relrep.path_algebra import AlgebraError
+from relrep.rep import trace_form_radical
+
+
+def radical_data(g: StructureConstantAlgebra) -> tuple[Matrix, tuple]:
+    """``(radical basis, radical generators)`` of g from its own trace form,
+    every matrix built by the public constructor, nothing cached."""
+    rad = trace_form_radical(g.mult)
+    n, r = g.dim, rad.cols
+    right = [[0] * (n * r) for _ in range(n)]
+    for b, vec in enumerate(rad.columns()):
+        for j, x in _terms(vec):
+            for i, plane in enumerate(g.mult):
+                for m, c in plane[j]:
+                    right[i][b * n + m] += x * c
+    right = Matrix(n, n * r, right)
+    layer = rad.transpose()
+    generators = None
+    for _ in range(n + 1):
+        products = [
+            row[b * n : (b + 1) * n] for row in (layer @ right)._data for b in range(r)
+        ]
+        products = [p for p in products if any(p)]
+        if products:
+            red, pivots = Matrix(len(products), n, products).rref()
+            layer = red.take_rows(range(len(pivots)))
+        if generators is None:
+            square = layer._data if products else []
+            cols = rad.columns()
+            _, pivots = Matrix.from_columns([*square, *cols]).rref()
+            generators = tuple(tuple(cols[p - len(square)]) for p in pivots if p >= len(square))
+        if not products:
+            break
+    else:
+        raise AlgebraError("trace-form kernel is not nilpotent; structure constants inconsistent")
+    return rad, generators
 
 
 class FullRadicalChain(_Chain):

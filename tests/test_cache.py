@@ -14,7 +14,13 @@ from relrep.cache import Cached, cached, cached_pair
 from relrep.endo import check_maximal_orthogonal, end_algebra
 from relrep.homology import dtr, ext1_space, ext_dim, trd
 from relrep.path_algebra import AlgebraPresentation, cyclic_quiver
-from relrep.relhom import contravariant_functor, covariant_functor, ext_F_dim
+from relrep.relhom import (
+    F_resolution,
+    contravariant_functor,
+    covariant_functor,
+    ext_F_dim,
+    is_F_exact,
+)
 from relrep.rep import (
     Module,
     composition_table,
@@ -131,6 +137,43 @@ def test_composition_table_dies_with_its_younger_hom_space():
     assert hom_space(p, p).gens is outer.gens
 
 
+# -- one relative functor per (module, variance), held weakly by the module ---------
+
+
+def test_a_held_functor_is_shared():
+    algebra = AlgebraPresentation.truncated(cyclic_quiver(3), 5, name="cyclic3")
+    m = parse_module_expression(algebra, "P(2)/rad^2+S(3)")
+    x = parse_module_expression(algebra, "P(1)/rad^3+S(2)")
+    cov, con = covariant_functor(m), contravariant_functor(m)
+    assert covariant_functor(m) is cov and contravariant_functor(m) is con
+    assert cov is not con
+    assert (cov.variance, con.variance) == ("covariant", "contravariant")
+    # the resolution cached on the shared functor is found again
+    res = F_resolution(x, cov, depth=2)
+    assert F_resolution(x, covariant_functor(m)).terms is res.terms
+
+
+def test_a_dropped_functor_is_freed_with_its_resolutions():
+    algebra = AlgebraPresentation.truncated(cyclic_quiver(3), 5, name="cyclic3")
+    x = parse_module_expression(algebra, "P(1)/rad^3+S(2)")
+    with _collector_off():
+        m = parse_module_expression(algebra, "P(2)/rad^2+S(3)")
+        functor = covariant_functor(m)
+        res = F_resolution(x, functor, depth=3)
+        refs = [weakref.ref(o) for o in (functor, functor.projectives_module(), res.terms[1], res.syzygy(2))]
+        m_ref = weakref.ref(m)
+        del res
+        assert all(r() is not None for r in refs)
+        # the module holds its functor weakly: dropping the functor frees it,
+        # its relative projectives and the resolution cached on it
+        del functor
+        assert [r() for r in refs] == [None] * len(refs)
+        # the functor held the module, never the other way round
+        assert m_ref() is not None
+        del m
+        assert m_ref() is None
+
+
 # -- memory stays flat across long runs of fresh-module queries ---------------------
 
 _PAIRS = [
@@ -157,6 +200,14 @@ def _query_round(algebra) -> None:
         space.realize([1] * space.dim)
         ext_F_dim(1, x, y, covariant_functor(parse_module_expression(algebra, y_expr)))
         ext_F_dim(1, y, x, contravariant_functor(parse_module_expression(algebra, x_expr)))
+        # held functors of fresh modules, asked again through new lookups
+        held = covariant_functor(y), contravariant_functor(x)
+        sequence = space.realize([1] * space.dim)
+        for functor in held:
+            ext_F_dim(2, x, y, functor)
+            ext_F_dim(2, x, y, functor, via="injective")
+            is_F_exact(sequence, functor)
+        assert covariant_functor(y) is held[0] and contravariant_functor(x) is held[1]
         dtr(x)
         trd(y)
         assert is_isomorphic(x, parse_module_expression(algebra, x_expr))

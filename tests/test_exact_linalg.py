@@ -305,6 +305,19 @@ def test_integer_kernel_matches_fraction_reference(rows, rhs_cols):
     else:
         assert sol is not None and sol.to_lists() == expected and m @ sol == b
 
+    # a map of full row rank: its section and kernel off one RREF of [m | I]
+    if len(ref_pivots) == len(rows):
+        section, kern_too = m.section_and_kernel()
+        assert kern_too == kern
+        assert section == m.solve_right(Matrix.identity(len(rows)))
+    else:
+        try:
+            m.section_and_kernel()
+        except ValueError:
+            pass
+        else:
+            raise AssertionError("a matrix without full row rank has no section")
+
     if len(ref_pivots) == ncols:
         left = m.left_inverse()
         assert left @ m == Matrix.identity(ncols)
@@ -334,6 +347,8 @@ def test_every_built_entry_is_canonical(a_rows, b_rows, c):
         built.append(a.solve_right(Matrix.zeros(a.rows, 1)))
         if a.rank() == a.cols:
             built.append(a.left_inverse())
+        if a.rank() == a.rows:
+            built.extend(a.section_and_kernel())
     for m in built:
         assert _all_canonical(m)
     assert _is_canonical(rational(c)) and rational(c) == c

@@ -7,16 +7,26 @@ route this replaced: every radical basis vector applied to every kernel
 vector, and top chains resolved from the top module.  Both must give the
 same dimension verdicts, Ext dimensions and chains, level by level, on the
 endomorphism algebras the benchmark and the CLI examples exercise.
+
+``relrep.endo`` also computes the radical once per algebra and its opposite,
+and seeds the span of each cover's radical from one RREF; the radical must
+equal the one ``sc_reference`` computes from scratch on either side, and the
+seeded span the one built vector by vector.
 """
 
 import itertools
+import weakref
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sc_reference as ref
 from relrep.endo import (
     StructureConstantAlgebra,
     _Chain,
+    _Span,
     _reduce_to_basic,
     _top_chain,
     end_algebra,
@@ -31,7 +41,7 @@ from relrep.endo import (
     semisimple_quotient_module,
 )
 from relrep.exact_linalg import Matrix, hstack
-from relrep.path_algebra import AlgebraPresentation, cyclic_quiver
+from relrep.path_algebra import AlgebraError, AlgebraPresentation, cyclic_quiver
 from relrep.rep import (
     cogenerator_module,
     direct_sum,
@@ -40,7 +50,7 @@ from relrep.rep import (
     regular_module,
 )
 
-from test_endo import _upper_triangular_2x2
+from test_endo import MUTATED_EXPR, _upper_triangular_2x2
 
 C1_EXPR = "P(1)+P(2)+S(1)+P(1)/rad^3"
 C2_EXPR = "P(1)+P(2)+S(2)+P(2)/rad^3"
@@ -233,3 +243,123 @@ class TestRadicalGenerators:
         g, _ = end_algebra(parse_module_expression(cyc3_5, "S(1)+S(2)"))
         assert radical(g).cols == 0
         assert radical_generators(g) == ()
+
+
+# -- the radical shared with the opposite, and the seeded cover span ----------------
+
+
+MUTATED_M2_EXPR = "P(1)+P(2)+P(3)+S(1)+P(1)/rad^2+P(1)/rad^4"
+
+
+def _copy(g: StructureConstantAlgebra) -> StructureConstantAlgebra:
+    """A new algebra object with g's structure: nothing is cached on it."""
+    return StructureConstantAlgebra.from_sparse(
+        g.dim, g.mult, g.unit, g.idempotents, g.piece_classes, name=g.name
+    )
+
+
+@pytest.fixture(scope="module")
+def radical_corpus(sweep_algebras, pairs, cyc3_5, bare_algebras):
+    """The End algebras of the 92 sweep candidates and of the six theorem
+    modules (the mutated pair included), ut2 and the idempotent-free algebras."""
+    mutated = [parse_module_expression(cyc3_5, e) for e in (MUTATED_EXPR, MUTATED_M2_EXPR)]
+    modules = [m for pair in pairs[:2] for m in pair] + mutated
+    return [
+        *sweep_algebras,
+        *(end_algebra(m)[0] for m in modules),
+        _upper_triangular_2x2(),
+        *bare_algebras,
+    ]
+
+
+class TestSharedRadical:
+    def test_both_sides_match_the_route_from_scratch(self, radical_corpus):
+        assert len(radical_corpus) == 102
+        for g in radical_corpus:
+            for side in (g, g.opposite()):
+                assert (radical(side), radical_generators(side)) == ref.radical_data(side)
+
+    @pytest.mark.parametrize("first", ["algebra", "opposite"])
+    def test_the_pair_computes_once_whichever_side_asks_first(self, radical_corpus, first):
+        for g in radical_corpus[::7]:
+            g = _copy(g)
+            pair = [g, g.opposite()]
+            if first == "opposite":
+                pair.reverse()
+            basis = radical(pair[0])
+            assert radical(pair[1]) is basis
+            assert radical_generators(pair[1]) is radical_generators(pair[0])
+            assert (basis, radical_generators(g)) == ref.radical_data(g)
+
+    @pytest.mark.parametrize("first", ["algebra", "opposite"])
+    def test_the_nilpotency_guard_holds_on_both_sides(self, first):
+        # the inconsistent algebra of test_endo; the opposite's own trace form
+        # has the nilpotent kernel span(e), but the pair's radical is computed
+        # on the algebra the opposite was made from, so both sides raise, in
+        # either order
+        mult = [[[0, 0], [0, 0]], [[-1, 0], [0, 1]]]
+        g = StructureConstantAlgebra(mult, [0, 1], name="inconsistent")
+        assert ref.radical_data(g.opposite())[0].cols == 1
+        pair = [g, g.opposite()]
+        if first == "opposite":
+            pair.reverse()
+        for side in pair:
+            with pytest.raises(AlgebraError, match="not nilpotent"):
+                radical(side)
+
+    def test_a_dead_origin_leaves_the_opposite_its_own_radical(self, radical_corpus):
+        g = _copy(radical_corpus[-4])
+        op = g.opposite()
+        g_ref = weakref.ref(g)
+        del g
+        assert g_ref() is None
+        assert (radical(op), radical_generators(op)) == ref.radical_data(op)
+        assert radical(op.opposite()) is radical(op)
+
+
+def _rows_by_pivot(span: _Span) -> list:
+    return sorted(zip(span.pivots, span.rows))
+
+
+_entries = st.one_of(
+    st.integers(min_value=-3, max_value=3),
+    st.fractions(min_value=-4, max_value=4, max_denominator=5),
+)
+
+
+@st.composite
+def _vector_lists(draw):
+    """Vectors of one length, with zero vectors, repeats and sums of earlier
+    vectors among them (sums of fractions may be integral ``Fraction``s, as
+    the images a cover spans are)."""
+    length = draw(st.integers(min_value=0, max_value=7))
+    vectors: list[list] = []
+    for _ in range(draw(st.integers(min_value=0, max_value=9))):
+        kind = draw(st.sampled_from(["random", "zero", "sum"]))
+        if kind == "sum" and vectors:
+            a, b = draw(st.sampled_from(vectors)), draw(st.sampled_from(vectors))
+            c = draw(_entries)
+            vectors.append([Fraction(x) + c * y for x, y in zip(a, b)])
+        elif kind == "zero":
+            vectors.append([0] * length)
+        else:
+            vectors.append(draw(st.lists(_entries, min_size=length, max_size=length)))
+    return length, vectors
+
+
+@settings(max_examples=200, deadline=None)
+@given(_vector_lists(), _vector_lists())
+def test_a_seeded_span_is_the_span_built_vector_by_vector(seed, more):
+    length, vectors = seed
+    one_by_one = _Span(length)
+    for v in vectors:
+        one_by_one.add(v)
+    seeded = _Span.spanned_by(length, vectors)
+    assert _rows_by_pivot(seeded) == _rows_by_pivot(one_by_one)
+    assert seeded.rank == one_by_one.rank
+    # both go on the same way: the same vectors are new, the same are inside
+    extra = [v[:length] + [0] * (length - len(v)) for v in more[1]]
+    for v in extra:
+        assert seeded.contains(v) == one_by_one.contains(v)
+        assert seeded.add(v) == one_by_one.add(v)
+    assert _rows_by_pivot(seeded) == _rows_by_pivot(one_by_one)

@@ -7,9 +7,11 @@ The first two catch helpers and imports left behind when the code using them
 is deleted; the third keeps every memoized result behind ``relrep.cache``;
 the fourth keeps every verdict deterministic: no module imports ``random``
 and no function takes a ``seed``; the fifth keeps the cycle collector out of
-the library: no module imports ``gc``; the last keeps one source of
+the library: no module imports ``gc``; the sixth keeps one source of
 generators and relations, ``rep.presentation``: no module reads or writes an
-attribute named ``hint``, directly or through ``getattr`` and its kin.
+attribute named ``hint``, directly or through ``getattr`` and its kin; the
+last keeps one relative functor per module and variance: ``SubBifunctor`` is
+constructed only by ``relhom._functor``, which shares it.
 """
 
 from __future__ import annotations
@@ -286,3 +288,56 @@ def test_hint_check_sees_each_breach():
         "bad.py:5: .hint",
         "bad.py:5: .hint",
     ]
+
+
+FUNCTOR_CLASS = "SubBifunctor"
+FUNCTOR_HELPER = ("relhom.py", "_functor")
+
+
+def _constructor_breaches(name: str, tree: ast.Module, cls: str, helper: tuple[str, str]) -> list[str]:
+    """Calls of ``cls`` and calls that pass ``cls`` on as an argument (a
+    factory handed to a helper), outside the function ``helper`` names;
+    type tests (``isinstance``, ``issubclass``) build nothing."""
+    skip: set[int] = set()
+    if name == helper[0]:
+        for stmt in tree.body:
+            if isinstance(stmt, ast.FunctionDef) and stmt.name == helper[1]:
+                skip.update(id(node) for node in ast.walk(stmt))
+    out = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call) or id(node) in skip:
+            continue
+        if isinstance(node.func, ast.Name) and node.func.id in ("isinstance", "issubclass"):
+            continue
+        passed = [node.func, *node.args, *(kw.value for kw in node.keywords)]
+        if any(isinstance(arg, ast.Name) and arg.id == cls for arg in passed):
+            out.append(f"{name}:{node.lineno}: {cls}")
+    return out
+
+
+def test_relative_functors_are_built_by_one_helper():
+    breaches = []
+    for name, tree in _trees().items():
+        breaches.extend(_constructor_breaches(name, tree, FUNCTOR_CLASS, FUNCTOR_HELPER))
+    assert breaches == []
+
+
+def test_functor_check_sees_each_breach():
+    bad = ast.parse(
+        "def _functor(variance, module):\n"
+        "    return weakly_cached(module, variance, SubBifunctor, variance, module)\n"
+        "def f(m):\n"
+        "    a = SubBifunctor('covariant', m)\n"
+        "    b = cached(m, 'k', SubBifunctor, 'covariant', m)\n"
+        "    c = make(factory=SubBifunctor)\n"
+        "    return isinstance(a, SubBifunctor) and SubBifunctorLike(m)\n"
+    )
+    # inside the helper the construction is allowed, and a type test or a
+    # name that merely starts like the class is no construction
+    assert sorted(_constructor_breaches("relhom.py", bad, FUNCTOR_CLASS, FUNCTOR_HELPER)) == [
+        "relhom.py:4: SubBifunctor",
+        "relhom.py:5: SubBifunctor",
+        "relhom.py:6: SubBifunctor",
+    ]
+    # the same text in another file has no helper: line 2 is a breach there
+    assert len(_constructor_breaches("cli.py", bad, FUNCTOR_CLASS, FUNCTOR_HELPER)) == 4
