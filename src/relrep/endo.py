@@ -1,11 +1,12 @@
 """Endomorphism algebras as structure-constant algebras, and checkers built on them.
 
 The first half of this module turns ``End(M)`` into exact linear-algebra data:
-multiplication tensor, Jacobson radical via the trace form, modules over the
-algebra, and bounded projective/injective-dimension tests driven by projective
-covers.  The second half packages the headline checks: maximal orthogonality,
-the four-condition cotilting equivalence, the orthogonality implication with
-its converse-failure probe, and the exchange-sequence search.
+multiplication tensor, Jacobson radical (off the atom blocks or the trace
+form), modules over the algebra, and bounded projective/injective-dimension
+tests driven by projective covers.  The second half packages the headline
+checks: maximal orthogonality, the four-condition cotilting equivalence, the
+orthogonality implication with its converse-failure probe, and the
+exchange-sequence search.
 
 Conventions.  The product ``x * y`` of two endomorphisms is the composite
 "apply ``y`` first, then ``x``" (matching ``Morphism.__matmul__``).  With this
@@ -17,13 +18,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .cache import Cached, cached_across_involution, involution, memoized
+from .cache import Cached, cached, cached_across_involution, involution, memoized
 from .exact_linalg import Matrix, _canon_row, complement_projection, exact_div, rational, subspace_contains
 from .path_algebra import AlgebraError, InternalError
 from .rep import (
     Module,
     Morphism,
     ShortExactSequence,
+    _end_radical_coords,
+    _split_local,
     cokernel,
     composite_coords,
     composition_table,
@@ -277,13 +280,18 @@ def _matvec(mat: Matrix, vec: list) -> list:
 
 
 def radical(g: StructureConstantAlgebra) -> Matrix:
-    """Basis (columns) of the Jacobson radical via the trace bilinear form.
+    """Basis (columns) of the Jacobson radical, in the normal form of
+    ``kernel_basis``, which depends only on the subspace.
 
-    Over the rationals the radical is the kernel of ``T(x, y) = trace of
-    left-multiplication by x*y``.  The kernel is verified nilpotent; a
-    non-nilpotent kernel signals inconsistent structure constants.  The
-    first pass of that check spans rad², which also yields the radical
-    generators (:func:`radical_generators`), memoized with the basis.
+    An End(M) whose atoms are split local and pairwise non-isomorphic comes
+    with its radical already read off its atom blocks (see
+    ``_end_algebra_data`` and ``_radical_from_blocks``).  Every other
+    algebra takes the trace bilinear form: over the rationals the radical is
+    the kernel of ``T(x, y) = trace of left-multiplication by x*y``.  That
+    kernel is verified nilpotent; a non-nilpotent kernel signals
+    inconsistent structure constants.  Both routes also span rad², which
+    yields the radical generators (:func:`radical_generators`), memoized
+    with the basis.
 
     rad(A^op) is rad(A) as a set, and so is rad², so A and A^op share both
     results, computed once on the algebra whose ``opposite()`` made the pair.
@@ -350,6 +358,70 @@ def _radical_from_trace_form(g: StructureConstantAlgebra) -> tuple[Matrix, tuple
     return rad, generators
 
 
+def _radical_from_blocks(g: StructureConstantAlgebra, atoms, spaces, offsets) -> tuple[Matrix, tuple]:
+    """``(radical basis, radical generators)`` of g = End(A_0 + ... + A_k),
+    read off its atom blocks, for split local, pairwise non-isomorphic atoms.
+
+    The radical is then the radical of the module category: all of
+    Hom(A_s, A_t) for s != t, and rad End(A_s) on the diagonal.  Unit
+    vectors span the off-diagonal blocks and each atom's own kernel basis
+    its diagonal block; the blocks hold disjoint runs of coordinates, so
+    laid out in offset order they are already the ``kernel_basis`` normal
+    form.  rad² is blocked alike, rad²(s, t) = sum over u of
+    rad(u, t)∘rad(s, u), so the [rad² | rad] pivot rule of
+    ``_radical_from_trace_form`` runs block by block.
+    """
+    count = len(atoms)
+    # the radical basis of block (s, t) as (coordinate, value) terms of g
+    rad = {}
+    for s in range(count):
+        for t in range(count):
+            off = offsets[s][t]
+            if s == t:
+                local = _end_radical_coords(atoms[s]).columns()
+                rad[s, t] = [[(off + i, c) for i, c in enumerate(col) if c] for col in local]
+            else:
+                rad[s, t] = [[(off + i, 1)] for i in range(spaces[s][t].dim)]
+    columns = []
+    generators = []
+    for s in range(count):
+        for t in range(count):
+            block = rad[s, t]
+            if not block:
+                continue
+            off, d = offsets[s][t], spaces[s][t].dim
+            rows = []
+            for u in range(count):
+                for x in rad[u, t]:
+                    for y in rad[s, u]:
+                        prod = [0] * d
+                        for a, xa in x:
+                            plane = g.mult[a]
+                            for b, yb in y:
+                                c = xa * yb
+                                for m, r in plane[b]:
+                                    prod[m - off] += c * r
+                        if any(prod):
+                            rows.append(_canon_row(prod))
+            square = len(rows)
+            for terms in block:
+                vec = [0] * d
+                for a, c in terms:
+                    vec[a - off] = c
+                rows.append(vec)
+            _, pivots = Matrix._trusted(len(rows), d, rows).transpose().rref()
+            generators.extend(len(columns) + p - square for p in pivots if p >= square)
+            columns.extend(block)
+    n, r = g.dim, len(columns)
+    data = [[0] * r for _ in range(n)]
+    for j, terms in enumerate(columns):
+        for a, c in terms:
+            data[a][j] = c
+    basis = Matrix._trusted(n, r, data)
+    cols = basis.columns()
+    return basis, tuple(tuple(cols[j]) for j in generators)
+
+
 # ---------------------------------------------------------------------------
 # modules over a structure-constant algebra
 
@@ -411,7 +483,7 @@ def _combine(action, dim: int, terms) -> Matrix:
             for t, a in enumerate(arow):
                 if a != 0:
                     orow[t] += c * a
-    return Matrix(dim, dim, out)
+    return Matrix._trusted(dim, dim, [_canon_row(row) for row in out])
 
 
 def regular_sc_module(g: StructureConstantAlgebra) -> SCModule:
@@ -680,7 +752,10 @@ class _Chain:
         for v in originals:
             if not span.contains(v):
                 raise InternalError("endo", "projective cover construction is not onto")
-        mat = Matrix.from_columns(cols) if cols else Matrix.zeros(ambient_dim, 0)
+        if cols:
+            mat = Matrix._trusted(ambient_dim, len(cols), [_canon_row(list(row)) for row in zip(*cols)])
+        else:
+            mat = Matrix.zeros(ambient_dim, 0)
         return _Cover(kinds, gens, offsets, len(cols), mat)
 
     def extend(self) -> None:
@@ -1008,6 +1083,17 @@ def end_algebra(m: Module) -> tuple[StructureConstantAlgebra, list[Morphism]]:
 
 @memoized("end_algebra")
 def _end_algebra_data(m: Module) -> tuple[StructureConstantAlgebra, tuple]:
+    """``(End(m), vertex maps of its basis)``, built from the hom spaces and
+    composition tables of m's atom pairs.
+
+    When the atoms are split local (``rep._split_local``) and pairwise
+    non-isomorphic (each its own class of the certified ``is_isomorphic``
+    split), the algebra's radical and radical generators are seeded from
+    the atoms' own radicals (``_radical_from_blocks``), under the key that
+    ``_radical_data`` reads, so the opposite algebra shares them too.
+    Those certificates stand in for the trace form's nilpotency check.
+    Otherwise :func:`radical` takes the trace form when first asked.
+    """
     flat = flatten_atoms(m)
     keep = [i for i, a in enumerate(flat) if a.total_dim > 0]
     atoms = [flat[i] for i in keep]
@@ -1078,6 +1164,8 @@ def _end_algebra_data(m: Module) -> tuple[StructureConstantAlgebra, tuple]:
         piece_classes=classes,
         name=f"End(dim {m.total_dim})",
     )
+    if next_class == n_atoms and all(_split_local(a) for a in atoms):
+        cached(g, "radical", _radical_from_blocks, g, atoms, block_spaces, offsets)
     return g, tuple(b.maps for b in basis)
 
 
@@ -1090,7 +1178,8 @@ def hom_sc_bimodule_sides(m2: Module, m1: Module) -> tuple[SCModule, SCModule]:
     ``hom_space(m2, m1)``.  The End(m1) basis element phi: A_s -> A_t sends
     block (j, s) to block (j, t) by psi -> phi∘psi, and the End(m2) basis
     element phi: B_j -> B_k sends block (k, s) to block (j, s) by
-    psi -> psi∘phi; both are read off atom-level composition tables.
+    psi -> psi∘phi; both are read off atom-level composition tables, whose
+    canonical entries are copied into the action matrices unchecked.
     """
     g1, _ = end_algebra(m1)
     g2, _ = end_algebra(m2)
@@ -1118,7 +1207,7 @@ def hom_sc_bimodule_sides(m2: Module, m1: Module) -> tuple[SCModule, SCModule]:
                         for k, r in enumerate(coords._data):
                             if r[p] != 0:
                                 rows[offsets[j][t] + k][col] = r[p]
-                post.append(Matrix(tdim, tdim, rows))
+                post.append(Matrix._trusted(tdim, tdim, rows))
     pre = []
     for j, b_j in enumerate(sources):
         for k, b_k in enumerate(sources):
@@ -1133,7 +1222,7 @@ def hom_sc_bimodule_sides(m2: Module, m1: Module) -> tuple[SCModule, SCModule]:
                         for i, c in enumerate(r):
                             if c != 0:
                                 row[offsets[k][s] + i] = c
-                pre.append(Matrix(tdim, tdim, rows))
+                pre.append(Matrix._trusted(tdim, tdim, rows))
     side1 = SCModule(g1, tdim, post)
     side2 = SCModule(g2.opposite(), tdim, pre)
     return side1, side2

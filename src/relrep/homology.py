@@ -7,7 +7,8 @@ coordinates on chain resolutions by sums of cyclic modules, Yoneda on the
 projective route), a concrete Ext^1 presentation with
 pushout realization and pullback pairing, the transpose of a minimal
 presentation, and minimal add-approximations with the split-solve route kept
-alongside as an independent cross-check.
+alongside as an independent cross-check; add-membership is a Krull-Schmidt
+count when the atoms of the add-generator are split local.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from .rep import (
     _combinations,
     _end_radical_coords,
     _evaluate,
+    _multiplicity,
     _precomposed_images,
     _split_local,
     cogenerator_module,
@@ -733,12 +735,31 @@ def minimal_left_approximation(x: Module, m: Module) -> Morphism:
 
 
 def in_add(x: Module, m: Module) -> bool:
-    """Whether x is a direct summand of a finite direct sum of copies of m."""
+    """Whether x is a direct summand of a finite direct sum of copies of m.
+
+    When the distinct atoms z of m are all split local, by a Krull-Schmidt
+    count (``_in_add_by_count``): x is in add(m) exactly when the summands
+    isomorphic to some z fill it, sum of multiplicity(z, x)·dim z = dim x.
+    The count certifies both answers and never builds End(x).  Otherwise
+    x is in add(m) when its minimal right add(m)-approximation is an iso.
+    """
     if x.is_zero():
         return True
     if m.is_zero():
         return False
+    by_count = _in_add_by_count(x, m)
+    if by_count is not None:
+        return by_count
     return minimal_right_approximation(x, m).is_iso()
+
+
+def _in_add_by_count(x: Module, m: Module) -> bool | None:
+    """``in_add(x, m)`` for nonzero x and m by the Krull-Schmidt count, or
+    None when some distinct atom of m is not split local."""
+    atoms = _approximation_atoms(m)
+    if not all(_split_local(z) for z in atoms):
+        return None
+    return sum(_multiplicity(z, x) * z.total_dim for z in atoms) == x.total_dim
 
 
 def in_add_via_split(x: Module, m: Module) -> bool:

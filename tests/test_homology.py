@@ -6,8 +6,12 @@ morphisms from a cyclic module are fixed by one generator image, and minimal
 covers peel off radical layers one at a time.
 """
 
+import itertools
+import random
+
 import pytest
 
+from relrep import homology, rep
 from relrep.exact_linalg import QQ, Matrix
 from relrep.homology import (
     Ext1Space,
@@ -44,8 +48,10 @@ from relrep.path_algebra import (
     Arrow,
     Quiver,
     Relation,
+    cyclic_quiver,
     linear_quiver,
 )
+from relrep.relhom import contravariant_functor, covariant_functor, pd_F_le
 from relrep.rep import (
     Module,
     Morphism,
@@ -56,6 +62,7 @@ from relrep.rep import (
     is_isomorphic,
     parse_module_expression,
     proj_module,
+    regular_module,
     simple_module,
     summand_injection,
     summand_projection,
@@ -313,6 +320,117 @@ def test_in_add_agrees_with_split_route(cyc3_5, m1, m2):
     for x in enumerate_indecomposables_nakayama(cyc3_5):
         assert in_add(x, m1) == in_add_via_split(x, m1)
         assert in_add(x, m2) == in_add_via_split(x, m2)
+
+
+def _sweep_algebras():
+    """The four truncated cyclic algebras of the sweep workload, each with
+    its indecomposables (the witnesses) and its candidates: Lambda plus
+    every subset of the non-projective indecomposables, 92 in all."""
+    for vertices, bound in ((2, 2), (2, 3), (3, 2), (3, 3)):
+        alg = AlgebraPresentation.truncated(
+            cyclic_quiver(vertices), bound, name=f"cyc{vertices}-trunc{bound}"
+        )
+        witnesses = enumerate_indecomposables_nakayama(alg)
+        lam = regular_module(alg)
+        nonprojective = [x for x in witnesses if x.total_dim < bound]
+        candidates = [
+            direct_sum(alg, [lam, *combo])
+            for r in range(len(nonprojective) + 1)
+            for combo in itertools.combinations(nonprojective, r)
+        ]
+        yield alg, witnesses, candidates
+
+
+def _assert_membership_routes_agree(x, m) -> bool:
+    by_count = homology._in_add_by_count(x, m)
+    assert by_count is not None
+    assert by_count == minimal_right_approximation(x, m).is_iso() == in_add_via_split(x, m)
+    assert in_add(x, m) == by_count
+    return by_count
+
+
+def test_in_add_by_count_agrees_on_the_sweep_pairs():
+    """Every in_add call of the maximal-orthogonality sweep: the witnesses,
+    P(v) and I(v) against each candidate."""
+    pairs = members = 0
+    for alg, witnesses, candidates in _sweep_algebras():
+        vertices = range(alg.quiver.vertex_count)
+        probes = [
+            *witnesses,
+            *(proj_module(alg, v) for v in vertices),
+            *(inj_module(alg, v) for v in vertices),
+        ]
+        for m in candidates:
+            for x in probes:
+                members += _assert_membership_routes_agree(x, m)
+                pairs += 1
+    assert pairs == 1248
+    assert 0 < members < pairs
+
+
+def test_in_add_by_count_agrees_on_decomposable_modules():
+    """Sums of two witnesses, and their first syzygies, which are kernels
+    with no registered summands; every eighth (x, candidate) pair."""
+    pairs = members = 0
+    for alg, witnesses, candidates in _sweep_algebras():
+        sums = [direct_sum(alg, [a, b]) for a, b in itertools.combinations_with_replacement(witnesses, 2)]
+        syzygies = [projective_resolution(x).syzygy(1) for x in sums]
+        assert all(x.summands is None for x in syzygies)
+        xs = [x for x in sums + syzygies if not x.is_zero()]
+        for k, (m, x) in enumerate(itertools.product(candidates, xs)):
+            if k % 8 == 0:
+                members += _assert_membership_routes_agree(x, m)
+                pairs += 1
+    assert pairs == 795
+    assert 0 < members < pairs
+
+
+@pytest.fixture
+def end_radical_refused(monkeypatch):
+    """``rep._end_radical_coords`` raising, not computing, on every module
+    that a predicate registered through the returned function accepts: a
+    regression that builds End(x) of a huge module fails at once instead of
+    exhausting memory."""
+    rules = []
+    real = rep._end_radical_coords
+
+    def guarded(z):
+        if any(rule(z) for rule in rules):
+            raise AssertionError(f"rad End(x) built for x of dims {z.dims}")
+        return real(z)
+
+    monkeypatch.setattr(rep, "_end_radical_coords", guarded)
+    monkeypatch.setattr(homology, "_end_radical_coords", guarded)
+    return rules.append
+
+
+def test_in_add_never_builds_the_endomorphism_ring_of_x(cyc3_5, m1, m2, end_radical_refused):
+    layered = parse_module_expression(cyc3_5, "P(1)+S(1)")
+    plain = Module(cyc3_5, layered.dims, layered.arrow_maps)
+    sums = [direct_sum(cyc3_5, [a, b]) for a, b in ((m1, m2), (m2, layered))]
+    xs = [plain, *(projective_resolution(x).syzygy(1) for x in sums)]
+    end_radical_refused(lambda z: any(z is x for x in xs))
+    for x in xs:
+        assert x.summands is None
+        for m in (m1, m2, regular_module(cyc3_5), layered):
+            assert in_add(x, m) == in_add_via_split(x, m)
+
+
+def test_canonical_relative_resolutions_build_no_large_endomorphism_ring(cyc3_5, end_radical_refused):
+    """The non-minimized F-resolutions of criterion 7 have large terms that
+    are not registered sums; add-membership of their syzygies must not build
+    their endomorphism rings (it ran out of memory when it did)."""
+    pool = enumerate_indecomposables_nakayama(cyc3_5)
+    largest = max(x.total_dim for x in pool)
+    end_radical_refused(lambda z: z.total_dim > largest)
+    rng = random.Random(1517)
+    for _ in range(30):
+        x, m = rng.choice(pool), rng.choice(pool)
+        functor = covariant_functor(m) if rng.random() < 0.5 else contravariant_functor(m)
+        bound = rng.randint(0, 1)
+        assert pd_F_le(x, functor, bound, minimize=True) == pd_F_le(
+            x, functor, bound, minimize=False
+        )
 
 
 def test_minimal_right_approximation_of_outside_module(cyc3_5, m1):

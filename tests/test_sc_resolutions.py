@@ -23,11 +23,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sc_reference as ref
+from conftest import M1_EXPR, M2_EXPR
+from relrep import endo
 from relrep.endo import (
+    SCModule,
     StructureConstantAlgebra,
     _Chain,
     _Span,
+    _combine,
     _reduce_to_basic,
+    _terms,
     _top_chain,
     end_algebra,
     gldim_le,
@@ -43,6 +48,7 @@ from relrep.endo import (
 from relrep.exact_linalg import Matrix, hstack
 from relrep.path_algebra import AlgebraError, AlgebraPresentation, cyclic_quiver
 from relrep.rep import (
+    Module,
     cogenerator_module,
     direct_sum,
     enumerate_indecomposables_nakayama,
@@ -315,6 +321,114 @@ class TestSharedRadical:
         assert g_ref() is None
         assert (radical(op), radical_generators(op)) == ref.radical_data(op)
         assert radical(op.opposite()) is radical(op)
+
+
+class TestBlockRadical:
+    """End(M) with split local, pairwise non-isomorphic atoms gets its
+    radical and generators from the atoms' blocks; the trace form of g runs
+    only when an atom class repeats or an atom is not split local."""
+
+    @pytest.fixture
+    def trace_form_calls(self, monkeypatch):
+        calls = []
+        real = endo.trace_form_radical
+
+        def recorded(mult):
+            calls.append(mult)
+            return real(mult)
+
+        monkeypatch.setattr(endo, "trace_form_radical", recorded)
+        return calls
+
+    def test_the_blocks_give_the_route_from_scratch(self, cyc3_5, cyc2_4, trace_form_calls):
+        # fresh copies of the modules of radical_corpus's 98 End algebras,
+        # so that every algebra is built while the calls are recorded
+        theorem = [
+            parse_module_expression(alg, e)
+            for alg, exprs in (
+                (cyc3_5, (M1_EXPR, M2_EXPR)),
+                (cyc2_4, (C1_EXPR, C2_EXPR)),
+                (cyc3_5, (MUTATED_EXPR, MUTATED_M2_EXPR)),
+            )
+            for e in exprs
+        ]
+        modules = [*_sweep_candidates(), *theorem]
+        assert len(modules) == 98
+        for m in modules:
+            g, _ = end_algebra(m)
+            seeded = (radical(g), radical_generators(g))
+            assert not any(mult is g.mult for mult in trace_form_calls)
+            assert seeded == ref.radical_data(g)
+            assert radical(g.opposite()) is seeded[0]
+            assert radical_generators(g.opposite()) is seeded[1]
+
+    def test_a_repeated_class_takes_the_trace_form(self, cyc3_5, trace_form_calls):
+        g, _ = end_algebra(parse_module_expression(cyc3_5, "P(1)+P(1)+S(1)"))
+        assert g.piece_classes == (0, 0, 1)
+        assert (radical(g), radical_generators(g)) == ref.radical_data(g)
+        assert [mult is g.mult for mult in trace_form_calls] == [True]
+
+    def test_an_atom_that_is_not_split_local_takes_the_trace_form(self, cyc3_5, trace_form_calls):
+        # a plain copy of P(1)+S(1): one atom, decomposable, not a registered sum
+        layered = parse_module_expression(cyc3_5, "P(1)+S(1)")
+        plain = Module(cyc3_5, layered.dims, layered.arrow_maps)
+        m = direct_sum(cyc3_5, [parse_module_expression(cyc3_5, "P(2)"), plain])
+        g, _ = end_algebra(m)
+        assert len(set(g.piece_classes)) == 2
+        assert (radical(g), radical_generators(g)) == ref.radical_data(g)
+        assert [mult is g.mult for mult in trace_form_calls] == [True]
+
+
+def _assert_public_build(mat: Matrix) -> None:
+    """mat holds what the public constructor makes of its entries: the same
+    values, each of the same canonical type (an int when integral)."""
+    public = Matrix(mat.rows, mat.cols, mat._data)
+    assert mat == public
+    assert [list(map(type, row)) for row in mat._data] == [
+        list(map(type, row)) for row in public._data
+    ]
+
+
+class TestUncheckedBuilds:
+    """``_combine``, ``hom_sc_bimodule_sides`` and ``_Chain._build_cover``
+    wrap canonicalized rows unchecked; each build must equal the public
+    constructor's on the theorem modules."""
+
+    def test_bimodule_sides_and_their_combinations(self, pairs):
+        half = Fraction(1, 2)
+        for m1, m2 in pairs:
+            for side in hom_sc_bimodule_sides(m2, m1):
+                for a in side.action:
+                    _assert_public_build(a)
+                for k, a in enumerate(side.action):
+                    # half + half: products that are integral Fractions
+                    combined = _combine(side.action, side.dim, [(k, half), (k, half)])
+                    _assert_public_build(combined)
+                    assert combined == a
+                for terms in (_terms(g) for g in radical_generators(side.algebra)):
+                    _assert_public_build(_combine(side.action, side.dim, terms))
+
+    def test_covers(self, pairs):
+        for m1, m2 in pairs:
+            modules = [*hom_sc_bimodule_sides(m2, m1)]
+            for m in (m1, m2):
+                g, _ = end_algebra(m)
+                modules += [regular_sc_module(g), semisimple_quotient_module(g)]
+            for x in modules + [_rescaled(x) for x in modules]:
+                chain = _Chain(x.algebra, x)
+                chain.ensure(CHAIN_DEPTH)
+                for cover in chain.covers:
+                    _assert_public_build(cover.mat)
+
+
+def _rescaled(x: SCModule) -> SCModule:
+    """x in the basis of the columns of T = I + (1/2)·(superdiagonal): an
+    isomorphic module whose action has non-integral entries, so that cover
+    columns are sums of Fraction products, some of them integral."""
+    half = Fraction(1, 2)
+    t = Matrix(x.dim, x.dim, [[int(i == j) + (half if j == i + 1 else 0) for j in range(x.dim)] for i in range(x.dim)])
+    t_inv = t.inverse()
+    return SCModule(x.algebra, x.dim, [t_inv @ a @ t for a in x.action])
 
 
 def _rows_by_pivot(span: _Span) -> list:
