@@ -2,13 +2,14 @@
 
 Everything here is absolute homological algebra for a fixed bound quiver
 algebra: minimal projective covers and injective hulls, stepwise resolutions
-with cached syzygies, Ext dimensions off the hom complex (in generator
-coordinates on chain resolutions by sums of cyclic modules, Yoneda on the
-projective route), a concrete Ext^1 presentation with
-pushout realization and pullback pairing, the transpose of a minimal
-presentation, and minimal add-approximations with the split-solve route kept
-alongside as an independent cross-check; add-membership is a Krull-Schmidt
-count when the atoms of the add-generator are split local.
+with cached syzygies, Ext dimensions off the hom complex (Yoneda on the
+projective route, which adds values cached per atom pair over direct sums;
+the injective route works on the whole modules), a concrete Ext^1
+presentation with pushout realization and pullback pairing, the transpose
+of a minimal presentation, and minimal add-approximations with the
+split-solve route kept alongside as an independent cross-check;
+add-membership is a Krull-Schmidt count when the atoms of the add-generator
+are split local.
 """
 
 from __future__ import annotations
@@ -258,34 +259,38 @@ def resolution_cohomology_dim(res: Resolution, i: int, other: Module) -> int:
 def ext_dim(i: int, x: Module, y: Module, via: str = "projective") -> int:
     """dim Ext^i(x, y).
 
-    via="projective" works off a minimal projective resolution of x, in
-    Yoneda coordinates: Hom(P(v), y) = e_v y, so each boundary of the hom
-    complex is one block matrix read off the differential (see
-    ``_generator_rank``).  via="injective"
-    works off a minimal injective coresolution of y by composing hom-space
-    bases with the differentials; the two agree and the second is kept as an
-    independent, morphism-level cross-check.
+    via="projective" is additive over direct sums: for i >= 1 it adds
+    dim Ext^i(a, b) over the nonzero atoms a of x and b of y (the leaves of
+    ``flatten_atoms``, repeats included).  Each atom pair's value is cached
+    on the younger atom (``relrep.cache.cached_pair``) and computed on a miss
+    off a minimal projective resolution of a, in Yoneda coordinates:
+    Hom(P(v), b) = e_v b, so each boundary of the hom complex is one block
+    matrix read off the differential (see ``_generator_rank``).  So a fresh
+    sum of atoms already seen costs lookups alone.  via="injective" works
+    off a minimal injective coresolution of the whole of y, composing
+    hom-space bases with the differentials; the two agree, and the second is
+    kept as an independent, morphism-level cross-check of the Yoneda route
+    and of its additivity.
     """
     if i < 0:
         raise AlgebraError("ext degree must be >= 0")
     if i == 0:
         return hom_dim(x, y)
     if via == "projective":
-        return resolution_cohomology_dim(projective_resolution(x), i, y)
+        targets = [b for b in flatten_atoms(y) if not b.is_zero()]
+        return sum(
+            cached_pair(a, b, ("ext", i), _atom_ext_dim, i, a, b)
+            for a in flatten_atoms(x)
+            if not a.is_zero()
+            for b in targets
+        )
     if via == "injective":
         return resolution_cohomology_dim(injective_resolution(y), i, x)
     raise AlgebraError(f"unknown ext route {via!r}")
 
 
-def ext_dims_up_to(max_i: int, x: Module, y: Module) -> list[int]:
-    """[dim Ext^0(x,y), ..., dim Ext^max_i(x,y)] off one resolution complex."""
-    if max_i < 0:
-        raise AlgebraError("ext degree must be >= 0")
-    res = projective_resolution(x)
-    res.ensure_terms(max_i + 2)
-    dim, rank = _hom_complex(res, y)
-    ranks = [rank(k) for k in range(max_i + 1)]
-    return [dim(i) - ranks[i] - (ranks[i - 1] if i else 0) for i in range(max_i + 1)]
+def _atom_ext_dim(i: int, a: Module, b: Module) -> int:
+    return resolution_cohomology_dim(projective_resolution(a), i, b)
 
 
 # -- morphism factorization ---------------------------------------------------

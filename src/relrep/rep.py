@@ -25,6 +25,7 @@ from typing import Sequence
 from .cache import Cached, cached_pair, involution, memoized
 from .exact_linalg import (
     Matrix,
+    _canon_row,
     block_diag,
     complement_projection,
     gather_columns,
@@ -887,7 +888,7 @@ def morphism_from_generator(source: Module, target: Module, u: Matrix) -> Morphi
             if supports[i]:
                 for orow, arow in zip(phi, target.action(p)._data):
                     orow[col] = sum(arow[k] * c for k, c in supports[i])
-        phi = Matrix(target.dims[w], len(labels), phi)
+        phi = Matrix._trusted(target.dims[w], len(labels), [_canon_row(row) for row in phi])
         maps.append(phi if pres.relations is None else phi @ pres.sections[w])
     return Morphism._make(source, target, tuple(maps))
 
@@ -1090,10 +1091,18 @@ def _end_radical_coords(x: Module) -> Matrix:
     )
 
 
+@memoized("split_local")
 def _split_local(z: Module) -> bool:
     """Whether End(z)/rad is QQ: z is indecomposable with a split local
-    endomorphism ring."""
+    endomorphism ring.  Cached on z."""
     return hom_dim(z, z) - _end_radical_coords(z).cols == 1
+
+
+@memoized("end_top")
+def _end_top_projection(z: Module) -> Matrix:
+    """The projection End(z) -> End(z)/rad, in the basis of ``hom_space(z, z)``;
+    cached on z."""
+    return complement_projection(_end_radical_coords(z))[0]
 
 
 # -- isomorphism testing -------------------------------------------------------
@@ -1117,11 +1126,18 @@ def _radical_fingerprint(m: Module) -> tuple:
 
 def _multiplicity(z: Module, a: Module) -> int:
     """How often the split local module z is a summand of a: the rank of the
-    pairing Hom(z, a) x Hom(a, z) -> End(z)/rad = QQ, (f, g) -> g∘f."""
+    pairing Hom(z, a) x Hom(a, z) -> End(z)/rad = QQ, (f, g) -> g∘f.
+
+    Cached on the younger of z and a (``relrep.cache.cached_pair``), so a
+    sweep over long-lived atoms and witnesses reads each pair once."""
+    return cached_pair(z, a, "multiplicity", _pairing_rank, z, a)
+
+
+def _pairing_rank(z: Module, a: Module) -> int:
     into, out = hom_space(z, a), hom_space(a, z)
     if into.dim == 0 or out.dim == 0:
         return 0
-    proj, _ = complement_projection(_end_radical_coords(z))
+    proj = _end_top_projection(z)
     return vstack([proj @ t for t in composition_table(out, into)]).rank()
 
 

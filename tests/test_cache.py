@@ -10,6 +10,7 @@ import weakref
 
 import pytest
 
+from relrep import homology
 from relrep.cache import Cached, cached, cached_pair
 from relrep.endo import check_maximal_orthogonal, end_algebra
 from relrep.homology import dtr, ext1_space, ext_dim, trd
@@ -137,6 +138,39 @@ def test_composition_table_dies_with_its_younger_hom_space():
     assert hom_space(p, p).gens is outer.gens
 
 
+def test_an_ext_entry_dies_with_its_younger_atom(monkeypatch):
+    algebra = AlgebraPresentation.truncated(cyclic_quiver(3), 5, name="cyclic3")
+    old = parse_module_expression(algebra, "P(1)/rad^2")
+    computed = []
+    real = homology._atom_ext_dim
+
+    def counted(i, a, b):
+        computed.append(i)
+        return real(i, a, b)
+
+    monkeypatch.setattr(homology, "_atom_ext_dim", counted)
+
+    def ext_entries(module):
+        return [slot for slot in module._cache if slot[0] == ("ext", 1)]
+
+    with _collector_off():
+        young = parse_module_expression(algebra, "P(3)/rad^2")
+        both = direct_sum(algebra, [young, old])
+        assert ext_dim(1, both, old) == ext_dim(1, young, old) + ext_dim(1, old, old) == 1
+        assert len(computed) == 2
+        # the pair (young, old) sits on the younger atom, (old, old) on old,
+        # and the sum holds no entry of its own
+        assert len(ext_entries(young)) == 1 and len(ext_entries(old)) == 1
+        assert ext_entries(both) == []
+        young_ref = weakref.ref(young)
+        del both, young
+        assert young_ref() is None
+        # a fresh copy finds no entry: the old one went with its owner
+        again = parse_module_expression(algebra, "P(3)/rad^2")
+        assert ext_dim(1, again, old) == 1
+        assert len(computed) == 3 and len(ext_entries(old)) == 1
+
+
 # -- one relative functor per (module, variance), held weakly by the module ---------
 
 
@@ -219,21 +253,25 @@ def _query_round(algebra) -> None:
                 hom_space(z, p)
 
 
-def _sweep_round(algebra, lam, nonprojective) -> None:
+def _sweep_round(algebra, lam, nonprojective, witnesses) -> None:
+    """Fresh candidates in both modes; enumeration mode reads Ext and
+    multiplicities per pair of the long-lived atoms and witnesses."""
     for r in range(len(nonprojective) + 1):
         for combo in itertools.combinations(nonprojective, r):
             check_maximal_orthogonal(direct_sum(algebra, [lam, *combo]), 1, mode="corollary")
+            check_maximal_orthogonal(direct_sum(algebra, [lam, *combo]), 1, mode="enumeration", witnesses=witnesses)
 
 
 def test_live_modules_stay_flat_across_rounds():
     cyclic3 = AlgebraPresentation.truncated(cyclic_quiver(3), 5, name="cyclic3")
     cyc2 = AlgebraPresentation.truncated(cyclic_quiver(2), 3, name="cyc2-trunc3")
     lam = regular_module(cyc2)
-    nonprojective = [x for x in enumerate_indecomposables_nakayama(cyc2) if x.total_dim < 3]
+    witnesses = enumerate_indecomposables_nakayama(cyc2)
+    nonprojective = [x for x in witnesses if x.total_dim < 3]
 
     def both_rounds():
         _query_round(cyclic3)
-        _sweep_round(cyc2, lam, nonprojective)
+        _sweep_round(cyc2, lam, nonprojective, witnesses)
 
     both_rounds()
     after_first = _live_modules()
@@ -246,9 +284,10 @@ def test_fresh_module_rounds_leave_no_cyclic_garbage():
     cyclic3 = AlgebraPresentation.truncated(cyclic_quiver(3), 5, name="cyclic3")
     cyc2 = AlgebraPresentation.truncated(cyclic_quiver(2), 3, name="cyc2-trunc3")
     lam = regular_module(cyc2)
-    nonprojective = [x for x in enumerate_indecomposables_nakayama(cyc2) if x.total_dim < 3]
+    witnesses = enumerate_indecomposables_nakayama(cyc2)
+    nonprojective = [x for x in witnesses if x.total_dim < 3]
     _query_round(cyclic3)
-    _sweep_round(cyc2, lam, nonprojective)
+    _sweep_round(cyc2, lam, nonprojective, witnesses)
     gc.collect()
     flags = gc.get_debug()
     seen = len(gc.garbage)
@@ -257,7 +296,7 @@ def test_fresh_module_rounds_leave_no_cyclic_garbage():
             # every fresh module and what is cached on it is freed by
             # reference counting when the round returns
             _query_round(cyclic3)
-            _sweep_round(cyc2, lam, nonprojective)
+            _sweep_round(cyc2, lam, nonprojective, witnesses)
             gc.set_debug(flags | gc.DEBUG_SAVEALL)
             gc.collect()
             found = gc.garbage[seen:]

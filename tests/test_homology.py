@@ -20,7 +20,6 @@ from relrep.homology import (
     dtr,
     ext1_space,
     ext_dim,
-    ext_dims_up_to,
     factor_through,
     factor_through_mono,
     gldim_le,
@@ -44,6 +43,7 @@ from relrep.homology import (
     yoneda_ext1_pairing,
 )
 from relrep.path_algebra import (
+    AlgebraError,
     AlgebraPresentation,
     Arrow,
     Quiver,
@@ -68,6 +68,20 @@ from relrep.rep import (
     summand_projection,
     zero_module,
 )
+
+
+def ext_dims_up_to(max_i: int, x: Module, y: Module) -> list[int]:
+    """[dim Ext^0(x,y), ..., dim Ext^max_i(x,y)] off one resolution complex.
+
+    The whole-module reference: one resolution of the whole of x against the
+    whole of y, where ``ext_dim`` adds per-atom-pair values."""
+    if max_i < 0:
+        raise AlgebraError("ext degree must be >= 0")
+    res = projective_resolution(x)
+    res.ensure_terms(max_i + 2)
+    dim, rank = _hom_complex(res, y)
+    ranks = [rank(k) for k in range(max_i + 1)]
+    return [dim(i) - ranks[i] - (ranks[i - 1] if i else 0) for i in range(max_i + 1)]
 
 
 @pytest.fixture(scope="module")

@@ -52,7 +52,10 @@ from relrep.rep import (
     cogenerator_module,
     direct_sum,
     enumerate_indecomposables_nakayama,
+    flatten_atoms,
+    hom_space,
     parse_module_expression,
+    proj_module,
     regular_module,
 )
 
@@ -390,9 +393,9 @@ def _assert_public_build(mat: Matrix) -> None:
 
 
 class TestUncheckedBuilds:
-    """``_combine``, ``hom_sc_bimodule_sides`` and ``_Chain._build_cover``
-    wrap canonicalized rows unchecked; each build must equal the public
-    constructor's on the theorem modules."""
+    """``_combine``, ``hom_sc_bimodule_sides``, ``_Chain._build_cover`` and
+    ``rep.morphism_from_generator`` wrap canonicalized rows unchecked; each
+    build must equal the public constructor's on the theorem modules."""
 
     def test_bimodule_sides_and_their_combinations(self, pairs):
         half = Fraction(1, 2)
@@ -419,6 +422,35 @@ class TestUncheckedBuilds:
                 chain.ensure(CHAIN_DEPTH)
                 for cover in chain.covers:
                     _assert_public_build(cover.mat)
+
+
+    def test_morphisms_from_generators(self, pairs):
+        """Out of projectives (whose vertex maps are the built rows
+        themselves) and out of the atoms, into the atoms and into rescaled
+        copies of them; coefficients 1/2 as well as basis vectors."""
+        half = Fraction(1, 2)
+        fractional = 0
+        for m1, m2 in pairs:
+            alg = m1.algebra
+            atoms = list({id(a): a for a in flatten_atoms(m1) + flatten_atoms(m2)}.values())
+            sources = atoms + [proj_module(alg, v) for v in range(alg.quiver.vertex_count)]
+            for x in sources:
+                for y in atoms + [_rescaled_module(y) for y in atoms]:
+                    space = hom_space(x, y)
+                    for coords in [*Matrix.identity(space.dim).columns(), [half] * space.dim]:
+                        for mat in space.from_coords(coords).maps:
+                            _assert_public_build(mat)
+                            fractional += any(type(c) is not int for row in mat._data for c in row)
+        assert fractional
+
+
+def _rescaled_module(x: Module) -> Module:
+    """x in the basis of the columns of T_v = I + (1/2)·(superdiagonal) at
+    each vertex v (the module counterpart of ``_rescaled``)."""
+    half = Fraction(1, 2)
+    ts = [Matrix(d, d, [[int(i == j) + (half if j == i + 1 else 0) for j in range(d)] for i in range(d)]) for d in x.dims]
+    arrows = x.algebra.quiver.arrows
+    return Module(x.algebra, x.dims, [ts[a.target].inverse() @ m @ ts[a.source] for a, m in zip(arrows, x.arrow_maps)])
 
 
 def _rescaled(x: SCModule) -> SCModule:
