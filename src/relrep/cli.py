@@ -39,7 +39,7 @@ from .relhom import (
 from .endo import (
     check_maximal_orthogonal,
     check_prop_gldim,
-    end_algebra,
+    end_ring,
     gldim_le,
     search_exchange_sequence,
     verify_theorem,
@@ -493,7 +493,7 @@ def cmd_gldim_endo(args) -> int:
     report.put("algebra", algebra.name or args.algebra)
     report.put("module", args.module)
     report.put("bound", args.bound)
-    endo, basis = end_algebra(module)
+    endo = end_ring(module)
     verdict = gldim_le(endo, args.bound)
     report.say(
         f"endomorphism algebra dimension {endo.dim}; "

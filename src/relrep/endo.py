@@ -38,8 +38,6 @@ from .rep import (
     inj_module,
     is_isomorphic,
     proj_module,
-    summand_injection,
-    summand_projection,
     trace_form_radical,
 )
 from .homology import ext_dim, factor_through, in_add, is_left_minimal, is_right_minimal
@@ -73,10 +71,11 @@ class StructureConstantAlgebra(Cached):
     coordinate vector of the identity.  ``idempotents`` (optional) is a list
     of pairwise orthogonal idempotents summing to the unit; when each left
     ideal ``A·e`` is spanned by a subset of the basis (always true for the
-    algebras produced by
-    :func:`end_algebra`) the dimension engine uses them to build projective
-    covers.  ``piece_classes`` (optional) groups idempotents whose left ideals
-    are isomorphic, enabling reduction to a basic algebra.
+    algebras produced by :func:`end_ring`) the dimension engine uses them to
+    build projective covers.  ``piece_members`` (``from_sparse`` only) names
+    those subsets when the caller knows them; otherwise they are detected.
+    ``piece_classes`` (optional) groups idempotents whose left ideals are
+    isomorphic, enabling reduction to a basic algebra.
     """
 
     __slots__ = (
@@ -115,15 +114,16 @@ class StructureConstantAlgebra(Cached):
         idempotents=None,
         piece_classes=None,
         name: str = "",
+        piece_members=None,
     ) -> "StructureConstantAlgebra":
         """Build from rows already in the sparse ``(m, c)`` layout (not re-coerced)."""
         if len(mult) != dim or any(len(plane) != dim for plane in mult):
             raise AlgebraError("multiplication tensor is not dim x dim x dim")
         g = cls.__new__(cls)
-        g._setup(dim, tuple(tuple(plane) for plane in mult), unit, idempotents, piece_classes, name)
+        g._setup(dim, tuple(tuple(plane) for plane in mult), unit, idempotents, piece_classes, name, piece_members)
         return g
 
-    def _setup(self, dim, mult, unit, idempotents, piece_classes, name) -> None:
+    def _setup(self, dim, mult, unit, idempotents, piece_classes, name, piece_members=None) -> None:
         self.dim = dim
         self.mult = mult
         self.unit = tuple(rational(c) for c in unit)
@@ -133,7 +133,7 @@ class StructureConstantAlgebra(Cached):
         super().__init__()
         if idempotents is not None:
             self.idempotents = tuple(tuple(rational(c) for c in e) for e in idempotents)
-            self.piece_members = self._detect_members()
+            self.piece_members = self._detect_members() if piece_members is None else piece_members
         else:
             self.idempotents = None
             self.piece_members = None
@@ -285,7 +285,7 @@ def radical(g: StructureConstantAlgebra) -> Matrix:
 
     An End(M) whose atoms are split local and pairwise non-isomorphic comes
     with its radical already read off its atom blocks (see
-    ``_end_algebra_data`` and ``_radical_from_blocks``).  Every other
+    ``end_ring`` and ``_radical_from_blocks``).  Every other
     algebra takes the trace bilinear form: over the rationals the radical is
     the kernel of ``T(x, y) = trace of left-multiplication by x*y``.  That
     kernel is verified nilpotent; a non-nilpotent kernel signals
@@ -596,23 +596,11 @@ class _Cover:
         self.minimal: bool | None = None
 
 
-def _piece(g: StructureConstantAlgebra, kind: int) -> tuple[tuple, tuple]:
-    """(members, idempotent) of piece ``kind``; without structural idempotents
-    the one piece is the whole algebra with the unit."""
-    if g.piece_members is None:
-        return tuple(range(g.dim)), g.unit
-    return g.piece_members[kind], g.idempotents[kind]
-
-
-@memoized("piece radical")
-def _piece_radical(g: StructureConstantAlgebra, kind: int) -> list[list]:
-    """A basis of (rad A)e for the idempotent e of piece ``kind`` (the unit
-    when g has no structural idempotents), in the coordinates of the basis
-    vectors spanning the left ideal A e.  The radical is a two-sided ideal,
-    so (rad A)e lies in A e; and since e_m·e is e_m for the piece's members
-    and 0 for every other basis vector, r·e is r restricted to the members.
-    Callers must not mutate the result."""
-    members, _ = _piece(g, kind)
+def _piece_radical(g: StructureConstantAlgebra, members) -> list[list]:
+    """A basis of (rad A)e, in the coordinates of the basis vectors
+    ``members`` that span A e.  The radical is a two-sided ideal, so (rad A)e
+    lies in A e, and r·e is r restricted to the members (e_m·e is e_m for a
+    member and 0 for every other basis vector)."""
     span = _Span(len(members))
     out = []
     for r in radical(g).columns():
@@ -620,6 +608,37 @@ def _piece_radical(g: StructureConstantAlgebra, kind: int) -> list[list]:
         if span.add(comp):
             out.append(comp)
     return out
+
+
+class _ChainTables:
+    """What every chain over g reads (shared, so read only), once per g and
+    holding no reference to it: per piece A e (the whole algebra with the unit when g has no
+    structural idempotents) its members, idempotent and (rad A)e, with
+    ``acts[kind][t][k]`` the ``(position, c)`` pairs of e_k times the t-th
+    member; and the terms of the radical generators."""
+
+    __slots__ = ("members", "idem_vectors", "idem_terms", "piece_rads", "rad_terms", "acts", "__weakref__")
+
+    def __init__(self, g: StructureConstantAlgebra) -> None:
+        self.members = g.piece_members or (tuple(range(g.dim)),)
+        self.idem_vectors = [list(e) for e in (g.idempotents if g.piece_members else [g.unit])]
+        self.idem_terms = [_terms(e) for e in self.idem_vectors]
+        self.piece_rads = [_piece_radical(g, ms) for ms in self.members]
+        self.rad_terms = [_terms(r) for r in radical_generators(g)]
+        self.acts = []
+        for ms in self.members:
+            index = {m: t for t, m in enumerate(ms)}
+            try:
+                self.acts.append(
+                    [[tuple((index[m], c) for m, c in plane[member]) for plane in g.mult] for member in ms]
+                )
+            except KeyError:
+                raise AlgebraError("left ideal is not spanned by basis vectors") from None
+
+
+@memoized("chain tables")
+def _chain_tables(g: StructureConstantAlgebra) -> _ChainTables:
+    return _ChainTables(g)
 
 
 class _Chain:
@@ -632,9 +651,9 @@ class _Chain:
     whether its kernel lies inside the radical of the cover (the minimality
     certificate).  The radical of each kernel K is spanned by L·K for the
     radical generators L (:func:`radical_generators`), not by the products
-    with the whole radical basis.  A chain keeps g's structure constants and
-    the action of x, not g itself: chains memoized on g hold no reference
-    back to it.
+    with the whole radical basis.  A chain keeps g's chain tables and the
+    action of x, not g itself: chains memoized on g hold no reference back
+    to it.
     """
 
     def __init__(self, g: StructureConstantAlgebra, base: SCModule) -> None:
@@ -656,36 +675,29 @@ class _Chain:
         return chain
 
     def _read_algebra(self, g: StructureConstantAlgebra) -> None:
-        self.mult = g.mult
+        tables = _chain_tables(g)
         self.algebra_dim = g.dim
-        self.kinds = list(range(len(g.idempotents))) if g.piece_members is not None else [0]
-        pieces = [_piece(g, kind) for kind in self.kinds]
-        self.members = [ms for ms, _ in pieces]
-        self.idem_vectors = [list(e) for _, e in pieces]
-        self.member_index = [{m: t for t, m in enumerate(ms)} for ms in self.members]
-        self.piece_rads = [_piece_radical(g, kind) for kind in self.kinds]
-        self.rad_terms = [_terms(r) for r in radical_generators(g)]
-        self.idem_terms = [_terms(e) for e in self.idem_vectors]
+        self.members = tables.members
+        self.idem_vectors = tables.idem_vectors
+        self.idem_terms = tables.idem_terms
+        self.piece_rads = tables.piece_rads
+        self.rad_terms = tables.rad_terms
+        self.acts = tables.acts
         self.covers: list[_Cover] = []
 
     # -- per-piece helpers ---------------------------------------------------
 
     def _act_in_piece(self, terms: list, kind: int, comp: list) -> list:
         """Action of the element given by ``(k, c)`` terms on a piece vector."""
-        members = self.members[kind]
-        index = self.member_index[kind]
-        mult = self.mult
-        out = [0] * len(members)
+        acts = self.acts[kind]
+        out = [0] * len(comp)
         for t, c in enumerate(comp):
             if c == 0:
                 continue
-            member = members[t]
+            row = acts[t]
             for k, ck in terms:
                 cc = c * ck
-                for m, rm in mult[k][member]:
-                    pos = index.get(m)
-                    if pos is None:
-                        raise AlgebraError("left ideal is not spanned by basis vectors")
+                for pos, rm in row[k]:
                     out[pos] += cc * rm
         return out
 
@@ -736,7 +748,7 @@ class _Chain:
         offsets: list[int] = []
         cols: list[list] = []
         for s in range(candidate_count):
-            for kind in range(len(self.kinds)):
+            for kind in range(len(self.members)):
                 w = candidate_images[kind][s]
                 if all(c == 0 for c in w):
                     continue
@@ -999,7 +1011,7 @@ def gldim_le(g: StructureConstantAlgebra, n: int) -> bool:
 def _top_chain(g: StructureConstantAlgebra, kind: int) -> "_Chain | None":
     """The resolution chain of the simple top A e / (rad A)e of piece
     ``kind`` (None if zero), seeded at its known first syzygy (rad A)e."""
-    if len(_piece_radical(g, kind)) == len(g.piece_members[kind]):
+    if len(_chain_tables(g).piece_rads[kind]) == len(g.piece_members[kind]):
         return None
     return _Chain._at_top(g, kind)
 
@@ -1041,28 +1053,6 @@ def sc_injective_dim_le(g: StructureConstantAlgebra, x: SCModule, n: int) -> boo
 # endomorphism algebras of representations
 
 
-def _atom_access(m: Module):
-    """Injection/projection morphisms for each atom of ``flatten_atoms(m)``."""
-    if m.summands is None:
-        ident = Morphism.identity(m)
-        return [ident], [ident]
-    injections = []
-    projections = []
-    for s in range(len(m.summands)):
-        inj = summand_injection(m, s)
-        proj = summand_projection(m, s)
-        part = m.summands[s]
-        if part.summands is None:
-            injections.append(inj)
-            projections.append(proj)
-        else:
-            sub_inj, sub_proj = _atom_access(part)
-            for i, p in zip(sub_inj, sub_proj):
-                injections.append(inj @ i)
-                projections.append(p @ proj)
-    return injections, projections
-
-
 def _nonzero_atoms(m: Module) -> list[Module]:
     return [a for a in flatten_atoms(m) if a.total_dim > 0]
 
@@ -1070,21 +1060,40 @@ def _nonzero_atoms(m: Module) -> list[Module]:
 def end_algebra(m: Module) -> tuple[StructureConstantAlgebra, list[Morphism]]:
     """The endomorphism algebra of ``m`` with its morphism basis.
 
-    The basis is blocked by (source atom, target atom) pairs of the summand
-    tree; the product of basis elements is their composite (second argument
-    applied first).  Each atom contributes a structural idempotent, and atoms
-    are grouped into isomorphism classes for the dimension engine.  The
-    algebra and the vertex maps of the basis are cached on ``m``; the basis
-    morphisms are built on each call.
+    The algebra is :func:`end_ring`, cached on ``m``.  The basis is built on
+    each call and not cached: the basis map of phi: A_s -> A_t, for atoms of
+    m, is phi's vertex maps placed at the offsets of A_t (rows) and A_s
+    (columns) inside m, where the atoms lie one after the other at every
+    vertex.  The product of basis elements is their composite (second
+    argument applied first).
     """
-    g, basis = _end_algebra_data(m)
-    return g, [Morphism._make(m, m, maps) for maps in basis]
+    placed, running = [], [0] * len(m.dims)
+    for a in _nonzero_atoms(m):
+        placed.append((a, running))
+        running = [r + d for r, d in zip(running, a.dims)]
+    basis = []
+    for a_s, off_s in placed:
+        for a_t, off_t in placed:
+            for phi in hom_space(a_s, a_t).basis:
+                maps = []
+                for d, block, row_off, col_off in zip(m.dims, phi.maps, off_t, off_s):
+                    rows = [[0] * d for _ in range(d)]
+                    for i, entries in enumerate(block._data):
+                        rows[row_off + i][col_off : col_off + len(entries)] = entries
+                    maps.append(Matrix._trusted(d, d, rows))
+                basis.append(Morphism._make(m, m, tuple(maps)))
+    return end_ring(m), basis
 
 
 @memoized("end_algebra")
-def _end_algebra_data(m: Module) -> tuple[StructureConstantAlgebra, tuple]:
-    """``(End(m), vertex maps of its basis)``, built from the hom spaces and
-    composition tables of m's atom pairs.
+def end_ring(m: Module) -> StructureConstantAlgebra:
+    """End(m) as a structure-constant algebra without its morphism basis,
+    built from the hom spaces and composition tables of m's atom pairs.
+
+    The basis is blocked by (source atom, target atom) pairs, zero atoms
+    skipped.  Atom A_s gives the structural idempotent e_s, and A·e_s is the
+    run of blocks (s, t) over all t.  Atoms are grouped into isomorphism
+    classes for the dimension engine.
 
     When the atoms are split local (``rep._split_local``) and pairwise
     non-isomorphic (each its own class of the certified ``is_isomorphic``
@@ -1094,29 +1103,17 @@ def _end_algebra_data(m: Module) -> tuple[StructureConstantAlgebra, tuple]:
     Those certificates stand in for the trace form's nilpotency check.
     Otherwise :func:`radical` takes the trace form when first asked.
     """
-    flat = flatten_atoms(m)
-    keep = [i for i, a in enumerate(flat) if a.total_dim > 0]
-    atoms = [flat[i] for i in keep]
+    atoms = _nonzero_atoms(m)
     if not atoms:
-        return StructureConstantAlgebra([], [], name="End(0)"), ()
-    injections, projections = _atom_access(m)
-    injections = [injections[i] for i in keep]
-    projections = [projections[i] for i in keep]
+        return StructureConstantAlgebra([], [], name="End(0)")
     n_atoms = len(atoms)
     block_spaces = [[hom_space(atoms[s], atoms[t]) for t in range(n_atoms)] for s in range(n_atoms)]
     offsets = [[0] * n_atoms for _ in range(n_atoms)]
     total = 0
-    order = []
     for s in range(n_atoms):
         for t in range(n_atoms):
             offsets[s][t] = total
-            d = block_spaces[s][t].dim
-            total += d
-            order.extend((s, t, i) for i in range(d))
-    basis: list[Morphism] = []
-    for s, t, i in order:
-        phi = block_spaces[s][t].basis[i]
-        basis.append(injections[t] @ phi @ projections[s])
+            total += block_spaces[s][t].dim
     # e_a * e_b is nonzero only when b ends at the atom where a starts:
     # a: A_sa -> A_ta after b: A_sb -> A_sa, read off one composition table
     mult: list[list[tuple]] = [[()] * total for _ in range(total)]
@@ -1156,6 +1153,7 @@ def _end_algebra_data(m: Module) -> tuple[StructureConstantAlgebra, tuple]:
             if classes[t] < 0 and atoms[s].dims == atoms[t].dims and is_isomorphic(atoms[s], atoms[t]):
                 classes[t] = next_class
         next_class += 1
+    ends = [offsets[s][0] for s in range(1, n_atoms)] + [total]
     g = StructureConstantAlgebra.from_sparse(
         total,
         mult,
@@ -1163,10 +1161,11 @@ def _end_algebra_data(m: Module) -> tuple[StructureConstantAlgebra, tuple]:
         idempotents=idempotents,
         piece_classes=classes,
         name=f"End(dim {m.total_dim})",
+        piece_members=tuple(tuple(range(offsets[s][0], ends[s])) for s in range(n_atoms)),
     )
     if next_class == n_atoms and all(_split_local(a) for a in atoms):
         cached(g, "radical", _radical_from_blocks, g, atoms, block_spaces, offsets)
-    return g, tuple(b.maps for b in basis)
+    return g
 
 
 def hom_sc_bimodule_sides(m2: Module, m1: Module) -> tuple[SCModule, SCModule]:
@@ -1181,8 +1180,8 @@ def hom_sc_bimodule_sides(m2: Module, m1: Module) -> tuple[SCModule, SCModule]:
     psi -> psi∘phi; both are read off atom-level composition tables, whose
     canonical entries are copied into the action matrices unchecked.
     """
-    g1, _ = end_algebra(m1)
-    g2, _ = end_algebra(m2)
+    g1 = end_ring(m1)
+    g2 = end_ring(m2)
     targets = _nonzero_atoms(m1)
     sources = _nonzero_atoms(m2)
     blocks = [[hom_space(b, a) for a in targets] for b in sources]
@@ -1396,7 +1395,7 @@ def check_maximal_orthogonal(
                 "" if not fails else f"nonzero self-extensions at {fails}",
             )
         )
-        g, _ = end_algebra(m)
+        g = end_ring(m)
         bound_ok = gldim_le(g, l + 2)
         clauses.append(
             ClauseReport(
@@ -1577,7 +1576,7 @@ def verify_theorem(m1: Module, m2: Module, l: int) -> TheoremReport:
                 ClauseReport(f"{label} {clause.name}", clause.passed, clause.detail)
             )
     for label, mod in (("m1", m1), ("m2", m2)):
-        g, _ = end_algebra(mod)
+        g = end_ring(mod)
         ok = gldim_le(g, l + 2)
         report.hypotheses.append(
             ClauseReport(
@@ -1780,7 +1779,7 @@ def check_prop_gldim(
     report = PropGldimReport(bound=l, generator_cogenerator=gen_cogen)
     if not gen_cogen:
         return report
-    g, _ = end_algebra(m)
+    g = end_ring(m)
     report.endo_bound = gldim_le(g, l + 2)
     report.covariant_bound = gldim_F_le(
         covariant_functor(m), l, witnesses=witnesses, minimize=minimize

@@ -1,12 +1,14 @@
 """The reference routes of the structure-constant engine: the radical
 computed from scratch on every algebra, every cover taking the radical of its
-kernel from the whole radical basis, and the chain of a simple top starting
-at the top module itself.
+kernel from the whole radical basis, the chain of a simple top starting at
+the top module itself, and the basis of End(M) composed out of summand
+injections and projections.
 
 ``relrep.endo`` shares the radical of an algebra with its opposite, spans the
 radical of a kernel K by L·K for the radical generators L (a lift of a basis
-of rad/rad²), and starts the chain of the top of A e at its projective cover
-A e with kernel (rad A)e; the tests compare the routes.
+of rad/rad²), starts the chain of the top of A e at its projective cover A e
+with kernel (rad A)e, and places the vertex maps of each atom-pair basis map
+at the atoms' offsets; the tests compare the routes.
 """
 
 from relrep.endo import (
@@ -24,7 +26,15 @@ from relrep.endo import (
 )
 from relrep.exact_linalg import Matrix
 from relrep.path_algebra import AlgebraError
-from relrep.rep import trace_form_radical
+from relrep.rep import (
+    Module,
+    Morphism,
+    flatten_atoms,
+    hom_space,
+    summand_injection,
+    summand_projection,
+    trace_form_radical,
+)
 
 
 def radical_data(g: StructureConstantAlgebra) -> tuple[Matrix, tuple]:
@@ -83,7 +93,7 @@ def _top_of_piece(g: StructureConstantAlgebra, kind: int) -> SCModule:
                 col[index[mm]] = c
             cols.append(col)
         action.append(Matrix.from_columns(cols))
-    rad = _piece_radical(g, kind)
+    rad = _piece_radical(g, members)
     return _sc_quotient(
         SCModule(g, width, action), Matrix.from_columns(rad) if rad else Matrix.zeros(width, 0)
     )
@@ -139,3 +149,40 @@ def sc_ext_dims(g: StructureConstantAlgebra, x: SCModule, y: SCModule, up_to: in
     chain = FullRadicalChain(basic, x)
     dims, ranks = chain.hom_complex_dims_and_ranks(up_to + 1, y.apply, y.dim)
     return [dims[i] - ranks[i] - ranks[i - 1] for i in range(1, up_to + 1)]
+
+
+def _atom_access(m: Module):
+    """Injection/projection morphisms for each atom of ``flatten_atoms(m)``."""
+    if m.summands is None:
+        ident = Morphism.identity(m)
+        return [ident], [ident]
+    injections = []
+    projections = []
+    for s in range(len(m.summands)):
+        inj = summand_injection(m, s)
+        proj = summand_projection(m, s)
+        part = m.summands[s]
+        if part.summands is None:
+            injections.append(inj)
+            projections.append(proj)
+        else:
+            sub_inj, sub_proj = _atom_access(part)
+            for i, p in zip(sub_inj, sub_proj):
+                injections.append(inj @ i)
+                projections.append(p @ proj)
+    return injections, projections
+
+
+def end_basis(m: Module) -> list[Morphism]:
+    """The basis of End(m) in the order of ``end_ring(m)``: for the nonzero
+    atoms A_s, A_t (source outer) and phi in the basis of Hom(A_s, A_t),
+    ``injections[t] @ phi @ projections[s]``."""
+    flat = flatten_atoms(m)
+    keep = [i for i, a in enumerate(flat) if a.total_dim > 0]
+    injections, projections = _atom_access(m)
+    return [
+        injections[t] @ phi @ projections[s]
+        for s in keep
+        for t in keep
+        for phi in hom_space(flat[s], flat[t]).basis
+    ]

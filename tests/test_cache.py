@@ -12,7 +12,17 @@ import pytest
 
 from relrep import homology
 from relrep.cache import Cached, cached, cached_pair
-from relrep.endo import check_maximal_orthogonal, end_algebra
+from relrep.endo import (
+    _chain_tables,
+    _reduce_to_basic,
+    _top_chain,
+    check_maximal_orthogonal,
+    end_algebra,
+    end_ring,
+    gldim_le,
+    regular_sc_module,
+    sc_injective_dim_le,
+)
 from relrep.homology import dtr, ext1_space, ext_dim, trd
 from relrep.path_algebra import AlgebraPresentation, cyclic_quiver
 from relrep.relhom import (
@@ -169,6 +179,29 @@ def test_an_ext_entry_dies_with_its_younger_atom(monkeypatch):
         again = parse_module_expression(algebra, "P(3)/rad^2")
         assert ext_dim(1, again, old) == 1
         assert len(computed) == 3 and len(ext_entries(old)) == 1
+
+
+def test_a_dropped_end_ring_is_freed_with_its_chain_tables():
+    algebra = AlgebraPresentation.truncated(cyclic_quiver(3), 5, name="cyclic3")
+    with _collector_off():
+        # one End(M) that is its own basic algebra, one with a repeated class
+        for expr in ("P(1)+P(2)+P(3)+S(1)+P(3)/rad^2", "P(1)+P(1)+S(1)+P(2)/rad^2"):
+            m = parse_module_expression(algebra, expr)
+            g = end_ring(m)
+            basic = _reduce_to_basic(g)[0]
+            gldim_le(g, 2)
+            sc_injective_dim_le(g, regular_sc_module(g), 0)
+            op = g.opposite()
+            held = [g, op, basic, _chain_tables(basic), _chain_tables(op), _top_chain(basic, 0)]
+            refs = [weakref.ref(o) for o in held]
+            m_ref = weakref.ref(m)
+            del g, op, basic, held
+            # m holds End(m), which holds its opposite, basic algebra and the
+            # tables and chains cached on them
+            assert all(r() is not None for r in refs)
+            del m
+            assert m_ref() is None
+            assert [r() for r in refs] == [None] * len(refs)
 
 
 # -- one relative functor per (module, variance), held weakly by the module ---------

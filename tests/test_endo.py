@@ -11,6 +11,8 @@ before being frozen here.
 
 import pytest
 
+from conftest import M1_EXPR, M2_EXPR
+from relrep import cli, endo
 from relrep.exact_linalg import QQ, Matrix, hstack
 from relrep.path_algebra import AlgebraError, AlgebraPresentation, cyclic_quiver
 from relrep.rep import (
@@ -25,6 +27,7 @@ from relrep.rep import (
 from relrep.homology import dtr, trd
 from relrep.endo import (
     StructureConstantAlgebra,
+    TheoremReport,
     _reduce_to_basic,
     check_iyama_orthogonality,
     check_maximal_orthogonal,
@@ -249,6 +252,52 @@ class TestEndomorphismAlgebras:
         assert [gldim_le(g, n) for n in (3, 4, 5, 6)] == [False] * 4
         basic, _ = g._cache["basic"]
         assert basic.dim == 15
+
+
+class TestNoBasisOnLibraryPaths:
+    """The checkers and ``gldim-endo`` read End(M) through ``end_ring``: with
+    the basis builder ``end_algebra`` made to raise they give the same
+    reports and the same CLI output."""
+
+    CASES = [
+        (3, 5, M1_EXPR, M2_EXPR),
+        (2, 4, "P(1)+P(2)+S(1)+P(1)/rad^3", "P(1)+P(2)+S(2)+P(2)/rad^3"),
+        (2, 4, "P(1)+P(2)+S(2)+P(2)/rad^3", "P(1)+P(2)+S(1)+P(1)/rad^3"),
+    ]
+    CLI_RUNS = [
+        ["gldim-endo", "builtin:cyclic3", M1_EXPR, "--bound", "3"],
+        ["gldim-endo", "builtin:cyclic3", M1_EXPR, "--bound", "4"],
+        ["gldim-endo", "builtin:cyclic3", "S(1)", "--bound", "0"],
+    ]
+
+    def _outputs(self, capsys) -> list:
+        # fresh algebras and modules, so that nothing is read off the
+        # caches of the other run
+        out = []
+        for vertices, bound, e1, e2 in self.CASES:
+            alg = AlgebraPresentation.truncated(cyclic_quiver(vertices), bound)
+            m1, m2 = (parse_module_expression(alg, e) for e in (e1, e2))
+            for m in (m1, m2):
+                for mode in ("corollary", "enumeration"):
+                    out.append(check_maximal_orthogonal(m, 2, mode=mode))
+            out.append(verify_theorem(m1, m2, 2))
+        for argv in self.CLI_RUNS:
+            code = cli.main(argv)
+            out.append((code, capsys.readouterr()))
+        return out
+
+    def test_same_output_without_the_basis(self, capsys, monkeypatch):
+        def boom(m):
+            raise AssertionError("End(M) basis built on a library path")
+
+        for module in (endo, cli):
+            if hasattr(module, "end_algebra"):
+                monkeypatch.setattr(module, "end_algebra", boom)
+        spied = self._outputs(capsys)
+        monkeypatch.undo()
+        assert spied == self._outputs(capsys)
+        assert [report.all_true for report in spied if isinstance(report, TheoremReport)] == [True] * 3
+        assert [code for code, _ in spied[-3:]] == [1, 0, 0]
 
 
 def _whole_module_actions(m2, m1):

@@ -49,6 +49,7 @@ from relrep.exact_linalg import Matrix, hstack
 from relrep.path_algebra import AlgebraError, AlgebraPresentation, cyclic_quiver
 from relrep.rep import (
     Module,
+    Morphism,
     cogenerator_module,
     direct_sum,
     enumerate_indecomposables_nakayama,
@@ -57,6 +58,7 @@ from relrep.rep import (
     parse_module_expression,
     proj_module,
     regular_module,
+    zero_module,
 )
 
 from test_endo import MUTATED_EXPR, _upper_triangular_2x2
@@ -324,6 +326,115 @@ class TestSharedRadical:
         assert g_ref() is None
         assert (radical(op), radical_generators(op)) == ref.radical_data(op)
         assert radical(op.opposite()) is radical(op)
+
+
+def _theorem_modules(cyc3_5, cyc2_4) -> list[Module]:
+    """Fresh copies of the six theorem modules, the mutated pair included."""
+    return [
+        parse_module_expression(alg, e)
+        for alg, exprs in (
+            (cyc3_5, (M1_EXPR, M2_EXPR)),
+            (cyc2_4, (C1_EXPR, C2_EXPR)),
+            (cyc3_5, (MUTATED_EXPR, MUTATED_M2_EXPR)),
+        )
+        for e in exprs
+    ]
+
+
+def _nested_sums(cyc3_5) -> list[Module]:
+    def expr(text):
+        return parse_module_expression(cyc3_5, text)
+
+    zero = zero_module(cyc3_5)
+    return [
+        direct_sum(
+            cyc3_5,
+            [expr("P(3)/rad^2"), direct_sum(cyc3_5, [expr("S(1)"), zero, expr("P(2)")])],
+        ),
+        direct_sum(
+            cyc3_5, [direct_sum(cyc3_5, [zero, expr("P(1)/rad^2")]), expr("S(3)"), zero]
+        ),
+        direct_sum(cyc3_5, [zero, direct_sum(cyc3_5, [zero])]),
+    ]
+
+
+class TestEndBasis:
+    def test_placed_maps_are_the_composed_ones(self, cyc3_5, cyc2_4):
+        modules = [*_sweep_candidates(), *_theorem_modules(cyc3_5, cyc2_4), *_nested_sums(cyc3_5)]
+        assert len(modules) == 101
+        for m in modules:
+            g, basis = end_algebra(m)
+            reference = ref.end_basis(m)
+            assert len(basis) == len(reference) == g.dim
+            for ours, theirs in zip(basis, reference):
+                assert ours.source is m and ours.target is m
+                for mat in ours.maps:
+                    _assert_public_build(mat)
+                assert ours.maps == theirs.maps
+                assert [[list(map(type, row)) for row in mat._data] for mat in ours.maps] == [
+                    [list(map(type, row)) for row in mat._data] for mat in theirs.maps
+                ]
+
+    def test_the_product_of_basis_maps_is_their_composite(self, cyc3_5, m1):
+        for m in [m1, *_nested_sums(cyc3_5)]:
+            g, basis = end_algebra(m)
+            for i, x in enumerate(basis):
+                for j, y in enumerate(basis):
+                    expected = [0] * g.dim
+                    for k, c in g.mult[i][j]:
+                        expected[k] = c
+                    combination = sum(
+                        (b.scale(c) for b, c in zip(basis, expected)), Morphism.zero(m, m)
+                    )
+                    assert (x @ y).maps == combination.maps
+
+    def test_the_basis_is_built_on_each_call(self, m1):
+        g, first = end_algebra(m1)
+        again, second = end_algebra(m1)
+        assert again is g
+        assert first is not second and first[0] is not second[0]
+        assert [b.maps for b in first] == [b.maps for b in second]
+
+
+class TestPieceMembers:
+    """End(M) knows the members of each piece A·e_s, the run of blocks
+    (s, t) over all t; every other algebra detects them."""
+
+    @pytest.fixture
+    def detections(self, monkeypatch):
+        calls = []
+        real = StructureConstantAlgebra._detect_members
+
+        def recorded(g):
+            calls.append(g.name)
+            return real(g)
+
+        monkeypatch.setattr(StructureConstantAlgebra, "_detect_members", recorded)
+        return calls
+
+    def test_known_members_are_the_detected_ones(self, radical_corpus):
+        assert len(radical_corpus) == 102
+        for g in radical_corpus:
+            if g.idempotents is None:
+                assert g.piece_members is None
+            else:
+                assert g.piece_members == g._detect_members()
+                assert sorted(m for ms in g.piece_members for m in ms) == list(range(g.dim))
+
+    def test_opposites_and_basic_reductions_detect_theirs(self, cyc3_5, detections):
+        m = parse_module_expression(cyc3_5, M1_EXPR)
+        g = end_algebra(m)[0]
+        assert detections == []
+        op = g.opposite()
+        assert detections == [op.name]
+        # the left ideals of the opposite are the columns of blocks (t, s):
+        # not runs of consecutive indices, and not g's members
+        assert op.piece_members != g.piece_members
+        assert any(list(ms) != list(range(ms[0], ms[-1] + 1)) for ms in op.piece_members)
+        both = direct_sum(cyc3_5, [regular_module(cyc3_5), cogenerator_module(cyc3_5)])
+        basic, _ = _reduce_to_basic(end_algebra(both)[0])
+        assert detections == [op.name, basic.name]
+        assert basic.piece_members is not None
 
 
 class TestBlockRadical:
