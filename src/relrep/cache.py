@@ -25,7 +25,9 @@ at neither object.  So a fresh module is never part of a reference cycle:
 reference counting frees it, with everything cached on it, as soon as the
 last caller drops it.  The one cycle left is per algebra:
 an algebra presentation and its memoized projectives and opposite point at
-each other.  No other module reads or writes ``_cache``.
+each other, and so do the radical quotients interned on those projectives
+(algebra -> P(v) -> P(v)/rad^k -> algebra).  No other module reads or
+writes ``_cache``.
 """
 
 from __future__ import annotations

@@ -393,10 +393,9 @@ def inj_module(algebra: AlgebraPresentation, vertex: int) -> Module:
     return dualize(proj_module(algebra.opposite(), vertex))
 
 
-@memoized("simple")
 def simple_module(algebra: AlgebraPresentation, vertex: int) -> Module:
-    mod, _ = radical_quotient(proj_module(algebra, vertex), 1)
-    return mod
+    """The simple at a vertex: the shared atom P(vertex)/rad^1."""
+    return radical_quotient_atom(proj_module(algebra, vertex), 1)
 
 
 @memoized("regular")
@@ -603,6 +602,19 @@ def radical_quotient(module: Module, power: int) -> tuple[Module, Morphism]:
         raise AlgebraError("radical power must be >= 1")
     quot, proj, _ = quotient_by_subspaces(module, radical_spans(module, power))
     return quot, proj
+
+
+def radical_quotient_atom(base: Module, power: int) -> Module:
+    """base / rad^power base as an atom shared by every caller: computed once
+    per (base, power) and cached on base, so what later queries cache on the
+    quotient serves them all.  Powers from the nilpotency bound N on share
+    the entry of N (rad^N is zero), so any power adds at most one entry."""
+    return _radical_quotient_atom(base, min(power, base.algebra.nilpotency_bound))
+
+
+@memoized("radical quotient")
+def _radical_quotient_atom(base: Module, power: int) -> Module:
+    return radical_quotient(base, power)[0]
 
 
 def loewy_length(module: Module) -> int:
@@ -1206,7 +1218,7 @@ def enumerate_indecomposables_nakayama(algebra: AlgebraPresentation) -> list[Mod
             if j == ll:
                 out.append(p)
             else:
-                out.append(radical_quotient(p, j)[0])
+                out.append(radical_quotient_atom(p, j))
     return out
 
 
@@ -1218,6 +1230,9 @@ def parse_module_expression(algebra: AlgebraPresentation, text: str) -> Module:
 
     Atoms: P(i) projective, I(i) injective, S(i) simple; an atom may carry a
     single /rad^k quotient; terms are combined with '+' into a direct sum.
+    Atoms are shared per algebra: the same term always parses to the same
+    module (S(i) is P(i)/rad^1), so what is cached on it serves every later
+    expression.  A sum of two or more terms is a fresh module on each call.
     """
     terms = [t.strip() for t in text.split("+")]
     if not terms or any(not t for t in terms):
@@ -1264,5 +1279,5 @@ def _parse_term(algebra: AlgebraPresentation, term: str) -> Module:
     else:
         mod = simple_module(algebra, v)
     if rad_power is not None:
-        mod = radical_quotient(mod, rad_power)[0]
+        mod = radical_quotient_atom(mod, rad_power)
     return mod

@@ -5,12 +5,14 @@ from __future__ import annotations
 import contextlib
 import gc
 import itertools
+import json
 import sys
 import weakref
+from types import SimpleNamespace
 
 import pytest
 
-from relrep import homology
+from relrep import exact_linalg, homology, relhom, rep
 from relrep.cache import Cached, cached, cached_pair
 from relrep.endo import (
     _chain_tables,
@@ -43,7 +45,9 @@ from relrep.rep import (
     proj_module,
     radical_quotient,
     regular_module,
+    simple_module,
 )
+from test_ext_catalog import BENCH, _workloads
 
 
 class _Thing(Cached):
@@ -150,7 +154,9 @@ def test_composition_table_dies_with_its_younger_hom_space():
 
 def test_an_ext_entry_dies_with_its_younger_atom(monkeypatch):
     algebra = AlgebraPresentation.truncated(cyclic_quiver(3), 5, name="cyclic3")
-    old = parse_module_expression(algebra, "P(1)/rad^2")
+    # radical_quotient builds a new module on each call, where parsed atoms
+    # are shared
+    old = radical_quotient(proj_module(algebra, 0), 2)[0]
     computed = []
     real = homology._atom_ext_dim
 
@@ -164,7 +170,7 @@ def test_an_ext_entry_dies_with_its_younger_atom(monkeypatch):
         return [slot for slot in module._cache if slot[0] == ("ext", 1)]
 
     with _collector_off():
-        young = parse_module_expression(algebra, "P(3)/rad^2")
+        young = radical_quotient(proj_module(algebra, 2), 2)[0]
         both = direct_sum(algebra, [young, old])
         assert ext_dim(1, both, old) == ext_dim(1, young, old) + ext_dim(1, old, old) == 1
         assert len(computed) == 2
@@ -176,9 +182,51 @@ def test_an_ext_entry_dies_with_its_younger_atom(monkeypatch):
         del both, young
         assert young_ref() is None
         # a fresh copy finds no entry: the old one went with its owner
-        again = parse_module_expression(algebra, "P(3)/rad^2")
+        again = radical_quotient(proj_module(algebra, 2), 2)[0]
         assert ext_dim(1, again, old) == 1
         assert len(computed) == 3 and len(ext_entries(old)) == 1
+
+
+# -- parsed atoms are shared per algebra ---------------------------------------------
+
+
+def test_parsed_atoms_are_shared_per_algebra():
+    algebra = AlgebraPresentation.truncated(cyclic_quiver(3), 5, name="cyclic3")
+    parse = lambda expr: parse_module_expression(algebra, expr)
+    for term in ("P(1)/rad^2", "I(2)/rad^2", "S(3)"):
+        assert parse(term) is parse(term)
+    for v in range(3):
+        assert parse(f"S({v + 1})") is parse(f"P({v + 1})/rad^1") is simple_module(algebra, v)
+    # the sweep's witnesses are the atoms that expressions parse to: P(v)
+    # itself at its Loewy length 5, P(v)/rad^j below it
+    expected = [
+        parse(f"P({v + 1})/rad^{j}") if j < 5 else parse(f"P({v + 1})")
+        for v in range(3)
+        for j in range(1, 6)
+    ]
+    witnesses = enumerate_indecomposables_nakayama(algebra)
+    assert len(witnesses) == len(expected)
+    assert all(w is e for w, e in zip(witnesses, expected))
+
+
+def test_parsed_sums_are_fresh():
+    algebra = AlgebraPresentation.truncated(cyclic_quiver(3), 5, name="cyclic3")
+    first = parse_module_expression(algebra, "P(1)+S(2)")
+    second = parse_module_expression(algebra, "P(1)+S(2)")
+    assert first is not second
+    assert all(a is b for a, b in zip(first.summands, second.summands))
+
+
+def test_radical_powers_past_the_bound_share_one_entry():
+    algebra = AlgebraPresentation.truncated(cyclic_quiver(3), 5, name="cyclic3")
+    bound = algebra.nilpotency_bound
+    p1 = proj_module(algebra, 0)
+    for k in range(1, bound + 1001):
+        parse_module_expression(algebra, f"P(1)/rad^{k}")
+    assert len(p1._cache["radical quotient"]) <= bound
+    assert parse_module_expression(algebra, "P(1)/rad^100000") is parse_module_expression(
+        algebra, f"P(1)/rad^{bound}"
+    )
 
 
 def test_a_dropped_end_ring_is_freed_with_its_chain_tables():
@@ -286,6 +334,18 @@ def _query_round(algebra) -> None:
                 hom_space(z, p)
 
 
+def _catalog_round(workloads, algebra, queries) -> None:
+    """Every query of the Ext catalog, on the benchmark's request route."""
+    rr = SimpleNamespace(rep=rep, homology=homology, relhom=relhom, exact_linalg=exact_linalg)
+    for q in queries:
+        assert workloads.run_query(rr, algebra, q) == q["answer"]
+
+
+def _cache_entries(modules) -> int:
+    """The entries cached on the modules, a memo table's rows included."""
+    return sum(1 + (len(v) if type(v) is dict else 0) for m in modules for v in m._cache.values())
+
+
 def _sweep_round(algebra, lam, nonprojective, witnesses) -> None:
     """Fresh candidates in both modes; enumeration mode reads Ext and
     multiplicities per pair of the long-lived atoms and witnesses."""
@@ -338,3 +398,20 @@ def test_fresh_module_rounds_leave_no_cyclic_garbage():
     finally:
         gc.set_debug(flags)
     assert leaked == []
+
+
+def test_interned_atoms_stay_flat_across_catalog_rounds():
+    workloads = _workloads()
+    queries = json.loads((BENCH / "data" / "ext_catalog.json").read_text(encoding="utf-8"))["queries"]
+    algebra = AlgebraPresentation.truncated(cyclic_quiver(3), 5, name="cyclic3")
+    expressions = {q[k] for q in queries for k in ("x", "y", "a", "c", "m", "t") if k in q}
+    terms = sorted({t.strip() for expr in expressions for t in expr.split("+")})
+    gc.collect()
+    with _collector_off():
+        _catalog_round(workloads, algebra, queries)
+        atoms = [parse_module_expression(algebra, t) for t in terms]
+        after_first = (sum(1 for o in gc.get_objects() if isinstance(o, Module)), _cache_entries(atoms))
+        for _ in range(2):
+            _catalog_round(workloads, algebra, queries)
+            now = (sum(1 for o in gc.get_objects() if isinstance(o, Module)), _cache_entries(atoms))
+            assert now == after_first

@@ -6,6 +6,8 @@ answers cross-checked on independent routes when it was recorded.  A change
 to resolution bases, covers or kernels must leave every answer as it is.
 The benchmark's own query runner is loaded from its file and handed the
 relrep modules already imported here, so the package is not reloaded.
+Every query is asked twice in one process: once on cold atoms, once on the
+per-atom caches the first pass filled.
 """
 
 import importlib.util
@@ -39,9 +41,10 @@ def test_every_catalog_answer_on_the_request_route():
     assert len(queries) == 2000
     rr = SimpleNamespace(rep=rep, homology=homology, relhom=relhom, exact_linalg=exact_linalg)
     algebra = AlgebraPresentation.truncated(cyclic_quiver(3), 5, name="cyclic3")
-    wrong = [
-        (n, q, answer)
-        for n, q in enumerate(queries)
-        if (answer := workloads.run_query(rr, algebra, q)) != q["answer"]
-    ]
-    assert wrong == []
+    for _ in range(2):
+        wrong = [
+            (n, q, answer)
+            for n, q in enumerate(queries)
+            if (answer := workloads.run_query(rr, algebra, q)) != q["answer"]
+        ]
+        assert wrong == []
