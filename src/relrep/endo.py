@@ -199,33 +199,40 @@ class StructureConstantAlgebra(Cached):
     # -- idempotent pieces ---------------------------------------------------
 
     def _detect_members(self):
-        """Basis indices spanning each A·e, or None if a left ideal is not
-        spanned by basis vectors (the engine then falls back to free covers)."""
-        members = []
-        seen: set[int] = set()
-        for e in self.idempotents:
-            e_terms = _terms(e)
-            mine = []
-            for m in range(self.dim):
-                # the nonzero coordinates of e_m * e
-                prod = _terms(_accumulate(((c, self.mult[m][j]) for j, c in e_terms), self.dim))
-                if not prod:
-                    continue
-                if prod == [(m, 1)]:
-                    mine.append(m)
-                else:
-                    return None
-            if seen.intersection(mine):
-                return None
-            seen.update(mine)
-            members.append(tuple(mine))
-        if len(seen) != self.dim:
+        """Basis indices spanning each A·e, or None when some b_m·e or e·b_m
+        is neither b_m nor 0 (the engine then falls back to free covers)."""
+        right = _vertices(self, left=False)
+        if right is None or _vertices(self, left=True) is None:
             return None
-        return tuple(members)
+        return tuple(tuple(m for m in range(self.dim) if right[m] == s) for s in range(len(self.idempotents)))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         label = self.name or "algebra"
         return f"StructureConstantAlgebra({label}, dim={self.dim})"
+
+
+def _vertices(g: StructureConstantAlgebra, left: bool) -> list | None:
+    """For each basis vector b_m the i with e_i·b_m = b_m (``left``) or
+    b_m·e_i = b_m, or None when some such product is neither b_m nor 0 (a
+    basis vector that mixes vertices on that side); summed off the sparse
+    rows of the tensor."""
+    # rows[k][m] holds the products b_k·b_m (left) or b_m·b_k
+    rows = g.mult if left else tuple(zip(*g.mult))
+    vertex = [None] * g.dim
+    for i, e in enumerate(g.idempotents):
+        e_terms = _terms(e)
+        for m in sorted({m for k, _ in e_terms for m, pairs in enumerate(rows[k]) if pairs}):
+            prod = {}
+            for k, c in e_terms:
+                for p, r in rows[k][m]:
+                    prod[p] = prod.get(p, 0) + c * r
+            prod = [(p, c) for p, c in prod.items() if c != 0]
+            if not prod:
+                continue
+            if prod != [(m, 1)] or vertex[m] is not None:
+                return None
+            vertex[m] = i
+    return None if None in vertex else vertex
 
 
 def _opposite(g: StructureConstantAlgebra) -> StructureConstantAlgebra:
@@ -579,61 +586,127 @@ class _Span:
 
 
 class _Cover:
-    """One projective cover ``P -> K`` in a chain: ``P`` is the sum of the
-    pieces ``A e_kind`` at ``offsets``, and ``gens`` are the images of the
-    idempotents.  A cover seeded by :meth:`_Chain._at_top` stores neither
-    ``gens`` nor ``mat`` (both None): nothing reads the map onto the base."""
+    """One projective cover P -> K of a chain, P the sum of the pieces
+    A e_kind at dense ``offsets``.  e_i P lists, summand by summand, the
+    members at vertex i (summand r from ``starts[i][r]``); ``kernels[i]`` is
+    a basis of e_i ker(P -> K) in those coordinates.  ``gens[r]``, the image
+    of summand r's idempotent, is dense in the base module on a module's
+    first cover, a kernel vector at vertex ``kinds[r]`` of the cover below
+    after that, and None on a simple top's cover (:meth:`_Chain._at_top`)."""
 
-    __slots__ = ("kinds", "gens", "offsets", "dim", "mat", "kernel_cols", "minimal")
+    __slots__ = ("kinds", "offsets", "dim", "starts", "widths", "by_vertex", "gens", "kernels", "minimal")
 
-    def __init__(self, kinds, gens, offsets, dim, mat) -> None:
+    def __init__(self, tables: "_ChainTables", kinds: list, gens) -> None:
         self.kinds = kinds
         self.gens = gens
-        self.offsets = offsets
-        self.dim = dim
-        self.mat = mat
-        self.kernel_cols: list[list] | None = None
+        self.by_vertex = tables.by_vertex
+        self.offsets = []
+        self.dim = 0
+        self.starts = [[] for _ in tables.members]
+        self.widths = [0] * len(tables.members)
+        for kind in kinds:
+            self.offsets.append(self.dim)
+            self.dim += len(tables.members[kind])
+            for i, positions in enumerate(tables.by_vertex[kind]):
+                self.starts[i].append(self.widths[i])
+                self.widths[i] += len(positions)
+        self.kernels: list[list[list]] | None = None
         self.minimal: bool | None = None
 
+    def dense(self, vertex: int, vec: list) -> list:
+        """The e_vertex P vector ``vec`` in P's dense coordinates."""
+        out = [0] * self.dim
+        for kind, off, start in zip(self.kinds, self.offsets, self.starts[vertex]):
+            for p, t in enumerate(self.by_vertex[kind][vertex]):
+                out[off + t] = vec[start + p]
+        return out
 
-def _piece_radical(g: StructureConstantAlgebra, members) -> list[list]:
-    """A basis of (rad A)e, in the coordinates of the basis vectors
-    ``members`` that span A e.  The radical is a two-sided ideal, so (rad A)e
-    lies in A e, and r·e is r restricted to the members (e_m·e is e_m for a
-    member and 0 for every other basis vector)."""
-    span = _Span(len(members))
-    out = []
-    for r in radical(g).columns():
-        comp = [r[m] for m in members]
-        if span.add(comp):
-            out.append(comp)
-    return out
+    @property
+    def kernel_cols(self) -> list[list]:
+        """The kernel basis, vertex by vertex, in P's dense coordinates."""
+        return [self.dense(i, v) for i, vecs in enumerate(self.kernels) for v in vecs]
 
 
 class _ChainTables:
     """What every chain over g reads (shared, so read only), once per g and
-    holding no reference to it: per piece A e (the whole algebra with the unit when g has no
-    structural idempotents) its members, idempotent and (rad A)e, with
-    ``acts[kind][t][k]`` the ``(position, c)`` pairs of e_k times the t-th
-    member; and the terms of the radical generators."""
+    holding no reference to it.  The pieces are the A e_s (the whole algebra
+    with the unit when g has no structural idempotents: one vertex).  b_m
+    lies at ``vertex[m]``, the i with e_i·b_m = b_m, and ``by_vertex[s][i]``
+    lists the positions in A e_s of its members at vertex i, the coordinates
+    of e_i A e_s.  ``acts[s][t]`` maps k to b_k·(member t of A e_s) in
+    e_vertex[k] A e_s coordinates, for the nonzero products only;
+    ``rad_spans[s][i]`` spans e_i (rad A) e_s, and ``tops[s]`` lists the
+    members of A e_s outside it.  ``rad_terms`` are the terms of the
+    radical generators ℓ (:func:`radical_generators`), and ``leaving[i]``
+    holds the homogeneous e_j·ℓ·e_i as ``(j, terms)``: ℓ's terms grouped by
+    (piece, vertex), which generate rad A as the ℓ do."""
 
-    __slots__ = ("members", "idem_vectors", "idem_terms", "piece_rads", "rad_terms", "acts", "__weakref__")
+    __slots__ = (
+        "members", "idem_vectors", "idem_terms", "vertex", "by_vertex", "acts",
+        "rad_spans", "tops", "rad_terms", "leaving", "__weakref__",
+    )
 
     def __init__(self, g: StructureConstantAlgebra) -> None:
         self.members = g.piece_members or (tuple(range(g.dim)),)
         self.idem_vectors = [list(e) for e in (g.idempotents if g.piece_members else [g.unit])]
         self.idem_terms = [_terms(e) for e in self.idem_vectors]
-        self.piece_rads = [_piece_radical(g, ms) for ms in self.members]
-        self.rad_terms = [_terms(r) for r in radical_generators(g)]
+        count = len(self.members)
+        vertex = _vertices(g, left=True) if g.piece_members else [0] * g.dim
+        if vertex is None:
+            raise InternalError("endo", "piece members mix vertices: some e_i·b is neither b nor 0")
+        self.vertex = vertex
+        # place[m]: the piece of b_m and its position there among the members at vertex[m]
+        place = [None] * g.dim
+        self.by_vertex = []
+        for s, ms in enumerate(self.members):
+            rows = [[] for _ in range(count)]
+            for t, m in enumerate(ms):
+                place[m] = (s, len(rows[vertex[m]]))
+                rows[vertex[m]].append(t)
+            self.by_vertex.append(rows)
+        # b_k·b_m can be nonzero only when b_k ∈ A e_vertex[m]
         self.acts = []
-        for ms in self.members:
-            index = {m: t for t, m in enumerate(ms)}
-            try:
-                self.acts.append(
-                    [[tuple((index[m], c) for m, c in plane[member]) for plane in g.mult] for member in ms]
-                )
-            except KeyError:
-                raise AlgebraError("left ideal is not spanned by basis vectors") from None
+        for s, ms in enumerate(self.members):
+            piece = []
+            for m in ms:
+                row = {}
+                for k in self.members[vertex[m]]:
+                    pairs = g.mult[k][m]
+                    if pairs:
+                        if any(place[p][0] != s for p, _ in pairs):
+                            raise AlgebraError("left ideal is not spanned by basis vectors")
+                        row[k] = tuple((place[p][1], c) for p, c in pairs)
+                piece.append(row)
+            self.acts.append(piece)
+        # e_i (rad A) e_s: the radical basis cut down to the members of A e_s at i
+        self.rad_spans = [[_Span(len(at)) for at in self.by_vertex[s]] for s in range(count)]
+        for r in radical(g).columns():
+            parts = {}
+            for m, c in _terms(r):
+                (s, q), i = place[m], vertex[m]
+                if (s, i) not in parts:
+                    parts[s, i] = [0] * len(self.by_vertex[s][i])
+                parts[s, i][q] = c
+            for (s, i), vec in parts.items():
+                self.rad_spans[s][i].add(vec)
+        self.tops = [
+            [
+                ms[t]
+                for span, at in zip(self.rad_spans[s], self.by_vertex[s])
+                if span.rank < len(at)
+                for q, t in enumerate(at)
+                if not span.contains([int(p == q) for p in range(len(at))])
+            ]
+            for s, ms in enumerate(self.members)
+        ]
+        self.rad_terms = [_terms(ell) for ell in radical_generators(g)]
+        self.leaving = [[] for _ in range(count)]
+        for ell in self.rad_terms:
+            parts = {}
+            for m, c in ell:
+                parts.setdefault((place[m][0], vertex[m]), []).append((m, c))
+            for (i, j), terms in parts.items():
+                self.leaving[i].append((j, terms))
 
 
 @memoized("chain tables")
@@ -642,18 +715,21 @@ def _chain_tables(g: StructureConstantAlgebra) -> _ChainTables:
 
 
 class _Chain:
-    """A chain of projective covers ... -> P_1 -> P_0 -> x -> 0.
+    """A chain of projective covers ... -> P_1 -> P_0 -> x -> 0, graded by
+    vertex: P_k -> P_{k-1} maps e_i P_k into e_i P_{k-1} (P_0 -> x maps it
+    into e_i x, and those subspaces are independent), so each kernel is
+    solved for one vertex at a time and its vectors lie at one vertex.
 
-    ``covers[k].mat`` is the matrix of ``P_k -> P_{k-1}`` (or onto ``x`` for
-    k = 0) in ambient coordinates; its kernel columns are the next syzygy.
-    Covers are built from generators paired with structural idempotents when
-    available, otherwise from free rank-one summands; each cover records
-    whether its kernel lies inside the radical of the cover (the minimality
-    certificate).  The radical of each kernel K is spanned by L·K for the
-    radical generators L (:func:`radical_generators`), not by the products
-    with the whole radical basis.  A chain keeps g's chain tables and the
-    action of x, not g itself: chains memoized on g hold no reference back
-    to it.
+    The cover of a kernel K spans rad K = L·K by the homogeneous radical
+    generators leaving each vector's vertex, one ``_Span`` per vertex, and
+    takes as generators the kernel vectors outside it, each its own top
+    candidate.  The images of the members of its piece come in one pass;
+    those of the members outside rad A join the spans (b·K lies in rad K
+    for b in rad A).  A cover checks that it is onto (its rank is dim K)
+    and whether its kernel lies in rad P (minimality), vertex by vertex.
+    The first cover of x works in x's dense coordinates, with the columns of
+    the idempotents' action as candidates.  A chain keeps g's chain tables
+    and x's action, not g: memoized chains hold no reference back to it.
     """
 
     def __init__(self, g: StructureConstantAlgebra, base: SCModule) -> None:
@@ -668,122 +744,122 @@ class _Chain:
         definition, so no base module is built and no kernel is solved for."""
         chain = cls.__new__(cls)
         chain._read_algebra(g)
-        cover = _Cover([kind], None, [0], len(chain.members[kind]), None)
-        cover.kernel_cols = list(chain.piece_rads[kind])
+        cover = _Cover(chain.tables, [kind], None)
+        cover.kernels = [span.rows for span in chain.tables.rad_spans[kind]]
         cover.minimal = True
         chain.covers.append(cover)
         return chain
 
     def _read_algebra(self, g: StructureConstantAlgebra) -> None:
-        tables = _chain_tables(g)
+        self.tables = _chain_tables(g)
         self.algebra_dim = g.dim
-        self.members = tables.members
-        self.idem_vectors = tables.idem_vectors
-        self.idem_terms = tables.idem_terms
-        self.piece_rads = tables.piece_rads
-        self.rad_terms = tables.rad_terms
-        self.acts = tables.acts
+        self.members = self.tables.members
+        self.idem_vectors = self.tables.idem_vectors
         self.covers: list[_Cover] = []
 
-    # -- per-piece helpers ---------------------------------------------------
-
-    def _act_in_piece(self, terms: list, kind: int, comp: list) -> list:
-        """Action of the element given by ``(k, c)`` terms on a piece vector."""
-        acts = self.acts[kind]
-        out = [0] * len(comp)
-        for t, c in enumerate(comp):
-            if c == 0:
-                continue
-            row = acts[t]
-            for k, ck in terms:
-                cc = c * ck
-                for pos, rm in row[k]:
-                    out[pos] += cc * rm
-        return out
+    # -- actions ---------------------------------------------------------------
 
     def _apply(self, level: int, terms: list, vec: list) -> list:
-        """Action of an element (``(k, c)`` terms) on a P_{level} vector (level >= 0)."""
+        """Action of an element (``(k, c)`` terms) on a dense P_level vector."""
+        tables = self.tables
         cover = self.covers[level]
-        out = []
+        out = [0] * cover.dim
         for kind, off in zip(cover.kinds, cover.offsets):
-            width = len(self.members[kind])
-            out.extend(self._act_in_piece(terms, kind, vec[off : off + width]))
+            at = tables.by_vertex[kind]
+            for t, row in enumerate(tables.acts[kind]):
+                c = vec[off + t]
+                if c == 0:
+                    continue
+                for k, ck in terms:
+                    pairs = row.get(k)
+                    if pairs:
+                        cc = c * ck
+                        positions = at[tables.vertex[k]]
+                        for p, r in pairs:
+                            out[off + positions[p]] += cc * r
         return out
+
+    def _member_images(self, cover: _Cover, j: int, vec: list) -> dict:
+        """m -> b_m·vec for the members b_m of A e_j, for an e_j P vector:
+        each an e_vertex[m] P vector, all read in one pass over vec."""
+        tables = self.tables
+        images = {m: [0] * cover.widths[tables.vertex[m]] for m in tables.members[j]}
+        for r, kind in enumerate(cover.kinds):
+            start = cover.starts[j][r]
+            piece = tables.acts[kind]
+            for p, t in enumerate(tables.by_vertex[kind][j]):
+                c = vec[start + p]
+                if c == 0:
+                    continue
+                for k, pairs in piece[t].items():
+                    img = images[k]
+                    target = cover.starts[tables.vertex[k]][r]
+                    for q, x in pairs:
+                        img[target + q] += c * x
+        return images
 
     # -- cover construction ---------------------------------------------------
 
-    def _build_cover(self, level: int) -> _Cover:
-        """Cover of the kernel at ``level`` (level -1 means the base module)."""
-        if level < 0:
-            ambient_dim = self.base_dim
-            candidate_images = [
-                _combine(self.base_action, ambient_dim, terms).columns() for terms in self.idem_terms
-            ]
-            candidate_count = ambient_dim
-            apply_basis = lambda k, vec: _matvec(self.base_action[k], vec)
-            rad_images = [
-                col
-                for terms in self.rad_terms
-                for col in _combine(self.base_action, ambient_dim, terms).columns()
-            ]
-            originals = [
-                [1 if t == s else 0 for t in range(ambient_dim)]
-                for s in range(ambient_dim)
-            ]
-        else:
-            ambient_dim = self.covers[level].dim
-            originals = list(self.covers[level].kernel_cols)
-            candidate_count = len(originals)
-            candidate_images = [
-                [self._apply(level, terms, v) for v in originals] for terms in self.idem_terms
-            ]
-            apply_basis = lambda k, vec: self._apply(level, [(k, 1)], vec)
-            rad_images = [
-                self._apply(level, terms, v) for terms in self.rad_terms for v in originals
-            ]
-
-        span = _Span.spanned_by(ambient_dim, rad_images)
-        kinds: list[int] = []
-        gens: list[list] = []
-        offsets: list[int] = []
-        cols: list[list] = []
-        for s in range(candidate_count):
-            for kind in range(len(self.members)):
-                w = candidate_images[kind][s]
-                if all(c == 0 for c in w):
-                    continue
-                if span.contains(w):
-                    continue
-                offsets.append(len(cols))
-                kinds.append(kind)
-                gens.append(w)
-                for m in self.members[kind]:
-                    img = apply_basis(m, w)
-                    cols.append(img)
-                    span.add(img)
-        for v in originals:
-            if not span.contains(v):
-                raise InternalError("endo", "projective cover construction is not onto")
-        if cols:
-            mat = Matrix._trusted(ambient_dim, len(cols), [_canon_row(list(row)) for row in zip(*cols)])
-        else:
-            mat = Matrix.zeros(ambient_dim, 0)
-        return _Cover(kinds, gens, offsets, len(cols), mat)
-
     def extend(self) -> None:
-        level = len(self.covers) - 1
-        cover = self._build_cover(level)
+        tables = self.tables
+        if self.covers:
+            below = self.covers[-1]
+            candidates = [(j, v) for j, vecs in enumerate(below.kernels) for v in vecs]
+            by_candidate = [self._member_images(below, j, v) for j, v in candidates]
+            spans = [_Span(width) for width in below.widths]
+            for (i, _), images in zip(candidates, by_candidate):
+                for j, terms in tables.leaving[i]:
+                    w = [0] * below.widths[j]
+                    for k, c in terms:
+                        for q, x in enumerate(images[k]):
+                            if x:
+                                w[q] += c * x
+                    spans[j].add(w)
+            images_of = lambda n, kind, w: by_candidate[n]
+            target = len(candidates)
+        else:
+            dim, action = self.base_dim, self.base_action
+            seeds = [
+                col for terms in tables.rad_terms for col in _combine(action, dim, terms).columns() if any(col)
+            ]
+            spans = [_Span.spanned_by(dim, seeds)] * len(tables.members)
+            by_kind = [_combine(action, dim, terms).columns() for terms in tables.idem_terms]
+            candidates = [(kind, cols[s]) for s in range(dim) for kind, cols in enumerate(by_kind) if any(cols[s])]
+            images_of = lambda n, kind, w: {m: _matvec(action[m], w) for m in tables.members[kind]}
+            target = dim
+        kinds, gens = [], []
+        columns = [[] for _ in tables.members]
+        for n, (kind, w) in enumerate(candidates):
+            if spans[kind].contains(w):
+                continue
+            kinds.append(kind)
+            gens.append(w)
+            images = images_of(n, kind, w)
+            for m in tables.tops[kind]:
+                spans[tables.vertex[m]].add(images[m])
+            ms = tables.members[kind]
+            for i, positions in enumerate(tables.by_vertex[kind]):
+                columns[i].extend(images[ms[t]] for t in positions)
+        cover = _Cover(tables, kinds, gens)
+        cover.kernels = []
+        rank = 0
+        for block in columns:
+            if len(block) < 2:  # a single column is in the kernel iff it is zero
+                kernel = [[1]] if block and not any(block[0]) else []
+            else:
+                rows = [_canon_row(list(row)) for row in zip(*block)]
+                kernel = Matrix._trusted(len(rows), len(block), rows).kernel_basis().columns()
+            cover.kernels.append(kernel)
+            rank += len(block) - len(kernel)
+        if rank != target:
+            raise InternalError("endo", "projective cover construction is not onto")
+        cover.minimal = all(
+            tables.rad_spans[kind][i].contains(v[start : start + len(tables.by_vertex[kind][i])])
+            for i, vecs in enumerate(cover.kernels)
+            for v in vecs
+            for kind, start in zip(cover.kinds, cover.starts[i])
+        )
         self.covers.append(cover)
-        kern = cover.mat.kernel_basis()
-        cover.kernel_cols = kern.columns()
-        rad_vectors = []
-        for kind, off in zip(cover.kinds, cover.offsets):
-            for comp in self.piece_rads[kind]:
-                vec = [0] * cover.dim
-                vec[off : off + len(comp)] = comp
-                rad_vectors.append(vec)
-        rad_span = _Span.spanned_by(cover.dim, rad_vectors)
-        cover.minimal = all(rad_span.contains(v) for v in cover.kernel_cols)
 
     def ensure(self, count: int) -> None:
         while len(self.covers) < count:
@@ -792,7 +868,12 @@ class _Chain:
     def kernel_is_zero(self, k: int) -> bool:
         """Whether the k-th syzygy (kernel after k covers) vanishes, k >= 1."""
         self.ensure(k)
-        return not self.covers[k - 1].kernel_cols
+        return not any(self.covers[k - 1].kernels)
+
+    def _dense_gens(self, level: int) -> list[list]:
+        """The generators of cover ``level`` >= 1 as dense P_{level-1} vectors."""
+        below, cover = self.covers[level - 1], self.covers[level]
+        return [below.dense(kind, w) for kind, w in zip(cover.kinds, cover.gens)]
 
     # -- Hom complexes ---------------------------------------------------------
 
@@ -834,14 +915,14 @@ class _Chain:
             tgt_cover = self.covers[k + 1]
             src_spaces = piece_spaces[k]
             tgt_spaces = piece_spaces[k + 1]
+            gens = self._dense_gens(k + 1)
             solvers: dict[int, Matrix] = {}
             rows_total = hom_dims[k + 1]
             cols = []
             for t, (kind_t, off_t) in enumerate(zip(src_cover.kinds, src_cover.offsets)):
                 for u in src_spaces[t]:
                     col: list = []
-                    for s, kind_s in enumerate(tgt_cover.kinds):
-                        gen = tgt_cover.gens[s]
+                    for s, (kind_s, gen) in enumerate(zip(tgt_cover.kinds, gens)):
                         width = len(self.members[kind_t])
                         comp = gen[off_t : off_t + width]
                         elt = [0] * self.algebra_dim
@@ -889,25 +970,16 @@ def _basic_reduction(g: StructureConstantAlgebra):
             keep.append(kind)
     if len(keep) == len(g.piece_classes):
         return None
+    vertex = _vertices(g, left=True)
+    if vertex is None:
+        return None
     eps = [0] * g.dim
     for kind in keep:
         for m, c in enumerate(g.idempotents[kind]):
             eps[m] += c
-    # basis of eps * A * eps, demanding that it selects basis vectors cleanly
-    eps_terms = _terms(eps)
-    indices = []
-    for m in range(g.dim):
-        left = _accumulate(((c, g.mult[i][m]) for i, c in eps_terms), g.dim)
-        squeezed = _terms(g.multiply(left, eps))
-        if squeezed == [(m, 1)]:
-            indices.append(m)
-        elif squeezed:
-            return None
+    # eps·A·eps is spanned by the members of the kept pieces at kept vertices
+    indices = sorted(m for kind in keep for m in g.piece_members[kind] if vertex[m] in keep)
     index_pos = {m: t for t, m in enumerate(indices)}
-    for i in indices:
-        for j in indices:
-            if any(m not in index_pos for m, _ in g.mult[i][j]):
-                return None
     mult = [
         [tuple((index_pos[m], c) for m, c in g.mult[i][j]) for j in indices]
         for i in indices
@@ -1011,7 +1083,7 @@ def gldim_le(g: StructureConstantAlgebra, n: int) -> bool:
 def _top_chain(g: StructureConstantAlgebra, kind: int) -> "_Chain | None":
     """The resolution chain of the simple top A e / (rad A)e of piece
     ``kind`` (None if zero), seeded at its known first syzygy (rad A)e."""
-    if len(_chain_tables(g).piece_rads[kind]) == len(g.piece_members[kind]):
+    if sum(span.rank for span in _chain_tables(g).rad_spans[kind]) == len(g.piece_members[kind]):
         return None
     return _Chain._at_top(g, kind)
 

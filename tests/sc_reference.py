@@ -1,31 +1,36 @@
 """The reference routes of the structure-constant engine: the radical
-computed from scratch on every algebra, every cover taking the radical of its
-kernel from the whole radical basis, the chain of a simple top starting at
-the top module itself, and the basis of End(M) composed out of summand
-injections and projections.
+computed from scratch on every algebra, ungraded covers that take the
+radical of their kernel from the whole radical basis, the chain of a simple
+top starting at the top module itself, and the basis of End(M) composed out
+of summand injections and projections.
 
-``relrep.endo`` shares the radical of an algebra with its opposite, spans the
-radical of a kernel K by L·K for the radical generators L (a lift of a basis
-of rad/rad²), starts the chain of the top of A e at its projective cover A e
-with kernel (rad A)e, and places the vertex maps of each atom-pair basis map
-at the atoms' offsets; the tests compare the routes.
+``relrep.endo`` shares the radical of an algebra with its opposite, resolves
+one vertex at a time (homogeneous radical generators, kernel vectors as
+their own top candidates, one elimination per vertex), starts the chain of
+the top of A e at its projective cover A e with kernel (rad A)e, and places
+the vertex maps of each atom-pair basis map at the atoms' offsets; the tests
+compare the routes.  The ungraded chain here builds its own tables from the
+structure constants and shares no cover code with ``relrep.endo``: only the
+Hom complexes and the bounded-dimension test read its covers.
 """
 
 from relrep.endo import (
     SCModule,
     StructureConstantAlgebra,
     _Chain,
+    _combine,
+    _matvec,
     _pd_le_on_chain,
-    _piece_radical,
     _reduce_to_basic,
     _sc_quotient,
+    _Span,
     _terms,
     dual_sc_module,
     radical,
     semisimple_quotient_module,
 )
 from relrep.exact_linalg import Matrix
-from relrep.path_algebra import AlgebraError
+from relrep.path_algebra import AlgebraError, InternalError
 from relrep.rep import (
     Module,
     Morphism,
@@ -71,12 +76,135 @@ def radical_data(g: StructureConstantAlgebra) -> tuple[Matrix, tuple]:
     return rad, generators
 
 
+def _piece_radical(g: StructureConstantAlgebra, members) -> list[list]:
+    """A basis of (rad A)e, in the coordinates of the basis vectors
+    ``members`` that span A e: r·e is r restricted to the members."""
+    span = _Span(len(members))
+    out = []
+    for r in radical(g).columns():
+        comp = [r[m] for m in members]
+        if span.add(comp):
+            out.append(comp)
+    return out
+
+
+class _DenseCover:
+    """One ungraded cover ``P -> K``: P is the sum of the pieces A e_kind at
+    ``offsets``, ``gens`` the images of their idempotents, ``mat`` the map in
+    ambient coordinates and ``kernel_cols`` its kernel, the next syzygy."""
+
+    def __init__(self, kinds, gens, offsets, dim, mat) -> None:
+        self.kinds = kinds
+        self.gens = gens
+        self.offsets = offsets
+        self.dim = dim
+        self.mat = mat
+        self.kernel_cols = None
+        self.minimal = None
+
+
 class FullRadicalChain(_Chain):
-    """A chain whose covers apply every radical basis vector to the kernel."""
+    """The ungraded chain: each cover tries every idempotent on every kernel
+    vector as a top candidate, spans the radical of its kernel by every
+    radical basis vector applied to every kernel vector, and solves one
+    full-width kernel; minimality is checked against the whole of rad P."""
 
     def __init__(self, g: StructureConstantAlgebra, base: SCModule) -> None:
-        super().__init__(g, base)
+        self.algebra_dim = g.dim
+        self.members = g.piece_members or (tuple(range(g.dim)),)
+        self.idem_vectors = [list(e) for e in (g.idempotents if g.piece_members else [g.unit])]
+        self.idem_terms = [_terms(e) for e in self.idem_vectors]
+        self.piece_rads = [_piece_radical(g, ms) for ms in self.members]
         self.rad_terms = [_terms(r) for r in radical(g).columns()]
+        self.acts = []
+        for ms in self.members:
+            index = {m: t for t, m in enumerate(ms)}
+            self.acts.append(
+                [[tuple((index[m], c) for m, c in plane[member]) for plane in g.mult] for member in ms]
+            )
+        self.base_dim = base.dim
+        self.base_action = base.action
+        self.covers = []
+
+    def _act_in_piece(self, terms: list, kind: int, comp: list) -> list:
+        acts = self.acts[kind]
+        out = [0] * len(comp)
+        for t, c in enumerate(comp):
+            if c == 0:
+                continue
+            for k, ck in terms:
+                for pos, rm in acts[t][k]:
+                    out[pos] += c * ck * rm
+        return out
+
+    def _apply(self, level: int, terms: list, vec: list) -> list:
+        cover = self.covers[level]
+        out = []
+        for kind, off in zip(cover.kinds, cover.offsets):
+            out.extend(self._act_in_piece(terms, kind, vec[off : off + len(self.members[kind])]))
+        return out
+
+    def _build_cover(self, level: int) -> _DenseCover:
+        """Cover of the kernel at ``level`` (level -1 means the base module)."""
+        if level < 0:
+            ambient_dim = self.base_dim
+            candidate_images = [
+                _combine(self.base_action, ambient_dim, terms).columns() for terms in self.idem_terms
+            ]
+            apply_basis = lambda k, vec: _matvec(self.base_action[k], vec)
+            rad_images = [
+                col
+                for terms in self.rad_terms
+                for col in _combine(self.base_action, ambient_dim, terms).columns()
+            ]
+            originals = Matrix.identity(ambient_dim).columns()
+        else:
+            ambient_dim = self.covers[level].dim
+            originals = list(self.covers[level].kernel_cols)
+            candidate_images = [
+                [self._apply(level, terms, v) for v in originals] for terms in self.idem_terms
+            ]
+            apply_basis = lambda k, vec: self._apply(level, [(k, 1)], vec)
+            rad_images = [self._apply(level, terms, v) for terms in self.rad_terms for v in originals]
+        span = _Span.spanned_by(ambient_dim, rad_images)
+        kinds, gens, offsets, cols = [], [], [], []
+        for s in range(len(originals)):
+            for kind in range(len(self.members)):
+                w = candidate_images[kind][s]
+                if all(c == 0 for c in w) or span.contains(w):
+                    continue
+                offsets.append(len(cols))
+                kinds.append(kind)
+                gens.append(w)
+                for m in self.members[kind]:
+                    img = apply_basis(m, w)
+                    cols.append(img)
+                    span.add(img)
+        for v in originals:
+            if not span.contains(v):
+                raise InternalError("endo", "projective cover construction is not onto")
+        mat = Matrix.from_columns(cols) if cols else Matrix.zeros(ambient_dim, 0)
+        return _DenseCover(kinds, gens, offsets, len(cols), mat)
+
+    def extend(self) -> None:
+        cover = self._build_cover(len(self.covers) - 1)
+        self.covers.append(cover)
+        cover.kernel_cols = cover.mat.kernel_basis().columns()
+        rad_vectors = []
+        for kind, off in zip(cover.kinds, cover.offsets):
+            for comp in self.piece_rads[kind]:
+                vec = [0] * cover.dim
+                vec[off : off + len(comp)] = comp
+                rad_vectors.append(vec)
+        rad_span = _Span.spanned_by(cover.dim, rad_vectors)
+        cover.minimal = all(rad_span.contains(v) for v in cover.kernel_cols)
+
+    def kernel_is_zero(self, k: int) -> bool:
+        self.ensure(k)
+        return not self.covers[k - 1].kernel_cols
+
+    def _dense_gens(self, level: int) -> list[list]:
+        return self.covers[level].gens
 
 
 def _top_of_piece(g: StructureConstantAlgebra, kind: int) -> SCModule:

@@ -1,0 +1,303 @@
+"""The vertex grading of the structure-constant chains.
+
+``relrep.endo`` resolves one vertex at a time: every kernel vector lies at
+one vertex (its left idempotent fixes it, the others kill it), each kernel
+is solved vertex by vertex, and a cover spans the radical of its kernel by
+the homogeneous radical generators e_j·ℓ·e_i.  These tests check the grading
+itself on the sweep and theorem algebras, the onto guard of a cover, and
+that an algebra whose basis mixes vertices takes the free covers and still
+gets the reference's answers.
+"""
+
+import pytest
+
+import sc_reference as ref
+from relrep import endo
+from relrep.endo import (
+    StructureConstantAlgebra,
+    _Chain,
+    _chain_tables,
+    _reduce_to_basic,
+    _top_chain,
+    gldim_le,
+    hom_sc_bimodule_sides,
+    regular_sc_module,
+    sc_pd_le,
+    semisimple_quotient_module,
+)
+from relrep.exact_linalg import Matrix
+from relrep.path_algebra import AlgebraPresentation, InternalError, cyclic_quiver
+from relrep.rep import cogenerator_module, direct_sum, parse_module_expression, regular_module
+
+from test_endo import _upper_triangular_2x2
+from test_sc_resolutions import (
+    BOUNDS,
+    C1_EXPR,
+    C2_EXPR,
+    CHAIN_DEPTH,
+    _assert_chains_agree,
+    _sweep_candidates,
+)
+
+
+@pytest.fixture(scope="module")
+def sweep_algebras():
+    return [endo.end_ring(m) for m in _sweep_candidates()]
+
+
+@pytest.fixture(scope="module")
+def theorem_sides(m1, m2, cyc3_5):
+    """Both sides of Hom(m2, m1) for the theorem pairs: modules whose first
+    cover works in dense coordinates."""
+    cyc2_4 = AlgebraPresentation.truncated(cyclic_quiver(2), 4, name="cyc2-trunc4")
+    c1 = parse_module_expression(cyc2_4, C1_EXPR)
+    c2 = parse_module_expression(cyc2_4, C2_EXPR)
+    return [side for a, b in ((m1, m2), (c1, c2), (c2, c1)) for side in hom_sc_bimodule_sides(b, a)]
+
+
+def _copy(g: StructureConstantAlgebra) -> StructureConstantAlgebra:
+    """A new algebra object with g's structure: nothing is cached on it."""
+    return StructureConstantAlgebra.from_sparse(
+        g.dim, g.mult, g.unit, g.idempotents, g.piece_classes, name=g.name, piece_members=g.piece_members
+    )
+
+
+def _element(chain, kind: int, comp: list) -> list:
+    """The terms of the element of A e_kind with coordinates ``comp``."""
+    return [(chain.members[kind][t], c) for t, c in enumerate(comp) if c != 0]
+
+
+def _cover_image(chain, level: int, vec: list, base=None) -> list:
+    """The dense cover map P_level -> P_{level-1} (or onto ``base``) applied to
+    the dense P_level vector ``vec``: summand r's coordinates act on its
+    generator."""
+    cover = chain.covers[level]
+    width = base.dim if level == 0 else chain.covers[level - 1].dim
+    gens = cover.gens if level == 0 else chain._dense_gens(level)
+    out = [0] * width
+    for kind, off, gen in zip(cover.kinds, cover.offsets, gens):
+        terms = _element(chain, kind, vec[off : off + len(chain.members[kind])])
+        if not terms:
+            continue
+        if level == 0:
+            coeffs = [0] * chain.algebra_dim
+            for k, c in terms:
+                coeffs[k] = c
+            image = base.apply(coeffs, gen)
+        else:
+            image = chain._apply(level - 1, terms, gen)
+        out = [a + b for a, b in zip(out, image)]
+    return out
+
+
+def _assert_graded(chain, base=None) -> int:
+    """Every kernel vector lies at one vertex and its dense expansion is
+    killed by the dense cover map; returns the number of vectors checked."""
+    chain.ensure(CHAIN_DEPTH)
+    tables = chain.tables
+    checked = 0
+    for level, cover in enumerate(chain.covers):
+        for i, vecs in enumerate(cover.kernels):
+            for v in vecs:
+                dense = cover.dense(i, v)
+                assert any(dense)
+                # supported at vertex i: on members there, fixed by e_i, killed by the rest
+                for kind, off in zip(cover.kinds, cover.offsets):
+                    for t, m in enumerate(chain.members[kind]):
+                        assert dense[off + t] == 0 or tables.vertex[m] == i
+                for j, e_terms in enumerate(tables.idem_terms):
+                    acted = chain._apply(level, e_terms, dense)
+                    assert acted == (dense if j == i else [0] * cover.dim)
+                if cover.gens is not None:
+                    assert not any(_cover_image(chain, level, dense, base))
+                checked += 1
+    return checked
+
+
+class TestGrading:
+    def test_sweep_top_chains(self, sweep_algebras):
+        assert len(sweep_algebras) == 92
+        checked = 0
+        for g in sweep_algebras:
+            basic, _ = _reduce_to_basic(g)
+            for kind in range(len(basic.piece_members)):
+                chain = _top_chain(basic, kind)
+                if chain is not None:
+                    checked += _assert_graded(chain)
+        assert checked > 1000
+
+    def test_theorem_sides(self, theorem_sides):
+        assert len(theorem_sides) == 6
+        for side in theorem_sides:
+            g = side.algebra
+            # the regular module is projective: its chain checks the first cover only
+            checked = [
+                _assert_graded(_Chain(g, x), x)
+                for x in (side, regular_sc_module(g), semisimple_quotient_module(g))
+            ]
+            assert checked[0] and checked[2]
+
+
+def test_sweep_quotients_agree_with_the_ungraded_reference(sweep_algebras):
+    # covers level by level, then pd and Ext read off each chain
+    for g in sweep_algebras:
+        _assert_chains_agree(g, semisimple_quotient_module(g))
+
+
+def test_repeated_atom_classes_agree_with_the_ungraded_reference(cyc3_5):
+    # not basic: e_i A e_j holds isomorphisms for atoms of one class, so
+    # members off the diagonal blocks lie outside rad A and their images
+    # join the spans of other vertices
+    for expr in ("P(1)+P(1)+S(1)", "P(1)+P(2)+S(1)+S(1)+P(1)/rad^2", "S(1)+S(1)+P(2)/rad^3+P(2)/rad^3"):
+        g = endo.end_ring(parse_module_expression(cyc3_5, expr))
+        assert len(set(g.piece_classes)) < len(g.piece_classes)
+        tables = _chain_tables(g)
+        assert any(tables.vertex[m] != s for s, tops in enumerate(tables.tops) for m in tops)
+        for x in (regular_sc_module(g), semisimple_quotient_module(g)):
+            _assert_chains_agree(g, x)
+
+
+class TestOntoGuard:
+    """A cover checks that its rank is the dimension of the kernel it covers."""
+
+    def _idempotents_as_generators(self, g):
+        # the idempotents in place of the radical generators: the seeded span
+        # of each kernel is then all of it, and no generator is taken
+        tables = _chain_tables(g)
+        tables.rad_terms = tables.idem_terms
+        tables.leaving = [[(i, terms)] for i, terms in enumerate(tables.idem_terms)]
+
+    def test_seeds_outside_the_radical_leave_the_cover_short(self, sweep_algebras, theorem_sides):
+        tops = 0
+        for g in sweep_algebras[::7]:
+            g = _copy(g)
+            self._idempotents_as_generators(g)
+            for kind in range(len(g.piece_members)):
+                chain = _Chain._at_top(g, kind)
+                if not any(chain.covers[0].kernels):
+                    continue
+                with pytest.raises(InternalError, match="not onto") as err:
+                    chain.extend()
+                assert err.value.layer == "endo"
+                tops += 1
+        assert tops
+        side = theorem_sides[0]
+        g = _copy(side.algebra)
+        self._idempotents_as_generators(g)
+        with pytest.raises(InternalError, match="not onto"):
+            _Chain(g, side).extend()
+
+    def test_generators_cut_short_leave_the_cover_onto(self, sweep_algebras):
+        # fewer radical generators span less than rad K, so a cover takes more
+        # generators than it needs; their images still span K (Nakayama), so
+        # the guard stays quiet, the covers are not minimal, and the split
+        # test gives the same answers
+        nonminimal = 0
+        for g in sweep_algebras[:12]:
+            expected = [gldim_le(g, n) for n in BOUNDS[:3]]
+            cut = _copy(g)
+            basic, _ = _reduce_to_basic(cut)
+            tables = _chain_tables(basic)
+            tables.leaving = [generators[:-1] for generators in tables.leaving]
+            assert [gldim_le(cut, n) for n in BOUNDS[:3]] == expected
+            for kind in range(len(basic.piece_members)):
+                chain = _top_chain(basic, kind)
+                if chain is not None:
+                    nonminimal += not all(cover.minimal for cover in chain.covers)
+        assert nonminimal
+
+
+def _mixed(g: StructureConstantAlgebra) -> StructureConstantAlgebra:
+    """g in another basis: in each piece A e_s with members at two vertices,
+    its first member b gets the first member b' at another vertex added.
+    The basis still spans each A e_s, but e_i·(b + b') is b for the vertex
+    i of b: neither b + b' nor 0."""
+    vertex = _chain_tables(g).vertex
+    n = g.dim
+    t = [[int(i == j) for j in range(n)] for i in range(n)]
+    for ms in g.piece_members:
+        other = [m for m in ms if vertex[m] != vertex[ms[0]]]
+        if other:
+            t[other[0]][ms[0]] = 1
+    t = Matrix(n, n, t)
+    t_inv = t.inverse()
+    basis = t.columns()
+
+    def coords(vec):
+        return (t_inv @ Matrix.column(vec)).columns()[0]
+
+    mult = [[coords(g.multiply(basis[i], basis[j])) for j in range(n)] for i in range(n)]
+    return StructureConstantAlgebra(
+        mult,
+        coords(list(g.unit)),
+        idempotents=[coords(list(e)) for e in g.idempotents],
+        piece_classes=g.piece_classes,
+        name=g.name + " mixed",
+    )
+
+
+class TestLeftHomogeneity:
+    @pytest.fixture(scope="class")
+    def mixed_pairs(self, sweep_algebras):
+        originals = [_upper_triangular_2x2(), *sweep_algebras[::9]]
+        return [(g, _mixed(g)) for g in originals]
+
+    def test_a_basis_that_mixes_vertices_takes_free_covers(self, mixed_pairs):
+        for g, mixed in mixed_pairs:
+            assert g.piece_members is not None
+            assert mixed.check_associativity() and mixed.check_unit()
+            assert mixed.piece_members is None
+            assert mixed._detect_members() is None
+
+    def test_it_gets_the_reference_answers(self, mixed_pairs):
+        # free covers are far from minimal, so the split test resolves
+        # kernels that grow by a factor of about dim A per level: only ut2
+        # and the smallest sweep algebra (dim 4) stay at desk scale
+        assert [g.dim for g, _ in mixed_pairs[:2]] == [3, 4]
+        for g, mixed in mixed_pairs[:2]:
+            bounds = BOUNDS[:3]
+            answers = [gldim_le(mixed, n) for n in bounds]
+            assert answers == [ref.gldim_le(mixed, n) for n in bounds]
+            assert answers == [gldim_le(g, n) for n in bounds]
+            quot = semisimple_quotient_module(mixed)
+            assert [sc_pd_le(mixed, quot, n) for n in bounds] == [
+                ref.sc_pd_le(mixed, quot, n) for n in bounds
+            ]
+
+    def test_supplied_members_that_mix_vertices_are_an_internal_error(self, mixed_pairs):
+        for g, mixed in mixed_pairs:
+            supplied = StructureConstantAlgebra.from_sparse(
+                mixed.dim,
+                mixed.mult,
+                mixed.unit,
+                mixed.idempotents,
+                mixed.piece_classes,
+                piece_members=g.piece_members,
+            )
+            with pytest.raises(InternalError, match="mix vertices") as err:
+                gldim_le(supplied, 2)
+            assert err.value.layer == "endo"
+
+
+def test_the_basic_reduction_keeps_the_corner_of_the_kept_vertices(cyc3_5):
+    # eps·A·eps for eps the sum of one idempotent per class, read off the
+    # products: the basis vectors b with eps·b·eps = b, every other one killed
+    both = direct_sum(cyc3_5, [regular_module(cyc3_5), cogenerator_module(cyc3_5)])
+    modules = [both, parse_module_expression(cyc3_5, "P(1)+P(1)+S(1)+P(2)/rad^2+P(2)/rad^2")]
+    for m in modules:
+        g = endo.end_ring(m)
+        basic, _ = _reduce_to_basic(g)
+        assert basic is not g
+        keep = [kind for kind, cls in enumerate(g.piece_classes) if cls not in g.piece_classes[:kind]]
+        eps = [sum(g.idempotents[kind][t] for kind in keep) for t in range(g.dim)]
+        corner = []
+        for t in range(g.dim):
+            unit = [int(t == u) for u in range(g.dim)]
+            squeezed = g.multiply(g.multiply(eps, unit), eps)
+            assert squeezed in (unit, [0] * g.dim)
+            if squeezed == unit:
+                corner.append(t)
+        assert basic.dim == len(corner)
+        assert basic.mult == tuple(
+            tuple(tuple((corner.index(p), c) for p, c in g.mult[a][b]) for b in corner) for a in corner
+        )

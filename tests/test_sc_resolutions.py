@@ -31,6 +31,7 @@ from relrep.endo import (
     _Chain,
     _Span,
     _combine,
+    _pd_le_on_chain,
     _reduce_to_basic,
     _terms,
     _top_chain,
@@ -151,15 +152,26 @@ def _assert_top_chains_agree(g: StructureConstantAlgebra) -> None:
             )
 
 
+def _level_profile(chain, depth: int) -> list[tuple[int, int, bool]]:
+    chain.ensure(depth)
+    return [(c.dim, len(c.kernel_cols), c.minimal) for c in chain.covers[:depth]]
+
+
+def _chain_answers(chain, x) -> tuple:
+    """pd(x) <= n for n in BOUNDS, and dim Ext^i(x, x) for i = 1..3, off the chain."""
+    dims, ranks = chain.hom_complex_dims_and_ranks(4, x.apply, x.dim)
+    ext = [dims[i] - ranks[i] - ranks[i - 1] for i in range(1, 4)]
+    return [_pd_le_on_chain(chain, n) for n in BOUNDS], ext
+
+
 def _assert_chains_agree(g: StructureConstantAlgebra, x) -> None:
-    # the radical generators span the same radical of every kernel, so the
-    # covers pick the same generators and the kernels are equal, not just
-    # equal in dimension
+    # the graded chain solves each kernel vertex by vertex, in another basis
+    # than the reference's full-width kernel, so the levels are compared by
+    # their invariants: cover and kernel dimensions and the minimality
+    # certificate; then the pd and Ext answers read off each chain
     ours, theirs = _Chain(g, x), ref.FullRadicalChain(g, x)
-    ours.ensure(CHAIN_DEPTH)
-    theirs.ensure(CHAIN_DEPTH)
-    for a, b in zip(ours.covers, theirs.covers):
-        assert (a.kernel_cols, a.minimal) == (b.kernel_cols, b.minimal)
+    assert _level_profile(ours, CHAIN_DEPTH) == _level_profile(theirs, CHAIN_DEPTH)
+    assert _chain_answers(ours, x) == _chain_answers(theirs, x)
 
 
 class TestAgainstTheReferenceRoute:
@@ -504,9 +516,10 @@ def _assert_public_build(mat: Matrix) -> None:
 
 
 class TestUncheckedBuilds:
-    """``_combine``, ``hom_sc_bimodule_sides``, ``_Chain._build_cover`` and
-    ``rep.morphism_from_generator`` wrap canonicalized rows unchecked; each
-    build must equal the public constructor's on the theorem modules."""
+    """``_combine``, ``hom_sc_bimodule_sides``, the kernel systems of
+    ``_Chain.extend`` and ``rep.morphism_from_generator`` wrap canonicalized
+    rows unchecked; each build must equal the public constructor's on the
+    theorem modules."""
 
     def test_bimodule_sides_and_their_combinations(self, pairs):
         half = Fraction(1, 2)
@@ -522,7 +535,19 @@ class TestUncheckedBuilds:
                 for terms in (_terms(g) for g in radical_generators(side.algebra)):
                     _assert_public_build(_combine(side.action, side.dim, terms))
 
-    def test_covers(self, pairs):
+    def test_covers(self, pairs, monkeypatch):
+        """The per-vertex kernel systems of every cover, recorded as the
+        chain solves them, on the modules and on rescaled copies whose
+        action has non-integral entries."""
+        systems = []
+        solve = Matrix.kernel_basis
+
+        def recorded(mat):
+            systems.append(mat)
+            return solve(mat)
+
+        monkeypatch.setattr(Matrix, "kernel_basis", recorded)
+        fractional = 0
         for m1, m2 in pairs:
             modules = [*hom_sc_bimodule_sides(m2, m1)]
             for m in (m1, m2):
@@ -530,10 +555,14 @@ class TestUncheckedBuilds:
                 modules += [regular_sc_module(g), semisimple_quotient_module(g)]
             for x in modules + [_rescaled(x) for x in modules]:
                 chain = _Chain(x.algebra, x)
+                systems.clear()
                 chain.ensure(CHAIN_DEPTH)
-                for cover in chain.covers:
-                    _assert_public_build(cover.mat)
-
+                # at most one system per vertex and level
+                assert 0 < len(systems) <= CHAIN_DEPTH * len(chain.members)
+                for mat in systems:
+                    _assert_public_build(mat)
+                    fractional += any(type(c) is not int for row in mat._data for c in row)
+        assert fractional
 
     def test_morphisms_from_generators(self, pairs):
         """Out of projectives (whose vertex maps are the built rows
