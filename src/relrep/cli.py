@@ -5,7 +5,9 @@ checkers, and prints a human-readable report followed by stable
 machine-readable ``## key = value`` lines.  Exit codes form a fixed
 contract: 0 for success or a true verdict, 1 for a false verdict or a
 failed search, 2 for parse errors, 3 for an internal equivalence
-violation, and 4 for a failed hypothesis or precondition.
+violation, 4 for a failed hypothesis or precondition, 5 for an internal
+error, and 6 when the work ran out of memory or recursion depth, which is
+never a verdict.
 """
 
 from __future__ import annotations
@@ -51,6 +53,7 @@ EXIT_PARSE = 2
 EXIT_EQUIVALENCE = 3
 EXIT_HYPOTHESIS = 4
 EXIT_INTERNAL = 5
+EXIT_RESOURCE = 6
 
 
 class FileFormatError(AlgebraError):
@@ -678,6 +681,11 @@ def main(argv=None) -> int:
         # remaining library rejections are violated preconditions
         print(f"hypothesis failure: {exc}", file=sys.stderr)
         return EXIT_HYPOTHESIS
+    except (MemoryError, RecursionError) as exc:
+        # the input was too large to decide here: no verdict, false included
+        detail = " ".join(str(exc).split()) or "out of memory"
+        print(f"resource limit: {type(exc).__name__}: {detail}", file=sys.stderr)
+        return EXIT_RESOURCE
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -1585,30 +1585,13 @@ def dual_cotilting_style_condition(m1: Module, m2: Module, l: int) -> tuple[bool
     cosyzygy lies in add(m1) and all steps are exact for Hom(m2, -).  This is
     the tilting-style condition set for ``m1``; under the verified hypotheses
     the relative global dimension is finite, which makes it equivalent to the
-    cotilting-style formulation (see :func:`tilting_style_condition` for the
-    parity check exercising that equivalence).
+    cotilting-style formulation (the tests check that parity on worked
+    inputs).
     """
     f_cov = covariant_functor(m2)
     return _relative_tilting_check(
         l, m1, f_cov, pd_F_le, "projective_dimension_ok",
         F_coresolution(m2, contravariant_functor(m1)), m1, "cosyzygy_in_add", f_cov,
-    )
-
-
-def tilting_style_condition(m1: Module, m2: Module, l: int) -> tuple[bool, dict]:
-    """Tilting-style condition set for ``m2`` relative to Hom(-, m1).
-
-    Used only to exercise the tilting/cotilting parity on worked inputs:
-    relative selforthogonality, the relative projective dimension bound, and
-    the coresolution witness for the relative projectives: the Hom(-, m2)-
-    relative injective coresolution of the relative-projectives generator has
-    its ``l``-th cosyzygy in add(m2) and steps exact for Hom(-, m1).
-    """
-    f_con1 = contravariant_functor(m1)
-    return _relative_tilting_check(
-        l, m2, f_con1, pd_F_le, "projective_dimension_ok",
-        F_coresolution(f_con1.projectives_module(), contravariant_functor(m2)),
-        m2, "cosyzygy_in_add", f_con1,
     )
 
 

@@ -475,11 +475,6 @@ def block_diag(mats: Sequence[Matrix]) -> Matrix:
     return Matrix._trusted(len(data), cols, data)
 
 
-def from_blocks(blocks: Sequence[Sequence[Matrix]]) -> Matrix:
-    """Assemble a matrix from a 2d grid of consistent blocks."""
-    return vstack([hstack(list(row)) for row in blocks])
-
-
 def subspace_contains(span: Matrix, vectors: Matrix) -> bool:
     """Whether every column of ``vectors`` lies in the column span of ``span``."""
     if span.cols == 0:

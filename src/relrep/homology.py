@@ -32,7 +32,6 @@ from .rep import (
     _multiplicity,
     _precomposed_images,
     _split_local,
-    cogenerator_module,
     cokernel,
     composite_coords,
     composition_table,
@@ -256,6 +255,17 @@ def resolution_cohomology_dim(res: Resolution, i: int, other: Module) -> int:
     return out - rank(i - 1) if i else out
 
 
+def syzygy_restrictions(res: Resolution, i: int, y: Module) -> tuple[HomSpace, Matrix]:
+    """Hom(syzygy(i), y) and the coordinates in it, as columns, of the
+    restrictions to syzygy(i) of a basis of Hom(terms[i-1], y), for a chain
+    resolution and i >= 1.  Their cokernel is the degree-i cohomology of the
+    hom complex: terms[i] maps onto syzygy(i), so the cocycles of
+    Hom(terms[i], y) are Hom(syzygy(i), y) and the coboundaries are the
+    restrictions.  Only terms[0..i-1] are built."""
+    k, incl = res.syzygy_edge(i)
+    return hom_space(k, y), composite_coords(res.hom_to(i - 1, y), incl)
+
+
 def ext_dim(i: int, x: Module, y: Module, via: str = "projective") -> int:
     """dim Ext^i(x, y).
 
@@ -311,23 +321,8 @@ def factor_through(g: Morphism, q: Morphism) -> Morphism | None:
     return sp_uv.from_coords([sol[i, 0] for i in range(sol.rows)])
 
 
-def factor_through_mono(f: Morphism, q: Morphism) -> Morphism | None:
-    """A morphism u with u o f = q, or None if q does not extend along f.
-
-    Computed by duality: D(u o f) = Df o Du, so Du factors Dq through Df.
-    """
-    if f.source.dims != q.source.dims:
-        raise AlgebraError("factorization sources do not match")
-    u = factor_through(dualize_morphism(f), dualize_morphism(q))
-    return None if u is None else dualize_morphism(u)
-
-
 def is_split_epi(g: Morphism) -> bool:
     return factor_through(g, Morphism.identity(g.target)) is not None
-
-
-def is_split_mono(f: Morphism) -> bool:
-    return factor_through_mono(f, Morphism.identity(f.source)) is not None
 
 
 # -- Ext^1 as a concrete space ------------------------------------------------
@@ -367,12 +362,10 @@ class _Ext1Core:
     __slots__ = ("cocycles", "free", "reducer", "section_idx")
 
     def __init__(self, c: Module, a: Module):
-        res = projective_resolution(c)
-        k, incl = res.syzygy_edge(1)
-        self.cocycles, self.free, change = _entry_coordinates(hom_space(k, a))
+        space, restrictions = syzygy_restrictions(projective_resolution(c), 1, a)
+        self.cocycles, self.free, change = _entry_coordinates(space)
         # coboundaries: the restrictions of Hom(P, a) to K
-        coboundaries = change @ composite_coords(hom_space(res.terms[0], a), incl)
-        self.reducer, self.section_idx = complement_projection(coboundaries)
+        self.reducer, self.section_idx = complement_projection(change @ restrictions)
 
 
 class Ext1Space:
@@ -507,13 +500,6 @@ def yoneda_ext1_pairing(eta: ShortExactSequence, f: Morphism) -> tuple:
 
 
 # -- transpose and its composites ---------------------------------------------
-
-
-def minimal_presentation(x: Module) -> tuple[Morphism, Morphism]:
-    """(d1: P1 -> P0, cover: P0 -> x) from the minimal resolution."""
-    res = projective_resolution(x)
-    res.ensure_terms(2)
-    return res.differentials[0], res.augmentation
 
 
 def _path_class_vector(proj: Module, path) -> Matrix:
@@ -796,28 +782,9 @@ def pd_le(x: Module, n: int) -> bool:
     return in_add(res.syzygy(n), regular_module(x.algebra))
 
 
-def id_le(x: Module, n: int) -> bool:
-    """Injective dimension <= n, via the dual module over the opposite algebra."""
-    if n < 0:
-        raise AlgebraError("dimension bound must be >= 0")
-    if x.is_zero():
-        return True
-    return pd_le(dualize(x), n)
-
-
 def gldim_le(algebra: AlgebraPresentation, n: int) -> bool:
     """Global dimension <= n: every simple has projective dimension <= n."""
     return all(
         pd_le(simple_module(algebra, v), n)
-        for v in range(algebra.quiver.vertex_count)
-    )
-
-
-@memoized("selfinjective")
-def is_selfinjective(algebra: AlgebraPresentation) -> bool:
-    """Whether every indecomposable projective is injective."""
-    cog = cogenerator_module(algebra)
-    return all(
-        in_add(proj_module(algebra, v), cog)
         for v in range(algebra.quiver.vertex_count)
     )

@@ -15,7 +15,7 @@ add-approximations, derived extension groups, and relative projective and
 injective dimensions.  Everything here is layered on the absolute machinery
 in homology: the relative resolutions reuse the same lazy Resolution class
 with an approximation step instead of a cover, and relative extension
-dimensions come from the same hom-complex rank computation.
+dimensions come from the same restriction and hom-complex ranks.
 """
 
 from __future__ import annotations
@@ -40,7 +40,6 @@ from .rep import (
     hom_basis,
     hom_dim,
     hom_space,
-    kernel,
     regular_module,
     zero_module,
 )
@@ -55,6 +54,7 @@ from .homology import (
     minimal_right_approximation,
     resolution_cohomology_dim,
     syzygy_lift,
+    syzygy_restrictions,
     trd,
 )
 
@@ -152,43 +152,6 @@ def is_F_exact(eta: ShortExactSequence, f: SubBifunctor) -> bool:
     return coords.rank() == sp_out.dim
 
 
-def is_F_exact_by_dims(eta: ShortExactSequence, f: SubBifunctor) -> bool:
-    """Membership by dimension count: hom is left exact, so the sequence is
-    functor-exact exactly when the middle hom dimension is the sum of the
-    outer two."""
-    m = f.module
-    if f.variance == "covariant":
-        return hom_dim(m, eta.middle) == hom_dim(m, eta.sub) + hom_dim(m, eta.quotient)
-    return hom_dim(eta.middle, m) == hom_dim(eta.sub, m) + hom_dim(eta.quotient, m)
-
-
-def is_F_exact_by_pairing(eta: ShortExactSequence, f: SubBifunctor) -> bool:
-    """Membership by extension classes: the sequence is functor-exact exactly
-    when its pullback along every map test -> quotient (covariant), resp. its
-    pushout along every map sub -> test (contravariant), splits."""
-    m = f.module
-    if f.variance == "covariant":
-        space_m = ext1_space(m, eta.sub)
-        if space_m.dim == 0:
-            return True
-        space_c = ext1_space(eta.quotient, eta.sub)
-        psi = space_c.cocycle_of(eta)
-        for phi in hom_basis(m, eta.quotient):
-            kappa = syzygy_lift(phi)
-            if any(c != 0 for c in space_m.reduce(psi @ kappa)):
-                return False
-        return True
-    space_push = ext1_space(eta.quotient, m)
-    if space_push.dim == 0:
-        return True
-    space_c = ext1_space(eta.quotient, eta.sub)
-    psi = space_c.cocycle_of(eta)
-    for alpha in hom_basis(eta.sub, m):
-        if any(c != 0 for c in space_push.reduce(alpha @ psi)):
-            return False
-    return True
-
-
 def F_subgroup_dim(c: Module, a: Module, f: SubBifunctor) -> int:
     """Dimension of the functor's subgroup of the extension group of (c, a).
 
@@ -267,18 +230,6 @@ def _canonical_left_approximation(x: Module, m: Module) -> Morphism:
         return Morphism.zero(x, zero_module(x.algebra))
     tgt = direct_sum(x.algebra, [m] * len(basis))
     return assemble_into_components(x, tgt, basis)
-
-
-def right_approximation(x: Module, m: Module, minimize: bool = True) -> ApproximationResult:
-    """A right add(m)-approximation of x: every map from a summand-of-m
-    factors through it.  minimize=True certifies minimality; otherwise the
-    canonical evaluation map is returned with no minimality claim."""
-    if minimize:
-        g = minimal_right_approximation(x, m)
-    else:
-        g = _canonical_right_approximation(x, m)
-    ker, _ = kernel(g)
-    return ApproximationResult(g, bool(minimize), ker)
 
 
 def left_approximation(x: Module, m: Module, minimize: bool = True) -> ApproximationResult:
@@ -371,17 +322,23 @@ def ext_F_dim(
 ) -> int:
     """Dimension of the functor's i-th derived extension group of (c, a).
 
-    via="projective" resolves c by relative projectives; via="injective"
-    coresolves a by relative injectives.  The two routes agree (relative
-    balance) and the second is kept as an independent cross-check.  Degree 1
-    always equals F_subgroup_dim(c, a, f).
+    via="projective" resolves c by relative projectives and reads degree i
+    off the i-th relative syzygy: the cokernel of the restrictions
+    Hom(P_{i-1}, a) -> Hom(syzygy(i), a) (``syzygy_restrictions``), so only
+    i relative approximations are built.  via="injective" coresolves a by
+    relative injectives and keeps the full hom complex
+    (``resolution_cohomology_dim``).  The two routes agree (relative
+    balance) and the second is kept as an independent cross-check, in its
+    resolution and in its formula.  Degree 1 always equals
+    F_subgroup_dim(c, a, f).
     """
     if i < 0:
         raise AlgebraError("ext degree must be >= 0")
     if i == 0:
         return hom_dim(c, a)
     if via == "projective":
-        return resolution_cohomology_dim(F_resolution(c, f, minimize=minimize), i, a)
+        space, restrictions = syzygy_restrictions(F_resolution(c, f, minimize=minimize), i, a)
+        return space.dim - restrictions.rank()
     if via == "injective":
         return resolution_cohomology_dim(F_coresolution(a, f, minimize=minimize), i, c)
     raise AlgebraError(f"unknown ext route {via!r}")

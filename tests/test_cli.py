@@ -17,6 +17,7 @@ from relrep.cli import (
     EXIT_INTERNAL,
     EXIT_OK,
     EXIT_PARSE,
+    EXIT_RESOURCE,
     AlgebraFile,
     FileFormatError,
     load_algebra,
@@ -164,6 +165,20 @@ class TestExchange:
         assert code == EXIT_INTERNAL == 5
         assert err.strip() == "internal error in endo: projective cover construction is not onto"
         assert "hypothesis failure" not in err
+        assert "## verdict" not in out
+
+    @pytest.mark.parametrize("error", [MemoryError(), RecursionError("maximum recursion depth exceeded")])
+    def test_resource_error_exits_six_not_false(self, capsys, monkeypatch, error):
+        def exhausted(g, n):
+            raise error
+
+        monkeypatch.setattr(cli, "gldim_le", exhausted)
+        code, out, err = run(capsys, ["gldim-endo", ALG, "S(1)", "--bound", "0"])
+        # running out is not a verdict: not exit 1 ("false"), not exit 4
+        assert code == EXIT_RESOURCE == 6
+        assert len(err.splitlines()) == 1
+        assert err.startswith(f"resource limit: {type(error).__name__}")
+        assert "Traceback" not in out + err
         assert "## verdict" not in out
 
     def test_precondition_failure_exits_four(self, capsys):

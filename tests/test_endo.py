@@ -25,10 +25,12 @@ from relrep.rep import (
     zero_module,
 )
 from relrep.homology import dtr, trd
+from relrep.relhom import F_coresolution, contravariant_functor, pd_F_le
 from relrep.endo import (
     StructureConstantAlgebra,
     TheoremReport,
     _reduce_to_basic,
+    _relative_tilting_check,
     check_iyama_orthogonality,
     check_maximal_orthogonal,
     check_prop_gldim,
@@ -46,7 +48,6 @@ from relrep.endo import (
     sc_pd_le,
     search_exchange_sequence,
     semisimple_quotient_module,
-    tilting_style_condition,
     verify_theorem,
 )
 
@@ -544,6 +545,21 @@ class TestExchangeSequences:
         p1 = parse_module_expression(cyc3_5, "P(1)")
         with pytest.raises(AlgebraError, match="outside add"):
             search_exchange_sequence(n, p1, x2, 1)
+
+
+def tilting_style_condition(m1, m2, l):
+    """Tilting-style condition set for ``m2`` relative to Hom(-, m1), which
+    exercises the tilting/cotilting parity on worked inputs: relative
+    selforthogonality, the relative projective dimension bound, and the
+    coresolution witness for the relative projectives: the Hom(-, m2)-
+    relative injective coresolution of the relative-projectives generator has
+    its ``l``-th cosyzygy in add(m2) and steps exact for Hom(-, m1)."""
+    f_con1 = contravariant_functor(m1)
+    return _relative_tilting_check(
+        l, m2, f_con1, pd_F_le, "projective_dimension_ok",
+        F_coresolution(f_con1.projectives_module(), contravariant_functor(m2)),
+        m2, "cosyzygy_in_add", f_con1,
+    )
 
 
 class TestGlobalDimensionComparison:

@@ -9,13 +9,17 @@ from relrep.exact_linalg import (
     block_diag,
     complement_projection,
     exact_div,
-    from_blocks,
     gather_columns,
     hstack,
     rational,
     subspace_contains,
     vstack,
 )
+
+
+def from_blocks(blocks):
+    """Assemble a matrix from a 2d grid of consistent blocks."""
+    return vstack([hstack(list(row)) for row in blocks])
 
 
 def test_rational_coercions():

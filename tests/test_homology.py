@@ -21,19 +21,14 @@ from relrep.homology import (
     ext1_space,
     ext_dim,
     factor_through,
-    factor_through_mono,
     gldim_le,
-    id_le,
     in_add,
     in_add_via_split,
     injective_resolution,
     is_left_minimal,
     is_right_minimal,
-    is_selfinjective,
     is_split_epi,
-    is_split_mono,
     minimal_left_approximation,
-    minimal_presentation,
     minimal_right_approximation,
     pd_le,
     projective_cover,
@@ -55,8 +50,10 @@ from relrep.relhom import contravariant_functor, covariant_functor, pd_F_le
 from relrep.rep import (
     Module,
     Morphism,
+    cogenerator_module,
     direct_sum,
     dualize,
+    dualize_morphism,
     enumerate_indecomposables_nakayama,
     inj_module,
     is_isomorphic,
@@ -68,6 +65,49 @@ from relrep.rep import (
     summand_projection,
     zero_module,
 )
+
+
+# Test-only helpers: no library code needs them.
+
+
+def factor_through_mono(f: Morphism, q: Morphism) -> Morphism | None:
+    """A morphism u with u o f = q, or None if q does not extend along f.
+
+    Computed by duality: D(u o f) = Df o Du, so Du factors Dq through Df.
+    """
+    if f.source.dims != q.source.dims:
+        raise AlgebraError("factorization sources do not match")
+    u = factor_through(dualize_morphism(f), dualize_morphism(q))
+    return None if u is None else dualize_morphism(u)
+
+
+def is_split_mono(f: Morphism) -> bool:
+    return factor_through_mono(f, Morphism.identity(f.source)) is not None
+
+
+def minimal_presentation(x: Module) -> tuple[Morphism, Morphism]:
+    """(d1: P1 -> P0, cover: P0 -> x) from the minimal resolution."""
+    res = projective_resolution(x)
+    res.ensure_terms(2)
+    return res.differentials[0], res.augmentation
+
+
+def id_le(x: Module, n: int) -> bool:
+    """Injective dimension <= n, via the dual module over the opposite algebra."""
+    if n < 0:
+        raise AlgebraError("dimension bound must be >= 0")
+    if x.is_zero():
+        return True
+    return pd_le(dualize(x), n)
+
+
+def is_selfinjective(algebra: AlgebraPresentation) -> bool:
+    """Whether every indecomposable projective is injective."""
+    cog = cogenerator_module(algebra)
+    return all(
+        in_add(proj_module(algebra, v), cog)
+        for v in range(algebra.quiver.vertex_count)
+    )
 
 
 def ext_dims_up_to(max_i: int, x: Module, y: Module) -> list[int]:

@@ -12,10 +12,13 @@ transpose-of-dual shift on this algebra moves uniserials one vertex down,
 which fixes the relative projective and injective atom lists below.
 """
 
+import itertools
+
 import pytest
 
+from relrep import homology, relhom
 from relrep.exact_linalg import QQ
-from relrep.path_algebra import AlgebraError, AlgebraPresentation, linear_quiver
+from relrep.path_algebra import AlgebraError, AlgebraPresentation, cyclic_quiver, linear_quiver
 from relrep.homology import (
     distinct_atoms,
     dtr,
@@ -24,6 +27,9 @@ from relrep.homology import (
     factor_through,
     is_left_minimal,
     is_right_minimal,
+    minimal_right_approximation,
+    resolution_cohomology_dim,
+    syzygy_lift,
     trd,
 )
 from relrep.relhom import (
@@ -33,6 +39,7 @@ from relrep.relhom import (
     F_resolution,
     F_subgroup_dim,
     SubBifunctor,
+    _canonical_right_approximation,
     check_absolute_relative_agreement,
     contravariant_functor,
     covariant_functor,
@@ -42,23 +49,79 @@ from relrep.relhom import (
     in_F_injectives,
     in_F_projectives,
     is_F_exact,
-    is_F_exact_by_dims,
-    is_F_exact_by_pairing,
     left_approximation,
     pd_F_le,
     resolution_step_sequence,
-    right_approximation,
 )
 from relrep.rep import (
+    Module,
+    ShortExactSequence,
     cogenerator_module,
     direct_sum,
     enumerate_indecomposables_nakayama,
     hom_basis,
     hom_dim,
     is_isomorphic,
+    kernel,
     parse_module_expression,
     regular_module,
+    simple_module,
 )
+from conftest import M1_EXPR, M2_EXPR
+from test_homology import _a3_zero_relation, _a4_rad2, _commuting_square, _test_modules
+
+
+# Test-only routes: the library decides membership by ``is_F_exact`` alone and
+# builds its approximations inside the relative resolutions.
+
+
+def is_F_exact_by_dims(eta: ShortExactSequence, f: SubBifunctor) -> bool:
+    """Membership by dimension count: hom is left exact, so the sequence is
+    functor-exact exactly when the middle hom dimension is the sum of the
+    outer two."""
+    m = f.module
+    if f.variance == "covariant":
+        return hom_dim(m, eta.middle) == hom_dim(m, eta.sub) + hom_dim(m, eta.quotient)
+    return hom_dim(eta.middle, m) == hom_dim(eta.sub, m) + hom_dim(eta.quotient, m)
+
+
+def is_F_exact_by_pairing(eta: ShortExactSequence, f: SubBifunctor) -> bool:
+    """Membership by extension classes: the sequence is functor-exact exactly
+    when its pullback along every map test -> quotient (covariant), resp. its
+    pushout along every map sub -> test (contravariant), splits."""
+    m = f.module
+    if f.variance == "covariant":
+        space_m = ext1_space(m, eta.sub)
+        if space_m.dim == 0:
+            return True
+        space_c = ext1_space(eta.quotient, eta.sub)
+        psi = space_c.cocycle_of(eta)
+        for phi in hom_basis(m, eta.quotient):
+            kappa = syzygy_lift(phi)
+            if any(c != 0 for c in space_m.reduce(psi @ kappa)):
+                return False
+        return True
+    space_push = ext1_space(eta.quotient, m)
+    if space_push.dim == 0:
+        return True
+    space_c = ext1_space(eta.quotient, eta.sub)
+    psi = space_c.cocycle_of(eta)
+    for alpha in hom_basis(eta.sub, m):
+        if any(c != 0 for c in space_push.reduce(alpha @ psi)):
+            return False
+    return True
+
+
+def right_approximation(x: Module, m: Module, minimize: bool = True) -> ApproximationResult:
+    """A right add(m)-approximation of x: every map from a summand-of-m
+    factors through it.  minimize=True certifies minimality; otherwise the
+    canonical evaluation map is returned with no minimality claim."""
+    if minimize:
+        g = minimal_right_approximation(x, m)
+    else:
+        g = _canonical_right_approximation(x, m)
+    ker, _ = kernel(g)
+    return ApproximationResult(g, bool(minimize), ker)
 
 
 @pytest.fixture(scope="module")
@@ -232,10 +295,68 @@ def test_relative_balance_projective_vs_injective(ctx):
     ]
     for functor in (ctx["f2"], ctx["g1"]):
         for c, a in pairs:
-            for i in (1, 2):
-                assert ext_F_dim(i, c, a, functor, via="projective") == ext_F_dim(
-                    i, c, a, functor, via="injective"
-                )
+            for i in (1, 2, 3):
+                _assert_routes_agree(i, c, a, functor)
+
+
+def _assert_routes_agree(i, c, a, functor) -> int:
+    """The projective route (degree i off the i-th relative syzygy) against
+    the injective route and against the full hom complex of the same
+    relative resolution; returns the common value."""
+    projective = ext_F_dim(i, c, a, functor, via="projective")
+    assert projective == ext_F_dim(i, c, a, functor, via="injective"), (functor.variance, i, c.dims, a.dims)
+    assert projective == resolution_cohomology_dim(F_resolution(c, functor), i, a), (functor.variance, i, c.dims, a.dims)
+    return projective
+
+
+@pytest.mark.parametrize(
+    "make", [_commuting_square, _a3_zero_relation, _a4_rad2], ids=lambda make: make.__name__.strip("_")
+)
+def test_relative_balance_off_the_cyclic_algebras(make):
+    alg = make()
+    modules = _test_modules(alg)
+    higher = differs = 0
+    for v in range(alg.quiver.vertex_count):
+        test = simple_module(alg, v)
+        for functor in (covariant_functor(test), contravariant_functor(test)):
+            for c, a in itertools.product(modules, repeat=2):
+                for i in (1, 2, 3):
+                    value = _assert_routes_agree(i, c, a, functor)
+                    higher += i > 1 and value != 0
+                    differs += value != ext_dim(i, c, a)
+    # not vacuous: some degree above 1 is nonzero, and some relative group
+    # is not the absolute one
+    assert higher and differs
+
+
+@pytest.fixture
+def approximations(monkeypatch):
+    """Counts minimal right approximations, wherever they are called from."""
+    calls = []
+    real = homology.minimal_right_approximation
+
+    def counted(x, m):
+        calls.append(x.dims)
+        return real(x, m)
+
+    for module in (homology, relhom):
+        monkeypatch.setattr(module, "minimal_right_approximation", counted)
+    return calls
+
+
+@pytest.mark.parametrize("i", [1, 2, 3])
+@pytest.mark.parametrize("variance", ["covariant", "contravariant"])
+def test_relative_ext_builds_i_approximations(approximations, variance, i):
+    # a fresh algebra, so nothing is cached: degree i reads the i-th relative
+    # syzygy, which needs terms 0..i-1 only, one approximation each
+    alg = AlgebraPresentation.truncated(cyclic_quiver(3), 5, name="cyc3-trunc5")
+    m1, m2 = (parse_module_expression(alg, e) for e in (M1_EXPR, M2_EXPR))
+    functor = covariant_functor(m2) if variance == "covariant" else contravariant_functor(m1)
+    c = parse_module_expression(alg, "P(3)/rad^2+S(2)")
+    a = parse_module_expression(alg, "P(1)/rad^2")
+    value = ext_F_dim(i, c, a, functor)
+    assert len(approximations) == i
+    assert value == ext_F_dim(i, c, a, functor, via="injective")
 
 
 def test_covariant_equals_contravariant_at_shifted_module(ctx, nonsplit):

@@ -1,13 +1,14 @@
-"""Source hygiene of ``src/relrep``: no orphaned private helpers, no unused
-imports, one cache policy, no randomness, no hand on the cycle collector and
-no presentation carried by hand.
+"""Source hygiene of ``src/relrep``: no orphaned private helpers, no
+test-only public functions, no unused imports, one cache policy, no
+randomness, no hand on the cycle collector and no presentation carried by
+hand.
 
 The checks read the syntax trees only (stdlib ``ast``, nothing is imported).
-The first two catch helpers and imports left behind when the code using them
-is deleted; the third keeps every memoized result behind ``relrep.cache``;
-the fourth keeps every verdict deterministic: no module imports ``random``
-and no function takes a ``seed``; the fifth keeps the cycle collector out of
-the library: no module imports ``gc``; the sixth keeps one source of
+The first three catch helpers, public functions and imports left behind when
+the code using them is deleted or when only tests use them; the fourth keeps every memoized result behind ``relrep.cache``;
+the fifth keeps every verdict deterministic: no module imports ``random``
+and no function takes a ``seed``; the sixth keeps the cycle collector out of
+the library: no module imports ``gc``; the seventh keeps one source of
 generators and relations, ``rep.presentation``: no module reads or writes an
 attribute named ``hint``, directly or through ``getattr`` and its kin; the
 last keeps one relative functor per module and variance: ``SubBifunctor`` is
@@ -17,10 +18,12 @@ constructed only by ``relhom._functor``, which shares it.
 from __future__ import annotations
 
 import ast
+import re
 from collections import Counter
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "relrep"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "relrep"
 
 
 def _trees() -> dict[str, ast.Module]:
@@ -60,6 +63,80 @@ def test_every_private_helper_is_referenced():
                 orphans.append(f"{name}: {stmt.name}")
     assert orphans == []
 
+
+# Public functions no library code calls, kept on purpose: cross-checks that
+# open ROADMAP items use, a check of the paper's claims, and the quiver
+# constructors that users build algebras with.
+PUBLIC_KEEPERS = {
+    "yoneda_ext1_pairing",
+    "in_add_via_split",
+    "check_iyama_orthogonality",
+    "check_absolute_relative_agreement",
+    "cyclic_quiver",
+    "linear_quiver",
+}
+
+
+def _readme_names(text: str) -> set[str]:
+    """Identifiers inside the code of a markdown text: fenced blocks and
+    inline code spans, not prose."""
+    fenced = re.findall(r"```.*?```", text, flags=re.S)
+    inline = re.findall(r"`([^`]+)`", re.sub(r"```.*?```", "", text, flags=re.S))
+    return set(re.findall(r"[A-Za-z_]\w*", " ".join(fenced + inline)))
+
+
+def _public_orphans(trees: dict[str, ast.Module], readme: str, keepers: set[str]) -> list[str]:
+    """Public top-level functions that no code of ``trees`` references
+    outside their own definition, that the readme's code does not name, and
+    that ``keepers`` does not list."""
+    total: Counter = Counter()
+    for tree in trees.values():
+        total.update(_used_names(tree))
+    documented = _readme_names(readme)
+    orphans = []
+    for name, tree in trees.items():
+        for stmt in tree.body:
+            if not isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)) or stmt.name.startswith("_"):
+                continue
+            if stmt.name in documented or stmt.name in keepers:
+                continue
+            if total[stmt.name] - _used_names(stmt)[stmt.name] == 0:
+                orphans.append(f"{name}: {stmt.name}")
+    return orphans
+
+
+def test_every_public_function_has_a_library_caller():
+    # a function only tests call belongs in the tests
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    assert _public_orphans(_trees(), readme, PUBLIC_KEEPERS) == []
+
+
+def test_public_function_check_sees_each_orphan():
+    trees = {
+        "a.py": ast.parse(
+            "def called():\n"
+            "    pass\n"
+            "def recursive(n):\n"
+            "    return recursive(n - 1)\n"
+            "def documented():\n"
+            "    pass\n"
+            "def in_prose():\n"
+            "    pass\n"
+            "def kept():\n"
+            "    pass\n"
+            "def _private():\n"
+            "    pass\n"
+            "class Public:\n"
+            "    def method(self):\n"
+            "        pass\n"
+            "def orphan():\n"
+            "    pass\n"
+        ),
+        "b.py": ast.parse("from a import called\nx = called()\n"),
+    }
+    readme = "Call `documented()` or\n```\nfrom a import Public\n```\nnot in_prose.\n"
+    # a self-reference and a name in prose do not count
+    assert _public_orphans(trees, readme, {"kept"}) == ["a.py: recursive", "a.py: in_prose", "a.py: orphan"]
 
 def test_every_from_import_is_used():
     unused = []

@@ -20,7 +20,6 @@ from relrep.homology import (
     dtr,
     ext1_space,
     factor_through,
-    factor_through_mono,
     injective_hull,
     injective_resolution,
     projective_cover,
@@ -51,7 +50,7 @@ from relrep.rep import (
     socle_subspaces,
 )
 from test_exact_linalg import subspace_sum
-from test_homology import _a3_zero_relation, _a4_rad2, _commuting_square, _kronecker
+from test_homology import _a3_zero_relation, _a4_rad2, _commuting_square, _kronecker, factor_through_mono
 from test_rep import radical_subspaces, top
 
 # -- the replaced constructions ---------------------------------------------------

@@ -16,7 +16,6 @@ from relrep.exact_linalg import Matrix
 from relrep.homology import (
     _path_class_vector,
     dtr,
-    minimal_presentation,
     transpose,
     trd,
 )
@@ -38,6 +37,7 @@ from relrep.rep import (
     simple_module,
 )
 from hom_reference import _hom_raw
+from test_homology import minimal_presentation
 from test_syzygy_steps import ALGEBRAS, _built, _parsed, assert_relations_present
 
 # -- the replaced construction -----------------------------------------------------
