@@ -38,6 +38,17 @@ EXT_PAIRS = [
     ("S(3)+P(1)/rad^2", "P(2)/rad^2+S(1)"),
 ]
 
+# extensions of sums: quotients out of vertex order with repeated atoms, sums
+# as subs, and chosen classes, under both functor kinds
+SUM_CLASSES = [
+    ("P(3)/rad^2+S(1)+S(1)", "P(2)/rad^2+S(3)", f"F^M:{M1}", "1,0,1"),
+    ("P(3)/rad^2+S(1)+S(1)", "P(2)/rad^2+S(3)", f"FM:{M2}", "0,1,1"),
+    ("S(2)+P(3)/rad^2+S(1)", "S(3)+S(2)+S(3)", f"FM:{M2}", "1,0,0,1"),
+    ("S(2)+P(3)/rad^2+S(1)", "S(3)+S(2)+S(3)", f"FM:{M2}", "0,1/2,0,-1"),
+    ("S(2)+P(3)/rad^2+S(1)", "S(3)+P(1)/rad^2", f"F^M:{M2}", "1,0"),
+    ("S(2)+P(3)/rad^2+S(1)", "S(3)+P(1)/rad^2", f"F^M:{M2}", "0,1"),
+]
+
 COMMANDS = (
     [
         ["check-maxortho", ALG, mod, "--l", str(l), "--mode", mode]
@@ -71,6 +82,10 @@ COMMANDS = (
         ["relexact", ALG, "P(3)/rad^2", "P(1)/rad^2", "--functor", f"F^M:{M1}"],
         ["relexact", ALG, "P(1)/rad^2", "P(3)/rad^2", "--functor", f"FM:{M2}", "--class", "1"],
         ["relexact", ALG, "P(1)/rad^2", "P(3)/rad^2", "--functor", f"F^M:{M1}", "--class", "1"],
+    ]
+    + [
+        ["relexact", ALG, quotient, sub, "--functor", functor, "--class", coords]
+        for quotient, sub, functor, coords in SUM_CLASSES
     ]
 )
 
