@@ -10,6 +10,13 @@ of a minimal presentation, and minimal add-approximations with the
 split-solve route kept alongside as an independent cross-check;
 add-membership is a Krull-Schmidt count when the atoms of the add-generator
 are split local.
+
+Ext is additive over direct sums, and the projective routes use it: the
+first edge of the resolution of a sum of atoms with one top generator each,
+and the Ext^1 presentation of a sum, are assembled from the atoms' cached
+pieces, bit for bit what the whole modules give.  ``rep.projective_cover``,
+``injective_hull`` and every injective route work on the whole modules and
+cross-check that additivity.
 """
 
 from __future__ import annotations
@@ -17,7 +24,7 @@ from __future__ import annotations
 from typing import Callable, Sequence
 
 from .cache import cached, cached_pair, memoized
-from .exact_linalg import Matrix, complement_projection, hstack, subspace_contains
+from .exact_linalg import Matrix, block_diag, complement_projection, hstack, subspace_contains
 from .path_algebra import AlgebraError, AlgebraPresentation, InternalError
 from .rep import (
     HomSpace,
@@ -185,7 +192,79 @@ class Resolution:
 
 
 def projective_resolution(x: Module) -> Resolution:
-    return Resolution(x, projective_cover, "projective", cached(x, "projres", _ResolutionCore))
+    """The minimal projective resolution of x, cached on x.  For a sum of
+    atoms with one top generator each, its first edge is assembled from the
+    atoms' (see ``_projective_core``); every later step covers the whole
+    syzygy."""
+    return Resolution(x, projective_cover, "projective", cached(x, "projres", _projective_core, x))
+
+
+def _starts(parts: Sequence[Module], n: int) -> list[tuple[int, ...]]:
+    """Where each of ``parts`` starts in every vertex space of their direct sum."""
+    out, running = [], (0,) * n
+    for part in parts:
+        out.append(running)
+        running = tuple(r + d for r, d in zip(running, part.dims))
+    return out
+
+
+def _atom_offsets(m: Module) -> list[tuple[Module, tuple[int, ...]]]:
+    """The nonzero leaves of ``flatten_atoms(m)``, each with where it starts
+    in every vertex space of m."""
+    atoms = [atom for atom in flatten_atoms(m) if not atom.is_zero()]
+    return list(zip(atoms, _starts(atoms, len(m.dims))))
+
+
+def _cover_order(x: Module) -> list[tuple[Module, tuple[int, ...], Resolution]] | None:
+    """The nonzero atoms of the sum x with their offsets and resolutions, in
+    the order of the top generators of x, or None when some atom has more
+    than one.  The top of a sum is the sum of its atoms' tops, so x's
+    generators are the atoms' at their offsets; ``top_generators`` sorts them
+    by vertex, then by position in x, which is atom order."""
+    keyed = []
+    for j, (atom, off) in enumerate(_atom_offsets(x)):
+        res = projective_resolution(atom)
+        top = res.step_onto(0).source.summands
+        if len(top) != 1:
+            return None
+        keyed.append((top[0]._proj_vertex, j, atom, off, res))
+    keyed.sort(key=lambda t: t[:2])
+    return [(atom, off, res) for _, _, atom, off, res in keyed]
+
+
+def _projective_core(x: Module) -> _ResolutionCore:
+    """A fresh core for the projective resolution of x.  When x is a sum of
+    atoms with one top generator each, it starts with the first edge
+    assembled from the atoms' cached edges: the very matrices that
+    ``projective_cover`` and ``kernel`` give on the whole sum.  P0 is the
+    atoms' P(v) in the order of ``_cover_order``, the cover of x places each
+    atom's cover at the atom's rows, and Omega^1 x is the direct sum of the
+    atoms' in the same order, included block-diagonally: the RREF of a
+    matrix whose row blocks meet disjoint column blocks has the union of the
+    blocks' pivots, so its kernel basis is block-diagonal too."""
+    core = _ResolutionCore()
+    parts = _cover_order(x) if x.summands is not None else None
+    if parts is None:
+        return core
+    covers = [res.step_onto(0) for _, _, res in parts]
+    edges = [res.syzygy_edge(1) for _, _, res in parts]
+    first = []
+    for w, d in enumerate(x.dims):
+        width = sum(cover.maps[w].cols for cover in covers)
+        rows, left = [None] * d, 0
+        for (_, off, _), cover in zip(parts, covers):
+            block = cover.maps[w]
+            for r, row in enumerate(block._data):
+                rows[off[w] + r] = [0] * left + row + [0] * (width - left - block.cols)
+            left += block.cols
+        first.append(Matrix._trusted(d, width, rows))
+    p0 = direct_sum(x.algebra, [cover.source.summands[0] for cover in covers])
+    k = direct_sum(x.algebra, [syz for syz, _ in edges])
+    incl = tuple(block_diag([inc.maps[w] for _, inc in edges]) for w in range(len(x.dims)))
+    core.first = tuple(first)
+    core.terms.append(p0)
+    core.edges.append((k, Morphism._make(k, p0, incl)))
+    return core
 
 
 def injective_resolution(x: Module) -> Resolution:
@@ -341,7 +420,7 @@ def _entry_coordinates(space: HomSpace) -> tuple[Matrix, list[int], Matrix]:
     """
     k, a = space.source, space.target
     total = sum(dk * da for dk, da in zip(k.dims, a.dims))
-    flats = [b.flat() for b in space.basis]
+    flats = [space.basis_map(j).flat() for j in range(space.dim)]
     if not flats:
         return Matrix.zeros(total, 0), [], Matrix.zeros(0, 0)
     red, pivots = Matrix.from_rows([f[::-1] for f in flats]).rref()
@@ -361,11 +440,101 @@ class _Ext1Core:
 
     __slots__ = ("cocycles", "free", "reducer", "section_idx")
 
-    def __init__(self, c: Module, a: Module):
-        space, restrictions = syzygy_restrictions(projective_resolution(c), 1, a)
-        self.cocycles, self.free, change = _entry_coordinates(space)
-        # coboundaries: the restrictions of Hom(P, a) to K
-        self.reducer, self.section_idx = complement_projection(change @ restrictions)
+    def __init__(self, cocycles: Matrix, free: list[int], reducer: Matrix, section_idx: list[int]):
+        self.cocycles = cocycles
+        self.free = free
+        self.reducer = reducer
+        self.section_idx = section_idx
+
+
+def _whole_ext1_core(c: Module, a: Module) -> _Ext1Core:
+    """The core of Ext^1(c, a) read off Hom(K, a) on the whole modules."""
+    space, restrictions = syzygy_restrictions(projective_resolution(c), 1, a)
+    cocycles, free, change = _entry_coordinates(space)
+    # coboundaries: the restrictions of Hom(P, a) to K
+    reducer, section_idx = complement_projection(change @ restrictions)
+    return _Ext1Core(cocycles, free, reducer, section_idx)
+
+
+def _ext1_core(c: Module, a: Module) -> _Ext1Core:
+    """The core of Ext^1(c, a).  Ext^1 is additive, and so is every field
+    of the core: when c or a is a sum it is assembled from the cores of the
+    atom pairs, cached on the younger atom (see ``_assembled_ext1_core``).
+    Two atoms go whole, and so does a sum c with an atom of more than one
+    top generator, whose first syzygy is not laid out atom by atom."""
+    if c.summands is None:
+        if a.summands is None:
+            return _whole_ext1_core(c, a)
+        parts = [(c, projective_resolution(c))]
+    else:
+        order = _cover_order(c)
+        if order is None:
+            return _whole_ext1_core(c, a)
+        parts = [(atom, res) for atom, _, res in order]
+    return _assembled_ext1_core(parts, a)
+
+
+def _assembled_ext1_core(parts: list[tuple[Module, Resolution]], a: Module) -> _Ext1Core:
+    """The core of Ext^1(c, a) from the cores of the atom pairs (c_j, a_k):
+    ``parts`` are the atoms c_j of c with their resolutions, in the order of
+    their first syzygies K_j inside K, and a_k runs over the nonzero atoms
+    of a.  Hom(K, a) is the direct sum of the Hom(K_j, a_k) on disjoint
+    entries, and so are the coboundaries; an echelon form of a sum of
+    subspaces on disjoint coordinates has the union of the blocks' pivots
+    and their rows, so every field is the blocks' fields scattered.  A local
+    entry (v, r, s) is the global entry (v, off(a_k)[v] + r, off(K_j)[v] + s);
+    the free unknowns run by atom of a, then by entry; the section indices
+    ascend."""
+    n = len(a.dims)
+    syzygies = [res.syzygy(1) for _, res in parts]
+    k_dims = [sum(k.dims[v] for k in syzygies) for v in range(n)]
+    base = [0]
+    for v in range(n):
+        base.append(base[-1] + a.dims[v] * k_dims[v])
+    k_offs = _starts(syzygies, n)
+    # free: (atom of a, global entry, block, local index) per free unknown;
+    # a block is a pair's core, its global entries and its free positions
+    blocks, free = [], []
+    for t, (a_k, a_off) in enumerate(_atom_offsets(a)):
+        for (c_j, _), k_j, k_off in zip(parts, syzygies, k_offs):
+            core = cached_pair(c_j, a_k, "ext1", _ext1_core, c_j, a_k)
+            if not core.free:
+                continue
+            place = [
+                base[v] + (a_off[v] + r) * k_dims[v] + k_off[v] + s
+                for v in range(n)
+                for r in range(a_k.dims[v])
+                for s in range(k_j.dims[v])
+            ]
+            free.extend((t, place[e], len(blocks), i) for i, e in enumerate(core.free))
+            blocks.append((core, place, [0] * len(core.free)))
+    free.sort()
+    cocycles = [[0] * len(free) for _ in range(base[-1])]
+    for u, (_, _, b, i) in enumerate(free):
+        core, place, pos = blocks[b]
+        pos[i] = u
+        for e, row in enumerate(core.cocycles._data):
+            if row[i]:
+                cocycles[place[e]][u] = row[i]
+    sections = sorted(
+        (pos[i], b, row)
+        for b, (core, _, pos) in enumerate(blocks)
+        for row, i in enumerate(core.section_idx)
+    )
+    reducer = []
+    for _, b, row in sections:
+        core, _, pos = blocks[b]
+        out = [0] * len(free)
+        for i, x in enumerate(core.reducer._data[row]):
+            if x:
+                out[pos[i]] = x
+        reducer.append(out)
+    return _Ext1Core(
+        Matrix._trusted(base[-1], len(free), cocycles),
+        [e for _, e, _, _ in free],
+        Matrix._trusted(len(reducer), len(free), reducer),
+        [u for u, _, _ in sections],
+    )
 
 
 class Ext1Space:
@@ -381,14 +550,20 @@ class Ext1Space:
     An Ext1Space is a view, built on each ``ext1_space`` lookup: it holds c,
     a and the cover sequence of c's cached resolution, and copies the fields
     of the core cached on the younger of c and a, which holds no module.
-    Built directly, without a core, it computes one and caches nothing.
+    Ext^1 is additive, Ext^1(+c_j, +a_k) = +Ext^1(c_j, a_k): when c or a is
+    a sum, ``ext1_space`` scatters the cores of the atom pairs, each cached
+    on the younger atom, into the whole (see ``_assembled_ext1_core``), and
+    K is the direct sum of the atoms' first syzygies.  Two atoms, and a sum
+    c with an atom of more than one top generator (the Kronecker quiver's
+    I(2)), are read off Hom(K, a) on the whole modules.  Built directly,
+    without a core, an Ext1Space reads the whole modules and caches nothing.
     """
 
     __slots__ = ("c", "a", "cover", "k", "incl", "dim", "_cocycles", "_free", "_reducer", "_section_idx", "_sum_pa")
 
     def __init__(self, c: Module, a: Module, core: _Ext1Core | None = None):
         if core is None:
-            core = _Ext1Core(c, a)
+            core = _whole_ext1_core(c, a)
         self.c = c
         self.a = a
         res = projective_resolution(c)
@@ -456,7 +631,7 @@ class Ext1Space:
 
 
 def ext1_space(c: Module, a: Module) -> Ext1Space:
-    return Ext1Space(c, a, cached_pair(c, a, "ext1", _Ext1Core, c, a))
+    return Ext1Space(c, a, cached_pair(c, a, "ext1", _ext1_core, c, a))
 
 
 def syzygy_lift(f: Morphism) -> Morphism:
