@@ -16,6 +16,7 @@ import argparse
 import re
 import sys
 from dataclasses import dataclass, field
+from functools import cache
 from importlib import resources
 
 from .exact_linalg import rational
@@ -591,7 +592,9 @@ def cmd_show_algebra(args) -> int:
 # parser and dispatch
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process (parsing leaves it as it is)."""
     parser = argparse.ArgumentParser(
         prog="relrep",
         description=(

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .cache import Cached, cached, cached_across_involution, involution, memoized
-from .exact_linalg import Matrix, _canon_row, complement_projection, exact_div, rational, subspace_contains
+from .exact_linalg import Matrix, _canon_row, complement_projection, exact_div, hstack, rational, subspace_contains
 from .path_algebra import AlgebraError, InternalError
 from .rep import (
     Module,
@@ -434,14 +434,21 @@ def _radical_from_blocks(g: StructureConstantAlgebra, atoms, spaces, offsets) ->
 
 
 class SCModule:
-    """A left module: one action matrix per algebra basis element."""
+    """A left module: one action matrix per algebra basis element.
 
-    __slots__ = ("algebra", "dim", "action")
+    ``grading`` (optional) gives each coordinate its vertex: e_i acts as the
+    projection onto the coordinates at vertex i, for the structural
+    idempotents e_i of an algebra with piece members.  Chains re-base a
+    module without one (:func:`_rebased`).
+    """
 
-    def __init__(self, algebra: StructureConstantAlgebra, dim: int, action) -> None:
+    __slots__ = ("algebra", "dim", "action", "grading")
+
+    def __init__(self, algebra: StructureConstantAlgebra, dim: int, action, grading=None) -> None:
         self.algebra = algebra
         self.dim = int(dim)
         self.action = tuple(action)
+        self.grading = grading
         if len(self.action) != algebra.dim:
             raise AlgebraError("need one action matrix per algebra basis element")
         for a in self.action:
@@ -450,20 +457,6 @@ class SCModule:
 
     def element_matrix(self, coeffs) -> Matrix:
         return _combine(self.action, self.dim, _terms(coeffs))
-
-    def apply(self, coeffs, vec: list) -> list:
-        out = [0] * self.dim
-        vec_terms = _terms(vec)
-        for k, c in _terms(coeffs):
-            for r, row in enumerate(self.action[k]._data):
-                acc = 0
-                for t, vt in vec_terms:
-                    a = row[t]
-                    if a != 0:
-                        acc += a * vt
-                if acc != 0:
-                    out[r] += c * acc
-        return out
 
     def check(self) -> bool:
         """Action respects multiplication and unit; desk scale only."""
@@ -518,7 +511,17 @@ def semisimple_quotient_module(g: StructureConstantAlgebra) -> SCModule:
 
 def dual_sc_module(x: SCModule) -> SCModule:
     """The vector-space dual as a left module over the opposite algebra."""
-    return SCModule(x.algebra.opposite(), x.dim, [a.transpose() for a in x.action])
+    return SCModule(x.algebra.opposite(), x.dim, [a.transpose() for a in x.action], x.grading)
+
+
+def _rebased(x: SCModule) -> SCModule:
+    """x moved onto bases of its e_i·x, one idempotent after another: the
+    graded copy of a module built without its grading."""
+    blocks = [x.element_matrix(e).column_space_basis() for e in x.algebra.idempotents]
+    basis = hstack(blocks)
+    inv = basis.inverse()
+    grading = [i for i, b in enumerate(blocks) for _ in range(b.cols)]
+    return SCModule(x.algebra, x.dim, [inv @ a @ basis for a in x.action], grading)
 
 
 # ---------------------------------------------------------------------------
@@ -529,9 +532,7 @@ class _Span:
     """Incremental exact Gaussian span of row vectors of a fixed length.
 
     ``rows`` are the rows of the RREF of the span, each with its pivot in
-    ``pivots``, in the order they were found: the RREF is unique, so a span
-    seeded from many vectors at once (:meth:`spanned_by`) holds the same rows
-    and pivots as one they were added to one by one.
+    ``pivots``, in the order they were found.
     """
 
     __slots__ = ("length", "rows", "pivots")
@@ -540,16 +541,6 @@ class _Span:
         self.length = length
         self.rows: list[list] = []
         self.pivots: list[int] = []
-
-    @classmethod
-    def spanned_by(cls, length: int, vectors: list) -> "_Span":
-        """The span of ``vectors``, read off one fraction-free RREF."""
-        span = cls(length)
-        if vectors:
-            red, pivots = Matrix._trusted(len(vectors), length, vectors).rref()
-            span.rows = red._data[: len(pivots)]
-            span.pivots = list(pivots)
-        return span
 
     def _reduce(self, vec: list) -> list:
         v = list(vec)
@@ -590,9 +581,9 @@ class _Cover:
     A e_kind at dense ``offsets``.  e_i P lists, summand by summand, the
     members at vertex i (summand r from ``starts[i][r]``); ``kernels[i]`` is
     a basis of e_i ker(P -> K) in those coordinates.  ``gens[r]``, the image
-    of summand r's idempotent, is dense in the base module on a module's
-    first cover, a kernel vector at vertex ``kinds[r]`` of the cover below
-    after that, and None on a simple top's cover (:meth:`_Chain._at_top`)."""
+    of summand r's idempotent, is a vector of K at vertex ``kinds[r]`` (a
+    unit vector of the base module, or a kernel vector of the cover below),
+    and None on a simple top's cover (:meth:`_Chain._at_top`)."""
 
     __slots__ = ("kinds", "offsets", "dim", "starts", "widths", "by_vertex", "gens", "kernels", "minimal")
 
@@ -636,20 +627,15 @@ class _ChainTables:
     of e_i A e_s.  ``acts[s][t]`` maps k to b_k·(member t of A e_s) in
     e_vertex[k] A e_s coordinates, for the nonzero products only;
     ``rad_spans[s][i]`` spans e_i (rad A) e_s, and ``tops[s]`` lists the
-    members of A e_s outside it.  ``rad_terms`` are the terms of the
-    radical generators ℓ (:func:`radical_generators`), and ``leaving[i]``
-    holds the homogeneous e_j·ℓ·e_i as ``(j, terms)``: ℓ's terms grouped by
-    (piece, vertex), which generate rad A as the ℓ do."""
+    members of A e_s outside it.  ``leaving[i]`` holds the homogeneous
+    e_j·ℓ·e_i, for the radical generators ℓ (:func:`radical_generators`),
+    as ``(j, terms)``: ℓ's terms grouped by (piece, vertex), which generate
+    rad A as the ℓ do."""
 
-    __slots__ = (
-        "members", "idem_vectors", "idem_terms", "vertex", "by_vertex", "acts",
-        "rad_spans", "tops", "rad_terms", "leaving", "__weakref__",
-    )
+    __slots__ = ("members", "vertex", "by_vertex", "acts", "rad_spans", "tops", "leaving", "__weakref__")
 
     def __init__(self, g: StructureConstantAlgebra) -> None:
         self.members = g.piece_members or (tuple(range(g.dim)),)
-        self.idem_vectors = [list(e) for e in (g.idempotents if g.piece_members else [g.unit])]
-        self.idem_terms = [_terms(e) for e in self.idem_vectors]
         count = len(self.members)
         vertex = _vertices(g, left=True) if g.piece_members else [0] * g.dim
         if vertex is None:
@@ -699,11 +685,10 @@ class _ChainTables:
             ]
             for s, ms in enumerate(self.members)
         ]
-        self.rad_terms = [_terms(ell) for ell in radical_generators(g)]
         self.leaving = [[] for _ in range(count)]
-        for ell in self.rad_terms:
+        for ell in radical_generators(g):
             parts = {}
-            for m, c in ell:
+            for m, c in _terms(ell):
                 parts.setdefault((place[m][0], vertex[m]), []).append((m, c))
             for (i, j), terms in parts.items():
                 self.leaving[i].append((j, terms))
@@ -717,25 +702,25 @@ def _chain_tables(g: StructureConstantAlgebra) -> _ChainTables:
 class _Chain:
     """A chain of projective covers ... -> P_1 -> P_0 -> x -> 0, graded by
     vertex: P_k -> P_{k-1} maps e_i P_k into e_i P_{k-1} (P_0 -> x maps it
-    into e_i x, and those subspaces are independent), so each kernel is
-    solved for one vertex at a time and its vectors lie at one vertex.
+    into e_i x, x's coordinates at vertex i), so each kernel is solved for
+    one vertex at a time and its vectors lie at one vertex.
 
-    The cover of a kernel K spans rad K = L·K by the homogeneous radical
-    generators leaving each vector's vertex, one ``_Span`` per vertex, and
-    takes as generators the kernel vectors outside it, each its own top
-    candidate.  The images of the members of its piece come in one pass;
-    those of the members outside rad A join the spans (b·K lies in rad K
-    for b in rad A).  A cover checks that it is onto (its rank is dim K)
-    and whether its kernel lies in rad P (minimality), vertex by vertex.
-    The first cover of x works in x's dense coordinates, with the columns of
-    the idempotents' action as candidates.  A chain keeps g's chain tables
-    and x's action, not g: memoized chains hold no reference back to it.
+    The cover of K (x, or a kernel) spans rad K = L·K by the homogeneous
+    radical generators leaving each vector's vertex, one ``_Span`` per
+    vertex, and takes as generators the basis vectors of K outside it (x's
+    unit vectors, or the kernel vectors), each its own top candidate.  The
+    images of the members of its piece come in one pass (columns of x's
+    action on the first cover); those of the members outside rad A join the
+    spans (b·K lies in rad K for b in rad A).  A cover checks that it is
+    onto (its rank is dim K) and whether its kernel lies in rad P
+    (minimality), vertex by vertex.  A chain keeps g's chain tables and x's
+    action by vertex, not g: memoized chains hold no reference back to it.
     """
 
     def __init__(self, g: StructureConstantAlgebra, base: SCModule) -> None:
         self._read_algebra(g)
-        self.base_dim = base.dim
-        self.base_action = base.action
+        self.base_action, grading = _graded(self.tables, base)
+        self.base_at = [[c for c, i in enumerate(grading) if i == v] for v in range(len(self.members))]
 
     @classmethod
     def _at_top(cls, g: StructureConstantAlgebra, kind: int) -> "_Chain":
@@ -754,7 +739,6 @@ class _Chain:
         self.tables = _chain_tables(g)
         self.algebra_dim = g.dim
         self.members = self.tables.members
-        self.idem_vectors = self.tables.idem_vectors
         self.covers: list[_Cover] = []
 
     # -- actions ---------------------------------------------------------------
@@ -804,37 +788,36 @@ class _Chain:
         tables = self.tables
         if self.covers:
             below = self.covers[-1]
+            widths = below.widths
             candidates = [(j, v) for j, vecs in enumerate(below.kernels) for v in vecs]
             by_candidate = [self._member_images(below, j, v) for j, v in candidates]
-            spans = [_Span(width) for width in below.widths]
-            for (i, _), images in zip(candidates, by_candidate):
-                for j, terms in tables.leaving[i]:
-                    w = [0] * below.widths[j]
-                    for k, c in terms:
-                        for q, x in enumerate(images[k]):
-                            if x:
-                                w[q] += c * x
-                    spans[j].add(w)
-            images_of = lambda n, kind, w: by_candidate[n]
-            target = len(candidates)
         else:
-            dim, action = self.base_dim, self.base_action
-            seeds = [
-                col for terms in tables.rad_terms for col in _combine(action, dim, terms).columns() if any(col)
+            at, action = self.base_at, self.base_action
+            widths = [len(coords) for coords in at]
+            candidates = [
+                (i, [int(p == q) for q in range(len(coords))]) for i, coords in enumerate(at) for p in range(len(coords))
             ]
-            spans = [_Span.spanned_by(dim, seeds)] * len(tables.members)
-            by_kind = [_combine(action, dim, terms).columns() for terms in tables.idem_terms]
-            candidates = [(kind, cols[s]) for s in range(dim) for kind, cols in enumerate(by_kind) if any(cols[s])]
-            images_of = lambda n, kind, w: {m: _matvec(action[m], w) for m in tables.members[kind]}
-            target = dim
+            by_candidate = [
+                {m: [action[m]._data[r][c] for r in at[tables.vertex[m]]] for m in tables.members[i]}
+                for i, coords in enumerate(at)
+                for c in coords
+            ]
+        spans = [_Span(width) for width in widths]
+        for (i, _), images in zip(candidates, by_candidate):
+            for j, terms in tables.leaving[i]:
+                w = [0] * widths[j]
+                for k, c in terms:
+                    for q, x in enumerate(images[k]):
+                        if x:
+                            w[q] += c * x
+                spans[j].add(w)
         kinds, gens = [], []
         columns = [[] for _ in tables.members]
-        for n, (kind, w) in enumerate(candidates):
+        for (kind, w), images in zip(candidates, by_candidate):
             if spans[kind].contains(w):
                 continue
             kinds.append(kind)
             gens.append(w)
-            images = images_of(n, kind, w)
             for m in tables.tops[kind]:
                 spans[tables.vertex[m]].add(images[m])
             ms = tables.members[kind]
@@ -851,7 +834,7 @@ class _Chain:
                 kernel = Matrix._trusted(len(rows), len(block), rows).kernel_basis().columns()
             cover.kernels.append(kernel)
             rank += len(block) - len(kernel)
-        if rank != target:
+        if rank != len(candidates):
             raise InternalError("endo", "projective cover construction is not onto")
         cover.minimal = all(
             tables.rad_spans[kind][i].contains(v[start : start + len(tables.by_vertex[kind][i])])
@@ -877,73 +860,45 @@ class _Chain:
 
     # -- Hom complexes ---------------------------------------------------------
 
-    def _piece_value_space(self, kind: int, y_apply, y_dim: int) -> list[list]:
-        """Basis of e_kind . Y inside Y's coordinates."""
-        span = _Span(y_dim)
-        out = []
-        e = self.idem_vectors[kind]
-        for s in range(y_dim):
-            unit = [1 if t == s else 0 for t in range(y_dim)]
-            w = y_apply(e, unit)
-            if span.add(w):
-                out.append(w)
-        return out
-
-    def hom_complex_dims_and_ranks(self, k_hi: int, y_apply, y_dim: int):
-        """Dims of Hom(P_k, Y) for k <= k_hi and ranks of the k -> k+1 maps.
-
-        ``y_apply(coeffs, vec)`` must implement the Y-action of an algebra
-        element given by coordinates.  Uses Hom(A e, Y) = e Y on each piece.
-        """
+    def hom_complex_dims_and_ranks(self, k_hi: int, action, grading):
+        """Dims of Hom(P_k, Y) for k <= k_hi and ranks of the k -> k+1 maps,
+        for Y given by its action matrices and grading: Hom(A e_i, Y) is
+        e_i Y, Y's coordinates at vertex i, so a map is read off the columns
+        of Y's action at its source vertex and the rows at its target."""
         self.ensure(k_hi + 1)
-        value_bases: dict[int, list[list]] = {}
-
-        def basis_for(kind: int) -> list[list]:
-            if kind not in value_bases:
-                value_bases[kind] = self._piece_value_space(kind, y_apply, y_dim)
-            return value_bases[kind]
-
-        hom_dims = []
-        piece_spaces = []
-        for k in range(k_hi + 1):
-            spaces = [basis_for(kind) for kind in self.covers[k].kinds]
-            piece_spaces.append(spaces)
-            hom_dims.append(sum(len(s) for s in spaces))
+        at = [[c for c, i in enumerate(grading) if i == v] for v in range(len(self.members))]
+        hom_dims = [sum(len(at[kind]) for kind in cover.kinds) for cover in self.covers[: k_hi + 1]]
         ranks = []
         for k in range(k_hi):
-            src_cover = self.covers[k]
-            tgt_cover = self.covers[k + 1]
-            src_spaces = piece_spaces[k]
-            tgt_spaces = piece_spaces[k + 1]
+            targets = self.covers[k + 1].kinds
             gens = self._dense_gens(k + 1)
-            solvers: dict[int, Matrix] = {}
-            rows_total = hom_dims[k + 1]
             cols = []
-            for t, (kind_t, off_t) in enumerate(zip(src_cover.kinds, src_cover.offsets)):
-                for u in src_spaces[t]:
-                    col: list = []
-                    for s, (kind_s, gen) in enumerate(zip(tgt_cover.kinds, gens)):
-                        width = len(self.members[kind_t])
-                        comp = gen[off_t : off_t + width]
-                        elt = [0] * self.algebra_dim
-                        for pos, c in enumerate(comp):
-                            if c != 0:
-                                elt[self.members[kind_t][pos]] = c
-                        value = y_apply(elt, u)
-                        space = tgt_spaces[s]
-                        if not space:
-                            if any(c != 0 for c in value):
-                                raise InternalError(
-                                    "endo", "Hom complex value escapes its piece space"
-                                )
-                            continue
-                        if kind_s not in solvers:
-                            solvers[kind_s] = Matrix.from_columns(space).left_inverse()
-                        col.extend(_matvec(solvers[kind_s], value))
-                    cols.append(col)
-            mat = Matrix.from_columns(cols) if cols else Matrix.zeros(rows_total, 0)
-            ranks.append(mat.rank())
+            for kind, off in zip(self.covers[k].kinds, self.covers[k].offsets):
+                ms = self.members[kind]
+                # the elements of A e_kind that the generators of P_{k+1} have at this summand
+                elements = [
+                    [(ms[p], c) for p, c in enumerate(gen[off : off + len(ms)]) if c != 0] for gen in gens
+                ]
+                for u in at[kind]:
+                    cols.append(
+                        [
+                            sum(c * action[m]._data[r][u] for m, c in terms)
+                            for kind_s, terms in zip(targets, elements)
+                            for r in at[kind_s]
+                        ]
+                    )
+            ranks.append(Matrix.from_columns(cols).rank())
         return hom_dims, ranks
+
+
+def _graded(tables: _ChainTables, x: SCModule) -> tuple:
+    """x's action and grading: at vertex 0 throughout over one vertex, and
+    those of x re-based when x has no grading."""
+    if len(tables.members) == 1:
+        return x.action, [0] * x.dim
+    if x.grading is None:
+        x = _rebased(x)
+    return x.action, x.grading
 
 
 def _reduce_to_basic(g: StructureConstantAlgebra):
@@ -973,11 +928,9 @@ def _basic_reduction(g: StructureConstantAlgebra):
     vertex = _vertices(g, left=True)
     if vertex is None:
         return None
-    eps = [0] * g.dim
-    for kind in keep:
-        for m, c in enumerate(g.idempotents[kind]):
-            eps[m] += c
-    # eps·A·eps is spanned by the members of the kept pieces at kept vertices
+    position = {kind: t for t, kind in enumerate(keep)}
+    # eps·A·eps, eps the sum of the kept idempotents, is spanned by the
+    # members of the kept pieces at kept vertices
     indices = sorted(m for kind in keep for m in g.piece_members[kind] if vertex[m] in keep)
     index_pos = {m: t for t, m in enumerate(indices)}
     mult = [
@@ -1002,13 +955,12 @@ def _basic_reduction(g: StructureConstantAlgebra):
     )
 
     def transport(x: SCModule) -> SCModule:
-        image = x.element_matrix(eps)
-        basis = image.column_space_basis()
-        if basis.cols == 0:
-            return SCModule(basic, 0, [Matrix.zeros(0, 0)] * basic.dim)
-        solver = basis.left_inverse()
-        action = [solver @ (x.action[i] @ basis) for i in indices]
-        return SCModule(basic, basis.cols, action)
+        # eps·x is x's coordinates at the kept vertices
+        if x.grading is None:
+            x = _rebased(x)
+        coords = [c for c, i in enumerate(x.grading) if i in position]
+        action = [x.action[i].take_rows(coords).take_columns(coords) for i in indices]
+        return SCModule(basic, len(coords), action, [position[x.grading[c]] for c in coords])
 
     return basic, transport
 
@@ -1021,17 +973,18 @@ def _pd_le_on_chain(chain: _Chain, n: int) -> bool:
         # the last cover is a projective cover, so its nonzero kernel
         # certifies that the n-th syzygy is not projective
         return False
-    # split test on 0 -> K_{n+1} -> P_n -> K_n -> 0 via Ext^1(K_n, K_{n+1}) = 0
+    # split test on 0 -> K_{n+1} -> P_n -> K_n -> 0 via Ext^1(K_n, K_{n+1}) = 0;
+    # K_{n+1} is graded by its kernel vectors, each at one vertex
     chain.ensure(n + 3)
-    kern = chain.covers[n].kernel_cols
-    basis = Matrix.from_columns(kern)
-    solver = basis.left_inverse()
-
-    def y_apply(coeffs, vec):
-        acted = chain._apply(n, _terms(coeffs), _matvec(basis, vec))
-        return _matvec(solver, acted)
-
-    dims, ranks = chain.hom_complex_dims_and_ranks(n + 2, y_apply, len(kern))
+    cover = chain.covers[n]
+    kern = cover.kernel_cols
+    solver = Matrix.from_columns(kern).left_inverse()
+    action = [
+        Matrix.from_columns([_matvec(solver, chain._apply(n, [(k, 1)], v)) for v in kern])
+        for k in range(chain.algebra_dim)
+    ]
+    grading = [i for i, vecs in enumerate(cover.kernels) for _ in vecs]
+    dims, ranks = chain.hom_complex_dims_and_ranks(n + 2, action, grading)
     # Ext^1(K_n, Y) from Hom(P_n, Y) -> Hom(P_{n+1}, Y) -> Hom(P_{n+2}, Y)
     kernel_dim = dims[n + 1] - ranks[n + 1]
     return kernel_dim - ranks[n] == 0
@@ -1106,9 +1059,7 @@ def sc_ext_dims(g: StructureConstantAlgebra, x: SCModule, y: SCModule, up_to: in
     if x.dim == 0 or y.dim == 0:
         return [0] * up_to
     chain = _Chain(basic, x)
-    dims, ranks = chain.hom_complex_dims_and_ranks(
-        up_to + 1, lambda coeffs, vec: y.apply(coeffs, vec), y.dim
-    )
+    dims, ranks = chain.hom_complex_dims_and_ranks(up_to + 1, *_graded(chain.tables, y))
     out = []
     for i in range(1, up_to + 1):
         kernel_dim = dims[i] - ranks[i]
@@ -1294,8 +1245,10 @@ def hom_sc_bimodule_sides(m2: Module, m1: Module) -> tuple[SCModule, SCModule]:
                             if c != 0:
                                 row[offsets[k][s] + i] = c
                 pre.append(Matrix._trusted(tdim, tdim, rows))
-    side1 = SCModule(g1, tdim, post)
-    side2 = SCModule(g2.opposite(), tdim, pre)
+    # block (j, s) lies at vertex s over End(m1) and at vertex j over End(m2)^op
+    at = [(j, s) for j, row in enumerate(blocks) for s, space in enumerate(row) for _ in range(space.dim)]
+    side1 = SCModule(g1, tdim, post, [s for _, s in at])
+    side2 = SCModule(g2.opposite(), tdim, pre, [j for j, _ in at])
     return side1, side2
 
 

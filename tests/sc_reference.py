@@ -1,32 +1,38 @@
 """The reference routes of the structure-constant engine: the radical
 computed from scratch on every algebra, ungraded covers that take the
-radical of their kernel from the whole radical basis, the chain of a simple
-top starting at the top module itself, and the basis of End(M) composed out
-of summand injections and projections.
+radical of their kernel from the whole radical basis, Hom complexes and the
+split test that eliminate for the piece spaces e·Y of any module Y, a first
+cover in the dense coordinates of its module, the chain of a simple top
+starting at the top module itself, and the basis of End(M) composed out of
+summand injections and projections.
 
 ``relrep.endo`` shares the radical of an algebra with its opposite, resolves
-one vertex at a time (homogeneous radical generators, kernel vectors as
-their own top candidates, one elimination per vertex), starts the chain of
-the top of A e at its projective cover A e with kernel (rad A)e, and places
-the vertex maps of each atom-pair basis map at the atoms' offsets; the tests
-compare the routes.  The ungraded chain here builds its own tables from the
-structure constants and shares no cover code with ``relrep.endo``: only the
-Hom complexes and the bounded-dimension test read its covers.
+one vertex at a time (homogeneous radical generators, kernel vectors and the
+unit vectors of a graded module as their own top candidates, one elimination
+per vertex), reads e·Y off the grading of Y, starts the chain of the top of
+A e at its projective cover A e with kernel (rad A)e, and places the vertex
+maps of each atom-pair basis map at the atoms' offsets; the tests compare
+the routes.  The ungraded chain here builds its own tables from the
+structure constants and shares no cover, Hom complex or split-test code
+with ``relrep.endo``.
 """
+
+from functools import partial
 
 from relrep.endo import (
     SCModule,
     StructureConstantAlgebra,
     _Chain,
     _combine,
+    _Cover,
     _matvec,
-    _pd_le_on_chain,
     _reduce_to_basic,
     _sc_quotient,
     _Span,
     _terms,
     dual_sc_module,
     radical,
+    radical_generators,
     semisimple_quotient_module,
 )
 from relrep.exact_linalg import Matrix
@@ -40,6 +46,34 @@ from relrep.rep import (
     summand_projection,
     trace_form_radical,
 )
+
+
+def apply(x: SCModule, coeffs, vec: list) -> list:
+    """The element with coordinates ``coeffs`` acting on the vector ``vec`` of x."""
+    out = [0] * x.dim
+    vec_terms = _terms(vec)
+    for k, c in _terms(coeffs):
+        for r, row in enumerate(x.action[k]._data):
+            acc = 0
+            for t, vt in vec_terms:
+                a = row[t]
+                if a != 0:
+                    acc += a * vt
+            if acc != 0:
+                out[r] += c * acc
+    return out
+
+
+def spanned_by(length: int, vectors: list) -> _Span:
+    """The span of ``vectors``, read off one fraction-free RREF: the RREF is
+    unique, so it holds the same rows and pivots as a ``_Span`` the vectors
+    were added to one by one."""
+    span = _Span(length)
+    if vectors:
+        red, pivots = Matrix._trusted(len(vectors), length, vectors).rref()
+        span.rows = red._data[: len(pivots)]
+        span.pivots = list(pivots)
+    return span
 
 
 def radical_data(g: StructureConstantAlgebra) -> tuple[Matrix, tuple]:
@@ -166,7 +200,7 @@ class FullRadicalChain(_Chain):
             ]
             apply_basis = lambda k, vec: self._apply(level, [(k, 1)], vec)
             rad_images = [self._apply(level, terms, v) for terms in self.rad_terms for v in originals]
-        span = _Span.spanned_by(ambient_dim, rad_images)
+        span = spanned_by(ambient_dim, rad_images)
         kinds, gens, offsets, cols = [], [], [], []
         for s in range(len(originals)):
             for kind in range(len(self.members)):
@@ -196,7 +230,7 @@ class FullRadicalChain(_Chain):
                 vec = [0] * cover.dim
                 vec[off : off + len(comp)] = comp
                 rad_vectors.append(vec)
-        rad_span = _Span.spanned_by(cover.dim, rad_vectors)
+        rad_span = spanned_by(cover.dim, rad_vectors)
         cover.minimal = all(rad_span.contains(v) for v in cover.kernel_cols)
 
     def kernel_is_zero(self, k: int) -> bool:
@@ -205,6 +239,134 @@ class FullRadicalChain(_Chain):
 
     def _dense_gens(self, level: int) -> list[list]:
         return self.covers[level].gens
+
+    def _piece_value_space(self, kind: int, y_apply, y_dim: int) -> list[list]:
+        """Basis of e_kind . Y inside Y's coordinates."""
+        span = _Span(y_dim)
+        out = []
+        e = self.idem_vectors[kind]
+        for s in range(y_dim):
+            unit = [1 if t == s else 0 for t in range(y_dim)]
+            w = y_apply(e, unit)
+            if span.add(w):
+                out.append(w)
+        return out
+
+    def hom_complex_dims_and_ranks(self, k_hi: int, y_apply, y_dim: int):
+        """Dims of Hom(P_k, Y) for k <= k_hi and ranks of the k -> k+1 maps,
+        for ``y_apply(coeffs, vec)`` the Y-action of an algebra element
+        given by coordinates.  Uses Hom(A e, Y) = e Y on each piece, each
+        value solved for in a basis of its piece space."""
+        self.ensure(k_hi + 1)
+        value_bases = {}
+        piece_spaces = []
+        for k in range(k_hi + 1):
+            for kind in self.covers[k].kinds:
+                if kind not in value_bases:
+                    value_bases[kind] = self._piece_value_space(kind, y_apply, y_dim)
+            piece_spaces.append([value_bases[kind] for kind in self.covers[k].kinds])
+        hom_dims = [sum(len(space) for space in spaces) for spaces in piece_spaces]
+        solvers = {kind: Matrix.from_columns(space).left_inverse() for kind, space in value_bases.items() if space}
+        ranks = []
+        for k in range(k_hi):
+            src_cover, tgt_cover = self.covers[k], self.covers[k + 1]
+            gens = self._dense_gens(k + 1)
+            cols = []
+            for t, (kind_t, off_t) in enumerate(zip(src_cover.kinds, src_cover.offsets)):
+                width = len(self.members[kind_t])
+                for u in piece_spaces[k][t]:
+                    col = []
+                    for kind_s, gen in zip(tgt_cover.kinds, gens):
+                        elt = [0] * self.algebra_dim
+                        for pos, c in enumerate(gen[off_t : off_t + width]):
+                            elt[self.members[kind_t][pos]] = c
+                        value = y_apply(elt, u)
+                        if kind_s not in solvers:
+                            if any(value):
+                                raise InternalError("endo", "Hom complex value escapes its piece space")
+                            continue
+                        col.extend(_matvec(solvers[kind_s], value))
+                    cols.append(col)
+            mat = Matrix.from_columns(cols) if cols else Matrix.zeros(hom_dims[k + 1], 0)
+            ranks.append(mat.rank())
+        return hom_dims, ranks
+
+
+def pd_le_on_chain(chain: FullRadicalChain, n: int) -> bool:
+    """pd <= n off an ungraded chain: a zero kernel, the minimality
+    certificate, or else the split test on 0 -> K_{n+1} -> P_n -> K_n -> 0
+    via Ext^1(K_n, K_{n+1}) = 0, with K_{n+1} acted on through the kernel
+    basis and its left inverse."""
+    for k in range(1, n + 2):
+        if chain.kernel_is_zero(k):
+            return True
+    if chain.covers[n].minimal:
+        return False
+    chain.ensure(n + 3)
+    kern = chain.covers[n].kernel_cols
+    basis = Matrix.from_columns(kern)
+    solver = basis.left_inverse()
+
+    def y_apply(coeffs, vec):
+        return _matvec(solver, chain._apply(n, _terms(coeffs), _matvec(basis, vec)))
+
+    dims, ranks = chain.hom_complex_dims_and_ranks(n + 2, y_apply, len(kern))
+    return dims[n + 1] - ranks[n + 1] - ranks[n] == 0
+
+
+class DenseFirstCoverChain(_Chain):
+    """The graded chain with its first cover in the dense coordinates of its
+    module x, whatever x's basis: the columns of the idempotents' action are
+    the top candidates, one span of rad x (seeded by the radical generators
+    on every coordinate) serves every vertex, and each kernel system has
+    every row of x.  Later covers are the graded ones of ``relrep.endo``."""
+
+    def __init__(self, g: StructureConstantAlgebra, base: SCModule) -> None:
+        self._read_algebra(g)
+        self.base_dim = base.dim
+        self.base_action = base.action
+        self.idem_terms = [_terms(e) for e in (g.idempotents if g.piece_members else [g.unit])]
+        self.rad_terms = [_terms(ell) for ell in radical_generators(g)]
+
+    def extend(self) -> None:
+        if self.covers:
+            return super().extend()
+        tables = self.tables
+        dim, action = self.base_dim, self.base_action
+        seeds = [col for terms in self.rad_terms for col in _combine(action, dim, terms).columns() if any(col)]
+        span = spanned_by(dim, seeds)
+        by_kind = [_combine(action, dim, terms).columns() for terms in self.idem_terms]
+        kinds, gens = [], []
+        columns = [[] for _ in tables.members]
+        for s in range(dim):
+            for kind, cols in enumerate(by_kind):
+                w = cols[s]
+                if not any(w) or span.contains(w):
+                    continue
+                kinds.append(kind)
+                gens.append(w)
+                images = {m: _matvec(action[m], w) for m in tables.members[kind]}
+                for m in tables.tops[kind]:
+                    span.add(images[m])
+                ms = tables.members[kind]
+                for i, positions in enumerate(tables.by_vertex[kind]):
+                    columns[i].extend(images[ms[t]] for t in positions)
+        cover = _Cover(tables, kinds, gens)
+        cover.kernels = []
+        rank = 0
+        for block in columns:
+            kernel = Matrix.from_columns(block).kernel_basis().columns() if block else []
+            cover.kernels.append(kernel)
+            rank += len(block) - len(kernel)
+        if rank != dim:
+            raise InternalError("endo", "projective cover construction is not onto")
+        cover.minimal = all(
+            tables.rad_spans[kind][i].contains(v[start : start + len(tables.by_vertex[kind][i])])
+            for i, vecs in enumerate(cover.kernels)
+            for v in vecs
+            for kind, start in zip(cover.kinds, cover.starts[i])
+        )
+        self.covers.append(cover)
 
 
 def _top_of_piece(g: StructureConstantAlgebra, kind: int) -> SCModule:
@@ -250,7 +412,7 @@ def gldim_le(g: StructureConstantAlgebra, n: int) -> bool:
         ]
     else:
         chains = [semisimple_chain(basic)]
-    return all(chain is None or _pd_le_on_chain(chain, n) for chain in chains)
+    return all(chain is None or pd_le_on_chain(chain, n) for chain in chains)
 
 
 def sc_pd_le(g: StructureConstantAlgebra, x: SCModule, n: int) -> bool:
@@ -258,7 +420,7 @@ def sc_pd_le(g: StructureConstantAlgebra, x: SCModule, n: int) -> bool:
         return True
     if n < 0:
         return False
-    return _pd_le_on_chain(FullRadicalChain(g, x), n)
+    return pd_le_on_chain(FullRadicalChain(g, x), n)
 
 
 def sc_injective_dim_le(g: StructureConstantAlgebra, x: SCModule, n: int) -> bool:
@@ -275,7 +437,7 @@ def sc_ext_dims(g: StructureConstantAlgebra, x: SCModule, y: SCModule, up_to: in
     if x.dim == 0 or y.dim == 0:
         return [0] * up_to
     chain = FullRadicalChain(basic, x)
-    dims, ranks = chain.hom_complex_dims_and_ranks(up_to + 1, y.apply, y.dim)
+    dims, ranks = chain.hom_complex_dims_and_ranks(up_to + 1, partial(apply, y), y.dim)
     return [dims[i] - ranks[i] - ranks[i - 1] for i in range(1, up_to + 1)]
 
 

@@ -121,6 +121,16 @@ class TestVerifyTheorem:
         assert "## condition.a" not in out
 
 
+def test_the_parser_is_built_once_and_reused_unchanged(capsys):
+    assert cli.build_parser() is cli.build_parser()
+    argv = ["verify-theorem", ALG, M1, M2, "--l", "2"]
+    first = run(capsys, argv)
+    # a call with other options in between leaves no default behind
+    run(capsys, ["ext", ALG, "P(1)", "S(1)", "--max-degree", "2", "--functor", "FM:S(1)"])
+    assert run(capsys, argv) == first
+    assert first[0] == EXIT_OK
+
+
 class TestExchange:
     BASE = "P(1)+P(2)+P(3)+S(1)"
 

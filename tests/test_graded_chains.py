@@ -1,33 +1,46 @@
-"""The vertex grading of the structure-constant chains.
+"""The vertex grading of the structure-constant chains and modules.
 
 ``relrep.endo`` resolves one vertex at a time: every kernel vector lies at
 one vertex (its left idempotent fixes it, the others kill it), each kernel
 is solved vertex by vertex, and a cover spans the radical of its kernel by
-the homogeneous radical generators e_j·ℓ·e_i.  These tests check the grading
-itself on the sweep and theorem algebras, the onto guard of a cover, and
-that an algebra whose basis mixes vertices takes the free covers and still
-gets the reference's answers.
+the homogeneous radical generators e_j·ℓ·e_i.  A module carries its grading
+too, so its first cover works the same way, and a module built without one
+is re-based onto bases of its e_i·x.  These tests check the grading itself
+on the sweep and theorem algebras and modules, the onto guard of a cover,
+that a module or an algebra whose basis mixes vertices still gets the
+reference's answers, and that every module the theorem builds arrives
+graded.
 """
+
+from functools import partial
 
 import pytest
 
 import sc_reference as ref
 from relrep import endo
 from relrep.endo import (
+    SCModule,
     StructureConstantAlgebra,
     _Chain,
     _chain_tables,
     _reduce_to_basic,
+    _terms,
     _top_chain,
+    dual_sc_module,
     gldim_le,
     hom_sc_bimodule_sides,
     regular_sc_module,
+    sc_ext_dims,
+    sc_injective_dim_le,
     sc_pd_le,
     semisimple_quotient_module,
+    verify_theorem,
 )
 from relrep.exact_linalg import Matrix
 from relrep.path_algebra import AlgebraPresentation, InternalError, cyclic_quiver
 from relrep.rep import cogenerator_module, direct_sum, parse_module_expression, regular_module
+
+from conftest import M1_EXPR, M2_EXPR
 
 from test_endo import _upper_triangular_2x2
 from test_sc_resolutions import (
@@ -47,8 +60,9 @@ def sweep_algebras():
 
 @pytest.fixture(scope="module")
 def theorem_sides(m1, m2, cyc3_5):
-    """Both sides of Hom(m2, m1) for the theorem pairs: modules whose first
-    cover works in dense coordinates."""
+    """Both sides of Hom(m2, m1) for the theorem pairs, graded by their atom
+    blocks: block (j, s) lies at vertex s over End(m1) and at vertex j over
+    End(m2)^op."""
     cyc2_4 = AlgebraPresentation.truncated(cyclic_quiver(2), 4, name="cyc2-trunc4")
     c1 = parse_module_expression(cyc2_4, C1_EXPR)
     c2 = parse_module_expression(cyc2_4, C2_EXPR)
@@ -62,18 +76,37 @@ def _copy(g: StructureConstantAlgebra) -> StructureConstantAlgebra:
     )
 
 
+def _idempotent_terms(g: StructureConstantAlgebra) -> list:
+    """The terms of the idempotents the chains over g grade by."""
+    return [_terms(e) for e in (g.idempotents if g.piece_members else [g.unit])]
+
+
 def _element(chain, kind: int, comp: list) -> list:
     """The terms of the element of A e_kind with coordinates ``comp``."""
     return [(chain.members[kind][t], c) for t, c in enumerate(comp) if c != 0]
 
 
+def _base_module(chain, g: StructureConstantAlgebra) -> SCModule:
+    """The graded module the chain resolves (x itself, or x re-based)."""
+    dim = sum(map(len, chain.base_at))
+    grading = [0] * dim
+    for i, coords in enumerate(chain.base_at):
+        for c in coords:
+            grading[c] = i
+    return SCModule(g, dim, chain.base_action, grading)
+
+
 def _cover_image(chain, level: int, vec: list, base=None) -> list:
     """The dense cover map P_level -> P_{level-1} (or onto ``base``) applied to
     the dense P_level vector ``vec``: summand r's coordinates act on its
-    generator."""
+    generator, a unit vector of ``base`` at vertex r on the first cover."""
     cover = chain.covers[level]
     width = base.dim if level == 0 else chain.covers[level - 1].dim
-    gens = cover.gens if level == 0 else chain._dense_gens(level)
+    if level == 0:
+        dense = [chain.base_at[kind][w.index(1)] for kind, w in zip(cover.kinds, cover.gens)]
+        gens = [[int(c == d) for c in range(width)] for d in dense]
+    else:
+        gens = chain._dense_gens(level)
     out = [0] * width
     for kind, off, gen in zip(cover.kinds, cover.offsets, gens):
         terms = _element(chain, kind, vec[off : off + len(chain.members[kind])])
@@ -83,18 +116,20 @@ def _cover_image(chain, level: int, vec: list, base=None) -> list:
             coeffs = [0] * chain.algebra_dim
             for k, c in terms:
                 coeffs[k] = c
-            image = base.apply(coeffs, gen)
+            image = ref.apply(base, coeffs, gen)
         else:
             image = chain._apply(level - 1, terms, gen)
         out = [a + b for a, b in zip(out, image)]
     return out
 
 
-def _assert_graded(chain, base=None) -> int:
+def _assert_graded(chain, g: StructureConstantAlgebra) -> int:
     """Every kernel vector lies at one vertex and its dense expansion is
     killed by the dense cover map; returns the number of vectors checked."""
     chain.ensure(CHAIN_DEPTH)
     tables = chain.tables
+    idempotent_terms = _idempotent_terms(g)
+    base = _base_module(chain, g) if chain.covers[0].gens is not None else None
     checked = 0
     for level, cover in enumerate(chain.covers):
         for i, vecs in enumerate(cover.kernels):
@@ -105,7 +140,7 @@ def _assert_graded(chain, base=None) -> int:
                 for kind, off in zip(cover.kinds, cover.offsets):
                     for t, m in enumerate(chain.members[kind]):
                         assert dense[off + t] == 0 or tables.vertex[m] == i
-                for j, e_terms in enumerate(tables.idem_terms):
+                for j, e_terms in enumerate(idempotent_terms):
                     acted = chain._apply(level, e_terms, dense)
                     assert acted == (dense if j == i else [0] * cover.dim)
                 if cover.gens is not None:
@@ -123,7 +158,7 @@ class TestGrading:
             for kind in range(len(basic.piece_members)):
                 chain = _top_chain(basic, kind)
                 if chain is not None:
-                    checked += _assert_graded(chain)
+                    checked += _assert_graded(chain, basic)
         assert checked > 1000
 
     def test_theorem_sides(self, theorem_sides):
@@ -132,7 +167,7 @@ class TestGrading:
             g = side.algebra
             # the regular module is projective: its chain checks the first cover only
             checked = [
-                _assert_graded(_Chain(g, x), x)
+                _assert_graded(_Chain(g, x), g)
                 for x in (side, regular_sc_module(g), semisimple_quotient_module(g))
             ]
             assert checked[0] and checked[2]
@@ -163,9 +198,7 @@ class TestOntoGuard:
     def _idempotents_as_generators(self, g):
         # the idempotents in place of the radical generators: the seeded span
         # of each kernel is then all of it, and no generator is taken
-        tables = _chain_tables(g)
-        tables.rad_terms = tables.idem_terms
-        tables.leaving = [[(i, terms)] for i, terms in enumerate(tables.idem_terms)]
+        _chain_tables(g).leaving = [[(i, terms)] for i, terms in enumerate(_idempotent_terms(g))]
 
     def test_seeds_outside_the_radical_leave_the_cover_short(self, sweep_algebras, theorem_sides):
         tops = 0
@@ -301,3 +334,138 @@ def test_the_basic_reduction_keeps_the_corner_of_the_kept_vertices(cyc3_5):
         assert basic.mult == tuple(
             tuple(tuple((corner.index(p), c) for p, c in g.mult[a][b]) for b in corner) for a in corner
         )
+
+
+# -- graded modules ------------------------------------------------------------
+
+
+def _assert_idempotents_project(x: SCModule) -> None:
+    """Each structural idempotent acts as the projection onto the
+    coordinates at its vertex."""
+    g = x.algebra
+    assert g.piece_members is not None
+    assert x.grading is not None and len(x.grading) == x.dim
+    for i, e in enumerate(g.idempotents):
+        projection = [[int(r == c and x.grading[c] == i) for c in range(x.dim)] for r in range(x.dim)]
+        assert x.element_matrix(e) == Matrix(x.dim, x.dim, projection)
+
+
+def _vertex_mixing(x: SCModule) -> SCModule:
+    """x in another basis: the first coordinate at each vertex but the last
+    gets the first coordinate at the next vertex added, so that an
+    idempotent sends the new basis vector to neither itself nor 0."""
+    firsts = [x.grading.index(i) for i in sorted(set(x.grading))]
+    t = [[int(r == c) for c in range(x.dim)] for r in range(x.dim)]
+    for a, b in zip(firsts, firsts[1:]):
+        t[b][a] = 1
+    t = Matrix(x.dim, x.dim, t)
+    t_inv = t.inverse()
+    return SCModule(x.algebra, x.dim, [t_inv @ a @ t for a in x.action])
+
+
+@pytest.fixture(scope="module")
+def repeated_sides(cyc3_5):
+    """Both sides of Hom(m2, m1) for modules with repeated atom classes:
+    neither End algebra is basic, so Ext is read over the basic reduction."""
+    m1 = parse_module_expression(cyc3_5, "P(1)+P(1)+S(1)+P(2)/rad^2+P(2)/rad^2")
+    m2 = parse_module_expression(cyc3_5, "P(1)+P(2)+S(1)+S(1)+P(3)/rad^3")
+    return hom_sc_bimodule_sides(m2, m1)
+
+
+def _unreduced_ext_dims(x: SCModule, up_to: int) -> list[int]:
+    """dim Ext^i(x, x) for i = 1..up_to off the reference chain over x's own
+    algebra, with no basic reduction."""
+    chain = ref.FullRadicalChain(x.algebra, x)
+    dims, ranks = chain.hom_complex_dims_and_ranks(up_to + 1, partial(ref.apply, x), x.dim)
+    return [dims[i] - ranks[i] - ranks[i - 1] for i in range(1, up_to + 1)]
+
+
+class TestGradedModules:
+    def test_sides_and_their_duals_arrive_graded(self, theorem_sides, repeated_sides):
+        transported = 0
+        for side in [*theorem_sides, *repeated_sides]:
+            _assert_idempotents_project(side)
+            _assert_idempotents_project(dual_sc_module(side))
+            basic, transport = _reduce_to_basic(side.algebra)
+            if basic is not side.algebra:
+                _assert_idempotents_project(transport(side))
+                transported += 1
+        assert transported == 2
+
+    def test_sides_get_the_dense_reference_answers(self, theorem_sides, repeated_sides):
+        for side in [*theorem_sides, *repeated_sides]:
+            g = side.algebra
+            assert sc_ext_dims(g, side, side, BOUNDS[-1]) == ref.sc_ext_dims(g, side, side, BOUNDS[-1])
+            assert sc_ext_dims(g, side, side, BOUNDS[-1]) == _unreduced_ext_dims(side, BOUNDS[-1])
+            assert [sc_pd_le(g, side, n) for n in BOUNDS] == [ref.sc_pd_le(g, side, n) for n in BOUNDS]
+            assert [sc_injective_dim_le(g, side, n) for n in BOUNDS] == [
+                ref.sc_injective_dim_le(g, side, n) for n in BOUNDS
+            ]
+
+    def test_the_first_cover_matches_the_dense_first_cover(self, theorem_sides):
+        # both take minimal covers, so the levels agree in their invariants
+        for side in theorem_sides:
+            for x in (side, dual_sc_module(side)):
+                ours, dense = _Chain(x.algebra, x), ref.DenseFirstCoverChain(x.algebra, x)
+                ours.ensure(CHAIN_DEPTH)
+                dense.ensure(CHAIN_DEPTH)
+                profiles = [
+                    [(c.dim, sorted(c.kinds), [len(k) for k in c.kernels], c.minimal) for c in chain.covers]
+                    for chain in (ours, dense)
+                ]
+                assert profiles[0] == profiles[1]
+
+    def test_a_module_that_mixes_vertices_is_rebased(self, theorem_sides, monkeypatch):
+        rebase = endo._rebased
+        rebased = []
+        monkeypatch.setattr(endo, "_rebased", lambda x: rebased.append(x) or rebase(x))
+        for side in theorem_sides[:2]:
+            g = side.algebra
+            regular = rebase(regular_sc_module(g))
+            _assert_idempotents_project(regular)
+            for x in (regular, side):
+                mixed = _vertex_mixing(x)
+                assert mixed.grading is None
+                # some idempotent sends some basis vector to neither itself nor 0
+                assert any(
+                    mixed.element_matrix(e)._data[r][c] not in (0, int(r == c))
+                    for e in g.idempotents
+                    for r in range(mixed.dim)
+                    for c in range(mixed.dim)
+                )
+                rebased.clear()
+                answers = [
+                    sc_ext_dims(g, mixed, mixed, 3),
+                    sc_ext_dims(g, mixed, side, 3),
+                    [sc_pd_le(g, mixed, n) for n in BOUNDS],
+                    [sc_injective_dim_le(g, mixed, n) for n in BOUNDS[:3]],
+                ]
+                assert any(y is mixed for y in rebased)
+                _assert_idempotents_project(rebase(mixed))
+                assert answers == [
+                    sc_ext_dims(g, x, x, 3),
+                    sc_ext_dims(g, x, side, 3),
+                    [sc_pd_le(g, x, n) for n in BOUNDS],
+                    [sc_injective_dim_le(g, x, n) for n in BOUNDS[:3]],
+                ]
+                assert answers == [
+                    ref.sc_ext_dims(g, mixed, mixed, 3),
+                    ref.sc_ext_dims(g, mixed, side, 3),
+                    [ref.sc_pd_le(g, mixed, n) for n in BOUNDS],
+                    [ref.sc_injective_dim_le(g, mixed, n) for n in BOUNDS[:3]],
+                ]
+            # the regular module is projective
+            assert [sc_pd_le(g, regular, n) for n in BOUNDS] == [True] * len(BOUNDS)
+
+
+def test_the_theorem_builds_every_module_graded(cyc3_5, monkeypatch):
+    # the three benchmark pairs: no module of condition (d) needs re-basing
+    calls = []
+    rebase = endo._rebased
+    monkeypatch.setattr(endo, "_rebased", lambda x: calls.append(x) or rebase(x))
+    cyc2_4 = AlgebraPresentation.truncated(cyclic_quiver(2), 4, name="cyc2-trunc4")
+    cases = [(cyc3_5, M1_EXPR, M2_EXPR), (cyc2_4, C1_EXPR, C2_EXPR), (cyc2_4, C2_EXPR, C1_EXPR)]
+    for alg, e1, e2 in cases:
+        report = verify_theorem(parse_module_expression(alg, e1), parse_module_expression(alg, e2), 2)
+        assert report.all_true
+    assert calls == []
