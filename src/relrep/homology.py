@@ -334,17 +334,6 @@ def resolution_cohomology_dim(res: Resolution, i: int, other: Module) -> int:
     return out - rank(i - 1) if i else out
 
 
-def syzygy_restrictions(res: Resolution, i: int, y: Module) -> tuple[HomSpace, Matrix]:
-    """Hom(syzygy(i), y) and the coordinates in it, as columns, of the
-    restrictions to syzygy(i) of a basis of Hom(terms[i-1], y), for a chain
-    resolution and i >= 1.  Their cokernel is the degree-i cohomology of the
-    hom complex: terms[i] maps onto syzygy(i), so the cocycles of
-    Hom(terms[i], y) are Hom(syzygy(i), y) and the coboundaries are the
-    restrictions.  Only terms[0..i-1] are built."""
-    k, incl = res.syzygy_edge(i)
-    return hom_space(k, y), composite_coords(res.hom_to(i - 1, y), incl)
-
-
 def ext_dim(i: int, x: Module, y: Module, via: str = "projective") -> int:
     """dim Ext^i(x, y).
 
@@ -449,9 +438,10 @@ class _Ext1Core:
 
 def _whole_ext1_core(c: Module, a: Module) -> _Ext1Core:
     """The core of Ext^1(c, a) read off Hom(K, a) on the whole modules."""
-    space, restrictions = syzygy_restrictions(projective_resolution(c), 1, a)
-    cocycles, free, change = _entry_coordinates(space)
+    k, incl = projective_resolution(c).syzygy_edge(1)
+    cocycles, free, change = _entry_coordinates(hom_space(k, a))
     # coboundaries: the restrictions of Hom(P, a) to K
+    restrictions = composite_coords(hom_space(incl.target, a), incl)
     reducer, section_idx = complement_projection(change @ restrictions)
     return _Ext1Core(cocycles, free, reducer, section_idx)
 

@@ -574,6 +574,14 @@ def _a4_rad2():
     return AlgebraPresentation.truncated(linear_quiver(4), 2, name="A4/rad^2")
 
 
+def _local_two_loops():
+    # one vertex, loops x and y, x^2 = y^2 = xy = 0: basis 1, x, y, yx; local,
+    # not Nakayama, of infinite global dimension
+    quiver = Quiver(1, [Arrow("x", 0, 0), Arrow("y", 0, 0)])
+    zero = [Relation([(1, quiver.path_from_arrows(p))]) for p in ([0, 0], [1, 1], [0, 1])]
+    return AlgebraPresentation(quiver, zero, 3, name="local x2,y2,xy")
+
+
 def _test_modules(alg):
     """Simples, projectives, injectives, the nonzero dtr images of simples and
     injectives, and one direct sum."""
@@ -604,6 +612,14 @@ def test_yoneda_ext_matches_injective_route_off_the_cyclic_algebras(make):
             nonzero += any(dims[1:])
     # the comparison is not vacuous: some pairs have extensions
     assert nonzero
+
+
+def test_ext_of_the_local_simple_grows_with_the_degree():
+    # the minimal resolution of S has ranks 1, 2, 3, 4, 5, ... and
+    # differentials inside the radical, so dim Ext^i(S, S) = i + 1
+    s = simple_module(_local_two_loops(), 0)
+    for via in ("projective", "injective"):
+        assert [ext_dim(i, s, s, via=via) for i in (1, 2, 3, 4)] == [2, 3, 4, 5]
 
 
 def _assert_yoneda_ranks(mods):

@@ -13,10 +13,11 @@ which fixes the relative projective and injective atom lists below.
 """
 
 import itertools
+import sys
 
 import pytest
 
-from relrep import homology, relhom
+from relrep import homology, relhom, rep
 from relrep.exact_linalg import QQ
 from relrep.path_algebra import AlgebraError, AlgebraPresentation, cyclic_quiver, linear_quiver
 from relrep.homology import (
@@ -33,6 +34,7 @@ from relrep.homology import (
     trd,
 )
 from relrep.relhom import (
+    VARIANCES,
     AgreementReport,
     ApproximationResult,
     F_coresolution,
@@ -57,10 +59,14 @@ from relrep.rep import (
     Module,
     ShortExactSequence,
     cogenerator_module,
+    cokernel,
+    composite_coords,
     direct_sum,
+    dualize,
     enumerate_indecomposables_nakayama,
     hom_basis,
     hom_dim,
+    hom_space,
     is_isomorphic,
     kernel,
     parse_module_expression,
@@ -68,21 +74,29 @@ from relrep.rep import (
     simple_module,
 )
 from conftest import M1_EXPR, M2_EXPR
-from test_homology import _a3_zero_relation, _a4_rad2, _commuting_square, _test_modules
+from test_homology import _a3_zero_relation, _a4_rad2, _commuting_square, _local_two_loops, _test_modules
 
 
 # Test-only routes: the library decides membership by ``is_F_exact`` alone and
 # builds its approximations inside the relative resolutions.
 
 
-def is_F_exact_by_dims(eta: ShortExactSequence, f: SubBifunctor) -> bool:
-    """Membership by dimension count: hom is left exact, so the sequence is
-    functor-exact exactly when the middle hom dimension is the sum of the
-    outer two."""
+def is_F_exact_by_rank(eta: ShortExactSequence, f: SubBifunctor) -> bool:
+    """Membership by rank: the induced map Hom(test, middle) ->
+    Hom(test, quotient) (covariant), resp. Hom(middle, test) -> Hom(sub, test)
+    (contravariant), read through ``composite_coords``, must be onto."""
     m = f.module
     if f.variance == "covariant":
-        return hom_dim(m, eta.middle) == hom_dim(m, eta.sub) + hom_dim(m, eta.quotient)
-    return hom_dim(eta.middle, m) == hom_dim(eta.sub, m) + hom_dim(eta.quotient, m)
+        sp_out = hom_space(m, eta.quotient)
+        if sp_out.dim == 0:
+            return True
+        coords = composite_coords(eta.g, hom_space(m, eta.middle))
+    else:
+        sp_out = hom_space(eta.sub, m)
+        if sp_out.dim == 0:
+            return True
+        coords = composite_coords(hom_space(eta.middle, m), eta.f)
+    return coords.rank() == sp_out.dim
 
 
 def is_F_exact_by_pairing(eta: ShortExactSequence, f: SubBifunctor) -> bool:
@@ -229,14 +243,14 @@ def test_resolution_steps_are_exact_for_both_functors(ctx):
         step = resolution_step_sequence(res, i)
         for functor in (ctx["f2"], ctx["g1"]):
             assert is_F_exact(step, functor)
-            assert is_F_exact_by_dims(step, functor)
+            assert is_F_exact_by_rank(step, functor)
             assert is_F_exact_by_pairing(step, functor)
 
 
 def test_nonsplit_sequence_rejected_by_both_functors(ctx, nonsplit):
     for functor in (ctx["f2"], ctx["g1"]):
         assert not is_F_exact(nonsplit, functor)
-        assert not is_F_exact_by_dims(nonsplit, functor)
+        assert not is_F_exact_by_rank(nonsplit, functor)
         assert not is_F_exact_by_pairing(nonsplit, functor)
 
 
@@ -244,6 +258,7 @@ def test_split_sequence_accepted_by_any_functor(ctx):
     split = ext1_space(ctx["u21"], ctx["u13"]).realize((QQ(0),))
     for functor in (ctx["f2"], ctx["g1"], ctx["f1"]):
         assert is_F_exact(split, functor)
+        assert is_F_exact_by_rank(split, functor)
         assert is_F_exact_by_pairing(split, functor)
 
 
@@ -300,12 +315,19 @@ def test_relative_balance_projective_vs_injective(ctx):
 
 
 def _assert_routes_agree(i, c, a, functor) -> int:
-    """The projective route (degree i off the i-th relative syzygy) against
-    the injective route and against the full hom complex of the same
-    relative resolution; returns the common value."""
+    """The projective route (hom dimensions along the i-th step of the
+    relative resolution) against the injective route, against the full hom
+    complex of the same relative resolution, and against the cokernel of the
+    restrictions Hom(P_{i-1}, a) -> Hom(syzygy(i), a) read through
+    ``composite_coords``; returns the common value."""
+    where = (functor.variance, i, c.dims, a.dims)
     projective = ext_F_dim(i, c, a, functor, via="projective")
-    assert projective == ext_F_dim(i, c, a, functor, via="injective"), (functor.variance, i, c.dims, a.dims)
-    assert projective == resolution_cohomology_dim(F_resolution(c, functor), i, a), (functor.variance, i, c.dims, a.dims)
+    assert projective == ext_F_dim(i, c, a, functor, via="injective"), where
+    res = F_resolution(c, functor)
+    assert projective == resolution_cohomology_dim(res, i, a), where
+    syzygy, incl = res.syzygy_edge(i)
+    restrictions = composite_coords(res.hom_to(i - 1, a), incl)
+    assert projective == hom_space(syzygy, a).dim - restrictions.rank(), where
     return projective
 
 
@@ -327,6 +349,99 @@ def test_relative_balance_off_the_cyclic_algebras(make):
     # not vacuous: some degree above 1 is nonzero, and some relative group
     # is not the absolute one
     assert higher and differs
+
+
+def test_relative_balance_on_the_local_algebra():
+    # past Nakayama and of infinite global dimension: Ext^i(S, S) = i + 1
+    alg = _local_two_loops()
+    P = lambda e: parse_module_expression(alg, e)
+    s = P("S(1)")
+    modules = [s, P("P(1)/rad^2"), P("P(1)"), dtr(s)]
+    higher = differs = 0
+    for functor in (covariant_functor(s), contravariant_functor(s)):
+        for c, a in itertools.product(modules, repeat=2):
+            for i in (1, 2):
+                value = _assert_routes_agree(i, c, a, functor)
+                higher += i > 1 and value != 0
+                differs += value != ext_dim(i, c, a)
+    assert higher and differs
+
+
+def _realized(c: Module, a: Module) -> list[tuple[bool, ShortExactSequence]]:
+    """The split class of Ext^1(c, a), each unit class and their sum,
+    realized, each with whether it splits; none when Ext^1(c, a) is zero."""
+    space = ext1_space(c, a)
+    if space.dim == 0:
+        return []
+    units = [[QQ(int(j == k)) for j in range(space.dim)] for k in range(space.dim)]
+    classes = [[QQ(0)] * space.dim] + units + ([[QQ(1)] * space.dim] if space.dim > 1 else [])
+    return [(not any(coords), space.realize(coords)) for coords in classes]
+
+
+def _assert_exactness_routes_agree(sequences, functors) -> None:
+    """``is_F_exact`` against the rank and pairing routes on every sequence
+    and functor; for each variance some non-split sequence is accepted and
+    some rejected."""
+    verdicts = set()
+    for split, eta in sequences:
+        for functor in functors:
+            verdict = is_F_exact(eta, functor)
+            where = (functor.variance, eta)
+            assert verdict == is_F_exact_by_rank(eta, functor), where
+            assert verdict == is_F_exact_by_pairing(eta, functor), where
+            assert verdict or not split, where
+            if not split:
+                verdicts.add((functor.variance, verdict))
+    assert verdicts == {(v, b) for v in VARIANCES for b in (True, False)}
+
+
+def test_exactness_routes_agree_on_realized_classes_of_cyclic3(ctx):
+    modules = [ctx[k] for k in ("u13", "u21", "u22", "s1", "s2", "s3")]
+    sequences = [pair for c, a in itertools.product(modules, repeat=2) for pair in _realized(c, a)]
+    functors = [ctx["f2"], ctx["f1"], ctx["g1"], contravariant_functor(ctx["m2"])]
+    _assert_exactness_routes_agree(sequences, functors)
+
+
+@pytest.mark.parametrize(
+    "make", [_commuting_square, _a3_zero_relation, _a4_rad2], ids=lambda make: make.__name__.strip("_")
+)
+def test_exactness_routes_agree_on_realized_classes_off_the_cyclic_algebras(make):
+    alg = make()
+    modules = [x for x in _test_modules(alg) if x.summands is None]
+    sequences = [pair for c, a in itertools.product(modules, repeat=2) for pair in _realized(c, a)]
+    functors = [
+        build(simple_module(alg, v))
+        for v in range(alg.quiver.vertex_count)
+        for build in (covariant_functor, contravariant_functor)
+    ]
+    _assert_exactness_routes_agree(sequences, functors)
+
+
+@pytest.mark.parametrize(
+    "make", [_commuting_square, _a3_zero_relation, _a4_rad2, _local_two_loops],
+    ids=lambda make: make.__name__.strip("_"),
+)
+def test_hom_out_of_built_modules_matches_its_dual(make):
+    # the dual read of relhom: dim Hom(X, Y) = dim Hom_op(DY, DX), on the
+    # plain kernels and cokernels of the first basis map and of the sum of
+    # the basis maps between any two test modules, told apart by their
+    # matrices
+    alg = make()
+    modules = _test_modules(alg)
+    built = {}
+    for u, w in itertools.product(modules, repeat=2):
+        basis = hom_basis(u, w)
+        for phi in basis[:1] + ([sum(basis[1:], basis[0])] if len(basis) > 1 else []):
+            for x in (kernel(phi)[0], cokernel(phi)[0]):
+                key = (x.dims, tuple(tuple(map(tuple, m.to_lists())) for m in x.arrow_maps))
+                if not x.is_zero():
+                    built.setdefault(key, x)
+    dims = [
+        (hom_dim(x, y), hom_dim(dualize(y), dualize(x)))
+        for x, y in itertools.product(built.values(), repeat=2)
+    ]
+    assert all(here == there for here, there in dims)
+    assert max(here for here, _ in dims) > 1
 
 
 @pytest.fixture
@@ -468,3 +583,43 @@ def test_relative_resolutions_are_cached_per_minimize_flag(ctx):
         canonical = build(ctx["u13"], ctx["f2"], minimize=False).terms
         assert canonical is not first
         assert build(ctx["u13"], ctx["f2"], minimize=False).terms is canonical
+
+
+@pytest.fixture
+def presented(monkeypatch):
+    """The modules ``rep.presentation`` computes a cover for (the projective
+    and sum cases need none), in call order."""
+    modules = []
+    real = rep._cover_maps
+
+    def counted(x, gens):
+        if sys._getframe(1).f_code.co_name == "presentation":
+            modules.append(x)
+        return real(x, gens)
+
+    monkeypatch.setattr(rep, "_cover_maps", counted)
+    return modules
+
+
+@pytest.mark.parametrize("i", [1, 2])
+@pytest.mark.parametrize("variance", VARIANCES)
+def test_relative_queries_present_no_module_they_build(presented, variance, i):
+    # a fresh algebra, so nothing is cached: the relative syzygies and the
+    # realized middle terms are read on the dual side and never presented,
+    # while the atoms they are read against are
+    alg = AlgebraPresentation.truncated(cyclic_quiver(3), 5, name="cyc3-trunc5")
+    m1, m2 = (parse_module_expression(alg, e) for e in (M1_EXPR, M2_EXPR))
+    functor = covariant_functor(m2) if variance == "covariant" else contravariant_functor(m1)
+    c = parse_module_expression(alg, "P(3)/rad^2+S(2)")
+    a = parse_module_expression(alg, "P(1)/rad^2")
+    value = ext_F_dim(i, c, a, functor)
+    res = F_resolution(c, functor)
+    syzygies = [res.syzygy(j) for j in range(1, i + 1)]
+    sequences = [eta for _, eta in _realized(a, parse_module_expression(alg, "P(3)/rad^2"))]
+    verdicts = [is_F_exact(eta, functor) for eta in sequences]
+    built = syzygies + [eta.middle for eta in sequences]
+    assert presented and not any(x is y for x in presented for y in built)
+    assert all(not x.is_zero() for x in built)
+    # the answers, read afterwards by routes that present what they build
+    assert value == ext_F_dim(i, c, a, functor, via="injective")
+    assert verdicts == [is_F_exact_by_rank(eta, functor) for eta in sequences] == [True, False]
