@@ -26,8 +26,9 @@ reference counting frees it, with everything cached on it, as soon as the
 last caller drops it.  The one cycle left is per algebra:
 an algebra presentation and its memoized projectives and opposite point at
 each other, and so do the radical quotients interned on those projectives
-(algebra -> P(v) -> P(v)/rad^k -> algebra).  No other module reads or
-writes ``_cache``.
+(algebra -> P(v) -> P(v)/rad^k -> algebra).  ``release`` breaks it when the
+algebra's work is done (the CLI does so after each subcommand).  No other
+module reads or writes ``_cache``.
 """
 
 from __future__ import annotations
@@ -152,3 +153,15 @@ def weakly_cached(owner: Cached, key, compute, *args):
         value = compute(*args)
         owner._cache[key] = weakref.ref(value)
     return value
+
+
+def release(owner: Cached, link) -> None:
+    """Drop every result memoized on ``owner`` and on the image it holds
+    under ``link`` (its opposite, say), so that reference counting frees
+    what only those memos held, cycles through them included."""
+    image = owner._cache.get(link)
+    if type(image) is weakref.ref:
+        image = image()
+    owner._cache.clear()
+    if image is not None:
+        image._cache.clear()

@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 from functools import cache
 from importlib import resources
 
+from .cache import release
 from .exact_linalg import rational
 from .path_algebra import (
     AlgebraError,
@@ -333,7 +334,7 @@ def _parse_functor(algebra: AlgebraPresentation, text: str) -> SubBifunctor:
 
 
 def cmd_check_maxortho(args) -> int:
-    parsed, algebra = load_algebra(args.algebra)
+    parsed, algebra = args.loaded
     module = parse_module_expression(algebra, args.module)
     report = Report("check-maxortho")
     report.put("algebra", algebra.name or args.algebra)
@@ -375,7 +376,7 @@ def cmd_check_maxortho(args) -> int:
 
 
 def cmd_ext(args) -> int:
-    parsed, algebra = load_algebra(args.algebra)
+    parsed, algebra = args.loaded
     x = parse_module_expression(algebra, args.x)
     y = parse_module_expression(algebra, args.y)
     if args.max_degree < 1:
@@ -403,7 +404,7 @@ def cmd_ext(args) -> int:
 
 
 def cmd_verify_theorem(args) -> int:
-    parsed, algebra = load_algebra(args.algebra)
+    parsed, algebra = args.loaded
     m1 = parse_module_expression(algebra, args.m1)
     m2 = parse_module_expression(algebra, args.m2)
     report = Report("verify-theorem")
@@ -443,7 +444,7 @@ def cmd_verify_theorem(args) -> int:
 
 
 def cmd_exchange(args) -> int:
-    parsed, algebra = load_algebra(args.algebra)
+    parsed, algebra = args.loaded
     base = parse_module_expression(algebra, args.base)
     x1 = parse_module_expression(algebra, args.x1)
     x2 = parse_module_expression(algebra, args.x2)
@@ -476,7 +477,7 @@ def cmd_exchange(args) -> int:
 
 
 def cmd_dtr(args) -> int:
-    parsed, algebra = load_algebra(args.algebra)
+    parsed, algebra = args.loaded
     x = parse_module_expression(algebra, args.module)
     report = Report("dtr")
     report.put("algebra", algebra.name or args.algebra)
@@ -491,7 +492,7 @@ def cmd_dtr(args) -> int:
 
 
 def cmd_gldim_endo(args) -> int:
-    parsed, algebra = load_algebra(args.algebra)
+    parsed, algebra = args.loaded
     module = parse_module_expression(algebra, args.module)
     report = Report("gldim-endo")
     report.put("algebra", algebra.name or args.algebra)
@@ -510,7 +511,7 @@ def cmd_gldim_endo(args) -> int:
 
 
 def cmd_relexact(args) -> int:
-    parsed, algebra = load_algebra(args.algebra)
+    parsed, algebra = args.loaded
     quotient = parse_module_expression(algebra, args.quotient)
     sub = parse_module_expression(algebra, args.sub)
     functor = _parse_functor(algebra, args.functor)
@@ -548,7 +549,7 @@ def cmd_relexact(args) -> int:
 
 
 def cmd_prop_gldim(args) -> int:
-    parsed, algebra = load_algebra(args.algebra)
+    parsed, algebra = args.loaded
     module = parse_module_expression(algebra, args.module)
     witnesses = None
     if args.witness:
@@ -583,7 +584,7 @@ def cmd_prop_gldim(args) -> int:
 
 
 def cmd_show_algebra(args) -> int:
-    parsed, algebra = load_algebra(args.algebra)
+    parsed, algebra = args.loaded
     sys.stdout.write(parsed.emit())
     return EXIT_OK
 
@@ -671,7 +672,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    args.loaded = None
     try:
+        args.loaded = load_algebra(args.algebra)
         return args.func(args)
     except (FileFormatError, ExpressionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -689,6 +692,11 @@ def main(argv=None) -> int:
         detail = " ".join(str(exc).split()) or "out of memory"
         print(f"resource limit: {type(exc).__name__}: {detail}", file=sys.stderr)
         return EXIT_RESOURCE
+    finally:
+        # the algebra, its opposite and their memoized modules point at each
+        # other: dropping the two memos lets reference counting free them
+        if args.loaded is not None:
+            release(args.loaded[1], "opposite")
 
 
 if __name__ == "__main__":  # pragma: no cover

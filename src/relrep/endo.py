@@ -1,12 +1,11 @@
 """Endomorphism algebras as structure-constant algebras, and checkers built on them.
 
-The first half of this module turns ``End(M)`` into exact linear-algebra data:
-multiplication tensor, Jacobson radical (off the atom blocks or the trace
-form), modules over the algebra, and bounded projective/injective-dimension
-tests driven by projective covers.  The second half packages the headline
-checks: maximal orthogonality, the four-condition cotilting equivalence, the
-orthogonality implication with its converse-failure probe, and the
-exchange-sequence search.
+The first half turns ``End(M)`` into exact linear-algebra data: structure
+constants, Jacobson radical, modules over the algebra, and bounded
+projective/injective-dimension tests driven by projective covers.  The
+second half holds the headline checks: maximal orthogonality, the
+four-condition cotilting equivalence, the orthogonality implication with its
+converse-failure probe, and the exchange-sequence search.
 
 Conventions.  The product ``x * y`` of two endomorphisms is the composite
 "apply ``y`` first, then ``x``" (matching ``Morphism.__matmul__``).  With this
@@ -17,8 +16,10 @@ a left ``End(M2)^op``-module under pre-composition.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import product
+from typing import NamedTuple
 
-from .cache import Cached, cached, cached_across_involution, involution, memoized
+from .cache import Cached, cached_across_involution, cached_pair, involution, memoized
 from .exact_linalg import Matrix, _canon_row, complement_projection, exact_div, hstack, rational, subspace_contains
 from .path_algebra import AlgebraError, InternalError
 from .rep import (
@@ -62,25 +63,23 @@ from .relhom import (
 class StructureConstantAlgebra(Cached):
     """A finite-dimensional associative unital algebra given by its tensor.
 
-    ``mult[i][j]`` holds the nonzero structure constants of ``e_i * e_j`` as a
-    tuple of ``(m, c)`` pairs, ``m`` ascending and ``c`` a nonzero exact
-    scalar, so that ``e_i * e_j = sum of c * e_m``; a zero product is the
-    empty tuple.  The constructor takes the dense tensor (``mult[i][j][m]``
-    the coefficient of ``e_m``) and coerces and sparsifies it once;
-    :meth:`from_sparse` takes the pairs as they are.  ``unit`` is the
-    coordinate vector of the identity.  ``idempotents`` (optional) is a list
-    of pairwise orthogonal idempotents summing to the unit; when each left
-    ideal ``A·e`` is spanned by a subset of the basis (always true for the
-    algebras produced by :func:`end_ring`) the dimension engine uses them to
-    build projective covers.  ``piece_members`` (``from_sparse`` only) names
-    those subsets when the caller knows them; otherwise they are detected.
-    ``piece_classes`` (optional) groups idempotents whose left ideals are
-    isomorphic, enabling reduction to a basic algebra.
+    ``mult[i][j]`` holds ``e_i * e_j`` as a tuple of ``(m, c)`` pairs, ``m``
+    ascending and ``c`` a nonzero exact scalar; a zero product is ``()``.
+    The constructor takes the dense tensor and coerces and sparsifies it
+    once; :meth:`from_sparse` takes the pairs as they are; an End(M) of
+    :func:`end_ring` assembles them from its atom blocks when first read.
+    ``unit`` is the identity's coordinates.  ``idempotents`` (optional) are
+    pairwise orthogonal idempotents summing to the unit; when each left
+    ideal ``A·e`` is spanned by a subset of the basis, its
+    ``piece_members`` (given, or detected), the engine builds projective
+    covers from them.  ``piece_classes`` (optional) groups idempotents whose
+    left ideals are isomorphic, for the reduction to a basic algebra.
     """
 
     __slots__ = (
         "dim",
-        "mult",
+        "_mult",
+        "_blocks",
         "unit",
         "idempotents",
         "piece_members",
@@ -123,9 +122,10 @@ class StructureConstantAlgebra(Cached):
         g._setup(dim, tuple(tuple(plane) for plane in mult), unit, idempotents, piece_classes, name, piece_members)
         return g
 
-    def _setup(self, dim, mult, unit, idempotents, piece_classes, name, piece_members=None) -> None:
+    def _setup(self, dim, mult, unit, idempotents, piece_classes, name, piece_members=None, blocks=None) -> None:
         self.dim = dim
-        self.mult = mult
+        self._mult = mult
+        self._blocks = blocks
         self.unit = tuple(rational(c) for c in unit)
         if len(self.unit) != self.dim:
             raise AlgebraError("unit vector has wrong length")
@@ -146,50 +146,11 @@ class StructureConstantAlgebra(Cached):
                 tuple(range(len(self.idempotents))) if self.idempotents is not None else None
             )
 
-    # -- elements ----------------------------------------------------------
-
-    def multiply(self, x, y) -> list:
-        out = [0] * self.dim
-        y_terms = _terms(y)
-        for i, xi in enumerate(x):
-            if xi == 0:
-                continue
-            plane = self.mult[i]
-            for j, yj in y_terms:
-                c = xi * yj
-                for m, rm in plane[j]:
-                    out[m] += c * rm
-        return out
-
-    def left_mult_matrix(self, x) -> Matrix:
-        rows = [[0] * self.dim for _ in range(self.dim)]
-        for i, xi in _terms(x):
-            for j, pairs in enumerate(self.mult[i]):
-                for m, rm in pairs:
-                    rows[m][j] += xi * rm
-        return Matrix(self.dim, self.dim, rows)
-
-    def check_associativity(self) -> bool:
-        """Exhaustive check of (e_i e_j) e_k == e_i (e_j e_k); desk scale only."""
-        n = self.dim
-        for i in range(n):
-            for j in range(n):
-                ij = self.mult[i][j]
-                for k in range(n):
-                    left = _accumulate(((c, self.mult[m][k]) for m, c in ij), n)
-                    right = _accumulate(((c, self.mult[i][m]) for m, c in self.mult[j][k]), n)
-                    if left != right:
-                        return False
-        return True
-
-    def check_unit(self) -> bool:
-        for j in range(self.dim):
-            e = [1 if t == j else 0 for t in range(self.dim)]
-            if self.multiply(list(self.unit), e) != e:
-                return False
-            if self.multiply(e, list(self.unit)) != e:
-                return False
-        return True
+    @property
+    def mult(self) -> tuple:
+        if self._mult is None:
+            self._mult = self._blocks.mult()
+        return self._mult
 
     def opposite(self) -> "StructureConstantAlgebra":
         """The opposite algebra; (A^op)^op is A itself while A lives (A holds
@@ -213,9 +174,8 @@ class StructureConstantAlgebra(Cached):
 
 def _vertices(g: StructureConstantAlgebra, left: bool) -> list | None:
     """For each basis vector b_m the i with e_i·b_m = b_m (``left``) or
-    b_m·e_i = b_m, or None when some such product is neither b_m nor 0 (a
-    basis vector that mixes vertices on that side); summed off the sparse
-    rows of the tensor."""
+    b_m·e_i = b_m, or None when some such product is neither b_m nor 0 (b_m
+    mixes vertices on that side)."""
     # rows[k][m] holds the products b_k·b_m (left) or b_m·b_k
     rows = g.mult if left else tuple(zip(*g.mult))
     vertex = [None] * g.dim
@@ -263,15 +223,6 @@ def _terms(vec) -> list:
     return [(t, c) for t, c in enumerate(vec) if c != 0]
 
 
-def _accumulate(weighted_rows, dim: int) -> list:
-    """Dense vector of the sum of ``c * row`` over ``(c, sparse row)`` pairs."""
-    out = [0] * dim
-    for c, pairs in weighted_rows:
-        for m, rm in pairs:
-            out[m] += c * rm
-    return out
-
-
 def _matvec(mat: Matrix, vec: list) -> list:
     """``mat @ vec`` for a plain list, walking only the nonzeros of ``vec``."""
     vec_terms = _terms(vec)
@@ -290,21 +241,16 @@ def radical(g: StructureConstantAlgebra) -> Matrix:
     """Basis (columns) of the Jacobson radical, in the normal form of
     ``kernel_basis``, which depends only on the subspace.
 
-    An End(M) whose atoms are split local and pairwise non-isomorphic comes
-    with its radical already read off its atom blocks (see
-    ``end_ring`` and ``_radical_from_blocks``).  Every other
-    algebra takes the trace bilinear form: over the rationals the radical is
-    the kernel of ``T(x, y) = trace of left-multiplication by x*y``.  That
-    kernel is verified nilpotent; a non-nilpotent kernel signals
-    inconsistent structure constants.  Both routes also span rad², which
-    yields the radical generators (:func:`radical_generators`), memoized
-    with the basis.
+    An End(M) on the block route (``_on_blocks``) reads it off its atom
+    blocks (``_block_radical``).  Every other algebra takes the kernel of
+    the trace form ``T(x, y) = tr L_{xy}``, verified nilpotent (else the
+    structure constants are inconsistent).  Both routes span rad², which
+    yields the radical generators (:func:`radical_generators`).
 
-    rad(A^op) is rad(A) as a set, and so is rad², so A and A^op share both
-    results, computed once on the algebra whose ``opposite()`` made the pair.
-    The trace form of A^op differs, but a kernel basis and the rows of an
-    RREF depend only on the subspace they span, so computing them afresh on
-    A^op gives the same basis and generators.
+    rad(A^op) = rad(A) as a set, and so is rad², so A and A^op share both
+    results, computed once on the side whose ``opposite()`` made the pair;
+    a kernel basis and RREF rows depend only on the subspace they span, so
+    computing them on A^op gives the same basis and generators.
     """
     return _radical_data(g)[0]
 
@@ -312,16 +258,20 @@ def radical(g: StructureConstantAlgebra) -> Matrix:
 def radical_generators(g: StructureConstantAlgebra) -> tuple:
     """Radical basis columns that lift a basis of rad/rad², as coordinate tuples.
 
-    They generate the radical as a right ideal (rad = L·A, since rad is
-    nilpotent), so rad X = L·X for every module X: L·X spans the radical of
-    X from far fewer products than the whole radical basis does.
+    They generate the radical as a right ideal (rad = L·A, rad being
+    nilpotent), so rad X = L·X for every module X, from far fewer products.
     """
     return _radical_data(g)[1]
 
 
 def _radical_data(g: StructureConstantAlgebra) -> tuple[Matrix, tuple]:
     """``(radical basis, radical generators)``, shared with ``g.opposite()``."""
-    return cached_across_involution(g, "radical", "opposite", _radical_from_trace_form)
+    return cached_across_involution(g, "radical", "opposite", _radical)
+
+
+def _on_blocks(g: StructureConstantAlgebra) -> bool:
+    """Whether g is an End(M) of split local, pairwise non-isomorphic atoms."""
+    return g._blocks is not None and g._blocks.radicals is not None
 
 
 def _radical_from_trace_form(g: StructureConstantAlgebra) -> tuple[Matrix, tuple]:
@@ -365,68 +315,66 @@ def _radical_from_trace_form(g: StructureConstantAlgebra) -> tuple[Matrix, tuple
     return rad, generators
 
 
-def _radical_from_blocks(g: StructureConstantAlgebra, atoms, spaces, offsets) -> tuple[Matrix, tuple]:
-    """``(radical basis, radical generators)`` of g = End(A_0 + ... + A_k),
-    read off its atom blocks, for split local, pairwise non-isomorphic atoms.
+@memoized("block radical")
+def _block_radical(g: StructureConstantAlgebra) -> tuple[dict, list]:
+    """``(rad, generators)`` of g = End(A_0 + ... + A_k) on the block route:
+    ``rad[s, t]`` a basis of block (s, t) of the radical in block
+    coordinates, ``generators`` the ``(s, t, vector)`` lifting a basis of
+    rad/rad².
 
-    The radical is then the radical of the module category: all of
-    Hom(A_s, A_t) for s != t, and rad End(A_s) on the diagonal.  Unit
-    vectors span the off-diagonal blocks and each atom's own kernel basis
-    its diagonal block; the blocks hold disjoint runs of coordinates, so
-    laid out in offset order they are already the ``kernel_basis`` normal
-    form.  rad² is blocked alike, rad²(s, t) = sum over u of
-    rad(u, t)∘rad(s, u), so the [rad² | rad] pivot rule of
-    ``_radical_from_trace_form`` runs block by block.
+    For split local, pairwise non-isomorphic atoms (certificates that stand
+    in for the trace form's nilpotency check) the radical is all of
+    Hom(A_s, A_t) for s != t and rad End(A_s) on the diagonal.  rad² is
+    blocked alike, rad²(s, t) = sum over u of rad(u, t)∘rad(s, u), so the
+    [rad² | rad] pivot rule of ``_radical_from_trace_form`` runs per block.
     """
-    count = len(atoms)
-    # the radical basis of block (s, t) as (coordinate, value) terms of g
+    blocks = g._blocks
+    count = len(blocks.dims)
     rad = {}
     for s in range(count):
         for t in range(count):
-            off = offsets[s][t]
-            if s == t:
-                local = _end_radical_coords(atoms[s]).columns()
-                rad[s, t] = [[(off + i, c) for i, c in enumerate(col) if c] for col in local]
-            else:
-                rad[s, t] = [[(off + i, 1)] for i in range(spaces[s][t].dim)]
-    columns = []
+            d = blocks.dims[s][t]
+            rad[s, t] = blocks.radicals[s] if s == t else [[int(p == q) for q in range(d)] for p in range(d)]
+    sparse = {key: [_terms(vec) for vec in block] for key, block in rad.items()}
     generators = []
-    for s in range(count):
-        for t in range(count):
-            block = rad[s, t]
-            if not block:
-                continue
-            off, d = offsets[s][t], spaces[s][t].dim
-            rows = []
-            for u in range(count):
-                for x in rad[u, t]:
-                    for y in rad[s, u]:
-                        prod = [0] * d
-                        for a, xa in x:
-                            plane = g.mult[a]
-                            for b, yb in y:
-                                c = xa * yb
-                                for m, r in plane[b]:
-                                    prod[m - off] += c * r
-                        if any(prod):
-                            rows.append(_canon_row(prod))
-            square = len(rows)
-            for terms in block:
-                vec = [0] * d
-                for a, c in terms:
-                    vec[a - off] = c
-                rows.append(vec)
-            _, pivots = Matrix._trusted(len(rows), d, rows).transpose().rref()
-            generators.extend(len(columns) + p - square for p in pivots if p >= square)
-            columns.extend(block)
-    n, r = g.dim, len(columns)
-    data = [[0] * r for _ in range(n)]
-    for j, terms in enumerate(columns):
-        for a, c in terms:
-            data[a][j] = c
-    basis = Matrix._trusted(n, r, data)
-    cols = basis.columns()
-    return basis, tuple(tuple(cols[j]) for j in generators)
+    for (s, t), block in rad.items():
+        if not block:
+            continue
+        d = blocks.dims[s][t]
+        rows = []
+        for u in range(count):
+            for x in sparse[u, t]:
+                for y in sparse[s, u]:
+                    prod = [0] * d
+                    for j, yj in y:
+                        column = blocks.columns[s, u, t][j]
+                        for i, xi in x:
+                            for k, r in column[i]:
+                                prod[k] += xi * yj * r
+                    if any(prod):
+                        rows.append(_canon_row(prod))
+        square = len(rows)
+        _, pivots = Matrix._trusted(square + len(block), d, rows + block).transpose().rref()
+        generators.extend((s, t, block[p - square]) for p in pivots if p >= square)
+    return rad, generators
+
+
+def _radical(g: StructureConstantAlgebra) -> tuple[Matrix, tuple]:
+    """``(radical basis, radical generators)`` from the trace form, or on the
+    block route those of ``_block_radical`` laid out in offset order: the
+    blocks hold disjoint runs of coordinates, so that is the normal form."""
+    if not _on_blocks(g):
+        return _radical_from_trace_form(g)
+    rad, generators = _block_radical(g)
+    offsets, n = g._blocks.offsets, g.dim
+
+    def placed(s, t, vec):
+        out = [0] * n
+        out[offsets[s][t] : offsets[s][t] + len(vec)] = vec
+        return out
+
+    cols = [placed(s, t, vec) for (s, t), block in rad.items() for vec in block]
+    return Matrix.from_columns(cols) if cols else Matrix.zeros(n, 0), tuple(tuple(placed(*gen)) for gen in generators)
 
 
 # ---------------------------------------------------------------------------
@@ -457,18 +405,6 @@ class SCModule:
 
     def element_matrix(self, coeffs) -> Matrix:
         return _combine(self.action, self.dim, _terms(coeffs))
-
-    def check(self) -> bool:
-        """Action respects multiplication and unit; desk scale only."""
-        g = self.algebra
-        ident = Matrix.identity(self.dim)
-        if self.element_matrix(g.unit) != ident:
-            return False
-        for i in range(g.dim):
-            for j in range(g.dim):
-                if self.action[i] @ self.action[j] != _combine(self.action, self.dim, g.mult[i][j]):
-                    return False
-        return True
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"SCModule(dim={self.dim} over dim-{self.algebra.dim} algebra)"
@@ -581,9 +517,8 @@ class _Cover:
     A e_kind at dense ``offsets``.  e_i P lists, summand by summand, the
     members at vertex i (summand r from ``starts[i][r]``); ``kernels[i]`` is
     a basis of e_i ker(P -> K) in those coordinates.  ``gens[r]``, the image
-    of summand r's idempotent, is a vector of K at vertex ``kinds[r]`` (a
-    unit vector of the base module, or a kernel vector of the cover below),
-    and None on a simple top's cover (:meth:`_Chain._at_top`)."""
+    of summand r's idempotent, is a vector of K at vertex ``kinds[r]``, None
+    on a simple top's cover (:meth:`_Chain._at_top`)."""
 
     __slots__ = ("kinds", "offsets", "dim", "starts", "widths", "by_vertex", "gens", "kernels", "minimal")
 
@@ -619,84 +554,133 @@ class _Cover:
 
 
 class _ChainTables:
-    """What every chain over g reads (shared, so read only), once per g and
-    holding no reference to it.  The pieces are the A e_s (the whole algebra
-    with the unit when g has no structural idempotents: one vertex).  b_m
-    lies at ``vertex[m]``, the i with e_i·b_m = b_m, and ``by_vertex[s][i]``
-    lists the positions in A e_s of its members at vertex i, the coordinates
-    of e_i A e_s.  ``acts[s][t]`` maps k to b_k·(member t of A e_s) in
-    e_vertex[k] A e_s coordinates, for the nonzero products only;
-    ``rad_spans[s][i]`` spans e_i (rad A) e_s, and ``tops[s]`` lists the
-    members of A e_s outside it.  ``leaving[i]`` holds the homogeneous
-    e_j·ℓ·e_i, for the radical generators ℓ (:func:`radical_generators`),
-    as ``(j, terms)``: ℓ's terms grouped by (piece, vertex), which generate
-    rad A as the ℓ do."""
+    """What every chain over g reads (read only), once per g and holding no
+    reference to it.  The pieces are the A e_s (the whole algebra when g has
+    no structural idempotents: one vertex).  b_m lies at ``vertex[m]``, the
+    i with e_i·b_m = b_m; ``by_vertex[s][i]`` lists the positions in A e_s
+    of its members at vertex i, the coordinates of e_i A e_s.
+    ``acts[s][t]`` maps k to the nonzero b_k·(member t of A e_s) in
+    e_vertex[k] A e_s coordinates; ``rad_spans[s][i]`` spans e_i (rad A)
+    e_s, and ``tops[s]`` lists the members of A e_s outside it.
+    ``leaving[i]`` holds the homogeneous e_j·ℓ·e_i of the radical
+    generators ℓ as ``(j, terms)``, which generate rad A as the ℓ do."""
 
     __slots__ = ("members", "vertex", "by_vertex", "acts", "rad_spans", "tops", "leaving", "__weakref__")
 
     def __init__(self, g: StructureConstantAlgebra) -> None:
-        self.members = g.piece_members or (tuple(range(g.dim)),)
-        count = len(self.members)
+        """The tables read off g's tensor and its radical: the reference for
+        ``_from_blocks``."""
+        members = g.piece_members or (tuple(range(g.dim)),)
+        count = len(members)
         vertex = _vertices(g, left=True) if g.piece_members else [0] * g.dim
         if vertex is None:
             raise InternalError("endo", "piece members mix vertices: some e_i·b is neither b nor 0")
-        self.vertex = vertex
         # place[m]: the piece of b_m and its position there among the members at vertex[m]
         place = [None] * g.dim
-        self.by_vertex = []
-        for s, ms in enumerate(self.members):
+        by_vertex = []
+        for s, ms in enumerate(members):
             rows = [[] for _ in range(count)]
             for t, m in enumerate(ms):
                 place[m] = (s, len(rows[vertex[m]]))
                 rows[vertex[m]].append(t)
-            self.by_vertex.append(rows)
+            by_vertex.append(rows)
         # b_k·b_m can be nonzero only when b_k ∈ A e_vertex[m]
-        self.acts = []
-        for s, ms in enumerate(self.members):
+        acts = []
+        for s, ms in enumerate(members):
             piece = []
             for m in ms:
                 row = {}
-                for k in self.members[vertex[m]]:
+                for k in members[vertex[m]]:
                     pairs = g.mult[k][m]
                     if pairs:
                         if any(place[p][0] != s for p, _ in pairs):
                             raise AlgebraError("left ideal is not spanned by basis vectors")
                         row[k] = tuple((place[p][1], c) for p, c in pairs)
                 piece.append(row)
-            self.acts.append(piece)
+            acts.append(piece)
         # e_i (rad A) e_s: the radical basis cut down to the members of A e_s at i
-        self.rad_spans = [[_Span(len(at)) for at in self.by_vertex[s]] for s in range(count)]
+        rad_spans = [[_Span(len(at)) for at in rows] for rows in by_vertex]
         for r in radical(g).columns():
             parts = {}
             for m, c in _terms(r):
                 (s, q), i = place[m], vertex[m]
                 if (s, i) not in parts:
-                    parts[s, i] = [0] * len(self.by_vertex[s][i])
+                    parts[s, i] = [0] * len(by_vertex[s][i])
                 parts[s, i][q] = c
             for (s, i), vec in parts.items():
-                self.rad_spans[s][i].add(vec)
-        self.tops = [
-            [
-                ms[t]
-                for span, at in zip(self.rad_spans[s], self.by_vertex[s])
-                if span.rank < len(at)
-                for q, t in enumerate(at)
-                if not span.contains([int(p == q) for p in range(len(at))])
-            ]
-            for s, ms in enumerate(self.members)
-        ]
-        self.leaving = [[] for _ in range(count)]
+                rad_spans[s][i].add(vec)
+        leaving_parts = []
         for ell in radical_generators(g):
             parts = {}
             for m, c in _terms(ell):
                 parts.setdefault((place[m][0], vertex[m]), []).append((m, c))
-            for (i, j), terms in parts.items():
-                self.leaving[i].append((j, terms))
+            leaving_parts.extend((i, j, terms) for (i, j), terms in parts.items())
+        self._fill(members, vertex, by_vertex, acts, rad_spans, leaving_parts)
+
+    @classmethod
+    def _from_blocks(cls, g: StructureConstantAlgebra) -> "_ChainTables":
+        """The same tables read off the atom blocks of g on the block route:
+        A e_s is the run of blocks (s, t), each at vertex t, and b_k·b_m for
+        b_m in block (s, u) and b_k in block (u, w) is a composition column
+        in block (s, w), already in the coordinates of e_w A e_s."""
+        blocks = g._blocks
+        rad, generators = _block_radical(g)
+        count = len(blocks.dims)
+        vertex, by_vertex, acts, rad_spans = [], [], [], []
+        for s, (dims, offsets) in enumerate(zip(blocks.dims, blocks.offsets)):
+            vertex.extend(t for t, d in enumerate(dims) for _ in range(d))
+            by_vertex.append([list(range(off - offsets[0], off - offsets[0] + d)) for off, d in zip(offsets, dims)])
+            rad_spans.append([_Span(d) for d in dims])
+            for vec in rad[s, s]:
+                rad_spans[s][s].add(vec)
+            # off the diagonal rad[s, t] is the identity: its span is in RREF already
+            for t, span in enumerate(rad_spans[s]):
+                if t != s:
+                    span.rows, span.pivots = rad[s, t], list(range(dims[t]))
+            piece = []
+            for u in range(count):
+                tables = [(blocks.offsets[u][w], blocks.columns.get((s, u, w))) for w in range(count)]
+                tables = [(off, table) for off, table in tables if table]
+                for j in range(dims[u]):
+                    piece.append({off + i: terms for off, table in tables for i, terms in enumerate(table[j]) if terms})
+            acts.append(piece)
+        tables = cls.__new__(cls)
+        tables._fill(
+            g.piece_members,
+            vertex,
+            by_vertex,
+            acts,
+            rad_spans,
+            [(s, t, [(blocks.offsets[s][t] + q, c) for q, c in enumerate(vec) if c]) for s, t, vec in generators],
+        )
+        return tables
+
+    def _fill(self, members, vertex, by_vertex, acts, rad_spans, leaving_parts) -> None:
+        """Set the tables; ``leaving_parts`` are the generators' ``(piece,
+        vertex, terms)`` parts in generator order."""
+        self.members = members
+        self.vertex = vertex
+        self.by_vertex = by_vertex
+        self.acts = acts
+        self.rad_spans = rad_spans
+        self.tops = [
+            [
+                ms[t]
+                for span, at in zip(self.rad_spans[s], by_vertex[s])
+                if span.rank < len(at)
+                for q, t in enumerate(at)
+                if not span.contains([int(p == q) for p in range(len(at))])
+            ]
+            for s, ms in enumerate(members)
+        ]
+        self.leaving = [[] for _ in members]
+        for i, j, terms in leaving_parts:
+            self.leaving[i].append((j, terms))
 
 
 @memoized("chain tables")
 def _chain_tables(g: StructureConstantAlgebra) -> _ChainTables:
-    return _ChainTables(g)
+    return _ChainTables._from_blocks(g) if _on_blocks(g) else _ChainTables(g)
 
 
 class _Chain:
@@ -707,14 +691,12 @@ class _Chain:
 
     The cover of K (x, or a kernel) spans rad K = L·K by the homogeneous
     radical generators leaving each vector's vertex, one ``_Span`` per
-    vertex, and takes as generators the basis vectors of K outside it (x's
-    unit vectors, or the kernel vectors), each its own top candidate.  The
-    images of the members of its piece come in one pass (columns of x's
-    action on the first cover); those of the members outside rad A join the
-    spans (b·K lies in rad K for b in rad A).  A cover checks that it is
-    onto (its rank is dim K) and whether its kernel lies in rad P
-    (minimality), vertex by vertex.  A chain keeps g's chain tables and x's
-    action by vertex, not g: memoized chains hold no reference back to it.
+    vertex, and takes the basis vectors of K outside it (x's unit vectors,
+    or the kernel vectors) as generators.  The images of the members of
+    their piece come in one pass; those of the members outside rad A join
+    the spans.  A cover checks, vertex by vertex, that it is onto and
+    whether its kernel lies in rad P (minimality).  A chain keeps g's
+    tables and x's action, not g: memoized chains do not point back at g.
     """
 
     def __init__(self, g: StructureConstantAlgebra, base: SCModule) -> None:
@@ -993,13 +975,12 @@ def _pd_le_on_chain(chain: _Chain, n: int) -> bool:
 def sc_pd_le(g: StructureConstantAlgebra, x: SCModule, n: int) -> bool:
     """Projective dimension bound over a structure-constant algebra.
 
-    Builds covers by generator-surjections (projective pieces ``A e`` when
-    structural idempotents are available, free rank-one pieces otherwise).
-    If the kernel after ``n+1`` covers vanishes the answer is yes; if the last
-    cover carries the kernel-inside-radical minimality certificate the answer
-    is no; otherwise the covering extension of the n-th syzygy is tested for
-    splitting via vanishing of its Ext^1 group (sound by Schanuel: syzygies
-    computed from non-minimal covers differ only by projective summands).
+    Covers are sums of pieces ``A e`` (free rank-one pieces without
+    structural idempotents).  A zero kernel after ``n+1`` covers means yes;
+    a minimal last cover (kernel inside the radical) means no; otherwise the
+    covering extension of the n-th syzygy is tested for splitting by its
+    Ext^1 (sound by Schanuel: syzygies from non-minimal covers differ only
+    by projective summands).
     """
     if x.dim == 0:
         return True
@@ -1083,12 +1064,9 @@ def _nonzero_atoms(m: Module) -> list[Module]:
 def end_algebra(m: Module) -> tuple[StructureConstantAlgebra, list[Morphism]]:
     """The endomorphism algebra of ``m`` with its morphism basis.
 
-    The algebra is :func:`end_ring`, cached on ``m``.  The basis is built on
-    each call and not cached: the basis map of phi: A_s -> A_t, for atoms of
-    m, is phi's vertex maps placed at the offsets of A_t (rows) and A_s
-    (columns) inside m, where the atoms lie one after the other at every
-    vertex.  The product of basis elements is their composite (second
-    argument applied first).
+    The algebra is :func:`end_ring`.  The basis is built on each call: the
+    basis map of phi: A_s -> A_t, for atoms of m, is phi's vertex maps
+    placed at the offsets of A_t (rows) and A_s (columns) inside m.
     """
     placed, running = [], [0] * len(m.dims)
     for a in _nonzero_atoms(m):
@@ -1108,86 +1086,108 @@ def end_algebra(m: Module) -> tuple[StructureConstantAlgebra, list[Morphism]]:
     return end_ring(m), basis
 
 
+class _AtomBlocks(NamedTuple):
+    """End(A_0 + ... + A_k) by atom blocks, holding no module: ``dims[s][t]``
+    and ``offsets[s][t]`` place Hom(A_s, A_t), ``columns[sb, sa, ta]`` holds
+    the composition columns of Hom(A_sa, A_ta) after Hom(A_sb, A_sa) for
+    nonzero blocks, and ``radicals[s]`` rad End(A_s) on the block route
+    (else None)."""
+
+    dims: list
+    offsets: list
+    columns: dict
+    radicals: list | None
+
+    def mult(self) -> tuple:
+        """The sparse tensor: e_a * e_b for a in block (sa, ta) and b in
+        block (sb, sa) is a composition column moved to block (sb, ta)."""
+        total = self.offsets[-1][-1] + self.dims[-1][-1]
+        mult = [[()] * total for _ in range(total)]
+        for (sb, sa, ta), table in self.columns.items():
+            off, outer, inner = self.offsets[sb][ta], self.offsets[sa][ta], self.offsets[sb][sa]
+            for j, column in enumerate(table):
+                for i, terms in enumerate(column):
+                    mult[outer + i][inner + j] = tuple((off + k, c) for k, c in terms)
+        return tuple(tuple(row) for row in mult)
+
+
+def _composition_columns(outer, inner) -> tuple:
+    """``composition_table(outer, inner)`` as sparse columns: ``[j][i]`` holds
+    the nonzero ``(k, c)`` of a_i∘b_j.  Cached on the younger of the two
+    spaces' cores, like the table."""
+    return cached_pair(outer._core, inner._core, "composition columns", _sparse_columns, outer, inner)
+
+
+def _sparse_columns(outer, inner) -> tuple:
+    return tuple(
+        tuple(tuple((k, c) for k, c in enumerate(col) if c != 0) for col in zip(*coords._data))
+        if coords.rows
+        else ((),) * outer.dim
+        for coords in composition_table(outer, inner)
+    )
+
+
+@memoized("identity coords")
+def _identity_coords(a: Module) -> list:
+    """The coordinates of the identity of ``a`` in ``hom_space(a, a)``."""
+    return hom_space(a, a).coords(Morphism.identity(a))
+
+
 @memoized("end_algebra")
 def end_ring(m: Module) -> StructureConstantAlgebra:
-    """End(m) as a structure-constant algebra without its morphism basis,
-    built from the hom spaces and composition tables of m's atom pairs.
+    """End(m) as structure constants without its morphism basis, from the
+    hom spaces and composition columns of m's atom pairs.
 
-    The basis is blocked by (source atom, target atom) pairs, zero atoms
-    skipped.  Atom A_s gives the structural idempotent e_s, and A·e_s is the
-    run of blocks (s, t) over all t.  Atoms are grouped into isomorphism
-    classes for the dimension engine.
-
-    When the atoms are split local (``rep._split_local``) and pairwise
-    non-isomorphic (each its own class of the certified ``is_isomorphic``
-    split), the algebra's radical and radical generators are seeded from
-    the atoms' own radicals (``_radical_from_blocks``), under the key that
-    ``_radical_data`` reads, so the opposite algebra shares them too.
-    Those certificates stand in for the trace form's nilpotency check.
-    Otherwise :func:`radical` takes the trace form when first asked.
+    The basis is blocked by (source atom, target atom), zero atoms skipped.
+    Atom A_s gives the idempotent e_s, and A·e_s is the run of blocks (s, t)
+    over all t; atoms are grouped into isomorphism classes.  The algebra
+    keeps its ``_AtomBlocks`` and builds ``mult`` only when read (by its
+    opposite, a basic reduction, a module over it or the trace form).  When
+    the atoms are split local (``rep._split_local``) and pairwise
+    non-isomorphic (certified ``is_isomorphic``), the radical, its
+    generators and the chain tables are read off the blocks.
     """
     atoms = _nonzero_atoms(m)
     if not atoms:
         return StructureConstantAlgebra([], [], name="End(0)")
-    n_atoms = len(atoms)
-    block_spaces = [[hom_space(atoms[s], atoms[t]) for t in range(n_atoms)] for s in range(n_atoms)]
-    offsets = [[0] * n_atoms for _ in range(n_atoms)]
-    total = 0
-    for s in range(n_atoms):
-        for t in range(n_atoms):
-            offsets[s][t] = total
-            total += block_spaces[s][t].dim
-    # e_a * e_b is nonzero only when b ends at the atom where a starts:
-    # a: A_sa -> A_ta after b: A_sb -> A_sa, read off one composition table
-    mult: list[list[tuple]] = [[()] * total for _ in range(total)]
-    for sa in range(n_atoms):
-        for ta in range(n_atoms):
-            outer = block_spaces[sa][ta]
-            for sb in range(n_atoms):
-                inner = block_spaces[sb][sa]
-                if not outer.dim or not inner.dim:
-                    continue
-                table = composition_table(outer, inner)
-                off = offsets[sb][ta]
-                for i in range(outer.dim):
-                    row = mult[offsets[sa][ta] + i]
-                    for j, coords in enumerate(table):
-                        row[offsets[sb][sa] + j] = tuple(
-                            (off + k, r[i]) for k, r in enumerate(coords._data) if r[i] != 0
-                        )
+    count = len(atoms)
+    spaces = [[hom_space(a, b) for b in atoms] for a in atoms]
+    dims = [[space.dim for space in row] for row in spaces]
+    offsets, total = [], 0
+    for row in dims:
+        offsets.append([])
+        for d in row:
+            offsets[-1].append(total)
+            total += d
+    # a: A_sa -> A_ta after b: A_sb -> A_sa
+    columns = {
+        (sb, sa, ta): _composition_columns(spaces[sa][ta], spaces[sb][sa])
+        for sb, sa, ta in product(range(count), repeat=3)
+        if dims[sb][sa] and dims[sa][ta]
+    }
     unit = [0] * total
     idempotents = []
-    for s in range(n_atoms):
-        space = block_spaces[s][s]
-        coords = space.coords(Morphism.identity(atoms[s]))
+    for s, a in enumerate(atoms):
         vec = [0] * total
-        off = offsets[s][s]
-        for k, c in enumerate(coords):
-            vec[off + k] = c
-            unit[off + k] += c
+        for k, c in enumerate(_identity_coords(a), offsets[s][s]):
+            vec[k] = c
+            unit[k] += c
         idempotents.append(vec)
-    classes = [-1] * n_atoms
+    classes = [-1] * count
     next_class = 0
-    for s in range(n_atoms):
+    for s in range(count):
         if classes[s] >= 0:
             continue
         classes[s] = next_class
-        for t in range(s + 1, n_atoms):
+        for t in range(s + 1, count):
             if classes[t] < 0 and atoms[s].dims == atoms[t].dims and is_isomorphic(atoms[s], atoms[t]):
                 classes[t] = next_class
         next_class += 1
-    ends = [offsets[s][0] for s in range(1, n_atoms)] + [total]
-    g = StructureConstantAlgebra.from_sparse(
-        total,
-        mult,
-        unit,
-        idempotents=idempotents,
-        piece_classes=classes,
-        name=f"End(dim {m.total_dim})",
-        piece_members=tuple(tuple(range(offsets[s][0], ends[s])) for s in range(n_atoms)),
-    )
-    if next_class == n_atoms and all(_split_local(a) for a in atoms):
-        cached(g, "radical", _radical_from_blocks, g, atoms, block_spaces, offsets)
+    local = next_class == count and all(_split_local(a) for a in atoms)
+    blocks = _AtomBlocks(dims, offsets, columns, [_end_radical_coords(a).columns() for a in atoms] if local else None)
+    members = tuple(tuple(range(row[0], end)) for row, end in zip(offsets, [row[0] for row in offsets[1:]] + [total]))
+    g = StructureConstantAlgebra.__new__(StructureConstantAlgebra)
+    g._setup(total, None, unit, idempotents, classes, f"End(dim {m.total_dim})", members, blocks)
     return g
 
 
@@ -1195,13 +1195,11 @@ def hom_sc_bimodule_sides(m2: Module, m1: Module) -> tuple[SCModule, SCModule]:
     """Hom(m2, m1) as a left End(m1)-module and a left End(m2)^op-module.
 
     The first action is post-composition, the second pre-composition.
-    Hom(m2, m1) is laid out in atom blocks (j, s) = Hom(B_j, A_s), with the
-    atom B_j of m2 outer and the atom A_s of m1 inner: the basis order of
-    ``hom_space(m2, m1)``.  The End(m1) basis element phi: A_s -> A_t sends
-    block (j, s) to block (j, t) by psi -> phi∘psi, and the End(m2) basis
-    element phi: B_j -> B_k sends block (k, s) to block (j, s) by
-    psi -> psi∘phi; both are read off atom-level composition tables, whose
-    canonical entries are copied into the action matrices unchecked.
+    Hom(m2, m1) is laid out in atom blocks (j, s) = Hom(B_j, A_s), B_j of m2
+    outer, as in ``hom_space(m2, m1)``.  The End(m1) basis element
+    phi: A_s -> A_t sends block (j, s) to (j, t) by psi -> phi∘psi, and the
+    End(m2) basis element phi: B_j -> B_k sends block (k, s) to (j, s) by
+    psi -> psi∘phi, read off atom-level composition tables.
     """
     g1 = end_ring(m1)
     g2 = end_ring(m2)
@@ -1219,7 +1217,10 @@ def hom_sc_bimodule_sides(m2: Module, m1: Module) -> tuple[SCModule, SCModule]:
     for s, a_s in enumerate(targets):
         for t, a_t in enumerate(targets):
             outer = hom_space(a_s, a_t)
-            tables = [composition_table(outer, blocks[j][s]) for j in range(len(sources))]
+            if not outer.dim:
+                continue
+            # a table with a zero factor is empty: it is not built
+            tables = [composition_table(outer, row[s]) if row[s].dim else () for row in blocks]
             for p in range(outer.dim):
                 rows = [[0] * tdim for _ in range(tdim)]
                 # phi_p∘psi_i has coordinates column p of table[i]
@@ -1234,11 +1235,15 @@ def hom_sc_bimodule_sides(m2: Module, m1: Module) -> tuple[SCModule, SCModule]:
     for j, b_j in enumerate(sources):
         for k, b_k in enumerate(sources):
             inner = hom_space(b_j, b_k)
-            tables = [composition_table(blocks[k][s], inner) for s in range(len(targets))]
+            if not inner.dim:
+                continue
+            tables = [composition_table(space, inner) if space.dim else None for space in blocks[k]]
             for p in range(inner.dim):
                 rows = [[0] * tdim for _ in range(tdim)]
                 # psi_i∘phi_p has coordinates column i of table[p]
                 for s, table in enumerate(tables):
+                    if table is None:
+                        continue
                     for m, r in enumerate(table[p]._data):
                         row = rows[offsets[j][s] + m]
                         for i, c in enumerate(r):
@@ -1533,13 +1538,11 @@ def dual_cotilting_style_condition(m1: Module, m2: Module, l: int) -> tuple[bool
     """Condition (c): the mirror of condition (b) under duality.
 
     Checks relative selforthogonality of ``m1`` for Hom(m2, -), the relative
-    projective dimension bound, and the constructive witness built from the
-    Hom(-, m1)-relative injective coresolution of ``m2``: its ``l``-th
-    cosyzygy lies in add(m1) and all steps are exact for Hom(m2, -).  This is
-    the tilting-style condition set for ``m1``; under the verified hypotheses
-    the relative global dimension is finite, which makes it equivalent to the
-    cotilting-style formulation (the tests check that parity on worked
-    inputs).
+    projective dimension bound, and the witness from the Hom(-, m1)-relative
+    injective coresolution of ``m2``: its ``l``-th cosyzygy lies in add(m1)
+    and all steps are exact for Hom(m2, -).  This is the tilting-style set
+    for ``m1``; under the verified hypotheses the relative global dimension
+    is finite, which makes it equivalent to the cotilting-style one.
     """
     f_cov = covariant_functor(m2)
     return _relative_tilting_check(
@@ -1676,13 +1679,12 @@ def _right_approximation_property(pi: Morphism, n: Module) -> bool:
 def search_exchange_sequence(n: Module, x1: Module, x2: Module, max_len: int) -> ExchangeResult:
     """Greedy chain of minimal left add(n)-approximations from x2 towards x1.
 
-    Starting from ``x2``, repeatedly take the minimal left approximation into
-    add(n) and pass to its cokernel; success means some cokernel within
-    ``max_len + 1`` steps is isomorphic to ``x1``.  On success every defining
-    condition is verified: exactness of the spliced sequence, the left/right
-    minimal-approximation property at each stage, and exactness of every step
-    under both Hom(n + x2, -) and Hom(-, n + x1).  Indecomposability of the
-    endpoints is the caller's responsibility.
+    From ``x2``, take the minimal left approximation into add(n) and pass
+    to its cokernel; success means a cokernel within ``max_len + 1`` steps
+    is isomorphic to ``x1``.  Then every defining condition is verified:
+    exactness of the spliced sequence, the left/right minimal-approximation
+    property at each stage, and exactness of every step under Hom(n + x2, -)
+    and Hom(-, n + x1).  The caller ensures the endpoints are indecomposable.
     """
     if max_len < 0:
         raise AlgebraError("maximum length must be >= 0")
@@ -1775,11 +1777,10 @@ def check_prop_gldim(
 ) -> PropGldimReport:
     """Compare gldim End(m) <= l+2 with both relative global-dimension bounds.
 
-    The three values are computed by independent routes: the endomorphism
-    side by structure-constant resolutions, the relative sides by relative
-    projective resolutions over the module category.  Requires ``m`` to be a
-    generator-cogenerator; when it is not, the comparison is skipped and the
-    report says so.
+    Independent routes: structure-constant resolutions for End(m), relative
+    projective resolutions over the module category for the relative sides.
+    When ``m`` is not a generator-cogenerator the comparison is skipped and
+    the report says so.
     """
     if l < 1:
         raise AlgebraError("the bound must be a positive integer")

@@ -343,9 +343,6 @@ class Matrix:
         idx = list(indices)
         return Matrix._trusted(len(idx), self.cols, [list(self._data[i]) for i in idx])
 
-    def is_invertible(self) -> bool:
-        return self.rows == self.cols and self.rank() == self.rows
-
     def inverse(self) -> "Matrix":
         if self.rows != self.cols:
             raise ValueError("only square matrices invert")
@@ -353,11 +350,6 @@ class Matrix:
         if sol is None or not (self @ sol == Matrix.identity(self.rows)):
             raise ValueError("matrix is singular")
         return sol
-
-    def trace(self):
-        if self.rows != self.cols:
-            raise ValueError("trace needs a square matrix")
-        return _canon(sum(self._data[i][i] for i in range(self.rows)))
 
     def flatten(self) -> list:
         """Row-major flat list of entries."""

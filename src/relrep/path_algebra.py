@@ -326,41 +326,6 @@ class AlgebraPresentation(Cached):
         except KeyError:
             raise AlgebraError(f"path {p!r} is not a path of this quiver") from None
 
-    def unit(self) -> list:
-        vec = [0] * self.dim
-        for v in range(self.quiver.vertex_count):
-            vec[self.basis_index[self.quiver.trivial_path(v)]] = 1
-        return vec
-
-    def idempotent(self, v: int) -> list:
-        vec = [0] * self.dim
-        vec[self.basis_index[self.quiver.trivial_path(v)]] = 1
-        return vec
-
-    @memoized("products")
-    def _basis_products(self, i: int) -> list[list]:
-        """Coordinates of ``basis[i] * basis[j]`` for every j."""
-        p = self.basis[i]
-        return [
-            self.reduce_path(self.quiver.concat(p, q)) if p.target == q.source else [0] * self.dim
-            for q in self.basis
-        ]
-
-    def multiply(self, x: Sequence, y: Sequence) -> list:
-        """Product of two algebra elements in basis coordinates (first x, then y)."""
-        out = [0] * self.dim
-        for i, xi in enumerate(x):
-            if xi == 0:
-                continue
-            products = self._basis_products(i)
-            for j, yj in enumerate(y):
-                if yj == 0:
-                    continue
-                for k, c in enumerate(products[j]):
-                    if c != 0:
-                        out[k] += xi * yj * c
-        return out
-
     # -- derived presentations ----------------------------------------------
 
     @memoized("opposite")

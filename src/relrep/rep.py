@@ -180,14 +180,6 @@ class Module(Cached):
     def is_zero(self) -> bool:
         return self.total_dim == 0
 
-    def structurally_equal(self, other: "Module") -> bool:
-        """Same algebra, dims and matrices (not isomorphism)."""
-        return (
-            self.algebra is other.algebra
-            and self.dims == other.dims
-            and all(a == b for a, b in zip(self.arrow_maps, other.arrow_maps))
-        )
-
     def offsets(self) -> list[tuple[int, ...]]:
         """offsets()[s][v]: start of summand s inside vertex space v."""
         if self.summands is None or self._offsets is None:

@@ -64,6 +64,71 @@ def apply(x: SCModule, coeffs, vec: list) -> list:
     return out
 
 
+def multiply(g: StructureConstantAlgebra, x, y) -> list:
+    """The product ``x * y`` of two elements given by coordinates."""
+    out = [0] * g.dim
+    y_terms = _terms(y)
+    for i, xi in _terms(x):
+        for j, yj in y_terms:
+            for m, rm in g.mult[i][j]:
+                out[m] += xi * yj * rm
+    return out
+
+
+def left_mult_matrix(g: StructureConstantAlgebra, x) -> Matrix:
+    """The matrix of left multiplication by ``x``."""
+    rows = [[0] * g.dim for _ in range(g.dim)]
+    for i, xi in _terms(x):
+        for j, pairs in enumerate(g.mult[i]):
+            for m, rm in pairs:
+                rows[m][j] += xi * rm
+    return Matrix(g.dim, g.dim, rows)
+
+
+def _accumulate(weighted_rows, dim: int) -> list:
+    """Dense vector of the sum of ``c * row`` over ``(c, sparse row)`` pairs."""
+    out = [0] * dim
+    for c, pairs in weighted_rows:
+        for m, rm in pairs:
+            out[m] += c * rm
+    return out
+
+
+def check_associativity(g: StructureConstantAlgebra) -> bool:
+    """Exhaustive check of (e_i e_j) e_k == e_i (e_j e_k); desk scale only."""
+    n = g.dim
+    for i in range(n):
+        for j in range(n):
+            ij = g.mult[i][j]
+            for k in range(n):
+                left = _accumulate(((c, g.mult[m][k]) for m, c in ij), n)
+                right = _accumulate(((c, g.mult[i][m]) for m, c in g.mult[j][k]), n)
+                if left != right:
+                    return False
+    return True
+
+
+def check_unit(g: StructureConstantAlgebra) -> bool:
+    """Whether ``g.unit`` is a two-sided identity on every basis vector."""
+    for j in range(g.dim):
+        e = [1 if t == j else 0 for t in range(g.dim)]
+        if multiply(g, list(g.unit), e) != e or multiply(g, e, list(g.unit)) != e:
+            return False
+    return True
+
+
+def check_module(x: SCModule) -> bool:
+    """The action respects multiplication and unit; desk scale only."""
+    g = x.algebra
+    if x.element_matrix(g.unit) != Matrix.identity(x.dim):
+        return False
+    for i in range(g.dim):
+        for j in range(g.dim):
+            if x.action[i] @ x.action[j] != _combine(x.action, x.dim, g.mult[i][j]):
+                return False
+    return True
+
+
 def spanned_by(length: int, vectors: list) -> _Span:
     """The span of ``vectors``, read off one fraction-free RREF: the RREF is
     unique, so it holds the same rows and pivots as a ``_Span`` the vectors

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import contextlib
 import gc
+import io
 import itertools
 import json
 import sys
@@ -13,7 +14,8 @@ from types import SimpleNamespace
 import pytest
 
 from relrep import exact_linalg, homology, relhom, rep
-from relrep.cache import Cached, cached, cached_pair
+from relrep.cache import Cached, cached, cached_pair, release
+from relrep.cli import main
 from relrep.endo import (
     _chain_tables,
     _reduce_to_basic,
@@ -232,6 +234,18 @@ def test_radical_powers_past_the_bound_share_one_entry():
 def test_a_dropped_end_ring_is_freed_with_its_chain_tables():
     algebra = AlgebraPresentation.truncated(cyclic_quiver(3), 5, name="cyclic3")
     with _collector_off():
+        # an End(M) on the block route whose products were never built
+        m = parse_module_expression(algebra, "P(1)+P(2)+P(3)+S(1)+P(3)/rad^2")
+        g = end_ring(m)
+        gldim_le(g, 2)
+        assert g._mult is None
+        refs = [weakref.ref(o) for o in (g, _chain_tables(g), _top_chain(g, 0))]
+        m_ref = weakref.ref(m)
+        del g
+        assert all(r() is not None for r in refs)
+        del m
+        assert m_ref() is None
+        assert [r() for r in refs] == [None] * len(refs)
         # one End(M) that is its own basic algebra, one with a repeated class
         for expr in ("P(1)+P(2)+P(3)+S(1)+P(3)/rad^2", "P(1)+P(1)+S(1)+P(2)/rad^2"):
             m = parse_module_expression(algebra, expr)
@@ -398,6 +412,39 @@ def test_fresh_module_rounds_leave_no_cyclic_garbage():
     finally:
         gc.set_debug(flags)
     assert leaked == []
+
+
+def test_a_cli_subcommand_leaves_no_cyclic_garbage():
+    # main drops the memo of the algebra it loaded and of its opposite, so
+    # the algebra <-> projectives <-> opposite cycle does not outlive it
+    argv = ["verify-theorem", "builtin:cyclic3", "P(1)+P(2)+P(3)+S(1)+P(3)/rad^2", "P(1)+P(2)+P(3)+S(1)+P(1)/rad^2"]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main([*argv, "--l", "2"]) == 0
+    gc.collect()
+    flags = gc.get_debug()
+    seen = len(gc.garbage)
+    try:
+        with _collector_off(), contextlib.redirect_stdout(io.StringIO()):
+            assert main([*argv, "--l", "2"]) == 0
+            gc.set_debug(flags | gc.DEBUG_SAVEALL)
+            gc.collect()
+            found = gc.garbage[seen:]
+            leaked = sorted({type(o).__qualname__ for o in found if type(o).__module__.startswith("relrep")})
+            del gc.garbage[seen:], found
+    finally:
+        gc.set_debug(flags)
+    assert leaked == []
+
+
+def test_release_drops_both_memos_of_an_involution():
+    algebra = AlgebraPresentation.truncated(cyclic_quiver(3), 5, name="cyclic3")
+    p1, op = proj_module(algebra, 0), algebra.opposite()
+    refs = [weakref.ref(o) for o in (p1, op)]
+    del p1, op
+    with _collector_off():
+        release(algebra, "opposite")
+        assert [r() for r in refs] == [None, None]
+    assert proj_module(algebra, 0) is proj_module(algebra, 0)
 
 
 def test_interned_atoms_stay_flat_across_catalog_rounds():

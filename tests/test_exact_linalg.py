@@ -1,5 +1,7 @@
 from fractions import Fraction
 
+import pytest
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -138,11 +140,12 @@ def test_gather_columns():
     assert gather_columns(0, [(Matrix.zeros(0, 3), 2)]) == Matrix.zeros(0, 1)
 
 
-def test_trace_and_invertible():
+def test_inverse_and_singular():
     a = Matrix.from_rows([[1, 2], [3, 4]])
-    assert a.trace() == 5
-    assert a.is_invertible()
-    assert not Matrix.from_rows([[1, 2], [2, 4]]).is_invertible()
+    assert a.inverse() @ a == Matrix.identity(2)
+    assert a.inverse() == Matrix.from_rows([[-2, 1], [QQ(3, 2), QQ(-1, 2)]])
+    with pytest.raises(ValueError):
+        Matrix.from_rows([[1, 2], [2, 4]]).inverse()
 
 
 small_entries = st.integers(min_value=-5, max_value=5)

@@ -247,7 +247,7 @@ class TestRadicalGenerators:
         rad = radical(g)
         cols = rad.columns()
         gens = [list(v) for v in radical_generators(g)]
-        square = _columns_span([g.multiply(a, b) for a in cols for b in cols], g.dim)
+        square = _columns_span([ref.multiply(g, a, b) for a in cols for b in cols], g.dim)
         # a lift of a basis of rad/rad^2: the right count, and with rad^2 all of rad
         assert len(gens) == rad.cols - square.rank()
         assert all(v in cols for v in gens)

@@ -138,6 +138,64 @@ def test_public_function_check_sees_each_orphan():
     # a self-reference and a name in prose do not count
     assert _public_orphans(trees, readme, {"kept"}) == ["a.py: recursive", "a.py: in_prose", "a.py: orphan"]
 
+# Methods no library code calls, kept on purpose: user API for building
+# paths and for reading an Ext^1 class back off a realized sequence.
+METHOD_KEEPERS = {"path_from_arrows", "class_of"}
+
+
+def _orphan_methods(trees: dict[str, ast.Module], keepers: set[str]) -> list[str]:
+    """Methods of top-level classes, dunders aside, whose name no code of
+    ``trees`` uses outside their own definition and that ``keepers`` does
+    not list.  Names count wherever they occur, so a method that shares its
+    name with a used attribute is never flagged."""
+    total: Counter = Counter()
+    for tree in trees.values():
+        total.update(_used_names(tree))
+    orphans = []
+    for name, tree in trees.items():
+        for cls in tree.body:
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for stmt in cls.body:
+                if not isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)) or stmt.name in keepers:
+                    continue
+                if stmt.name.startswith("__") and stmt.name.endswith("__"):
+                    continue
+                if total[stmt.name] - _used_names(stmt)[stmt.name] == 0:
+                    orphans.append(f"{name}: {cls.name}.{stmt.name}")
+    return orphans
+
+
+def test_every_method_has_a_library_caller():
+    # a method only tests call belongs in the tests
+    assert _orphan_methods(_trees(), METHOD_KEEPERS) == []
+
+
+def test_method_check_sees_each_orphan():
+    trees = {
+        "a.py": ast.parse(
+            "class Algebra:\n"
+            "    def __repr__(self):\n"
+            "        return ''\n"
+            "    def called(self):\n"
+            "        return self.recursive(1)\n"
+            "    def recursive(self, n):\n"
+            "        return self.recursive(n - 1)\n"
+            "    @property\n"
+            "    def read(self):\n"
+            "        return 1\n"
+            "    def kept(self):\n"
+            "        pass\n"
+            "    def multiply(self, x, y):\n"
+            "        return self.multiply(x, x)\n"
+            "def use(a):\n"
+            "    return a.called(), a.read\n"
+        ),
+    }
+    # a call from its own body does not count; from another method it does
+    assert _orphan_methods(trees, {"kept"}) == ["a.py: Algebra.multiply"]
+
+
 def test_every_from_import_is_used():
     unused = []
     for name, tree in _trees().items():
