@@ -13,17 +13,14 @@ one.
 No memoized value holds a strong reference to its owner or to its pair
 partner.  Results that must hand back the objects they describe (hom spaces,
 resolutions, ``Ext¹`` spaces) are cached as module-free cores and wrapped in
-a fresh view on each lookup.  An involution (the dual of a module, the
-opposite of an algebra) is held strongly by the object it was made from and
-holds that object weakly (``involution``).  Two more forms follow from
-these.  A value the owner holds only weakly (``weakly_cached``, the relative
-functors of a module) may point at its owner: the owner's entry keeps it
-alive for no one, so callers get the same value while they hold it.  A value
-that an involution leaves unchanged (the radical of an algebra and of its
-opposite) may be shared across it (``cached_across_involution``): it points
-at neither object.  So a fresh module is never part of a reference cycle:
-reference counting frees it, with everything cached on it, as soon as the
-last caller drops it.  The one cycle left is per algebra:
+a fresh view on each lookup.  An involution (the dual of a module) is held
+strongly by the object it was made from and holds that object weakly
+(``involution``).  One more form follows from these.  A value the owner
+holds only weakly (``weakly_cached``, the relative functors of a module) may
+point at its owner: the owner's entry keeps it alive for no one, so callers
+get the same value while they hold it.  So a fresh module is never part of
+a reference cycle: reference counting frees it, with everything cached on
+it, as soon as the last caller drops it.  The one cycle left is per algebra:
 an algebra presentation and its memoized projectives and opposite point at
 each other, and so do the radical quotients interned on those projectives
 (algebra -> P(v) -> P(v)/rad^k -> algebra).  ``release`` breaks it when the
@@ -119,25 +116,6 @@ def involution(owner: Cached, key, compute):
     image = owner._cache[key] = compute(owner)
     image._cache[key] = weakref.ref(owner)
     return image
-
-
-def cached_across_involution(owner: Cached, key, link, compute):
-    """``cached(owner, key, compute, owner)`` for a value that the involution
-    stored under ``link`` leaves unchanged: computed once per pair, on the
-    object the involution was made from while it lives, and shared by both.
-
-    So the value never depends on which side was asked first.
-    """
-    cache = owner._cache
-    value = cache.get(key, _MISSING)
-    if value is _MISSING:
-        origin = cache.get(link)
-        if type(origin) is weakref.ref and (origin := origin()) is not None:
-            value = cached_across_involution(origin, key, link, compute)
-        else:
-            value = compute(owner)
-        cache[key] = value
-    return value
 
 
 def weakly_cached(owner: Cached, key, compute, *args):

@@ -10,7 +10,8 @@ converse-failure probe, and the exchange-sequence search.
 Conventions.  The product ``x * y`` of two endomorphisms is the composite
 "apply ``y`` first, then ``x``" (matching ``Morphism.__matmul__``).  With this
 choice ``Hom(M2, M1)`` is a left ``End(M1)``-module under post-composition and
-a left ``End(M2)^op``-module under pre-composition.
+a left ``End(M2)^op``-module under pre-composition, so its dual is a left
+``End(M2)``-module.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass, field
 from itertools import product
 from typing import NamedTuple
 
-from .cache import Cached, cached_across_involution, cached_pair, involution, memoized
+from .cache import Cached, cached_pair, memoized
 from .exact_linalg import Matrix, _canon_row, complement_projection, exact_div, hstack, rational, subspace_contains
 from .path_algebra import AlgebraError, InternalError
 from .rep import (
@@ -152,11 +153,6 @@ class StructureConstantAlgebra(Cached):
             self._mult = self._blocks.mult()
         return self._mult
 
-    def opposite(self) -> "StructureConstantAlgebra":
-        """The opposite algebra; (A^op)^op is A itself while A lives (A holds
-        its opposite, which holds A weakly)."""
-        return involution(self, "opposite", _opposite)
-
     # -- idempotent pieces ---------------------------------------------------
 
     def _detect_members(self):
@@ -193,18 +189,6 @@ def _vertices(g: StructureConstantAlgebra, left: bool) -> list | None:
                 return None
             vertex[m] = i
     return None if None in vertex else vertex
-
-
-def _opposite(g: StructureConstantAlgebra) -> StructureConstantAlgebra:
-    mult_op = tuple(tuple(g.mult[j][i] for j in range(g.dim)) for i in range(g.dim))
-    return StructureConstantAlgebra.from_sparse(
-        g.dim,
-        mult_op,
-        g.unit,
-        idempotents=g.idempotents,
-        piece_classes=g.piece_classes,
-        name=g.name + "^op" if g.name else "",
-    )
 
 
 def _sparse_row(row) -> tuple:
@@ -246,11 +230,6 @@ def radical(g: StructureConstantAlgebra) -> Matrix:
     the trace form ``T(x, y) = tr L_{xy}``, verified nilpotent (else the
     structure constants are inconsistent).  Both routes span rad², which
     yields the radical generators (:func:`radical_generators`).
-
-    rad(A^op) = rad(A) as a set, and so is rad², so A and A^op share both
-    results, computed once on the side whose ``opposite()`` made the pair;
-    a kernel basis and RREF rows depend only on the subspace they span, so
-    computing them on A^op gives the same basis and generators.
     """
     return _radical_data(g)[0]
 
@@ -262,11 +241,6 @@ def radical_generators(g: StructureConstantAlgebra) -> tuple:
     nilpotent), so rad X = L·X for every module X, from far fewer products.
     """
     return _radical_data(g)[1]
-
-
-def _radical_data(g: StructureConstantAlgebra) -> tuple[Matrix, tuple]:
-    """``(radical basis, radical generators)``, shared with ``g.opposite()``."""
-    return cached_across_involution(g, "radical", "opposite", _radical)
 
 
 def _on_blocks(g: StructureConstantAlgebra) -> bool:
@@ -359,7 +333,8 @@ def _block_radical(g: StructureConstantAlgebra) -> tuple[dict, list]:
     return rad, generators
 
 
-def _radical(g: StructureConstantAlgebra) -> tuple[Matrix, tuple]:
+@memoized("radical")
+def _radical_data(g: StructureConstantAlgebra) -> tuple[Matrix, tuple]:
     """``(radical basis, radical generators)`` from the trace form, or on the
     block route those of ``_block_radical`` laid out in offset order: the
     blocks hold disjoint runs of coordinates, so that is the normal form."""
@@ -443,11 +418,6 @@ def _sc_quotient(x: SCModule, span: Matrix) -> SCModule:
 def semisimple_quotient_module(g: StructureConstantAlgebra) -> SCModule:
     """The algebra modulo its radical, as a left module (cyclic, generated by 1)."""
     return _sc_quotient(regular_sc_module(g), radical(g))
-
-
-def dual_sc_module(x: SCModule) -> SCModule:
-    """The vector-space dual as a left module over the opposite algebra."""
-    return SCModule(x.algebra.opposite(), x.dim, [a.transpose() for a in x.action], x.grading)
 
 
 def _rebased(x: SCModule) -> SCModule:
@@ -989,28 +959,26 @@ def sc_pd_le(g: StructureConstantAlgebra, x: SCModule, n: int) -> bool:
     return _pd_le_on_chain(_Chain(g, x), n)
 
 
-def gldim_le(g: StructureConstantAlgebra, n: int) -> bool:
-    """Whether the global dimension is at most n, via pd of the semisimple quotient.
+def _simple_chains(g: StructureConstantAlgebra) -> tuple:
+    """``(transport, chains)``: the transport of ``_reduce_to_basic`` (None
+    when g is basic) and the resolution chains, over the basic algebra, of
+    its simple modules.  With structural idempotents that is the top of one
+    piece per idempotent class; otherwise the cyclic module A/rad A,
+    resolved directly by free covers.  Zero tops have no chain."""
+    basic, transport = _reduce_to_basic(g)
+    if basic.piece_members is None:
+        chains = [_semisimple_chain(basic)]
+    else:
+        classes = basic.piece_classes
+        chains = [_top_chain(basic, kind) for kind, cls in enumerate(classes) if cls not in classes[:kind]]
+    return transport, [chain for chain in chains if chain is not None]
 
-    With structural idempotents the semisimple quotient is resolved one simple
-    top per idempotent class (over the basic reduction); otherwise the cyclic
-    module A/rad A is resolved directly by free covers.
-    """
+
+def gldim_le(g: StructureConstantAlgebra, n: int) -> bool:
+    """Whether the global dimension is at most n: pd S <= n for every simple S."""
     if n < 0:
         raise AlgebraError("global dimension bound must be >= 0")
-    basic, _ = _reduce_to_basic(g)
-    if basic.piece_members is not None:
-        seen = set()
-        for kind, cls in enumerate(basic.piece_classes):
-            if cls in seen:
-                continue
-            seen.add(cls)
-            chain = _top_chain(basic, kind)
-            if chain is not None and not _pd_le_on_chain(chain, n):
-                return False
-        return True
-    chain = _semisimple_chain(basic)
-    return chain is None or _pd_le_on_chain(chain, n)
+    return all(_pd_le_on_chain(chain, n) for chain in _simple_chains(g)[1])
 
 
 @memoized("top chain")
@@ -1049,8 +1017,22 @@ def sc_ext_dims(g: StructureConstantAlgebra, x: SCModule, y: SCModule, up_to: in
 
 
 def sc_injective_dim_le(g: StructureConstantAlgebra, x: SCModule, n: int) -> bool:
-    """Injective dimension bound, computed as pd of the dual over the opposite."""
-    return sc_pd_le(g.opposite(), dual_sc_module(x), n)
+    """Injective dimension bound: id x <= n exactly when Ext^(n+1)(S, x) = 0
+    for every simple S, read off the chains of the simples (``gldim_le``'s)."""
+    if x.dim == 0:
+        return True
+    if n < 0:
+        return False
+    transport, chains = _simple_chains(g)
+    if transport is not None:
+        x = transport(x)
+    # the chains share the basic algebra's tables: x is graded once
+    graded = _graded(chains[0].tables, x)
+    for chain in chains:
+        dims, ranks = chain.hom_complex_dims_and_ranks(n + 2, *graded)
+        if dims[n + 1] - ranks[n + 1] - ranks[n]:
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -1141,11 +1123,11 @@ def end_ring(m: Module) -> StructureConstantAlgebra:
     The basis is blocked by (source atom, target atom), zero atoms skipped.
     Atom A_s gives the idempotent e_s, and A·e_s is the run of blocks (s, t)
     over all t; atoms are grouped into isomorphism classes.  The algebra
-    keeps its ``_AtomBlocks`` and builds ``mult`` only when read (by its
-    opposite, a basic reduction, a module over it or the trace form).  When
-    the atoms are split local (``rep._split_local``) and pairwise
-    non-isomorphic (certified ``is_isomorphic``), the radical, its
-    generators and the chain tables are read off the blocks.
+    keeps its ``_AtomBlocks`` and builds ``mult`` only when read (by a basic
+    reduction, a module over it or the trace form).  When the atoms are
+    split local (``rep._split_local``) and pairwise non-isomorphic
+    (certified ``is_isomorphic``), the radical, its generators and the chain
+    tables are read off the blocks.
     """
     atoms = _nonzero_atoms(m)
     if not atoms:
@@ -1192,14 +1174,17 @@ def end_ring(m: Module) -> StructureConstantAlgebra:
 
 
 def hom_sc_bimodule_sides(m2: Module, m1: Module) -> tuple[SCModule, SCModule]:
-    """Hom(m2, m1) as a left End(m1)-module and a left End(m2)^op-module.
+    """Hom(m2, m1) as a left End(m1)-module, and its dual as a left
+    End(m2)-module.
 
-    The first action is post-composition, the second pre-composition.
+    The first action is post-composition; the second is the transpose of
+    pre-composition, which makes Hom(m2, m1) a left End(m2)^op-module.
     Hom(m2, m1) is laid out in atom blocks (j, s) = Hom(B_j, A_s), B_j of m2
-    outer, as in ``hom_space(m2, m1)``.  The End(m1) basis element
-    phi: A_s -> A_t sends block (j, s) to (j, t) by psi -> phi∘psi, and the
-    End(m2) basis element phi: B_j -> B_k sends block (k, s) to (j, s) by
-    psi -> psi∘phi, read off atom-level composition tables.
+    outer, as in ``hom_space(m2, m1)``, and its dual in the dual basis.  The
+    End(m1) basis element phi: A_s -> A_t sends block (j, s) to (j, t) by
+    psi -> phi∘psi, and the End(m2) basis element phi: B_j -> B_k sends
+    block (k, s) to (j, s) by psi -> psi∘phi, read off atom-level
+    composition tables.
     """
     g1 = end_ring(m1)
     g2 = end_ring(m2)
@@ -1240,20 +1225,21 @@ def hom_sc_bimodule_sides(m2: Module, m1: Module) -> tuple[SCModule, SCModule]:
             tables = [composition_table(space, inner) if space.dim else None for space in blocks[k]]
             for p in range(inner.dim):
                 rows = [[0] * tdim for _ in range(tdim)]
-                # psi_i∘phi_p has coordinates column i of table[p]
+                # psi_i∘phi_p has coordinates column i of table[p], written
+                # into row i of the transpose
                 for s, table in enumerate(tables):
                     if table is None:
                         continue
+                    col_off, row_off = offsets[j][s], offsets[k][s]
                     for m, r in enumerate(table[p]._data):
-                        row = rows[offsets[j][s] + m]
                         for i, c in enumerate(r):
                             if c != 0:
-                                row[offsets[k][s] + i] = c
+                                rows[row_off + i][col_off + m] = c
                 pre.append(Matrix._trusted(tdim, tdim, rows))
-    # block (j, s) lies at vertex s over End(m1) and at vertex j over End(m2)^op
+    # block (j, s) lies at vertex s over End(m1) and at vertex j over End(m2)
     at = [(j, s) for j, row in enumerate(blocks) for s, space in enumerate(row) for _ in range(space.dim)]
     side1 = SCModule(g1, tdim, post, [s for _, s in at])
-    side2 = SCModule(g2.opposite(), tdim, pre, [j for j, _ in at])
+    side2 = SCModule(g2, tdim, pre, [j for j, _ in at])
     return side1, side2
 
 
@@ -1556,15 +1542,21 @@ def _condition_d(m1: Module, m2: Module, l: int) -> tuple[bool, dict]:
 
     On each side (over End(m1) and over End(m2)^op) the check is
     selforthogonality in all degrees up to the global-dimension bound l + 2
-    together with the injective-dimension bound l + 2.
+    together with the injective-dimension bound l + 2.  The End(m2)^op side
+    is read off the dual of Hom(m2, m1) over End(m2): Ext over End(m2)^op of
+    Hom(m2, m1) is Ext over End(m2) of its dual, and its injective dimension
+    is the projective dimension of the dual.
     """
     side1, side2 = hom_sc_bimodule_sides(m2, m1)
     bound = l + 2
     detail: dict = {}
     ok = True
-    for label, side in (("over-End(m1)", side1), ("over-End(m2)-op", side2)):
+    for label, side, dim_le in (
+        ("over-End(m1)", side1, sc_injective_dim_le),
+        ("over-End(m2)-op", side2, sc_pd_le),
+    ):
         exts = sc_ext_dims(side.algebra, side, side, bound)
-        idb = sc_injective_dim_le(side.algebra, side, bound)
+        idb = dim_le(side.algebra, side, bound)
         detail[label] = {"ext_dims": exts, "injective_dimension_ok": idb}
         if any(exts) or not idb:
             ok = False

@@ -3,18 +3,19 @@ computed from scratch on every algebra, ungraded covers that take the
 radical of their kernel from the whole radical basis, Hom complexes and the
 split test that eliminate for the piece spaces e·Y of any module Y, a first
 cover in the dense coordinates of its module, the chain of a simple top
-starting at the top module itself, and the basis of End(M) composed out of
-summand injections and projections.
+starting at the top module itself, the basis of End(M) composed out of
+summand injections and projections, and the injective dimension as the
+projective dimension of the dual over the opposite algebra.
 
-``relrep.endo`` shares the radical of an algebra with its opposite, resolves
-one vertex at a time (homogeneous radical generators, kernel vectors and the
-unit vectors of a graded module as their own top candidates, one elimination
-per vertex), reads e·Y off the grading of Y, starts the chain of the top of
-A e at its projective cover A e with kernel (rad A)e, and places the vertex
-maps of each atom-pair basis map at the atoms' offsets; the tests compare
-the routes.  The ungraded chain here builds its own tables from the
-structure constants and shares no cover, Hom complex or split-test code
-with ``relrep.endo``.
+``relrep.endo`` resolves one vertex at a time (homogeneous radical
+generators, kernel vectors and the unit vectors of a graded module as their
+own top candidates, one elimination per vertex), reads e·Y off the grading
+of Y, starts the chain of the top of A e at its projective cover A e with
+kernel (rad A)e, places the vertex maps of each atom-pair basis map at the
+atoms' offsets, and reads injective dimension off Ext^(n+1)(S, x) for the
+simple modules S; the tests compare the routes.  The ungraded chain here
+builds its own tables from the structure constants and shares no cover,
+Hom complex or split-test code with ``relrep.endo``.
 """
 
 from functools import partial
@@ -30,7 +31,6 @@ from relrep.endo import (
     _sc_quotient,
     _Span,
     _terms,
-    dual_sc_module,
     radical,
     radical_generators,
     semisimple_quotient_module,
@@ -83,6 +83,26 @@ def left_mult_matrix(g: StructureConstantAlgebra, x) -> Matrix:
             for m, rm in pairs:
                 rows[m][j] += xi * rm
     return Matrix(g.dim, g.dim, rows)
+
+
+def opposite(g: StructureConstantAlgebra) -> StructureConstantAlgebra:
+    """The opposite algebra, e_i ·op e_j = e_j · e_i, a new algebra built
+    from g's product table on each call: it detects its own piece members
+    (the left ideals of A^op are the right ideals of A) and its own radical."""
+    mult = tuple(tuple(g.mult[j][i] for j in range(g.dim)) for i in range(g.dim))
+    return StructureConstantAlgebra.from_sparse(
+        g.dim,
+        mult,
+        g.unit,
+        idempotents=g.idempotents,
+        piece_classes=g.piece_classes,
+        name=g.name + "^op" if g.name else "",
+    )
+
+
+def dual_sc_module(x: SCModule) -> SCModule:
+    """The vector-space dual of x as a left module over the opposite algebra."""
+    return SCModule(opposite(x.algebra), x.dim, [a.transpose() for a in x.action], x.grading)
 
 
 def _accumulate(weighted_rows, dim: int) -> list:
@@ -489,7 +509,8 @@ def sc_pd_le(g: StructureConstantAlgebra, x: SCModule, n: int) -> bool:
 
 
 def sc_injective_dim_le(g: StructureConstantAlgebra, x: SCModule, n: int) -> bool:
-    return sc_pd_le(g.opposite(), dual_sc_module(x), n)
+    """id x <= n as pd of the dual over the opposite: id_A x = pd_(A^op) Dx."""
+    return sc_pd_le(opposite(g), dual_sc_module(x), n)
 
 
 def sc_ext_dims(g: StructureConstantAlgebra, x: SCModule, y: SCModule, up_to: int) -> list[int]:

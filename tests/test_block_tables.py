@@ -187,9 +187,6 @@ def test_the_product_table_is_built_once_when_read(sweep_candidates):
     g = end_ring(m)
     assert g._mult is None
     assert g.mult is g.mult
-    # the opposite reads it, and shares the radical read off the blocks
-    assert radical(g.opposite()) is radical(g)
-    assert g.opposite().mult == tuple(zip(*g.mult))
 
 
 def test_a_repeated_atom_class_takes_the_generic_route():

@@ -253,13 +253,12 @@ def test_a_dropped_end_ring_is_freed_with_its_chain_tables():
             basic = _reduce_to_basic(g)[0]
             gldim_le(g, 2)
             sc_injective_dim_le(g, regular_sc_module(g), 0)
-            op = g.opposite()
-            held = [g, op, basic, _chain_tables(basic), _chain_tables(op), _top_chain(basic, 0)]
+            held = [g, basic, _chain_tables(basic), _top_chain(basic, 0)]
             refs = [weakref.ref(o) for o in held]
             m_ref = weakref.ref(m)
-            del g, op, basic, held
-            # m holds End(m), which holds its opposite, basic algebra and the
-            # tables and chains cached on them
+            del g, basic, held
+            # m holds End(m), which holds its basic algebra and the tables
+            # and chains cached on them
             assert all(r() is not None for r in refs)
             del m
             assert m_ref() is None

@@ -26,7 +26,6 @@ from relrep.endo import (
     _reduce_to_basic,
     _terms,
     _top_chain,
-    dual_sc_module,
     gldim_le,
     hom_sc_bimodule_sides,
     regular_sc_module,
@@ -385,7 +384,7 @@ class TestGradedModules:
         transported = 0
         for side in [*theorem_sides, *repeated_sides]:
             _assert_idempotents_project(side)
-            _assert_idempotents_project(dual_sc_module(side))
+            _assert_idempotents_project(ref.dual_sc_module(side))
             basic, transport = _reduce_to_basic(side.algebra)
             if basic is not side.algebra:
                 _assert_idempotents_project(transport(side))
@@ -405,7 +404,7 @@ class TestGradedModules:
     def test_the_first_cover_matches_the_dense_first_cover(self, theorem_sides):
         # both take minimal covers, so the levels agree in their invariants
         for side in theorem_sides:
-            for x in (side, dual_sc_module(side)):
+            for x in (side, ref.dual_sc_module(side)):
                 ours, dense = _Chain(x.algebra, x), ref.DenseFirstCoverChain(x.algebra, x)
                 ours.ensure(CHAIN_DEPTH)
                 dense.ensure(CHAIN_DEPTH)
