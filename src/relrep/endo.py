@@ -21,7 +21,7 @@ from itertools import product
 from typing import NamedTuple
 
 from .cache import Cached, cached_pair, memoized
-from .exact_linalg import Matrix, _canon_row, complement_projection, exact_div, hstack, rational, subspace_contains
+from .exact_linalg import Matrix, _canon_row, exact_div, rational, subspace_contains
 from .path_algebra import AlgebraError, InternalError
 from .rep import (
     Module,
@@ -69,12 +69,13 @@ class StructureConstantAlgebra(Cached):
     The constructor takes the dense tensor and coerces and sparsifies it
     once; :meth:`from_sparse` takes the pairs as they are; an End(M) of
     :func:`end_ring` assembles them from its atom blocks when first read.
-    ``unit`` is the identity's coordinates.  ``idempotents`` (optional) are
-    pairwise orthogonal idempotents summing to the unit; when each left
-    ideal ``A·e`` is spanned by a subset of the basis, its
-    ``piece_members`` (given, or detected), the engine builds projective
-    covers from them.  ``piece_classes`` (optional) groups idempotents whose
-    left ideals are isomorphic, for the reduction to a basic algebra.
+    ``unit`` is the identity's coordinates.  ``idempotents`` are pairwise
+    orthogonal idempotents summing to the unit, each left ideal ``A·e``
+    spanned by a subset of the basis, its ``piece_members`` (given, or
+    detected); the engine builds projective covers from them.  Given none,
+    or a basis that mixes vertices, the algebra is one piece: the unit is
+    its only idempotent.  ``piece_classes`` groups idempotents whose left
+    ideals are isomorphic, for the reduction to a basic algebra.
     """
 
     __slots__ = (
@@ -132,20 +133,11 @@ class StructureConstantAlgebra(Cached):
             raise AlgebraError("unit vector has wrong length")
         self.name = name
         super().__init__()
-        if idempotents is not None:
-            self.idempotents = tuple(tuple(rational(c) for c in e) for e in idempotents)
-            self.piece_members = self._detect_members() if piece_members is None else piece_members
-        else:
-            self.idempotents = None
-            self.piece_members = None
-        if piece_classes is not None:
-            self.piece_classes = tuple(int(c) for c in piece_classes)
-            if self.idempotents is None or len(self.piece_classes) != len(self.idempotents):
-                raise AlgebraError("piece classes must label the idempotents")
-        else:
-            self.piece_classes = (
-                tuple(range(len(self.idempotents))) if self.idempotents is not None else None
-            )
+        self.idempotents = tuple(tuple(rational(c) for c in e) for e in idempotents or (self.unit,))
+        self.piece_classes = tuple(int(c) for c in piece_classes or range(len(self.idempotents)))
+        if len(self.piece_classes) != len(self.idempotents):
+            raise AlgebraError("piece classes must label the idempotents")
+        self.piece_members = piece_members or self._detect_members()
 
     @property
     def mult(self) -> tuple:
@@ -155,12 +147,13 @@ class StructureConstantAlgebra(Cached):
 
     # -- idempotent pieces ---------------------------------------------------
 
-    def _detect_members(self):
-        """Basis indices spanning each A·e, or None when some b_m·e or e·b_m
-        is neither b_m nor 0 (the engine then falls back to free covers)."""
+    def _detect_members(self) -> tuple:
+        """Basis indices spanning each A·e.  When some b_m·e or e·b_m is
+        neither b_m nor 0 the basis mixes vertices, and the algebra becomes
+        one piece, the unit its only idempotent."""
         right = _vertices(self, left=False)
         if right is None or _vertices(self, left=True) is None:
-            return None
+            self.idempotents, self.piece_classes, right = (self.unit,), (0,), [0] * self.dim
         return tuple(tuple(m for m in range(self.dim) if right[m] == s) for s in range(len(self.idempotents)))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -189,6 +182,15 @@ def _vertices(g: StructureConstantAlgebra, left: bool) -> list | None:
                 return None
             vertex[m] = i
     return None if None in vertex else vertex
+
+
+def _member_vertices(g: StructureConstantAlgebra) -> list:
+    """``_vertices(g, left=True)`` under g's piece members, which must not
+    mix vertices."""
+    vertex = _vertices(g, left=True)
+    if vertex is None:
+        raise InternalError("endo", "piece members mix vertices: some e_i·b is neither b nor 0")
+    return vertex
 
 
 def _sparse_row(row) -> tuple:
@@ -359,15 +361,14 @@ def _radical_data(g: StructureConstantAlgebra) -> tuple[Matrix, tuple]:
 class SCModule:
     """A left module: one action matrix per algebra basis element.
 
-    ``grading`` (optional) gives each coordinate its vertex: e_i acts as the
-    projection onto the coordinates at vertex i, for the structural
-    idempotents e_i of an algebra with piece members.  Chains re-base a
-    module without one (:func:`_rebased`).
+    ``grading`` gives each coordinate its vertex: each structural
+    idempotent e_i acts as the projection onto the coordinates at vertex i
+    (over a one-piece algebra every coordinate is at vertex 0).
     """
 
     __slots__ = ("algebra", "dim", "action", "grading")
 
-    def __init__(self, algebra: StructureConstantAlgebra, dim: int, action, grading=None) -> None:
+    def __init__(self, algebra: StructureConstantAlgebra, dim: int, action, grading) -> None:
         self.algebra = algebra
         self.dim = int(dim)
         self.action = tuple(action)
@@ -378,56 +379,8 @@ class SCModule:
             if a.rows != self.dim or a.cols != self.dim:
                 raise AlgebraError("action matrix shape mismatch")
 
-    def element_matrix(self, coeffs) -> Matrix:
-        return _combine(self.action, self.dim, _terms(coeffs))
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"SCModule(dim={self.dim} over dim-{self.algebra.dim} algebra)"
-
-
-def _combine(action, dim: int, terms) -> Matrix:
-    """Matrix of the sum of ``c * action[k]`` over ``(k, c)`` pairs, for the
-    ``dim x dim`` action matrices of a module."""
-    out = [[0] * dim for _ in range(dim)]
-    for k, c in terms:
-        for orow, arow in zip(out, action[k]._data):
-            for t, a in enumerate(arow):
-                if a != 0:
-                    orow[t] += c * a
-    return Matrix._trusted(dim, dim, [_canon_row(row) for row in out])
-
-
-def regular_sc_module(g: StructureConstantAlgebra) -> SCModule:
-    """The algebra as a left module over itself."""
-    action = []
-    for plane in g.mult:
-        rows = [[0] * g.dim for _ in range(g.dim)]
-        for j, pairs in enumerate(plane):
-            for m, c in pairs:
-                rows[m][j] = c
-        action.append(Matrix(g.dim, g.dim, rows))
-    return SCModule(g, g.dim, action)
-
-
-def _sc_quotient(x: SCModule, span: Matrix) -> SCModule:
-    """The quotient of ``x`` by the submodule spanned by the columns of ``span``."""
-    proj, free = complement_projection(span)
-    return SCModule(x.algebra, proj.rows, [proj @ a.take_columns(free) for a in x.action])
-
-
-def semisimple_quotient_module(g: StructureConstantAlgebra) -> SCModule:
-    """The algebra modulo its radical, as a left module (cyclic, generated by 1)."""
-    return _sc_quotient(regular_sc_module(g), radical(g))
-
-
-def _rebased(x: SCModule) -> SCModule:
-    """x moved onto bases of its e_i·x, one idempotent after another: the
-    graded copy of a module built without its grading."""
-    blocks = [x.element_matrix(e).column_space_basis() for e in x.algebra.idempotents]
-    basis = hstack(blocks)
-    inv = basis.inverse()
-    grading = [i for i, b in enumerate(blocks) for _ in range(b.cols)]
-    return SCModule(x.algebra, x.dim, [inv @ a @ basis for a in x.action], grading)
 
 
 # ---------------------------------------------------------------------------
@@ -525,10 +478,10 @@ class _Cover:
 
 class _ChainTables:
     """What every chain over g reads (read only), once per g and holding no
-    reference to it.  The pieces are the A e_s (the whole algebra when g has
-    no structural idempotents: one vertex).  b_m lies at ``vertex[m]``, the
-    i with e_i·b_m = b_m; ``by_vertex[s][i]`` lists the positions in A e_s
-    of its members at vertex i, the coordinates of e_i A e_s.
+    reference to it.  The pieces are the A e_s (A itself when g is one
+    piece).  b_m lies at ``vertex[m]``, the i with e_i·b_m = b_m;
+    ``by_vertex[s][i]`` lists the positions in A e_s of its members at
+    vertex i, the coordinates of e_i A e_s.
     ``acts[s][t]`` maps k to the nonzero b_k·(member t of A e_s) in
     e_vertex[k] A e_s coordinates; ``rad_spans[s][i]`` spans e_i (rad A)
     e_s, and ``tops[s]`` lists the members of A e_s outside it.
@@ -540,11 +493,9 @@ class _ChainTables:
     def __init__(self, g: StructureConstantAlgebra) -> None:
         """The tables read off g's tensor and its radical: the reference for
         ``_from_blocks``."""
-        members = g.piece_members or (tuple(range(g.dim)),)
+        members = g.piece_members
         count = len(members)
-        vertex = _vertices(g, left=True) if g.piece_members else [0] * g.dim
-        if vertex is None:
-            raise InternalError("endo", "piece members mix vertices: some e_i·b is neither b nor 0")
+        vertex = _member_vertices(g)
         # place[m]: the piece of b_m and its position there among the members at vertex[m]
         place = [None] * g.dim
         by_vertex = []
@@ -671,8 +622,8 @@ class _Chain:
 
     def __init__(self, g: StructureConstantAlgebra, base: SCModule) -> None:
         self._read_algebra(g)
-        self.base_action, grading = _graded(self.tables, base)
-        self.base_at = [[c for c, i in enumerate(grading) if i == v] for v in range(len(self.members))]
+        self.base_action = base.action
+        self.base_at = [[c for c, i in enumerate(base.grading) if i == v] for v in range(len(self.members))]
 
     @classmethod
     def _at_top(cls, g: StructureConstantAlgebra, kind: int) -> "_Chain":
@@ -843,16 +794,6 @@ class _Chain:
         return hom_dims, ranks
 
 
-def _graded(tables: _ChainTables, x: SCModule) -> tuple:
-    """x's action and grading: at vertex 0 throughout over one vertex, and
-    those of x re-based when x has no grading."""
-    if len(tables.members) == 1:
-        return x.action, [0] * x.dim
-    if x.grading is None:
-        x = _rebased(x)
-    return x.action, x.grading
-
-
 def _reduce_to_basic(g: StructureConstantAlgebra):
     """Cut down to one idempotent per isomorphism class (a Morita reduction).
 
@@ -867,8 +808,6 @@ def _reduce_to_basic(g: StructureConstantAlgebra):
 def _basic_reduction(g: StructureConstantAlgebra):
     """``(basic, transport)`` of ``_reduce_to_basic``, or None when g admits
     no reduction: the memo on g holds no reference to g."""
-    if g.piece_members is None or g.piece_classes is None:
-        return None
     keep = []
     seen = set()
     for kind, cls in enumerate(g.piece_classes):
@@ -877,9 +816,7 @@ def _basic_reduction(g: StructureConstantAlgebra):
             keep.append(kind)
     if len(keep) == len(g.piece_classes):
         return None
-    vertex = _vertices(g, left=True)
-    if vertex is None:
-        return None
+    vertex = _member_vertices(g)
     position = {kind: t for t, kind in enumerate(keep)}
     # eps·A·eps, eps the sum of the kept idempotents, is spanned by the
     # members of the kept pieces at kept vertices
@@ -908,8 +845,6 @@ def _basic_reduction(g: StructureConstantAlgebra):
 
     def transport(x: SCModule) -> SCModule:
         # eps·x is x's coordinates at the kept vertices
-        if x.grading is None:
-            x = _rebased(x)
         coords = [c for c, i in enumerate(x.grading) if i in position]
         action = [x.action[i].take_rows(coords).take_columns(coords) for i in indices]
         return SCModule(basic, len(coords), action, [position[x.grading[c]] for c in coords])
@@ -945,12 +880,12 @@ def _pd_le_on_chain(chain: _Chain, n: int) -> bool:
 def sc_pd_le(g: StructureConstantAlgebra, x: SCModule, n: int) -> bool:
     """Projective dimension bound over a structure-constant algebra.
 
-    Covers are sums of pieces ``A e`` (free rank-one pieces without
-    structural idempotents).  A zero kernel after ``n+1`` covers means yes;
-    a minimal last cover (kernel inside the radical) means no; otherwise the
-    covering extension of the n-th syzygy is tested for splitting by its
-    Ext^1 (sound by Schanuel: syzygies from non-minimal covers differ only
-    by projective summands).
+    Covers are sums of pieces ``A e`` (free of rank one over a one-piece
+    algebra).  A zero kernel after ``n+1`` covers means yes; a minimal last
+    cover (kernel inside the radical) means no; otherwise the covering
+    extension of the n-th syzygy is tested for splitting by its Ext^1
+    (sound by Schanuel: syzygies from non-minimal covers differ only by
+    projective summands).
     """
     if x.dim == 0:
         return True
@@ -962,15 +897,11 @@ def sc_pd_le(g: StructureConstantAlgebra, x: SCModule, n: int) -> bool:
 def _simple_chains(g: StructureConstantAlgebra) -> tuple:
     """``(transport, chains)``: the transport of ``_reduce_to_basic`` (None
     when g is basic) and the resolution chains, over the basic algebra, of
-    its simple modules.  With structural idempotents that is the top of one
-    piece per idempotent class; otherwise the cyclic module A/rad A,
-    resolved directly by free covers.  Zero tops have no chain."""
+    the tops of one piece per idempotent class: the simple modules (A/rad A
+    for a one-piece algebra).  Zero tops have no chain."""
     basic, transport = _reduce_to_basic(g)
-    if basic.piece_members is None:
-        chains = [_semisimple_chain(basic)]
-    else:
-        classes = basic.piece_classes
-        chains = [_top_chain(basic, kind) for kind, cls in enumerate(classes) if cls not in classes[:kind]]
+    classes = basic.piece_classes
+    chains = [_top_chain(basic, kind) for kind, cls in enumerate(classes) if cls not in classes[:kind]]
     return transport, [chain for chain in chains if chain is not None]
 
 
@@ -983,18 +914,11 @@ def gldim_le(g: StructureConstantAlgebra, n: int) -> bool:
 
 @memoized("top chain")
 def _top_chain(g: StructureConstantAlgebra, kind: int) -> "_Chain | None":
-    """The resolution chain of the simple top A e / (rad A)e of piece
+    """The resolution chain of the top A e / (rad A)e of piece
     ``kind`` (None if zero), seeded at its known first syzygy (rad A)e."""
     if sum(span.rank for span in _chain_tables(g).rad_spans[kind]) == len(g.piece_members[kind]):
         return None
     return _Chain._at_top(g, kind)
-
-
-@memoized("semisimple chain")
-def _semisimple_chain(g: StructureConstantAlgebra) -> "_Chain | None":
-    """The resolution chain of g / rad g (None if zero)."""
-    quot = semisimple_quotient_module(g)
-    return _Chain(g, quot) if quot.dim else None
 
 
 def sc_ext_dims(g: StructureConstantAlgebra, x: SCModule, y: SCModule, up_to: int) -> list[int]:
@@ -1008,7 +932,7 @@ def sc_ext_dims(g: StructureConstantAlgebra, x: SCModule, y: SCModule, up_to: in
     if x.dim == 0 or y.dim == 0:
         return [0] * up_to
     chain = _Chain(basic, x)
-    dims, ranks = chain.hom_complex_dims_and_ranks(up_to + 1, *_graded(chain.tables, y))
+    dims, ranks = chain.hom_complex_dims_and_ranks(up_to + 1, y.action, y.grading)
     out = []
     for i in range(1, up_to + 1):
         kernel_dim = dims[i] - ranks[i]
@@ -1026,10 +950,8 @@ def sc_injective_dim_le(g: StructureConstantAlgebra, x: SCModule, n: int) -> boo
     transport, chains = _simple_chains(g)
     if transport is not None:
         x = transport(x)
-    # the chains share the basic algebra's tables: x is graded once
-    graded = _graded(chains[0].tables, x)
     for chain in chains:
-        dims, ranks = chain.hom_complex_dims_and_ranks(n + 2, *graded)
+        dims, ranks = chain.hom_complex_dims_and_ranks(n + 2, x.action, x.grading)
         if dims[n + 1] - ranks[n + 1] - ranks[n]:
             return False
     return True

@@ -5,7 +5,15 @@ split test that eliminate for the piece spaces e·Y of any module Y, a first
 cover in the dense coordinates of its module, the chain of a simple top
 starting at the top module itself, the basis of End(M) composed out of
 summand injections and projections, and the injective dimension as the
-projective dimension of the dual over the opposite algebra.
+projective dimension of the dual over the opposite algebra.  The reference
+routes read no grading, so they also take a module in a basis that mixes
+vertices (grading None).
+
+It also builds the modules no library path needs, each graded: the regular
+module (each basis vector at its vertex), its quotients (each free column
+keeps its vertex), the top A/rad A, and the graded copy of a module in a
+basis that mixes vertices.  ``check_module`` checks the grading of a module
+with its axioms.
 
 ``relrep.endo`` resolves one vertex at a time (homogeneous radical
 generators, kernel vectors and the unit vectors of a graded module as their
@@ -24,18 +32,16 @@ from relrep.endo import (
     SCModule,
     StructureConstantAlgebra,
     _Chain,
-    _combine,
     _Cover,
     _matvec,
     _reduce_to_basic,
-    _sc_quotient,
     _Span,
     _terms,
+    _vertices,
     radical,
     radical_generators,
-    semisimple_quotient_module,
 )
-from relrep.exact_linalg import Matrix
+from relrep.exact_linalg import Matrix, _canon_row, complement_projection, hstack
 from relrep.path_algebra import AlgebraError, InternalError
 from relrep.rep import (
     Module,
@@ -46,6 +52,23 @@ from relrep.rep import (
     summand_projection,
     trace_form_radical,
 )
+
+
+def _combine(action, dim: int, terms) -> Matrix:
+    """Matrix of the sum of ``c * action[k]`` over ``(k, c)`` pairs, for the
+    ``dim x dim`` action matrices of a module."""
+    out = [[0] * dim for _ in range(dim)]
+    for k, c in terms:
+        for orow, arow in zip(out, action[k]._data):
+            for t, a in enumerate(arow):
+                if a != 0:
+                    orow[t] += c * a
+    return Matrix._trusted(dim, dim, [_canon_row(row) for row in out])
+
+
+def element_matrix(x: SCModule, coeffs) -> Matrix:
+    """The matrix by which the element with coordinates ``coeffs`` acts on x."""
+    return _combine(x.action, x.dim, _terms(coeffs))
 
 
 def apply(x: SCModule, coeffs, vec: list) -> list:
@@ -138,15 +161,56 @@ def check_unit(g: StructureConstantAlgebra) -> bool:
 
 
 def check_module(x: SCModule) -> bool:
-    """The action respects multiplication and unit; desk scale only."""
+    """The action respects multiplication and unit, and each idempotent e_i
+    acts as the projection onto the coordinates graded i; desk scale only."""
     g = x.algebra
-    if x.element_matrix(g.unit) != Matrix.identity(x.dim):
+    if element_matrix(x, g.unit) != Matrix.identity(x.dim) or len(x.grading) != x.dim:
         return False
+    for i, e in enumerate(g.idempotents):
+        projection = [[int(r == c and x.grading[c] == i) for c in range(x.dim)] for r in range(x.dim)]
+        if element_matrix(x, e) != Matrix(x.dim, x.dim, projection):
+            return False
     for i in range(g.dim):
         for j in range(g.dim):
             if x.action[i] @ x.action[j] != _combine(x.action, x.dim, g.mult[i][j]):
                 return False
     return True
+
+
+def regular_sc_module(g: StructureConstantAlgebra) -> SCModule:
+    """The algebra as a left module over itself, b_m at the i with
+    e_i·b_m = b_m."""
+    action = []
+    for plane in g.mult:
+        rows = [[0] * g.dim for _ in range(g.dim)]
+        for j, pairs in enumerate(plane):
+            for m, c in pairs:
+                rows[m][j] = c
+        action.append(Matrix(g.dim, g.dim, rows))
+    return SCModule(g, g.dim, action, _vertices(g, left=True))
+
+
+def _sc_quotient(x: SCModule, span: Matrix) -> SCModule:
+    """The quotient of ``x`` by the submodule spanned by the columns of
+    ``span``, each spanning vector at one vertex: the free columns of the
+    complement keep their vertices."""
+    proj, free = complement_projection(span)
+    return SCModule(x.algebra, proj.rows, [proj @ a.take_columns(free) for a in x.action], [x.grading[c] for c in free])
+
+
+def semisimple_quotient_module(g: StructureConstantAlgebra) -> SCModule:
+    """The algebra modulo its radical, as a left module (cyclic, generated by 1)."""
+    return _sc_quotient(regular_sc_module(g), radical(g))
+
+
+def rebased(x: SCModule) -> SCModule:
+    """x moved onto bases of its e_i·x, one idempotent after another: the
+    graded copy of a module in a basis that mixes vertices."""
+    blocks = [element_matrix(x, e).column_space_basis() for e in x.algebra.idempotents]
+    basis = hstack(blocks)
+    inv = basis.inverse()
+    grading = [i for i, b in enumerate(blocks) for _ in range(b.cols)]
+    return SCModule(x.algebra, x.dim, [inv @ a @ basis for a in x.action], grading)
 
 
 def spanned_by(length: int, vectors: list) -> _Span:
@@ -230,8 +294,8 @@ class FullRadicalChain(_Chain):
 
     def __init__(self, g: StructureConstantAlgebra, base: SCModule) -> None:
         self.algebra_dim = g.dim
-        self.members = g.piece_members or (tuple(range(g.dim)),)
-        self.idem_vectors = [list(e) for e in (g.idempotents if g.piece_members else [g.unit])]
+        self.members = g.piece_members
+        self.idem_vectors = [list(e) for e in g.idempotents]
         self.idem_terms = [_terms(e) for e in self.idem_vectors]
         self.piece_rads = [_piece_radical(g, ms) for ms in self.members]
         self.rad_terms = [_terms(r) for r in radical(g).columns()]
@@ -410,7 +474,7 @@ class DenseFirstCoverChain(_Chain):
         self._read_algebra(g)
         self.base_dim = base.dim
         self.base_action = base.action
-        self.idem_terms = [_terms(e) for e in (g.idempotents if g.piece_members else [g.unit])]
+        self.idem_terms = [_terms(e) for e in g.idempotents]
         self.rad_terms = [_terms(ell) for ell in radical_generators(g)]
 
     def extend(self) -> None:
@@ -457,6 +521,7 @@ class DenseFirstCoverChain(_Chain):
 def _top_of_piece(g: StructureConstantAlgebra, kind: int) -> SCModule:
     """The simple quotient of the projective A e_kind as an SCModule."""
     members = g.piece_members[kind]
+    vertex = _vertices(g, left=True)
     index = {m: t for t, m in enumerate(members)}
     width = len(members)
     action = []
@@ -470,7 +535,8 @@ def _top_of_piece(g: StructureConstantAlgebra, kind: int) -> SCModule:
         action.append(Matrix.from_columns(cols))
     rad = _piece_radical(g, members)
     return _sc_quotient(
-        SCModule(g, width, action), Matrix.from_columns(rad) if rad else Matrix.zeros(width, 0)
+        SCModule(g, width, action, [vertex[m] for m in members]),
+        Matrix.from_columns(rad) if rad else Matrix.zeros(width, 0),
     )
 
 
@@ -480,23 +546,15 @@ def top_chain(g: StructureConstantAlgebra, kind: int) -> "FullRadicalChain | Non
     return FullRadicalChain(g, top) if top.dim else None
 
 
-def semisimple_chain(g: StructureConstantAlgebra) -> "FullRadicalChain | None":
-    quot = semisimple_quotient_module(g)
-    return FullRadicalChain(g, quot) if quot.dim else None
-
-
 def gldim_le(g: StructureConstantAlgebra, n: int) -> bool:
     if n < 0:
         raise AlgebraError("global dimension bound must be >= 0")
     basic, _ = _reduce_to_basic(g)
-    if basic.piece_members is not None:
-        chains = [
-            top_chain(basic, kind)
-            for kind, cls in enumerate(basic.piece_classes)
-            if cls not in basic.piece_classes[:kind]
-        ]
-    else:
-        chains = [semisimple_chain(basic)]
+    chains = [
+        top_chain(basic, kind)
+        for kind, cls in enumerate(basic.piece_classes)
+        if cls not in basic.piece_classes[:kind]
+    ]
     return all(chain is None or pd_le_on_chain(chain, n) for chain in chains)
 
 

@@ -24,7 +24,6 @@ from relrep.endo import (
     end_algebra,
     end_ring,
     gldim_le,
-    regular_sc_module,
     sc_injective_dim_le,
 )
 from relrep.homology import dtr, ext1_space, ext_dim, trd
@@ -49,6 +48,7 @@ from relrep.rep import (
     regular_module,
     simple_module,
 )
+import sc_reference as ref
 from test_ext_catalog import BENCH, _workloads
 
 
@@ -252,7 +252,7 @@ def test_a_dropped_end_ring_is_freed_with_its_chain_tables():
             g = end_ring(m)
             basic = _reduce_to_basic(g)[0]
             gldim_le(g, 2)
-            sc_injective_dim_le(g, regular_sc_module(g), 0)
+            sc_injective_dim_le(g, ref.regular_sc_module(g), 0)
             held = [g, basic, _chain_tables(basic), _top_chain(basic, 0)]
             refs = [weakref.ref(o) for o in held]
             m_ref = weakref.ref(m)

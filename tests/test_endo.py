@@ -42,12 +42,10 @@ from relrep.endo import (
     hom_sc_bimodule_sides,
     is_generator_cogenerator,
     radical,
-    regular_sc_module,
     sc_ext_dims,
     sc_injective_dim_le,
     sc_pd_le,
     search_exchange_sequence,
-    semisimple_quotient_module,
     verify_theorem,
 )
 
@@ -93,7 +91,7 @@ class TestStructureConstantCore:
         # the radical is spanned by the strictly upper-triangular basis vector
         col = [rad[i, 0] for i in range(3)]
         assert col[0] == 0 and col[1] == 0 and col[2] != 0
-        assert g.piece_members is not None
+        assert len(g.piece_members) == 2
         # hereditary: global dimension exactly one
         assert not gldim_le(g, 0)
         assert gldim_le(g, 1)
@@ -111,10 +109,10 @@ class TestStructureConstantCore:
 
     def test_regular_and_quotient_modules(self):
         g = _upper_triangular_2x2()
-        reg = regular_sc_module(g)
+        reg = ref.regular_sc_module(g)
         assert reg.dim == 3
         assert ref.check_module(reg)
-        ssq = semisimple_quotient_module(g)
+        ssq = ref.semisimple_quotient_module(g)
         assert ssq.dim == 2
         assert ref.check_module(ssq)
         dual = ref.dual_sc_module(reg)
@@ -123,7 +121,7 @@ class TestStructureConstantCore:
 
     def test_projective_and_injective_dimension_bounds(self):
         g = _upper_triangular_2x2()
-        ssq = semisimple_quotient_module(g)
+        ssq = ref.semisimple_quotient_module(g)
         assert not sc_pd_le(g, ssq, 0)
         assert sc_pd_le(g, ssq, 1)
         assert sc_injective_dim_le(g, ssq, 1)
@@ -213,11 +211,19 @@ class TestEndomorphismAlgebras:
         assert radical(g).cols == 0
         assert gldim_le(g, 0)
 
+    def test_the_zero_module_has_a_one_piece_zero_algebra(self, cyc3_5):
+        # its unit () is the only idempotent, and its top is zero: no simple
+        # module to resolve, so every bound holds
+        g, basis = end_algebra(zero_module(cyc3_5))
+        assert (g.dim, basis) == (0, [])
+        assert (g.idempotents, g.piece_members, g.piece_classes) == (((),), ((),), (0,))
+        assert [gldim_le(g, n) for n in range(3)] == [True] * 3
+
     def test_regular_module_endo_algebra(self, cyc3_5):
         g, _ = end_algebra(regular_module(cyc3_5))
         assert g.dim == 15
         assert radical(g).cols == 12
-        assert semisimple_quotient_module(g).dim == 3
+        assert ref.semisimple_quotient_module(g).dim == 3
         assert g.piece_classes == (0, 1, 2)
         # selfinjective and not semisimple: no finite bound holds
         assert [gldim_le(g, n) for n in range(4)] == [False] * 4
@@ -234,7 +240,7 @@ class TestEndomorphismAlgebras:
         assert len(basis) == 24
         assert g.piece_classes == (0, 1, 2, 3, 4)
         assert ref.check_unit(g)
-        assert ref.check_module(regular_sc_module(g))
+        assert ref.check_module(ref.regular_sc_module(g))
 
     def test_main_module_global_dimension_is_four(self, m1):
         g, _ = end_algebra(m1)

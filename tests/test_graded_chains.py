@@ -4,12 +4,14 @@
 one vertex (its left idempotent fixes it, the others kill it), each kernel
 is solved vertex by vertex, and a cover spans the radical of its kernel by
 the homogeneous radical generators e_j·ℓ·e_i.  A module carries its grading
-too, so its first cover works the same way, and a module built without one
-is re-based onto bases of its e_i·x.  These tests check the grading itself
-on the sweep and theorem algebras and modules, the onto guard of a cover,
-that a module or an algebra whose basis mixes vertices still gets the
-reference's answers, and that every module the theorem builds arrives
-graded.
+too, so its first cover works the same way.  These tests check the grading
+itself on the sweep and theorem algebras and modules, the onto guard of a
+cover, that an algebra whose basis mixes vertices is one piece (its unit
+the only idempotent) and gets the reference's answers, that a module moved
+off a basis that mixes vertices onto graded bases gets the answers of the
+module it came from, and that every module the library builds, and every
+module ``sc_reference`` builds for these tests, passes
+``sc_reference.check_module``, its grading included.
 """
 
 from functools import partial
@@ -28,11 +30,9 @@ from relrep.endo import (
     _top_chain,
     gldim_le,
     hom_sc_bimodule_sides,
-    regular_sc_module,
     sc_ext_dims,
     sc_injective_dim_le,
     sc_pd_le,
-    semisimple_quotient_module,
     verify_theorem,
 )
 from relrep.exact_linalg import Matrix
@@ -77,7 +77,7 @@ def _copy(g: StructureConstantAlgebra) -> StructureConstantAlgebra:
 
 def _idempotent_terms(g: StructureConstantAlgebra) -> list:
     """The terms of the idempotents the chains over g grade by."""
-    return [_terms(e) for e in (g.idempotents if g.piece_members else [g.unit])]
+    return [_terms(e) for e in g.idempotents]
 
 
 def _element(chain, kind: int, comp: list) -> list:
@@ -86,7 +86,7 @@ def _element(chain, kind: int, comp: list) -> list:
 
 
 def _base_module(chain, g: StructureConstantAlgebra) -> SCModule:
-    """The graded module the chain resolves (x itself, or x re-based)."""
+    """The graded module the chain resolves, rebuilt from the chain."""
     dim = sum(map(len, chain.base_at))
     grading = [0] * dim
     for i, coords in enumerate(chain.base_at):
@@ -167,7 +167,7 @@ class TestGrading:
             # the regular module is projective: its chain checks the first cover only
             checked = [
                 _assert_graded(_Chain(g, x), g)
-                for x in (side, regular_sc_module(g), semisimple_quotient_module(g))
+                for x in (side, ref.regular_sc_module(g), ref.semisimple_quotient_module(g))
             ]
             assert checked[0] and checked[2]
 
@@ -175,7 +175,7 @@ class TestGrading:
 def test_sweep_quotients_agree_with_the_ungraded_reference(sweep_algebras):
     # covers level by level, then pd and Ext read off each chain
     for g in sweep_algebras:
-        _assert_chains_agree(g, semisimple_quotient_module(g))
+        _assert_chains_agree(g, ref.semisimple_quotient_module(g))
 
 
 def test_repeated_atom_classes_agree_with_the_ungraded_reference(cyc3_5):
@@ -187,7 +187,7 @@ def test_repeated_atom_classes_agree_with_the_ungraded_reference(cyc3_5):
         assert len(set(g.piece_classes)) < len(g.piece_classes)
         tables = _chain_tables(g)
         assert any(tables.vertex[m] != s for s, tops in enumerate(tables.tops) for m in tops)
-        for x in (regular_sc_module(g), semisimple_quotient_module(g)):
+        for x in (ref.regular_sc_module(g), ref.semisimple_quotient_module(g)):
             _assert_chains_agree(g, x)
 
 
@@ -239,8 +239,9 @@ class TestOntoGuard:
         assert nonminimal
 
 
-def _mixed(g: StructureConstantAlgebra) -> StructureConstantAlgebra:
-    """g in another basis: in each piece A e_s with members at two vertices,
+def _mixing_basis(g: StructureConstantAlgebra) -> tuple:
+    """``(basis, coords)``: another basis of g, and the coordinates of a
+    vector of g in it.  In each piece A e_s with members at two vertices,
     its first member b gets the first member b' at another vertex added.
     The basis still spans each A e_s, but e_i·(b + b') is b for the vertex
     i of b: neither b + b' nor 0."""
@@ -256,13 +257,20 @@ def _mixed(g: StructureConstantAlgebra) -> StructureConstantAlgebra:
     basis = t.columns()
 
     def coords(vec):
-        return (t_inv @ Matrix.column(vec)).columns()[0]
+        return (t_inv @ Matrix.column(list(vec))).columns()[0]
 
+    return basis, coords
+
+
+def _mixed(g: StructureConstantAlgebra) -> StructureConstantAlgebra:
+    """g in the basis of ``_mixing_basis``, built with its idempotents."""
+    basis, coords = _mixing_basis(g)
+    n = g.dim
     mult = [[coords(ref.multiply(g, basis[i], basis[j])) for j in range(n)] for i in range(n)]
     return StructureConstantAlgebra(
         mult,
-        coords(list(g.unit)),
-        idempotents=[coords(list(e)) for e in g.idempotents],
+        coords(g.unit),
+        idempotents=[coords(e) for e in g.idempotents],
         piece_classes=g.piece_classes,
         name=g.name + " mixed",
     )
@@ -275,11 +283,14 @@ class TestLeftHomogeneity:
         return [(g, _mixed(g)) for g in originals]
 
     def test_a_basis_that_mixes_vertices_takes_free_covers(self, mixed_pairs):
+        # one piece: the unit is the only idempotent, A·1 the only cover summand
         for g, mixed in mixed_pairs:
-            assert g.piece_members is not None
+            assert len(g.piece_members) == len(g.idempotents) > 1
             assert ref.check_associativity(mixed) and ref.check_unit(mixed)
-            assert mixed.piece_members is None
-            assert mixed._detect_members() is None
+            assert mixed.idempotents == (mixed.unit,)
+            assert mixed.piece_members == (tuple(range(mixed.dim)),)
+            assert mixed.piece_classes == (0,)
+            assert mixed._detect_members() == mixed.piece_members
 
     def test_it_gets_the_reference_answers(self, mixed_pairs):
         # free covers are far from minimal, so the split test resolves
@@ -291,19 +302,22 @@ class TestLeftHomogeneity:
             answers = [gldim_le(mixed, n) for n in bounds]
             assert answers == [ref.gldim_le(mixed, n) for n in bounds]
             assert answers == [gldim_le(g, n) for n in bounds]
-            quot = semisimple_quotient_module(mixed)
+            quot = ref.semisimple_quotient_module(mixed)
+            assert ref.check_module(quot)
             assert [sc_pd_le(mixed, quot, n) for n in bounds] == [
                 ref.sc_pd_le(mixed, quot, n) for n in bounds
             ]
 
     def test_supplied_members_that_mix_vertices_are_an_internal_error(self, mixed_pairs):
+        # with g's idempotents in the mixing basis, not the one-piece unit
         for g, mixed in mixed_pairs:
+            _, coords = _mixing_basis(g)
             supplied = StructureConstantAlgebra.from_sparse(
                 mixed.dim,
                 mixed.mult,
                 mixed.unit,
-                mixed.idempotents,
-                mixed.piece_classes,
+                [coords(e) for e in g.idempotents],
+                g.piece_classes,
                 piece_members=g.piece_members,
             )
             with pytest.raises(InternalError, match="mix vertices") as err:
@@ -338,28 +352,18 @@ def test_the_basic_reduction_keeps_the_corner_of_the_kept_vertices(cyc3_5):
 # -- graded modules ------------------------------------------------------------
 
 
-def _assert_idempotents_project(x: SCModule) -> None:
-    """Each structural idempotent acts as the projection onto the
-    coordinates at its vertex."""
-    g = x.algebra
-    assert g.piece_members is not None
-    assert x.grading is not None and len(x.grading) == x.dim
-    for i, e in enumerate(g.idempotents):
-        projection = [[int(r == c and x.grading[c] == i) for c in range(x.dim)] for r in range(x.dim)]
-        assert x.element_matrix(e) == Matrix(x.dim, x.dim, projection)
-
-
 def _vertex_mixing(x: SCModule) -> SCModule:
-    """x in another basis: the first coordinate at each vertex but the last
-    gets the first coordinate at the next vertex added, so that an
-    idempotent sends the new basis vector to neither itself nor 0."""
+    """x in another basis, ungraded (only the reference routes read it): the
+    first coordinate at each vertex but the last gets the first coordinate
+    at the next vertex added, so that an idempotent sends the new basis
+    vector to neither itself nor 0."""
     firsts = [x.grading.index(i) for i in sorted(set(x.grading))]
     t = [[int(r == c) for c in range(x.dim)] for r in range(x.dim)]
     for a, b in zip(firsts, firsts[1:]):
         t[b][a] = 1
     t = Matrix(x.dim, x.dim, t)
     t_inv = t.inverse()
-    return SCModule(x.algebra, x.dim, [t_inv @ a @ t for a in x.action])
+    return SCModule(x.algebra, x.dim, [t_inv @ a @ t for a in x.action], None)
 
 
 @pytest.fixture(scope="module")
@@ -383,12 +387,15 @@ class TestGradedModules:
     def test_sides_and_their_duals_arrive_graded(self, theorem_sides, repeated_sides):
         transported = 0
         for side in [*theorem_sides, *repeated_sides]:
-            _assert_idempotents_project(side)
-            _assert_idempotents_project(ref.dual_sc_module(side))
-            basic, transport = _reduce_to_basic(side.algebra)
-            if basic is not side.algebra:
-                _assert_idempotents_project(transport(side))
+            g = side.algebra
+            assert ref.check_module(side)
+            assert ref.check_module(ref.dual_sc_module(side))
+            basic, transport = _reduce_to_basic(g)
+            built = [ref.regular_sc_module(g), ref.semisimple_quotient_module(g)]
+            if basic is not g:
+                built += [transport(x) for x in (side, *built)]
                 transported += 1
+            assert all(ref.check_module(x) for x in built)
         assert transported == 2
 
     def test_sides_get_the_dense_reference_answers(self, theorem_sides, repeated_sides):
@@ -414,33 +421,28 @@ class TestGradedModules:
                 ]
                 assert profiles[0] == profiles[1]
 
-    def test_a_module_that_mixes_vertices_is_rebased(self, theorem_sides, monkeypatch):
-        rebase = endo._rebased
-        rebased = []
-        monkeypatch.setattr(endo, "_rebased", lambda x: rebased.append(x) or rebase(x))
+    def test_a_module_that_mixes_vertices_is_rebased(self, theorem_sides):
         for side in theorem_sides[:2]:
             g = side.algebra
-            regular = rebase(regular_sc_module(g))
-            _assert_idempotents_project(regular)
+            regular = ref.regular_sc_module(g)
             for x in (regular, side):
                 mixed = _vertex_mixing(x)
                 assert mixed.grading is None
                 # some idempotent sends some basis vector to neither itself nor 0
                 assert any(
-                    mixed.element_matrix(e)._data[r][c] not in (0, int(r == c))
+                    ref.element_matrix(mixed, e)._data[r][c] not in (0, int(r == c))
                     for e in g.idempotents
                     for r in range(mixed.dim)
                     for c in range(mixed.dim)
                 )
-                rebased.clear()
+                graded = ref.rebased(mixed)
+                assert ref.check_module(graded)
                 answers = [
-                    sc_ext_dims(g, mixed, mixed, 3),
-                    sc_ext_dims(g, mixed, side, 3),
-                    [sc_pd_le(g, mixed, n) for n in BOUNDS],
-                    [sc_injective_dim_le(g, mixed, n) for n in BOUNDS[:3]],
+                    sc_ext_dims(g, graded, graded, 3),
+                    sc_ext_dims(g, graded, side, 3),
+                    [sc_pd_le(g, graded, n) for n in BOUNDS],
+                    [sc_injective_dim_le(g, graded, n) for n in BOUNDS[:3]],
                 ]
-                assert any(y is mixed for y in rebased)
-                _assert_idempotents_project(rebase(mixed))
                 assert answers == [
                     sc_ext_dims(g, x, x, 3),
                     sc_ext_dims(g, x, side, 3),
@@ -458,13 +460,14 @@ class TestGradedModules:
 
 
 def test_the_theorem_builds_every_module_graded(cyc3_5, monkeypatch):
-    # the three benchmark pairs: no module of condition (d) needs re-basing
-    calls = []
-    rebase = endo._rebased
-    monkeypatch.setattr(endo, "_rebased", lambda x: calls.append(x) or rebase(x))
+    # the three benchmark pairs: every module condition (d) builds
+    built = []
+    real = SCModule.__init__
+    monkeypatch.setattr(SCModule, "__init__", lambda x, *args: built.append(x) or real(x, *args))
     cyc2_4 = AlgebraPresentation.truncated(cyclic_quiver(2), 4, name="cyc2-trunc4")
     cases = [(cyc3_5, M1_EXPR, M2_EXPR), (cyc2_4, C1_EXPR, C2_EXPR), (cyc2_4, C2_EXPR, C1_EXPR)]
     for alg, e1, e2 in cases:
         report = verify_theorem(parse_module_expression(alg, e1), parse_module_expression(alg, e2), 2)
         assert report.all_true
-    assert calls == []
+    assert len(built) == 2 * len(cases)
+    assert all(ref.check_module(x) for x in built)

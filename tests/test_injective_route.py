@@ -31,10 +31,8 @@ from relrep.endo import (
     end_ring,
     gldim_le,
     hom_sc_bimodule_sides,
-    regular_sc_module,
     sc_ext_dims,
     sc_injective_dim_le,
-    semisimple_quotient_module,
 )
 from relrep.path_algebra import AlgebraPresentation, Arrow, Quiver, cyclic_quiver
 from relrep.rep import parse_module_expression
@@ -123,16 +121,15 @@ class TestAgainstTheOpposite:
         verdicts = set()
         for m in candidates:
             g = end_ring(m)
-            for x in (regular_sc_module(g), semisimple_quotient_module(g)):
-                # graded once here, not once per bound
-                verdicts.add(tuple(_assert_reference_bounds(g, endo._rebased(x))))
+            for x in (ref.regular_sc_module(g), ref.semisimple_quotient_module(g)):
+                verdicts.add(tuple(_assert_reference_bounds(g, x)))
         # injective dimensions 0, 2, 3, 4 and more than 4 all occur
         assert verdicts == {tuple(n >= d for n in BOUNDS) for d in (0, 2, 3, 4, 5)}
 
     def test_upper_triangular_algebras(self):
         for g in (_upper_triangular_2x2(), _upper_triangular_3x3()):
             assert ref.check_associativity(g) and ref.check_unit(g)
-            regular, quot = regular_sc_module(g), semisimple_quotient_module(g)
+            regular, quot = ref.regular_sc_module(g), ref.semisimple_quotient_module(g)
             # hereditary and not semisimple: id of each module is at most 1,
             # and exactly 1 for the regular module
             assert _assert_reference_bounds(g, regular) == [False, True, True, True, True]
@@ -145,10 +142,10 @@ class TestAgainstTheOpposite:
         assert [g.dim for g in originals] == [3, 4]
         for g in originals:
             mixed = _mixed(g)
-            assert mixed.piece_members is None
-            answers = _assert_reference_bounds(mixed, regular_sc_module(mixed))
-            assert answers == [sc_injective_dim_le(g, regular_sc_module(g), n) for n in BOUNDS]
-            _assert_reference_bounds(mixed, semisimple_quotient_module(mixed))
+            assert mixed.idempotents == (mixed.unit,)
+            answers = _assert_reference_bounds(mixed, ref.regular_sc_module(mixed))
+            assert answers == [sc_injective_dim_le(g, ref.regular_sc_module(g), n) for n in BOUNDS]
+            _assert_reference_bounds(mixed, ref.semisimple_quotient_module(mixed))
 
     def test_end_algebras_off_nakayama(self):
         alg = _a3_sink()
@@ -158,7 +155,7 @@ class TestAgainstTheOpposite:
             for m, partner in ((atom, split), (split, atom)):
                 g = end_ring(m)
                 over_g = [hom_sc_bimodule_sides(partner, m)[0], hom_sc_bimodule_sides(m, partner)[1]]
-                for x in (regular_sc_module(g), semisimple_quotient_module(g), *over_g):
+                for x in (ref.regular_sc_module(g), ref.semisimple_quotient_module(g), *over_g):
                     assert x.algebra is g
                     _assert_reference_bounds(g, x)
                     checked += 1
@@ -172,7 +169,7 @@ def test_the_injective_route_reads_the_simple_top_chains(cyc3_5):
     assert gldim_le(g, 4)
     tables = endo._chain_tables(g)
     chains = endo._simple_chains(g)[1]
-    assert sc_injective_dim_le(g, regular_sc_module(g), 4)
+    assert sc_injective_dim_le(g, ref.regular_sc_module(g), 4)
     assert endo._chain_tables(g) is tables
     assert all(a is b for a, b in zip(endo._simple_chains(g)[1], chains))
 

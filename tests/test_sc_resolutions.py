@@ -30,8 +30,6 @@ from relrep.endo import (
     StructureConstantAlgebra,
     _Chain,
     _Span,
-    _combine,
-    _graded,
     _pd_le_on_chain,
     _reduce_to_basic,
     _terms,
@@ -41,11 +39,9 @@ from relrep.endo import (
     hom_sc_bimodule_sides,
     radical,
     radical_generators,
-    regular_sc_module,
     sc_ext_dims,
     sc_injective_dim_le,
     sc_pd_le,
-    semisimple_quotient_module,
 )
 from relrep.exact_linalg import Matrix, hstack
 from relrep.path_algebra import AlgebraPresentation, cyclic_quiver
@@ -121,7 +117,8 @@ def _without_idempotents(g: StructureConstantAlgebra) -> StructureConstantAlgebr
 
 @pytest.fixture(scope="module")
 def bare_algebras(cyc3_5):
-    """Algebras without structural idempotents: covers are free of rank one."""
+    """Algebras given no idempotents: each is one piece, the unit its only
+    idempotent, and its covers are free of rank one."""
     local, _ = end_algebra(parse_module_expression(cyc3_5, "P(1)"))
     uniserial, _ = end_algebra(parse_module_expression(cyc3_5, "P(1)+P(1)/rad^2"))
     return [_without_idempotents(g) for g in (_upper_triangular_2x2(), local, uniserial)]
@@ -141,8 +138,6 @@ def _kernel_profile(chain, depth: int) -> list[tuple[int, bool]]:
 
 def _assert_top_chains_agree(g: StructureConstantAlgebra) -> None:
     basic, _ = _reduce_to_basic(g)
-    if basic.piece_members is None:
-        return
     for kind in range(len(basic.piece_members)):
         seeded = _top_chain(basic, kind)
         reference = ref.top_chain(basic, kind)
@@ -166,7 +161,7 @@ def _chain_answers(chain, x) -> tuple:
         dims, ranks = chain.hom_complex_dims_and_ranks(4, partial(ref.apply, x), x.dim)
         pd = [ref.pd_le_on_chain(chain, n) for n in BOUNDS]
     else:
-        dims, ranks = chain.hom_complex_dims_and_ranks(4, *_graded(chain.tables, x))
+        dims, ranks = chain.hom_complex_dims_and_ranks(4, x.action, x.grading)
         pd = [_pd_le_on_chain(chain, n) for n in BOUNDS]
     ext = [dims[i] - ranks[i] - ranks[i - 1] for i in range(1, 4)]
     return pd, ext
@@ -193,7 +188,7 @@ class TestAgainstTheReferenceRoute:
         for g in theorem_algebras:
             assert [gldim_le(g, n) for n in BOUNDS] == [ref.gldim_le(g, n) for n in BOUNDS]
             _assert_top_chains_agree(g)
-            for x in (regular_sc_module(g), semisimple_quotient_module(g)):
+            for x in (ref.regular_sc_module(g), ref.semisimple_quotient_module(g)):
                 _assert_chains_agree(g, x)
                 assert [sc_pd_le(g, x, n) for n in BOUNDS] == [
                     ref.sc_pd_le(g, x, n) for n in BOUNDS
@@ -217,11 +212,13 @@ class TestAgainstTheReferenceRoute:
 
     def test_algebras_without_structural_idempotents(self, bare_algebras):
         for g in bare_algebras:
-            assert g.piece_members is None
+            assert g.idempotents == (g.unit,)
+            assert g.piece_members == (tuple(range(g.dim)),) and g.piece_classes == (0,)
             assert [gldim_le(g, n) for n in BOUNDS] == [ref.gldim_le(g, n) for n in BOUNDS]
-            quot = semisimple_quotient_module(g)
-            for x in (regular_sc_module(g), quot):
+            quot = ref.semisimple_quotient_module(g)
+            for x in (ref.regular_sc_module(g), quot):
                 _assert_chains_agree(g, x)
+                assert [sc_pd_le(g, x, n) for n in BOUNDS] == [ref.sc_pd_le(g, x, n) for n in BOUNDS]
             assert sc_ext_dims(g, quot, quot, 3) == ref.sc_ext_dims(g, quot, quot, 3)
 
 
@@ -237,7 +234,7 @@ def _same_span(a: Matrix, b: Matrix) -> bool:
 def _act_span(x, elements) -> Matrix:
     """The span of e·v over the given algebra elements e and a basis v of x."""
     return _columns_span(
-        [col for e in elements for col in x.element_matrix(e).columns()], x.dim
+        [col for e in elements for col in ref.element_matrix(x, e).columns()], x.dim
     )
 
 
@@ -252,22 +249,18 @@ class TestRadicalGenerators:
         assert all(v in cols for v in gens)
         assert _same_span(hstack([_columns_span(gens, g.dim), square]), rad)
         # L·X = rad·X on the regular module and on every simple top
-        tops = (
-            [ref._top_of_piece(g, kind) for kind in range(len(g.piece_members))]
-            if g.piece_members is not None
-            else [semisimple_quotient_module(g)]
-        )
-        for x in (regular_sc_module(g), *tops):
+        tops = [ref._top_of_piece(g, kind) for kind in range(len(g.piece_members))]
+        for x in (ref.regular_sc_module(g), *tops):
             assert _same_span(_act_span(x, gens), _act_span(x, cols))
 
     def test_with_structural_idempotents(self, structured_algebras, sweep_algebras):
         for g in [*structured_algebras, *sweep_algebras]:
-            assert g.piece_members is not None
+            assert len(g.piece_members) > 1
             self._check(g)
 
     def test_without_structural_idempotents(self, bare_algebras, structured_algebras):
         for g in [*bare_algebras, *map(_without_idempotents, structured_algebras[:3])]:
-            assert g.piece_members is None
+            assert g.idempotents == (g.unit,) and g.piece_members == (tuple(range(g.dim)),)
             self._check(g)
 
     def test_semisimple_algebra_has_none(self, cyc3_5):
@@ -391,11 +384,8 @@ class TestPieceMembers:
     def test_known_members_are_the_detected_ones(self, radical_corpus):
         assert len(radical_corpus) == 102
         for g in radical_corpus:
-            if g.idempotents is None:
-                assert g.piece_members is None
-            else:
-                assert g.piece_members == g._detect_members()
-                assert sorted(m for ms in g.piece_members for m in ms) == list(range(g.dim))
+            assert g.piece_members == g._detect_members()
+            assert sorted(m for ms in g.piece_members for m in ms) == list(range(g.dim))
 
     def test_opposites_and_basic_reductions_detect_theirs(self, cyc3_5, detections):
         m = parse_module_expression(cyc3_5, M1_EXPR)
@@ -410,7 +400,7 @@ class TestPieceMembers:
         both = direct_sum(cyc3_5, [regular_module(cyc3_5), cogenerator_module(cyc3_5)])
         basic, _ = _reduce_to_basic(end_algebra(both)[0])
         assert detections == [op.name, basic.name]
-        assert basic.piece_members is not None
+        assert len(basic.piece_members) == len(basic.idempotents) == 3
 
 
 class TestBlockRadical:
@@ -478,10 +468,10 @@ def _assert_public_build(mat: Matrix) -> None:
 
 
 class TestUncheckedBuilds:
-    """``_combine``, ``hom_sc_bimodule_sides``, the kernel systems of
-    ``_Chain.extend`` and ``rep.morphism_from_generator`` wrap canonicalized
-    rows unchecked; each build must equal the public constructor's on the
-    theorem modules."""
+    """``sc_reference._combine``, ``hom_sc_bimodule_sides``, the kernel
+    systems of ``_Chain.extend`` and ``rep.morphism_from_generator`` wrap
+    canonicalized rows unchecked; each build must equal the public
+    constructor's on the theorem modules."""
 
     def test_bimodule_sides_and_their_combinations(self, pairs):
         half = Fraction(1, 2)
@@ -491,11 +481,11 @@ class TestUncheckedBuilds:
                     _assert_public_build(a)
                 for k, a in enumerate(side.action):
                     # half + half: products that are integral Fractions
-                    combined = _combine(side.action, side.dim, [(k, half), (k, half)])
+                    combined = ref._combine(side.action, side.dim, [(k, half), (k, half)])
                     _assert_public_build(combined)
                     assert combined == a
                 for terms in (_terms(g) for g in radical_generators(side.algebra)):
-                    _assert_public_build(_combine(side.action, side.dim, terms))
+                    _assert_public_build(ref._combine(side.action, side.dim, terms))
 
     def test_covers(self, pairs, monkeypatch):
         """The per-vertex kernel systems of every cover, recorded as the
@@ -514,7 +504,7 @@ class TestUncheckedBuilds:
             modules = [*hom_sc_bimodule_sides(m2, m1)]
             for m in (m1, m2):
                 g, _ = end_algebra(m)
-                modules += [regular_sc_module(g), semisimple_quotient_module(g)]
+                modules += [ref.regular_sc_module(g), ref.semisimple_quotient_module(g)]
             for x in modules + [_rescaled(x) for x in modules]:
                 chain = _Chain(x.algebra, x)
                 systems.clear()
@@ -556,13 +546,19 @@ def _rescaled_module(x: Module) -> Module:
 
 
 def _rescaled(x: SCModule) -> SCModule:
-    """x in the basis of the columns of T = I + (1/2)·(superdiagonal): an
-    isomorphic module whose action has non-integral entries, so that cover
-    columns are sums of Fraction products, some of them integral."""
+    """x in the basis of the columns of T = I + (1/2)·(superdiagonal within
+    each vertex): an isomorphic graded module whose action has non-integral
+    entries, so that cover columns are sums of Fraction products, some of
+    them integral."""
     half = Fraction(1, 2)
-    t = Matrix(x.dim, x.dim, [[int(i == j) + (half if j == i + 1 else 0) for j in range(x.dim)] for i in range(x.dim)])
+    at = x.grading
+    t = Matrix(
+        x.dim,
+        x.dim,
+        [[int(i == j) + (half if j == i + 1 and at[i] == at[j] else 0) for j in range(x.dim)] for i in range(x.dim)],
+    )
     t_inv = t.inverse()
-    return SCModule(x.algebra, x.dim, [t_inv @ a @ t for a in x.action])
+    return SCModule(x.algebra, x.dim, [t_inv @ a @ t for a in x.action], at)
 
 
 def _rows_by_pivot(span: _Span) -> list:
