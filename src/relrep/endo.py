@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from itertools import product
 from typing import NamedTuple
 
-from .cache import Cached, cached_pair, memoized
+from .cache import Cached, cached, cached_pair, memoized
 from .exact_linalg import Matrix, _canon_row, exact_div, rational, subspace_contains
 from .path_algebra import AlgebraError, InternalError
 from .rep import (
@@ -67,15 +67,16 @@ class StructureConstantAlgebra(Cached):
     ``mult[i][j]`` holds ``e_i * e_j`` as a tuple of ``(m, c)`` pairs, ``m``
     ascending and ``c`` a nonzero exact scalar; a zero product is ``()``.
     The constructor takes the dense tensor and coerces and sparsifies it
-    once; :meth:`from_sparse` takes the pairs as they are; an End(M) of
-    :func:`end_ring` assembles them from its atom blocks when first read.
-    ``unit`` is the identity's coordinates.  ``idempotents`` are pairwise
-    orthogonal idempotents summing to the unit, each left ideal ``A·e``
-    spanned by a subset of the basis, its ``piece_members`` (given, or
-    detected); the engine builds projective covers from them.  Given none,
-    or a basis that mixes vertices, the algebra is one piece: the unit is
-    its only idempotent.  ``piece_classes`` groups idempotents whose left
-    ideals are isomorphic, for the reduction to a basic algebra.
+    once; an End(M) of :func:`end_ring` assembles it from its atom blocks
+    when first read.  ``unit`` is the identity's coordinates.
+    ``idempotents`` are pairwise orthogonal idempotents summing to the unit,
+    each left ideal ``A·e`` spanned by a subset of the basis, its
+    ``piece_members`` (given, or detected); the engine builds projective
+    covers from them.  Given none, or a basis that mixes vertices, the
+    algebra is one piece: the unit is its only idempotent.
+    ``piece_classes`` groups idempotents whose left ideals are isomorphic,
+    so that an algebra resolved as given (not a basic reduction of an
+    End(M)) resolves one simple module per class.
     """
 
     __slots__ = (
@@ -105,24 +106,6 @@ class StructureConstantAlgebra(Cached):
                 raise AlgebraError("multiplication tensor is not dim x dim x dim")
             sparse.append(tuple(_sparse_row(row) for row in plane))
         self._setup(dim, tuple(sparse), unit, idempotents, piece_classes, name)
-
-    @classmethod
-    def from_sparse(
-        cls,
-        dim: int,
-        mult,
-        unit,
-        idempotents=None,
-        piece_classes=None,
-        name: str = "",
-        piece_members=None,
-    ) -> "StructureConstantAlgebra":
-        """Build from rows already in the sparse ``(m, c)`` layout (not re-coerced)."""
-        if len(mult) != dim or any(len(plane) != dim for plane in mult):
-            raise AlgebraError("multiplication tensor is not dim x dim x dim")
-        g = cls.__new__(cls)
-        g._setup(dim, tuple(tuple(plane) for plane in mult), unit, idempotents, piece_classes, name, piece_members)
-        return g
 
     def _setup(self, dim, mult, unit, idempotents, piece_classes, name, piece_members=None, blocks=None) -> None:
         self.dim = dim
@@ -363,7 +346,9 @@ class SCModule:
 
     ``grading`` gives each coordinate its vertex: each structural
     idempotent e_i acts as the projection onto the coordinates at vertex i
-    (over a one-piece algebra every coordinate is at vertex 0).
+    (over a one-piece algebra every coordinate is at vertex 0).  A module
+    in a basis that mixes vertices has no grading (None); only the
+    reference routes of the tests read such a module.
     """
 
     __slots__ = ("algebra", "dim", "action", "grading")
@@ -375,6 +360,10 @@ class SCModule:
         self.grading = grading
         if len(self.action) != algebra.dim:
             raise AlgebraError("need one action matrix per algebra basis element")
+        if grading is not None and (
+            len(grading) != self.dim or not set(grading) <= set(range(len(algebra.idempotents)))
+        ):
+            raise AlgebraError("grading must give each coordinate a vertex of the algebra")
         for a in self.action:
             if a.rows != self.dim or a.cols != self.dim:
                 raise AlgebraError("action matrix shape mismatch")
@@ -795,61 +784,14 @@ class _Chain:
 
 
 def _reduce_to_basic(g: StructureConstantAlgebra):
-    """Cut down to one idempotent per isomorphism class (a Morita reduction).
-
-    Returns ``(basic, transport)`` where ``transport`` maps an SCModule over
-    ``g`` to the corresponding module over ``basic``.  When no reduction is
-    possible ``(g, None)`` is returned.
+    """``(basic, transport)``: the basic algebra of an End(M) whose atoms
+    repeat a class (a Morita reduction, built by ``end_ring`` and memoized
+    on g), with ``transport`` mapping an SCModule over g to the
+    corresponding module over basic.  Every other algebra, one with no
+    module origin included, gives ``(g, None)`` and is resolved as given.
     """
-    return _basic_reduction(g) or (g, None)
-
-
-@memoized("basic")
-def _basic_reduction(g: StructureConstantAlgebra):
-    """``(basic, transport)`` of ``_reduce_to_basic``, or None when g admits
-    no reduction: the memo on g holds no reference to g."""
-    keep = []
-    seen = set()
-    for kind, cls in enumerate(g.piece_classes):
-        if cls not in seen:
-            seen.add(cls)
-            keep.append(kind)
-    if len(keep) == len(g.piece_classes):
-        return None
-    vertex = _member_vertices(g)
-    position = {kind: t for t, kind in enumerate(keep)}
-    # eps·A·eps, eps the sum of the kept idempotents, is spanned by the
-    # members of the kept pieces at kept vertices
-    indices = sorted(m for kind in keep for m in g.piece_members[kind] if vertex[m] in keep)
-    index_pos = {m: t for t, m in enumerate(indices)}
-    mult = [
-        [tuple((index_pos[m], c) for m, c in g.mult[i][j]) for j in indices]
-        for i in indices
-    ]
-    unit = [0] * len(indices)
-    idems = []
-    for kind in keep:
-        e = g.idempotents[kind]
-        vec = [e[m] for m in indices]
-        idems.append(vec)
-        for t, c in enumerate(vec):
-            unit[t] += c
-    basic = StructureConstantAlgebra.from_sparse(
-        len(indices),
-        mult,
-        unit,
-        idempotents=idems,
-        piece_classes=list(range(len(keep))),
-        name=(g.name + " basic") if g.name else "basic",
-    )
-
-    def transport(x: SCModule) -> SCModule:
-        # eps·x is x's coordinates at the kept vertices
-        coords = [c for c, i in enumerate(x.grading) if i in position]
-        action = [x.action[i].take_rows(coords).take_columns(coords) for i in indices]
-        return SCModule(basic, len(coords), action, [position[x.grading[c]] for c in coords])
-
-    return basic, transport
+    # end_ring stored the reduction it built; no other algebra gets one
+    return cached(g, "basic", lambda: None) or (g, None)
 
 
 def _pd_le_on_chain(chain: _Chain, n: int) -> bool:
@@ -885,20 +827,24 @@ def sc_pd_le(g: StructureConstantAlgebra, x: SCModule, n: int) -> bool:
     cover (kernel inside the radical) means no; otherwise the covering
     extension of the n-th syzygy is tested for splitting by its Ext^1
     (sound by Schanuel: syzygies from non-minimal covers differ only by
-    projective summands).
+    projective summands).  Like every bound here it is read over the basic
+    reduction (``_reduce_to_basic``).
     """
     if x.dim == 0:
         return True
     if n < 0:
         return False
-    return _pd_le_on_chain(_Chain(g, x), n)
+    basic, transport = _reduce_to_basic(g)
+    return _pd_le_on_chain(_Chain(basic, transport(x) if transport else x), n)
 
 
 def _simple_chains(g: StructureConstantAlgebra) -> tuple:
     """``(transport, chains)``: the transport of ``_reduce_to_basic`` (None
-    when g is basic) and the resolution chains, over the basic algebra, of
-    the tops of one piece per idempotent class: the simple modules (A/rad A
-    for a one-piece algebra).  Zero tops have no chain."""
+    when g is resolved as given) and the resolution chains, over the basic
+    algebra, of the tops of one piece per idempotent class: the simple
+    modules (A/rad A for a one-piece algebra).  The piece classes matter only
+    on an algebra resolved as given; a basic reduction's are all distinct.
+    Zero tops have no chain."""
     basic, transport = _reduce_to_basic(g)
     classes = basic.piece_classes
     chains = [_top_chain(basic, kind) for kind, cls in enumerate(classes) if cls not in classes[:kind]]
@@ -926,7 +872,7 @@ def sc_ext_dims(g: StructureConstantAlgebra, x: SCModule, y: SCModule, up_to: in
     if up_to < 1:
         return []
     basic, transport = _reduce_to_basic(g)
-    if basic is not g:
+    if transport:
         x = transport(x)
         y = transport(y)
     if x.dim == 0 or y.dim == 0:
@@ -1039,21 +985,46 @@ def _identity_coords(a: Module) -> list:
 
 @memoized("end_algebra")
 def end_ring(m: Module) -> StructureConstantAlgebra:
-    """End(m) as structure constants without its morphism basis, from the
-    hom spaces and composition columns of m's atom pairs.
+    """End(m) as structure constants without its morphism basis, built by
+    ``_block_algebra`` from the hom spaces and composition columns of m's
+    atom pairs.
 
-    The basis is blocked by (source atom, target atom), zero atoms skipped.
-    Atom A_s gives the idempotent e_s, and A·e_s is the run of blocks (s, t)
-    over all t; atoms are grouped into isomorphism classes.  The algebra
-    keeps its ``_AtomBlocks`` and builds ``mult`` only when read (by a basic
-    reduction, a module over it or the trace form).  When the atoms are
-    split local (``rep._split_local``) and pairwise non-isomorphic
-    (certified ``is_isomorphic``), the radical, its generators and the chain
-    tables are read off the blocks.
+    The atoms are grouped into isomorphism classes (certified
+    ``is_isomorphic``).  When a class repeats, the basic algebra End(one
+    atom per class) is built here too, by the same constructor from the
+    same cached hom spaces and columns, and memoized on the algebra with
+    its transport (``_reduce_to_basic``).  Its atoms are pairwise
+    non-isomorphic, so it is on the block route whenever they are split
+    local.
     """
     atoms = _nonzero_atoms(m)
     if not atoms:
         return StructureConstantAlgebra([], [], name="End(0)")
+    classes = [-1] * len(atoms)
+    keep = []
+    for s, a in enumerate(atoms):
+        if classes[s] >= 0:
+            continue
+        classes[s] = len(keep)
+        for t in range(s + 1, len(atoms)):
+            if classes[t] < 0 and a.dims == atoms[t].dims and is_isomorphic(a, atoms[t]):
+                classes[t] = len(keep)
+        keep.append(s)
+    g = _block_algebra(atoms, classes, f"End(dim {m.total_dim})")
+    if len(keep) < len(atoms):
+        cached(g, "basic", _block_basic, g, atoms, keep)
+    return g
+
+
+def _block_algebra(atoms: list, classes: list, name: str) -> StructureConstantAlgebra:
+    """End(A_0 + ... + A_k) for nonzero atoms, its basis blocked by (source
+    atom, target atom).  Atom A_s gives the idempotent e_s, and A·e_s is the
+    run of blocks (s, t) over all t.  The algebra keeps its ``_AtomBlocks``
+    and builds ``mult`` only when read: by the trace form and the generic
+    chain tables off the block route, or by a test.  When the atoms are
+    split local (``rep._split_local``) and pairwise non-isomorphic
+    (``classes`` all distinct), the radical, its generators and the chain
+    tables are read off the blocks."""
     count = len(atoms)
     spaces = [[hom_space(a, b) for b in atoms] for a in atoms]
     dims = [[space.dim for space in row] for row in spaces]
@@ -1077,22 +1048,34 @@ def end_ring(m: Module) -> StructureConstantAlgebra:
             vec[k] = c
             unit[k] += c
         idempotents.append(vec)
-    classes = [-1] * count
-    next_class = 0
-    for s in range(count):
-        if classes[s] >= 0:
-            continue
-        classes[s] = next_class
-        for t in range(s + 1, count):
-            if classes[t] < 0 and atoms[s].dims == atoms[t].dims and is_isomorphic(atoms[s], atoms[t]):
-                classes[t] = next_class
-        next_class += 1
-    local = next_class == count and all(_split_local(a) for a in atoms)
+    local = len(set(classes)) == count and all(_split_local(a) for a in atoms)
     blocks = _AtomBlocks(dims, offsets, columns, [_end_radical_coords(a).columns() for a in atoms] if local else None)
     members = tuple(tuple(range(row[0], end)) for row, end in zip(offsets, [row[0] for row in offsets[1:]] + [total]))
     g = StructureConstantAlgebra.__new__(StructureConstantAlgebra)
-    g._setup(total, None, unit, idempotents, classes, f"End(dim {m.total_dim})", members, blocks)
+    g._setup(total, None, unit, idempotents, classes, name, members, blocks)
     return g
+
+
+def _block_basic(g: StructureConstantAlgebra, atoms: list, keep: list) -> tuple:
+    """``(basic, transport)`` of ``_reduce_to_basic`` for an End(M) g whose
+    ``atoms`` repeat a class, ``keep`` listing the first atom of each class.
+
+    basic = End(kept atoms) is eps·g·eps for eps the sum of the kept
+    idempotents: its block (s, t) is g's block (keep[s], keep[t]), in the
+    same order, so eps·x, for a module x over g, is x's coordinates at the
+    kept vertices acted on by the kept basis indices.  The transport holds
+    those indices, not g."""
+    basic = _block_algebra([atoms[s] for s in keep], list(range(len(keep))), g.name + " basic")
+    dims, offsets = g._blocks.dims, g._blocks.offsets
+    indices = [k for s in keep for t in keep for k in range(offsets[s][t], offsets[s][t] + dims[s][t])]
+    position = {s: p for p, s in enumerate(keep)}
+
+    def transport(x: SCModule) -> SCModule:
+        coords = [c for c, i in enumerate(x.grading) if i in position]
+        action = [x.action[k].take_rows(coords).take_columns(coords) for k in indices]
+        return SCModule(basic, len(coords), action, [position[x.grading[c]] for c in coords])
+
+    return basic, transport
 
 
 def hom_sc_bimodule_sides(m2: Module, m1: Module) -> tuple[SCModule, SCModule]:

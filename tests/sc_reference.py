@@ -4,8 +4,11 @@ radical of their kernel from the whole radical basis, Hom complexes and the
 split test that eliminate for the piece spaces e·Y of any module Y, a first
 cover in the dense coordinates of its module, the chain of a simple top
 starting at the top module itself, the basis of End(M) composed out of
-summand injections and projections, and the injective dimension as the
-projective dimension of the dual over the opposite algebra.  The reference
+summand injections and projections, the injective dimension as the
+projective dimension of the dual over the opposite algebra, and the basic
+algebra of an End(M) that repeats an atom class cut out of its product
+table (``reduce_to_basic``; algebras derived from another's product table
+are built by ``from_sparse``).  The reference
 routes read no grading, so they also take a module in a basis that mixes
 vertices (grading None).
 
@@ -20,8 +23,9 @@ generators, kernel vectors and the unit vectors of a graded module as their
 own top candidates, one elimination per vertex), reads e·Y off the grading
 of Y, starts the chain of the top of A e at its projective cover A e with
 kernel (rad A)e, places the vertex maps of each atom-pair basis map at the
-atoms' offsets, and reads injective dimension off Ext^(n+1)(S, x) for the
-simple modules S; the tests compare the routes.  The ungraded chain here
+atoms' offsets, reads injective dimension off Ext^(n+1)(S, x) for the
+simple modules S, and builds the basic algebra of End(M) from one atom per
+class; the tests compare the routes.  The ungraded chain here
 builds its own tables from the structure constants and shares no cover,
 Hom complex or split-test code with ``relrep.endo``.
 """
@@ -34,7 +38,7 @@ from relrep.endo import (
     _Chain,
     _Cover,
     _matvec,
-    _reduce_to_basic,
+    _member_vertices,
     _Span,
     _terms,
     _vertices,
@@ -108,12 +112,75 @@ def left_mult_matrix(g: StructureConstantAlgebra, x) -> Matrix:
     return Matrix(g.dim, g.dim, rows)
 
 
+def from_sparse(
+    dim: int,
+    mult,
+    unit,
+    idempotents=None,
+    piece_classes=None,
+    name: str = "",
+    piece_members=None,
+) -> StructureConstantAlgebra:
+    """An algebra from product rows already in the sparse ``(m, c)`` layout
+    (not re-coerced): how an algebra is derived from another's product
+    table (a copy with nothing cached, an opposite, a basic reduction)."""
+    if len(mult) != dim or any(len(plane) != dim for plane in mult):
+        raise AlgebraError("multiplication tensor is not dim x dim x dim")
+    g = StructureConstantAlgebra.__new__(StructureConstantAlgebra)
+    g._setup(dim, tuple(tuple(plane) for plane in mult), unit, idempotents, piece_classes, name, piece_members)
+    return g
+
+
+def reduce_to_basic(g: StructureConstantAlgebra):
+    """``(basic, transport)`` cut out of g's product table, or ``(g, None)``
+    when g has one idempotent per class: eps·A·eps for eps the sum of the
+    first idempotent of each class, spanned by the members of the kept
+    pieces at kept vertices, and the transport x -> eps·x.  The basic
+    algebra detects its own piece members and computes its own radical;
+    ``relrep.endo`` builds it from one atom per class instead."""
+    keep = []
+    seen = set()
+    for kind, cls in enumerate(g.piece_classes):
+        if cls not in seen:
+            seen.add(cls)
+            keep.append(kind)
+    if len(keep) == len(g.piece_classes):
+        return g, None
+    vertex = _member_vertices(g)
+    position = {kind: t for t, kind in enumerate(keep)}
+    indices = sorted(m for kind in keep for m in g.piece_members[kind] if vertex[m] in keep)
+    index_pos = {m: t for t, m in enumerate(indices)}
+    mult = [[tuple((index_pos[m], c) for m, c in g.mult[i][j]) for j in indices] for i in indices]
+    unit = [0] * len(indices)
+    idems = []
+    for kind in keep:
+        vec = [g.idempotents[kind][m] for m in indices]
+        idems.append(vec)
+        for t, c in enumerate(vec):
+            unit[t] += c
+    basic = from_sparse(
+        len(indices),
+        mult,
+        unit,
+        idempotents=idems,
+        piece_classes=list(range(len(keep))),
+        name=(g.name + " basic") if g.name else "basic",
+    )
+
+    def transport(x: SCModule) -> SCModule:
+        coords = [c for c, i in enumerate(x.grading) if i in position]
+        action = [x.action[i].take_rows(coords).take_columns(coords) for i in indices]
+        return SCModule(basic, len(coords), action, [position[x.grading[c]] for c in coords])
+
+    return basic, transport
+
+
 def opposite(g: StructureConstantAlgebra) -> StructureConstantAlgebra:
     """The opposite algebra, e_i ·op e_j = e_j · e_i, a new algebra built
     from g's product table on each call: it detects its own piece members
     (the left ideals of A^op are the right ideals of A) and its own radical."""
     mult = tuple(tuple(g.mult[j][i] for j in range(g.dim)) for i in range(g.dim))
-    return StructureConstantAlgebra.from_sparse(
+    return from_sparse(
         g.dim,
         mult,
         g.unit,
@@ -549,7 +616,7 @@ def top_chain(g: StructureConstantAlgebra, kind: int) -> "FullRadicalChain | Non
 def gldim_le(g: StructureConstantAlgebra, n: int) -> bool:
     if n < 0:
         raise AlgebraError("global dimension bound must be >= 0")
-    basic, _ = _reduce_to_basic(g)
+    basic, _ = reduce_to_basic(g)
     chains = [
         top_chain(basic, kind)
         for kind, cls in enumerate(basic.piece_classes)
@@ -574,8 +641,8 @@ def sc_injective_dim_le(g: StructureConstantAlgebra, x: SCModule, n: int) -> boo
 def sc_ext_dims(g: StructureConstantAlgebra, x: SCModule, y: SCModule, up_to: int) -> list[int]:
     if up_to < 1:
         return []
-    basic, transport = _reduce_to_basic(g)
-    if basic is not g:
+    basic, transport = reduce_to_basic(g)
+    if transport:
         x = transport(x)
         y = transport(y)
     if x.dim == 0 or y.dim == 0:

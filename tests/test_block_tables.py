@@ -88,7 +88,7 @@ def _off_nakayama_modules():
 
 def _copy(g: StructureConstantAlgebra) -> StructureConstantAlgebra:
     """g's structure on a new algebra with nothing cached: the generic route."""
-    return StructureConstantAlgebra.from_sparse(
+    return ref.from_sparse(
         g.dim, g.mult, g.unit, g.idempotents, g.piece_classes, name=g.name, piece_members=g.piece_members
     )
 

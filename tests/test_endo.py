@@ -193,7 +193,7 @@ class TestStructureConstantCore:
         # E12 * E22 = E12 is the only product landing on E12 from the right
         assert g.mult[2][1] == ((2, QQ(1)),)
         assert g.mult[1][2] == ()
-        h = StructureConstantAlgebra.from_sparse(
+        h = ref.from_sparse(
             g.dim, g.mult, g.unit, idempotents=g.idempotents, name="ut2 again"
         )
         assert h.piece_members == g.piece_members

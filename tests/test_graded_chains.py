@@ -11,7 +11,8 @@ the only idempotent) and gets the reference's answers, that a module moved
 off a basis that mixes vertices onto graded bases gets the answers of the
 module it came from, and that every module the library builds, and every
 module ``sc_reference`` builds for these tests, passes
-``sc_reference.check_module``, its grading included.
+``sc_reference.check_module``, its grading included; a grading of the wrong
+length or at a vertex the algebra does not have is refused.
 """
 
 from functools import partial
@@ -36,12 +37,12 @@ from relrep.endo import (
     verify_theorem,
 )
 from relrep.exact_linalg import Matrix
-from relrep.path_algebra import AlgebraPresentation, InternalError, cyclic_quiver
+from relrep.path_algebra import AlgebraError, AlgebraPresentation, InternalError, cyclic_quiver
 from relrep.rep import cogenerator_module, direct_sum, parse_module_expression, regular_module
 
 from conftest import M1_EXPR, M2_EXPR
 
-from test_endo import _upper_triangular_2x2
+from test_endo import MUTATED_EXPR, _upper_triangular_2x2
 from test_sc_resolutions import (
     BOUNDS,
     C1_EXPR,
@@ -70,7 +71,7 @@ def theorem_sides(m1, m2, cyc3_5):
 
 def _copy(g: StructureConstantAlgebra) -> StructureConstantAlgebra:
     """A new algebra object with g's structure: nothing is cached on it."""
-    return StructureConstantAlgebra.from_sparse(
+    return ref.from_sparse(
         g.dim, g.mult, g.unit, g.idempotents, g.piece_classes, name=g.name, piece_members=g.piece_members
     )
 
@@ -312,7 +313,7 @@ class TestLeftHomogeneity:
         # with g's idempotents in the mixing basis, not the one-piece unit
         for g, mixed in mixed_pairs:
             _, coords = _mixing_basis(g)
-            supplied = StructureConstantAlgebra.from_sparse(
+            supplied = ref.from_sparse(
                 mixed.dim,
                 mixed.mult,
                 mixed.unit,
@@ -397,6 +398,20 @@ class TestGradedModules:
                 transported += 1
             assert all(ref.check_module(x) for x in built)
         assert transported == 2
+
+    def test_a_grading_off_the_algebra_is_an_input_error(self, cyc3_5):
+        # the End(m2) side of the reversed mutated pair: a vertex past the
+        # idempotents would hide every coordinate and read Ext as zero, and a
+        # short grading would leave the first cover short
+        mutated = parse_module_expression(cyc3_5, MUTATED_EXPR)
+        side = hom_sc_bimodule_sides(parse_module_expression(cyc3_5, M1_EXPR), mutated)[1]
+        g = side.algebra
+        assert sc_ext_dims(g, side, side, 4) == [0, 2, 0, 0]
+        count = len(g.idempotents)
+        for grading in ([i + count for i in side.grading], side.grading[:-1], [*side.grading, 0], [-1] * side.dim):
+            with pytest.raises(AlgebraError, match="grading"):
+                SCModule(g, side.dim, side.action, grading)
+        assert SCModule(g, side.dim, side.action, list(side.grading)).grading == side.grading
 
     def test_sides_get_the_dense_reference_answers(self, theorem_sides, repeated_sides):
         for side in [*theorem_sides, *repeated_sides]:

@@ -190,7 +190,7 @@ name = cyc2-trunc4
 def test_verify_theorem_builds_no_product_table_chain_tables_or_derived_algebra(tmp_path, monkeypatch):
     cyc2 = tmp_path / "cyc2-trunc4.alg"
     cyc2.write_text(CYC2_TEXT)
-    counts = {"product tables": 0, "generic chain tables": 0, "derived algebras": 0}
+    counts = {"product tables": 0, "generic chain tables": 0}
 
     def counting(name, real):
         def wrapped(*args, **kwargs):
@@ -201,14 +201,8 @@ def test_verify_theorem_builds_no_product_table_chain_tables_or_derived_algebra(
 
     monkeypatch.setattr(_AtomBlocks, "mult", counting("product tables", _AtomBlocks.mult))
     monkeypatch.setattr(_ChainTables, "__init__", counting("generic chain tables", _ChainTables.__init__))
-    # every algebra derived from another (an opposite, a basic reduction) is
-    # built from sparse rows
-    real_from_sparse = StructureConstantAlgebra.from_sparse.__func__
-    monkeypatch.setattr(
-        StructureConstantAlgebra,
-        "from_sparse",
-        classmethod(counting("derived algebras", real_from_sparse)),
-    )
+    # every algebra is built through _setup, one derived from another (an
+    # opposite, a basic reduction) included
     built = []
     real_setup = StructureConstantAlgebra._setup
     monkeypatch.setattr(StructureConstantAlgebra, "_setup", lambda g, *args: built.append(g) or real_setup(g, *args))
@@ -221,11 +215,13 @@ def test_verify_theorem_builds_no_product_table_chain_tables_or_derived_algebra(
     for spec, e1, e2, code in cases:
         with contextlib.redirect_stdout(io.StringIO()):
             assert main(["verify-theorem", spec, e1, e2, "--l", "2"]) == code
-    # each call loads its algebra afresh, so it builds End(m1) and End(m2)
+    # each call loads its algebra afresh, so it builds End(m1) and End(m2),
+    # and no derived algebra
     assert len(built) == 2 * len(cases)
     assert all(_on_blocks(g) for g in built)
-    assert counts == {"product tables": 0, "generic chain tables": 0, "derived algebras": 0}
+    assert counts == {"product tables": 0, "generic chain tables": 0}
     assert not hasattr(StructureConstantAlgebra, "opposite")
+    assert not hasattr(StructureConstantAlgebra, "from_sparse")
 
 
 class TestSplitTestOffNakayama:

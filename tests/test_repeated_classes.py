@@ -156,3 +156,75 @@ def test_condition_d_with_repeated_atoms(cyc3_5, e1, e2):
     assert any(endo._reduce_to_basic(end_ring(m))[1] is not None for m in (m1, m2))
     side = {"ext_dims": [0, 0, 0, 0], "injective_dimension_ok": True}
     assert endo._condition_d(m1, m2, 2) == (True, {"over-End(m1)": side, "over-End(m2)-op": side})
+
+
+def test_the_basic_algebra_is_the_corner_of_the_product_table(algebras):
+    # end_ring builds the basic algebra from one atom per class; the
+    # reference cuts eps·A·eps out of End(M)'s product table
+    on_blocks = 0
+    for name, extra, _, _ in ENDS:
+        g = end_ring(_module(algebras[name], extra))
+        basic, transport = endo._reduce_to_basic(g)
+        corner, cut = ref.reduce_to_basic(g)
+        assert basic is not g and corner is not g
+        assert (basic.mult, basic.unit, basic.idempotents, basic.piece_members) == (
+            corner.mult,
+            corner.unit,
+            corner.idempotents,
+            corner.piece_members,
+        )
+        on_blocks += endo._on_blocks(basic)
+        for x in (ref.regular_sc_module(g), ref.semisimple_quotient_module(g)):
+            ours, theirs = transport(x), cut(x)
+            assert (ours.action, ours.grading) == (theirs.action, theirs.grading)
+            assert ref.check_module(ours)
+    assert on_blocks == len(ENDS)
+
+
+def test_the_corpus_builds_no_product_table_chain_tables_or_trace_form(monkeypatch):
+    counts = {"product tables": 0, "generic chain tables": 0, "trace forms": 0, "split tests": 0}
+
+    def counting(name, real):
+        def wrapped(*args, **kwargs):
+            counts[name] += 1
+            return real(*args, **kwargs)
+
+        return wrapped
+
+    monkeypatch.setattr(endo._AtomBlocks, "mult", counting("product tables", endo._AtomBlocks.mult))
+    monkeypatch.setattr(endo._ChainTables, "__init__", counting("generic chain tables", endo._ChainTables.__init__))
+    monkeypatch.setattr(endo, "trace_form_radical", counting("trace forms", endo.trace_form_radical))
+    built = []
+    real_setup = endo.StructureConstantAlgebra._setup
+    monkeypatch.setattr(endo.StructureConstantAlgebra, "_setup", lambda g, *args: built.append(g) or real_setup(g, *args))
+    # fresh algebras: every End(M) and every atom pair's hom space is built here
+    fresh = {name: _algebra(name) for name in ALGEBRAS}
+    modules = []
+
+    def bounds(check, g, x, count):
+        # within gldim_le and sc_pd_le only the split test reads a Hom complex
+        real = endo._Chain.hom_complex_dims_and_ranks
+        monkeypatch.setattr(endo._Chain, "hom_complex_dims_and_ranks", counting("split tests", real))
+        answers = [check(g, n) if x is None else check(g, x, n) for n in range(count)]
+        monkeypatch.setattr(endo._Chain, "hom_complex_dims_and_ranks", real)
+        return answers
+
+    for name, extra, _, gldim in ENDS:
+        modules.append(_module(fresh[name], extra))
+        assert bounds(gldim_le, end_ring(modules[-1]), None, 7) == _up_from(gldim, 7)
+    for name, extra1, extra2, over_m1, over_m2 in SIDES:
+        modules += [_module(fresh[name], extra2), _module(fresh[name], extra1)]
+        for side, (pd, injective, exts) in zip(hom_sc_bimodule_sides(*modules[-2:]), (over_m1, over_m2)):
+            g = side.algebra
+            assert bounds(sc_pd_le, g, side, 5) == _up_from(pd, 5)
+            assert [sc_injective_dim_le(g, side, n) for n in range(5)] == _up_from(injective, 5)
+            assert sc_ext_dims(g, side, side, 4) == exts
+    cyclic3 = _algebra("cyc3-trunc5")
+    for e1, e2 in CONDITION_D:
+        modules += [parse_module_expression(cyclic3, e) for e in (e1, e2)]
+        assert endo._condition_d(*modules[-2:], 2)[0]
+    assert counts == {"product tables": 0, "generic chain tables": 0, "trace forms": 0, "split tests": 0}
+    # each End(M), and the basic algebra of each End(M) that repeats a class
+    reduced = [endo._reduce_to_basic(end_ring(m))[1] is not None for m in modules]
+    assert len(built) == len(modules) + sum(reduced)
+    assert sum(reduced) == len(modules) - 2

@@ -112,7 +112,7 @@ def theorem_algebras(pairs):
 
 
 def _without_idempotents(g: StructureConstantAlgebra) -> StructureConstantAlgebra:
-    return StructureConstantAlgebra.from_sparse(g.dim, g.mult, g.unit, name=g.name + " bare")
+    return ref.from_sparse(g.dim, g.mult, g.unit, name=g.name + " bare")
 
 
 @pytest.fixture(scope="module")
@@ -366,8 +366,8 @@ class TestEndBasis:
 
 
 class TestPieceMembers:
-    """End(M) knows the members of each piece A·e_s, the run of blocks
-    (s, t) over all t; every other algebra detects them."""
+    """End(M) and its basic reduction know the members of each piece A·e_s,
+    the run of blocks (s, t) over all t; every other algebra detects them."""
 
     @pytest.fixture
     def detections(self, monkeypatch):
@@ -387,7 +387,7 @@ class TestPieceMembers:
             assert g.piece_members == g._detect_members()
             assert sorted(m for ms in g.piece_members for m in ms) == list(range(g.dim))
 
-    def test_opposites_and_basic_reductions_detect_theirs(self, cyc3_5, detections):
+    def test_opposites_detect_theirs_and_basic_reductions_know_theirs(self, cyc3_5, detections):
         m = parse_module_expression(cyc3_5, M1_EXPR)
         g = end_algebra(m)[0]
         assert detections == []
@@ -399,8 +399,9 @@ class TestPieceMembers:
         assert any(list(ms) != list(range(ms[0], ms[-1] + 1)) for ms in op.piece_members)
         both = direct_sum(cyc3_5, [regular_module(cyc3_5), cogenerator_module(cyc3_5)])
         basic, _ = _reduce_to_basic(end_algebra(both)[0])
-        assert detections == [op.name, basic.name]
+        assert detections == [op.name]
         assert len(basic.piece_members) == len(basic.idempotents) == 3
+        assert basic.piece_members == basic._detect_members()
 
 
 class TestBlockRadical:
