@@ -74,9 +74,8 @@ class StructureConstantAlgebra(Cached):
     ``piece_members`` (given, or detected); the engine builds projective
     covers from them.  Given none, or a basis that mixes vertices, the
     algebra is one piece: the unit is its only idempotent.
-    ``piece_classes`` groups idempotents whose left ideals are isomorphic,
-    so that an algebra resolved as given (not a basic reduction of an
-    End(M)) resolves one simple module per class.
+    ``piece_classes`` groups idempotents whose left ideals are isomorphic:
+    an algebra resolved as given resolves one simple module per class.
     """
 
     __slots__ = (
@@ -346,9 +345,9 @@ class SCModule:
 
     ``grading`` gives each coordinate its vertex: each structural
     idempotent e_i acts as the projection onto the coordinates at vertex i
-    (over a one-piece algebra every coordinate is at vertex 0).  A module
-    in a basis that mixes vertices has no grading (None); only the
-    reference routes of the tests read such a module.
+    (over a one-piece algebra every coordinate is at vertex 0).  ``None``
+    marks a module in a basis that mixes vertices, for the tests' reference
+    routes.
     """
 
     __slots__ = ("algebra", "dim", "action", "grading")
@@ -784,13 +783,10 @@ class _Chain:
 
 
 def _reduce_to_basic(g: StructureConstantAlgebra):
-    """``(basic, transport)``: the basic algebra of an End(M) whose atoms
-    repeat a class (a Morita reduction, built by ``end_ring`` and memoized
-    on g), with ``transport`` mapping an SCModule over g to the
-    corresponding module over basic.  Every other algebra, one with no
-    module origin included, gives ``(g, None)`` and is resolved as given.
-    """
-    # end_ring stored the reduction it built; no other algebra gets one
+    """``(basic, transport)`` for an End(M) that repeats an atom class (a
+    Morita reduction that ``end_ring`` built and memoized on g),
+    ``transport`` mapping an SCModule over g to one over basic; ``(g,
+    None)`` for every other algebra, which is resolved as given."""
     return cached(g, "basic", lambda: None) or (g, None)
 
 
@@ -827,8 +823,8 @@ def sc_pd_le(g: StructureConstantAlgebra, x: SCModule, n: int) -> bool:
     cover (kernel inside the radical) means no; otherwise the covering
     extension of the n-th syzygy is tested for splitting by its Ext^1
     (sound by Schanuel: syzygies from non-minimal covers differ only by
-    projective summands).  Like every bound here it is read over the basic
-    reduction (``_reduce_to_basic``).
+    projective summands).  Read over the basic algebra, like every bound
+    here.
     """
     if x.dim == 0:
         return True
@@ -842,9 +838,7 @@ def _simple_chains(g: StructureConstantAlgebra) -> tuple:
     """``(transport, chains)``: the transport of ``_reduce_to_basic`` (None
     when g is resolved as given) and the resolution chains, over the basic
     algebra, of the tops of one piece per idempotent class: the simple
-    modules (A/rad A for a one-piece algebra).  The piece classes matter only
-    on an algebra resolved as given; a basic reduction's are all distinct.
-    Zero tops have no chain."""
+    modules (A/rad A for a one-piece algebra).  Zero tops have no chain."""
     basic, transport = _reduce_to_basic(g)
     classes = basic.piece_classes
     chains = [_top_chain(basic, kind) for kind, cls in enumerate(classes) if cls not in classes[:kind]]
@@ -985,18 +979,11 @@ def _identity_coords(a: Module) -> list:
 
 @memoized("end_algebra")
 def end_ring(m: Module) -> StructureConstantAlgebra:
-    """End(m) as structure constants without its morphism basis, built by
-    ``_block_algebra`` from the hom spaces and composition columns of m's
-    atom pairs.
-
-    The atoms are grouped into isomorphism classes (certified
-    ``is_isomorphic``).  When a class repeats, the basic algebra End(one
-    atom per class) is built here too, by the same constructor from the
-    same cached hom spaces and columns, and memoized on the algebra with
-    its transport (``_reduce_to_basic``).  Its atoms are pairwise
-    non-isomorphic, so it is on the block route whenever they are split
-    local.
-    """
+    """End(m) as structure constants without its morphism basis
+    (``_block_algebra`` of m's nonzero atoms).  The atoms are grouped into
+    isomorphism classes (certified ``is_isomorphic``); when a class repeats,
+    the basic algebra End(one atom per class) is built too and memoized on
+    End(m) for ``_reduce_to_basic``."""
     atoms = _nonzero_atoms(m)
     if not atoms:
         return StructureConstantAlgebra([], [], name="End(0)")
@@ -1017,13 +1004,12 @@ def end_ring(m: Module) -> StructureConstantAlgebra:
 
 
 def _block_algebra(atoms: list, classes: list, name: str) -> StructureConstantAlgebra:
-    """End(A_0 + ... + A_k) for nonzero atoms, its basis blocked by (source
-    atom, target atom).  Atom A_s gives the idempotent e_s, and A·e_s is the
-    run of blocks (s, t) over all t.  The algebra keeps its ``_AtomBlocks``
-    and builds ``mult`` only when read: by the trace form and the generic
-    chain tables off the block route, or by a test.  When the atoms are
-    split local (``rep._split_local``) and pairwise non-isomorphic
-    (``classes`` all distinct), the radical, its generators and the chain
+    """End(A_0 + ... + A_k) from the hom spaces and composition columns of
+    the atom pairs, its basis blocked by (source atom, target atom): atom
+    A_s gives the idempotent e_s, and A·e_s is the run of blocks (s, t).
+    The algebra keeps its ``_AtomBlocks`` and builds ``mult`` only when
+    read.  When the atoms are split local (``rep._split_local``) and
+    ``classes`` all distinct, the radical, its generators and the chain
     tables are read off the blocks."""
     count = len(atoms)
     spaces = [[hom_space(a, b) for b in atoms] for a in atoms]
@@ -1057,14 +1043,10 @@ def _block_algebra(atoms: list, classes: list, name: str) -> StructureConstantAl
 
 
 def _block_basic(g: StructureConstantAlgebra, atoms: list, keep: list) -> tuple:
-    """``(basic, transport)`` of ``_reduce_to_basic`` for an End(M) g whose
-    ``atoms`` repeat a class, ``keep`` listing the first atom of each class.
-
-    basic = End(kept atoms) is eps·g·eps for eps the sum of the kept
-    idempotents: its block (s, t) is g's block (keep[s], keep[t]), in the
-    same order, so eps·x, for a module x over g, is x's coordinates at the
-    kept vertices acted on by the kept basis indices.  The transport holds
-    those indices, not g."""
+    """``(basic, transport)`` for g = End(atoms), ``keep`` the first atom of
+    each class: basic = End(kept atoms) = eps·g·eps, eps the sum of the
+    kept idempotents, its block (s, t) g's block (keep[s], keep[t]).  The
+    transport x -> eps·x holds those basis indices, not g."""
     basic = _block_algebra([atoms[s] for s in keep], list(range(len(keep))), g.name + " basic")
     dims, offsets = g._blocks.dims, g._blocks.offsets
     indices = [k for s in keep for t in keep for k in range(offsets[s][t], offsets[s][t] + dims[s][t])]

@@ -8,9 +8,8 @@ summand injections and projections, the injective dimension as the
 projective dimension of the dual over the opposite algebra, and the basic
 algebra of an End(M) that repeats an atom class cut out of its product
 table (``reduce_to_basic``; algebras derived from another's product table
-are built by ``from_sparse``).  The reference
-routes read no grading, so they also take a module in a basis that mixes
-vertices (grading None).
+are built by ``from_sparse``).  The reference routes read no grading, so
+they also take a module in a basis that mixes vertices (grading None).
 
 It also builds the modules no library path needs, each graded: the regular
 module (each basis vector at its vertex), its quotients (each free column
@@ -25,9 +24,9 @@ of Y, starts the chain of the top of A e at its projective cover A e with
 kernel (rad A)e, places the vertex maps of each atom-pair basis map at the
 atoms' offsets, reads injective dimension off Ext^(n+1)(S, x) for the
 simple modules S, and builds the basic algebra of End(M) from one atom per
-class; the tests compare the routes.  The ungraded chain here
-builds its own tables from the structure constants and shares no cover,
-Hom complex or split-test code with ``relrep.endo``.
+class; the tests compare the routes.  The ungraded chain here builds its
+own tables from the structure constants and shares no cover, Hom complex
+or split-test code with ``relrep.endo``.
 """
 
 from functools import partial
