@@ -347,7 +347,7 @@ class SCModule:
     idempotent e_i acts as the projection onto the coordinates at vertex i
     (over a one-piece algebra every coordinate is at vertex 0).  ``None``
     marks a module in a basis that mixes vertices, for the tests' reference
-    routes.
+    routes; the library's bounds refuse it with ``AlgebraError``.
     """
 
     __slots__ = ("algebra", "dim", "action", "grading")
@@ -609,6 +609,7 @@ class _Chain:
     """
 
     def __init__(self, g: StructureConstantAlgebra, base: SCModule) -> None:
+        _require_grading(base)
         self._read_algebra(g)
         self.base_action = base.action
         self.base_at = [[c for c, i in enumerate(base.grading) if i == v] for v in range(len(self.members))]
@@ -782,6 +783,14 @@ class _Chain:
         return hom_dims, ranks
 
 
+def _require_grading(*modules: SCModule) -> None:
+    """Refuse a module with no grading: the library resolves one vertex at
+    a time, and only the tests' reference routes read a basis that mixes
+    vertices."""
+    if any(x.grading is None for x in modules):
+        raise AlgebraError("endo: module has no grading; give each coordinate its vertex")
+
+
 def _reduce_to_basic(g: StructureConstantAlgebra):
     """``(basic, transport)`` for an End(M) that repeats an atom class (a
     Morita reduction that ``end_ring`` built and memoized on g),
@@ -826,6 +835,7 @@ def sc_pd_le(g: StructureConstantAlgebra, x: SCModule, n: int) -> bool:
     projective summands).  Read over the basic algebra, like every bound
     here.
     """
+    _require_grading(x)
     if x.dim == 0:
         return True
     if n < 0:
@@ -863,6 +873,7 @@ def _top_chain(g: StructureConstantAlgebra, kind: int) -> "_Chain | None":
 
 def sc_ext_dims(g: StructureConstantAlgebra, x: SCModule, y: SCModule, up_to: int) -> list[int]:
     """Dimensions of Ext^i(x, y) for i = 1..up_to over the algebra."""
+    _require_grading(x, y)
     if up_to < 1:
         return []
     basic, transport = _reduce_to_basic(g)
@@ -883,6 +894,7 @@ def sc_ext_dims(g: StructureConstantAlgebra, x: SCModule, y: SCModule, up_to: in
 def sc_injective_dim_le(g: StructureConstantAlgebra, x: SCModule, n: int) -> bool:
     """Injective dimension bound: id x <= n exactly when Ext^(n+1)(S, x) = 0
     for every simple S, read off the chains of the simples (``gldim_le``'s)."""
+    _require_grading(x)
     if x.dim == 0:
         return True
     if n < 0:

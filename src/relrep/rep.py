@@ -99,13 +99,15 @@ class Module(Cached):
     The matrix for an arrow a: i -> j has shape dims[j] x dims[i] and acts on
     column vectors.  Instances are immutable by convention; identity is object
     identity (no structural __eq__), so results about a module are cached on
-    it (see ``relrep.cache``).
+    it (see ``relrep.cache``).  A direct sum is a view over its ``summands``
+    and ``_offsets``: its arrow maps are assembled on first read, and until
+    then its path actions are assembled from the summands' (``direct_sum``).
     """
 
     __slots__ = (
         "algebra",
         "dims",
-        "arrow_maps",
+        "_arrow_maps",
         "summands",
         "_offsets",
         "_proj_paths",
@@ -117,7 +119,7 @@ class Module(Cached):
         self,
         algebra: AlgebraPresentation,
         dims: Sequence[int],
-        arrow_maps: Sequence[Matrix],
+        arrow_maps: Sequence[Matrix] | None,
         validate: bool = True,
     ) -> None:
         self.algebra = algebra
@@ -126,17 +128,19 @@ class Module(Cached):
             raise AlgebraError("dimension vector length mismatch")
         if any(d < 0 for d in self.dims):
             raise AlgebraError("negative dimension")
-        arrow_maps = tuple(arrow_maps)
-        if len(arrow_maps) != len(algebra.quiver.arrows):
-            raise AlgebraError("need one matrix per arrow")
-        for idx, a in enumerate(algebra.quiver.arrows):
-            m = arrow_maps[idx]
-            if m.rows != self.dims[a.target] or m.cols != self.dims[a.source]:
-                raise AlgebraError(
-                    f"arrow {a.name}: expected shape "
-                    f"{self.dims[a.target]}x{self.dims[a.source]}, got {m.rows}x{m.cols}"
-                )
-        self.arrow_maps = arrow_maps
+        if arrow_maps is not None:
+            # None: a sum whose maps ``direct_sum`` leaves to be assembled
+            arrow_maps = tuple(arrow_maps)
+            if len(arrow_maps) != len(algebra.quiver.arrows):
+                raise AlgebraError("need one matrix per arrow")
+            for idx, a in enumerate(algebra.quiver.arrows):
+                m = arrow_maps[idx]
+                if m.rows != self.dims[a.target] or m.cols != self.dims[a.source]:
+                    raise AlgebraError(
+                        f"arrow {a.name}: expected shape "
+                        f"{self.dims[a.target]}x{self.dims[a.source]}, got {m.rows}x{m.cols}"
+                    )
+        self._arrow_maps = arrow_maps
         self.summands: tuple[Module, ...] | None = None
         self._offsets = None
         self._proj_paths = None
@@ -162,12 +166,25 @@ class Module(Cached):
                     f"arrow maps violate nilpotency: length-{bound} path acts nonzero"
                 )
 
+    @property
+    def arrow_maps(self) -> tuple[Matrix, ...]:
+        """One matrix per arrow; a sum's are assembled block-diagonally from
+        its summands' on first read, and kept."""
+        maps = self._arrow_maps
+        if maps is None:
+            arrows = range(len(self.algebra.quiver.arrows))
+            maps = self._arrow_maps = tuple(block_diag([s.arrow_maps[idx] for s in self.summands]) for idx in arrows)
+        return maps
+
     @memoized("action")
     def action(self, path: Path) -> Matrix:
-        """The matrix of a path acting on this module (first arrow first)."""
+        """The matrix of a path acting on this module (first arrow first); on
+        a sum whose maps are not built, the block diagonal of its summands'."""
         arrows = path.arrows
         if not arrows:
             return Matrix.identity(self.dims[path.source])
+        if self._arrow_maps is None:
+            return block_diag([s.action(path) for s in self.summands])
         m = self.arrow_maps[arrows[0]]
         for idx in arrows[1:]:
             m = self.arrow_maps[idx] @ m
@@ -316,8 +333,9 @@ class ShortExactSequence:
         for gv, fv in zip(g.maps, f.maps):
             if not (gv @ fv).is_zero():
                 raise AlgebraError("composite g o f is nonzero")
-            # f mono gives rank fv = cols fv; exactness needs rank fv = dim ker gv
-            if fv.cols != gv.cols - gv.rank():
+            # f mono gives rank fv = cols fv and g epi rank gv = rows gv, so
+            # exactness needs cols fv = dim ker gv = cols gv - rows gv
+            if fv.cols != gv.cols - gv.rows:
                 raise AlgebraError("sequence is not exact in the middle")
         self.f = f
         self.g = g
@@ -407,22 +425,18 @@ def cogenerator_module(algebra: AlgebraPresentation) -> Module:
 
 
 def direct_sum(algebra: AlgebraPresentation, parts: Sequence[Module]) -> Module:
+    """The sum of ``parts`` as a view: it records the summands and their
+    offsets, and builds no arrow map until one is read (``Module.arrow_maps``)."""
     parts = list(parts)
     for p in parts:
         if p.algebra is not algebra:
             raise AlgebraError("direct sum over mixed algebras")
-    v = algebra.quiver.vertex_count
-    dims = tuple(sum(p.dims[w] for p in parts) for w in range(v))
-    maps = []
-    for idx in range(len(algebra.quiver.arrows)):
-        maps.append(block_diag([p.arrow_maps[idx] for p in parts]))
-    mod = Module(algebra, dims, maps, validate=False)
-    mod.summands = tuple(parts)
-    offs = []
-    running = [0] * v
+    offs, running = [], (0,) * algebra.quiver.vertex_count
     for p in parts:
-        offs.append(tuple(running))
-        running = [running[w] + p.dims[w] for w in range(v)]
+        offs.append(running)
+        running = tuple(r + d for r, d in zip(running, p.dims))
+    mod = Module(algebra, running, None, validate=False)
+    mod.summands = tuple(parts)
     mod._offsets = offs
     return mod
 

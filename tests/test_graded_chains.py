@@ -473,6 +473,28 @@ class TestGradedModules:
             # the regular module is projective
             assert [sc_pd_le(g, regular, n) for n in BOUNDS] == [True] * len(BOUNDS)
 
+    def test_the_library_refuses_a_module_that_mixes_vertices(self, theorem_sides, repeated_sides):
+        # the reference routes read no grading; the library's bounds and
+        # chains need one, and name their layer, before any basic reduction
+        for side in [theorem_sides[0], repeated_sides[0]]:
+            g = side.algebra
+            mixed = _vertex_mixing(side)
+            calls = [
+                lambda: sc_pd_le(g, mixed, 1),
+                lambda: sc_ext_dims(g, mixed, side, 2),
+                lambda: sc_ext_dims(g, side, mixed, 2),
+                lambda: sc_injective_dim_le(g, mixed, 1),
+                lambda: _Chain(g, mixed),
+            ]
+            for call in calls:
+                with pytest.raises(AlgebraError, match="^endo: .*grading"):
+                    call()
+        # while the reference takes the mixed module of a basic End(M)
+        side = theorem_sides[0]
+        g, mixed = side.algebra, _vertex_mixing(side)
+        assert ref.sc_ext_dims(g, mixed, side, 2) == sc_ext_dims(g, side, side, 2)
+        assert [ref.sc_pd_le(g, mixed, n) for n in BOUNDS[:2]] == [sc_pd_le(g, side, n) for n in BOUNDS[:2]]
+
 
 def test_the_theorem_builds_every_module_graded(cyc3_5, monkeypatch):
     # the three benchmark pairs: every module condition (d) builds

@@ -186,6 +186,24 @@ def test_short_exact_sequence_validation(cyc3_5):
         ShortExactSequence(proj @ incl if False else incl, Morphism.zero(p1, s1))
 
 
+def test_short_exact_sequence_names_each_failed_condition(cyc3_5):
+    # 0 -> rad P -> P -> top P -> 0, and rad^2 P, which g kills but which is
+    # smaller than its kernel
+    p1 = proj_module(cyc3_5, 0)
+    s1, proj = radical_quotient(p1, 1)
+    _, incl = kernel(proj)
+    _, deep = kernel(radical_quotient(p1, 2)[1])
+    cases = [
+        (Morphism.zero(incl.source, p1), proj, "first map is not injective"),
+        (incl, Morphism.zero(p1, s1), "second map is not surjective"),
+        (Morphism.identity(p1), proj, "composite g o f is nonzero"),
+        (deep, proj, "sequence is not exact in the middle"),
+    ]
+    for f, g, message in cases:
+        with pytest.raises(AlgebraError, match=message):
+            ShortExactSequence(f, g)
+
+
 def test_loewy_length(cyc3_5):
     assert loewy_length(proj_module(cyc3_5, 0)) == 5
     assert loewy_length(simple_module(cyc3_5, 1)) == 1
