@@ -5,18 +5,18 @@ algebra: minimal projective covers and injective hulls, stepwise resolutions
 with cached syzygies, Ext dimensions off the hom complex (Yoneda on the
 projective route, which adds values cached per atom pair over direct sums;
 the injective route works on the whole modules), a concrete Ext^1
-presentation with pushout realization and pullback pairing, the transpose
-of a minimal presentation, and minimal add-approximations with the
-split-solve route kept alongside as an independent cross-check;
-add-membership is a Krull-Schmidt count when the atoms of the add-generator
-are split local.
+presentation with realization (the pushout, built off a middle core cached
+on the quotient) and pullback pairing, the transpose of a minimal
+presentation, and minimal add-approximations with the split-solve route
+kept alongside as an independent cross-check; add-membership is a
+Krull-Schmidt count when the atoms of the add-generator are split local.
 
 Ext is additive over direct sums, and the projective routes use it: the
 first edge of the resolution of a sum of atoms with one top generator each,
-and the Ext^1 presentation of a sum, are assembled from the atoms' cached
-pieces, bit for bit what the whole modules give.  ``rep.projective_cover``,
-``injective_hull`` and every injective route work on the whole modules and
-cross-check that additivity.
+the Ext^1 presentation of a sum and the middle core of its extensions are
+assembled from the atoms' cached pieces, bit for bit what the whole modules
+give.  ``rep.projective_cover``, ``injective_hull`` and every injective
+route work on the whole modules and cross-check that additivity.
 """
 
 from __future__ import annotations
@@ -55,11 +55,8 @@ from .rep import (
     presentation,
     proj_module,
     projective_cover,
-    quotient_by_subspaces,
     regular_module,
     simple_module,
-    summand_injection,
-    summand_projection,
 )
 
 # -- covers and hulls ---------------------------------------------------------
@@ -232,6 +229,20 @@ def _cover_order(x: Module) -> list[tuple[Module, tuple[int, ...], Resolution]] 
     return [(atom, off, res) for _, _, atom, off, res in keyed]
 
 
+def _placed(rows: int, blocks: Sequence[tuple[int, Matrix]]) -> Matrix:
+    """The matrix with ``rows`` rows whose columns are the ``(offset, block)``
+    blocks' columns side by side, each block's rows starting at its offset:
+    a map out of the sum of the blocks' sources into a sum of atoms, every
+    row of which lies in one block."""
+    width = sum(block.cols for _, block in blocks)
+    out, left = [None] * rows, 0
+    for off, block in blocks:
+        for r, row in enumerate(block._data):
+            out[off + r] = [0] * left + row + [0] * (width - left - block.cols)
+        left += block.cols
+    return Matrix._trusted(rows, width, out)
+
+
 def _projective_core(x: Module) -> _ResolutionCore:
     """A fresh core for the projective resolution of x.  When x is a sum of
     atoms with one top generator each, it starts with the first edge
@@ -248,16 +259,10 @@ def _projective_core(x: Module) -> _ResolutionCore:
         return core
     covers = [res.step_onto(0) for _, _, res in parts]
     edges = [res.syzygy_edge(1) for _, _, res in parts]
-    first = []
-    for w, d in enumerate(x.dims):
-        width = sum(cover.maps[w].cols for cover in covers)
-        rows, left = [None] * d, 0
-        for (_, off, _), cover in zip(parts, covers):
-            block = cover.maps[w]
-            for r, row in enumerate(block._data):
-                rows[off[w] + r] = [0] * left + row + [0] * (width - left - block.cols)
-            left += block.cols
-        first.append(Matrix._trusted(d, width, rows))
+    first = [
+        _placed(d, [(off[w], cover.maps[w]) for (_, off, _), cover in zip(parts, covers)])
+        for w, d in enumerate(x.dims)
+    ]
     p0 = direct_sum(x.algebra, [cover.source.summands[0] for cover in covers])
     k = direct_sum(x.algebra, [syz for syz, _ in edges])
     incl = tuple(block_diag([inc.maps[w] for _, inc in edges]) for w in range(len(x.dims)))
@@ -527,15 +532,92 @@ def _assembled_ext1_core(parts: list[tuple[Module, Resolution]], a: Module) -> _
     )
 
 
+class _MiddleCore:
+    """The part of every extension of c that depends on c alone, cached on c
+    (see ``_middle_core``): per vertex v the number of free coordinates F_v
+    and g's block G_v; per arrow the blocks C and T of the middle term."""
+
+    __slots__ = ("free_dims", "c_blocks", "t_blocks", "g_blocks")
+
+    def __init__(self, free_dims: tuple, c_blocks: tuple, t_blocks: tuple, g_blocks: tuple):
+        self.free_dims = free_dims
+        self.c_blocks = c_blocks
+        self.t_blocks = t_blocks
+        self.g_blocks = g_blocks
+
+
+def _whole_middle_core(cover: Morphism, incl: Morphism) -> _MiddleCore:
+    """The middle core read off the cover sequence 0 -> K -> P -> c -> 0.
+
+    The pushout of P <- K -psi-> a is (P + a) modulo the columns of
+    [incl_v; -psi_v].  incl_v is mono, so the RREF of their transpose has
+    all its pivots in the P block, at the pivots of incl_v's alone, with
+    row operations R_v^T = (incl_v[pivots])^-1.  So the quotient keeps the
+    coordinates F_v of P free of pivots and all of a, and for an arrow
+    alpha: v -> w its map is [[C, 0], [psi_w T, a_alpha]], with
+    C = pi_w P_alpha[:, F_v] (pi_w the projection along incl_w onto F_w)
+    and T = (incl_w[pivots_w])^-1 P_alpha[pivots_w, F_v]; g_v is
+    [G_v | 0] with G_v = cover_v[:, F_v]."""
+    p = cover.source
+    projs, frees, pivots, inverses = [], [], [], []
+    for m in incl.maps:
+        proj, free = complement_projection(m)
+        free_set = set(free)
+        piv = [j for j in range(m.rows) if j not in free_set]
+        try:
+            inverses.append(m.take_rows(piv).inverse())
+        except ValueError:
+            raise InternalError("homology", "the first syzygy does not embed in the cover") from None
+        projs.append(proj)
+        frees.append(free)
+        pivots.append(piv)
+    c_blocks, t_blocks = [], []
+    for idx, arrow in enumerate(p.algebra.quiver.arrows):
+        cols = p.arrow_maps[idx].take_columns(frees[arrow.source])
+        c_blocks.append(projs[arrow.target] @ cols)
+        t_blocks.append(inverses[arrow.target] @ cols.take_rows(pivots[arrow.target]))
+    return _MiddleCore(
+        tuple(len(free) for free in frees),
+        tuple(c_blocks),
+        tuple(t_blocks),
+        tuple(m.take_columns(free) for m, free in zip(cover.maps, frees)),
+    )
+
+
+@memoized("middle")
+def _middle_core(c: Module) -> _MiddleCore:
+    """The middle core of c.  For a sum whose atoms have one top generator
+    each, P, K and the inclusion are the atoms' block-diagonally in
+    ``_cover_order`` (see ``_projective_core``), and so are F, C and T: the
+    atoms' cores placed, G_v at the atoms' rows.  Any other module is read
+    off its own cover sequence."""
+    parts = _cover_order(c) if c.summands is not None else None
+    if parts is None:
+        res = projective_resolution(c)
+        return _whole_middle_core(res.step_onto(0), res.syzygy_edge(1)[1])
+    cores = [_middle_core(atom) for atom, _, _ in parts]
+    arrows = range(len(c.algebra.quiver.arrows))
+    return _MiddleCore(
+        tuple(sum(core.free_dims[v] for core in cores) for v in range(len(c.dims))),
+        tuple(block_diag([core.c_blocks[i] for core in cores]) for i in arrows),
+        tuple(block_diag([core.t_blocks[i] for core in cores]) for i in arrows),
+        tuple(
+            _placed(d, [(off[v], core.g_blocks[v]) for (_, off, _), core in zip(parts, cores)])
+            for v, d in enumerate(c.dims)
+        ),
+    )
+
+
 class Ext1Space:
     """Ext^1(c, a) presented on the minimal cover sequence 0 -> K -> P -> c -> 0.
 
     Classes are coordinates on Hom(K, a) reduced modulo the restrictions of
     Hom(P, a).  Hom(K, a) is read in entry coordinates (see
     ``_entry_coordinates``), which fix the meaning of class coordinates;
-    realize() turns a class into an honest short exact sequence by pushout,
-    and class_of() recovers the class of any such sequence by lifting the
-    cover through its epi.
+    realize() turns a class into an honest short exact sequence, the pushout
+    of the cover sequence along a cocycle, built from the middle core cached
+    on c (see ``_whole_middle_core``), and class_of() recovers the class of
+    any such sequence by lifting the cover through its epi.
 
     An Ext1Space is a view, built on each ``ext1_space`` lookup: it holds c,
     a and the cover sequence of c's cached resolution, and copies the fields
@@ -549,7 +631,7 @@ class Ext1Space:
     without a core, an Ext1Space reads the whole modules and caches nothing.
     """
 
-    __slots__ = ("c", "a", "cover", "k", "incl", "dim", "_cocycles", "_free", "_reducer", "_section_idx", "_sum_pa")
+    __slots__ = ("c", "a", "cover", "k", "incl", "dim", "_cocycles", "_free", "_reducer", "_section_idx")
 
     def __init__(self, c: Module, a: Module, core: _Ext1Core | None = None):
         if core is None:
@@ -564,10 +646,11 @@ class Ext1Space:
         self._reducer = core.reducer
         self._section_idx = core.section_idx
         self.dim = len(core.section_idx)
-        self._sum_pa: Module | None = None
 
     def reduce(self, psi: Morphism) -> tuple:
-        """Class coordinates of a cocycle K -> a."""
+        """Class coordinates of a cocycle K -> a; anything else is refused."""
+        if psi.source is not self.k or psi.target.dims != self.a.dims:
+            raise AlgebraError("a cocycle is a map from the first syzygy of c to a")
         flat = psi.flat()
         raw = Matrix.column([flat[e] for e in self._free])
         if self._cocycles @ raw != Matrix.column(flat):
@@ -585,21 +668,31 @@ class Ext1Space:
         return Morphism.from_flat(self.k, self.a, (self._cocycles @ Matrix.column(raw)).flatten())
 
     def realize(self, data) -> ShortExactSequence:
-        """The extension of c by a with the given class (coordinates or cocycle)."""
-        psi = data if isinstance(data, Morphism) else self.representative(data)
-        algebra = self.c.algebra
-        if self._sum_pa is None:
-            self._sum_pa = direct_sum(algebra, [self.cover.source, self.a])
-        sum_pa = self._sum_pa
-        phi = assemble_into_components(self.k, sum_pa, [self.incl, psi.scale(-1)])
-        middle, proj, sections = quotient_by_subspaces(sum_pa, phi.maps)
-        f = proj @ summand_injection(sum_pa, 1)
-        h = self.cover @ summand_projection(sum_pa, 0)
-        g = Morphism(
-            middle,
-            self.c,
-            tuple(hv @ sv for hv, sv in zip(h.maps, sections)),
-        )
+        """The extension of c by a with the given class (coordinates or
+        cocycle): the pushout along psi of the cover sequence of c, built
+        from c's cached middle core with one product psi_w T per arrow (see
+        ``_whole_middle_core``).  A cocycle is checked as ``reduce`` does."""
+        if isinstance(data, Morphism):
+            self.reduce(data)
+            psi = data
+        else:
+            psi = self.representative(data)
+        core, a = _middle_core(self.c), self.a
+        maps = []
+        for idx, arrow in enumerate(a.algebra.quiver.arrows):
+            lower = psi.maps[arrow.target] @ core.t_blocks[idx]
+            zeros = [0] * a.dims[arrow.source]
+            rows = [row + zeros for row in core.c_blocks[idx]._data]
+            rows += [left + right for left, right in zip(lower._data, a.arrow_maps[idx]._data)]
+            maps.append(Matrix._trusted(len(rows), core.free_dims[arrow.source] + len(zeros), rows))
+        middle = Module(a.algebra, [n + d for n, d in zip(core.free_dims, a.dims)], maps, validate=False)
+        f_maps, g_maps = [], []
+        for n, d, block in zip(core.free_dims, a.dims, core.g_blocks):
+            f_maps.append(Matrix._trusted(n + d, d, [[0] * d for _ in range(n)] + Matrix.identity(d)._data))
+            zeros = [0] * d
+            g_maps.append(Matrix._trusted(block.rows, n + d, [row + zeros for row in block._data]))
+        f = Morphism._make(a, middle, tuple(f_maps))
+        g = Morphism(middle, self.c, tuple(g_maps))
         return ShortExactSequence(f, g)
 
     def cocycle_of(self, ses: ShortExactSequence) -> Morphism:

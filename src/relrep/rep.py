@@ -455,17 +455,6 @@ def flatten_atoms(m: Module) -> list[Module]:
     return out
 
 
-def summand_injection(sum_module: Module, s: int) -> Morphism:
-    maps = tuple(m.transpose() for m in summand_projection(sum_module, s).maps)
-    return Morphism._make(sum_module.summands[s], sum_module, maps)
-
-
-def summand_projection(sum_module: Module, s: int) -> Morphism:
-    part, offs = sum_module.summands[s], sum_module._offsets[s]
-    maps = tuple(Matrix.identity(d).take_rows(range(o, o + p)) for d, o, p in zip(sum_module.dims, offs, part.dims))
-    return Morphism._make(sum_module, part, maps)
-
-
 def assemble_from_components(sum_source: Module, target: Module, comps: Sequence[Morphism]) -> Morphism:
     """Morphism out of a direct sum with the given restrictions to summands."""
     plist = sum_source.summands

@@ -1,13 +1,27 @@
-"""The reference hom route: Hom(X, Y) as the kernel of the commutation
-system f_j X_a = Y_a f_i on the entries of the vertex maps, solved whole.
+"""Reference routes the tests compare the library against.
 
-This is a different algorithm from ``relrep.rep.hom_space``, which reads
-Hom(X, Y) off a presentation of X; the tests compare the two.
+The reference hom route: Hom(X, Y) as the kernel of the commutation system
+f_j X_a = Y_a f_i on the entries of the vertex maps, solved whole.  This is
+a different algorithm from ``relrep.rep.hom_space``, which reads Hom(X, Y)
+off a presentation of X.
+
+The reference realization of an Ext^1 class: the pushout of the cover
+sequence along a cocycle, built as the quotient of P + a by the graph of
+(incl, -psi), with the summand injections and projections of the sum.
+``Ext1Space.realize`` builds the same matrices from c's cached middle core.
 """
 
 from relrep.exact_linalg import Matrix
 from relrep.path_algebra import AlgebraError
-from relrep.rep import Module, Morphism, hom_space
+from relrep.rep import (
+    Module,
+    Morphism,
+    ShortExactSequence,
+    assemble_into_components,
+    direct_sum,
+    hom_space,
+    quotient_by_subspaces,
+)
 
 
 class _RawHom:
@@ -62,3 +76,26 @@ def _compose_then_coords(outer, inner) -> Matrix:
         result = hom_space(inner.source, outer.target)
         cols = [result.coords(b @ inner) for b in outer.basis]
     return Matrix.from_columns(cols) if cols else Matrix.zeros(result.dim, 0)
+
+
+def summand_injection(sum_module: Module, s: int) -> Morphism:
+    maps = tuple(m.transpose() for m in summand_projection(sum_module, s).maps)
+    return Morphism._make(sum_module.summands[s], sum_module, maps)
+
+
+def summand_projection(sum_module: Module, s: int) -> Morphism:
+    part, offs = sum_module.summands[s], sum_module._offsets[s]
+    maps = tuple(Matrix.identity(d).take_rows(range(o, o + p)) for d, o, p in zip(sum_module.dims, offs, part.dims))
+    return Morphism._make(sum_module, part, maps)
+
+
+def pushout_realize(space, psi: Morphism) -> ShortExactSequence:
+    """The extension of ``space.c`` by ``space.a`` with cocycle psi, as the
+    quotient of P + a by the columns of [incl; -psi]."""
+    sum_pa = direct_sum(space.c.algebra, [space.cover.source, space.a])
+    phi = assemble_into_components(space.k, sum_pa, [space.incl, psi.scale(-1)])
+    middle, proj, sections = quotient_by_subspaces(sum_pa, phi.maps)
+    f = proj @ summand_injection(sum_pa, 1)
+    h = space.cover @ summand_projection(sum_pa, 0)
+    g = Morphism(middle, space.c, tuple(hv @ sv for hv, sv in zip(h.maps, sections)))
+    return ShortExactSequence(f, g)

@@ -51,10 +51,9 @@ from relrep.rep import (
     Morphism,
     flatten_atoms,
     hom_space,
-    summand_injection,
-    summand_projection,
     trace_form_radical,
 )
+from hom_reference import summand_injection, summand_projection
 
 
 def _combine(action, dim: int, terms) -> Matrix:

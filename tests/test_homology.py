@@ -61,10 +61,9 @@ from relrep.rep import (
     proj_module,
     regular_module,
     simple_module,
-    summand_injection,
-    summand_projection,
     zero_module,
 )
+from hom_reference import summand_injection, summand_projection
 
 
 # Test-only helpers: no library code needs them.

@@ -28,11 +28,9 @@ from relrep.rep import (
     regular_module,
     simple_module,
     socle_subspaces,
-    summand_injection,
-    summand_projection,
     zero_module,
 )
-from hom_reference import _hom_raw
+from hom_reference import _hom_raw, summand_injection, summand_projection
 
 
 # -- references ----------------------------------------------------------------
