@@ -90,7 +90,7 @@ def _classes(dim: int) -> list[tuple]:
 def test_realize_is_the_pushout_matrix_for_matrix(make):
     alg = make()
     modules = _corpus(alg)
-    realized = 0
+    realized = whole_sums = 0
     for c, a in itertools.product(modules, repeat=2):
         space = ext1_space(c, a)
         if space.dim == 0:
@@ -103,23 +103,12 @@ def test_realize_is_the_pushout_matrix_for_matrix(make):
             assert _sequence(space.realize(psi)) == _sequence(ses)
             assert space.class_of(ses) == tuple(exact_linalg.rational(v) for v in x)
             realized += 1
+            whole_sums += c.summands is not None and homology._cover_order(c) is None
     assert realized >= 20, (alg.name, realized)
-
-
-def test_the_kronecker_injective_takes_the_whole_module_route():
-    alg = _kronecker()
-    i2 = parse_module_expression(alg, "I(2)")
-    assert len(rep.top_generators(i2)) == 2
-    s1 = simple_module(alg, 0)
-    for c in (i2, direct_sum(alg, [s1, i2]), direct_sum(alg, [i2, zero_module(alg), i2])):
-        assert c.summands is None or homology._cover_order(c) is None
-        a = direct_sum(alg, [simple_module(alg, 1), s1])
-        space = ext1_space(c, a)
-        assert space.dim > 0
-        for x in _classes(space.dim):
-            ses = space.realize(x)
-            assert _sequence(ses) == _sequence(pushout_realize(space, space.representative(x)))
-            assert space.class_of(ses) == tuple(exact_linalg.rational(v) for v in x)
+    if alg.name == "kronecker":
+        # I(2) has two top generators, so the sums with it take the whole route
+        assert len(rep.top_generators(inj_module(alg, 1))) == 2
+        assert whole_sums
 
 
 def _fields(core) -> tuple:
