@@ -1,7 +1,8 @@
 """Endomorphism algebras as structure-constant algebras, and checkers built on them.
 
-The first half turns ``End(M)`` into exact linear-algebra data: structure
-constants, Jacobson radical, modules over the algebra, and bounded
+The first half turns ``End(M)`` into exact linear-algebra data: the atom
+blocks of End(M) over the local parts of M's atoms, its Jacobson radical
+read off them, modules over the algebra, and bounded
 projective/injective-dimension tests driven by projective covers.  The
 second half holds the headline checks: maximal orthogonality, the
 four-condition cotilting equivalence, the orthogonality implication with its
@@ -21,14 +22,13 @@ from itertools import product
 from typing import NamedTuple
 
 from .cache import Cached, cached, cached_pair, memoized
-from .exact_linalg import Matrix, _canon_row, exact_div, rational, subspace_contains
+from .exact_linalg import Matrix, _canon_row, exact_div, subspace_contains
 from .path_algebra import AlgebraError, InternalError
 from .rep import (
     Module,
     Morphism,
     ShortExactSequence,
     _end_radical_coords,
-    _split_local,
     cokernel,
     composite_coords,
     composition_table,
@@ -39,8 +39,8 @@ from .rep import (
     hom_space,
     inj_module,
     is_isomorphic,
+    local_parts,
     proj_module,
-    trace_form_radical,
 )
 from .homology import ext_dim, factor_through, in_add, is_left_minimal, is_right_minimal
 from .relhom import (
@@ -62,25 +62,20 @@ from .relhom import (
 
 
 class StructureConstantAlgebra(Cached):
-    """A finite-dimensional associative unital algebra given by its tensor.
+    """End(A_0 + ... + A_k) for local atoms A_s, held by its atom blocks
+    (``_AtomBlocks``) and built only by :func:`_block_algebra`.
 
-    ``mult[i][j]`` holds ``e_i * e_j`` as a tuple of ``(m, c)`` pairs, ``m``
-    ascending and ``c`` a nonzero exact scalar; a zero product is ``()``.
-    The constructor takes the dense tensor and coerces and sparsifies it
-    once; an End(M) of :func:`end_ring` assembles it from its atom blocks
-    when first read.  ``unit`` is the identity's coordinates.
-    ``idempotents`` are pairwise orthogonal idempotents summing to the unit,
-    each left ideal ``A·e`` spanned by a subset of the basis, its
-    ``piece_members`` (given, or detected); the engine builds projective
-    covers from them.  Given none, or a basis that mixes vertices, the
-    algebra is one piece: the unit is its only idempotent.
-    ``piece_classes`` groups idempotents whose left ideals are isomorphic:
-    an algebra resolved as given resolves one simple module per class.
+    Its basis is the union of the bases of the Hom(A_s, A_t), block (s, t)
+    at ``_blocks.offsets[s][t]``; ``unit`` is the identity's coordinates.
+    ``idempotents`` are the identities e_s of the atoms, pairwise orthogonal
+    and summing to the unit, and the left ideal ``A·e_s`` is spanned by the
+    run of blocks (s, t), its ``piece_members``; the engine builds projective
+    covers from them.  ``piece_classes`` groups the atoms by isomorphism
+    class: an End(M) that repeats a class is resolved over its basic algebra.
     """
 
     __slots__ = (
         "dim",
-        "_mult",
         "_blocks",
         "unit",
         "idempotents",
@@ -90,100 +85,19 @@ class StructureConstantAlgebra(Cached):
         "__weakref__",
     )
 
-    def __init__(
-        self,
-        mult,
-        unit,
-        idempotents=None,
-        piece_classes=None,
-        name: str = "",
-    ) -> None:
-        dim = len(mult)
-        sparse = []
-        for plane in mult:
-            if len(plane) != dim or any(len(row) != dim for row in plane):
-                raise AlgebraError("multiplication tensor is not dim x dim x dim")
-            sparse.append(tuple(_sparse_row(row) for row in plane))
-        self._setup(dim, tuple(sparse), unit, idempotents, piece_classes, name)
-
-    def _setup(self, dim, mult, unit, idempotents, piece_classes, name, piece_members=None, blocks=None) -> None:
-        self.dim = dim
-        self._mult = mult
-        self._blocks = blocks
-        self.unit = tuple(rational(c) for c in unit)
-        if len(self.unit) != self.dim:
-            raise AlgebraError("unit vector has wrong length")
-        self.name = name
+    def __init__(self, dim, unit, idempotents, piece_classes, piece_members, blocks, name: str = "") -> None:
         super().__init__()
-        self.idempotents = tuple(tuple(rational(c) for c in e) for e in idempotents or (self.unit,))
-        self.piece_classes = tuple(int(c) for c in piece_classes or range(len(self.idempotents)))
-        if len(self.piece_classes) != len(self.idempotents):
-            raise AlgebraError("piece classes must label the idempotents")
-        self.piece_members = piece_members or self._detect_members()
-
-    @property
-    def mult(self) -> tuple:
-        if self._mult is None:
-            self._mult = self._blocks.mult()
-        return self._mult
-
-    # -- idempotent pieces ---------------------------------------------------
-
-    def _detect_members(self) -> tuple:
-        """Basis indices spanning each A·e.  When some b_m·e or e·b_m is
-        neither b_m nor 0 the basis mixes vertices, and the algebra becomes
-        one piece, the unit its only idempotent."""
-        right = _vertices(self, left=False)
-        if right is None or _vertices(self, left=True) is None:
-            self.idempotents, self.piece_classes, right = (self.unit,), (0,), [0] * self.dim
-        return tuple(tuple(m for m in range(self.dim) if right[m] == s) for s in range(len(self.idempotents)))
+        self.dim = dim
+        self._blocks = blocks
+        self.unit = tuple(unit)
+        self.idempotents = tuple(tuple(e) for e in idempotents)
+        self.piece_classes = tuple(piece_classes)
+        self.piece_members = piece_members
+        self.name = name
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         label = self.name or "algebra"
         return f"StructureConstantAlgebra({label}, dim={self.dim})"
-
-
-def _vertices(g: StructureConstantAlgebra, left: bool) -> list | None:
-    """For each basis vector b_m the i with e_i·b_m = b_m (``left``) or
-    b_m·e_i = b_m, or None when some such product is neither b_m nor 0 (b_m
-    mixes vertices on that side)."""
-    # rows[k][m] holds the products b_k·b_m (left) or b_m·b_k
-    rows = g.mult if left else tuple(zip(*g.mult))
-    vertex = [None] * g.dim
-    for i, e in enumerate(g.idempotents):
-        e_terms = _terms(e)
-        for m in sorted({m for k, _ in e_terms for m, pairs in enumerate(rows[k]) if pairs}):
-            prod = {}
-            for k, c in e_terms:
-                for p, r in rows[k][m]:
-                    prod[p] = prod.get(p, 0) + c * r
-            prod = [(p, c) for p, c in prod.items() if c != 0]
-            if not prod:
-                continue
-            if prod != [(m, 1)] or vertex[m] is not None:
-                return None
-            vertex[m] = i
-    return None if None in vertex else vertex
-
-
-def _member_vertices(g: StructureConstantAlgebra) -> list:
-    """``_vertices(g, left=True)`` under g's piece members, which must not
-    mix vertices."""
-    vertex = _vertices(g, left=True)
-    if vertex is None:
-        raise InternalError("endo", "piece members mix vertices: some e_i·b is neither b nor 0")
-    return vertex
-
-
-def _sparse_row(row) -> tuple:
-    """The nonzero ``(m, c)`` pairs of a dense coordinate row, each ``c``
-    coerced to a canonical exact scalar: an ``int`` when integral, else QQ."""
-    out = []
-    for m, c in enumerate(row):
-        c = rational(c)
-        if c != 0:
-            out.append((m, c))
-    return tuple(out)
 
 
 def _terms(vec) -> list:
@@ -191,102 +105,21 @@ def _terms(vec) -> list:
     return [(t, c) for t, c in enumerate(vec) if c != 0]
 
 
-def _matvec(mat: Matrix, vec: list) -> list:
-    """``mat @ vec`` for a plain list, walking only the nonzeros of ``vec``."""
-    vec_terms = _terms(vec)
-    out = []
-    for row in mat._data:
-        acc = 0
-        for t, v in vec_terms:
-            a = row[t]
-            if a != 0:
-                acc += a * v
-        out.append(acc)
-    return out
-
-
-def radical(g: StructureConstantAlgebra) -> Matrix:
-    """Basis (columns) of the Jacobson radical, in the normal form of
-    ``kernel_basis``, which depends only on the subspace.
-
-    An End(M) on the block route (``_on_blocks``) reads it off its atom
-    blocks (``_block_radical``).  Every other algebra takes the kernel of
-    the trace form ``T(x, y) = tr L_{xy}``, verified nilpotent (else the
-    structure constants are inconsistent).  Both routes span rad², which
-    yields the radical generators (:func:`radical_generators`).
-    """
-    return _radical_data(g)[0]
-
-
-def radical_generators(g: StructureConstantAlgebra) -> tuple:
-    """Radical basis columns that lift a basis of rad/rad², as coordinate tuples.
-
-    They generate the radical as a right ideal (rad = L·A, rad being
-    nilpotent), so rad X = L·X for every module X, from far fewer products.
-    """
-    return _radical_data(g)[1]
-
-
-def _on_blocks(g: StructureConstantAlgebra) -> bool:
-    """Whether g is an End(M) of split local, pairwise non-isomorphic atoms."""
-    return g._blocks is not None and g._blocks.radicals is not None
-
-
-def _radical_from_trace_form(g: StructureConstantAlgebra) -> tuple[Matrix, tuple]:
-    """``(radical basis, radical generators)``, from one nilpotency check."""
-    rad = trace_form_radical(g.mult)
-    n, r = g.dim, rad.cols
-    cols = rad.columns()
-    # row i lists e_i·b for every radical basis vector b, side by side, read
-    # once off the sparse rows of g.mult
-    right = [[0] * (n * r) for _ in range(n)]
-    for b, vec in enumerate(cols):
-        for j, x in _terms(vec):
-            for i, plane in enumerate(g.mult):
-                for m, c in plane[j]:
-                    right[i][b * n + m] += x * c
-    right = Matrix._trusted(n, n * r, [_canon_row(row) for row in right])
-    # the rows of layer span rad^k; rad^(k+1) is spanned by their products
-    # with the radical basis, the rows of layer @ right cut into n-blocks
-    # (slices of canonical product rows, so they are wrapped unchecked)
-    layer = rad.transpose()
-    generators = None
-    for _ in range(n + 1):
-        products = [
-            row[b * n : (b + 1) * n] for row in (layer @ right)._data for b in range(r)
-        ]
-        products = [p for p in products if any(p)]
-        if products:
-            red, pivots = Matrix._trusted(len(products), n, products).rref()
-            layer = red.take_rows(range(len(pivots)))
-        if generators is None:
-            # first pass: the rows of layer span rad^2, and the radical
-            # columns that are pivots of [rad^2 | rad] lift a basis of rad/rad^2
-            square = layer._data if products else []
-            both = Matrix._trusted(len(square) + r, n, [*square, *cols]).transpose()
-            _, pivots = both.rref()
-            generators = tuple(tuple(cols[p - len(square)]) for p in pivots if p >= len(square))
-        if not products:
-            break
-    else:
-        raise AlgebraError("trace-form kernel is not nilpotent; structure constants inconsistent")
-    return rad, generators
-
-
 @memoized("block radical")
 def _block_radical(g: StructureConstantAlgebra) -> tuple[dict, list]:
-    """``(rad, generators)`` of g = End(A_0 + ... + A_k) on the block route:
-    ``rad[s, t]`` a basis of block (s, t) of the radical in block
-    coordinates, ``generators`` the ``(s, t, vector)`` lifting a basis of
-    rad/rad².
+    """``(rad, generators)`` of g = End(A_0 + ... + A_k): ``rad[s, t]`` a
+    basis of block (s, t) of the radical in block coordinates, ``generators``
+    the ``(s, t, vector)`` lifting a basis of rad/rad².
 
-    For split local, pairwise non-isomorphic atoms (certificates that stand
-    in for the trace form's nilpotency check) the radical is all of
-    Hom(A_s, A_t) for s != t and rad End(A_s) on the diagonal.  rad² is
-    blocked alike, rad²(s, t) = sum over u of rad(u, t)∘rad(s, u), so the
-    [rad² | rad] pivot rule of ``_radical_from_trace_form`` runs per block.
+    For local, pairwise non-isomorphic atoms (``rep.local_parts`` certifies
+    locality) the radical is all of Hom(A_s, A_t) for s != t and rad
+    End(A_s) on the diagonal.  rad² is blocked alike, rad²(s, t) = sum over u
+    of rad(u, t)∘rad(s, u), and the radical columns that are pivots of
+    [rad² | rad] lift a basis of rad/rad², block by block.
     """
     blocks = g._blocks
+    if blocks.radicals is None:
+        raise InternalError("endo", "an End(M) that repeats an atom class is resolved over its basic algebra")
     count = len(blocks.dims)
     rad = {}
     for s in range(count):
@@ -317,23 +150,22 @@ def _block_radical(g: StructureConstantAlgebra) -> tuple[dict, list]:
     return rad, generators
 
 
-@memoized("radical")
-def _radical_data(g: StructureConstantAlgebra) -> tuple[Matrix, tuple]:
-    """``(radical basis, radical generators)`` from the trace form, or on the
-    block route those of ``_block_radical`` laid out in offset order: the
-    blocks hold disjoint runs of coordinates, so that is the normal form."""
-    if not _on_blocks(g):
-        return _radical_from_trace_form(g)
-    rad, generators = _block_radical(g)
+def radical(g: StructureConstantAlgebra) -> Matrix:
+    """Basis (columns) of the Jacobson radical of g, an End(M) of pairwise
+    non-isomorphic parts (the basic algebra of any End(M) is one), read off
+    its atom blocks (``_block_radical``) and laid out in offset order: the
+    blocks hold disjoint runs of coordinates, so that is the normal form of
+    ``kernel_basis``.  The chains read the blocks themselves."""
+    if g._blocks.radicals is None:
+        raise AlgebraError("endo: an End(M) that repeats an atom class has no block radical; read its basic algebra's")
     offsets, n = g._blocks.offsets, g.dim
-
-    def placed(s, t, vec):
-        out = [0] * n
-        out[offsets[s][t] : offsets[s][t] + len(vec)] = vec
-        return out
-
-    cols = [placed(s, t, vec) for (s, t), block in rad.items() for vec in block]
-    return Matrix.from_columns(cols) if cols else Matrix.zeros(n, 0), tuple(tuple(placed(*gen)) for gen in generators)
+    cols = []
+    for (s, t), block in _block_radical(g)[0].items():
+        for vec in block:
+            col = [0] * n
+            col[offsets[s][t] : offsets[s][t] + len(vec)] = vec
+            cols.append(col)
+    return Matrix.from_columns(cols) if cols else Matrix.zeros(n, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -344,10 +176,9 @@ class SCModule:
     """A left module: one action matrix per algebra basis element.
 
     ``grading`` gives each coordinate its vertex: each structural
-    idempotent e_i acts as the projection onto the coordinates at vertex i
-    (over a one-piece algebra every coordinate is at vertex 0).  ``None``
-    marks a module in a basis that mixes vertices, for the tests' reference
-    routes; the library's bounds refuse it with ``AlgebraError``.
+    idempotent e_i acts as the projection onto the coordinates at vertex i.
+    The engine resolves one vertex at a time, so a module without a grading
+    is refused when it is built.
     """
 
     __slots__ = ("algebra", "dim", "action", "grading")
@@ -359,9 +190,7 @@ class SCModule:
         self.grading = grading
         if len(self.action) != algebra.dim:
             raise AlgebraError("need one action matrix per algebra basis element")
-        if grading is not None and (
-            len(grading) != self.dim or not set(grading) <= set(range(len(algebra.idempotents)))
-        ):
+        if grading is None or len(grading) != self.dim or not set(grading) <= set(range(len(algebra.idempotents))):
             raise AlgebraError("grading must give each coordinate a vertex of the algebra")
         for a in self.action:
             if a.rows != self.dim or a.cols != self.dim:
@@ -431,7 +260,7 @@ class _Cover:
     of summand r's idempotent, is a vector of K at vertex ``kinds[r]``, None
     on a simple top's cover (:meth:`_Chain._at_top`)."""
 
-    __slots__ = ("kinds", "offsets", "dim", "starts", "widths", "by_vertex", "gens", "kernels", "minimal")
+    __slots__ = ("kinds", "offsets", "dim", "starts", "widths", "by_vertex", "gens", "kernels")
 
     def __init__(self, tables: "_ChainTables", kinds: list, gens) -> None:
         self.kinds = kinds
@@ -448,7 +277,6 @@ class _Cover:
                 self.starts[i].append(self.widths[i])
                 self.widths[i] += len(positions)
         self.kernels: list[list[list]] | None = None
-        self.minimal: bool | None = None
 
     def dense(self, vertex: int, vec: list) -> list:
         """The e_vertex P vector ``vec`` in P's dense coordinates."""
@@ -458,18 +286,12 @@ class _Cover:
                 out[off + t] = vec[start + p]
         return out
 
-    @property
-    def kernel_cols(self) -> list[list]:
-        """The kernel basis, vertex by vertex, in P's dense coordinates."""
-        return [self.dense(i, v) for i, vecs in enumerate(self.kernels) for v in vecs]
-
 
 class _ChainTables:
     """What every chain over g reads (read only), once per g and holding no
-    reference to it.  The pieces are the A e_s (A itself when g is one
-    piece).  b_m lies at ``vertex[m]``, the i with e_i·b_m = b_m;
-    ``by_vertex[s][i]`` lists the positions in A e_s of its members at
-    vertex i, the coordinates of e_i A e_s.
+    reference to it.  The pieces are the A e_s.  b_m lies at ``vertex[m]``,
+    the i with e_i·b_m = b_m; ``by_vertex[s][i]`` lists the positions in A
+    e_s of its members at vertex i, the coordinates of e_i A e_s.
     ``acts[s][t]`` maps k to the nonzero b_k·(member t of A e_s) in
     e_vertex[k] A e_s coordinates; ``rad_spans[s][i]`` spans e_i (rad A)
     e_s, and ``tops[s]`` lists the members of A e_s outside it.
@@ -478,60 +300,12 @@ class _ChainTables:
 
     __slots__ = ("members", "vertex", "by_vertex", "acts", "rad_spans", "tops", "leaving", "__weakref__")
 
-    def __init__(self, g: StructureConstantAlgebra) -> None:
-        """The tables read off g's tensor and its radical: the reference for
-        ``_from_blocks``."""
-        members = g.piece_members
-        count = len(members)
-        vertex = _member_vertices(g)
-        # place[m]: the piece of b_m and its position there among the members at vertex[m]
-        place = [None] * g.dim
-        by_vertex = []
-        for s, ms in enumerate(members):
-            rows = [[] for _ in range(count)]
-            for t, m in enumerate(ms):
-                place[m] = (s, len(rows[vertex[m]]))
-                rows[vertex[m]].append(t)
-            by_vertex.append(rows)
-        # b_k·b_m can be nonzero only when b_k ∈ A e_vertex[m]
-        acts = []
-        for s, ms in enumerate(members):
-            piece = []
-            for m in ms:
-                row = {}
-                for k in members[vertex[m]]:
-                    pairs = g.mult[k][m]
-                    if pairs:
-                        if any(place[p][0] != s for p, _ in pairs):
-                            raise AlgebraError("left ideal is not spanned by basis vectors")
-                        row[k] = tuple((place[p][1], c) for p, c in pairs)
-                piece.append(row)
-            acts.append(piece)
-        # e_i (rad A) e_s: the radical basis cut down to the members of A e_s at i
-        rad_spans = [[_Span(len(at)) for at in rows] for rows in by_vertex]
-        for r in radical(g).columns():
-            parts = {}
-            for m, c in _terms(r):
-                (s, q), i = place[m], vertex[m]
-                if (s, i) not in parts:
-                    parts[s, i] = [0] * len(by_vertex[s][i])
-                parts[s, i][q] = c
-            for (s, i), vec in parts.items():
-                rad_spans[s][i].add(vec)
-        leaving_parts = []
-        for ell in radical_generators(g):
-            parts = {}
-            for m, c in _terms(ell):
-                parts.setdefault((place[m][0], vertex[m]), []).append((m, c))
-            leaving_parts.extend((i, j, terms) for (i, j), terms in parts.items())
-        self._fill(members, vertex, by_vertex, acts, rad_spans, leaving_parts)
-
     @classmethod
     def _from_blocks(cls, g: StructureConstantAlgebra) -> "_ChainTables":
-        """The same tables read off the atom blocks of g on the block route:
-        A e_s is the run of blocks (s, t), each at vertex t, and b_k·b_m for
-        b_m in block (s, u) and b_k in block (u, w) is a composition column
-        in block (s, w), already in the coordinates of e_w A e_s."""
+        """The tables read off the atom blocks of g: A e_s is the run of
+        blocks (s, t), each at vertex t, and b_k·b_m for b_m in block (s, u)
+        and b_k in block (u, w) is a composition column in block (s, w),
+        already in the coordinates of e_w A e_s."""
         blocks = g._blocks
         rad, generators = _block_radical(g)
         count = len(blocks.dims)
@@ -589,7 +363,7 @@ class _ChainTables:
 
 @memoized("chain tables")
 def _chain_tables(g: StructureConstantAlgebra) -> _ChainTables:
-    return _ChainTables._from_blocks(g) if _on_blocks(g) else _ChainTables(g)
+    return _ChainTables._from_blocks(g)
 
 
 class _Chain:
@@ -603,13 +377,14 @@ class _Chain:
     vertex, and takes the basis vectors of K outside it (x's unit vectors,
     or the kernel vectors) as generators.  The images of the members of
     their piece come in one pass; those of the members outside rad A join
-    the spans.  A cover checks, vertex by vertex, that it is onto and
-    whether its kernel lies in rad P (minimality).  A chain keeps g's
-    tables and x's action, not g: memoized chains do not point back at g.
+    the spans.  A cover checks, vertex by vertex, that it is onto and that
+    its kernel lies in rad P (minimality): with local, pairwise
+    non-isomorphic atoms every cover taken this way is a projective cover.
+    A chain keeps g's tables and x's action, not g: memoized chains do not
+    point back at g.
     """
 
     def __init__(self, g: StructureConstantAlgebra, base: SCModule) -> None:
-        _require_grading(base)
         self._read_algebra(g)
         self.base_action = base.action
         self.base_at = [[c for c, i in enumerate(base.grading) if i == v] for v in range(len(self.members))]
@@ -623,7 +398,6 @@ class _Chain:
         chain._read_algebra(g)
         cover = _Cover(chain.tables, [kind], None)
         cover.kernels = [span.rows for span in chain.tables.rad_spans[kind]]
-        cover.minimal = True
         chain.covers.append(cover)
         return chain
 
@@ -633,27 +407,7 @@ class _Chain:
         self.members = self.tables.members
         self.covers: list[_Cover] = []
 
-    # -- actions ---------------------------------------------------------------
-
-    def _apply(self, level: int, terms: list, vec: list) -> list:
-        """Action of an element (``(k, c)`` terms) on a dense P_level vector."""
-        tables = self.tables
-        cover = self.covers[level]
-        out = [0] * cover.dim
-        for kind, off in zip(cover.kinds, cover.offsets):
-            at = tables.by_vertex[kind]
-            for t, row in enumerate(tables.acts[kind]):
-                c = vec[off + t]
-                if c == 0:
-                    continue
-                for k, ck in terms:
-                    pairs = row.get(k)
-                    if pairs:
-                        cc = c * ck
-                        positions = at[tables.vertex[k]]
-                        for p, r in pairs:
-                            out[off + positions[p]] += cc * r
-        return out
+    # -- cover construction ---------------------------------------------------
 
     def _member_images(self, cover: _Cover, j: int, vec: list) -> dict:
         """m -> b_m·vec for the members b_m of A e_j, for an e_j P vector:
@@ -673,8 +427,6 @@ class _Chain:
                     for q, x in pairs:
                         img[target + q] += c * x
         return images
-
-    # -- cover construction ---------------------------------------------------
 
     def extend(self) -> None:
         tables = self.tables
@@ -728,12 +480,13 @@ class _Chain:
             rank += len(block) - len(kernel)
         if rank != len(candidates):
             raise InternalError("endo", "projective cover construction is not onto")
-        cover.minimal = all(
+        if not all(
             tables.rad_spans[kind][i].contains(v[start : start + len(tables.by_vertex[kind][i])])
             for i, vecs in enumerate(cover.kernels)
             for v in vecs
             for kind, start in zip(cover.kinds, cover.starts[i])
-        )
+        ):
+            raise InternalError("endo", "projective cover construction is not minimal: its kernel leaves rad P")
         self.covers.append(cover)
 
     def ensure(self, count: int) -> None:
@@ -783,14 +536,6 @@ class _Chain:
         return hom_dims, ranks
 
 
-def _require_grading(*modules: SCModule) -> None:
-    """Refuse a module with no grading: the library resolves one vertex at
-    a time, and only the tests' reference routes read a basis that mixes
-    vertices."""
-    if any(x.grading is None for x in modules):
-        raise AlgebraError("endo: module has no grading; give each coordinate its vertex")
-
-
 def _reduce_to_basic(g: StructureConstantAlgebra):
     """``(basic, transport)`` for an End(M) that repeats an atom class (a
     Morita reduction that ``end_ring`` built and memoized on g),
@@ -800,42 +545,18 @@ def _reduce_to_basic(g: StructureConstantAlgebra):
 
 
 def _pd_le_on_chain(chain: _Chain, n: int) -> bool:
-    for k in range(1, n + 2):
-        if chain.kernel_is_zero(k):
-            return True
-    if chain.covers[n].minimal:
-        # the last cover is a projective cover, so its nonzero kernel
-        # certifies that the n-th syzygy is not projective
-        return False
-    # split test on 0 -> K_{n+1} -> P_n -> K_n -> 0 via Ext^1(K_n, K_{n+1}) = 0;
-    # K_{n+1} is graded by its kernel vectors, each at one vertex
-    chain.ensure(n + 3)
-    cover = chain.covers[n]
-    kern = cover.kernel_cols
-    solver = Matrix.from_columns(kern).left_inverse()
-    action = [
-        Matrix.from_columns([_matvec(solver, chain._apply(n, [(k, 1)], v)) for v in kern])
-        for k in range(chain.algebra_dim)
-    ]
-    grading = [i for i, vecs in enumerate(cover.kernels) for _ in vecs]
-    dims, ranks = chain.hom_complex_dims_and_ranks(n + 2, action, grading)
-    # Ext^1(K_n, Y) from Hom(P_n, Y) -> Hom(P_{n+1}, Y) -> Hom(P_{n+2}, Y)
-    kernel_dim = dims[n + 1] - ranks[n + 1]
-    return kernel_dim - ranks[n] == 0
+    # every cover is a projective cover, so the n-th syzygy is projective
+    # exactly when the kernel after n+1 covers vanishes
+    return any(chain.kernel_is_zero(k) for k in range(1, n + 2))
 
 
 def sc_pd_le(g: StructureConstantAlgebra, x: SCModule, n: int) -> bool:
     """Projective dimension bound over a structure-constant algebra.
 
-    Covers are sums of pieces ``A e`` (free of rank one over a one-piece
-    algebra).  A zero kernel after ``n+1`` covers means yes; a minimal last
-    cover (kernel inside the radical) means no; otherwise the covering
-    extension of the n-th syzygy is tested for splitting by its Ext^1
-    (sound by Schanuel: syzygies from non-minimal covers differ only by
-    projective summands).  Read over the basic algebra, like every bound
-    here.
+    Covers are projective covers, sums of pieces ``A e``: pd x <= n
+    exactly when the kernel after ``n+1`` covers is zero.  Read over the
+    basic algebra, like every bound here.
     """
-    _require_grading(x)
     if x.dim == 0:
         return True
     if n < 0:
@@ -848,7 +569,7 @@ def _simple_chains(g: StructureConstantAlgebra) -> tuple:
     """``(transport, chains)``: the transport of ``_reduce_to_basic`` (None
     when g is resolved as given) and the resolution chains, over the basic
     algebra, of the tops of one piece per idempotent class: the simple
-    modules (A/rad A for a one-piece algebra).  Zero tops have no chain."""
+    modules.  Zero tops have no chain."""
     basic, transport = _reduce_to_basic(g)
     classes = basic.piece_classes
     chains = [_top_chain(basic, kind) for kind, cls in enumerate(classes) if cls not in classes[:kind]]
@@ -873,7 +594,6 @@ def _top_chain(g: StructureConstantAlgebra, kind: int) -> "_Chain | None":
 
 def sc_ext_dims(g: StructureConstantAlgebra, x: SCModule, y: SCModule, up_to: int) -> list[int]:
     """Dimensions of Ext^i(x, y) for i = 1..up_to over the algebra."""
-    _require_grading(x, y)
     if up_to < 1:
         return []
     basic, transport = _reduce_to_basic(g)
@@ -894,7 +614,6 @@ def sc_ext_dims(g: StructureConstantAlgebra, x: SCModule, y: SCModule, up_to: in
 def sc_injective_dim_le(g: StructureConstantAlgebra, x: SCModule, n: int) -> bool:
     """Injective dimension bound: id x <= n exactly when Ext^(n+1)(S, x) = 0
     for every simple S, read off the chains of the simples (``gldim_le``'s)."""
-    _require_grading(x)
     if x.dim == 0:
         return True
     if n < 0:
@@ -913,27 +632,39 @@ def sc_injective_dim_le(g: StructureConstantAlgebra, x: SCModule, n: int) -> boo
 # endomorphism algebras of representations
 
 
-def _nonzero_atoms(m: Module) -> list[Module]:
-    return [a for a in flatten_atoms(m) if a.total_dim > 0]
+def _end_atoms(m: Module) -> list[tuple]:
+    """``(part, into, onto, offsets)`` for the local parts
+    (``rep.local_parts``) of the nonzero atoms of m, in order: ``into`` and
+    ``onto`` are the vertex maps that place the part in its atom (None when
+    the atom is its own part), ``offsets`` the atom's offsets inside m.
+    End(m) is laid out, and Hom(m2, m1) graded, by these parts."""
+    out, running = [], [0] * len(m.dims)
+    for a in flatten_atoms(m):
+        if a.total_dim:
+            out.extend((part, into, onto, running) for part, into, onto in local_parts(a) or ((a, None, None),))
+            running = [r + d for r, d in zip(running, a.dims)]
+    return out
 
 
 def end_algebra(m: Module) -> tuple[StructureConstantAlgebra, list[Morphism]]:
     """The endomorphism algebra of ``m`` with its morphism basis.
 
     The algebra is :func:`end_ring`.  The basis is built on each call: the
-    basis map of phi: A_s -> A_t, for atoms of m, is phi's vertex maps
-    placed at the offsets of A_t (rows) and A_s (columns) inside m.
+    basis map of phi: A_s -> A_t, for local parts of m's atoms, is
+    into_t∘phi∘onto_s (``_end_atoms``), its vertex maps placed at the offsets
+    of the atoms of A_t (rows) and A_s (columns) inside m.
     """
-    placed, running = [], [0] * len(m.dims)
-    for a in _nonzero_atoms(m):
-        placed.append((a, running))
-        running = [r + d for r, d in zip(running, a.dims)]
+    placed = _end_atoms(m)
     basis = []
-    for a_s, off_s in placed:
-        for a_t, off_t in placed:
+    for a_s, _, onto, off_s in placed:
+        for a_t, into, _, off_t in placed:
             for phi in hom_space(a_s, a_t).basis:
                 maps = []
-                for d, block, row_off, col_off in zip(m.dims, phi.maps, off_t, off_s):
+                for v, (d, block, row_off, col_off) in enumerate(zip(m.dims, phi.maps, off_t, off_s)):
+                    if into is not None:
+                        block = into[v] @ block
+                    if onto is not None:
+                        block = block @ onto[v]
                     rows = [[0] * d for _ in range(d)]
                     for i, entries in enumerate(block._data):
                         rows[row_off + i][col_off : col_off + len(entries)] = entries
@@ -946,25 +677,13 @@ class _AtomBlocks(NamedTuple):
     """End(A_0 + ... + A_k) by atom blocks, holding no module: ``dims[s][t]``
     and ``offsets[s][t]`` place Hom(A_s, A_t), ``columns[sb, sa, ta]`` holds
     the composition columns of Hom(A_sa, A_ta) after Hom(A_sb, A_sa) for
-    nonzero blocks, and ``radicals[s]`` rad End(A_s) on the block route
-    (else None)."""
+    nonzero blocks, and ``radicals[s]`` rad End(A_s) when the atoms are
+    pairwise non-isomorphic (else None)."""
 
     dims: list
     offsets: list
     columns: dict
     radicals: list | None
-
-    def mult(self) -> tuple:
-        """The sparse tensor: e_a * e_b for a in block (sa, ta) and b in
-        block (sb, sa) is a composition column moved to block (sb, ta)."""
-        total = self.offsets[-1][-1] + self.dims[-1][-1]
-        mult = [[()] * total for _ in range(total)]
-        for (sb, sa, ta), table in self.columns.items():
-            off, outer, inner = self.offsets[sb][ta], self.offsets[sa][ta], self.offsets[sb][sa]
-            for j, column in enumerate(table):
-                for i, terms in enumerate(column):
-                    mult[outer + i][inner + j] = tuple((off + k, c) for k, c in terms)
-        return tuple(tuple(row) for row in mult)
 
 
 def _composition_columns(outer, inner) -> tuple:
@@ -992,13 +711,12 @@ def _identity_coords(a: Module) -> list:
 @memoized("end_algebra")
 def end_ring(m: Module) -> StructureConstantAlgebra:
     """End(m) as structure constants without its morphism basis
-    (``_block_algebra`` of m's nonzero atoms).  The atoms are grouped into
-    isomorphism classes (certified ``is_isomorphic``); when a class repeats,
-    the basic algebra End(one atom per class) is built too and memoized on
-    End(m) for ``_reduce_to_basic``."""
-    atoms = _nonzero_atoms(m)
-    if not atoms:
-        return StructureConstantAlgebra([], [], name="End(0)")
+    (``_block_algebra`` of the local parts of m's atoms, ``_end_atoms``).
+    The parts are grouped into isomorphism classes (certified
+    ``is_isomorphic``); when a class repeats, the basic algebra End(one part
+    per class) is built too and memoized on End(m) for
+    ``_reduce_to_basic``."""
+    atoms = [part for part, *_ in _end_atoms(m)]
     classes = [-1] * len(atoms)
     keep = []
     for s, a in enumerate(atoms):
@@ -1009,7 +727,7 @@ def end_ring(m: Module) -> StructureConstantAlgebra:
             if classes[t] < 0 and a.dims == atoms[t].dims and is_isomorphic(a, atoms[t]):
                 classes[t] = len(keep)
         keep.append(s)
-    g = _block_algebra(atoms, classes, f"End(dim {m.total_dim})")
+    g = _block_algebra(atoms, classes, f"End(dim {m.total_dim})" if atoms else "End(0)")
     if len(keep) < len(atoms):
         cached(g, "basic", _block_basic, g, atoms, keep)
     return g
@@ -1019,10 +737,8 @@ def _block_algebra(atoms: list, classes: list, name: str) -> StructureConstantAl
     """End(A_0 + ... + A_k) from the hom spaces and composition columns of
     the atom pairs, its basis blocked by (source atom, target atom): atom
     A_s gives the idempotent e_s, and A·e_s is the run of blocks (s, t).
-    The algebra keeps its ``_AtomBlocks`` and builds ``mult`` only when
-    read.  When the atoms are split local (``rep._split_local``) and
-    ``classes`` all distinct, the radical, its generators and the chain
-    tables are read off the blocks."""
+    The atoms are local; when ``classes`` are all distinct the radical, its
+    generators and the chain tables are read off the blocks."""
     count = len(atoms)
     spaces = [[hom_space(a, b) for b in atoms] for a in atoms]
     dims = [[space.dim for space in row] for row in spaces]
@@ -1046,12 +762,10 @@ def _block_algebra(atoms: list, classes: list, name: str) -> StructureConstantAl
             vec[k] = c
             unit[k] += c
         idempotents.append(vec)
-    local = len(set(classes)) == count and all(_split_local(a) for a in atoms)
-    blocks = _AtomBlocks(dims, offsets, columns, [_end_radical_coords(a).columns() for a in atoms] if local else None)
+    distinct = len(set(classes)) == count
+    blocks = _AtomBlocks(dims, offsets, columns, [_end_radical_coords(a).columns() for a in atoms] if distinct else None)
     members = tuple(tuple(range(row[0], end)) for row, end in zip(offsets, [row[0] for row in offsets[1:]] + [total]))
-    g = StructureConstantAlgebra.__new__(StructureConstantAlgebra)
-    g._setup(total, None, unit, idempotents, classes, name, members, blocks)
-    return g
+    return StructureConstantAlgebra(total, unit, idempotents, classes, members, blocks, name)
 
 
 def _block_basic(g: StructureConstantAlgebra, atoms: list, keep: list) -> tuple:
@@ -1078,8 +792,9 @@ def hom_sc_bimodule_sides(m2: Module, m1: Module) -> tuple[SCModule, SCModule]:
 
     The first action is post-composition; the second is the transpose of
     pre-composition, which makes Hom(m2, m1) a left End(m2)^op-module.
-    Hom(m2, m1) is laid out in atom blocks (j, s) = Hom(B_j, A_s), B_j of m2
-    outer, as in ``hom_space(m2, m1)``, and its dual in the dual basis.  The
+    Hom(m2, m1) is laid out in blocks (j, s) = Hom(B_j, A_s) for the local
+    parts B_j of m2's atoms (outer) and A_s of m1's (``_end_atoms``), and
+    its dual in the dual basis.  The
     End(m1) basis element phi: A_s -> A_t sends block (j, s) to (j, t) by
     psi -> phi∘psi, and the End(m2) basis element phi: B_j -> B_k sends
     block (k, s) to (j, s) by psi -> psi∘phi, read off atom-level
@@ -1087,8 +802,8 @@ def hom_sc_bimodule_sides(m2: Module, m1: Module) -> tuple[SCModule, SCModule]:
     """
     g1 = end_ring(m1)
     g2 = end_ring(m2)
-    targets = _nonzero_atoms(m1)
-    sources = _nonzero_atoms(m2)
+    targets = [part for part, *_ in _end_atoms(m1)]
+    sources = [part for part, *_ in _end_atoms(m2)]
     blocks = [[hom_space(b, a) for a in targets] for b in sources]
     offsets = []
     tdim = 0

@@ -39,6 +39,7 @@ from .rep import (
     _multiplicity,
     _precomposed_images,
     _split_local,
+    _stable_power,
     cokernel,
     composite_coords,
     composition_table,
@@ -849,14 +850,6 @@ def is_right_minimal(g: Morphism) -> bool:
 
 def is_left_minimal(f: Morphism) -> bool:
     return is_right_minimal(dualize_morphism(f))
-
-
-def _stable_power(v: Morphism) -> Morphism:
-    n = max(1, v.source.total_dim)
-    power = v
-    for _ in range(n - 1):
-        power = power @ v
-    return power
 
 
 def _trim_right(g: Morphism) -> Morphism:

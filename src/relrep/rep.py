@@ -20,6 +20,7 @@ whole basis off one product (after a fixed map) or off path operators
 
 from __future__ import annotations
 
+from math import isqrt, lcm
 from typing import Sequence
 
 from .cache import Cached, cached_pair, involution, memoized
@@ -28,6 +29,7 @@ from .exact_linalg import (
     _canon_row,
     block_diag,
     complement_projection,
+    exact_div,
     gather_columns,
     hstack,
     intersect_kernels,
@@ -1110,6 +1112,137 @@ def _end_top_projection(z: Module) -> Matrix:
     """The projection End(z) -> End(z)/rad, in the basis of ``hom_space(z, z)``;
     cached on z."""
     return complement_projection(_end_radical_coords(z))[0]
+
+
+def _stable_power(v: Morphism) -> Morphism:
+    """v^N for N the dimension of v's source: by Fitting's lemma the source
+    is Ker v^N + Im v^N."""
+    n = max(1, v.source.total_dim)
+    power = v
+    for _ in range(n - 1):
+        power = power @ v
+    return power
+
+
+@memoized("local parts")
+def local_parts(a: Module) -> tuple:
+    """The local summands of a nonzero module ``a`` as ``(part, into,
+    onto)``, ``into`` and ``onto`` the vertex maps of the part's inclusion
+    into ``a`` and of its projection along the other parts; ``()`` when
+    ``a`` is local itself (a cached value holds no reference to its owner).
+
+    Fitting's lemma splits ``a``: for a basis endomorphism phi and a
+    rational root lam of the minimal polynomial of phi's image in
+    End(a)/rad, psi = (phi - lam)^N with N = dim a gives a = Ker psi + Im
+    psi whenever psi is neither 0 nor invertible, and each side is split in
+    turn.  When nothing splits, ``a`` is certified local where that is
+    cheap: End(a)/rad is QQ, or it is QQ[phi] for one phi whose minimal
+    polynomial has degree at most 3 and no rational root, so is
+    irreducible.  Any other ``a`` is refused with ``AlgebraError``, which is
+    no verdict, and so is one whose minimal polynomials have coefficients
+    past ``_ROOT_SEARCH_BOUND``, where the search for roots would not end.
+    """
+    if _split_local(a):
+        return ()
+    space = hom_space(a, a)
+    top = _end_top_projection(a)
+    table = composition_table(space, space)
+    identity = Morphism.identity(a)
+    unit = Matrix.column(space.coords(identity))
+    certified = False
+    for j in range(space.dim):
+        # left multiplication by phi = b_j: b_j∘b_i is column j of table[i]
+        left = hstack([t.column_vector(j) for t in table])
+        poly = _minimal_polynomial(top, left, unit)
+        roots = _rational_roots(poly)
+        if roots is None:
+            raise AlgebraError(
+                f"endo: atom decomposition undecided for the atom of dimension vector {a.dims}: "
+                "minimal polynomial coefficients too large to search for roots"
+            )
+        for lam in roots:
+            power = _stable_power(space.basis_map(j) - identity.scale(lam))
+            if not (power.is_zero() or power.is_iso()):
+                return _fitting_parts(power)
+        certified = certified or (not roots and len(poly) - 1 == top.rows <= 3)
+    if certified:
+        return ()
+    raise AlgebraError(f"endo: atom decomposition undecided for the atom of dimension vector {a.dims}")
+
+
+def _minimal_polynomial(top: Matrix, left: Matrix, unit: Matrix) -> list:
+    """The coefficients, constant first and monic, of the minimal polynomial
+    of phi's image under ``top`` (End -> End/rad), for ``left`` the matrix
+    of left multiplication by phi and ``unit`` the identity's coordinates."""
+    power, images = unit, []
+    while True:
+        image = top @ power
+        if images:
+            solution = hstack(images).solve_right(image)
+            if solution is not None:
+                return [-c for c in solution.flatten()] + [1]
+        images.append(image)
+        power = left @ power
+
+
+# the rational root theorem tries the divisors of two coefficients, found by
+# trial division up to their square roots
+_ROOT_SEARCH_BOUND = 10**12
+
+
+def _rational_roots(poly: list) -> list | None:
+    """The distinct rational roots of sum poly[i] x^i (rational root
+    theorem), or None when a coefficient it divides exceeds
+    ``_ROOT_SEARCH_BOUND``."""
+    scale = 1
+    for c in poly:
+        scale = lcm(scale, int(rational(c).denominator))
+    ints = [int(rational(c) * scale) for c in poly]
+    roots = [0] if ints[0] == 0 else []
+    while ints[0] == 0:
+        ints = ints[1:]
+    if max(abs(ints[0]), abs(ints[-1])) > _ROOT_SEARCH_BOUND:
+        return None
+    for q in _divisors(ints[-1]):
+        for p in _divisors(ints[0]):
+            for r in {exact_div(p, q), exact_div(-p, q)} - set(roots):
+                if sum(c * r**i for i, c in enumerate(ints)) == 0:
+                    roots.append(r)
+    return roots
+
+
+def _divisors(n: int) -> set:
+    n = abs(n)
+    out = set()
+    for d in range(1, isqrt(n) + 1):
+        if n % d == 0:
+            out.update((d, n // d))
+    return out
+
+
+def _fitting_parts(power: Morphism) -> tuple:
+    """The local parts of a = Ker power + Im power for a Fitting map power
+    of a, neither 0 nor invertible, placed in a."""
+    parts = []
+    halves = (kernel(power), image(power))
+    # the inverse of [Ker | Im] at a vertex stacks the two projections
+    inverses = [hstack([k, i]).inverse() for k, i in zip(halves[0][1].maps, halves[1][1].maps)]
+    start = [0] * len(inverses)
+    for sub, incl in halves:
+        onto = [inv.take_rows(range(s, s + d)) for inv, s, d in zip(inverses, start, sub.dims)]
+        start = [s + d for s, d in zip(start, sub.dims)]
+        for part, part_into, part_onto in local_parts(sub) or ((sub, None, None),):
+            if part_into is None:
+                parts.append((part, incl.maps, tuple(onto)))
+            else:
+                parts.append(
+                    (
+                        part,
+                        tuple(i @ p for i, p in zip(incl.maps, part_into)),
+                        tuple(p @ o for p, o in zip(part_onto, onto)),
+                    )
+                )
+    return tuple(parts)
 
 
 # -- isomorphism testing -------------------------------------------------------

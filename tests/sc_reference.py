@@ -1,15 +1,35 @@
-"""The reference routes of the structure-constant engine: the radical
-computed from scratch on every algebra, ungraded covers that take the
-radical of their kernel from the whole radical basis, Hom complexes and the
-split test that eliminate for the piece spaces e·Y of any module Y, a first
-cover in the dense coordinates of its module, the chain of a simple top
-starting at the top module itself, the basis of End(M) composed out of
-summand injections and projections, the injective dimension as the
-projective dimension of the dual over the opposite algebra, and the basic
-algebra of an End(M) that repeats an atom class cut out of its product
-table (``reduce_to_basic``; algebras derived from another's product table
-are built by ``from_sparse``).  The reference routes read no grading, so
-they also take a module in a basis that mixes vertices (grading None).
+"""The reference routes of the structure-constant engine, and the
+hand-built algebras the tests use.
+
+``relrep.endo`` builds one kind of algebra: End(M) for the local parts of
+M's atoms, held by its atom blocks, with its radical and chain tables read
+off them.  Here is everything else, the generic route that reads an algebra
+through its product table:
+
+- ``DenseAlgebra``, an algebra built by hand from its dense tensor (or,
+  ``from_sparse``, from sparse product rows), which detects the members of
+  its pieces A·e (one piece when its basis mixes vertices);
+- ``tensor``, the product table of any algebra, an End(M)'s assembled from
+  its composition columns;
+- the radical from scratch off the trace form (``radical_data``), and
+  ``radical``/``radical_generators``, which read an End(M)'s off its blocks
+  (``endo.radical``, ``endo._block_radical``) and any other algebra's off
+  its trace form;
+- ``GenericChainTables``, the chain tables read off the product table and
+  that radical, the reference for the block-read ones;
+- ungraded covers that take the radical of their kernel from the whole
+  radical basis, with the split test for the covers that are not minimal,
+  Hom complexes that eliminate for the piece spaces e·Y of any module Y, a
+  first cover in the dense coordinates of its module, the chain of a simple
+  top starting at the top module itself, the basis of End(M) composed out of
+  summand injections and projections, the injective dimension as the
+  projective dimension of the dual over the opposite algebra, and the basic
+  algebra of an End(M) that repeats an atom class cut out of its product
+  table (``reduce_to_basic``).
+
+The reference routes read no grading, so they also take a module in a basis
+that mixes vertices (an ``UngradedModule``); ``relrep.endo`` refuses to build
+one.
 
 It also builds the modules no library path needs, each graded: the regular
 module (each basis vector at its vertex), its quotients (each free column
@@ -19,41 +39,336 @@ with its axioms.
 
 ``relrep.endo`` resolves one vertex at a time (homogeneous radical
 generators, kernel vectors and the unit vectors of a graded module as their
-own top candidates, one elimination per vertex), reads e·Y off the grading
-of Y, starts the chain of the top of A e at its projective cover A e with
-kernel (rad A)e, places the vertex maps of each atom-pair basis map at the
-atoms' offsets, reads injective dimension off Ext^(n+1)(S, x) for the
-simple modules S, and builds the basic algebra of End(M) from one atom per
-class; the tests compare the routes.  The ungraded chain here builds its
-own tables from the structure constants and shares no cover, Hom complex
-or split-test code with ``relrep.endo``.
+own top candidates, one elimination per vertex), takes only minimal covers,
+reads e·Y off the grading of Y, starts the chain of the top of A e at its
+projective cover A e with kernel (rad A)e, places the vertex maps of each
+basis map of two local parts at their atoms' offsets, reads injective
+dimension off Ext^(n+1)(S, x) for the simple modules S, and builds the basic
+algebra of End(M) from one part per class; the tests compare the routes.
+The ungraded chain here builds its own tables from the structure constants
+and shares no cover, Hom complex or split-test code with ``relrep.endo``.
 """
 
 from functools import partial
+from typing import NamedTuple
 
+from relrep.cache import cached
 from relrep.endo import (
     SCModule,
     StructureConstantAlgebra,
+    _block_radical,
+    radical as block_radical,
     _Chain,
+    _ChainTables,
     _Cover,
-    _matvec,
-    _member_vertices,
     _Span,
     _terms,
-    _vertices,
-    radical,
-    radical_generators,
 )
-from relrep.exact_linalg import Matrix, _canon_row, complement_projection, hstack
+from relrep.exact_linalg import Matrix, _canon_row, complement_projection, hstack, rational
 from relrep.path_algebra import AlgebraError, InternalError
 from relrep.rep import (
     Module,
     Morphism,
     flatten_atoms,
     hom_space,
+    local_parts,
     trace_form_radical,
 )
 from hom_reference import summand_injection, summand_projection
+
+
+# -- hand-built algebras and product tables ---------------------------------------
+
+
+class DenseAlgebra(StructureConstantAlgebra):
+    """An algebra built by hand from its tensor: ``mult[i][j]`` is e_i * e_j,
+    dense, coerced and sparsified once into ``(m, c)`` pairs, ``m``
+    ascending and ``c`` a nonzero exact scalar (a zero product is ``()``).
+    ``idempotents`` are pairwise orthogonal idempotents summing to the unit,
+    each left ideal A·e spanned by a subset of the basis, its piece members
+    (detected).  Given none, or a basis that mixes vertices, the algebra is
+    one piece: the unit is its only idempotent."""
+
+    __slots__ = ("mult",)
+
+    def __init__(self, mult, unit, idempotents=None, piece_classes=None, name: str = "") -> None:
+        dim = len(mult)
+        sparse = []
+        for plane in mult:
+            if len(plane) != dim or any(len(row) != dim for row in plane):
+                raise AlgebraError("multiplication tensor is not dim x dim x dim")
+            sparse.append(tuple(_sparse_row(row) for row in plane))
+        self._init(dim, tuple(sparse), unit, idempotents, piece_classes, name)
+
+    def _init(self, dim, mult, unit, idempotents, piece_classes, name, piece_members=None) -> None:
+        self.mult = mult
+        unit = tuple(rational(c) for c in unit)
+        if len(unit) != dim:
+            raise AlgebraError("unit vector has wrong length")
+        idempotents = tuple(tuple(rational(c) for c in e) for e in idempotents or (unit,))
+        piece_classes = tuple(int(c) for c in piece_classes or range(len(idempotents)))
+        if len(piece_classes) != len(idempotents):
+            raise AlgebraError("piece classes must label the idempotents")
+        super().__init__(dim, unit, idempotents, piece_classes, piece_members, None, name)
+        self.piece_members = piece_members or self._detect_members()
+
+    def _detect_members(self) -> tuple:
+        """Basis indices spanning each A·e.  When some b_m·e or e·b_m is
+        neither b_m nor 0 the basis mixes vertices, and the algebra becomes
+        one piece, the unit its only idempotent."""
+        right = _vertices(self, left=False)
+        if right is None or _vertices(self, left=True) is None:
+            self.idempotents, self.piece_classes, right = (self.unit,), (0,), [0] * self.dim
+        return tuple(tuple(m for m in range(self.dim) if right[m] == s) for s in range(len(self.idempotents)))
+
+
+def from_sparse(
+    dim: int,
+    mult,
+    unit,
+    idempotents=None,
+    piece_classes=None,
+    name: str = "",
+    piece_members=None,
+) -> DenseAlgebra:
+    """An algebra from product rows already in the sparse ``(m, c)`` layout
+    (not re-coerced): how an algebra is derived from another's product
+    table (a copy with nothing cached, an opposite, a basic reduction)."""
+    if len(mult) != dim or any(len(plane) != dim for plane in mult):
+        raise AlgebraError("multiplication tensor is not dim x dim x dim")
+    g = DenseAlgebra.__new__(DenseAlgebra)
+    g._init(dim, tuple(tuple(plane) for plane in mult), unit, idempotents, piece_classes, name, piece_members)
+    return g
+
+
+def dense_copy(g: StructureConstantAlgebra) -> DenseAlgebra:
+    """g's structure on a new hand-built algebra with nothing cached: the
+    generic route."""
+    return from_sparse(g.dim, tensor(g), g.unit, g.idempotents, g.piece_classes, name=g.name, piece_members=g.piece_members)
+
+
+def on_generic_tables(g: DenseAlgebra) -> DenseAlgebra:
+    """g with its chain tables set to ``GenericChainTables`` (memoized under
+    the name ``relrep.endo._chain_tables`` uses), so that the library's
+    chains run over the hand-built algebra g on the generic route."""
+    cached(g, "chain tables", GenericChainTables, g)
+    return g
+
+
+def generic(g: StructureConstantAlgebra) -> DenseAlgebra:
+    """``dense_copy(g)`` on the generic route (``on_generic_tables``)."""
+    return on_generic_tables(dense_copy(g))
+
+
+def _sparse_row(row) -> tuple:
+    """The nonzero ``(m, c)`` pairs of a dense coordinate row, each ``c``
+    coerced to a canonical exact scalar: an ``int`` when integral, else QQ."""
+    out = []
+    for m, c in enumerate(row):
+        c = rational(c)
+        if c != 0:
+            out.append((m, c))
+    return tuple(out)
+
+
+def tensor(g: StructureConstantAlgebra) -> tuple:
+    """The sparse product table of g: a hand-built algebra's own, an
+    End(M)'s assembled from its atom blocks on first read and cached on g
+    (e_a * e_b for a in block (sa, ta) and b in block (sb, sa) is a
+    composition column moved to block (sb, ta))."""
+    if isinstance(g, DenseAlgebra):
+        return g.mult
+    return cached(g, "product table", _block_tensor, g._blocks)
+
+
+def _block_tensor(blocks) -> tuple:
+    total = blocks.offsets[-1][-1] + blocks.dims[-1][-1] if blocks.dims else 0
+    mult = [[()] * total for _ in range(total)]
+    for (sb, sa, ta), table in blocks.columns.items():
+        off, outer, inner = blocks.offsets[sb][ta], blocks.offsets[sa][ta], blocks.offsets[sb][sa]
+        for j, column in enumerate(table):
+            for i, terms in enumerate(column):
+                mult[outer + i][inner + j] = tuple((off + k, c) for k, c in terms)
+    return tuple(tuple(row) for row in mult)
+
+
+def _vertices(g: StructureConstantAlgebra, left: bool) -> list | None:
+    """For each basis vector b_m the i with e_i·b_m = b_m (``left``) or
+    b_m·e_i = b_m, or None when some such product is neither b_m nor 0 (b_m
+    mixes vertices on that side)."""
+    # rows[k][m] holds the products b_k·b_m (left) or b_m·b_k
+    rows = tensor(g) if left else tuple(zip(*tensor(g)))
+    vertex = [None] * g.dim
+    for i, e in enumerate(g.idempotents):
+        e_terms = _terms(e)
+        for m in sorted({m for k, _ in e_terms for m, pairs in enumerate(rows[k]) if pairs}):
+            prod = {}
+            for k, c in e_terms:
+                for p, r in rows[k][m]:
+                    prod[p] = prod.get(p, 0) + c * r
+            prod = [(p, c) for p, c in prod.items() if c != 0]
+            if not prod:
+                continue
+            if prod != [(m, 1)] or vertex[m] is not None:
+                return None
+            vertex[m] = i
+    return None if None in vertex else vertex
+
+
+def _member_vertices(g: StructureConstantAlgebra) -> list:
+    """``_vertices(g, left=True)`` under g's piece members, which must not
+    mix vertices."""
+    vertex = _vertices(g, left=True)
+    if vertex is None:
+        raise InternalError("endo", "piece members mix vertices: some e_i·b is neither b nor 0")
+    return vertex
+
+
+def _matvec(mat: Matrix, vec: list) -> list:
+    """``mat @ vec`` for a plain list, walking only the nonzeros of ``vec``."""
+    vec_terms = _terms(vec)
+    out = []
+    for row in mat._data:
+        acc = 0
+        for t, v in vec_terms:
+            a = row[t]
+            if a != 0:
+                acc += a * v
+        out.append(acc)
+    return out
+
+
+class UngradedModule(NamedTuple):
+    """A module in a basis that mixes vertices, for the reference routes
+    (``relrep.endo.SCModule`` requires a grading)."""
+
+    algebra: StructureConstantAlgebra
+    dim: int
+    action: tuple
+    grading: None = None
+
+
+# -- the radical -------------------------------------------------------------------
+
+
+def on_blocks(g: StructureConstantAlgebra) -> bool:
+    """Whether g is an End(M) of local, pairwise non-isomorphic atoms, whose
+    radical ``relrep.endo`` reads off its atom blocks."""
+    return g._blocks is not None and g._blocks.radicals is not None
+
+
+def radical(g: StructureConstantAlgebra) -> Matrix:
+    """Basis (columns) of the Jacobson radical, in the normal form of
+    ``kernel_basis``, which depends only on the subspace: an End(M) on the
+    blocks reads it off them (``endo.radical``), every other algebra off its
+    trace form (``radical_data``).  Cached on g."""
+    return _radical(g)[0]
+
+
+def radical_generators(g: StructureConstantAlgebra) -> tuple:
+    """Radical basis columns that lift a basis of rad/rad², as coordinate
+    tuples.  They generate the radical as a right ideal (rad = L·A, rad being
+    nilpotent), so rad X = L·X for every module X."""
+    return _radical(g)[1]
+
+
+def _radical(g: StructureConstantAlgebra) -> tuple:
+    return cached(g, "radical", _placed_block_radical if on_blocks(g) else radical_data, g)
+
+
+def _placed_block_radical(g: StructureConstantAlgebra) -> tuple:
+    """``endo.radical`` and the generators of ``endo._block_radical``, each
+    placed at the offset of its block."""
+    offsets = g._blocks.offsets
+    generators = []
+    for s, t, vec in _block_radical(g)[1]:
+        out = [0] * g.dim
+        out[offsets[s][t] : offsets[s][t] + len(vec)] = vec
+        generators.append(tuple(out))
+    return block_radical(g), tuple(generators)
+
+
+class GenericChainTables(_ChainTables):
+    """The chain tables of ``relrep.endo`` read off g's product table and its
+    radical: the reference for those read off the atom blocks
+    (``_ChainTables._from_blocks``)."""
+
+    def __init__(self, g: StructureConstantAlgebra) -> None:
+        members = g.piece_members
+        count = len(members)
+        vertex = _member_vertices(g)
+        mult = tensor(g)
+        # place[m]: the piece of b_m and its position there among the members at vertex[m]
+        place = [None] * g.dim
+        by_vertex = []
+        for s, ms in enumerate(members):
+            rows = [[] for _ in range(count)]
+            for t, m in enumerate(ms):
+                place[m] = (s, len(rows[vertex[m]]))
+                rows[vertex[m]].append(t)
+            by_vertex.append(rows)
+        # b_k·b_m can be nonzero only when b_k ∈ A e_vertex[m]
+        acts = []
+        for s, ms in enumerate(members):
+            piece = []
+            for m in ms:
+                row = {}
+                for k in members[vertex[m]]:
+                    pairs = mult[k][m]
+                    if pairs:
+                        if any(place[p][0] != s for p, _ in pairs):
+                            raise AlgebraError("left ideal is not spanned by basis vectors")
+                        row[k] = tuple((place[p][1], c) for p, c in pairs)
+                piece.append(row)
+            acts.append(piece)
+        # e_i (rad A) e_s: the radical basis cut down to the members of A e_s at i
+        rad_spans = [[_Span(len(at)) for at in rows] for rows in by_vertex]
+        for r in radical(g).columns():
+            parts = {}
+            for m, c in _terms(r):
+                (s, q), i = place[m], vertex[m]
+                if (s, i) not in parts:
+                    parts[s, i] = [0] * len(by_vertex[s][i])
+                parts[s, i][q] = c
+            for (s, i), vec in parts.items():
+                rad_spans[s][i].add(vec)
+        leaving_parts = []
+        for ell in radical_generators(g):
+            parts = {}
+            for m, c in _terms(ell):
+                parts.setdefault((place[m][0], vertex[m]), []).append((m, c))
+            leaving_parts.extend((i, j, terms) for (i, j), terms in parts.items())
+        self._fill(members, vertex, by_vertex, acts, rad_spans, leaving_parts)
+
+
+def act_on_cover(chain: _Chain, level: int, terms: list, vec: list) -> list:
+    """The action of an algebra element (``(k, c)`` terms) on a dense vector
+    of the cover ``chain.covers[level]`` of a graded chain."""
+    tables = chain.tables
+    cover = chain.covers[level]
+    out = [0] * cover.dim
+    for kind, off in zip(cover.kinds, cover.offsets):
+        at = tables.by_vertex[kind]
+        for t, row in enumerate(tables.acts[kind]):
+            c = vec[off + t]
+            if c == 0:
+                continue
+            for k, ck in terms:
+                pairs = row.get(k)
+                if pairs:
+                    cc = c * ck
+                    positions = at[tables.vertex[k]]
+                    for p, r in pairs:
+                        out[off + positions[p]] += cc * r
+    return out
+
+
+def kernel_cols(cover) -> list[list]:
+    """The kernel basis of a cover in its dense coordinates: a graded
+    cover's vertex by vertex, an ungraded one's as solved."""
+    if isinstance(cover, _Cover):
+        return [cover.dense(i, v) for i, vecs in enumerate(cover.kernels) for v in vecs]
+    return cover.kernel_cols
 
 
 def _combine(action, dim: int, terms) -> Matrix:
@@ -93,9 +408,10 @@ def multiply(g: StructureConstantAlgebra, x, y) -> list:
     """The product ``x * y`` of two elements given by coordinates."""
     out = [0] * g.dim
     y_terms = _terms(y)
+    mult = tensor(g)
     for i, xi in _terms(x):
         for j, yj in y_terms:
-            for m, rm in g.mult[i][j]:
+            for m, rm in mult[i][j]:
                 out[m] += xi * yj * rm
     return out
 
@@ -104,29 +420,10 @@ def left_mult_matrix(g: StructureConstantAlgebra, x) -> Matrix:
     """The matrix of left multiplication by ``x``."""
     rows = [[0] * g.dim for _ in range(g.dim)]
     for i, xi in _terms(x):
-        for j, pairs in enumerate(g.mult[i]):
+        for j, pairs in enumerate(tensor(g)[i]):
             for m, rm in pairs:
                 rows[m][j] += xi * rm
     return Matrix(g.dim, g.dim, rows)
-
-
-def from_sparse(
-    dim: int,
-    mult,
-    unit,
-    idempotents=None,
-    piece_classes=None,
-    name: str = "",
-    piece_members=None,
-) -> StructureConstantAlgebra:
-    """An algebra from product rows already in the sparse ``(m, c)`` layout
-    (not re-coerced): how an algebra is derived from another's product
-    table (a copy with nothing cached, an opposite, a basic reduction)."""
-    if len(mult) != dim or any(len(plane) != dim for plane in mult):
-        raise AlgebraError("multiplication tensor is not dim x dim x dim")
-    g = StructureConstantAlgebra.__new__(StructureConstantAlgebra)
-    g._setup(dim, tuple(tuple(plane) for plane in mult), unit, idempotents, piece_classes, name, piece_members)
-    return g
 
 
 def reduce_to_basic(g: StructureConstantAlgebra):
@@ -148,7 +445,7 @@ def reduce_to_basic(g: StructureConstantAlgebra):
     position = {kind: t for t, kind in enumerate(keep)}
     indices = sorted(m for kind in keep for m in g.piece_members[kind] if vertex[m] in keep)
     index_pos = {m: t for t, m in enumerate(indices)}
-    mult = [[tuple((index_pos[m], c) for m, c in g.mult[i][j]) for j in indices] for i in indices]
+    mult = [[tuple((index_pos[m], c) for m, c in tensor(g)[i][j]) for j in indices] for i in indices]
     unit = [0] * len(indices)
     idems = []
     for kind in keep:
@@ -177,7 +474,7 @@ def opposite(g: StructureConstantAlgebra) -> StructureConstantAlgebra:
     """The opposite algebra, e_i ·op e_j = e_j · e_i, a new algebra built
     from g's product table on each call: it detects its own piece members
     (the left ideals of A^op are the right ideals of A) and its own radical."""
-    mult = tuple(tuple(g.mult[j][i] for j in range(g.dim)) for i in range(g.dim))
+    mult = tuple(tuple(tensor(g)[j][i] for j in range(g.dim)) for i in range(g.dim))
     return from_sparse(
         g.dim,
         mult,
@@ -188,9 +485,13 @@ def opposite(g: StructureConstantAlgebra) -> StructureConstantAlgebra:
     )
 
 
-def dual_sc_module(x: SCModule) -> SCModule:
-    """The vector-space dual of x as a left module over the opposite algebra."""
-    return SCModule(opposite(x.algebra), x.dim, [a.transpose() for a in x.action], x.grading)
+def dual_sc_module(x):
+    """The vector-space dual of x as a left module over the opposite algebra
+    (ungraded when x is)."""
+    action = [a.transpose() for a in x.action]
+    if x.grading is None:
+        return UngradedModule(opposite(x.algebra), x.dim, tuple(action))
+    return SCModule(opposite(x.algebra), x.dim, action, x.grading)
 
 
 def _accumulate(weighted_rows, dim: int) -> list:
@@ -205,12 +506,13 @@ def _accumulate(weighted_rows, dim: int) -> list:
 def check_associativity(g: StructureConstantAlgebra) -> bool:
     """Exhaustive check of (e_i e_j) e_k == e_i (e_j e_k); desk scale only."""
     n = g.dim
+    mult = tensor(g)
     for i in range(n):
         for j in range(n):
-            ij = g.mult[i][j]
+            ij = mult[i][j]
             for k in range(n):
-                left = _accumulate(((c, g.mult[m][k]) for m, c in ij), n)
-                right = _accumulate(((c, g.mult[i][m]) for m, c in g.mult[j][k]), n)
+                left = _accumulate(((c, mult[m][k]) for m, c in ij), n)
+                right = _accumulate(((c, mult[i][m]) for m, c in mult[j][k]), n)
                 if left != right:
                     return False
     return True
@@ -235,9 +537,10 @@ def check_module(x: SCModule) -> bool:
         projection = [[int(r == c and x.grading[c] == i) for c in range(x.dim)] for r in range(x.dim)]
         if element_matrix(x, e) != Matrix(x.dim, x.dim, projection):
             return False
+    mult = tensor(g)
     for i in range(g.dim):
         for j in range(g.dim):
-            if x.action[i] @ x.action[j] != _combine(x.action, x.dim, g.mult[i][j]):
+            if x.action[i] @ x.action[j] != _combine(x.action, x.dim, mult[i][j]):
                 return False
     return True
 
@@ -246,7 +549,7 @@ def regular_sc_module(g: StructureConstantAlgebra) -> SCModule:
     """The algebra as a left module over itself, b_m at the i with
     e_i·b_m = b_m."""
     action = []
-    for plane in g.mult:
+    for plane in tensor(g):
         rows = [[0] * g.dim for _ in range(g.dim)]
         for j, pairs in enumerate(plane):
             for m, c in pairs:
@@ -293,12 +596,13 @@ def spanned_by(length: int, vectors: list) -> _Span:
 def radical_data(g: StructureConstantAlgebra) -> tuple[Matrix, tuple]:
     """``(radical basis, radical generators)`` of g from its own trace form,
     every matrix built by the public constructor, nothing cached."""
-    rad = trace_form_radical(g.mult)
+    mult = tensor(g)
+    rad = trace_form_radical(mult)
     n, r = g.dim, rad.cols
     right = [[0] * (n * r) for _ in range(n)]
     for b, vec in enumerate(rad.columns()):
         for j, x in _terms(vec):
-            for i, plane in enumerate(g.mult):
+            for i, plane in enumerate(mult):
                 for m, c in plane[j]:
                     right[i][b * n + m] += x * c
     right = Matrix(n, n * r, right)
@@ -368,7 +672,7 @@ class FullRadicalChain(_Chain):
         for ms in self.members:
             index = {m: t for t, m in enumerate(ms)}
             self.acts.append(
-                [[tuple((index[m], c) for m, c in plane[member]) for plane in g.mult] for member in ms]
+                [[tuple((index[m], c) for m, c in plane[member]) for plane in tensor(g)] for member in ms]
             )
         self.base_dim = base.dim
         self.base_action = base.action
@@ -533,7 +837,8 @@ class DenseFirstCoverChain(_Chain):
     module x, whatever x's basis: the columns of the idempotents' action are
     the top candidates, one span of rad x (seeded by the radical generators
     on every coordinate) serves every vertex, and each kernel system has
-    every row of x.  Later covers are the graded ones of ``relrep.endo``."""
+    every row of x.  Later covers are the graded ones of ``relrep.endo``;
+    every cover must be minimal, as there."""
 
     def __init__(self, g: StructureConstantAlgebra, base: SCModule) -> None:
         self._read_algebra(g)
@@ -574,12 +879,13 @@ class DenseFirstCoverChain(_Chain):
             rank += len(block) - len(kernel)
         if rank != dim:
             raise InternalError("endo", "projective cover construction is not onto")
-        cover.minimal = all(
+        if not all(
             tables.rad_spans[kind][i].contains(v[start : start + len(tables.by_vertex[kind][i])])
             for i, vecs in enumerate(cover.kernels)
             for v in vecs
             for kind, start in zip(cover.kinds, cover.starts[i])
-        )
+        ):
+            raise InternalError("endo", "projective cover construction is not minimal: its kernel leaves rad P")
         self.covers.append(cover)
 
 
@@ -594,7 +900,7 @@ def _top_of_piece(g: StructureConstantAlgebra, kind: int) -> SCModule:
         cols = []
         for m in members:
             col = [0] * width
-            for mm, c in g.mult[k][m]:
+            for mm, c in tensor(g)[k][m]:
                 col[index[mm]] = c
             cols.append(col)
         action.append(Matrix.from_columns(cols))
@@ -673,15 +979,28 @@ def _atom_access(m: Module):
 
 
 def end_basis(m: Module) -> list[Morphism]:
-    """The basis of End(m) in the order of ``end_ring(m)``: for the nonzero
-    atoms A_s, A_t (source outer) and phi in the basis of Hom(A_s, A_t),
+    """The basis of End(m) in the order of ``end_ring(m)``: for the local
+    parts A_s, A_t of the nonzero atoms (source outer), each composed out of
+    its atom's summand injection and projection and its own inclusion and
+    projection (checked morphisms), and phi in the basis of Hom(A_s, A_t),
     ``injections[t] @ phi @ projections[s]``."""
     flat = flatten_atoms(m)
-    keep = [i for i, a in enumerate(flat) if a.total_dim > 0]
-    injections, projections = _atom_access(m)
+    atom_in, atom_out = _atom_access(m)
+    injections, projections, parts = [], [], []
+    for a, inj, proj in zip(flat, atom_in, atom_out):
+        if a.total_dim == 0:
+            continue
+        for part, into, onto in local_parts(a) or ((a, None, None),):
+            parts.append(part)
+            if into is None:
+                injections.append(inj)
+                projections.append(proj)
+            else:
+                injections.append(inj @ Morphism(part, a, into))
+                projections.append(Morphism(a, part, onto) @ proj)
     return [
         injections[t] @ phi @ projections[s]
-        for s in keep
-        for t in keep
-        for phi in hom_space(flat[s], flat[t]).basis
+        for s in range(len(parts))
+        for t in range(len(parts))
+        for phi in hom_space(parts[s], parts[t]).basis
     ]

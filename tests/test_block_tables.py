@@ -1,13 +1,13 @@
 """End(M) on the block route against the generic construction.
 
-An End(M) whose atoms are split local and pairwise non-isomorphic reads its
-chain tables, radical and radical generators off its atom blocks, and builds
-its product table only when something reads it.  The generic route reads
-the same tables off the product table and the trace-form radical; on a copy
-of the algebra with nothing cached it is the reference here.  Every gldim
-verdict rests on these tables, so they must agree field by field on the
-benchmark's sweep candidates (cyc2-trunc4 included), both theorem pairs, the
-mutated pair and an End(M) over each off-Nakayama test algebra.
+An End(M) of local, pairwise non-isomorphic atoms reads its chain tables,
+radical and radical generators off its atom blocks; it has no product
+table.  The generic route of ``sc_reference`` reads the same tables off the
+product table (assembled from the blocks) and the trace-form radical; on a
+copy of the algebra with nothing cached it is the reference here.  Every
+gldim verdict rests on these tables, so they must agree field by field on
+the benchmark's sweep candidates (cyc2-trunc4 included), both theorem pairs,
+the mutated pair and an End(M) over each off-Nakayama test algebra.
 """
 
 import itertools
@@ -16,18 +16,13 @@ import pytest
 
 import sc_reference as ref
 from conftest import M1_EXPR, M2_EXPR
-from relrep import endo
 from relrep.endo import (
-    StructureConstantAlgebra,
-    _ChainTables,
     _chain_tables,
-    _on_blocks,
     check_maximal_orthogonal,
     end_ring,
     gldim_le,
-    radical,
-    radical_generators,
 )
+from relrep.path_algebra import InternalError
 from relrep.path_algebra import AlgebraPresentation, cyclic_quiver
 from relrep.rep import (
     composition_table,
@@ -86,13 +81,6 @@ def _off_nakayama_modules():
     return out
 
 
-def _copy(g: StructureConstantAlgebra) -> StructureConstantAlgebra:
-    """g's structure on a new algebra with nothing cached: the generic route."""
-    return ref.from_sparse(
-        g.dim, g.mult, g.unit, g.idempotents, g.piece_classes, name=g.name, piece_members=g.piece_members
-    )
-
-
 def _fields(tables) -> tuple:
     spans = [[(span.rows, span.pivots) for span in row] for row in tables.rad_spans]
     return (tables.members, tables.vertex, tables.by_vertex, tables.acts, spans, tables.tops, tables.leaving)
@@ -124,16 +112,13 @@ def _tensor_from_tables(m) -> tuple:
 
 def _assert_block_route(m) -> None:
     g = end_ring(m)
-    assert _on_blocks(g)
+    assert ref.on_blocks(g)
     tables = _chain_tables(g)
     verdicts = [gldim_le(g, n) for n in range(6)]
-    # the tables, the radical and six gldim verdicts cost no product table
-    assert g._mult is None
-    rad = (radical(g), radical_generators(g))
-    assert g._mult is None
-    assert g.mult == _tensor_from_tables(m)
-    copy = _copy(g)
-    assert _fields(tables) == _fields(_ChainTables(copy))
+    rad = (ref.radical(g), ref.radical_generators(g))
+    assert ref.tensor(g) == _tensor_from_tables(m)
+    copy = ref.generic(g)
+    assert _fields(tables) == _fields(ref.GenericChainTables(copy))
     assert rad == ref.radical_data(copy)
     assert verdicts == [gldim_le(copy, n) for n in range(6)]
 
@@ -154,7 +139,7 @@ def test_the_corollary_verdict_reads_the_block_route(sweep_candidates):
         report = check_maximal_orthogonal(m, 1, mode="corollary")
         clause = report.clauses[-1]
         assert clause.name == "endomorphism-gldim"
-        assert clause.passed == gldim_le(_copy(end_ring(m)), 3)
+        assert clause.passed == gldim_le(ref.generic(end_ring(m)), 3)
 
 
 @pytest.mark.parametrize("source", [_theorem_modules, _off_nakayama_modules])
@@ -165,38 +150,25 @@ def test_the_block_route_matches_the_generic_one_past_the_sweep(source):
         _assert_block_route(m)
 
 
-def test_a_corollary_check_builds_no_product_table(sweep_candidates, monkeypatch):
-    calls = []
-    real = endo._vertices
-
-    def counted(g, left):
-        calls.append(g)
-        return real(g, left)
-
-    monkeypatch.setattr(endo, "_vertices", counted)
-    for m in sweep_candidates[::7]:
-        # a fresh sum of the same atoms: a new End(M), built during the check
-        fresh = direct_sum(m.algebra, list(m.summands))
-        check_maximal_orthogonal(fresh, 1, mode="corollary")
-        assert end_ring(fresh)._mult is None
-    assert calls == []
-
-
 def test_the_product_table_is_built_once_when_read(sweep_candidates):
     m = direct_sum(sweep_candidates[-1].algebra, list(sweep_candidates[-1].summands))
     g = end_ring(m)
-    assert g._mult is None
-    assert g.mult is g.mult
+    assert ref.tensor(g) is ref.tensor(g)
 
 
 def test_a_repeated_atom_class_takes_the_generic_route():
+    # only on the reference's side: the library resolves such an End(M)
+    # over its basic algebra and refuses to read chain tables off its blocks
     alg = AlgebraPresentation.truncated(cyclic_quiver(3), 5, name="cyc3-trunc5")
     m = parse_module_expression(alg, "P(1)+P(1)+S(1)")
     g = end_ring(m)
-    assert not _on_blocks(g)
-    assert _fields(_chain_tables(g)) == _fields(_ChainTables(_copy(g)))
-    assert g.mult == _tensor_from_tables(m)
-    assert (radical(g), radical_generators(g)) == ref.radical_data(_copy(g))
+    assert not ref.on_blocks(g)
+    with pytest.raises(InternalError, match="basic algebra") as err:
+        _chain_tables(g)
+    assert err.value.layer == "endo"
+    assert ref.tensor(g) == _tensor_from_tables(m)
+    assert (ref.radical(g), ref.radical_generators(g)) == ref.radical_data(ref.dense_copy(g))
+    assert [gldim_le(g, n) for n in range(6)] == [gldim_le(ref.generic(g), n) for n in range(6)]
 
 
 def test_the_idempotents_read_off_the_atoms_sum_to_the_unit(sweep_candidates):

@@ -15,7 +15,7 @@ import sc_reference as ref
 from conftest import M1_EXPR, M2_EXPR
 from relrep import cli, endo
 from relrep.exact_linalg import QQ, Matrix, hstack
-from relrep.path_algebra import AlgebraError, AlgebraPresentation, cyclic_quiver
+from relrep.path_algebra import AlgebraError, AlgebraPresentation, cyclic_quiver, linear_quiver
 from relrep.rep import (
     cogenerator_module,
     direct_sum,
@@ -28,7 +28,6 @@ from relrep.rep import (
 from relrep.homology import dtr, trd
 from relrep.relhom import F_coresolution, contravariant_functor, pd_F_le
 from relrep.endo import (
-    StructureConstantAlgebra,
     TheoremReport,
     _reduce_to_basic,
     _relative_tilting_check,
@@ -38,10 +37,10 @@ from relrep.endo import (
     cotilting_style_condition,
     dual_cotilting_style_condition,
     end_algebra,
+    end_ring,
     gldim_le,
     hom_sc_bimodule_sides,
     is_generator_cogenerator,
-    radical,
     sc_ext_dims,
     sc_injective_dim_le,
     sc_pd_le,
@@ -53,8 +52,9 @@ from relrep.endo import (
 MUTATED_EXPR = "P(1)+P(2)+P(3)+S(1)+P(3)/rad^2+P(1)/rad^4"
 
 
-def _upper_triangular_2x2() -> StructureConstantAlgebra:
-    """2x2 upper-triangular rational matrices on basis (E11, E22, E12)."""
+def _upper_triangular_2x2() -> ref.DenseAlgebra:
+    """2x2 upper-triangular rational matrices on basis (E11, E22, E12),
+    built by hand: the reference routes take it."""
     n = 3
     mult = [[[QQ(0)] * n for _ in range(n)] for _ in range(n)]
 
@@ -68,7 +68,13 @@ def _upper_triangular_2x2() -> StructureConstantAlgebra:
     unit = [QQ(1), QQ(1), QQ(0)]
     e11 = [QQ(1), QQ(0), QQ(0)]
     e22 = [QQ(0), QQ(1), QQ(0)]
-    return StructureConstantAlgebra(mult, unit, idempotents=[e11, e22], name="ut2")
+    return ref.DenseAlgebra(mult, unit, idempotents=[e11, e22], name="ut2")
+
+
+def _linear_end(n: int):
+    """End(Λ) for linear A_n (arrows i -> i+1): ut_n as an End(M), the form
+    the library takes."""
+    return end_ring(regular_module(AlgebraPresentation(linear_quiver(n), [], n, name=f"A{n}")))
 
 
 class TestStructureConstantCore:
@@ -77,35 +83,35 @@ class TestStructureConstantCore:
         # has trace -1 + 1 = 0, so the trace form vanishes and its kernel is
         # the whole space, which holds the idempotent f
         mult = [[[0, 0], [0, 0]], [[-1, 0], [0, 1]]]
-        g = StructureConstantAlgebra(mult, [0, 1], name="inconsistent")
+        g = ref.DenseAlgebra(mult, [0, 1], name="inconsistent")
         with pytest.raises(AlgebraError, match="not nilpotent"):
-            radical(g)
+            ref.radical(g)
 
     def test_upper_triangular_algebra_basics(self):
         g = _upper_triangular_2x2()
         assert g.dim == 3
         assert ref.check_unit(g)
         assert ref.check_associativity(g)
-        rad = radical(g)
+        rad = ref.radical(g)
         assert rad.cols == 1
         # the radical is spanned by the strictly upper-triangular basis vector
         col = [rad[i, 0] for i in range(3)]
         assert col[0] == 0 and col[1] == 0 and col[2] != 0
         assert len(g.piece_members) == 2
-        # hereditary: global dimension exactly one
-        assert not gldim_le(g, 0)
-        assert gldim_le(g, 1)
-        assert gldim_le(g, 2)
+        # hereditary: global dimension exactly one, on the reference route
+        # and for End(Λ) of linear A2 (ut2 again) on the library's
+        assert [ref.gldim_le(g, n) for n in range(3)] == [False, True, True]
+        assert [gldim_le(_linear_end(2), n) for n in range(3)] == [False, True, True]
 
     def test_opposite_algebra(self):
         g = _upper_triangular_2x2()
         op = ref.opposite(g)
         assert op.dim == g.dim
         assert ref.check_associativity(op)
-        assert radical(op).cols == 1
+        assert ref.radical(op).cols == 1
         # the opposite of a triangular algebra is again hereditary
-        assert not gldim_le(op, 0)
-        assert gldim_le(op, 1)
+        assert not ref.gldim_le(op, 0)
+        assert ref.gldim_le(op, 1)
 
     def test_regular_and_quotient_modules(self):
         g = _upper_triangular_2x2()
@@ -120,7 +126,7 @@ class TestStructureConstantCore:
         assert ref.check_module(dual)
 
     def test_projective_and_injective_dimension_bounds(self):
-        g = _upper_triangular_2x2()
+        g = _linear_end(2)
         ssq = ref.semisimple_quotient_module(g)
         assert not sc_pd_le(g, ssq, 0)
         assert sc_pd_le(g, ssq, 1)
@@ -130,7 +136,7 @@ class TestStructureConstantCore:
 
     def test_radical_is_nilpotent_two_sided_ideal(self, m1):
         g, _ = end_algebra(m1)
-        rad = radical(g)
+        rad = ref.radical(g)
         assert (g.dim, rad.cols) == (24, 19)
         span = rad
         basis = [[QQ(1) if i == j else QQ(0) for i in range(g.dim)] for j in range(g.dim)]
@@ -162,7 +168,7 @@ class TestStructureConstantCore:
         basic, _ = _reduce_to_basic(end_both)
         assert basic is not end_both and basic.dim < end_both.dim
         for g in (end_m1, end_mutated, ref.opposite(end_m1), basic):
-            rad = radical(g)
+            rad = ref.radical(g)
             rows = []
             for i in range(g.dim):
                 ei = [QQ(1) if k == i else QQ(0) for k in range(g.dim)]
@@ -182,7 +188,7 @@ class TestStructureConstantCore:
         g, _ = end_algebra(m1)
         assert ref.check_unit(g)
         assert ref.check_associativity(g)
-        for plane in g.mult:
+        for plane in ref.tensor(g):
             for pairs in plane:
                 positions = [m for m, _ in pairs]
                 assert positions == sorted(set(positions))
@@ -197,7 +203,7 @@ class TestStructureConstantCore:
             g.dim, g.mult, g.unit, idempotents=g.idempotents, name="ut2 again"
         )
         assert h.piece_members == g.piece_members
-        assert radical(h) == radical(g)
+        assert ref.radical(h) == ref.radical(g)
         x = [QQ(1), QQ(2), QQ(3)]
         y = [QQ(-1), QQ(1, 2), QQ(5)]
         assert ref.multiply(h, x, y) == ref.multiply(g, x, y)
@@ -208,21 +214,21 @@ class TestEndomorphismAlgebras:
         g, basis = end_algebra(parse_module_expression(cyc3_5, "S(1)"))
         assert g.dim == 1
         assert len(basis) == 1
-        assert radical(g).cols == 0
+        assert ref.radical(g).cols == 0
         assert gldim_le(g, 0)
 
-    def test_the_zero_module_has_a_one_piece_zero_algebra(self, cyc3_5):
-        # its unit () is the only idempotent, and its top is zero: no simple
-        # module to resolve, so every bound holds
+    def test_the_zero_module_has_the_zero_algebra(self, cyc3_5):
+        # no atom, so no piece: no simple module to resolve, and every bound
+        # holds
         g, basis = end_algebra(zero_module(cyc3_5))
         assert (g.dim, basis) == (0, [])
-        assert (g.idempotents, g.piece_members, g.piece_classes) == (((),), ((),), (0,))
+        assert (g.unit, g.idempotents, g.piece_members, g.piece_classes) == ((), (), (), ())
         assert [gldim_le(g, n) for n in range(3)] == [True] * 3
 
     def test_regular_module_endo_algebra(self, cyc3_5):
         g, _ = end_algebra(regular_module(cyc3_5))
         assert g.dim == 15
-        assert radical(g).cols == 12
+        assert ref.radical(g).cols == 12
         assert ref.semisimple_quotient_module(g).dim == 3
         assert g.piece_classes == (0, 1, 2)
         # selfinjective and not semisimple: no finite bound holds
@@ -231,7 +237,7 @@ class TestEndomorphismAlgebras:
     def test_uniserial_endo_algebra_is_local(self, cyc3_5):
         g, _ = end_algebra(parse_module_expression(cyc3_5, "P(1)"))
         assert g.dim == 2
-        assert radical(g).cols == 1
+        assert ref.radical(g).cols == 1
         assert [gldim_le(g, n) for n in range(5)] == [False] * 5
 
     def test_main_module_endo_algebra(self, m1):

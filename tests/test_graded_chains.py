@@ -5,14 +5,16 @@ one vertex (its left idempotent fixes it, the others kill it), each kernel
 is solved vertex by vertex, and a cover spans the radical of its kernel by
 the homogeneous radical generators e_j·ℓ·e_i.  A module carries its grading
 too, so its first cover works the same way.  These tests check the grading
-itself on the sweep and theorem algebras and modules, the onto guard of a
-cover, that an algebra whose basis mixes vertices is one piece (its unit
-the only idempotent) and gets the reference's answers, that a module moved
-off a basis that mixes vertices onto graded bases gets the answers of the
+itself on the sweep and theorem algebras and modules, the onto and
+minimality guards of a cover, that an algebra whose basis mixes vertices is
+one piece (its unit the only idempotent) and gets, on the reference route,
+the library's answers for the algebra it came from, that a module moved off
+a basis that mixes vertices onto graded bases gets the answers of the
 module it came from, and that every module the library builds, and every
 module ``sc_reference`` builds for these tests, passes
-``sc_reference.check_module``, its grading included; a grading of the wrong
-length or at a vertex the algebra does not have is refused.
+``sc_reference.check_module``, its grading included; a module with no
+grading, or a grading of the wrong length or at a vertex the algebra does
+not have, is refused.
 """
 
 from functools import partial
@@ -42,7 +44,8 @@ from relrep.rep import cogenerator_module, direct_sum, parse_module_expression, 
 
 from conftest import M1_EXPR, M2_EXPR
 
-from test_endo import MUTATED_EXPR, _upper_triangular_2x2
+from test_endo import MUTATED_EXPR, _linear_end
+from test_local_atoms import _kronecker, _root_two
 from test_sc_resolutions import (
     BOUNDS,
     C1_EXPR,
@@ -69,11 +72,9 @@ def theorem_sides(m1, m2, cyc3_5):
     return [side for a, b in ((m1, m2), (c1, c2), (c2, c1)) for side in hom_sc_bimodule_sides(b, a)]
 
 
-def _copy(g: StructureConstantAlgebra) -> StructureConstantAlgebra:
-    """A new algebra object with g's structure: nothing is cached on it."""
-    return ref.from_sparse(
-        g.dim, g.mult, g.unit, g.idempotents, g.piece_classes, name=g.name, piece_members=g.piece_members
-    )
+def _fresh(g: StructureConstantAlgebra) -> StructureConstantAlgebra:
+    """A new End(M) on g's atom blocks: nothing is cached on it."""
+    return StructureConstantAlgebra(g.dim, g.unit, g.idempotents, g.piece_classes, g.piece_members, g._blocks, g.name)
 
 
 def _idempotent_terms(g: StructureConstantAlgebra) -> list:
@@ -118,7 +119,7 @@ def _cover_image(chain, level: int, vec: list, base=None) -> list:
                 coeffs[k] = c
             image = ref.apply(base, coeffs, gen)
         else:
-            image = chain._apply(level - 1, terms, gen)
+            image = ref.act_on_cover(chain, level - 1, terms, gen)
         out = [a + b for a, b in zip(out, image)]
     return out
 
@@ -141,7 +142,7 @@ def _assert_graded(chain, g: StructureConstantAlgebra) -> int:
                     for t, m in enumerate(chain.members[kind]):
                         assert dense[off + t] == 0 or tables.vertex[m] == i
                 for j, e_terms in enumerate(idempotent_terms):
-                    acted = chain._apply(level, e_terms, dense)
+                    acted = ref.act_on_cover(chain, level, e_terms, dense)
                     assert acted == (dense if j == i else [0] * cover.dim)
                 if cover.gens is not None:
                     assert not any(_cover_image(chain, level, dense, base))
@@ -182,9 +183,11 @@ def test_sweep_quotients_agree_with_the_ungraded_reference(sweep_algebras):
 def test_repeated_atom_classes_agree_with_the_ungraded_reference(cyc3_5):
     # not basic: e_i A e_j holds isomorphisms for atoms of one class, so
     # members off the diagonal blocks lie outside rad A and their images
-    # join the spans of other vertices
+    # join the spans of other vertices.  The library resolves such an
+    # End(M) over its basic algebra; its chains run over it here on the
+    # generic tables of sc_reference
     for expr in ("P(1)+P(1)+S(1)", "P(1)+P(2)+S(1)+S(1)+P(1)/rad^2", "S(1)+S(1)+P(2)/rad^3+P(2)/rad^3"):
-        g = endo.end_ring(parse_module_expression(cyc3_5, expr))
+        g = ref.generic(endo.end_ring(parse_module_expression(cyc3_5, expr)))
         assert len(set(g.piece_classes)) < len(g.piece_classes)
         tables = _chain_tables(g)
         assert any(tables.vertex[m] != s for s, tops in enumerate(tables.tops) for m in tops)
@@ -192,8 +195,9 @@ def test_repeated_atom_classes_agree_with_the_ungraded_reference(cyc3_5):
             _assert_chains_agree(g, x)
 
 
-class TestOntoGuard:
-    """A cover checks that its rank is the dimension of the kernel it covers."""
+class TestCoverGuards:
+    """A cover checks that its rank is the dimension of the kernel it covers,
+    and that its kernel lies in the radical (it is a projective cover)."""
 
     def _idempotents_as_generators(self, g):
         # the idempotents in place of the radical generators: the seeded span
@@ -203,7 +207,7 @@ class TestOntoGuard:
     def test_seeds_outside_the_radical_leave_the_cover_short(self, sweep_algebras, theorem_sides):
         tops = 0
         for g in sweep_algebras[::7]:
-            g = _copy(g)
+            g = _fresh(g)
             self._idempotents_as_generators(g)
             for kind in range(len(g.piece_members)):
                 chain = _Chain._at_top(g, kind)
@@ -215,29 +219,53 @@ class TestOntoGuard:
                 tops += 1
         assert tops
         side = theorem_sides[0]
-        g = _copy(side.algebra)
+        g = _fresh(side.algebra)
         self._idempotents_as_generators(g)
         with pytest.raises(InternalError, match="not onto"):
             _Chain(g, side).extend()
 
-    def test_generators_cut_short_leave_the_cover_onto(self, sweep_algebras):
+    def _refusals(self, algebras, cut) -> int:
+        """How many of the algebras refuse a cover once ``cut`` has changed
+        the tables of a fresh copy; the others give the same answers."""
+        refused = 0
+        for g in algebras:
+            expected = [gldim_le(g, n) for n in BOUNDS]
+            fresh = _fresh(g)
+            cut(_chain_tables(fresh))
+            try:
+                answers = [gldim_le(fresh, n) for n in BOUNDS]
+            except InternalError as err:
+                assert err.layer == "endo" and "not minimal" in str(err)
+                refused += 1
+            else:
+                assert answers == expected
+        return refused
+
+    def test_generators_cut_short_are_refused(self, sweep_algebras):
         # fewer radical generators span less than rad K, so a cover takes more
         # generators than it needs; their images still span K (Nakayama), so
-        # the guard stays quiet, the covers are not minimal, and the split
-        # test gives the same answers
-        nonminimal = 0
-        for g in sweep_algebras[:12]:
-            expected = [gldim_le(g, n) for n in BOUNDS[:3]]
-            cut = _copy(g)
-            basic, _ = _reduce_to_basic(cut)
-            tables = _chain_tables(basic)
+        # the onto guard stays quiet, but the kernel leaves rad P
+        def cut(tables):
             tables.leaving = [generators[:-1] for generators in tables.leaving]
-            assert [gldim_le(cut, n) for n in BOUNDS[:3]] == expected
-            for kind in range(len(basic.piece_members)):
-                chain = _top_chain(basic, kind)
-                if chain is not None:
-                    nonminimal += not all(cover.minimal for cover in chain.covers)
-        assert nonminimal
+
+        assert self._refusals(sweep_algebras[:12], cut)
+
+    def test_a_dropped_top_member_is_refused(self):
+        # End(R) = QQ(sqrt 2) for the Kronecker atom R: the tops of its piece
+        # are two members, and with one dropped a generator's image under it
+        # never joins the spans, so a kernel vector in the same D-line mod
+        # rad K is taken as a second generator
+        alg = _kronecker()
+        algebras = [
+            endo.end_ring(direct_sum(alg, [_root_two(alg), parse_module_expression(alg, x)]))
+            for x in ("P(1)+P(2)", "P(1)+P(2)+I(1)+I(2)")
+        ]
+        assert all(len(tops) == 2 for g in algebras for tops in _chain_tables(g).tops[:1])
+
+        def cut(tables):
+            tables.tops = [tops[:-1] for tops in tables.tops]
+
+        assert self._refusals(algebras, cut)
 
 
 def _mixing_basis(g: StructureConstantAlgebra) -> tuple:
@@ -263,12 +291,12 @@ def _mixing_basis(g: StructureConstantAlgebra) -> tuple:
     return basis, coords
 
 
-def _mixed(g: StructureConstantAlgebra) -> StructureConstantAlgebra:
+def _mixed(g: StructureConstantAlgebra) -> ref.DenseAlgebra:
     """g in the basis of ``_mixing_basis``, built with its idempotents."""
     basis, coords = _mixing_basis(g)
     n = g.dim
     mult = [[coords(ref.multiply(g, basis[i], basis[j])) for j in range(n)] for i in range(n)]
-    return StructureConstantAlgebra(
+    return ref.DenseAlgebra(
         mult,
         coords(g.unit),
         idempotents=[coords(e) for e in g.idempotents],
@@ -280,7 +308,7 @@ def _mixed(g: StructureConstantAlgebra) -> StructureConstantAlgebra:
 class TestLeftHomogeneity:
     @pytest.fixture(scope="class")
     def mixed_pairs(self, sweep_algebras):
-        originals = [_upper_triangular_2x2(), *sweep_algebras[::9]]
+        originals = [_linear_end(2), *sweep_algebras[::9]]
         return [(g, _mixed(g)) for g in originals]
 
     def test_a_basis_that_mixes_vertices_takes_free_covers(self, mixed_pairs):
@@ -293,20 +321,19 @@ class TestLeftHomogeneity:
             assert mixed.piece_classes == (0,)
             assert mixed._detect_members() == mixed.piece_members
 
-    def test_it_gets_the_reference_answers(self, mixed_pairs):
-        # free covers are far from minimal, so the split test resolves
-        # kernels that grow by a factor of about dim A per level: only ut2
-        # and the smallest sweep algebra (dim 4) stay at desk scale
+    def test_it_gets_the_library_answers_on_the_reference_route(self, mixed_pairs):
+        # free covers are far from minimal, so the reference's split test
+        # resolves kernels that grow by a factor of about dim A per level:
+        # only ut2 (End(Λ) of linear A2) and the smallest sweep algebra
+        # (dim 4) stay at desk scale
         assert [g.dim for g, _ in mixed_pairs[:2]] == [3, 4]
         for g, mixed in mixed_pairs[:2]:
             bounds = BOUNDS[:3]
-            answers = [gldim_le(mixed, n) for n in bounds]
-            assert answers == [ref.gldim_le(mixed, n) for n in bounds]
-            assert answers == [gldim_le(g, n) for n in bounds]
+            assert [ref.gldim_le(mixed, n) for n in bounds] == [gldim_le(g, n) for n in bounds]
             quot = ref.semisimple_quotient_module(mixed)
             assert ref.check_module(quot)
-            assert [sc_pd_le(mixed, quot, n) for n in bounds] == [
-                ref.sc_pd_le(mixed, quot, n) for n in bounds
+            assert [ref.sc_pd_le(mixed, quot, n) for n in bounds] == [
+                sc_pd_le(g, ref.semisimple_quotient_module(g), n) for n in bounds
             ]
 
     def test_supplied_members_that_mix_vertices_are_an_internal_error(self, mixed_pairs):
@@ -315,14 +342,14 @@ class TestLeftHomogeneity:
             _, coords = _mixing_basis(g)
             supplied = ref.from_sparse(
                 mixed.dim,
-                mixed.mult,
+                ref.tensor(mixed),
                 mixed.unit,
                 [coords(e) for e in g.idempotents],
                 g.piece_classes,
                 piece_members=g.piece_members,
             )
             with pytest.raises(InternalError, match="mix vertices") as err:
-                gldim_le(supplied, 2)
+                ref.GenericChainTables(supplied)
             assert err.value.layer == "endo"
 
 
@@ -345,15 +372,15 @@ def test_the_basic_reduction_keeps_the_corner_of_the_kept_vertices(cyc3_5):
             if squeezed == unit:
                 corner.append(t)
         assert basic.dim == len(corner)
-        assert basic.mult == tuple(
-            tuple(tuple((corner.index(p), c) for p, c in g.mult[a][b]) for b in corner) for a in corner
+        assert ref.tensor(basic) == tuple(
+            tuple(tuple((corner.index(p), c) for p, c in ref.tensor(g)[a][b]) for b in corner) for a in corner
         )
 
 
 # -- graded modules ------------------------------------------------------------
 
 
-def _vertex_mixing(x: SCModule) -> SCModule:
+def _vertex_mixing(x: SCModule) -> ref.UngradedModule:
     """x in another basis, ungraded (only the reference routes read it): the
     first coordinate at each vertex but the last gets the first coordinate
     at the next vertex added, so that an idempotent sends the new basis
@@ -364,7 +391,7 @@ def _vertex_mixing(x: SCModule) -> SCModule:
         t[b][a] = 1
     t = Matrix(x.dim, x.dim, t)
     t_inv = t.inverse()
-    return SCModule(x.algebra, x.dim, [t_inv @ a @ t for a in x.action], None)
+    return ref.UngradedModule(x.algebra, x.dim, tuple(t_inv @ a @ t for a in x.action))
 
 
 @pytest.fixture(scope="module")
@@ -427,11 +454,13 @@ class TestGradedModules:
         # both take minimal covers, so the levels agree in their invariants
         for side in theorem_sides:
             for x in (side, ref.dual_sc_module(side)):
+                if isinstance(x.algebra, ref.DenseAlgebra):
+                    ref.on_generic_tables(x.algebra)
                 ours, dense = _Chain(x.algebra, x), ref.DenseFirstCoverChain(x.algebra, x)
                 ours.ensure(CHAIN_DEPTH)
                 dense.ensure(CHAIN_DEPTH)
                 profiles = [
-                    [(c.dim, sorted(c.kinds), [len(k) for k in c.kernels], c.minimal) for c in chain.covers]
+                    [(c.dim, sorted(c.kinds), [len(k) for k in c.kernels]) for c in chain.covers]
                     for chain in (ours, dense)
                 ]
                 assert profiles[0] == profiles[1]
@@ -474,21 +503,12 @@ class TestGradedModules:
             assert [sc_pd_le(g, regular, n) for n in BOUNDS] == [True] * len(BOUNDS)
 
     def test_the_library_refuses_a_module_that_mixes_vertices(self, theorem_sides, repeated_sides):
-        # the reference routes read no grading; the library's bounds and
-        # chains need one, and name their layer, before any basic reduction
+        # the reference routes read no grading; the library resolves one
+        # vertex at a time, so it refuses to build a module without one
         for side in [theorem_sides[0], repeated_sides[0]]:
-            g = side.algebra
             mixed = _vertex_mixing(side)
-            calls = [
-                lambda: sc_pd_le(g, mixed, 1),
-                lambda: sc_ext_dims(g, mixed, side, 2),
-                lambda: sc_ext_dims(g, side, mixed, 2),
-                lambda: sc_injective_dim_le(g, mixed, 1),
-                lambda: _Chain(g, mixed),
-            ]
-            for call in calls:
-                with pytest.raises(AlgebraError, match="^endo: .*grading"):
-                    call()
+            with pytest.raises(AlgebraError, match="grading"):
+                SCModule(side.algebra, mixed.dim, mixed.action, None)
         # while the reference takes the mixed module of a basic End(M)
         side = theorem_sides[0]
         g, mixed = side.algebra, _vertex_mixing(side)

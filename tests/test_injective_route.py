@@ -7,10 +7,10 @@ resolves.  ``sc_reference`` keeps the route it replaced, pd of the dual
 over an opposite algebra built from the product table (id_A x =
 pd_(A^op) Dx); the two must agree for n = 0..4.  Condition (d) reads the
 End(m2)^op side of Hom(m2, m1) off its dual over End(m2), so a
-``verify-theorem`` call builds no product table, no generic chain tables and
-no derived algebra.  Off Nakayama, a decomposable parsed atom keeps End(M)
-off the block route, and ``gldim_le`` reaches the split test of
-``_pd_le_on_chain``; it must answer as End(M) with the atom's summands.
+``verify-theorem`` call builds End(m1) and End(m2) and no derived algebra.
+Off Nakayama, a decomposable parsed atom is split into its local parts, so
+End(M) stays on the block route and ``gldim_le`` reads no Hom complex (there
+is no split test); it must answer as End(M) with the atom's summands.
 """
 
 import contextlib
@@ -24,10 +24,7 @@ from relrep import endo
 from relrep.cli import main
 from relrep.endo import (
     StructureConstantAlgebra,
-    _AtomBlocks,
     _Chain,
-    _ChainTables,
-    _on_blocks,
     end_ring,
     gldim_le,
     hom_sc_bimodule_sides,
@@ -38,7 +35,7 @@ from relrep.path_algebra import AlgebraPresentation, Arrow, Quiver, cyclic_quive
 from relrep.rep import parse_module_expression
 
 from test_block_tables import _sweep_candidates
-from test_endo import MUTATED_EXPR, _upper_triangular_2x2
+from test_endo import MUTATED_EXPR, _linear_end
 from test_graded_chains import _mixed
 from test_sc_resolutions import C1_EXPR, C2_EXPR, MUTATED_M2_EXPR
 
@@ -55,21 +52,6 @@ def _assert_reference_bounds(g: StructureConstantAlgebra, x, bounds=BOUNDS) -> l
         chain = ref.FullRadicalChain(ref.opposite(g), ref.dual_sc_module(x))
         assert answers == [ref.pd_le_on_chain(chain, n) for n in bounds]
     return answers
-
-
-def _upper_triangular_3x3() -> StructureConstantAlgebra:
-    """3x3 upper-triangular rational matrices on the basis E_ij, i <= j."""
-    basis = [(i, j) for i in range(3) for j in range(i, 3)]
-    index = {e: k for k, e in enumerate(basis)}
-    n = len(basis)
-    mult = [[[0] * n for _ in range(n)] for _ in range(n)]
-    for (i, j), a in index.items():
-        for (k, l), b in index.items():
-            if j == k:
-                mult[a][b][index[i, l]] = 1
-    unit = [int(i == j) for i, j in basis]
-    idempotents = [[int(e == (v, v)) for e in basis] for v in range(3)]
-    return StructureConstantAlgebra(mult, unit, idempotents=idempotents, name="ut3")
 
 
 def _a3_sink() -> AlgebraPresentation:
@@ -127,7 +109,8 @@ class TestAgainstTheOpposite:
         assert verdicts == {tuple(n >= d for n in BOUNDS) for d in (0, 2, 3, 4, 5)}
 
     def test_upper_triangular_algebras(self):
-        for g in (_upper_triangular_2x2(), _upper_triangular_3x3()):
+        # End(Λ) of linear A2 and A3: ut2 and ut3
+        for g in (_linear_end(2), _linear_end(3)):
             assert ref.check_associativity(g) and ref.check_unit(g)
             regular, quot = ref.regular_sc_module(g), ref.semisimple_quotient_module(g)
             # hereditary and not semisimple: id of each module is at most 1,
@@ -138,14 +121,18 @@ class TestAgainstTheOpposite:
     def test_algebras_in_a_basis_that_mixes_vertices(self):
         # free covers grow by about dim A per level: as in test_graded_chains,
         # only ut2 and the smallest sweep algebra stay at desk scale
-        originals = [_upper_triangular_2x2(), end_ring(_sweep_candidates()[0])]
+        # the library takes no such algebra: the reference's answers over it
+        # must be the library's over the algebra it came from
+        originals = [_linear_end(2), end_ring(_sweep_candidates()[0])]
         assert [g.dim for g in originals] == [3, 4]
         for g in originals:
             mixed = _mixed(g)
             assert mixed.idempotents == (mixed.unit,)
-            answers = _assert_reference_bounds(mixed, ref.regular_sc_module(mixed))
-            assert answers == [sc_injective_dim_le(g, ref.regular_sc_module(g), n) for n in BOUNDS]
-            _assert_reference_bounds(mixed, ref.semisimple_quotient_module(mixed))
+            for make in (ref.regular_sc_module, ref.semisimple_quotient_module):
+                chain = ref.FullRadicalChain(ref.opposite(mixed), ref.dual_sc_module(make(mixed)))
+                assert [ref.pd_le_on_chain(chain, n) for n in BOUNDS] == [
+                    sc_injective_dim_le(g, make(g), n) for n in BOUNDS
+                ]
 
     def test_end_algebras_off_nakayama(self):
         alg = _a3_sink()
@@ -187,25 +174,14 @@ name = cyc2-trunc4
 """
 
 
-def test_verify_theorem_builds_no_product_table_chain_tables_or_derived_algebra(tmp_path, monkeypatch):
+def test_verify_theorem_builds_no_derived_algebra(tmp_path, monkeypatch):
     cyc2 = tmp_path / "cyc2-trunc4.alg"
     cyc2.write_text(CYC2_TEXT)
-    counts = {"product tables": 0, "generic chain tables": 0}
-
-    def counting(name, real):
-        def wrapped(*args, **kwargs):
-            counts[name] += 1
-            return real(*args, **kwargs)
-
-        return wrapped
-
-    monkeypatch.setattr(_AtomBlocks, "mult", counting("product tables", _AtomBlocks.mult))
-    monkeypatch.setattr(_ChainTables, "__init__", counting("generic chain tables", _ChainTables.__init__))
-    # every algebra is built through _setup, one derived from another (an
-    # opposite, a basic reduction) included
+    # every algebra is built through the constructor, one derived from
+    # another (an opposite, a basic reduction) included
     built = []
-    real_setup = StructureConstantAlgebra._setup
-    monkeypatch.setattr(StructureConstantAlgebra, "_setup", lambda g, *args: built.append(g) or real_setup(g, *args))
+    real_init = StructureConstantAlgebra.__init__
+    monkeypatch.setattr(StructureConstantAlgebra, "__init__", lambda g, *args: built.append(g) or real_init(g, *args))
     cases = [
         ("builtin:cyclic3", M1_EXPR, M2_EXPR, 0),
         (str(cyc2), C1_EXPR, C2_EXPR, 0),
@@ -218,10 +194,10 @@ def test_verify_theorem_builds_no_product_table_chain_tables_or_derived_algebra(
     # each call loads its algebra afresh, so it builds End(m1) and End(m2),
     # and no derived algebra
     assert len(built) == 2 * len(cases)
-    assert all(_on_blocks(g) for g in built)
-    assert counts == {"product tables": 0, "generic chain tables": 0}
+    assert all(ref.on_blocks(g) for g in built)
     assert not hasattr(StructureConstantAlgebra, "opposite")
     assert not hasattr(StructureConstantAlgebra, "from_sparse")
+    assert not hasattr(StructureConstantAlgebra, "mult")
 
 
 class TestSplitTestOffNakayama:
@@ -232,10 +208,12 @@ class TestSplitTestOffNakayama:
         alg = _a3_sink()
         for atom_expr, split_expr in A3_PAIRS:
             atom, split = (end_ring(parse_module_expression(alg, e)) for e in (atom_expr, split_expr))
-            # I(3)/rad^1 is one atom that is not split local: End(M) leaves the block route
-            assert not _on_blocks(atom) and _on_blocks(split)
+            # I(3)/rad^1 is one atom that is not local: End(M) is laid out
+            # over its local parts S(1) and S(2), on the block route
+            assert ref.on_blocks(atom) and ref.on_blocks(split)
+            assert len(atom.piece_members) == len(split.piece_members)
             calls.clear()
             verdicts = [gldim_le(atom, n) for n in BOUNDS]
-            # within gldim_le only the split test reads a Hom complex
-            assert calls
+            # a split test would read a Hom complex: there is none
+            assert calls == []
             assert verdicts == [gldim_le(split, n) for n in BOUNDS] == [False, False, True, True, True]

@@ -2,10 +2,12 @@ import time
 
 import pytest
 
+from relrep.endo import end_ring
 from relrep.exact_linalg import Matrix, hstack, subspace_contains
-from relrep.path_algebra import AlgebraError, AlgebraPresentation, cyclic_quiver
+from relrep.path_algebra import AlgebraError, AlgebraPresentation, Arrow, Quiver, cyclic_quiver
 from relrep.rep import (
     ExpressionError,
+    Module,
     Morphism,
     ShortExactSequence,
     cokernel,
@@ -19,6 +21,7 @@ from relrep.rep import (
     inj_module,
     is_isomorphic,
     kernel,
+    local_parts,
     loewy_length,
     parse_module_expression,
     presentation,
@@ -397,3 +400,61 @@ def test_raw_coords_reject_maps_outside_the_hom_space(cyc3_5):
         space.coords(Morphism._make(k, k, tuple(maps)))
     assert space.coords(Morphism.identity(k)) == _hom_raw(k, k).coords(Morphism.identity(k))
     assert space.from_coords(space.coords(Morphism.identity(k))).maps == Morphism.identity(k).maps
+
+
+# -- local parts (Fitting's lemma) ---------------------------------------------
+
+
+def _companion(coeffs: list) -> Matrix:
+    """The companion matrix of the monic x^n + sum coeffs[i] x^i."""
+    n = len(coeffs)
+    return Matrix(n, n, [[int(r == c + 1) if c < n - 1 else -coeffs[r] for c in range(n)] for r in range(n)])
+
+
+def _kronecker_at(coeffs: list) -> Module:
+    """The Kronecker module (QQ^n, QQ^n; I, companion): End is QQ[x]/(p)."""
+    alg = AlgebraPresentation(Quiver(2, [Arrow("a", 0, 1), Arrow("b", 0, 1)]), [], 2, name="kronecker")
+    n = len(coeffs)
+    return Module(alg, (n, n), [Matrix.identity(n), _companion(coeffs)])
+
+
+class TestLocalParts:
+    def test_a_decomposable_atom_splits_into_local_parts_that_sum_to_it(self):
+        a3 = AlgebraPresentation(Quiver(3, [Arrow("a0", 0, 2), Arrow("a1", 1, 2)]), [], 2, name="a3sink")
+        layered = parse_module_expression(a3, "P(1)+P(2)+P(3)")
+        # I(3)/rad^1 = S(1) + S(2), and a plain copy of P(1) + P(2) + P(3):
+        # each one atom, not a registered sum
+        cases = [
+            (parse_module_expression(a3, "I(3)/rad^1"), [(0, 1, 0), (1, 0, 0)]),
+            (Module(a3, layered.dims, layered.arrow_maps), sorted(p.dims for p in layered.summands)),
+        ]
+        for atom, dims in cases:
+            parts = local_parts(atom)
+            assert sorted(part.dims for part, _, _ in parts) == dims
+            total = Morphism.zero(atom, atom)
+            for part, into, onto in parts:
+                inc, proj = Morphism(part, atom, into), Morphism(atom, part, onto)
+                assert (proj @ inc).maps == Morphism.identity(part).maps
+                assert local_parts(part) == ()
+                total = total + inc @ proj
+            assert total.maps == Morphism.identity(atom).maps
+
+    def test_a_field_of_degree_at_most_three_is_certified_local(self):
+        # x^2 - 2 and x^3 - 2: End is QQ(sqrt 2), QQ(cbrt 2)
+        for coeffs in ([-2, 0], [-2, 0, 0]):
+            assert local_parts(_kronecker_at(coeffs)) == ()
+        # x^2 - 1 = (x - 1)(x + 1): split at the rational roots
+        assert [p.dims for p, _, _ in local_parts(_kronecker_at([-1, 0]))] == [(1, 1), (1, 1)]
+
+    def test_a_quartic_field_is_refused_not_judged(self):
+        # x^4 - 2 is irreducible, but its degree is past the cheap certificate
+        r = _kronecker_at([-2, 0, 0, 0])
+        with pytest.raises(AlgebraError, match=r"atom decomposition undecided .*\(4, 4\)"):
+            local_parts(r)
+        with pytest.raises(AlgebraError, match="atom decomposition undecided"):
+            end_ring(direct_sum(r.algebra, [r, proj_module(r.algebra, 0)]))
+
+    def test_a_root_search_past_its_bound_is_refused(self):
+        # x^2 - 3·10^12: a constant term past the bound of the divisor search
+        with pytest.raises(AlgebraError, match="atom decomposition undecided .*too large"):
+            local_parts(_kronecker_at([-3 * 10**12, 0]))

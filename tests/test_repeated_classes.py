@@ -167,13 +167,13 @@ def test_the_basic_algebra_is_the_corner_of_the_product_table(algebras):
         basic, transport = endo._reduce_to_basic(g)
         corner, cut = ref.reduce_to_basic(g)
         assert basic is not g and corner is not g
-        assert (basic.mult, basic.unit, basic.idempotents, basic.piece_members) == (
+        assert (ref.tensor(basic), basic.unit, basic.idempotents, basic.piece_members) == (
             corner.mult,
             corner.unit,
             corner.idempotents,
             corner.piece_members,
         )
-        on_blocks += endo._on_blocks(basic)
+        on_blocks += ref.on_blocks(basic)
         for x in (ref.regular_sc_module(g), ref.semisimple_quotient_module(g)):
             ours, theirs = transport(x), cut(x)
             assert (ours.action, ours.grading) == (theirs.action, theirs.grading)
@@ -181,8 +181,10 @@ def test_the_basic_algebra_is_the_corner_of_the_product_table(algebras):
     assert on_blocks == len(ENDS)
 
 
-def test_the_corpus_builds_no_product_table_chain_tables_or_trace_form(monkeypatch):
-    counts = {"product tables": 0, "generic chain tables": 0, "trace forms": 0, "split tests": 0}
+def test_the_corpus_builds_each_algebra_once_and_reads_no_hom_complex_in_its_bounds(monkeypatch):
+    # the library has no product table, generic chain tables or trace form
+    # of a whole End(M) (tests/test_source_hygiene.py): these are counted here
+    counts = {"split tests": 0}
 
     def counting(name, real):
         def wrapped(*args, **kwargs):
@@ -191,18 +193,16 @@ def test_the_corpus_builds_no_product_table_chain_tables_or_trace_form(monkeypat
 
         return wrapped
 
-    monkeypatch.setattr(endo._AtomBlocks, "mult", counting("product tables", endo._AtomBlocks.mult))
-    monkeypatch.setattr(endo._ChainTables, "__init__", counting("generic chain tables", endo._ChainTables.__init__))
-    monkeypatch.setattr(endo, "trace_form_radical", counting("trace forms", endo.trace_form_radical))
     built = []
-    real_setup = endo.StructureConstantAlgebra._setup
-    monkeypatch.setattr(endo.StructureConstantAlgebra, "_setup", lambda g, *args: built.append(g) or real_setup(g, *args))
+    real_init = endo.StructureConstantAlgebra.__init__
+    monkeypatch.setattr(endo.StructureConstantAlgebra, "__init__", lambda g, *args: built.append(g) or real_init(g, *args))
     # fresh algebras: every End(M) and every atom pair's hom space is built here
     fresh = {name: _algebra(name) for name in ALGEBRAS}
     modules = []
 
     def bounds(check, g, x, count):
-        # within gldim_le and sc_pd_le only the split test reads a Hom complex
+        # gldim_le and sc_pd_le read every answer off the kernels: no split
+        # test reads a Hom complex
         real = endo._Chain.hom_complex_dims_and_ranks
         monkeypatch.setattr(endo._Chain, "hom_complex_dims_and_ranks", counting("split tests", real))
         answers = [check(g, n) if x is None else check(g, x, n) for n in range(count)]
@@ -223,7 +223,7 @@ def test_the_corpus_builds_no_product_table_chain_tables_or_trace_form(monkeypat
     for e1, e2 in CONDITION_D:
         modules += [parse_module_expression(cyclic3, e) for e in (e1, e2)]
         assert endo._condition_d(*modules[-2:], 2)[0]
-    assert counts == {"product tables": 0, "generic chain tables": 0, "trace forms": 0, "split tests": 0}
+    assert counts == {"split tests": 0}
     # each End(M), and the basic algebra of each End(M) that repeats a class
     reduced = [endo._reduce_to_basic(end_ring(m))[1] is not None for m in modules]
     assert len(built) == len(modules) + sum(reduced)

@@ -11,8 +11,13 @@ and no function takes a ``seed``; the sixth keeps the cycle collector out of
 the library: no module imports ``gc``; the seventh keeps one source of
 generators and relations, ``rep.presentation``: no module reads or writes an
 attribute named ``hint``, directly or through ``getattr`` and its kin; the
-last keeps one relative functor per module and variance: ``SubBifunctor`` is
-constructed only by ``relhom._functor``, which shares it.
+eighth keeps one relative functor per module and variance: ``SubBifunctor`` is
+constructed only by ``relhom._functor``, which shares it.  The last two keep
+one radical route for End(M): nothing of the generic structure-constant
+route (product table, trace-form radical of a whole algebra, generic chain
+tables, split test) is defined under ``src/``, since ``tests/sc_reference.py``
+holds it, and ``StructureConstantAlgebra`` is constructed only by
+``endo._block_algebra``.
 """
 
 from __future__ import annotations
@@ -476,3 +481,80 @@ def test_functor_check_sees_each_breach():
     ]
     # the same text in another file has no helper: line 2 is a breach there
     assert len(_constructor_breaches("cli.py", bad, FUNCTOR_CLASS, FUNCTOR_HELPER)) == 4
+
+
+# The generic structure-constant route, kept in tests/sc_reference.py as the
+# reference the block route is checked against: top-level names, and methods
+# as ``Class.method``.  ``endo.radical`` stays: it reads the block radical,
+# and the benchmark's traced replay wraps it.
+GENERIC_ROUTE = {
+    "_detect_members",
+    "_vertices",
+    "_member_vertices",
+    "_sparse_row",
+    "radical_generators",
+    "_radical_from_trace_form",
+    "_radical_data",
+    "_ChainTables.__init__",
+    "_AtomBlocks.mult",
+    "StructureConstantAlgebra.mult",
+    "StructureConstantAlgebra._detect_members",
+    "_Chain._apply",
+    "_matvec",
+    "_Cover.kernel_cols",
+}
+# the split test read Ext^1 of the covering sequence off a Hom complex
+SPLIT_TEST = ("_pd_le_on_chain", "hom_complex_dims_and_ranks")
+
+
+def _generic_route_breaches(trees: dict[str, ast.Module]) -> list[str]:
+    """Definitions of ``GENERIC_ROUTE`` names, and a ``_pd_le_on_chain``
+    that reads a Hom complex (the split test)."""
+    out = []
+    for name, tree in trees.items():
+        for stmt in tree.body:
+            if not isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            defined = [stmt.name]
+            if isinstance(stmt, ast.ClassDef):
+                defined += [
+                    f"{stmt.name}.{sub.name}"
+                    for sub in stmt.body
+                    if isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef))
+                ]
+            out.extend(f"{name}: {d}" for d in defined if d in GENERIC_ROUTE)
+            if stmt.name == SPLIT_TEST[0] and _used_names(stmt)[SPLIT_TEST[1]]:
+                out.append(f"{name}: split test in {stmt.name}")
+    return out
+
+
+def test_the_generic_route_is_not_in_src():
+    assert _generic_route_breaches(_trees()) == []
+
+
+def test_generic_route_check_sees_each_breach():
+    bad = ast.parse(
+        "def radical_generators(g):\n"
+        "    pass\n"
+        "class _Chain:\n"
+        "    def _apply(self, level, terms, vec):\n"
+        "        pass\n"
+        "    def extend(self):\n"
+        "        pass\n"
+        "def _pd_le_on_chain(chain, n):\n"
+        "    return chain.hom_complex_dims_and_ranks(n, [], [])\n"
+        "def radical(g):\n"
+        "    pass\n"
+    )
+    assert _generic_route_breaches({"endo.py": bad}) == [
+        "endo.py: radical_generators",
+        "endo.py: _Chain._apply",
+        "endo.py: split test in _pd_le_on_chain",
+    ]
+
+
+def test_end_algebras_are_built_by_one_helper():
+    breaches = []
+    for name, tree in _trees().items():
+        breaches.extend(_constructor_breaches(name, tree, "StructureConstantAlgebra", ("endo.py", "_block_algebra")))
+    assert breaches == []
