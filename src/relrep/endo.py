@@ -34,12 +34,12 @@ from .rep import (
     composition_table,
     direct_sum,
     enumerate_indecomposables_nakayama,
-    flatten_atoms,
     hom_basis,
     hom_space,
     inj_module,
     is_isomorphic,
-    local_parts,
+    iso_classes,
+    placed_parts,
     proj_module,
 )
 from .homology import ext_dim, factor_through, in_add, is_left_minimal, is_right_minimal
@@ -632,29 +632,15 @@ def sc_injective_dim_le(g: StructureConstantAlgebra, x: SCModule, n: int) -> boo
 # endomorphism algebras of representations
 
 
-def _end_atoms(m: Module) -> list[tuple]:
-    """``(part, into, onto, offsets)`` for the local parts
-    (``rep.local_parts``) of the nonzero atoms of m, in order: ``into`` and
-    ``onto`` are the vertex maps that place the part in its atom (None when
-    the atom is its own part), ``offsets`` the atom's offsets inside m.
-    End(m) is laid out, and Hom(m2, m1) graded, by these parts."""
-    out, running = [], [0] * len(m.dims)
-    for a in flatten_atoms(m):
-        if a.total_dim:
-            out.extend((part, into, onto, running) for part, into, onto in local_parts(a) or ((a, None, None),))
-            running = [r + d for r, d in zip(running, a.dims)]
-    return out
-
-
 def end_algebra(m: Module) -> tuple[StructureConstantAlgebra, list[Morphism]]:
     """The endomorphism algebra of ``m`` with its morphism basis.
 
     The algebra is :func:`end_ring`.  The basis is built on each call: the
     basis map of phi: A_s -> A_t, for local parts of m's atoms, is
-    into_t∘phi∘onto_s (``_end_atoms``), its vertex maps placed at the offsets
-    of the atoms of A_t (rows) and A_s (columns) inside m.
+    into_t∘phi∘onto_s (``rep.placed_parts``), its vertex maps placed at the
+    offsets of the atoms of A_t (rows) and A_s (columns) inside m.
     """
-    placed = _end_atoms(m)
+    placed = placed_parts(m)
     basis = []
     for a_s, _, onto, off_s in placed:
         for a_t, into, _, off_t in placed:
@@ -711,22 +697,12 @@ def _identity_coords(a: Module) -> list:
 @memoized("end_algebra")
 def end_ring(m: Module) -> StructureConstantAlgebra:
     """End(m) as structure constants without its morphism basis
-    (``_block_algebra`` of the local parts of m's atoms, ``_end_atoms``).
-    The parts are grouped into isomorphism classes (certified
-    ``is_isomorphic``); when a class repeats, the basic algebra End(one part
-    per class) is built too and memoized on End(m) for
-    ``_reduce_to_basic``."""
-    atoms = [part for part, *_ in _end_atoms(m)]
-    classes = [-1] * len(atoms)
-    keep = []
-    for s, a in enumerate(atoms):
-        if classes[s] >= 0:
-            continue
-        classes[s] = len(keep)
-        for t in range(s + 1, len(atoms)):
-            if classes[t] < 0 and a.dims == atoms[t].dims and is_isomorphic(a, atoms[t]):
-                classes[t] = len(keep)
-        keep.append(s)
+    (``_block_algebra`` of the local parts of m's atoms, ``placed_parts``).
+    The parts are grouped into isomorphism classes (``iso_classes``); when
+    a class repeats, the basic algebra End(one part per class) is built too
+    and memoized on End(m) for ``_reduce_to_basic``."""
+    atoms = [part for part, *_ in placed_parts(m)]
+    classes, keep = iso_classes(atoms)
     g = _block_algebra(atoms, classes, f"End(dim {m.total_dim})" if atoms else "End(0)")
     if len(keep) < len(atoms):
         cached(g, "basic", _block_basic, g, atoms, keep)
@@ -793,7 +769,7 @@ def hom_sc_bimodule_sides(m2: Module, m1: Module) -> tuple[SCModule, SCModule]:
     The first action is post-composition; the second is the transpose of
     pre-composition, which makes Hom(m2, m1) a left End(m2)^op-module.
     Hom(m2, m1) is laid out in blocks (j, s) = Hom(B_j, A_s) for the local
-    parts B_j of m2's atoms (outer) and A_s of m1's (``_end_atoms``), and
+    parts B_j of m2's atoms (outer) and A_s of m1's (``placed_parts``), and
     its dual in the dual basis.  The
     End(m1) basis element phi: A_s -> A_t sends block (j, s) to (j, t) by
     psi -> phi∘psi, and the End(m2) basis element phi: B_j -> B_k sends
@@ -802,8 +778,8 @@ def hom_sc_bimodule_sides(m2: Module, m1: Module) -> tuple[SCModule, SCModule]:
     """
     g1 = end_ring(m1)
     g2 = end_ring(m2)
-    targets = [part for part, *_ in _end_atoms(m1)]
-    sources = [part for part, *_ in _end_atoms(m2)]
+    targets = [part for part, *_ in placed_parts(m1)]
+    sources = [part for part, *_ in placed_parts(m2)]
     blocks = [[hom_space(b, a) for a in targets] for b in sources]
     offsets = []
     tdim = 0
@@ -1290,13 +1266,17 @@ def search_exchange_sequence(n: Module, x1: Module, x2: Module, max_len: int) ->
     is isomorphic to ``x1``.  Then every defining condition is verified:
     exactness of the spliced sequence, the left/right minimal-approximation
     property at each stage, and exactness of every step under Hom(n + x2, -)
-    and Hom(-, n + x1).  The caller ensures the endpoints are indecomposable.
+    and Hom(-, n + x1).  An endpoint that is not one nonzero local atom is
+    refused with ``AlgebraError``.
     """
     if max_len < 0:
         raise AlgebraError("maximum length must be >= 0")
     if not is_generator_cogenerator(n):
         raise AlgebraError("the exchange base must be a generator-cogenerator")
     for label, x in (("x1", x1), ("x2", x2)):
+        # one part exactly when x is one nonzero atom that local_parts leaves whole
+        if len(placed_parts(x)) != 1:
+            raise AlgebraError(f"{label} must be indecomposable")
         if in_add(x, n):
             raise AlgebraError(f"{label} must lie outside add of the base")
     if is_isomorphic(x1, x2):

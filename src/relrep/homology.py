@@ -8,8 +8,10 @@ the injective route works on the whole modules), a concrete Ext^1
 presentation with realization (the pushout, built off a middle core cached
 on the quotient) and pullback pairing, the transpose of a minimal
 presentation, and minimal add-approximations with the split-solve route
-kept alongside as an independent cross-check; add-membership is a
-Krull-Schmidt count when the atoms of the add-generator are split local.
+kept alongside as an independent cross-check.  add(m) is read through the
+local parts of m's atoms (``rep.distinct_atoms``): add-membership is a
+Krull-Schmidt count over them, and the approximations are minimal by
+construction.
 
 Ext is additive over direct sums, and the projective routes use it: the
 first edge of the resolution of a sum of atoms with one top generator each,
@@ -39,18 +41,17 @@ from .rep import (
     _multiplicity,
     _precomposed_images,
     _split_local,
-    _stable_power,
     cokernel,
     composite_coords,
     composition_table,
     direct_sum,
+    distinct_atoms,
     dualize,
     dualize_morphism,
     flatten_atoms,
     hom_basis,
     hom_dim,
     hom_space,
-    is_isomorphic,
     kernel,
     morphism_from_generator,
     presentation,
@@ -821,88 +822,16 @@ def trd(x: Module) -> Module:
 # -- add-membership and minimal approximations ---------------------------------
 
 
-def distinct_atoms(m: Module) -> list[Module]:
-    """The registered summands of m, flattened and deduplicated up to isomorphism."""
-    reps: list[Module] = []
-    for atom in flatten_atoms(m):
-        if atom.is_zero():
-            continue
-        if not any(is_isomorphic(atom, r) for r in reps):
-            reps.append(atom)
-    return reps
-
-
-def _right_minimality_data(g: Morphism):
-    """(W, rad, End-space) where W = endomorphisms of the source killed by g."""
-    end_space = hom_space(g.source, g.source)
-    if end_space.dim == 0:
-        return Matrix.zeros(0, 0), Matrix.zeros(0, 0), end_space
-    w = composite_coords(g, end_space).kernel_basis()
-    rad = _end_radical_coords(g.source)
-    return w, rad, end_space
-
-
 def is_right_minimal(g: Morphism) -> bool:
     """Certificate: every endomorphism killed by g lies in rad End(source)."""
-    w, rad, _ = _right_minimality_data(g)
-    return subspace_contains(rad, w)
+    end_space = hom_space(g.source, g.source)
+    if end_space.dim == 0:
+        return True
+    return subspace_contains(_end_radical_coords(g.source), composite_coords(g, end_space).kernel_basis())
 
 
 def is_left_minimal(f: Morphism) -> bool:
     return is_right_minimal(dualize_morphism(f))
-
-
-def _trim_right(g: Morphism) -> Morphism:
-    """Split off Fitting summands killed by g until it is right minimal.
-
-    Any non-nilpotent v with g o v = 0 decomposes the source as
-    ker(v^inf) + im(v^inf) with g vanishing on the image part, so restricting
-    to the kernel part keeps the approximation property.  The candidates
-    always hold such a v: while g is not right minimal, W (the endomorphisms
-    killed by g) is not inside rad End, the kernel of the trace form, so
-    some w_i∘e_j has nonzero trace and is not nilpotent.
-    """
-    for _ in range(g.source.total_dim + 1):
-        w, rad, end_space = _right_minimality_data(g)
-        if subspace_contains(rad, w):
-            return g
-        table = composition_table(end_space, end_space)
-
-        def candidates():
-            yield from w.columns()
-            # W is a right ideal: v composed with anything stays inside it;
-            # v∘e_j has coordinates table[j] @ v
-            for j in range(w.cols):
-                for t in table:
-                    yield (t @ w.column_vector(j)).flatten()
-
-        for coords in candidates():
-            power = _stable_power(end_space.from_coords(coords))
-            if power.is_zero():
-                continue
-            ker_mod, ker_incl = kernel(power)
-            if ker_mod.total_dim == g.source.total_dim:
-                continue
-            g = g @ ker_incl
-            break
-        else:
-            raise InternalError(
-                "homology", "every endomorphism killed by a non-minimal approximation is nilpotent"
-            )
-    raise InternalError("homology", "minimal approximation refinement did not terminate")
-
-
-def _approximation_atoms(m: Module) -> list[Module]:
-    """The distinct atoms of m: m itself unless it is zero or a sum, else
-    cached on m (the atoms of a sum are its summands, which m holds anyway)."""
-    if m.summands is None:
-        return [] if m.is_zero() else [m]
-    return _distinct_summand_atoms(m)
-
-
-@memoized("approximation")
-def _distinct_summand_atoms(m: Module) -> list[Module]:
-    return distinct_atoms(m)
 
 
 def _radical_terms(u: Module, w: Module) -> list:
@@ -937,37 +866,46 @@ def _radical_compositions(atoms: Sequence[Module], spaces: Sequence[HomSpace], t
 def minimal_right_approximation(x: Module, m: Module) -> Morphism:
     """The right minimal add(m)-approximation of x.
 
-    Source multiplicities come from the tops of the restricted hom functor:
-    for each atom u of m, basis maps u -> x spanning a complement of the
-    composites through radical maps inside add m, read in generator
-    coordinates; the atoms are cached on m.  When every contributing atom
-    has a local endomorphism ring -- checked from the ring's own radical --
-    that construction is minimal outright; otherwise the result is certified
-    and repaired if needed.
+    Source multiplicities come from the tops of the restricted hom functor,
+    over the local parts u of m's atoms (``distinct_atoms``, cached on m):
+    the maps u -> x modulo the composites through radical maps inside add
+    m form a right vector space over D = End(u)/rad, and basis maps whose
+    classes are a D-basis of it give the copies of u.  For D = QQ these are
+    the basis maps spanning a complement, read in generator coordinates;
+    otherwise each chosen map v brings all of v∘End(u) into the span
+    (``_d_linear_choice``).  The result is minimal by construction.
     """
-    atoms = _approximation_atoms(m)
+    atoms = distinct_atoms(m)
     spaces = [hom_space(u, x) for u in atoms]
     parts: list[Module] = []
     comps: list[Morphism] = []
-    all_atoms_local = True
     for t, u in enumerate(atoms):
         space_t = spaces[t]
         if space_t.dim == 0:
             continue
+        span = _radical_compositions(atoms, spaces, t)
+        _, chosen = complement_projection(span)
         if not _split_local(u):
-            all_atoms_local = False
-        # basis maps spanning a complement of the radical compositions
-        _, chosen = complement_projection(_radical_compositions(atoms, spaces, t))
+            chosen = _d_linear_choice(space_t, span, chosen)
         for idx in chosen:
             parts.append(u)
             comps.append(space_t.basis_map(idx))
     source = direct_sum(x.algebra, parts)
-    g = assemble_from_components(source, x, comps)
-    if all_atoms_local:
-        return g
-    if is_right_minimal(g):
-        return g
-    return _trim_right(g)
+    return assemble_from_components(source, x, comps)
+
+
+def _d_linear_choice(space: HomSpace, span: Matrix, candidates: Sequence[int]) -> list[int]:
+    """The candidate basis maps v of ``space`` = Hom(u, x) that are not in
+    ``span`` + the v'∘End(u) of the ones chosen before: their classes are
+    a basis of Hom(u, x)/span over End(u)/rad when the candidates span it
+    over QQ.  The v∘End(u) are columns of ``composition_table``."""
+    table = composition_table(space, hom_space(space.source, space.source))
+    chosen = []
+    for i in candidates:
+        if not subspace_contains(span, Matrix.column([int(k == i) for k in range(space.dim)])):
+            chosen.append(i)
+            span = hstack([span] + [t.column_vector(i) for t in table])
+    return chosen
 
 
 def minimal_left_approximation(x: Module, m: Module) -> Morphism:
@@ -979,29 +917,17 @@ def minimal_left_approximation(x: Module, m: Module) -> Morphism:
 def in_add(x: Module, m: Module) -> bool:
     """Whether x is a direct summand of a finite direct sum of copies of m.
 
-    When the distinct atoms z of m are all split local, by a Krull-Schmidt
-    count (``_in_add_by_count``): x is in add(m) exactly when the summands
+    By a Krull-Schmidt count over the local parts z of m's atoms
+    (``distinct_atoms``): x is in add(m) exactly when the summands
     isomorphic to some z fill it, sum of multiplicity(z, x)·dim z = dim x.
-    The count certifies both answers and never builds End(x).  Otherwise
-    x is in add(m) when its minimal right add(m)-approximation is an iso.
+    The count certifies both answers and never builds End(x).
     """
-    if x.is_zero():
-        return True
-    if m.is_zero():
-        return False
-    by_count = _in_add_by_count(x, m)
-    if by_count is not None:
-        return by_count
-    return minimal_right_approximation(x, m).is_iso()
+    return x.is_zero() or _in_add_by_count(x, m)
 
 
-def _in_add_by_count(x: Module, m: Module) -> bool | None:
-    """``in_add(x, m)`` for nonzero x and m by the Krull-Schmidt count, or
-    None when some distinct atom of m is not split local."""
-    atoms = _approximation_atoms(m)
-    if not all(_split_local(z) for z in atoms):
-        return None
-    return sum(_multiplicity(z, x) * z.total_dim for z in atoms) == x.total_dim
+def _in_add_by_count(x: Module, m: Module) -> bool:
+    """``in_add(x, m)`` for nonzero x, by the Krull-Schmidt count."""
+    return sum(_multiplicity(z, x) * z.total_dim for z in distinct_atoms(m)) == x.total_dim
 
 
 def in_add_via_split(x: Module, m: Module) -> bool:

@@ -1245,6 +1245,53 @@ def _fitting_parts(power: Morphism) -> tuple:
     return tuple(parts)
 
 
+def placed_parts(m: Module) -> list[tuple]:
+    """``(part, into, onto, offsets)`` for the local parts (``local_parts``)
+    of the nonzero atoms of m, in order: ``into`` and ``onto`` are the vertex
+    maps that place the part in its atom (None when the atom is its own
+    part), ``offsets`` the atom's offsets inside m.  By Krull-Schmidt m is
+    the sum of these parts."""
+    out, running = [], [0] * len(m.dims)
+    for a in flatten_atoms(m):
+        if a.total_dim:
+            out.extend((part, into, onto, running) for part, into, onto in local_parts(a) or ((a, None, None),))
+            running = [r + d for r, d in zip(running, a.dims)]
+    return out
+
+
+def iso_classes(parts: Sequence[Module]) -> tuple[list[int], list[int]]:
+    """``(classes, keep)`` for local modules: ``classes[s]`` numbers the
+    isomorphism class of ``parts[s]`` in order of first appearance, and
+    ``keep`` holds the index of each class's first part."""
+    classes: list[int] = []
+    keep: list[int] = []
+    for a in parts:
+        k = next((c for c, s in enumerate(keep) if is_isomorphic(a, parts[s])), len(keep))
+        if k == len(keep):
+            keep.append(len(classes))
+        classes.append(k)
+    return classes, keep
+
+
+def distinct_atoms(m: Module) -> list[Module]:
+    """The local parts of m's atoms (``placed_parts``), one per isomorphism
+    class: add(m) is read through them.  Cached on m when m is a sum (a
+    module that is not one may be its own part)."""
+    if m.summands is None:
+        return _distinct_parts(m)
+    return _cached_distinct_parts(m)
+
+
+def _distinct_parts(m: Module) -> list[Module]:
+    parts = [part for part, *_ in placed_parts(m)]
+    return [parts[s] for s in iso_classes(parts)[1]]
+
+
+@memoized("distinct atoms")
+def _cached_distinct_parts(m: Module) -> list[Module]:
+    return _distinct_parts(m)
+
+
 # -- isomorphism testing -------------------------------------------------------
 
 
@@ -1265,8 +1312,9 @@ def _radical_fingerprint(m: Module) -> tuple:
 
 
 def _multiplicity(z: Module, a: Module) -> int:
-    """How often the split local module z is a summand of a: the rank of the
-    pairing Hom(z, a) x Hom(a, z) -> End(z)/rad = QQ, (f, g) -> g∘f.
+    """How often the local module z is a summand of a: the rank of the
+    pairing Hom(z, a) x Hom(a, z) -> End(z)/rad, (f, g) -> g∘f, over the
+    dimension of End(z)/rad, which each summand z of a adds to the rank.
 
     Cached on the younger of z and a (``relrep.cache.cached_pair``), so a
     sweep over long-lived atoms and witnesses reads each pair once."""
@@ -1278,21 +1326,21 @@ def _pairing_rank(z: Module, a: Module) -> int:
     if into.dim == 0 or out.dim == 0:
         return 0
     proj = _end_top_projection(z)
-    return vstack([proj @ t for t in composition_table(out, into)]).rank()
+    return vstack([proj @ t for t in composition_table(out, into)]).rank() // proj.rows
 
 
 def is_isomorphic(x: Module, y: Module) -> bool:
     """Exact isomorphism test; every answer carries a certificate.
 
     "False" comes from an invariant: the dimension vectors, the radical
-    layers and socle, the dimensions of the four hom spaces, or a
-    Krull-Schmidt multiplicity.  "True" comes from an invertible basis map
-    of Hom(x, y), or from equal multiplicities of every atom of a side whose
-    atoms are all split local.  A basis map is enough for a split local x:
-    the maps x -> y that are not invertible form the hyperplane
-    phi∘rad End(x).  Raises AlgebraError when neither certificate applies,
-    that is when no basis map is invertible and neither side is a sum of
-    split local atoms.
+    layers and socle, or the dimensions of the four hom spaces.  "True"
+    comes from an invertible basis map of Hom(x, y).  Past those, x is
+    read through the local parts of its atoms (``distinct_atoms``): a
+    local x is not isomorphic to y, since the maps x -> y that are not
+    invertible form the proper subspace rad(x, y), which would hold the
+    whole basis; any other x is isomorphic to y exactly when each of its
+    parts is as often a summand of y as of x.  ``local_parts`` refuses an
+    atom it cannot decompose with ``AlgebraError``.
     """
     if x is y:
         return True
@@ -1316,16 +1364,12 @@ def is_isomorphic(x: Module, y: Module) -> bool:
         return False
     if any(hom_xy.basis_map(i).is_iso() for i in range(k)):
         return True
-    for a, b in ((x, y), (y, x)):
-        atoms = [z for z in flatten_atoms(b) if not z.is_zero()]
-        if all(_split_local(z) for z in atoms):
-            # equal multiplicities make b a summand of a, and equal
-            # dimensions make it all of a
-            return all(_multiplicity(z, a) == _multiplicity(z, b) for z in atoms)
-    raise AlgebraError(
-        "isomorphism undecided: no hom basis map is invertible and neither "
-        "module is a sum of split local atoms"
-    )
+    parts = distinct_atoms(x)
+    if parts[0] is x:
+        return False
+    # equal multiplicities make x a summand of y, and equal dimensions make
+    # it all of y
+    return all(_multiplicity(z, x) == _multiplicity(z, y) for z in parts)
 
 
 # -- Nakayama enumeration -------------------------------------------------------

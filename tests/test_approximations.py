@@ -7,18 +7,15 @@ the table of End(u), is kept below as the reference.  On parse-built m the
 two choose the same basis maps, byte for byte; over the relative projectives
 of contravariant functors (whose atoms include the transposes trd(M)) they
 agree on multiplicities, and the result is checked to approximate and to be
-right minimal.  The last tests reach the non-local branch, a module whose
-endomorphism ring is not local: add-membership against the split-solve
-route, and the Fitting repair ``_trim_right``, whose deterministic
-candidates always hold a non-nilpotent endomorphism.
+right minimal.  The last test reaches an atom whose endomorphism ring is
+not local, read through its local parts: add-membership against the
+split-solve route, and approximations that approximate and are minimal.
 """
 
 from collections import Counter
 
 import pytest
 
-import relrep.homology as homology
-from relrep import cli
 from relrep.exact_linalg import Matrix, complement_projection, hstack
 from relrep.homology import (
     distinct_atoms,
@@ -29,11 +26,9 @@ from relrep.homology import (
     minimal_right_approximation,
     projective_resolution,
 )
-from relrep.path_algebra import InternalError
-from relrep.relhom import _canonical_right_approximation, contravariant_functor
+from relrep.relhom import contravariant_functor
 from relrep.rep import (
     Module,
-    Morphism,
     _end_radical_coords,
     assemble_from_components,
     composition_table,
@@ -164,22 +159,14 @@ def test_contravariant_approximations_match_the_table_construction(make):
         assert cyclic == len(tests)
 
 
-def test_non_local_branch_agrees_with_the_split_route(monkeypatch):
+def test_non_local_branch_agrees_with_the_split_route():
     """A plain copy of P(1)+S(1) on cyclic3 has no layout, so it is one atom
-    whose endomorphism ring is not local: approximations by it go through
-    ``is_right_minimal`` and, when not minimal, ``_trim_right``."""
+    whose endomorphism ring is not local: add(m) is read through its two
+    local parts."""
     alg = _cyc3_trunc5()
     layered = parse_module_expression(alg, "P(1)+S(1)")
     m = Module(alg, layered.dims, layered.arrow_maps)
-    calls = Counter()
-    for name in ("is_right_minimal", "_trim_right"):
-        real = getattr(homology, name)
-
-        def counted(*args, _real=real, _name=name, **kwargs):
-            calls[_name] += 1
-            return _real(*args, **kwargs)
-
-        monkeypatch.setattr(homology, name, counted)
+    assert sorted(u.dims for u in distinct_atoms(m)) == [(1, 0, 0), (2, 2, 1)]
     xs = [parse_module_expression(alg, e) for e in ("P(1)", "S(1)", "P(2)", "S(2)", "P(1)/rad^2", "P(1)+P(1)+S(1)")]
     xs += [layered, m]
     answers = []
@@ -190,34 +177,3 @@ def test_non_local_branch_agrees_with_the_split_route(monkeypatch):
         _assert_approximates(g, x, m)
         assert is_right_minimal(g)
     assert answers == [True, True, False, False, False, True, True, True]
-    assert calls["is_right_minimal"] and calls["_trim_right"]
-
-
-def test_trim_right_repairs_canonical_approximations_by_a_summand_free_module():
-    alg = _cyc3_trunc5()
-    layered = parse_module_expression(alg, "P(1)+S(1)")
-    m = Module(alg, layered.dims, layered.arrow_maps)
-    for expr in ("S(1)", "P(1)", "P(1)/rad^2", "P(1)+S(1)"):
-        x = parse_module_expression(alg, expr)
-        g = _canonical_right_approximation(x, m)
-        assert not is_right_minimal(g)
-        trimmed = homology._trim_right(g)
-        assert is_right_minimal(trimmed)
-        _assert_approximates(trimmed, x, m)
-        assert trimmed.source.dims == minimal_right_approximation(x, m).source.dims
-
-
-def test_trim_right_running_out_of_candidates_is_an_internal_error(monkeypatch, capsys):
-    alg = _cyc3_trunc5()
-    layered = parse_module_expression(alg, "P(1)+S(1)")
-    m = Module(alg, layered.dims, layered.arrow_maps)
-    g = _canonical_right_approximation(simple_module(alg, 0), m)
-    # every candidate now looks nilpotent
-    monkeypatch.setattr(homology, "_stable_power", lambda v: Morphism.zero(v.source, v.source))
-    with pytest.raises(InternalError) as raised:
-        homology._trim_right(g)
-    assert raised.value.layer == "homology"
-    monkeypatch.setattr(cli, "gldim_le", lambda algebra, n: homology._trim_right(g))
-    code = cli.main(["gldim-endo", "builtin:cyclic3", "S(1)", "--bound", "0"])
-    assert code == cli.EXIT_INTERNAL == 5
-    assert capsys.readouterr().err.startswith("internal error in homology: ")

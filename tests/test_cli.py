@@ -199,6 +199,13 @@ class TestExchange:
         assert code == EXIT_HYPOTHESIS
         assert "generator-cogenerator" in err
 
+    @pytest.mark.parametrize("x2", ["P(1)/rad^2+S(2)", "P(1)/rad^2+P(1)/rad^2"])
+    def test_a_decomposable_endpoint_exits_four_not_false(self, capsys, x2):
+        code, out, err = run(capsys, ["exchange", ALG, self.BASE, "P(3)/rad^2", x2, "--max-len", "3"])
+        assert code == EXIT_HYPOTHESIS
+        assert err.strip() == "hypothesis failure: x2 must be indecomposable"
+        assert "## found" not in out
+
 
 class TestSmallCommands:
     def test_translate_directions(self, capsys):

@@ -17,6 +17,7 @@ from relrep import cli, endo
 from relrep.exact_linalg import QQ, Matrix, hstack
 from relrep.path_algebra import AlgebraError, AlgebraPresentation, cyclic_quiver, linear_quiver
 from relrep.rep import (
+    Module,
     cogenerator_module,
     direct_sum,
     enumerate_indecomposables_nakayama,
@@ -558,6 +559,13 @@ class TestExchangeSequences:
         p1 = parse_module_expression(cyc3_5, "P(1)")
         with pytest.raises(AlgebraError, match="outside add"):
             search_exchange_sequence(n, p1, x2, 1)
+        # a sum, doubled or not, and a plain copy of one, are no endpoints
+        pair = direct_sum(cyc3_5, [x2, parse_module_expression(cyc3_5, "S(2)")])
+        for bad in (pair, direct_sum(cyc3_5, [x2, x2]), Module(cyc3_5, pair.dims, pair.arrow_maps)):
+            with pytest.raises(AlgebraError, match="x2 must be indecomposable"):
+                search_exchange_sequence(n, x1, bad, 3)
+            with pytest.raises(AlgebraError, match="x1 must be indecomposable"):
+                search_exchange_sequence(n, bad, x2, 3)
 
 
 def tilting_style_condition(m1, m2, l):

@@ -1,11 +1,12 @@
 """Certified isomorphism: invariants, an invertible basis map, or Krull-Schmidt.
 
 ``is_isomorphic`` answers "false" only from an invariant (dimension vectors,
-radical layers and socle, the four hom dimensions) or from unequal
-multiplicities of a split local atom, and "true" only from an invertible
-basis map of Hom(x, y) or from equal multiplicities.  When none of these
-applies it raises.  The randomized search it replaced is kept below as the
-reference: on the syzygy-step corpus the two agree.
+radical layers and socle, the four hom dimensions), from a local x with no
+invertible basis map of Hom(x, y), or from unequal multiplicities of a
+local part of x's atoms, and "true" only from an invertible basis map of
+Hom(x, y) or from equal multiplicities.  An atom that ``local_parts``
+cannot decompose is refused.  The randomized search it replaced is kept
+below as the reference: on the syzygy-step corpus the two agree.
 
 On a Nakayama algebra the radical layers already fix a module (they give,
 for every k, the tops of the uniserial summands longer than k), so a pair
@@ -35,6 +36,7 @@ from relrep.rep import (
     simple_module,
 )
 from test_homology import _kronecker
+from test_rep import _kronecker_at
 from test_syzygy_steps import ALGEBRAS, _built, _cyc3_trunc5, _parsed, _tilted
 
 
@@ -145,26 +147,35 @@ def test_a_false_with_every_invariant_equal_comes_from_a_multiplicity(multiplici
     s = simple_module(alg, 0)
     a = _plain(direct_sum(alg, [x, s]))
     b = direct_sum(alg, [s, y])
-    for p, q in ((x, y), (a, b)):
+    # the bricks X and Y are local: the non-isomorphisms X -> Y form the
+    # proper subspace rad(X, Y), so no multiplicity is read for them
+    for p, q, reads in ((x, y, False), (a, b, True)):
         assert p.dims == q.dims
         assert _radical_fingerprint(p) == _radical_fingerprint(q)
         k = hom_dim(p, q)
         assert k > 0 and hom_dim(q, p) == hom_dim(p, p) == hom_dim(q, q) == k
         del multiplicity_calls[:]
         assert not is_isomorphic(p, q) and not is_isomorphic(q, p)
-        assert multiplicity_calls
+        assert bool(multiplicity_calls) is reads
     assert is_isomorphic(a, direct_sum(alg, [s, x]))
 
 
-def test_undecidable_pairs_raise_instead_of_answering_false():
+def test_plain_sums_with_equal_invariants_are_decided_false_both_ways():
     alg = _four_subspace()
     x = _lines(alg, (1, 0), (1, 0), (0, 1), (1, 1))
     y = _lines(alg, (0, 1), (1, 1), (1, 0), (1, 0))
     s = simple_module(alg, 0)
     a = _plain(direct_sum(alg, [x, s]))
     b = _plain(direct_sum(alg, [s, y]))
-    with pytest.raises(AlgebraError, match="isomorphism undecided"):
-        is_isomorphic(a, b)
+    assert not is_isomorphic(a, b) and not is_isomorphic(b, a)
+
+
+def test_a_sum_with_an_atom_that_local_parts_refuses_is_refused():
+    # End R = QQ[x]/(x^4 - 2), a field past the cheap local certificate
+    r = _kronecker_at([-2, 0, 0, 0])
+    p = simple_module(r.algebra, 0)
+    with pytest.raises(AlgebraError, match="atom decomposition undecided"):
+        is_isomorphic(direct_sum(r.algebra, [r, p]), direct_sum(r.algebra, [p, r]))
 
 
 # -- agreement with the randomized search -------------------------------------------
