@@ -23,7 +23,7 @@ from __future__ import annotations
 from math import isqrt, lcm
 from typing import Sequence
 
-from .cache import Cached, cached_pair, involution, memoized
+from .cache import Cached, cached, cached_pair, involution, memoized
 from .exact_linalg import (
     Matrix,
     _canon_row,
@@ -1279,17 +1279,12 @@ def distinct_atoms(m: Module) -> list[Module]:
     module that is not one may be its own part)."""
     if m.summands is None:
         return _distinct_parts(m)
-    return _cached_distinct_parts(m)
+    return cached(m, "distinct atoms", _distinct_parts, m)
 
 
 def _distinct_parts(m: Module) -> list[Module]:
     parts = [part for part, *_ in placed_parts(m)]
     return [parts[s] for s in iso_classes(parts)[1]]
-
-
-@memoized("distinct atoms")
-def _cached_distinct_parts(m: Module) -> list[Module]:
-    return _distinct_parts(m)
 
 
 # -- isomorphism testing -------------------------------------------------------
