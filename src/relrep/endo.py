@@ -18,7 +18,6 @@ a left ``End(M2)^op``-module under pre-composition, so its dual is a left
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import product
 from typing import NamedTuple
 
 from .cache import Cached, cached, cached_pair, memoized
@@ -106,65 +105,64 @@ def _terms(vec) -> list:
 
 
 @memoized("block radical")
-def _block_radical(g: StructureConstantAlgebra) -> tuple[dict, list]:
-    """``(rad, generators)`` of g = End(A_0 + ... + A_k): ``rad[s, t]`` a
-    basis of block (s, t) of the radical in block coordinates, ``generators``
-    the ``(s, t, vector)`` lifting a basis of rad/rad².
+def _block_radical(g: StructureConstantAlgebra) -> list:
+    """The ``(s, t, vector)`` that lift a basis of rad/rad² of g = End(A_0 +
+    ... + A_k), each vector in the coordinates of block (s, t).
 
     For local, pairwise non-isomorphic atoms (``rep.local_parts`` certifies
     locality) the radical is all of Hom(A_s, A_t) for s != t and rad
-    End(A_s) on the diagonal.  rad² is blocked alike, rad²(s, t) = sum over u
-    of rad(u, t)∘rad(s, u), and the radical columns that are pivots of
-    [rad² | rad] lift a basis of rad/rad², block by block.
+    End(A_s) on the diagonal (``_RadicalBlock``).  rad² is blocked alike,
+    rad²(s, t) = sum over u of rad(u, t)∘rad(s, u), each product read off
+    the record of its atom triple (``_Triple.square``), and the radical
+    vectors that are pivots of [rad² | rad] lift a basis of rad/rad², block
+    by block.  A block that rad² misses lifts itself, and a 1-dimensional
+    block that it meets lifts nothing.
     """
     blocks = g._blocks
     if blocks.radicals is None:
         raise InternalError("endo", "an End(M) that repeats an atom class is resolved over its basic algebra")
-    count = len(blocks.dims)
-    rad = {}
+    triples, radicals = blocks.triples, blocks.radicals
+    count = len(radicals)
+    generators = []
     for s in range(count):
         for t in range(count):
-            d = blocks.dims[s][t]
-            rad[s, t] = blocks.radicals[s] if s == t else [[int(p == q) for q in range(d)] for p in range(d)]
-    sparse = {key: [_terms(vec) for vec in block] for key, block in rad.items()}
-    generators = []
-    for (s, t), block in rad.items():
-        if not block:
-            continue
-        d = blocks.dims[s][t]
-        rows = []
-        for u in range(count):
-            for x in sparse[u, t]:
-                for y in sparse[s, u]:
-                    prod = [0] * d
-                    for j, yj in y:
-                        column = blocks.columns[s, u, t][j]
-                        for i, xi in x:
-                            for k, r in column[i]:
-                                prod[k] += xi * yj * r
-                    if any(prod):
-                        rows.append(_canon_row(prod))
-        square = len(rows)
-        _, pivots = Matrix._trusted(square + len(block), d, rows + block).transpose().rref()
-        generators.extend((s, t, block[p - square]) for p in pivots if p >= square)
-    return rad, generators
+            block = radicals[s][t].vectors
+            if not block:
+                continue
+            d = len(block[0])
+            rows = []
+            for u in range(count):
+                triple = triples[s][u][t]
+                if triple is not None:
+                    products = triple.square
+                    if products is None:
+                        products = triple.fill_square(radicals[u][t].terms, radicals[s][u].terms, d)
+                    rows += products
+            if not rows:
+                generators.extend((s, t, vec) for vec in block)
+            elif d > 1:
+                square = len(rows)
+                _, pivots = Matrix._trusted(square + len(block), d, rows + block).transpose().rref()
+                generators.extend((s, t, block[p - square]) for p in pivots if p >= square)
+    return generators
 
 
 def radical(g: StructureConstantAlgebra) -> Matrix:
     """Basis (columns) of the Jacobson radical of g, an End(M) of pairwise
     non-isomorphic parts (the basic algebra of any End(M) is one), read off
-    its atom blocks (``_block_radical``) and laid out in offset order: the
+    its atom blocks (``_RadicalBlock``) and laid out in offset order: the
     blocks hold disjoint runs of coordinates, so that is the normal form of
     ``kernel_basis``.  The chains read the blocks themselves."""
     if g._blocks.radicals is None:
         raise AlgebraError("endo: an End(M) that repeats an atom class has no block radical; read its basic algebra's")
     offsets, n = g._blocks.offsets, g.dim
     cols = []
-    for (s, t), block in _block_radical(g)[0].items():
-        for vec in block:
-            col = [0] * n
-            col[offsets[s][t] : offsets[s][t] + len(vec)] = vec
-            cols.append(col)
+    for s, row in enumerate(g._blocks.radicals):
+        for t, block in enumerate(row):
+            for vec in block.vectors:
+                col = [0] * n
+                col[offsets[s][t] : offsets[s][t] + len(vec)] = vec
+                cols.append(col)
     return Matrix.from_columns(cols) if cols else Matrix.zeros(n, 0)
 
 
@@ -235,7 +233,8 @@ class _Span:
         v = self._reduce(vec)
         for p, c in enumerate(v):
             if c != 0:
-                v = [exact_div(t, c) for t in v]
+                if c != 1:
+                    v = [exact_div(t, c) for t in v]
                 for row in self.rows:
                     cc = row[p]
                     if cc != 0:
@@ -273,9 +272,9 @@ class _Cover:
         for kind in kinds:
             self.offsets.append(self.dim)
             self.dim += len(tables.members[kind])
-            for i, positions in enumerate(tables.by_vertex[kind]):
+            for i, width in enumerate(tables.widths[kind]):
                 self.starts[i].append(self.widths[i])
-                self.widths[i] += len(positions)
+                self.widths[i] += width
         self.kernels: list[list[list]] | None = None
 
     def dense(self, vertex: int, vec: list) -> list:
@@ -291,74 +290,49 @@ class _ChainTables:
     """What every chain over g reads (read only), once per g and holding no
     reference to it.  The pieces are the A e_s.  b_m lies at ``vertex[m]``,
     the i with e_i·b_m = b_m; ``by_vertex[s][i]`` lists the positions in A
-    e_s of its members at vertex i, the coordinates of e_i A e_s.
-    ``acts[s][t]`` maps k to the nonzero b_k·(member t of A e_s) in
-    e_vertex[k] A e_s coordinates; ``rad_spans[s][i]`` spans e_i (rad A)
-    e_s, and ``tops[s]`` lists the members of A e_s outside it.
-    ``leaving[i]`` holds the homogeneous e_j·ℓ·e_i of the radical
-    generators ℓ as ``(j, terms)``, which generate rad A as the ℓ do."""
+    e_s of its members at vertex i, the coordinates of e_i A e_s, and
+    ``widths[s][i]`` counts them.  ``acts[s][t]`` maps k to the nonzero
+    b_k·(member t of A e_s) in e_vertex[k] A e_s coordinates;
+    ``rad_spans[s][i]`` spans e_i (rad A) e_s, and ``tops[s]`` lists the
+    members of A e_s outside it.  ``leaving[i]`` holds the homogeneous
+    e_j·ℓ·e_i of the radical generators ℓ as ``(j, terms)``, which generate
+    rad A as the ℓ do."""
 
-    __slots__ = ("members", "vertex", "by_vertex", "acts", "rad_spans", "tops", "leaving", "__weakref__")
+    __slots__ = ("members", "vertex", "by_vertex", "widths", "acts", "rad_spans", "tops", "leaving", "__weakref__")
 
     @classmethod
     def _from_blocks(cls, g: StructureConstantAlgebra) -> "_ChainTables":
-        """The tables read off the atom blocks of g: A e_s is the run of
-        blocks (s, t), each at vertex t, and b_k·b_m for b_m in block (s, u)
-        and b_k in block (u, w) is a composition column in block (s, w),
-        already in the coordinates of e_w A e_s."""
+        """The tables placed at the offsets of g's atom blocks: A e_s is the
+        run of blocks (s, t), each at vertex t, e_t (rad A) e_s is the span
+        of rad Hom(A_s, A_t) (``_RadicalBlock``), and b_k·b_m for b_m in
+        block (s, u) and b_k in block (u, w) is read off the record of the
+        triple (s, u, w) (``_Triple.rows``), already in the coordinates of
+        e_w A e_s."""
         blocks = g._blocks
-        rad, generators = _block_radical(g)
-        count = len(blocks.dims)
-        vertex, by_vertex, acts, rad_spans = [], [], [], []
-        for s, (dims, offsets) in enumerate(zip(blocks.dims, blocks.offsets)):
-            vertex.extend(t for t, d in enumerate(dims) for _ in range(d))
-            by_vertex.append([list(range(off - offsets[0], off - offsets[0] + d)) for off, d in zip(offsets, dims)])
-            rad_spans.append([_Span(d) for d in dims])
-            for vec in rad[s, s]:
-                rad_spans[s][s].add(vec)
-            # off the diagonal rad[s, t] is the identity: its span is in RREF already
-            for t, span in enumerate(rad_spans[s]):
-                if t != s:
-                    span.rows, span.pivots = rad[s, t], list(range(dims[t]))
-            piece = []
-            for u in range(count):
-                tables = [(blocks.offsets[u][w], blocks.columns.get((s, u, w))) for w in range(count)]
-                tables = [(off, table) for off, table in tables if table]
-                for j in range(dims[u]):
-                    piece.append({off + i: terms for off, table in tables for i, terms in enumerate(table[j]) if terms})
-            acts.append(piece)
+        generators = _block_radical(g)
+        dims, offsets, triples = blocks.dims, blocks.offsets, blocks.triples
         tables = cls.__new__(cls)
-        tables._fill(
-            g.piece_members,
-            vertex,
-            by_vertex,
-            acts,
-            rad_spans,
-            [(s, t, [(blocks.offsets[s][t] + q, c) for q, c in enumerate(vec) if c]) for s, t, vec in generators],
-        )
-        return tables
-
-    def _fill(self, members, vertex, by_vertex, acts, rad_spans, leaving_parts) -> None:
-        """Set the tables; ``leaving_parts`` are the generators' ``(piece,
-        vertex, terms)`` parts in generator order."""
-        self.members = members
-        self.vertex = vertex
-        self.by_vertex = by_vertex
-        self.acts = acts
-        self.rad_spans = rad_spans
-        self.tops = [
-            [
-                ms[t]
-                for span, at in zip(self.rad_spans[s], by_vertex[s])
-                if span.rank < len(at)
-                for q, t in enumerate(at)
-                if not span.contains([int(p == q) for p in range(len(at))])
-            ]
-            for s, ms in enumerate(members)
+        tables.members = g.piece_members
+        tables.vertex = [t for row in dims for t, d in enumerate(row) for _ in range(d)]
+        tables.by_vertex = [
+            [list(range(off - starts[0], off - starts[0] + d)) for off, d in zip(starts, row)]
+            for starts, row in zip(offsets, dims)
         ]
-        self.leaving = [[] for _ in members]
-        for i, j, terms in leaving_parts:
-            self.leaving[i].append((j, terms))
+        tables.widths = dims
+        tables.rad_spans = [[block.span for block in row] for row in blocks.radicals]
+        tables.tops = [[offsets[s][s] + q for q in row[s].tops] for s, row in enumerate(blocks.radicals)]
+        tables.acts = []
+        for s, row in enumerate(dims):
+            piece = []
+            for u, d in enumerate(row):
+                at = [(offsets[u][w], triple.rows) for w, triple in enumerate(triples[s][u]) if triple is not None]
+                for j in range(d):
+                    piece.append({off + i: terms for off, rows in at for i, terms in rows[j]})
+            tables.acts.append(piece)
+        tables.leaving = [[] for _ in dims]
+        for s, t, vec in generators:
+            tables.leaving[s].append((t, [(offsets[s][t] + q, c) for q, c in enumerate(vec) if c]))
+        return tables
 
 
 @memoized("chain tables")
@@ -538,10 +512,13 @@ class _Chain:
 
 def _reduce_to_basic(g: StructureConstantAlgebra):
     """``(basic, transport)`` for an End(M) that repeats an atom class (a
-    Morita reduction that ``end_ring`` built and memoized on g),
-    ``transport`` mapping an SCModule over g to one over basic; ``(g,
-    None)`` for every other algebra, which is resolved as given."""
-    return cached(g, "basic", lambda: None) or (g, None)
+    Morita reduction built from its atoms on first read and memoized on g,
+    ``_block_basic``), ``transport`` mapping an SCModule over g to one over
+    basic; ``(g, None)`` for every other algebra, which is resolved as
+    given."""
+    if g._blocks is None or g._blocks.atoms is None:
+        return g, None
+    return cached(g, "basic", _block_basic, g)
 
 
 def _pd_le_on_chain(chain: _Chain, n: int) -> bool:
@@ -660,32 +637,125 @@ def end_algebra(m: Module) -> tuple[StructureConstantAlgebra, list[Morphism]]:
 
 
 class _AtomBlocks(NamedTuple):
-    """End(A_0 + ... + A_k) by atom blocks, holding no module: ``dims[s][t]``
-    and ``offsets[s][t]`` place Hom(A_s, A_t), ``columns[sb, sa, ta]`` holds
-    the composition columns of Hom(A_sa, A_ta) after Hom(A_sb, A_sa) for
-    nonzero blocks, and ``radicals[s]`` rad End(A_s) when the atoms are
-    pairwise non-isomorphic (else None)."""
+    """End(A_0 + ... + A_k) by atom blocks: ``dims[s][t]`` and
+    ``offsets[s][t]`` place Hom(A_s, A_t).  For pairwise non-isomorphic
+    atoms ``triples[s][u][t]`` is the record of Hom(A_u, A_t) after Hom(A_s,
+    A_u) (``_Triple``, None where a block is zero) and ``radicals[s][t]``
+    rad Hom(A_s, A_t) (``_RadicalBlock``), and no module is held.  An End(M)
+    that repeats an atom class is resolved over its basic algebra and reads
+    no triple: it holds its ``atoms`` instead (none of them is M, which has
+    at least two), for ``_block_basic``."""
 
     dims: list
     offsets: list
-    columns: dict
+    triples: list | None
     radicals: list | None
+    atoms: tuple | None
 
 
-def _composition_columns(outer, inner) -> tuple:
-    """``composition_table(outer, inner)`` as sparse columns: ``[j][i]`` holds
-    the nonzero ``(k, c)`` of a_i∘b_j.  Cached on the younger of the two
-    spaces' cores, like the table."""
-    return cached_pair(outer._core, inner._core, "composition columns", _sparse_columns, outer, inner)
+class _Triple:
+    """One atom triple (s, u, t) of an End(M): the composites of Hom(A_u,
+    A_t) after Hom(A_s, A_u), cached on the pair of their hom cores
+    (``_atom_triple``), so every End(M) over the same atoms reads one
+    record, and holding no module.
+
+    ``columns[j][i]`` holds the nonzero ``(k, c)`` of a_i∘b_j for the bases
+    a of Hom(A_u, A_t) and b of Hom(A_s, A_u); ``rows[j]`` the ``(i,
+    columns[j][i])`` that are not empty, what the chain tables read for b_j
+    as a member of A e_s.  ``square`` holds the nonzero rad(u, t)∘rad(s, u)
+    in block (s, t) as canonical rows, None until ``_block_radical`` first
+    reads it.  Only an End(M) of pairwise non-isomorphic atoms reads it,
+    where A_u is A_t exactly when u = t: so the radicals it is filled from
+    depend on the triple alone.
+    """
+
+    __slots__ = ("columns", "rows", "square", "__weakref__")
+
+    def __init__(self, outer, inner) -> None:
+        self.columns = _sparse_columns(outer, inner)
+        self.rows = tuple(tuple((i, terms) for i, terms in enumerate(column) if terms) for column in self.columns)
+        self.square = None
+
+    def fill_square(self, outer: list, inner: list, d: int) -> list:
+        """Set ``square`` from the ``_terms`` of bases of rad(u, t)
+        (``outer``) and rad(s, u) (``inner``), d the dimension of block (s,
+        t), and return it."""
+        rows = []
+        for x in outer:
+            for y in inner:
+                prod = [0] * d
+                for j, yj in y:
+                    column = self.columns[j]
+                    for i, xi in x:
+                        for k, r in column[i]:
+                            prod[k] += xi * yj * r
+                if any(prod):
+                    rows.append(_canon_row(prod))
+        self.square = rows
+        return rows
+
+
+def _atom_triple(outer, inner) -> _Triple:
+    """The record of ``outer`` after ``inner``, cached on the younger of the
+    two spaces' cores, like their composition table."""
+    return cached_pair(outer._core, inner._core, "atom triple", _Triple, outer, inner)
 
 
 def _sparse_columns(outer, inner) -> tuple:
+    """``composition_table(outer, inner)`` as sparse columns: ``[j][i]``
+    holds the nonzero ``(k, c)`` of a_i∘b_j."""
     return tuple(
         tuple(tuple((k, c) for k, c in enumerate(col) if c != 0) for col in zip(*coords._data))
         if coords.rows
         else ((),) * outer.dim
         for coords in composition_table(outer, inner)
     )
+
+
+def _atom_triples(spaces: list, dims: list) -> list:
+    """``triples[s][u][t]``, the record of ``spaces[u][t]`` after
+    ``spaces[s][u]`` (``_atom_triple``), None where one of them is zero."""
+    count = len(spaces)
+    return [
+        [
+            [_atom_triple(spaces[u][t], spaces[s][u]) if dims[u][t] else None for t in range(count)]
+            if dims[s][u]
+            else [None] * count
+            for u in range(count)
+        ]
+        for s in range(count)
+    ]
+
+
+class _RadicalBlock(NamedTuple):
+    """rad Hom(A_s, A_t) of local atoms, holding no module: rad End(A_s) on
+    the diagonal, and all of Hom(A_s, A_t) for A_s and A_t non-isomorphic.
+    ``vectors`` is a basis in the coordinates of the hom space, ``terms``
+    their ``_terms``, ``span`` their span and ``tops`` the coordinates whose
+    unit vectors lie outside it.  Cached on the hom core and read only: one
+    object serves every End(M) over the atoms."""
+
+    vectors: list
+    terms: list
+    span: _Span
+    tops: list
+
+
+def _radical_block(space) -> _RadicalBlock:
+    return cached(space._core, "radical block", _make_radical_block, space)
+
+
+def _make_radical_block(space) -> _RadicalBlock:
+    d = space.dim
+    if space.source is space.target:
+        vectors = _end_radical_coords(space.source).columns()
+    else:
+        vectors = [[int(p == q) for q in range(d)] for p in range(d)]
+    span = _Span(d)
+    for vec in vectors:
+        span.add(vec)
+    tops = [q for q in range(d) if not span.contains([int(p == q) for p in range(d)])] if span.rank < d else []
+    return _RadicalBlock(vectors, [_terms(vec) for vec in vectors], span, tops)
 
 
 @memoized("identity coords")
@@ -697,24 +767,21 @@ def _identity_coords(a: Module) -> list:
 @memoized("end_algebra")
 def end_ring(m: Module) -> StructureConstantAlgebra:
     """End(m) as structure constants without its morphism basis
-    (``_block_algebra`` of the local parts of m's atoms, ``placed_parts``).
-    The parts are grouped into isomorphism classes (``iso_classes``); when
-    a class repeats, the basic algebra End(one part per class) is built too
-    and memoized on End(m) for ``_reduce_to_basic``."""
+    (``_block_algebra`` of the local parts of m's atoms, ``placed_parts``),
+    the parts grouped into isomorphism classes (``iso_classes``).  When a
+    class repeats, End(m) is resolved over its basic algebra, built on first
+    read (``_reduce_to_basic``)."""
     atoms = [part for part, *_ in placed_parts(m)]
-    classes, keep = iso_classes(atoms)
-    g = _block_algebra(atoms, classes, f"End(dim {m.total_dim})" if atoms else "End(0)")
-    if len(keep) < len(atoms):
-        cached(g, "basic", _block_basic, g, atoms, keep)
-    return g
+    return _block_algebra(atoms, iso_classes(atoms)[0], f"End(dim {m.total_dim})" if atoms else "End(0)")
 
 
 def _block_algebra(atoms: list, classes: list, name: str) -> StructureConstantAlgebra:
-    """End(A_0 + ... + A_k) from the hom spaces and composition columns of
-    the atom pairs, its basis blocked by (source atom, target atom): atom
-    A_s gives the idempotent e_s, and A·e_s is the run of blocks (s, t).
-    The atoms are local; when ``classes`` are all distinct the radical, its
-    generators and the chain tables are read off the blocks."""
+    """End(A_0 + ... + A_k) from the hom spaces of the atom pairs, its basis
+    blocked by (source atom, target atom): atom A_s gives the idempotent
+    e_s, and A·e_s is the run of blocks (s, t).  The atoms are local; when
+    ``classes`` are all distinct the records of the atom triples and the
+    radical blocks, from which the radical, its generators and the chain
+    tables are read, are looked up once per End(M)."""
     count = len(atoms)
     spaces = [[hom_space(a, b) for b in atoms] for a in atoms]
     dims = [[space.dim for space in row] for row in spaces]
@@ -724,12 +791,6 @@ def _block_algebra(atoms: list, classes: list, name: str) -> StructureConstantAl
         for d in row:
             offsets[-1].append(total)
             total += d
-    # a: A_sa -> A_ta after b: A_sb -> A_sa
-    columns = {
-        (sb, sa, ta): _composition_columns(spaces[sa][ta], spaces[sb][sa])
-        for sb, sa, ta in product(range(count), repeat=3)
-        if dims[sb][sa] and dims[sa][ta]
-    }
     unit = [0] * total
     idempotents = []
     for s, a in enumerate(atoms):
@@ -738,17 +799,23 @@ def _block_algebra(atoms: list, classes: list, name: str) -> StructureConstantAl
             vec[k] = c
             unit[k] += c
         idempotents.append(vec)
-    distinct = len(set(classes)) == count
-    blocks = _AtomBlocks(dims, offsets, columns, [_end_radical_coords(a).columns() for a in atoms] if distinct else None)
+    if len(set(classes)) == count:
+        radicals = [[_radical_block(space) for space in row] for row in spaces]
+        blocks = _AtomBlocks(dims, offsets, _atom_triples(spaces, dims), radicals, None)
+    else:
+        blocks = _AtomBlocks(dims, offsets, None, None, tuple(atoms))
     members = tuple(tuple(range(row[0], end)) for row, end in zip(offsets, [row[0] for row in offsets[1:]] + [total]))
     return StructureConstantAlgebra(total, unit, idempotents, classes, members, blocks, name)
 
 
-def _block_basic(g: StructureConstantAlgebra, atoms: list, keep: list) -> tuple:
-    """``(basic, transport)`` for g = End(atoms), ``keep`` the first atom of
-    each class: basic = End(kept atoms) = eps·g·eps, eps the sum of the
-    kept idempotents, its block (s, t) g's block (keep[s], keep[t]).  The
-    transport x -> eps·x holds those basis indices, not g."""
+def _block_basic(g: StructureConstantAlgebra) -> tuple:
+    """``(basic, transport)`` for g = End(atoms) that repeats an atom class:
+    basic = End(the first atom of each class) = eps·g·eps, eps the sum of
+    the kept idempotents, its block (s, t) g's block (keep[s], keep[t]).
+    The transport x -> eps·x holds those basis indices, not g."""
+    classes = g.piece_classes
+    keep = [classes.index(c) for c in range(max(classes) + 1)]
+    atoms = g._blocks.atoms
     basic = _block_algebra([atoms[s] for s in keep], list(range(len(keep))), g.name + " basic")
     dims, offsets = g._blocks.dims, g._blocks.offsets
     indices = [k for s in keep for t in keep for k in range(offsets[s][t], offsets[s][t] + dims[s][t])]

@@ -1329,8 +1329,9 @@ def is_isomorphic(x: Module, y: Module) -> bool:
 
     "False" comes from an invariant: the dimension vectors, the radical
     layers and socle, or the dimensions of the four hom spaces.  "True"
-    comes from an invertible basis map of Hom(x, y).  Past those, x is
-    read through the local parts of its atoms (``distinct_atoms``): a
+    comes from an invertible basis map of Hom(x, y).  Past those, x (y
+    when only y is a sum) is read through the local parts of its atoms
+    (``distinct_atoms``): a
     local x is not isomorphic to y, since the maps x -> y that are not
     invertible form the proper subspace rad(x, y), which would hold the
     whole basis; any other x is isomorphic to y exactly when each of its
@@ -1359,6 +1360,10 @@ def is_isomorphic(x: Module, y: Module) -> bool:
         return False
     if any(hom_xy.basis_map(i).is_iso() for i in range(k)):
         return True
+    if x.summands is None and y.summands is not None:
+        # isomorphism is symmetric: read the sum, whose atoms are known,
+        # rather than split the plain module by Fitting's lemma
+        x, y = y, x
     parts = distinct_atoms(x)
     if parts[0] is x:
         return False

@@ -10,7 +10,7 @@ through its product table:
   ``from_sparse``, from sparse product rows), which detects the members of
   its pieces A·e (one piece when its basis mixes vertices);
 - ``tensor``, the product table of any algebra, an End(M)'s assembled from
-  its composition columns;
+  the records of its atom triples;
 - the radical from scratch off the trace form (``radical_data``), and
   ``radical``/``radical_generators``, which read an End(M)'s off its blocks
   (``endo.radical``, ``endo._block_radical``) and any other algebra's off
@@ -62,6 +62,7 @@ from relrep.endo import (
     _ChainTables,
     _Cover,
     _Span,
+    _atom_triples,
     _terms,
 )
 from relrep.exact_linalg import Matrix, _canon_row, complement_projection, hstack, rational
@@ -182,13 +183,24 @@ def tensor(g: StructureConstantAlgebra) -> tuple:
 
 
 def _block_tensor(blocks) -> tuple:
+    """The product table off the records of the atom triples: an End(M)
+    that repeats an atom class holds none, and they are built here from its
+    atoms (and cached on their hom cores, as the library caches them)."""
+    triples = blocks.triples
+    if triples is None:
+        spaces = [[hom_space(a, b) for b in blocks.atoms] for a in blocks.atoms]
+        triples = _atom_triples(spaces, blocks.dims)
     total = blocks.offsets[-1][-1] + blocks.dims[-1][-1] if blocks.dims else 0
     mult = [[()] * total for _ in range(total)]
-    for (sb, sa, ta), table in blocks.columns.items():
-        off, outer, inner = blocks.offsets[sb][ta], blocks.offsets[sa][ta], blocks.offsets[sb][sa]
-        for j, column in enumerate(table):
-            for i, terms in enumerate(column):
-                mult[outer + i][inner + j] = tuple((off + k, c) for k, c in terms)
+    for sb, by_middle in enumerate(triples):
+        for sa, by_target in enumerate(by_middle):
+            for ta, triple in enumerate(by_target):
+                if triple is None:
+                    continue
+                off, outer, inner = blocks.offsets[sb][ta], blocks.offsets[sa][ta], blocks.offsets[sb][sa]
+                for j, column in enumerate(triple.columns):
+                    for i, terms in enumerate(column):
+                        mult[outer + i][inner + j] = tuple((off + k, c) for k, c in terms)
     return tuple(tuple(row) for row in mult)
 
 
@@ -281,7 +293,7 @@ def _placed_block_radical(g: StructureConstantAlgebra) -> tuple:
     placed at the offset of its block."""
     offsets = g._blocks.offsets
     generators = []
-    for s, t, vec in _block_radical(g)[1]:
+    for s, t, vec in _block_radical(g):
         out = [0] * g.dim
         out[offsets[s][t] : offsets[s][t] + len(vec)] = vec
         generators.append(tuple(out))
@@ -339,6 +351,30 @@ class GenericChainTables(_ChainTables):
                 parts.setdefault((place[m][0], vertex[m]), []).append((m, c))
             leaving_parts.extend((i, j, terms) for (i, j), terms in parts.items())
         self._fill(members, vertex, by_vertex, acts, rad_spans, leaving_parts)
+
+    def _fill(self, members, vertex, by_vertex, acts, rad_spans, leaving_parts) -> None:
+        """Set the tables; the tops are the members whose unit vectors lie
+        outside the spans, and ``leaving_parts`` are the generators'
+        ``(piece, vertex, terms)`` parts in generator order."""
+        self.members = members
+        self.vertex = vertex
+        self.by_vertex = by_vertex
+        self.widths = [[len(at) for at in rows] for rows in by_vertex]
+        self.acts = acts
+        self.rad_spans = rad_spans
+        self.tops = [
+            [
+                ms[t]
+                for span, at in zip(self.rad_spans[s], by_vertex[s])
+                if span.rank < len(at)
+                for q, t in enumerate(at)
+                if not span.contains([int(p == q) for p in range(len(at))])
+            ]
+            for s, ms in enumerate(members)
+        ]
+        self.leaving = [[] for _ in members]
+        for i, j, terms in leaving_parts:
+            self.leaving[i].append((j, terms))
 
 
 def act_on_cover(chain: _Chain, level: int, terms: list, vec: list) -> list:

@@ -7,16 +7,18 @@ import gc
 import io
 import itertools
 import json
+import numbers
 import sys
 import weakref
 from types import SimpleNamespace
 
 import pytest
 
-from relrep import exact_linalg, homology, relhom, rep
+from relrep import endo, exact_linalg, homology, relhom, rep
 from relrep.cache import Cached, cached, cached_pair, release
 from relrep.cli import main
 from relrep.endo import (
+    _block_radical,
     _chain_tables,
     _reduce_to_basic,
     _top_chain,
@@ -49,6 +51,7 @@ from relrep.rep import (
     simple_module,
 )
 import sc_reference as ref
+from test_block_tables import _fields
 from test_ext_catalog import BENCH, _workloads
 
 
@@ -262,6 +265,63 @@ def test_a_dropped_end_ring_is_freed_with_its_chain_tables():
             del m
             assert m_ref() is None
             assert [r() for r in refs] == [None] * len(refs)
+
+
+def _triple_records(g) -> list:
+    return [triple for by_middle in g._blocks.triples for by_target in by_middle for triple in by_target if triple]
+
+
+def test_a_second_end_ring_over_the_same_atoms_reuses_the_triple_records(monkeypatch):
+    algebra = AlgebraPresentation.truncated(cyclic_quiver(3), 5, name="cyclic3")
+    atoms = parse_module_expression(algebra, "P(1)+P(2)+P(3)+S(1)+P(3)/rad^2+P(2)/rad^3").summands
+    first = end_ring(direct_sum(algebra, atoms))
+    generators, tables = _block_radical(first), _chain_tables(first)
+    assert generators and any(triple.square for triple in _triple_records(first))
+    computed = []
+
+    def counting(name, real):
+        return lambda *args: computed.append(name) or real(*args)
+
+    monkeypatch.setattr(rep, "_composition_table", counting("composition", rep._composition_table))
+    monkeypatch.setattr(endo, "_sparse_columns", counting("columns", endo._sparse_columns))
+    monkeypatch.setattr(endo._Triple, "fill_square", counting("rad²", endo._Triple.fill_square))
+    second = end_ring(direct_sum(algebra, atoms))
+    assert second is not first
+    assert _block_radical(second) == generators
+    assert _fields(_chain_tables(second)) == _fields(tables)
+    assert computed == []
+    # one record per triple, one radical block per pair, shared by both
+    assert all(a is b for a, b in zip(_triple_records(second), _triple_records(first)))
+    assert all(a is b for a, b in zip(_chain_tables(second).rad_spans[0], tables.rad_spans[0]))
+
+
+def _leaves(value):
+    if isinstance(value, (tuple, list)):
+        for item in value:
+            yield from _leaves(item)
+    else:
+        yield value
+
+
+def test_triple_records_hold_numbers_and_die_with_their_atoms():
+    algebra = AlgebraPresentation.truncated(cyclic_quiver(3), 5, name="cyclic3")
+    with _collector_off():
+        # fresh atoms: every hom core, and so every record, lives on one of them
+        atoms = [radical_quotient(proj_module(algebra, v), k)[0] for v, k in ((0, 4), (1, 2), (2, 3), (0, 1))]
+        m = direct_sum(algebra, atoms)
+        g = end_ring(m)
+        assert ref.on_blocks(g) and [gldim_le(g, n) for n in range(4)]
+        records = _triple_records(g)
+        # the radical filled the rad² rows of the triples it read
+        assert records and any(triple.square for triple in records)
+        for triple in records:
+            values = [getattr(triple, slot) or [] for slot in endo._Triple.__slots__ if slot != "__weakref__"]
+            assert all(isinstance(x, numbers.Rational) for x in _leaves(values))
+        refs = [weakref.ref(triple) for triple in records]
+        del records, triple, g, m
+        assert all(r() is not None for r in refs)
+        del atoms
+        assert [r() for r in refs] == [None] * len(refs)
 
 
 # -- one relative functor per (module, variance), held weakly by the module ---------

@@ -123,6 +123,16 @@ def test_summand_free_copies_are_decided_by_multiplicities_on_cyclic3(multiplici
     assert not is_isomorphic(_plain(parse_module_expression(alg, "P(1)+S(1)")), other)
 
 
+def test_a_plain_module_against_a_sum_reads_the_sum():
+    # isomorphism is symmetric: with y a sum and x not, the test reads y's
+    # known atoms, and x is not split by Fitting's lemma
+    alg = _cyc3_trunc5()
+    reg = parse_module_expression(alg, "P(1)+P(1)/rad^2+S(3)+P(2)/rad^3")
+    copy = _plain(reg)
+    assert is_isomorphic(copy, reg)
+    assert "local parts" not in copy._cache
+
+
 def test_summand_free_copies_are_decided_by_multiplicities_on_the_kronecker_quiver(
     multiplicity_calls,
 ):

@@ -228,3 +228,20 @@ def test_the_corpus_builds_each_algebra_once_and_reads_no_hom_complex_in_its_bou
     reduced = [endo._reduce_to_basic(end_ring(m))[1] is not None for m in modules]
     assert len(built) == len(modules) + sum(reduced)
     assert sum(reduced) == len(modules) - 2
+
+
+def test_only_the_basic_algebras_build_atom_triples(monkeypatch):
+    # an End(M) that repeats a class is resolved over its basic algebra, so
+    # end_ring builds none of its atom-triple records; the basic algebras
+    # build theirs.  Over fresh algebras the 20 End(M)s and their basic
+    # algebras once made 842 composition-column builds, the basic
+    # algebras alone 352
+    built = []
+    real = endo._sparse_columns
+    monkeypatch.setattr(endo, "_sparse_columns", lambda *args: built.append(args) or real(*args))
+    fresh = {name: _algebra(name) for name in ALGEBRAS}
+    algebras = [end_ring(_module(fresh[name], extra)) for name, extra, _, _ in ENDS]
+    assert built == []
+    for g, (_, _, _, gldim) in zip(algebras, ENDS):
+        assert [gldim_le(g, n) for n in range(7)] == _up_from(gldim, 7)
+    assert 0 < len(built) <= 352
