@@ -232,10 +232,9 @@ def test_the_corpus_builds_each_algebra_once_and_reads_no_hom_complex_in_its_bou
 
 def test_only_the_basic_algebras_build_atom_triples(monkeypatch):
     # an End(M) that repeats a class is resolved over its basic algebra, so
-    # end_ring builds none of its atom-triple records; the basic algebras
-    # build theirs.  Over fresh algebras the 20 End(M)s and their basic
-    # algebras once made 842 composition-column builds, the basic
-    # algebras alone 352
+    # end_ring builds none of its atom-triple records, and resolving the 20
+    # End(M)s over fresh algebras builds only their basic algebras' (352
+    # composition-column builds when the basic algebras are built alone)
     built = []
     real = endo._sparse_columns
     monkeypatch.setattr(endo, "_sparse_columns", lambda *args: built.append(args) or real(*args))
