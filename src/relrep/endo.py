@@ -41,7 +41,7 @@ from .rep import (
     placed_parts,
     proj_module,
 )
-from .homology import ext_dim, factor_through, in_add, is_left_minimal, is_right_minimal
+from .homology import ext_dim, factor_through, in_add, is_left_minimal, is_right_minimal, minimal_left_approximation
 from .relhom import (
     F_coresolution,
     F_resolution,
@@ -51,7 +51,6 @@ from .relhom import (
     gldim_F_le,
     id_F_le,
     is_F_exact,
-    left_approximation,
     pd_F_le,
     resolution_step_sequence,
 )
@@ -1357,8 +1356,7 @@ def search_exchange_sequence(n: Module, x1: Module, x2: Module, max_len: int) ->
     middles: list[Module] = []
     reached = False
     for _ in range(max_len + 1):
-        approx = left_approximation(current, n)
-        lam = approx.morphism
+        lam = minimal_left_approximation(current, n)
         if not lam.is_mono():
             return ExchangeResult(
                 found=False,
@@ -1426,7 +1424,6 @@ def check_prop_gldim(
     m: Module,
     l: int,
     witnesses: list[Module] | None = None,
-    minimize: bool = True,
 ) -> PropGldimReport:
     """Compare gldim End(m) <= l+2 with both relative global-dimension bounds.
 
@@ -1443,10 +1440,6 @@ def check_prop_gldim(
         return report
     g = end_ring(m)
     report.endo_bound = gldim_le(g, l + 2)
-    report.covariant_bound = gldim_F_le(
-        covariant_functor(m), l, witnesses=witnesses, minimize=minimize
-    )
-    report.contravariant_bound = gldim_F_le(
-        contravariant_functor(m), l, witnesses=witnesses, minimize=minimize
-    )
+    report.covariant_bound = gldim_F_le(covariant_functor(m), l, witnesses=witnesses)
+    report.contravariant_bound = gldim_F_le(contravariant_functor(m), l, witnesses=witnesses)
     return report

@@ -27,7 +27,7 @@ from typing import Callable, Sequence
 
 from .cache import cached, cached_pair, memoized
 from .exact_linalg import Matrix, block_diag, complement_projection, hstack, subspace_contains
-from .path_algebra import AlgebraError, AlgebraPresentation, InternalError
+from .path_algebra import AlgebraError, InternalError
 from .rep import (
     HomSpace,
     Module,
@@ -54,11 +54,10 @@ from .rep import (
     hom_space,
     kernel,
     morphism_from_generator,
+    nonzero_atoms,
     presentation,
     proj_module,
     projective_cover,
-    regular_module,
-    simple_module,
 )
 
 # -- covers and hulls ---------------------------------------------------------
@@ -208,9 +207,9 @@ def _starts(parts: Sequence[Module], n: int) -> list[tuple[int, ...]]:
 
 
 def _atom_offsets(m: Module) -> list[tuple[Module, tuple[int, ...]]]:
-    """The nonzero leaves of ``flatten_atoms(m)``, each with where it starts
+    """The nonzero atoms of m (``nonzero_atoms``), each with where it starts
     in every vertex space of m."""
-    atoms = [atom for atom in flatten_atoms(m) if not atom.is_zero()]
+    atoms = nonzero_atoms(m)
     return list(zip(atoms, _starts(atoms, len(m.dims))))
 
 
@@ -345,8 +344,8 @@ def ext_dim(i: int, x: Module, y: Module, via: str = "projective") -> int:
     """dim Ext^i(x, y).
 
     via="projective" is additive over direct sums: for i >= 1 it adds
-    dim Ext^i(a, b) over the nonzero atoms a of x and b of y (the leaves of
-    ``flatten_atoms``, repeats included).  Each atom pair's value is cached
+    dim Ext^i(a, b) over the nonzero atoms a of x and b of y
+    (``nonzero_atoms``, repeats included).  Each atom pair's value is cached
     on the younger atom (``relrep.cache.cached_pair``) and computed on a miss
     off a minimal projective resolution of a, in Yoneda coordinates:
     Hom(P(v), b) = e_v b, so each boundary of the hom complex is one block
@@ -362,13 +361,8 @@ def ext_dim(i: int, x: Module, y: Module, via: str = "projective") -> int:
     if i == 0:
         return hom_dim(x, y)
     if via == "projective":
-        targets = [b for b in flatten_atoms(y) if not b.is_zero()]
-        return sum(
-            cached_pair(a, b, ("ext", i), _atom_ext_dim, i, a, b)
-            for a in flatten_atoms(x)
-            if not a.is_zero()
-            for b in targets
-        )
+        targets = nonzero_atoms(y)
+        return sum(cached_pair(a, b, ("ext", i), _atom_ext_dim, i, a, b) for a in nonzero_atoms(x) for b in targets)
     if via == "injective":
         return resolution_cohomology_dim(injective_resolution(y), i, x)
     raise AlgebraError(f"unknown ext route {via!r}")
@@ -944,24 +938,3 @@ def in_add_via_split(x: Module, m: Module) -> bool:
     if not g.is_epi():
         return False
     return is_split_epi(g)
-
-
-# -- bounded projective / injective dimension ----------------------------------
-
-
-def pd_le(x: Module, n: int) -> bool:
-    """Projective dimension <= n: the n-th minimal syzygy is projective."""
-    if n < 0:
-        raise AlgebraError("dimension bound must be >= 0")
-    if x.is_zero():
-        return True
-    res = projective_resolution(x)
-    return in_add(res.syzygy(n), regular_module(x.algebra))
-
-
-def gldim_le(algebra: AlgebraPresentation, n: int) -> bool:
-    """Global dimension <= n: every simple has projective dimension <= n."""
-    return all(
-        pd_le(simple_module(algebra, v), n)
-        for v in range(algebra.quiver.vertex_count)
-    )

@@ -11,7 +11,7 @@ A test module determines two collections of short exact sequences:
 Each collection is closed under pullback and pushout, so it cuts a subgroup
 out of every first extension group and carries its own homological algebra
 (Auslander-Solberg): enough relative projectives and injectives, resolutions
-built from add-approximations, derived extension groups, and relative
+built from minimal add-approximations, derived extension groups, and relative
 projective and injective dimensions.  Relative exactness and relative Ext
 (projective route) count hom dimensions; Hom out of a module built here is
 read as dim Hom_op(DY, DX), so no fresh module is presented.
@@ -29,17 +29,13 @@ from .rep import (
     Module,
     Morphism,
     ShortExactSequence,
-    assemble_from_components,
-    assemble_into_components,
     cogenerator_module,
-    cokernel,
     direct_sum,
     dualize,
     enumerate_indecomposables_nakayama,
     hom_basis,
     hom_dim,
     regular_module,
-    zero_module,
 )
 from .homology import (
     Resolution,
@@ -196,102 +192,42 @@ def in_F_injectives(x: Module, f: SubBifunctor) -> bool:
     return in_add(x, f.injectives_module())
 
 
-@dataclass(frozen=True)
-class ApproximationResult:
-    """An add-approximation together with its minimality status.
-
-    morphism: the approximating map (into x for right, out of x for left);
-    minimal: True only when minimality is certified by construction;
-    kernel_or_cokernel: the kernel of a right approximation, the cokernel of
-    a left one -- the next object in the corresponding resolution.
-    """
-
-    morphism: Morphism
-    minimal: bool
-    kernel_or_cokernel: Module
-
-
-def _canonical_right_approximation(x: Module, m: Module) -> Morphism:
-    """The evaluation map from one copy of m per hom-basis element."""
-    basis = hom_basis(m, x)
-    if not basis:
-        return Morphism.zero(zero_module(x.algebra), x)
-    src = direct_sum(x.algebra, [m] * len(basis))
-    return assemble_from_components(src, x, basis)
-
-
-def _canonical_left_approximation(x: Module, m: Module) -> Morphism:
-    """The coevaluation map into one copy of m per hom-basis element."""
-    basis = hom_basis(x, m)
-    if not basis:
-        return Morphism.zero(x, zero_module(x.algebra))
-    tgt = direct_sum(x.algebra, [m] * len(basis))
-    return assemble_into_components(x, tgt, basis)
-
-
-def left_approximation(x: Module, m: Module, minimize: bool = True) -> ApproximationResult:
-    """A left add(m)-approximation of x: every map into a summand-of-m
-    factors through it."""
-    if minimize:
-        g = minimal_left_approximation(x, m)
-    else:
-        g = _canonical_left_approximation(x, m)
-    coker, _ = cokernel(g)
-    return ApproximationResult(g, bool(minimize), coker)
-
-
 # -- relative resolutions and derived extension groups --------------------------
 
 
-def F_resolution(x: Module, f: SubBifunctor, depth: int = 0, minimize: bool = True) -> Resolution:
-    """Resolution of x by relative projectives, built from right
-    approximations (lazy; at least `depth` terms are materialized up front).
+def F_resolution(x: Module, f: SubBifunctor) -> Resolution:
+    """Resolution of x by relative projectives, built (lazily) from minimal
+    right approximations.
 
     Every step is onto because the relative projectives contain the absolute
     ones, and every step sequence is functor-exact by the approximation
-    property; a non-surjective step is an internal error.  minimize=False
-    uses the canonical evaluation-map steps, whose terms grow by a factor of
-    roughly the generator's size per step -- practical only at shallow depth.
+    property; a non-surjective step is an internal error.
     """
     pm = f.projectives_module()
 
     def step(mod: Module) -> Morphism:
-        if minimize:
-            g = minimal_right_approximation(mod, pm)
-        else:
-            g = _canonical_right_approximation(mod, pm)
+        g = minimal_right_approximation(mod, pm)
         if not g.is_epi():
             raise InternalError("relhom", "relative projective approximation is not onto")
         return g
 
-    core = cached_pair(x, f, ("resolution", bool(minimize)), _ResolutionCore)
-    res = Resolution(x, step, "relative projective", core)
-    if depth > 0:
-        res.ensure_terms(depth)
-    return res
+    return Resolution(x, step, "relative projective", cached_pair(x, f, "resolution", _ResolutionCore))
 
 
-def F_coresolution(x: Module, f: SubBifunctor, depth: int = 0, minimize: bool = True) -> Resolution:
-    """Coresolution of x by relative injectives, built from left
+def F_coresolution(x: Module, f: SubBifunctor) -> Resolution:
+    """Coresolution of x by relative injectives, built from minimal left
     approximations; the dual of F_resolution."""
     im = f.injectives_module()
 
     def step(mod: Module) -> Morphism:
-        if minimize:
-            g = minimal_left_approximation(mod, im)
-        else:
-            g = _canonical_left_approximation(mod, im)
+        g = minimal_left_approximation(mod, im)
         if not g.is_mono():
             raise InternalError(
                 "relhom", "relative injective approximation is not one-to-one"
             )
         return g
 
-    core = cached_pair(x, f, ("coresolution", bool(minimize)), _ResolutionCore)
-    res = Resolution(x, step, "relative injective", core)
-    if depth > 0:
-        res.ensure_terms(depth)
-    return res
+    return Resolution(x, step, "relative injective", cached_pair(x, f, "coresolution", _ResolutionCore))
 
 
 def resolution_step_sequence(res: Resolution, i: int) -> ShortExactSequence:
@@ -315,7 +251,6 @@ def ext_F_dim(
     a: Module,
     f: SubBifunctor,
     via: str = "projective",
-    minimize: bool = True,
 ) -> int:
     """Dimension of the functor's i-th derived extension group of (c, a).
 
@@ -338,32 +273,32 @@ def ext_F_dim(
     if i == 0:
         return hom_dim(c, a)
     if via == "projective":
-        res = F_resolution(c, f, minimize=minimize)
+        res = F_resolution(c, f)
         syzygy, incl = res.syzygy_edge(i)
         before = hom_dim(c, a) if i == 1 else _hom_dim_out_of_built(res.syzygy(i - 1), a)
         return _hom_dim_out_of_built(syzygy, a) - hom_dim(incl.target, a) + before
     if via == "injective":
-        return resolution_cohomology_dim(F_coresolution(a, f, minimize=minimize), i, c)
+        return resolution_cohomology_dim(F_coresolution(a, f), i, c)
     raise AlgebraError(f"unknown ext route {via!r}")
 
 
-def pd_F_le(x: Module, f: SubBifunctor, n: int, minimize: bool = True) -> bool:
+def pd_F_le(x: Module, f: SubBifunctor, n: int) -> bool:
     """Whether the relative projective dimension of x is at most n."""
     if x.total_dim == 0:
         return True
     if n < 0:
         return False
-    res = F_resolution(x, f, minimize=minimize)
+    res = F_resolution(x, f)
     return in_F_projectives(res.syzygy(n), f)
 
 
-def id_F_le(x: Module, f: SubBifunctor, n: int, minimize: bool = True) -> bool:
+def id_F_le(x: Module, f: SubBifunctor, n: int) -> bool:
     """Whether the relative injective dimension of x is at most n."""
     if x.total_dim == 0:
         return True
     if n < 0:
         return False
-    res = F_coresolution(x, f, minimize=minimize)
+    res = F_coresolution(x, f)
     return in_F_injectives(res.syzygy(n), f)
 
 
@@ -371,7 +306,6 @@ def gldim_F_le(
     f: SubBifunctor,
     n: int,
     witnesses: Sequence[Module] | None = None,
-    minimize: bool = True,
 ) -> bool:
     """Whether every witness has relative projective dimension at most n.
 
@@ -384,7 +318,7 @@ def gldim_F_le(
         witnesses = enumerate_indecomposables_nakayama(f.algebra)
     if not witnesses:
         raise AlgebraError("witness list must be nonempty")
-    return all(pd_F_le(x, f, n, minimize=minimize) for x in witnesses)
+    return all(pd_F_le(x, f, n) for x in witnesses)
 
 
 # -- agreement of relative and absolute extension groups ------------------------
@@ -421,7 +355,6 @@ def check_absolute_relative_agreement(
     m1: Module,
     k: int,
     sample: Sequence[Module],
-    minimize: bool = True,
 ) -> AgreementReport:
     """Check that extension-vanishing makes relative and absolute agree.
 
@@ -447,14 +380,14 @@ def check_absolute_relative_agreement(
     f_con = contravariant_functor(m1)
     for idx, c in enumerate(sample):
         for i in range(1, k + 1):
-            rel = ext_F_dim(i, c, m1, f_cov, minimize=minimize)
+            rel = ext_F_dim(i, c, m1, f_cov)
             absolute = ext_dim(i, c, m1)
             report.comparisons += 1
             if rel != absolute:
                 report.mismatches.append(("covariant", idx, i, rel, absolute))
     for idx, d_mod in enumerate(sample):
         for i in range(1, k + 1):
-            rel = ext_F_dim(i, m2, d_mod, f_con, minimize=minimize)
+            rel = ext_F_dim(i, m2, d_mod, f_con)
             absolute = ext_dim(i, m2, d_mod)
             report.comparisons += 1
             if rel != absolute:

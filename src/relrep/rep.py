@@ -363,15 +363,6 @@ class ShortExactSequence:
 # -- constructions ----------------------------------------------------------
 
 
-def zero_module(algebra: AlgebraPresentation) -> Module:
-    v = algebra.quiver.vertex_count
-    maps = [
-        Matrix.zeros(0, 0)
-        for _ in algebra.quiver.arrows
-    ]
-    return Module(algebra, (0,) * v, maps, validate=False)
-
-
 @memoized("proj")
 def proj_module(algebra: AlgebraPresentation, vertex: int) -> Module:
     """The indecomposable projective at a vertex, on its path basis."""
@@ -455,6 +446,18 @@ def flatten_atoms(m: Module) -> list[Module]:
     for s in m.summands:
         out.extend(flatten_atoms(s))
     return out
+
+
+def nonzero_atoms(m: Module) -> tuple[Module, ...]:
+    """The nonzero leaves of ``flatten_atoms(m)``, in order.  Cached on m
+    when m is a sum (a module that is not one is its own leaf)."""
+    if m.summands is None:
+        return () if m.is_zero() else (m,)
+    return cached(m, "nonzero atoms", _nonzero_leaves, m)
+
+
+def _nonzero_leaves(m: Module) -> tuple[Module, ...]:
+    return tuple(a for a in flatten_atoms(m) if not a.is_zero())
 
 
 def assemble_from_components(sum_source: Module, target: Module, comps: Sequence[Morphism]) -> Morphism:
@@ -1252,10 +1255,9 @@ def placed_parts(m: Module) -> list[tuple]:
     part), ``offsets`` the atom's offsets inside m.  By Krull-Schmidt m is
     the sum of these parts."""
     out, running = [], [0] * len(m.dims)
-    for a in flatten_atoms(m):
-        if a.total_dim:
-            out.extend((part, into, onto, running) for part, into, onto in local_parts(a) or ((a, None, None),))
-            running = [r + d for r, d in zip(running, a.dims)]
+    for a in nonzero_atoms(m):
+        out.extend((part, into, onto, running) for part, into, onto in local_parts(a) or ((a, None, None),))
+        running = [r + d for r, d in zip(running, a.dims)]
     return out
 
 

@@ -1,10 +1,17 @@
 import pytest
 
+from relrep.exact_linalg import Matrix
 from relrep.path_algebra import AlgebraPresentation, cyclic_quiver
-from relrep.rep import parse_module_expression
+from relrep.rep import Module, parse_module_expression
 
 M1_EXPR = "P(1)+P(2)+P(3)+S(1)+P(3)/rad^2"
 M2_EXPR = "P(1)+P(2)+P(3)+S(1)+P(1)/rad^2"
+
+
+def zero_module(algebra: AlgebraPresentation) -> Module:
+    """The zero module over ``algebra``."""
+    maps = [Matrix.zeros(0, 0) for _ in algebra.quiver.arrows]
+    return Module(algebra, (0,) * algebra.quiver.vertex_count, maps, validate=False)
 
 
 @pytest.fixture(scope="session")

@@ -22,14 +22,13 @@ from relrep.rep import (
     parse_module_expression,
     regular_module,
 )
-from relrep.homology import dtr, ext1_space, ext_dim, trd
+from relrep.homology import dtr, ext1_space, ext_dim, minimal_left_approximation, trd
 from relrep.relhom import (
     F_subgroup_dim,
     contravariant_functor,
     covariant_functor,
     ext_F_dim,
     is_F_exact,
-    left_approximation,
     pd_F_le,
 )
 from relrep.endo import (
@@ -41,6 +40,7 @@ from relrep.endo import (
     search_exchange_sequence,
     verify_theorem,
 )
+from relhom_reference import canonical_pd_F_le
 
 
 def _report(n: int, detail: str) -> None:
@@ -65,12 +65,12 @@ def test_criterion_2_connecting_sequence_relative_exactness(cyc3_5, m1, m2):
     f_con = contravariant_functor(m1)
     f_cov = covariant_functor(m2)
 
-    first = left_approximation(x2, base)
-    _, q1 = cokernel(first.morphism)
-    ses1 = ShortExactSequence(first.morphism, q1)
-    second = left_approximation(q1.target, base)
-    _, q2 = cokernel(second.morphism)
-    ses2 = ShortExactSequence(second.morphism, q2)
+    first = minimal_left_approximation(x2, base)
+    _, q1 = cokernel(first)
+    ses1 = ShortExactSequence(first, q1)
+    second = minimal_left_approximation(q1.target, base)
+    _, q2 = cokernel(second)
+    ses2 = ShortExactSequence(second, q2)
     assert is_isomorphic(q2.target, x1)
     for ses in (ses1, ses2):
         assert is_F_exact(ses, f_cov)
@@ -209,7 +209,8 @@ def test_criterion_7_oracle_equivalences(cyc3_5):
         )
         pairs += 1
 
-    # minimized and canonical relative resolutions bound dimensions identically;
+    # the minimal relative resolutions and the canonical reference ones
+    # (relhom_reference) bound dimensions identically;
     # canonical resolutions grow multiplicatively, so draw single summands
     comparisons = 0
     for _ in range(30):
@@ -218,9 +219,7 @@ def test_criterion_7_oracle_equivalences(cyc3_5):
             covariant_functor(m) if rng.random() < 0.5 else contravariant_functor(m)
         )
         bound = rng.randint(0, 1)
-        assert pd_F_le(x, functor, bound, minimize=True) == pd_F_le(
-            x, functor, bound, minimize=False
-        )
+        assert pd_F_le(x, functor, bound) == canonical_pd_F_le(x, functor, bound)
         comparisons += 1
     _report(
         7,

@@ -336,7 +336,8 @@ def test_a_held_functor_is_shared():
     assert cov is not con
     assert (cov.variance, con.variance) == ("covariant", "contravariant")
     # the resolution cached on the shared functor is found again
-    res = F_resolution(x, cov, depth=2)
+    res = F_resolution(x, cov)
+    res.ensure_terms(2)
     assert F_resolution(x, covariant_functor(m)).terms is res.terms
 
 
@@ -346,7 +347,8 @@ def test_a_dropped_functor_is_freed_with_its_resolutions():
     with _collector_off():
         m = parse_module_expression(algebra, "P(2)/rad^2+S(3)")
         functor = covariant_functor(m)
-        res = F_resolution(x, functor, depth=3)
+        res = F_resolution(x, functor)
+        res.ensure_terms(3)
         refs = [weakref.ref(o) for o in (functor, functor.projectives_module(), res.terms[1], res.syzygy(2))]
         m_ref = weakref.ref(m)
         del res

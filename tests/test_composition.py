@@ -27,8 +27,8 @@ from relrep.rep import (
     proj_module,
     radical_quotient,
     simple_module,
-    zero_module,
 )
+from conftest import zero_module
 from test_homology import _a3_zero_relation, _commuting_square, _kronecker, _test_modules
 
 ROUTES = {"sum source", "sum target", "projective", "computed"}

@@ -28,8 +28,8 @@ from relrep.rep import (
     proj_module,
     regular_module,
     simple_module,
-    zero_module,
 )
+from conftest import zero_module
 
 from test_homology import _commuting_square, _kronecker
 

@@ -12,7 +12,7 @@ before being frozen here.
 import pytest
 
 import sc_reference as ref
-from conftest import M1_EXPR, M2_EXPR
+from conftest import M1_EXPR, M2_EXPR, zero_module
 from relrep import cli, endo
 from relrep.exact_linalg import QQ, Matrix, hstack
 from relrep.path_algebra import AlgebraError, AlgebraPresentation, cyclic_quiver, linear_quiver
@@ -24,7 +24,6 @@ from relrep.rep import (
     hom_space,
     parse_module_expression,
     regular_module,
-    zero_module,
 )
 from relrep.homology import dtr, trd
 from relrep.relhom import F_coresolution, contravariant_functor, pd_F_le

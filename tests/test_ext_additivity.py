@@ -25,7 +25,7 @@ import pytest
 from relrep import homology, rep
 from relrep.endo import check_maximal_orthogonal
 from relrep.exact_linalg import complement_projection
-from relrep.homology import ext1_space, ext_dim, pd_le, projective_resolution, syzygy_lift
+from relrep.homology import ext1_space, ext_dim, projective_resolution, syzygy_lift
 from relrep.path_algebra import AlgebraPresentation, cyclic_quiver
 from relrep.relhom import F_subgroup_dim, contravariant_functor, covariant_functor
 from relrep.rep import (
@@ -41,11 +41,11 @@ from relrep.rep import (
     proj_module,
     regular_module,
     simple_module,
-    zero_module,
 )
+from conftest import zero_module
 from test_ext1_classes import ALGEBRAS as CLASS_ALGEBRAS
 from test_ext1_classes import _module, _pairs
-from test_homology import ext_dims_up_to
+from test_homology import ext_dims_up_to, pd_le
 from test_syzygy_steps import ALGEBRAS
 
 CATALOG = Path(__file__).resolve().parent.parent / "bench" / "data" / "ext_catalog.json"

@@ -29,8 +29,8 @@ from relrep.rep import (
     proj_module,
     radical_quotient,
     simple_module,
-    zero_module,
 )
+from conftest import zero_module
 from hom_reference import _compose_then_coords, _hom_raw
 from test_syzygy_steps import ALGEBRAS, _built, _cyc3_trunc5, _parsed
 

@@ -33,8 +33,8 @@ from relrep.rep import (
     proj_module,
     projective_cover,
     simple_module,
-    zero_module,
 )
+from conftest import zero_module
 
 import hom_reference
 from hom_reference import pushout_realize

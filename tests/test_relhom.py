@@ -28,6 +28,7 @@ from relrep.homology import (
     factor_through,
     is_left_minimal,
     is_right_minimal,
+    minimal_left_approximation,
     minimal_right_approximation,
     resolution_cohomology_dim,
     syzygy_lift,
@@ -36,12 +37,10 @@ from relrep.homology import (
 from relrep.relhom import (
     VARIANCES,
     AgreementReport,
-    ApproximationResult,
     F_coresolution,
     F_resolution,
     F_subgroup_dim,
     SubBifunctor,
-    _canonical_right_approximation,
     check_absolute_relative_agreement,
     contravariant_functor,
     covariant_functor,
@@ -51,7 +50,6 @@ from relrep.relhom import (
     in_F_injectives,
     in_F_projectives,
     is_F_exact,
-    left_approximation,
     pd_F_le,
     resolution_step_sequence,
 )
@@ -74,6 +72,7 @@ from relrep.rep import (
     simple_module,
 )
 from conftest import M1_EXPR, M2_EXPR
+from relhom_reference import canonical_F_coresolution, canonical_pd_F_le, canonical_right_approximation
 from test_homology import _a3_zero_relation, _a4_rad2, _commuting_square, _local_two_loops, _test_modules
 
 
@@ -124,18 +123,6 @@ def is_F_exact_by_pairing(eta: ShortExactSequence, f: SubBifunctor) -> bool:
         if any(c != 0 for c in space_push.reduce(alpha @ psi)):
             return False
     return True
-
-
-def right_approximation(x: Module, m: Module, minimize: bool = True) -> ApproximationResult:
-    """A right add(m)-approximation of x: every map from a summand-of-m
-    factors through it.  minimize=True certifies minimality; otherwise the
-    canonical evaluation map is returned with no minimality claim."""
-    if minimize:
-        g = minimal_right_approximation(x, m)
-    else:
-        g = _canonical_right_approximation(x, m)
-    ker, _ = kernel(g)
-    return ApproximationResult(g, bool(minimize), ker)
 
 
 @pytest.fixture(scope="module")
@@ -197,36 +184,37 @@ def test_membership_in_relative_injectives(ctx):
 
 
 def test_minimized_right_approximation(ctx):
-    res = right_approximation(ctx["u13"], ctx["m2"])
-    assert isinstance(res, ApproximationResult)
-    assert res.morphism.source.dims == (3, 1, 2)     # S(1) + P(3)
-    assert res.morphism.is_epi()
-    assert res.minimal and is_right_minimal(res.morphism)
-    assert res.kernel_or_cokernel.dims == (2, 1, 1)
+    g = minimal_right_approximation(ctx["u13"], ctx["m2"])
+    assert g.source.dims == (3, 1, 2)                # S(1) + P(3)
+    assert g.is_epi()
+    assert is_right_minimal(g)
+    assert kernel(g)[0].dims == (2, 1, 1)
 
 
 def test_canonical_right_approximation(ctx):
     assert hom_dim(ctx["m2"], ctx["u13"]) == 4
-    res = right_approximation(ctx["u13"], ctx["m2"], minimize=False)
-    assert res.morphism.source.dims == (28, 24, 20)  # 4 copies of m2
-    assert res.morphism.is_epi()
-    assert not res.minimal
-    assert res.kernel_or_cokernel.dims == (27, 24, 19)
+    g = canonical_right_approximation(ctx["u13"], ctx["m2"])
+    assert g.source.dims == (28, 24, 20)             # 4 copies of m2
+    assert g.is_epi()
+    # the minimal approximation is a summand of every one: this is not it
+    assert g.source.total_dim > minimal_right_approximation(ctx["u13"], ctx["m2"]).source.total_dim
+    assert kernel(g)[0].dims == (27, 24, 19)
     for psi in hom_basis(ctx["m2"], ctx["u13"]):
-        assert factor_through(res.morphism, psi) is not None
+        assert factor_through(g, psi) is not None
 
 
 def test_minimized_left_approximation(ctx):
     # S(3) is the socle of P(2), the only m1-atom receiving it
-    res = left_approximation(ctx["s3"], ctx["m1"])
-    assert res.morphism.target.dims == (1, 2, 2)
-    assert res.morphism.is_mono()
-    assert res.minimal and is_left_minimal(res.morphism)
-    assert res.kernel_or_cokernel.dims == (1, 2, 1)
+    g = minimal_left_approximation(ctx["s3"], ctx["m1"])
+    assert g.target.dims == (1, 2, 2)
+    assert g.is_mono()
+    assert is_left_minimal(g)
+    assert cokernel(g)[0].dims == (1, 2, 1)
 
 
 def test_resolution_reproduces_hand_built_chain(ctx):
-    res = F_resolution(ctx["u13"], ctx["f2"], depth=3)
+    res = F_resolution(ctx["u13"], ctx["f2"])
+    res.ensure_terms(3)
     assert res.terms[0].dims == (3, 1, 2)            # S(1) + P(3)
     assert res.terms[1].dims == (3, 2, 1)            # S(1) + P(1)
     assert res.syzygy(1).dims == (2, 1, 1)
@@ -238,7 +226,7 @@ def test_resolution_reproduces_hand_built_chain(ctx):
 
 
 def test_resolution_steps_are_exact_for_both_functors(ctx):
-    res = F_resolution(ctx["u13"], ctx["f2"], depth=3)
+    res = F_resolution(ctx["u13"], ctx["f2"])
     for i in (1, 2):
         step = resolution_step_sequence(res, i)
         for functor in (ctx["f2"], ctx["g1"]):
@@ -510,7 +498,11 @@ def test_minimized_and_canonical_pd_agree():
             (P("P(1)/rad^2"), [False, True]),
         ]:
             assert [pd_F_le(x, functor, n) for n in (0, 1)] == profile
-            assert [pd_F_le(x, functor, n, minimize=False) for n in (0, 1)] == profile
+            assert [canonical_pd_F_le(x, functor, n) for n in (0, 1)] == profile
+            coresolution = canonical_F_coresolution(x, functor)
+            assert [in_F_injectives(coresolution.syzygy(n), functor) for n in (0, 1)] == [
+                id_F_le(x, functor, n) for n in (0, 1)
+            ]
 
 
 def test_relative_id_bounds(ctx):
@@ -529,7 +521,8 @@ def test_relative_gldim_bound(ctx):
 
 
 def test_coresolution_terminates_on_relative_injective(ctx):
-    res = F_coresolution(ctx["u13"], ctx["g1"], depth=1)
+    res = F_coresolution(ctx["u13"], ctx["g1"])
+    res.ensure_terms(1)
     assert res.augmentation.is_mono()
     assert res.syzygy(1).is_zero()                   # u13 is itself F-injective
 
@@ -573,16 +566,14 @@ def test_agreement_for_projective_injective_bimodule(ctx):
     assert report.comparisons == 2 * 2 * len(inds)
 
 
-def test_relative_resolutions_are_cached_per_minimize_flag(ctx):
-    # nothing steers the approximations but ``minimize``: one cached chain
-    # of terms per flag, shared by every later call with that flag
+def test_relative_resolutions_are_cached_once(ctx):
+    # nothing steers the approximations: one cached chain of terms per module
+    # and functor, shared by every later call and extended through any of them
     for build in (F_resolution, F_coresolution):
         first = build(ctx["u13"], ctx["f2"]).terms
-        assert build(ctx["u13"], ctx["f2"], depth=2).terms is first
-        assert build(ctx["u13"], ctx["f2"], minimize=1).terms is first
-        canonical = build(ctx["u13"], ctx["f2"], minimize=False).terms
-        assert canonical is not first
-        assert build(ctx["u13"], ctx["f2"], minimize=False).terms is canonical
+        build(ctx["u13"], ctx["f2"]).ensure_terms(2)
+        assert build(ctx["u13"], ctx["f2"]).terms is first
+        assert len(first) >= 2
 
 
 @pytest.fixture

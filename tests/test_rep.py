@@ -31,8 +31,8 @@ from relrep.rep import (
     regular_module,
     simple_module,
     socle_subspaces,
-    zero_module,
 )
+from conftest import zero_module
 from hom_reference import _hom_raw, summand_injection, summand_projection
 
 

@@ -24,7 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sc_reference as ref
-from conftest import M1_EXPR, M2_EXPR
+from conftest import M1_EXPR, M2_EXPR, zero_module
 from relrep.endo import (
     SCModule,
     StructureConstantAlgebra,
@@ -56,7 +56,6 @@ from relrep.rep import (
     parse_module_expression,
     proj_module,
     regular_module,
-    zero_module,
 )
 
 from test_endo import MUTATED_EXPR, _linear_end, _upper_triangular_2x2

@@ -82,32 +82,76 @@ PUBLIC_KEEPERS = {
 }
 
 
-def _readme_names(text: str) -> set[str]:
-    """Identifiers inside the code of a markdown text: fenced blocks and
-    inline code spans, not prose."""
+def _readme_names(text: str, module: str) -> set[str]:
+    """Identifiers the code of a markdown text names as the module's, not
+    prose: the code spans of the module's table row (``| `relrep.<module>` |``),
+    the names a fenced ``from relrep.<module> import`` line imports, and
+    ``<module>.<name>`` in any code."""
     fenced = re.findall(r"```.*?```", text, flags=re.S)
-    inline = re.findall(r"`([^`]+)`", re.sub(r"```.*?```", "", text, flags=re.S))
-    return set(re.findall(r"[A-Za-z_]\w*", " ".join(fenced + inline)))
+    prose = re.sub(r"```.*?```", "", text, flags=re.S)
+    spans = lambda line: " ".join(re.findall(r"`([^`]+)`", line))
+    names = set(re.findall(rf"\b{module}\.([A-Za-z_]\w*)", " ".join(fenced) + spans(prose)))
+    for block in fenced:
+        names.update(re.findall(r"[A-Za-z_]\w*", " ".join(re.findall(rf"^from relrep\.{module} import (.*)$", block, flags=re.M))))
+    for row in re.findall(rf"^\| `relrep\.{module}` \|.*$", prose, flags=re.M):
+        names.update(re.findall(r"[A-Za-z_]\w*", spans(row)))
+    return names
+
+
+def _references(trees: dict[str, ast.Module], defining: str, func: ast.FunctionDef) -> list[ast.AST]:
+    """The nodes of ``trees`` outside ``func``'s own definition that refer to
+    the top-level function ``func`` of the module file ``defining``: a use of
+    its name in that module, an import ``from .<module> import`` and every
+    use of the name it binds, and an attribute ``<module>.<name>``.  A
+    function of the same name in another module is not referred to."""
+    stem = Path(defining).stem
+    own = {id(node) for node in ast.walk(func)}
+    out = []
+    for name, tree in trees.items():
+        imports = [
+            node
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom)
+            and node.module == stem
+            and any(alias.name == func.name for alias in node.names)
+        ]
+        bound = {func.name} if name == defining else set()
+        bound.update(alias.asname or alias.name for node in imports for alias in node.names if alias.name == func.name)
+        out.extend(imports)
+        for node in ast.walk(tree):
+            if id(node) in own:
+                continue
+            if isinstance(node, ast.Name) and node.id in bound:
+                out.append(node)
+            elif (
+                isinstance(node, ast.Attribute)
+                and node.attr == func.name
+                and isinstance(node.value, ast.Name)
+                and node.value.id == stem
+            ):
+                out.append(node)
+    return out
+
+
+def _public_functions(trees: dict[str, ast.Module]):
+    """``(file name, definition)`` for every public top-level function."""
+    for name, tree in trees.items():
+        for stmt in tree.body:
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)) and not stmt.name.startswith("_"):
+                yield name, stmt
 
 
 def _public_orphans(trees: dict[str, ast.Module], readme: str, keepers: set[str]) -> list[str]:
-    """Public top-level functions that no code of ``trees`` references
-    outside their own definition, that the readme's code does not name, and
-    that ``keepers`` does not list."""
-    total: Counter = Counter()
-    for tree in trees.values():
-        total.update(_used_names(tree))
-    documented = _readme_names(readme)
-    orphans = []
-    for name, tree in trees.items():
-        for stmt in tree.body:
-            if not isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)) or stmt.name.startswith("_"):
-                continue
-            if stmt.name in documented or stmt.name in keepers:
-                continue
-            if total[stmt.name] - _used_names(stmt)[stmt.name] == 0:
-                orphans.append(f"{name}: {stmt.name}")
-    return orphans
+    """Public top-level functions that no code of ``trees`` refers to
+    (``_references``), that the readme's code does not name as their
+    module's, and that ``keepers`` does not list."""
+    return [
+        f"{name}: {stmt.name}"
+        for name, stmt in _public_functions(trees)
+        if stmt.name not in keepers
+        and stmt.name not in _readme_names(readme, Path(name).stem)
+        and not _references(trees, name, stmt)
+    ]
 
 
 def test_every_public_function_has_a_library_caller():
@@ -136,12 +180,100 @@ def test_public_function_check_sees_each_orphan():
             "        pass\n"
             "def orphan():\n"
             "    pass\n"
+            "def by_attribute():\n"
+            "    pass\n"
+            "def dotted():\n"
+            "    pass\n"
         ),
         "b.py": ast.parse("from a import called\nx = called()\n"),
+        # a same-named pair: only d.py's function is called
+        "c.py": ast.parse("def gldim_le(n):\n    pass\n"),
+        "d.py": ast.parse("from . import a\ndef gldim_le(n):\n    pass\nx = gldim_le(2), a.by_attribute()\n"),
     }
-    readme = "Call `documented()` or\n```\nfrom a import Public\n```\nnot in_prose.\n"
-    # a self-reference and a name in prose do not count
-    assert _public_orphans(trees, readme, {"kept"}) == ["a.py: recursive", "a.py: in_prose", "a.py: orphan"]
+    readme = (
+        "| `relrep.a` | Call `documented()`. |\n"
+        "Or `a.dotted()`.\n"
+        "| `relrep.d` | `gldim_le` |\n"
+        "```\nfrom relrep.a import Public\n```\nnot in_prose.\n"
+    )
+    # a self-reference, a name in prose, and a call or a readme row of a
+    # namesake do not count
+    assert _public_orphans(trees, readme, {"kept"}) == [
+        "a.py: recursive",
+        "a.py: in_prose",
+        "a.py: orphan",
+        "c.py: gldim_le",
+    ]
+
+
+# Defaulted parameters of public functions that no library call sets, kept on
+# purpose, each with its reason; every other default is a knob nothing turns.
+KNOB_KEEPERS = {
+    ("cli.py", "main", "argv"): "the command line, given when main is called from Python",
+    ("homology.py", "ext_dim", "via"): "the injective route, the cross-check of projective Ext",
+    ("relhom.py", "ext_F_dim", "via"): "the injective route, the cross-check of relative Ext by relative balance",
+    ("endo.py", "check_maximal_orthogonal", "witnesses"): "the witness list the maxortho_sweep workload passes",
+}
+
+
+def _sets(call: ast.Call, param: str, index: int | None) -> bool:
+    """Whether ``call`` sets the parameter ``param`` (at ``index`` when it is
+    positional): by keyword, by position, or through ``*args``/``**kwargs``."""
+    if any(kw.arg in (param, None) for kw in call.keywords):
+        return True
+    return index is not None and (len(call.args) > index or any(isinstance(a, ast.Starred) for a in call.args))
+
+
+def _unset_knobs(trees: dict[str, ast.Module], keepers: dict) -> list[str]:
+    """Defaulted parameters of public top-level functions that no call in
+    ``trees`` (outside the function's own body) sets, and that ``keepers``
+    does not list as ``(file name, function, parameter)``."""
+    out = []
+    for name, stmt in _public_functions(trees):
+        args = stmt.args
+        positional = [*args.posonlyargs, *args.args]
+        defaulted = positional[len(positional) - len(args.defaults) :]
+        defaulted += [a for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+        if not defaulted:
+            continue
+        refs = {id(node) for node in _references(trees, name, stmt)}
+        calls = [
+            node
+            for tree in trees.values()
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and id(node.func) in refs
+        ]
+        for param in defaulted:
+            index = positional.index(param) if param in positional else None
+            if (name, stmt.name, param.arg) not in keepers and not any(_sets(c, param.arg, index) for c in calls):
+                out.append(f"{name}: {stmt.name}({param.arg})")
+    return out
+
+
+def test_every_default_is_set_by_a_library_call():
+    # a default that no library call overrides is a knob only tests turn
+    assert _unset_knobs(_trees(), KNOB_KEEPERS) == []
+
+
+def test_knob_check_sees_each_unset_default():
+    trees = {
+        "a.py": ast.parse(
+            "def f(x, by_keyword=1, by_position=2, unset=3, *, kw_unset=4, kept=5):\n"
+            "    return f(x, unset=0, kw_unset=0)\n"
+            "def _private(x, knob=0):\n"
+            "    pass\n"
+        ),
+        "b.py": ast.parse("from .a import f as g\ng(1, by_keyword=2)\n"),
+        "c.py": ast.parse("from . import a\na.f(1, 2, 3)\n"),
+        # a namesake's call sets the namesake's defaults only
+        "d.py": ast.parse("def f(x, unset=0, *, kw_unset=0):\n    pass\nf(1, unset=1, kw_unset=2)\n"),
+    }
+    # a call from the function's own body does not count
+    assert _unset_knobs(trees, {("a.py", "f", "kept"): "planted"}) == ["a.py: f(unset)", "a.py: f(kw_unset)"]
+    # *args or **kwargs may set anything they reach
+    trees["e.py"] = ast.parse("from .a import f\nf(1, *rest, **options)\n")
+    assert _unset_knobs(trees, {}) == []
+
 
 # Methods no library code calls, kept on purpose: user API for building
 # paths and for reading an Ext^1 class back off a realized sequence.
