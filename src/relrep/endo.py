@@ -18,7 +18,7 @@ a left ``End(M2)^op``-module under pre-composition, so its dual is a left
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 from .cache import Cached, cached, cached_pair, memoized
 from .exact_linalg import Matrix, _canon_row, exact_div, subspace_contains
@@ -910,12 +910,50 @@ class ClauseReport:
     detail: str = ""
 
 
-@dataclass
 class MaxOrthogonalReport:
-    verdict: bool
-    mode: str
-    bound: int
-    clauses: list[ClauseReport] = field(default_factory=list)
+    """The verdict of ``check_maximal_orthogonal`` and its clause report.
+
+    Every clause is a conjunction, so the first failing step decides a false
+    verdict.  ``verdict`` is decided when the check runs: it consumes the
+    mode's steps in cost order and stops at the first one that fails.
+    ``clauses`` is built on first read by draining the rest of the same steps
+    and folding all of them; clauses that disagree with the verdict are an
+    ``InternalError``.  Reports compare by (verdict, mode, bound, clauses).
+    """
+
+    def __init__(self, mode: str, bound: int, steps: Iterator, fold: Callable[[list], list[ClauseReport]]) -> None:
+        self.mode = mode
+        self.bound = bound
+        self.verdict = True
+        self._seen = []
+        for step in steps:
+            self._seen.append(step)
+            if not step.passed:
+                self.verdict = False
+                break
+        self._steps = steps
+        self._fold = fold
+        self._clauses: list[ClauseReport] | None = None
+
+    @property
+    def clauses(self) -> list[ClauseReport]:
+        if self._clauses is None:
+            if self._steps is None:
+                raise AlgebraError("endo: an earlier read of these clauses failed part way; run the check again")
+            steps, self._steps = self._steps, None
+            clauses = self._fold(self._seen + list(steps))
+            if all(c.passed for c in clauses) != self.verdict:
+                raise InternalError("endo", f"{self.mode} clauses {clauses} disagree with the verdict {self.verdict}")
+            self._clauses, self._seen = clauses, None
+        return self._clauses
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, MaxOrthogonalReport):
+            return NotImplemented
+        return (self.verdict, self.mode, self.bound, self.clauses) == (other.verdict, other.mode, other.bound, other.clauses)
+
+    def __repr__(self) -> str:
+        return f"MaxOrthogonalReport(verdict={self.verdict}, mode={self.mode!r}, bound={self.bound}, clauses={self.clauses})"
 
 
 @dataclass
@@ -1004,28 +1042,12 @@ class PropGldimReport:
 # generator-cogenerator and orthogonality checks
 
 
-def _generator_cogenerator_clauses(m: Module) -> list[ClauseReport]:
+def _generator_cogenerator_clauses(m: Module) -> Iterator[ClauseReport]:
+    """The generator clause, then the cogenerator clause."""
     alg = m.algebra
-    missing_p = []
-    missing_i = []
-    for v in range(alg.quiver.vertex_count):
-        if not in_add(proj_module(alg, v), m):
-            missing_p.append(v + 1)
-        if not in_add(inj_module(alg, v), m):
-            missing_i.append(v + 1)
-    clauses = [
-        ClauseReport(
-            "generator",
-            not missing_p,
-            "" if not missing_p else f"projectives at vertices {missing_p} missing",
-        ),
-        ClauseReport(
-            "cogenerator",
-            not missing_i,
-            "" if not missing_i else f"injectives at vertices {missing_i} missing",
-        ),
-    ]
-    return clauses
+    for name, kind, atom in (("generator", "projectives", proj_module), ("cogenerator", "injectives", inj_module)):
+        missing = [v + 1 for v in range(alg.quiver.vertex_count) if not in_add(atom(alg, v), m)]
+        yield ClauseReport(name, not missing, "" if not missing else f"{kind} at vertices {missing} missing")
 
 
 def is_generator_cogenerator(m: Module) -> bool:
@@ -1042,6 +1064,52 @@ def selforthogonality_failures(m: Module, l: int) -> list[tuple[int, int]]:
     return out
 
 
+def _corollary_clauses(m: Module, l: int) -> Iterator[ClauseReport]:
+    """Iyama's clauses in cost order: generator-cogenerator (Krull-Schmidt
+    counts), selforthogonality (Ext cached per atom pair), and only then
+    End(m) and its global-dimension bound l + 2."""
+    yield from _generator_cogenerator_clauses(m)
+    fails = selforthogonality_failures(m, l)
+    yield ClauseReport("selforthogonality", not fails, "" if not fails else f"nonzero self-extensions at {fails}")
+    bound_ok = gldim_le(end_ring(m), l + 2)
+    yield ClauseReport("endomorphism-gldim", bound_ok, "" if bound_ok else f"global dimension exceeds {l + 2}")
+
+
+class _WitnessStep(NamedTuple):
+    """One witness of enumeration mode: whether it lies in add(m), in the
+    right and in the left orthogonal class of m.  It passes when the three
+    agree."""
+
+    module: Module
+    member: bool
+    right_orth: bool
+    left_orth: bool
+
+    @property
+    def passed(self) -> bool:
+        return self.member == self.right_orth == self.left_orth
+
+
+def _witness_steps(m: Module, l: int, witnesses: list[Module]) -> Iterator[_WitnessStep]:
+    for w in witnesses:
+        yield _WitnessStep(
+            w,
+            in_add(w, m),
+            all(ext_dim(i, m, w) == 0 for i in range(1, l + 1)),
+            all(ext_dim(i, w, m) == 0 for i in range(1, l + 1)),
+        )
+
+
+def _perp_clauses(steps: list[_WitnessStep]) -> list[ClauseReport]:
+    """Both orthogonal classes against add(m), with every mismatching witness."""
+    bad_right = [(s.module.dims, s.member, s.right_orth) for s in steps if s.right_orth != s.member]
+    bad_left = [(s.module.dims, s.member, s.left_orth) for s in steps if s.left_orth != s.member]
+    return [
+        ClauseReport("right-perp-equals-add", not bad_right, "" if not bad_right else f"witness mismatches {bad_right}"),
+        ClauseReport("left-perp-equals-add", not bad_left, "" if not bad_left else f"witness mismatches {bad_left}"),
+    ]
+
+
 def check_maximal_orthogonal(
     m: Module,
     l: int,
@@ -1053,59 +1121,20 @@ def check_maximal_orthogonal(
     Corollary mode combines the generator-cogenerator test, selforthogonality
     up to ``l`` and the endomorphism global-dimension bound ``l + 2``.
     Enumeration mode compares add(m) with both orthogonality classes over an
-    explicit witness list (all indecomposables for a Nakayama presentation).
+    explicit, nonempty witness list (all indecomposables for a Nakayama
+    presentation).  The verdict stops at the first failing clause, or
+    witness; the clauses are built when first read (``MaxOrthogonalReport``).
     """
     if l < 1:
         raise AlgebraError("orthogonality level must be >= 1")
     if mode == "corollary":
-        clauses = _generator_cogenerator_clauses(m)
-        fails = selforthogonality_failures(m, l)
-        clauses.append(
-            ClauseReport(
-                "selforthogonality",
-                not fails,
-                "" if not fails else f"nonzero self-extensions at {fails}",
-            )
-        )
-        g = end_ring(m)
-        bound_ok = gldim_le(g, l + 2)
-        clauses.append(
-            ClauseReport(
-                "endomorphism-gldim",
-                bound_ok,
-                "" if bound_ok else f"global dimension exceeds {l + 2}",
-            )
-        )
-        return MaxOrthogonalReport(all(c.passed for c in clauses), mode, l, clauses)
+        return MaxOrthogonalReport(mode, l, _corollary_clauses(m, l), list)
     if mode == "enumeration":
         if witnesses is None:
             witnesses = enumerate_indecomposables_nakayama(m.algebra)
-        clauses = []
-        bad_right = []
-        bad_left = []
-        for w in witnesses:
-            member = in_add(w, m)
-            right_orth = all(ext_dim(i, m, w) == 0 for i in range(1, l + 1))
-            left_orth = all(ext_dim(i, w, m) == 0 for i in range(1, l + 1))
-            if right_orth != member:
-                bad_right.append((w.dims, member, right_orth))
-            if left_orth != member:
-                bad_left.append((w.dims, member, left_orth))
-        clauses.append(
-            ClauseReport(
-                "right-perp-equals-add",
-                not bad_right,
-                "" if not bad_right else f"witness mismatches {bad_right}",
-            )
-        )
-        clauses.append(
-            ClauseReport(
-                "left-perp-equals-add",
-                not bad_left,
-                "" if not bad_left else f"witness mismatches {bad_left}",
-            )
-        )
-        return MaxOrthogonalReport(all(c.passed for c in clauses), mode, l, clauses)
+        if not witnesses:
+            raise AlgebraError("witness list must be nonempty")
+        return MaxOrthogonalReport(mode, l, _witness_steps(m, l, witnesses), _perp_clauses)
     raise AlgebraError(f"unknown mode {mode!r}; expected 'corollary' or 'enumeration'")
 
 

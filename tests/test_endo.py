@@ -292,7 +292,11 @@ class TestNoBasisOnLibraryPaths:
             m1, m2 = (parse_module_expression(alg, e) for e in (e1, e2))
             for m in (m1, m2):
                 for mode in ("corollary", "enumeration"):
-                    out.append(check_maximal_orthogonal(m, 2, mode=mode))
+                    report = check_maximal_orthogonal(m, 2, mode=mode)
+                    # the clauses are built on first read: read them here,
+                    # inside the run that is being compared
+                    assert report.clauses
+                    out.append(report)
             out.append(verify_theorem(m1, m2, 2))
         for argv in self.CLI_RUNS:
             code = cli.main(argv)
@@ -415,6 +419,13 @@ class TestMaximalOrthogonality:
         assert not rep.verdict
         failing = [c.name for c in rep.clauses if not c.passed]
         assert failing == ["generator", "cogenerator"]
+
+    def test_an_empty_witness_list_is_refused(self):
+        alg = AlgebraPresentation.truncated(cyclic_quiver(3), 5, name="cyclic3")
+        simple = parse_module_expression(alg, "S(1)")
+        assert not check_maximal_orthogonal(simple, 1, mode="enumeration").verdict
+        with pytest.raises(AlgebraError, match="witness list must be nonempty"):
+            check_maximal_orthogonal(simple, 1, mode="enumeration", witnesses=[])
 
     def test_modes_agree_on_small_algebra(self):
         alg = AlgebraPresentation.truncated(cyclic_quiver(2), 3, name="cyc2-trunc3")

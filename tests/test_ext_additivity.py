@@ -122,6 +122,8 @@ def test_a_fresh_sum_of_seen_atoms_costs_lookups_alone(spies):
     lam = regular_module(alg)
     combo = [x for x in witnesses if x.total_dim < 3][:2]
     first = check_maximal_orthogonal(direct_sum(alg, [lam, *combo]), 1, mode="enumeration", witnesses=witnesses)
+    # the clauses walk every witness; they are built on first read
+    assert first.clauses
     assert spies["ext"] and spies["pairing"]
     for key in spies:
         spies[key] = 0

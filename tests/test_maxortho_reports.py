@@ -9,6 +9,12 @@ was built at call time.  The enumeration runs over the algebra's
 indecomposables, passed as the sweep passes them.  Every later route must
 give these values unchanged, detail strings included.
 
+The verdict is decided when the check runs and the clauses on first read:
+the work guards at the end check that a verdict alone stops short of
+End(M) on a candidate that fails selforthogonality, and that reading the
+clauses then builds it.  Clauses that disagree with the verdict are a
+program fault.
+
 Regenerate (only when a verdict or a clause is meant to change) with
 ``PYTHONPATH=src:tests python3 tests/test_maxortho_reports.py``.
 """
@@ -19,8 +25,9 @@ from pathlib import Path
 
 import pytest
 
-from relrep.endo import check_maximal_orthogonal
-from relrep.path_algebra import AlgebraPresentation, cyclic_quiver
+from relrep import endo
+from relrep.endo import ClauseReport, MaxOrthogonalReport, check_maximal_orthogonal
+from relrep.path_algebra import AlgebraError, AlgebraPresentation, InternalError, cyclic_quiver
 from relrep.rep import direct_sum, enumerate_indecomposables_nakayama, regular_module
 
 DATA = Path(__file__).parent / "data" / "maxortho_reports.json"
@@ -90,6 +97,42 @@ def test_reports_match_the_record(vertices, bound):
         for mode in MODES:
             got.append({"algebra": name, "extra": extra, "mode": mode, **_report(candidate, mode, witnesses)})
     assert got == expected
+
+
+def test_a_verdict_alone_stops_before_the_endomorphism_ring(monkeypatch):
+    # Lambda + S(1) + S(2) over cyc2-trunc2 fails selforthogonality
+    extra, candidate, witnesses = list(_candidates(2, 2))[3]
+    assert extra == [[1, 0], [0, 1]]
+    expected = next(r for r in _records() if (r["algebra"], r["extra"], r["mode"]) == ("cyc2-trunc2", extra, "corollary"))
+    assert [c[:2] for c in expected["clauses"]][2] == ["selforthogonality", False]
+    built = []
+    real = endo.end_ring
+    monkeypatch.setattr(endo, "end_ring", lambda m: built.append(m) or real(m))
+    report = check_maximal_orthogonal(candidate, 1, mode="corollary")
+    assert report.verdict is False
+    assert built == []
+    assert [[c.name, c.passed, c.detail] for c in report.clauses] == expected["clauses"]
+    assert built == [candidate]
+
+
+def test_clauses_that_disagree_with_the_verdict_are_a_program_fault():
+    report = MaxOrthogonalReport("corollary", 1, iter([ClauseReport("generator", True)]), lambda steps: [ClauseReport("generator", False)])
+    assert report.verdict is True
+    with pytest.raises(InternalError, match="disagree with the verdict"):
+        report.clauses
+
+
+def test_a_failed_first_read_leaves_no_partial_clauses():
+    def steps():
+        yield ClauseReport("generator", False)
+        raise AlgebraError("refused")
+
+    report = MaxOrthogonalReport("corollary", 1, steps(), list)
+    assert report.verdict is False
+    with pytest.raises(AlgebraError, match="refused"):
+        report.clauses
+    with pytest.raises(AlgebraError, match="failed part way"):
+        report.clauses
 
 
 if __name__ == "__main__":
