@@ -2,16 +2,18 @@
 and never points back at them.
 
 A result about one object is stored in that object's ``_cache`` dict.  A
-result about two objects is stored on the younger one (larger creation
-serial), keyed by the other's serial.  Serials come from one counter and are
-never reused, unlike ``id``, so the entry needs no reference to the other
-object; and the objects older than an owner are fixed when it is created, so
-the entries on it stay bounded.  A pair lookup needs both objects in hand, so
-an entry is reachable only while both live, and it dies with the younger
-one.
+result about several objects (``cached_among``; ``cached_pair`` is its
+two-object case) is stored on the youngest one (largest creation serial),
+keyed by the serials of all of them, in order.  Serials come from one counter
+and are never reused, unlike ``id``, so the entry needs no reference to the
+other objects; and the objects older than an owner are fixed when it is
+created, so the entries on it stay bounded.  A lookup needs every object in
+hand, so an entry is reachable only while all of them live, and it dies with
+the youngest one.  A set of objects takes part in a key as its members
+oldest first (``oldest_first``).
 
-No memoized value holds a strong reference to its owner or to its pair
-partner.  Results that must hand back the objects they describe (hom spaces,
+No memoized value holds a strong reference to its owner or to the other
+objects of its key.  Results that must hand back the objects they describe (hom spaces,
 resolutions, ``Ext¹`` spaces) are cached as module-free cores and wrapped in
 a fresh view on each lookup.  An involution (the dual of a module) is held
 strongly by the object it was made from and holds that object weakly
@@ -33,6 +35,7 @@ from __future__ import annotations
 import functools
 import itertools
 import weakref
+from typing import Iterable, Sequence
 
 _MISSING = object()
 _SERIALS = itertools.count()
@@ -84,18 +87,40 @@ def memoized(name: str):
     return decorate
 
 
-def cached_pair(a: Cached, b: Cached, key, compute, *args):
-    """The result ``compute(*args)`` about the ordered pair (a, b), computed once
-    and stored on the younger of the two under the serial of the other."""
-    if a._serial >= b._serial:
-        owner, slot = a, (key, 0, b._serial)
-    else:
-        owner, slot = b, (key, 1, a._serial)
+def cached_among(objects: Sequence[Cached], key, compute, *args):
+    """The result ``compute(*args)`` about the ordered tuple ``objects``,
+    computed once and stored on the youngest of them under all their serials."""
+    serials = [o._serial for o in objects]
+    owner = objects[serials.index(max(serials))]
+    slot = (key, *serials)
     cache = owner._cache
     value = cache.get(slot, _MISSING)
     if value is _MISSING:
         value = cache[slot] = compute(*args)
     return value
+
+
+def cached_pair(a: Cached, b: Cached, key, compute, *args):
+    """``cached_among((a, b), key, compute, *args)``, the same entry, looked up
+    inline: the result about the ordered pair (a, b), stored on the younger
+    of the two.  Hom spaces and multiplicities take this path on every read."""
+    sa, sb = a._serial, b._serial
+    cache = (a if sa >= sb else b)._cache
+    slot = (key, sa, sb)
+    value = cache.get(slot, _MISSING)
+    if value is _MISSING:
+        value = cache[slot] = compute(*args)
+    return value
+
+
+def oldest_first(objects: Iterable[Cached]) -> tuple:
+    """The distinct objects among ``objects``, oldest first: the canonical
+    order in which a set of objects takes part in a ``cached_among`` key."""
+    return tuple(sorted({o._serial: o for o in objects}.values(), key=_serial))
+
+
+def _serial(o: Cached) -> int:
+    return o._serial
 
 
 def involution(owner: Cached, key, compute):

@@ -44,7 +44,7 @@ from .rep import (
 from .homology import ext_dim, factor_through, in_add, is_left_minimal, is_right_minimal, minimal_left_approximation
 from .relhom import (
     F_coresolution,
-    F_resolution,
+    F_resolutions_of_atoms,
     contravariant_functor,
     covariant_functor,
     ext_F_dim,
@@ -1162,7 +1162,7 @@ def _relative_tilting_check(
     f_self,
     dim_le,
     dim_key: str,
-    res,
+    resolutions: list,
     add_target: Module,
     add_key: str,
     f_steps,
@@ -1170,16 +1170,19 @@ def _relative_tilting_check(
     """The shared body of the relative (co)tilting condition sets.
 
     Relative selforthogonality of ``module`` for ``f_self`` up to ``l``, the
-    dimension bound ``dim_le(module, f_self, l)`` (under ``dim_key``), the
-    ``l``-th (co)syzygy of ``res`` in add(``add_target``) (under ``add_key``),
-    and exactness of the first ``l`` steps of ``res`` for ``f_steps``.
+    dimension bound ``dim_le(module, f_self, l)`` (under ``dim_key``), and
+    the witness of a (co)resolution given as the sum of ``resolutions``: its
+    ``l``-th (co)syzygy in add(``add_target``) (under ``add_key``), and
+    exactness of its first ``l`` steps for ``f_steps``.  Both hold for a sum
+    exactly when they hold for each summand.
     """
     fails = [(i, ext_F_dim(i, module, module, f_self)) for i in range(1, l + 1)]
     detail: dict = {"selforthogonality_failures": [(i, d) for i, d in fails if d]}
     detail[dim_key] = dim_le(module, f_self, l)
-    detail[add_key] = in_add(res.syzygy(l), add_target)
+    detail[add_key] = all(in_add(res.syzygy(l), add_target) for res in resolutions)
     detail["steps_cross_exact"] = [
-        is_F_exact(resolution_step_sequence(res, i), f_steps) for i in range(1, l + 1)
+        all(is_F_exact(resolution_step_sequence(res, i), f_steps) for res in resolutions)
+        for i in range(1, l + 1)
     ]
     ok = (
         not detail["selforthogonality_failures"]
@@ -1196,12 +1199,14 @@ def cotilting_style_condition(m1: Module, m2: Module, l: int) -> tuple[bool, dic
     Checks relative selforthogonality up to ``l``, the relative injective
     dimension bound, and the constructive finite-resolution witness: the
     Hom(m2, -)-relative projective resolution of ``m1`` has its ``l``-th
-    syzygy in add(m2) and all its steps exact for Hom(-, m1).
+    syzygy in add(m2) and all its steps exact for Hom(-, m1).  That
+    resolution is read atom by atom (``F_resolutions_of_atoms``), off the
+    very resolutions condition (a) builds.
     """
     f_con = contravariant_functor(m1)
     return _relative_tilting_check(
         l, m2, f_con, id_F_le, "injective_dimension_ok",
-        F_resolution(m1, covariant_functor(m2)), m2, "syzygy_in_add", f_con,
+        F_resolutions_of_atoms(m1, covariant_functor(m2)), m2, "syzygy_in_add", f_con,
     )
 
 
@@ -1218,7 +1223,7 @@ def dual_cotilting_style_condition(m1: Module, m2: Module, l: int) -> tuple[bool
     f_cov = covariant_functor(m2)
     return _relative_tilting_check(
         l, m1, f_cov, pd_F_le, "projective_dimension_ok",
-        F_coresolution(m2, contravariant_functor(m1)), m1, "cosyzygy_in_add", f_cov,
+        [F_coresolution(m2, contravariant_functor(m1))], m1, "cosyzygy_in_add", f_cov,
     )
 
 

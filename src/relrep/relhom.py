@@ -15,6 +15,22 @@ built from minimal add-approximations, derived extension groups, and relative
 projective and injective dimensions.  Relative exactness and relative Ext
 (projective route) count hom dimensions; Hom out of a module built here is
 read as dim Hom_op(DY, DX), so no fresh module is presented.
+
+A functor depends on add(test module) alone, and its relative Ext is an
+additive bifunctor, so the projective route of ``ext_F_dim`` adds values over
+pairs of atoms.  Each value is an int cached on the youngest of the two atoms
+and the test module's atoms, under the degree, the variance and the set of
+those atoms (the functor's relative theory): a fresh functor over atoms
+already seen reads the same entries.  Two kinds of pairs give 0 with no
+resolution at all: a first atom that is projective, or (covariant) one of
+the test module's atoms, is relatively projective; a second atom that is
+(contravariant) one of the test module's atoms is relatively injective.  The
+minimal relative resolution of a sum is the sum of its atoms', so relative
+projective dimensions and the resolution witnesses of the theorem's
+condition (b) read the atoms' resolutions too (``F_resolutions_of_atoms``).
+The coresolution route (``F_coresolution``, ``id_F_le`` and
+``ext_F_dim(via="injective")``) works on the whole modules and cross-checks
+that additivity.
 """
 
 from __future__ import annotations
@@ -22,7 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .cache import Cached, cached_pair, memoized, weakly_cached
+from .cache import Cached, cached_among, cached_pair, memoized, oldest_first, weakly_cached
 from .exact_linalg import Matrix
 from .path_algebra import AlgebraError, InternalError
 from .rep import (
@@ -35,7 +51,10 @@ from .rep import (
     enumerate_indecomposables_nakayama,
     hom_basis,
     hom_dim,
+    nonzero_atoms,
+    proj_module,
     regular_module,
+    top_generators,
 )
 from .homology import (
     Resolution,
@@ -99,6 +118,13 @@ class SubBifunctor(Cached):
         else:
             extra = self.module
         return direct_sum(self.algebra, [cogenerator_module(self.algebra), extra])
+
+    @memoized("theory")
+    def theory_atoms(self) -> tuple[Module, ...]:
+        """The distinct nonzero atoms of the test module, oldest first.  The
+        functor depends on add(module) alone, so these atoms and the variance
+        fix its relative theory, under which ``ext_F_dim`` caches its values."""
+        return oldest_first(nonzero_atoms(self.module))
 
 
 def _functor(variance: str, module: Module) -> SubBifunctor:
@@ -192,6 +218,24 @@ def in_F_injectives(x: Module, f: SubBifunctor) -> bool:
     return in_add(x, f.injectives_module())
 
 
+@memoized("projective")
+def _is_projective(x: Module) -> bool:
+    """Whether x is projective: its projective cover, which is onto, has x's dimension."""
+    return sum(proj_module(x.algebra, v).total_dim for v, _ in top_generators(x)) == x.total_dim
+
+
+def _plainly_F_projective(x: Module, f: SubBifunctor) -> bool:
+    """Relatively projective by inspection: x is projective or, for a
+    covariant functor, one of the test module's atoms."""
+    return (f.variance == "covariant" and x in f.theory_atoms()) or _is_projective(x)
+
+
+def _plainly_F_injective(x: Module, f: SubBifunctor) -> bool:
+    """Relatively injective by inspection: for a contravariant functor, x is
+    one of the test module's atoms."""
+    return f.variance == "contravariant" and x in f.theory_atoms()
+
+
 # -- relative resolutions and derived extension groups --------------------------
 
 
@@ -212,6 +256,18 @@ def F_resolution(x: Module, f: SubBifunctor) -> Resolution:
         return g
 
     return Resolution(x, step, "relative projective", cached_pair(x, f, "resolution", _ResolutionCore))
+
+
+def F_resolutions_of_atoms(x: Module, f: SubBifunctor) -> list[Resolution]:
+    """The relative resolutions of x's distinct nonzero atoms, those that are
+    relatively projective by inspection left out (theirs stop at once).
+
+    The minimal relative resolution of a sum is the sum of its atoms': so a
+    syzygy of x lies in add(m) exactly when each atom's does, a step of x's
+    resolution is exact for a functor exactly when each atom's step is, and
+    the relative projective dimension of x is the largest of its atoms'.
+    """
+    return [F_resolution(c, f) for c in dict.fromkeys(nonzero_atoms(x)) if not _plainly_F_projective(c, f)]
 
 
 def F_coresolution(x: Module, f: SubBifunctor) -> Resolution:
@@ -254,42 +310,72 @@ def ext_F_dim(
 ) -> int:
     """Dimension of the functor's i-th derived extension group of (c, a).
 
-    via="projective" counts hom dimensions along the i-th step
+    c, a and the test module must live over one algebra; anything else is
+    refused before any work.  via="projective" is additive over atoms: for
+    i >= 1 it adds the values of the pairs (c_j, a_k) of nonzero atoms of c
+    and a (``nonzero_atoms``, repeats included).  Each value is cached on
+    the youngest of c_j, a_k and the test module's atoms
+    (``relrep.cache.cached_among``), keyed by the degree, the variance and
+    the set of those atoms (``SubBifunctor.theory_atoms``): the functor
+    depends on add(test module) alone, so a fresh sum of atoms already seen,
+    under a fresh functor over atoms already seen, costs lookups alone.  A
+    pair is 0 with no resolution when c_j is projective or, covariant, one
+    of the test module's atoms (relatively projective), and when a_k is,
+    contravariant, one of the test module's atoms (relatively injective).
+    Any other pair counts hom dimensions along the i-th step
     0 -> Omega^i -> P_{i-1} -> Omega^{i-1} -> 0 of the minimal relative
-    resolution of c (Omega^0 = c), so only i relative approximations are
-    built: dim Hom(Omega^i, a) - dim Hom(P_{i-1}, a) + dim Hom(Omega^{i-1}, a).
-    The step is exact, so Hom(-, a) is exact on it up to Hom(Omega^i, a), and
-    F-exact with P_{i-1} relatively projective, so the cokernel there is
-    Ext_F^1(Omega^{i-1}, a) = Ext_F^i(c, a).  Hom out of a syzygy is read on
-    the dual side (``_hom_dim_out_of_built``).  via="injective"
-    coresolves a by relative injectives and keeps the full hom complex
-    (``resolution_cohomology_dim``).  The two routes agree (relative
-    balance) and the second is kept as an independent cross-check, in its
-    resolution and in its formula.  Degree 1 always equals
-    F_subgroup_dim(c, a, f).
+    resolution of c_j (Omega^0 = c_j), so at most i relative approximations
+    are built: dim Hom(Omega^i, a_k) - dim Hom(P_{i-1}, a_k) +
+    dim Hom(Omega^{i-1}, a_k).  The step is exact, so Hom(-, a_k) is exact
+    on it up to Hom(Omega^i, a_k), and F-exact with P_{i-1} relatively
+    projective, so the cokernel there is Ext_F^1(Omega^{i-1}, a_k) =
+    Ext_F^i(c_j, a_k), which is 0 once Omega^{i-1} is.  Hom out of a syzygy
+    is read on the dual side (``_hom_dim_out_of_built``).  via="injective"
+    coresolves the whole of a by relative injectives and keeps the full hom
+    complex against the whole of c (``resolution_cohomology_dim``).  The two
+    routes agree (relative balance) and the second is kept as an
+    independent cross-check, in its resolution, in its formula and of the
+    additivity.  Degree 1 always equals F_subgroup_dim(c, a, f).
     """
+    if not c.algebra is a.algebra is f.algebra:
+        raise AlgebraError("relative ext between modules over different algebras")
     if i < 0:
         raise AlgebraError("ext degree must be >= 0")
     if i == 0:
         return hom_dim(c, a)
     if via == "projective":
-        res = F_resolution(c, f)
-        syzygy, incl = res.syzygy_edge(i)
-        before = hom_dim(c, a) if i == 1 else _hom_dim_out_of_built(res.syzygy(i - 1), a)
-        return _hom_dim_out_of_built(syzygy, a) - hom_dim(incl.target, a) + before
+        theory = f.theory_atoms()
+        key = ("ext_F", i, f.variance)
+        targets = nonzero_atoms(a)
+        return sum(
+            cached_among((c_j, a_k, *theory), key, _atom_ext_F_dim, i, c_j, a_k, f)
+            for c_j in nonzero_atoms(c)
+            for a_k in targets
+        )
     if via == "injective":
         return resolution_cohomology_dim(F_coresolution(a, f), i, c)
     raise AlgebraError(f"unknown ext route {via!r}")
 
 
+def _atom_ext_F_dim(i: int, c: Module, a: Module, f: SubBifunctor) -> int:
+    if _plainly_F_projective(c, f) or _plainly_F_injective(a, f):
+        return 0
+    res = F_resolution(c, f)
+    if any(res.syzygy(k).is_zero() for k in range(1, i)):
+        return 0
+    syzygy, incl = res.syzygy_edge(i)
+    before = hom_dim(c, a) if i == 1 else _hom_dim_out_of_built(res.syzygy(i - 1), a)
+    return _hom_dim_out_of_built(syzygy, a) - hom_dim(incl.target, a) + before
+
+
 def pd_F_le(x: Module, f: SubBifunctor, n: int) -> bool:
-    """Whether the relative projective dimension of x is at most n."""
+    """Whether the relative projective dimension of x is at most n: whether
+    it holds for each of x's atoms (``F_resolutions_of_atoms``)."""
     if x.total_dim == 0:
         return True
     if n < 0:
         return False
-    res = F_resolution(x, f)
-    return in_F_projectives(res.syzygy(n), f)
+    return all(in_F_projectives(res.syzygy(n), f) for res in F_resolutions_of_atoms(x, f))
 
 
 def id_F_le(x: Module, f: SubBifunctor, n: int) -> bool:

@@ -15,7 +15,7 @@ from types import SimpleNamespace
 import pytest
 
 from relrep import endo, exact_linalg, homology, relhom, rep
-from relrep.cache import Cached, cached, cached_pair, release
+from relrep.cache import Cached, cached, cached_among, cached_pair, oldest_first, release
 from relrep.cli import main
 from relrep.endo import (
     _block_radical,
@@ -325,6 +325,22 @@ def test_triple_records_hold_numbers_and_die_with_their_atoms():
 
 
 # -- one relative functor per (module, variance), held weakly by the module ---------
+
+
+def test_cached_among_lives_on_the_youngest_and_cached_pair_is_its_two_object_case():
+    old, middle, young = _Thing(), _Thing(), _Thing()
+    assert cached_among((middle, young, old), "k", lambda: "mo") == "mo"
+    # the order is part of the key, and the entry sits on the youngest
+    assert cached_among((old, young, middle), "k", lambda: "om") == "om"
+    assert cached_among((middle, young, old), "k", lambda: "again") == "mo"
+    assert old._cache == {} and middle._cache == {} and len(young._cache) == 2
+    # a pair lookup reads and writes the two-object entry
+    assert cached_pair(old, middle, "k", lambda: "pair") == "pair"
+    assert cached_among((old, middle), "k", lambda: "again") == "pair"
+    assert cached_among((middle, old), "k", lambda: "other") == "other"
+    assert len(middle._cache) == 2
+    # a set takes part in a key in one order, whatever order it comes in
+    assert oldest_first([young, old, middle, old]) == (old, middle, young)
 
 
 def test_a_held_functor_is_shared():

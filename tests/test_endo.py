@@ -588,7 +588,7 @@ def tilting_style_condition(m1, m2, l):
     f_con1 = contravariant_functor(m1)
     return _relative_tilting_check(
         l, m2, f_con1, pd_F_le, "projective_dimension_ok",
-        F_coresolution(f_con1.projectives_module(), contravariant_functor(m2)),
+        [F_coresolution(f_con1.projectives_module(), contravariant_functor(m2))],
         m2, "cosyzygy_in_add", f_con1,
     )
 

@@ -67,6 +67,7 @@ from relrep.rep import (
     hom_space,
     is_isomorphic,
     kernel,
+    nonzero_atoms,
     parse_module_expression,
     regular_module,
     simple_module,
@@ -450,15 +451,29 @@ def approximations(monkeypatch):
 @pytest.mark.parametrize("i", [1, 2, 3])
 @pytest.mark.parametrize("variance", ["covariant", "contravariant"])
 def test_relative_ext_builds_i_approximations(approximations, variance, i):
-    # a fresh algebra, so nothing is cached: degree i reads the i-th relative
-    # syzygy, which needs terms 0..i-1 only, one approximation each
+    # a fresh algebra, so nothing is cached.  Relative Ext is added over the
+    # atoms of c, neither projective nor an atom of the test module, so each
+    # is resolved: degree i reads the i-th relative syzygy of each atom, which
+    # needs terms 0..i-1 only, one approximation each.  Only a syzygy that
+    # vanishes before the i-th stops an atom's count short (S(2) under the
+    # contravariant functor, whose second syzygy is 0)
     alg = AlgebraPresentation.truncated(cyclic_quiver(3), 5, name="cyc3-trunc5")
     m1, m2 = (parse_module_expression(alg, e) for e in (M1_EXPR, M2_EXPR))
     functor = covariant_functor(m2) if variance == "covariant" else contravariant_functor(m1)
     c = parse_module_expression(alg, "P(3)/rad^2+S(2)")
     a = parse_module_expression(alg, "P(1)/rad^2")
     value = ext_F_dim(i, c, a, functor)
-    assert len(approximations) == i
+    built = list(approximations)
+    expected = []
+    for atom in nonzero_atoms(c):
+        assert not in_F_projectives(atom, functor)
+        res = F_resolution(atom, functor)
+        syzygies = [res.syzygy(k) for k in range(i)]
+        expected += [s.dims for s in itertools.takewhile(lambda s: not s.is_zero(), syzygies)]
+    # the atoms' syzygies 0..i-1, in order, each approximated once: never the i-th
+    assert built == expected
+    short = variance == "contravariant" and i == 3
+    assert len(built) == 2 * i - short
     assert value == ext_F_dim(i, c, a, functor, via="injective")
 
 
