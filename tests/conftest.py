@@ -1,5 +1,6 @@
 import pytest
 
+from relrep import homology, relhom
 from relrep.exact_linalg import Matrix
 from relrep.path_algebra import AlgebraPresentation, cyclic_quiver
 from relrep.rep import Module, parse_module_expression
@@ -28,3 +29,18 @@ def m1(cyc3_5):
 @pytest.fixture(scope="session")
 def m2(cyc3_5):
     return parse_module_expression(cyc3_5, M2_EXPR)
+
+
+@pytest.fixture
+def approximations(monkeypatch):
+    """Counts minimal right approximations, wherever they are called from."""
+    calls = []
+    real = homology.minimal_right_approximation
+
+    def counted(x, m):
+        calls.append(x.dims)
+        return real(x, m)
+
+    for module in (homology, relhom):
+        monkeypatch.setattr(module, "minimal_right_approximation", counted)
+    return calls

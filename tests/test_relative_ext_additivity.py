@@ -16,7 +16,6 @@ import weakref
 
 import pytest
 
-from relrep import homology, relhom
 from relrep.path_algebra import AlgebraError, AlgebraPresentation, cyclic_quiver
 from relrep.relhom import VARIANCES, contravariant_functor, covariant_functor, ext_F_dim
 from relrep.rep import direct_sum, nonzero_atoms, parse_module_expression, proj_module
@@ -35,21 +34,6 @@ def _functor(variance: str, module):
 
 def _both_routes(i, c, a, f) -> tuple[int, int]:
     return ext_F_dim(i, c, a, f), ext_F_dim(i, c, a, f, via="injective")
-
-
-@pytest.fixture
-def approximations(monkeypatch):
-    """Counts minimal right approximations, wherever they are called from."""
-    calls = []
-    real = homology.minimal_right_approximation
-
-    def counted(x, m):
-        calls.append(x.dims)
-        return real(x, m)
-
-    for module in (homology, relhom):
-        monkeypatch.setattr(module, "minimal_right_approximation", counted)
-    return calls
 
 
 def _atom_terms(alg) -> list[str]:

@@ -433,21 +433,6 @@ def test_hom_out_of_built_modules_matches_its_dual(make):
     assert max(here for here, _ in dims) > 1
 
 
-@pytest.fixture
-def approximations(monkeypatch):
-    """Counts minimal right approximations, wherever they are called from."""
-    calls = []
-    real = homology.minimal_right_approximation
-
-    def counted(x, m):
-        calls.append(x.dims)
-        return real(x, m)
-
-    for module in (homology, relhom):
-        monkeypatch.setattr(module, "minimal_right_approximation", counted)
-    return calls
-
-
 @pytest.mark.parametrize("i", [1, 2, 3])
 @pytest.mark.parametrize("variance", ["covariant", "contravariant"])
 def test_relative_ext_builds_i_approximations(approximations, variance, i):
