@@ -191,12 +191,11 @@ def test_a_sum_with_an_atom_that_local_parts_refuses_is_refused():
 # -- agreement with the randomized search -------------------------------------------
 
 
-@pytest.mark.parametrize("make", ALGEBRAS, ids=lambda make: make.__name__.strip("_"))
-def test_agrees_with_the_randomized_search_on_the_corpus(make):
-    """Indecomposables of the corpus pairwise, then the two-atom sums of its
-    distinct indecomposables against each other, against the same sum in the
-    other order and against their summand-free copies."""
-    alg = make()
+def corpus_checks(alg) -> list[tuple[Module, Module]]:
+    """The equal-dims pairs over the syzygy-step corpus of ``alg``: its split
+    local indecomposables pairwise, then the two-atom sums of its distinct
+    indecomposables against each other, and each summand-free sum against
+    the same sum in the other order."""
     corpus = _parsed(alg) + _built(alg) + _tilted(alg)
     atoms = [x for x in corpus if x.algebra is alg and x.summands is None and _split_local(x)]
     distinct: list[Module] = []
@@ -207,8 +206,13 @@ def test_agrees_with_the_randomized_search_on_the_corpus(make):
     sums = [direct_sum(alg, [u, v]) for u, v in pairs]
     checks = [(x, y) for x, y in itertools.combinations(atoms + sums, 2) if x.dims == y.dims]
     checks += [(_plain(m), direct_sum(alg, [v, u])) for m, (u, v) in zip(sums, pairs)]
+    return checks
+
+
+@pytest.mark.parametrize("make", ALGEBRAS, ids=lambda make: make.__name__.strip("_"))
+def test_agrees_with_the_randomized_search_on_the_corpus(make):
     answers = []
-    for x, y in checks:
+    for x, y in corpus_checks(make()):
         answers.append(is_isomorphic(x, y))
         assert answers[-1] == _reference_is_isomorphic(x, y), (x.dims, y.dims)
     assert True in answers and False in answers
