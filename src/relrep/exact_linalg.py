@@ -513,14 +513,3 @@ def complement_projection(span: Matrix) -> tuple[Matrix, list[int]]:
                 row[p] = -c
         rows.append(row)
     return Matrix._trusted(len(free), n, rows), free
-
-
-def intersect_kernels(mats: Sequence[Matrix]) -> Matrix:
-    """Basis of the intersection of right kernels of same-width matrices.
-
-    Zero-row matrices impose no constraints but still fix the ambient width.
-    """
-    mats = list(mats)
-    if not mats:
-        raise ValueError("need at least one matrix to know the ambient width")
-    return vstack(mats).kernel_basis()

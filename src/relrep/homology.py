@@ -623,15 +623,12 @@ class Ext1Space:
     on the younger atom, into the whole (see ``_assembled_ext1_core``), and
     K is the direct sum of the atoms' first syzygies.  Two atoms, and a sum
     c with an atom of more than one top generator (the Kronecker quiver's
-    I(2)), are read off Hom(K, a) on the whole modules.  Built directly,
-    without a core, an Ext1Space reads the whole modules and caches nothing.
+    I(2)), are read off Hom(K, a) on the whole modules.
     """
 
     __slots__ = ("c", "a", "cover", "k", "incl", "dim", "_cocycles", "_free", "_reducer", "_section_idx")
 
-    def __init__(self, c: Module, a: Module, core: _Ext1Core | None = None):
-        if core is None:
-            core = _whole_ext1_core(c, a)
+    def __init__(self, c: Module, a: Module, core: _Ext1Core):
         self.c = c
         self.a = a
         res = projective_resolution(c)
@@ -916,12 +913,7 @@ def in_add(x: Module, m: Module) -> bool:
     isomorphic to some z fill it, sum of multiplicity(z, x)·dim z = dim x.
     The count certifies both answers and never builds End(x).
     """
-    return x.is_zero() or _in_add_by_count(x, m)
-
-
-def _in_add_by_count(x: Module, m: Module) -> bool:
-    """``in_add(x, m)`` for nonzero x, by the Krull-Schmidt count."""
-    return sum(_multiplicity(z, x) * z.total_dim for z in distinct_atoms(m)) == x.total_dim
+    return x.is_zero() or sum(_multiplicity(z, x) * z.total_dim for z in distinct_atoms(m)) == x.total_dim
 
 
 def in_add_via_split(x: Module, m: Module) -> bool:

@@ -32,7 +32,6 @@ from .exact_linalg import (
     exact_div,
     gather_columns,
     hstack,
-    intersect_kernels,
     rational,
     vstack,
 )
@@ -102,7 +101,8 @@ class Module(Cached):
     column vectors.  Instances are immutable by convention; identity is object
     identity (no structural __eq__), so results about a module are cached on
     it (see ``relrep.cache``).  A direct sum is a view over its ``summands``
-    and ``_offsets``: its arrow maps are assembled on first read, and until
+    and ``_offsets`` (``_offsets[s][v]`` is where summand s starts inside
+    vertex space v): its arrow maps are assembled on first read, and until
     then its path actions are assembled from the summands' (``direct_sum``).
     """
 
@@ -198,12 +198,6 @@ class Module(Cached):
 
     def is_zero(self) -> bool:
         return self.total_dim == 0
-
-    def offsets(self) -> list[tuple[int, ...]]:
-        """offsets()[s][v]: start of summand s inside vertex space v."""
-        if self.summands is None or self._offsets is None:
-            raise AlgebraError("module has no registered summand layout")
-        return self._offsets
 
     def __repr__(self) -> str:
         return f"Module(dims={self.dims})"
@@ -580,19 +574,6 @@ def radical_spans(module: Module, power: int = 1) -> list[Matrix]:
         if m.cols and not m.is_zero():
             per_vertex[p.target].append(m)
     return [hstack(ms) if ms else Matrix.zeros(d, 0) for d, ms in zip(module.dims, per_vertex)]
-
-
-def socle_subspaces(module: Module) -> list[Matrix]:
-    """Per-vertex bases of the largest semisimple submodule."""
-    algebra = module.algebra
-    out = []
-    for v in range(len(module.dims)):
-        arrows_out = algebra.quiver.arrows_from[v]
-        if not arrows_out:
-            out.append(Matrix.identity(module.dims[v]))
-        else:
-            out.append(intersect_kernels([module.arrow_maps[i] for i in arrows_out]))
-    return out
 
 
 def radical_quotient(module: Module, power: int) -> tuple[Module, Morphism]:
@@ -1264,11 +1245,16 @@ def placed_parts(m: Module) -> list[tuple]:
 def iso_classes(parts: Sequence[Module]) -> tuple[list[int], list[int]]:
     """``(classes, keep)`` for local modules: ``classes[s]`` numbers the
     isomorphism class of ``parts[s]`` in order of first appearance, and
-    ``keep`` holds the index of each class's first part."""
+    ``keep`` holds the index of each class's first part.  A local part z
+    that is a summand of a local a of the same dimension vector is all of
+    a, so a is in z's class exactly when ``_multiplicity(z, a)`` is nonzero."""
     classes: list[int] = []
     keep: list[int] = []
     for a in parts:
-        k = next((c for c, s in enumerate(keep) if is_isomorphic(a, parts[s])), len(keep))
+        k = next(
+            (c for c, s in enumerate(keep) if a.dims == parts[s].dims and _multiplicity(parts[s], a)),
+            len(keep),
+        )
         if k == len(keep):
             keep.append(len(classes))
         classes.append(k)
@@ -1292,22 +1278,6 @@ def _distinct_parts(m: Module) -> list[Module]:
 # -- isomorphism testing -------------------------------------------------------
 
 
-@memoized("fingerprint")
-def _radical_fingerprint(m: Module) -> tuple:
-    out = [m.dims]
-    k = 1
-    while True:
-        dims = tuple(s.rank() for s in radical_spans(m, k))
-        out.append(dims)
-        if all(d == 0 for d in dims):
-            break
-        k += 1
-        if k > m.total_dim + 1:
-            break
-    out.append(tuple(s.cols for s in socle_subspaces(m)))
-    return tuple(out)
-
-
 def _multiplicity(z: Module, a: Module) -> int:
     """How often the local module z is a summand of a: the rank of the
     pairing Hom(z, a) x Hom(a, z) -> End(z)/rad, (f, g) -> g∘f, over the
@@ -1327,51 +1297,29 @@ def _pairing_rank(z: Module, a: Module) -> int:
 
 
 def is_isomorphic(x: Module, y: Module) -> bool:
-    """Exact isomorphism test; every answer carries a certificate.
+    """Exact isomorphism test by Krull-Schmidt; every answer carries a
+    certificate.
 
-    "False" comes from an invariant: the dimension vectors, the radical
-    layers and socle, or the dimensions of the four hom spaces.  "True"
-    comes from an invertible basis map of Hom(x, y).  Past those, x (y
-    when only y is a sum) is read through the local parts of its atoms
-    (``distinct_atoms``): a
-    local x is not isomorphic to y, since the maps x -> y that are not
-    invertible form the proper subspace rad(x, y), which would hold the
-    whole basis; any other x is isomorphic to y exactly when each of its
-    parts is as often a summand of y as of x.  ``local_parts`` refuses an
-    atom it cannot decompose with ``AlgebraError``.
+    "False" comes from the dimension vectors or from unequal
+    multiplicities, "true" from equal multiplicities: x (y when only y is
+    a sum) is read through the local parts of its atoms
+    (``distinct_atoms``), and x is isomorphic to y exactly when each part
+    is as often a summand of y as of x.  ``local_parts`` refuses an atom it
+    cannot decompose with ``AlgebraError``.
     """
     if x is y:
         return True
-    if x.algebra is not y.algebra:
-        return False
-    if x.dims != y.dims:
+    if x.algebra is not y.algebra or x.dims != y.dims:
         return False
     if x.total_dim == 0:
-        return True
-    if _radical_fingerprint(x) != _radical_fingerprint(y):
-        return False
-    hom_xy = hom_space(x, y)
-    k = hom_xy.dim
-    if k == 0:
-        return False
-    if hom_dim(y, x) != k:
-        return False
-    de_x = hom_dim(x, x)
-    if de_x != hom_dim(y, y) or de_x != k:
-        # an isomorphism identifies all four spaces
-        return False
-    if any(hom_xy.basis_map(i).is_iso() for i in range(k)):
         return True
     if x.summands is None and y.summands is not None:
         # isomorphism is symmetric: read the sum, whose atoms are known,
         # rather than split the plain module by Fitting's lemma
         x, y = y, x
-    parts = distinct_atoms(x)
-    if parts[0] is x:
-        return False
     # equal multiplicities make x a summand of y, and equal dimensions make
     # it all of y
-    return all(_multiplicity(z, x) == _multiplicity(z, y) for z in parts)
+    return all(_multiplicity(z, x) == _multiplicity(z, y) for z in distinct_atoms(x))
 
 
 # -- Nakayama enumeration -------------------------------------------------------

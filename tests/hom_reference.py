@@ -9,9 +9,12 @@ The reference realization of an Ext^1 class: the pushout of the cover
 sequence along a cocycle, built as the quotient of P + a by the graph of
 (incl, -psi), with the summand injections and projections of the sum.
 ``Ext1Space.realize`` builds the same matrices from c's cached middle core.
+
+The socle, per vertex, as the common kernel of the arrows leaving it: the
+tests check minimal injective hulls against it.
 """
 
-from relrep.exact_linalg import Matrix
+from relrep.exact_linalg import Matrix, vstack
 from relrep.path_algebra import AlgebraError
 from relrep.rep import (
     Module,
@@ -99,3 +102,15 @@ def pushout_realize(space, psi: Morphism) -> ShortExactSequence:
     h = space.cover @ summand_projection(sum_pa, 0)
     g = Morphism(middle, space.c, tuple(hv @ sv for hv, sv in zip(h.maps, sections)))
     return ShortExactSequence(f, g)
+
+
+def socle_subspaces(module: Module) -> list[Matrix]:
+    """Per-vertex bases of the largest semisimple submodule."""
+    out = []
+    for v, d in enumerate(module.dims):
+        arrows_out = module.algebra.quiver.arrows_from[v]
+        if not arrows_out:
+            out.append(Matrix.identity(d))
+        else:
+            out.append(vstack([module.arrow_maps[i] for i in arrows_out]).kernel_basis())
+    return out

@@ -1,12 +1,13 @@
-"""Certified isomorphism: invariants, an invertible basis map, or Krull-Schmidt.
+"""Isomorphism by Krull-Schmidt alone.
 
-``is_isomorphic`` answers "false" only from an invariant (dimension vectors,
-radical layers and socle, the four hom dimensions), from a local x with no
-invertible basis map of Hom(x, y), or from unequal multiplicities of a
-local part of x's atoms, and "true" only from an invertible basis map of
-Hom(x, y) or from equal multiplicities.  An atom that ``local_parts``
-cannot decompose is refused.  The randomized search it replaced is kept
-below as the reference: on the syzygy-step corpus the two agree.
+``is_isomorphic`` answers "false" from the dimension vectors or from
+unequal multiplicities of a local part of x's atoms (y's when only y is a
+sum), and "true" from equal multiplicities: equal multiplicities make x a
+summand of y, and equal dimensions make it all of y.  An atom that
+``local_parts`` cannot decompose is refused, even when x and y are the same
+matrices.  The randomized search it replaced is kept below as the
+reference, with the invariants it read first (radical layers and socle, the
+four hom dimensions): on the syzygy-step corpus the two agree.
 
 On a Nakayama algebra the radical layers already fix a module (they give,
 for every k, the tops of the uniserial summands longer than k), so a pair
@@ -26,18 +27,32 @@ from relrep.exact_linalg import Matrix
 from relrep.path_algebra import AlgebraError, AlgebraPresentation, Arrow, Quiver
 from relrep.rep import (
     Module,
-    _radical_fingerprint,
     _split_local,
     direct_sum,
     hom_dim,
     hom_space,
     is_isomorphic,
     parse_module_expression,
+    radical_spans,
     simple_module,
 )
+from hom_reference import socle_subspaces
 from test_homology import _kronecker
 from test_rep import _kronecker_at
 from test_syzygy_steps import ALGEBRAS, _built, _cyc3_trunc5, _parsed, _tilted
+
+
+def _radical_fingerprint(m: Module) -> tuple:
+    """The dimension vector, the per-vertex dimensions of rad^k m for k = 1
+    until they vanish, and the per-vertex dimensions of the socle."""
+    out = [m.dims]
+    for k in range(1, m.total_dim + 2):
+        dims = tuple(s.rank() for s in radical_spans(m, k))
+        out.append(dims)
+        if not any(dims):
+            break
+    out.append(tuple(s.cols for s in socle_subspaces(m)))
+    return tuple(out)
 
 
 def _reference_is_isomorphic(x: Module, y: Module, seed: int = 0) -> bool:
@@ -118,7 +133,7 @@ def test_summand_free_copies_are_decided_by_multiplicities_on_cyclic3(multiplici
         assert is_isomorphic(copy, registered) and is_isomorphic(registered, copy)
         assert is_isomorphic(copy, flipped) and is_isomorphic(flipped, copy)
     assert multiplicity_calls
-    # a different sum with the same dimension vector falls to the invariants
+    # a different sum with the same dimension vector has other multiplicities
     other = parse_module_expression(alg, "P(1)/rad^4+S(1)+S(2)")
     assert not is_isomorphic(_plain(parse_module_expression(alg, "P(1)+S(1)")), other)
 
@@ -144,7 +159,7 @@ def test_summand_free_copies_are_decided_by_multiplicities_on_the_kronecker_quiv
     assert is_isomorphic(copy, registered) and is_isomorphic(registered, copy)
     assert is_isomorphic(copy, direct_sum(alg, [r1, r0]))
     assert multiplicity_calls
-    # R(0)+R(2) and R(0)+R(0) differ from R(0)+R(1) in their hom dimensions
+    # R(0)+R(2) and R(0)+R(0) hold R(1) fewer times than R(0)+R(1) does
     assert not is_isomorphic(copy, direct_sum(alg, [r0, r2]))
     assert not is_isomorphic(copy, direct_sum(alg, [r0, r0]))
 
@@ -157,16 +172,15 @@ def test_a_false_with_every_invariant_equal_comes_from_a_multiplicity(multiplici
     s = simple_module(alg, 0)
     a = _plain(direct_sum(alg, [x, s]))
     b = direct_sum(alg, [s, y])
-    # the bricks X and Y are local: the non-isomorphisms X -> Y form the
-    # proper subspace rad(X, Y), so no multiplicity is read for them
-    for p, q, reads in ((x, y, False), (a, b, True)):
+    # every equal-dims pair reads multiplicities, the local bricks X and Y too
+    for p, q in ((x, y), (a, b)):
         assert p.dims == q.dims
         assert _radical_fingerprint(p) == _radical_fingerprint(q)
         k = hom_dim(p, q)
         assert k > 0 and hom_dim(q, p) == hom_dim(p, p) == hom_dim(q, q) == k
         del multiplicity_calls[:]
         assert not is_isomorphic(p, q) and not is_isomorphic(q, p)
-        assert bool(multiplicity_calls) is reads
+        assert multiplicity_calls
     assert is_isomorphic(a, direct_sum(alg, [s, x]))
 
 
@@ -186,6 +200,14 @@ def test_a_sum_with_an_atom_that_local_parts_refuses_is_refused():
     p = simple_module(r.algebra, 0)
     with pytest.raises(AlgebraError, match="atom decomposition undecided"):
         is_isomorphic(direct_sum(r.algebra, [r, p]), direct_sum(r.algebra, [p, r]))
+
+
+def test_an_atom_that_local_parts_refuses_is_refused_against_its_own_copy():
+    # the same matrices: no invertible basis map answers "true" before the
+    # atom is read
+    r = _kronecker_at([-2, 0, 0, 0])
+    with pytest.raises(AlgebraError, match="atom decomposition undecided"):
+        is_isomorphic(r, _plain(r))
 
 
 # -- agreement with the randomized search -------------------------------------------

@@ -30,10 +30,9 @@ from relrep.rep import (
     radical_spans,
     regular_module,
     simple_module,
-    socle_subspaces,
 )
 from conftest import zero_module
-from hom_reference import _hom_raw, summand_injection, summand_projection
+from hom_reference import _hom_raw, socle_subspaces, summand_injection, summand_projection
 
 
 # -- references ----------------------------------------------------------------

@@ -47,8 +47,8 @@ from relrep.rep import (
     quotient_by_subspaces,
     radical_quotient,
     simple_module,
-    socle_subspaces,
 )
+from hom_reference import socle_subspaces
 from test_exact_linalg import subspace_sum
 from test_homology import _a3_zero_relation, _a4_rad2, _commuting_square, _kronecker, factor_through_mono
 from test_rep import radical_subspaces, top
