@@ -203,8 +203,7 @@ def test_a_sum_with_an_atom_that_local_parts_refuses_is_refused():
 
 
 def test_an_atom_that_local_parts_refuses_is_refused_against_its_own_copy():
-    # the same matrices: no invertible basis map answers "true" before the
-    # atom is read
+    # the same matrices: the answer still reads r's local parts
     r = _kronecker_at([-2, 0, 0, 0])
     with pytest.raises(AlgebraError, match="atom decomposition undecided"):
         is_isomorphic(r, _plain(r))
